@@ -24,6 +24,7 @@ from .fields import (
     FieldReport,
     ScalarField,
     constant_field,
+    cost_adjacency,
     edge_cost,
     edge_costs,
     field_from_expression,

@@ -19,6 +19,7 @@ from .errors import EikographError, ValidationError
 from .fields import (
     ScalarField,
     field_from_expression,
+    field_on,
     is_field_expression,
     read_field_csv,
     write_field_csv,
@@ -117,7 +118,8 @@ def read_solution_csv(g: MetricGraph, path: str) -> ScalarField:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or header[0].strip() != "vertex_id" or header[1].strip() not in ("u", "value"):
+        if (header is None or len(header) < 2 or header[0].strip() != "vertex_id"
+                or header[1].strip() not in ("u", "value")):
             raise ValidationError(f"{path}: expected header 'vertex_id,u,...' or 'vertex_id,value'")
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -126,8 +128,6 @@ def read_solution_csv(g: MetricGraph, path: str) -> ScalarField:
                 values[row[0]] = float(row[1])
             except (IndexError, ValueError):
                 raise ValidationError(f"{path}:{lineno}: bad row {row!r}")
-    from .fields import field_on
-
     return field_on(g, values, "solution_u")
 
 
@@ -166,23 +166,22 @@ def write_report_csv(report: CheckReport, path: str) -> None:
 # --- command handlers -------------------------------------------------------
 
 
+def _fixture_params(name: str, args) -> dict:
+    """Fixture parameters from the size flag the fixture needs (--n, --depth
+    or --level), plus --connectivity for grids; a missing size flag is an
+    input error."""
+    flag = {"interval": "n", "circle": "n", "grid": "n", "binary_tree": "depth", "gasket": "level"}[name]
+    value = getattr(args, flag)
+    if value is None:
+        raise ValidationError(f"fixture {name!r} needs --{flag}")
+    params = {flag: value}
+    if name == "grid":
+        params["connectivity"] = args.connectivity
+    return params
+
+
 def _cmd_fixture(args) -> int:
-    params = {}
-    if args.name in ("interval", "circle", "grid"):
-        if args.n is None:
-            raise ValidationError(f"fixture {args.name!r} needs --n")
-        params["n"] = args.n
-        if args.name == "grid":
-            params["connectivity"] = args.connectivity
-    elif args.name == "binary_tree":
-        if args.depth is None:
-            raise ValidationError("fixture binary_tree needs --depth")
-        params["depth"] = args.depth
-    elif args.name == "gasket":
-        if args.level is None:
-            raise ValidationError("fixture gasket needs --level")
-        params["level"] = args.level
-    fix = fixture(args.name, **params)
+    fix = fixture(args.name, **_fixture_params(args.name, args))
     _check_io_paths([], [args.out])
     write_graph(fix.graph, args.out)
     g = fix.graph
@@ -318,18 +317,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    params = {}
-    if args.fixture in ("interval", "circle", "grid"):
-        if args.n is None:
-            raise ValidationError(f"suite fixture {args.fixture!r} needs --n")
-        params["n"] = args.n
-        if args.fixture == "grid":
-            params["connectivity"] = args.connectivity
-    elif args.fixture == "binary_tree":
-        params["depth"] = args.depth
-    elif args.fixture == "gasket":
-        params["level"] = args.level
-    fix = fixture(args.fixture, **{k: v for k, v in params.items() if v is not None})
+    fix = fixture(args.fixture, **_fixture_params(args.fixture, args))
     report = equivalence_suite(fix, f_spec=args.f, zeta_spec=args.zeta, levels=args.levels)
     _check_io_paths([], [args.report])
     if args.report:

@@ -150,6 +150,24 @@ def edge_costs(g: MetricGraph, f: ScalarField) -> dict[tuple[str, str], float]:
     return {e: 0.5 * (f[e[0]] + f[e[1]]) * length for e, length in g.edges.items()}
 
 
+def cost_adjacency(g: MetricGraph, f: ScalarField) -> dict[str, tuple[tuple[str, float], ...]]:
+    """Edge costs laid out like ``g.adjacency``: (neighbor, cost) pairs in id order.
+
+    Each cost is bit-identical to the :func:`edge_costs` entry of its edge.
+    """
+    if f.role != "rhs_f":
+        raise FieldError(f"edge costs need a rhs_f field, got role {f.role!r}")
+    fv = f.values
+    adj: dict[str, tuple[tuple[str, float], ...]] = {}
+    try:
+        for x, nbrs in g.adjacency.items():
+            fx = fv[x]
+            adj[x] = tuple([(y, 0.5 * (fx + fv[y]) * length) for y, length in nbrs])
+    except KeyError as exc:
+        raise FieldError(f"field ({f.role}) has no value at vertex {exc.args[0]!r}")
+    return adj
+
+
 def path_cost(g: MetricGraph, f: ScalarField, vertices: list[str] | tuple[str, ...]) -> float:
     """Accumulated trapezoid cost along a vertex path (left-to-right fl sums)."""
     total = 0.0

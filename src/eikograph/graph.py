@@ -241,7 +241,10 @@ def build_graph(spec: Mapping) -> MetricGraph:
         if k not in edges or length < edges[k]:
             edges[k] = length
 
-    return _finalize(vertices, edges, spec.get("boundary", ()), coords)
+    boundary = spec.get("boundary", [])
+    if not isinstance(boundary, (list, tuple)):
+        raise ValidationError(f"graph boundary must be a list of vertex ids, got {type(boundary).__name__}")
+    return _finalize(vertices, edges, [str(b) for b in boundary], coords)
 
 
 def graph_to_dict(g: MetricGraph) -> dict:
@@ -283,10 +286,17 @@ def fixpoint_labels(
     """Exact binary64 fixpoint of the Bellman labeling operator.
 
     Returns the unique labels with u(x) = min(seed(x), min over neighbors y of
-    fl(u(y) + w(x, y))), computed as multi-source Dijkstra followed by
-    Gauss-Seidel sweeps.  The sweeps settle the last few ulps so that the
-    fixpoint equations hold exactly in floating point, which makes the result
-    bit-identical to exhaustive value iteration from the same seeds.
+    fl(u(y) + w(x, y))), computed by one multi-source Dijkstra pass.  Under
+    round-to-nearest, fl(d + w) is nondecreasing in d and >= d for w >= 0, so
+    labels pop in nondecreasing order and a popped label is final: no later
+    pop can lower it.  The labels therefore satisfy the fixpoint equations
+    exactly in floating point and are bit-identical to exhaustive value
+    iteration from the same seeds.
+
+    The returned dict lists vertices in settle (pop) order, then the
+    vertices no seed reaches, at inf, in ``adjacency`` order.  Every settled
+    vertex other than a seed at its own datum has a neighbor settled before
+    it whose label plus edge weight equals its label exactly.
     """
     if not seeds:
         raise ValidationError("fixpoint_labels needs at least one seeded vertex")
@@ -298,30 +308,19 @@ def fixpoint_labels(
         if d0 < dist[v]:
             dist[v] = d0
             heapq.heappush(heap, (d0, v))
+    settled: dict[str, float] = {}
     while heap:
         d, v = heapq.heappop(heap)
         if d > dist[v]:
             continue
+        settled[v] = d
         for w, c in adjacency[v]:
             cand = d + c
             if cand < dist[w]:
                 dist[w] = cand
                 heapq.heappush(heap, (cand, w))
-
-    order = sorted(adjacency)
-    changed = True
-    while changed:
-        changed = False
-        for x in order:
-            best = seeds.get(x, math.inf)
-            for y, c in adjacency[x]:
-                cand = dist[y] + c
-                if cand < best:
-                    best = cand
-            if best < dist[x]:
-                dist[x] = best
-                changed = True
-    return dist
+    settled.update(dist)
+    return settled
 
 
 def _backtrack_path(

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import GraphError
-from .fields import ScalarField, edge_costs, lipschitz_constant
+from .fields import ScalarField, cost_adjacency, edge_costs, lipschitz_constant
 from .graph import Curve, MetricGraph, ball, curve_along, distances_from
 
 # Base additive tolerance; interpolation error of a Lipschitz rhs adds
@@ -194,7 +194,9 @@ def descent_curve(
     (ties to the smallest id); stops at a boundary vertex, at a vertex that
     beats all its neighbors, or after max_steps edges.
     """
-    costs = edge_costs(g, f)
+    if not g.has_vertex(start):
+        raise GraphError(f"unknown vertex {start!r}")
+    costs = cost_adjacency(g, f)
     limit = max_steps if max_steps is not None else len(g.vertices)
     path = [start]
     x = start
@@ -203,8 +205,7 @@ def descent_curve(
             break
         best_y = None
         best_val = math.inf
-        for y, _len in g.neighbors(x):
-            c = costs[(x, y) if x <= y else (y, x)]
+        for y, c in costs[x]:
             cand = c + u[y]
             if best_y is None or cand < best_val:
                 best_y = y
@@ -236,13 +237,12 @@ def check_c_supersolution(
     """
     if eps is None:
         eps = default_check_tol(g, f)
-    costs = edge_costs(g, f)
+    costs = cost_adjacency(g, f)
     residuals: dict[str, float] = {}
     margins: dict[str, float] = {}
     for x in g.interior:
         best = None
-        for y, _len in g.neighbors(x):
-            c = costs[(x, y) if x <= y else (y, x)]
+        for y, c in costs[x]:
             cand = c + u[y]
             if best is None or cand < best:
                 best = cand

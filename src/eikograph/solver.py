@@ -2,9 +2,10 @@
 
 The solution is the optimal-control value: u(x) minimizes accumulated edge
 cost plus the boundary payoff at the exit vertex.  On a finite graph this is
-a multi-source shortest-path computation with boundary data as source
-potentials; the labels are settled to the exact binary64 Bellman fixpoint so
-that discrete sub/supersolution checks hold with zero tolerance.
+one multi-source label-setting pass with boundary data as source potentials.
+Its labels are the exact binary64 Bellman fixpoint, so discrete
+sub/supersolution checks hold with zero tolerance; one walk over its settle
+order then gives every vertex an optimal exit.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .errors import ConnectivityError, FieldError, ProblemError
 from .fields import (
     DEFAULT_POSITIVITY_THRESHOLD,
     ScalarField,
-    edge_costs,
+    cost_adjacency,
     field_on,
     validate_field,
 )
@@ -111,15 +112,6 @@ class QuasiconvexityEstimate:
         return max(value, 0.0)
 
 
-def _cost_adjacency(g: MetricGraph, f: ScalarField) -> dict[str, tuple[tuple[str, float], ...]]:
-    costs = edge_costs(g, f)
-    adj: dict[str, list[tuple[str, float]]] = {v: [] for v in g.vertices}
-    for (a, b), c in costs.items():
-        adj[a].append((b, c))
-        adj[b].append((a, c))
-    return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
-
-
 def solve_dirichlet(p: DirichletProblem) -> ValueFunction:
     """Solve the Dirichlet problem by multi-source label setting.
 
@@ -127,40 +119,29 @@ def solve_dirichlet(p: DirichletProblem) -> ValueFunction:
     realized in one pass with zeta as initial labels.  The returned labels
     satisfy the discrete Bellman equation exactly in floating point, hence
     also the per-edge Lipschitz bound |u(x) - u(y)| <= cost(x, y).
+
+    Exits follow the settle order of that pass: a boundary vertex whose
+    label equals its datum exits at itself; any other x takes the exit of
+    the first neighbor y in id order that was settled before x and satisfies
+    u(x) == fl(u(y) + cost(x, y)).  Such a neighbor always exists, since the
+    vertex that set x's label was settled before x.
     """
     g = p.graph
-    adjacency = _cost_adjacency(g, p.f)
+    adjacency = cost_adjacency(g, p.f)
     seeds = {y: p.zeta[y] for y in g.boundary}
     u = fixpoint_labels(adjacency, seeds)
     if any(math.isinf(val) for val in u.values()):
         raise ConnectivityError("some vertices are unreachable from the boundary")
 
-    # Exit bookkeeping: walk vertices by increasing value so parents resolve
-    # first; ties in the argmin break to the smallest vertex id.  Zero-cost
-    # edges (f = 0 regions at threshold 0) can tie values across an edge, so
-    # unresolved vertices are retried until the equality chains bottom out.
     exit_vertex: dict[str, str] = {}
-    pending = sorted(g.vertices, key=lambda v: (u[v], v))
-    while pending:
-        remaining = []
-        for x in pending:
-            if x in seeds and u[x] == seeds[x]:
-                exit_vertex[x] = x
-                continue
-            parent = None
-            for y, c in adjacency[x]:
-                if u[x] == u[y] + c and y in exit_vertex:
-                    parent = y
-                    break
-            if parent is None:
-                remaining.append(x)
-            else:
-                exit_vertex[x] = exit_vertex[parent]
-        if len(remaining) == len(pending):
-            raise ProblemError(
-                f"no optimal exit route found at {remaining[0]!r} (degenerate costs)"
-            )
-        pending = remaining
+    for x, ux in u.items():
+        if x in seeds and ux == seeds[x]:
+            exit_vertex[x] = x
+            continue
+        for y, c in adjacency[x]:
+            if y in exit_vertex and ux == u[y] + c:
+                exit_vertex[x] = exit_vertex[y]
+                break
 
     attained = {y: u[y] == p.zeta[y] for y in sorted(g.boundary)}
     u_field = field_on(g, u, "solution_u")
@@ -198,7 +179,7 @@ def check_boundary_consistency(p: DirichletProblem, vf: ValueFunction) -> Bounda
 
     # weaker along-curves condition: boundary increments bounded by the best
     # connecting path cost inside the closed domain
-    cost_adj = _cost_adjacency(g, p.f)
+    cost_adj = cost_adjacency(g, p.f)
     curve_ok = True
     worst_pairs: dict[str, tuple[str, str]] = {}
     for y1 in b_list:

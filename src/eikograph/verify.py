@@ -20,9 +20,9 @@ from typing import Callable
 from .errors import ValidationError
 from .fields import (
     ScalarField,
+    field_from_expression,
     field_on,
     lipschitz_constant,
-    parse_field_expression,
 )
 from .graph import MetricGraph, _finalize, edge_key, refine
 from .slopes import (
@@ -196,22 +196,6 @@ def fixture(name: str, **params) -> Fixture:
         raise ValidationError(f"bad parameters {params!r} for fixture {name!r}")
 
 
-def _materialize(g: MetricGraph, spec, role: str) -> ScalarField:
-    """Evaluate a field spec (expression string or callable) on a graph."""
-    if isinstance(spec, ScalarField):
-        if spec.graph is g:
-            return spec
-        raise ValidationError(
-            "a ScalarField spec cannot follow refinement; pass an expression or callable"
-        )
-    if isinstance(spec, str):
-        fn = parse_field_expression(spec)
-    else:
-        fn = spec
-    domain = g.boundary if role == "boundary_zeta" else g.vertices
-    return field_on(g, {v: fn(g, v) for v in domain}, role)
-
-
 @dataclass(frozen=True)
 class SuiteReport:
     """Per-level check verdicts plus the Monge-residual trend."""
@@ -230,14 +214,16 @@ class SuiteReport:
 
 def equivalence_suite(
     fix: Fixture,
-    f_spec="const:1",
-    zeta_spec="const:0",
+    f_spec: str = "const:1",
+    zeta_spec: str = "const:0",
     levels: int = 3,
     positivity_threshold: float = 1e-9,
 ) -> SuiteReport:
     """Solve on refinements of a fixture and certify all four checks per level.
 
-    At level i the mesh is h/2^i; the Monge and regularity tolerances are
+    ``f_spec`` and ``zeta_spec`` are field expressions (``const:c``,
+    ``linear:a,b[,axis]``), evaluated afresh on each refinement.  At level i
+    the mesh is h/2^i; the Monge and regularity tolerances are
     Lip(f) * h_max + 1e-9 at that level, the curve subsolution check runs at
     tolerance 0, and the supersolution check at eps = Lip(f) * h_max + 1e-9.
     The max Monge residual must not increase across levels (up to float
@@ -251,8 +237,8 @@ def equivalence_suite(
     checks_ok = True
     for level in range(levels):
         g = refine(fix.graph, base_h / (2**level))
-        f = _materialize(g, f_spec, "rhs_f")
-        zeta = _materialize(g, zeta_spec, "boundary_zeta")
+        f = field_from_expression(g, f_spec, "rhs_f")
+        zeta = field_from_expression(g, zeta_spec, "boundary_zeta")
         tol = BASE_TOL + lipschitz_constant(g, f) * g.h_max
         vf = solve_dirichlet(DirichletProblem(g, f, zeta, threshold=positivity_threshold))
 

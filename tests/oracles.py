@@ -80,3 +80,32 @@ def trapezoid_path_cost(graph, f_values, path):
         length = graph.edge_length(a, b)
         total += 0.5 * (f_values[a] + f_values[b]) * length
     return total
+
+
+def retry_loop_exits(graph, costs, seeds, u):
+    """Exit vertices by repeated passes over vertices sorted by (u, id).
+
+    A seed whose label equals its datum exits at itself; any other x takes
+    the exit of its first neighbor in id order that already has one and
+    satisfies u(x) == fl(u(y) + c).  Vertices left without an exit are
+    retried in the next pass until every vertex has one.
+    """
+    exit_vertex = {}
+    pending = sorted(graph.vertices, key=lambda v: (u[v], v))
+    while pending:
+        remaining = []
+        for x in pending:
+            if x in seeds and u[x] == seeds[x]:
+                exit_vertex[x] = x
+                continue
+            for y, _length in graph.neighbors(x):
+                c = costs[(x, y) if x <= y else (y, x)]
+                if u[x] == u[y] + c and y in exit_vertex:
+                    exit_vertex[x] = exit_vertex[y]
+                    break
+            else:
+                remaining.append(x)
+        if len(remaining) == len(pending):
+            raise AssertionError(f"no optimal exit route found at {remaining[0]!r}")
+        pending = remaining
+    return exit_vertex

@@ -199,6 +199,49 @@ class TestErrorsAndConfig:
     def test_unknown_command_exits_2(self):
         assert run_cli("frobnicate") == 2
 
+    @staticmethod
+    def assert_one_error_line(capsys):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        return lines[0]
+
+    @pytest.mark.parametrize("command,flags", [
+        ("fixture", ["--name", "binary_tree"]),
+        ("fixture", ["--name", "gasket"]),
+        ("fixture", ["--name", "grid"]),
+        ("suite", ["--fixture", "binary_tree"]),
+        ("suite", ["--fixture", "gasket"]),
+        ("suite", ["--fixture", "interval"]),
+    ])
+    def test_missing_fixture_size_exits_2(self, tmp_path, capsys, command, flags):
+        out = ["--out", str(tmp_path / "g.json")] if command == "fixture" else []
+        assert run_cli(command, *flags, *out) == 2
+        self.assert_one_error_line(capsys)
+
+    def test_one_column_solution_header_exits_2(self, tmp_path, capsys):
+        g_path = tmp_path / "g.json"
+        run_cli("fixture", "--name", "interval", "--n", "4", "--out", str(g_path))
+        u_path = tmp_path / "u.csv"
+        u_path.write_text("vertex_id\nv0\n")
+        capsys.readouterr()
+        code = run_cli("check", "regularity", "--graph", str(g_path), "--u", str(u_path))
+        assert code == 2
+        self.assert_one_error_line(capsys)
+
+    def test_string_boundary_in_graph_json_exits_2(self, tmp_path, capsys):
+        g_path = tmp_path / "g.json"
+        g_path.write_text(json.dumps({
+            "vertices": ["v0", "v1"],
+            "edges": [{"a": "v0", "b": "v1", "length": 1.0}],
+            "boundary": "v0",
+        }))
+        code = run_cli("solve", "--graph", str(g_path), "--f", "const:1",
+                       "--zeta", "const:0", "--out", str(tmp_path / "u.csv"))
+        assert code == 2
+        assert "boundary must be a list" in self.assert_one_error_line(capsys)
+
     def test_output_colliding_with_input_exits_2(self, tmp_path):
         g_path = tmp_path / "g.json"
         run_cli("fixture", "--name", "interval", "--n", "4", "--out", str(g_path))

@@ -100,6 +100,13 @@ class TestBuildGraph:
         with pytest.raises(ValidationError):
             build_graph(spec)
 
+    @pytest.mark.parametrize("boundary", ["p0", {"p0": 1}, 3])
+    def test_non_list_boundary_rejected(self, boundary):
+        spec = interval_spec()
+        spec["boundary"] = boundary
+        with pytest.raises(ValidationError, match="list of vertex ids"):
+            build_graph(spec)
+
     def test_json_round_trip(self, tmp_path):
         g = build_graph(interval_spec())
         path = tmp_path / "g.json"

@@ -24,9 +24,9 @@ from eikograph import (
     refine,
     solve_dirichlet,
 )
-from eikograph.graph import close
+from eikograph.graph import close, edge_key
 
-from oracles import restricted_distance_oracle, value_iteration
+from oracles import restricted_distance_oracle, retry_loop_exits, value_iteration
 
 
 def interval_problem(n=200, f_value=1.0, zeta=None):
@@ -39,11 +39,53 @@ def interval_problem(n=200, f_value=1.0, zeta=None):
     return DirichletProblem(g, f, z)
 
 
+def zero_patches(g, values, rng, centers):
+    """Copy of values with f zeroed at random centers and their neighbors."""
+    out = dict(values)
+    for c in rng.sample(g.vertices, centers):
+        out[c] = 0.0
+        for y, _ in g.neighbors(c):
+            out[y] = 0.0
+    return out
+
+
+def middle_band(g):
+    """A sixth of the vertices, contiguous in the first coordinate."""
+    order = sorted(g.vertices, key=lambda v: (g.coords[v][0], v))
+    width = len(order) // 6
+    start = (len(order) - width) // 2
+    return set(order[start : start + width])
+
+
+def reference_exits(p, vf):
+    seeds = {y: p.zeta[y] for y in p.graph.boundary}
+    return retry_loop_exits(p.graph, edge_costs(p.graph, p.f), seeds, vf.u)
+
+
+def assert_exits_along_equalities(p, vf):
+    """Every exit is an attained boundary vertex that x reaches along edges
+    a -> b with u(a) == fl(u(b) + cost) through vertices of the same exit."""
+    g = p.graph
+    costs = edge_costs(g, p.f)
+    u = vf.u
+    for x in g.vertices:
+        e = vf.exit_vertex[x]
+        assert e in g.boundary and vf.attained[e], x
+        seen, stack = {x}, [x]
+        while stack and e not in seen:
+            a = stack.pop()
+            for b, _ in g.neighbors(a):
+                if b not in seen and vf.exit_vertex[b] == e and u[a] == u[b] + costs[edge_key(a, b)]:
+                    seen.add(b)
+                    stack.append(b)
+        assert e in seen, x
+
+
 def random_problem(seed):
     g = random_metric_graph(seed)
     rng = random.Random(seed + 10_000)
     f = field_on(g, {v: rng.uniform(0.5, 2.0) for v in g.vertices}, "rhs_f")
-    z = field_on(g, {v: rng.uniform(-0.5, 0.5) for v in g.boundary}, "boundary_zeta")
+    z = field_on(g, {v: rng.uniform(-0.5, 0.5) for v in sorted(g.boundary)}, "boundary_zeta")
     return DirichletProblem(g, f, z)
 
 
@@ -174,6 +216,73 @@ class TestExitData:
         assert vf.exit_vertex["v200"] == "v0"
 
 
+class TestExitReference:
+    """Settle-order exits against the retry-loop reference in oracles.py."""
+
+    def check(self, p):
+        vf = solve_dirichlet(p)
+        assert vf.exit_vertex == reference_exits(p, vf)
+        assert_exits_along_equalities(p, vf)
+
+    def test_random_graphs_positive_f(self):
+        for seed in range(40):
+            g = random_metric_graph(seed)
+            rng = random.Random(20_000 + seed)
+            f = field_on(g, {v: rng.uniform(0.5, 2.0) for v in g.vertices}, "rhs_f")
+            z = field_on(g, {v: rng.uniform(-0.5, 0.5) for v in sorted(g.boundary)}, "boundary_zeta")
+            self.check(DirichletProblem(g, f, z))
+
+    def test_random_graphs_zero_patches(self):
+        for seed in range(40):
+            g = random_metric_graph(seed)
+            rng = random.Random(30_000 + seed)
+            values = {v: rng.uniform(0.5, 2.0) for v in g.vertices}
+            values = zero_patches(g, values, rng, max(1, len(g.vertices) // 6))
+            f = field_on(g, values, "rhs_f")
+            z = field_on(g, {v: rng.uniform(-0.5, 0.5) for v in sorted(g.boundary)}, "boundary_zeta")
+            self.check(DirichletProblem(g, f, z, threshold=0.0))
+
+    @pytest.mark.parametrize("name,params", [
+        ("grid", {"n": 8}),
+        ("grid", {"n": 7, "connectivity": 8}),
+        ("gasket", {"level": 3}),
+        ("binary_tree", {"depth": 5}),
+    ])
+    def test_fixtures_zero_middle_band(self, name, params):
+        g = fixture(name, **params).graph
+        band = middle_band(g)
+        rng = random.Random(7)
+        f = field_on(g, {v: 0.0 if v in band else rng.uniform(0.5, 2.0) for v in g.vertices}, "rhs_f")
+        z = field_on(g, {v: rng.uniform(-0.5, 0.5) for v in sorted(g.boundary)}, "boundary_zeta")
+        self.check(DirichletProblem(g, f, z, threshold=0.0))
+
+    def test_exact_tie_breaks_to_smallest_id(self):
+        from eikograph import build_graph
+
+        g = build_graph({
+            "vertices": ["a", "b", "c", "x"],
+            "edges": [{"a": "x", "b": y, "length": 1.0} for y in ("c", "a", "b")],
+            "boundary": ["c", "b", "a"],
+        })
+        p = DirichletProblem(g, constant_field(g, 1.0, "rhs_f"), constant_field(g, 0.0, "boundary_zeta"))
+        vf = solve_dirichlet(p)
+        assert vf.exit_vertex["x"] == reference_exits(p, vf)["x"] == "a"
+
+    def test_exact_zero_cost_tie_pinned(self):
+        # f = 0 and zeta = 0: every vertex ties at label 0 with both exits;
+        # the retry loop picked n007, settle order picks n006
+        g = random_metric_graph(17, n_min=4, n_max=9)
+        p = DirichletProblem(
+            g, constant_field(g, 0.0, "rhs_f"), constant_field(g, 0.0, "boundary_zeta"), threshold=0.0
+        )
+        vf = solve_dirichlet(p)
+        assert sorted(g.boundary) == ["n006", "n007"]
+        inner = [f"n{i:03d}" for i in range(6)]
+        assert all(reference_exits(p, vf)[x] == "n007" for x in inner)
+        assert all(vf.exit_vertex[x] == "n006" for x in inner)
+        assert_exits_along_equalities(p, vf)
+
+
 class TestBoundaryCertificate:
     def test_compatible_two_point_data(self):
         # L = 0.25 <= inf f = 1: the strong condition holds, two-sided bound checked
@@ -229,7 +338,7 @@ class TestProblemValidation:
 
     def test_zero_cost_edge_with_adversarial_ids_resolves_exits(self):
         # "m" ties with "z" across a zero-cost edge but sorts before it;
-        # exit resolution must retry rather than fail
+        # exits follow settle order, so "m" still finds one
         from eikograph import build_graph
 
         g = build_graph({
