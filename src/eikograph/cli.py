@@ -24,7 +24,16 @@ from .fields import (
     read_field_csv,
     write_field_csv,
 )
-from .graph import ChordInput, MetricGraph, chord_from_coords, induce_intrinsic, read_graph, refine, write_graph
+from .graph import (
+    ChordInput,
+    MetricGraph,
+    chord_from_coords,
+    induce_intrinsic,
+    open_input,
+    read_graph,
+    refine,
+    write_graph,
+)
 from .hamiltonians import (
     BUILTIN_NAMES,
     builtin_hamiltonian,
@@ -74,7 +83,7 @@ class RunConfig:
 def load_config(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_input(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -115,7 +124,7 @@ def write_solution_csv(vf: ValueFunction, path: str) -> None:
 def read_solution_csv(g: MetricGraph, path: str) -> ScalarField:
     """Read either a plain field CSV or a solver output CSV as solution_u."""
     values: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_input(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if (header is None or len(header) < 2 or header[0].strip() != "vertex_id"
@@ -336,7 +345,7 @@ def _cmd_induce_metric(args) -> int:
     cfg = load_config(args.config)
     _check_io_paths([args.points, args.edges], [args.out, args.probe_out])
     coords: dict[str, tuple[float, ...]] = {}
-    with open(args.points, "r", encoding="utf-8", newline="") as fh:
+    with open_input(args.points) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or header[0].strip() != "vertex_id":
@@ -349,7 +358,7 @@ def _cmd_induce_metric(args) -> int:
             except ValueError:
                 raise ValidationError(f"{args.points}:{lineno}: bad coordinate in {row!r}")
     adjacency: list[tuple[str, str]] = []
-    with open(args.edges, "r", encoding="utf-8", newline="") as fh:
+    with open_input(args.edges) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["a", "b"]:

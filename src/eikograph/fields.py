@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .errors import FieldError, ValidationError
-from .graph import MetricGraph, edge_key
+from .graph import MetricGraph, edge_key, open_input
 
 ROLES = ("rhs_f", "solution_u", "boundary_zeta")
 
@@ -198,7 +198,7 @@ def lipschitz_constant(g: MetricGraph, f: ScalarField) -> float:
 def read_field_csv(g: MetricGraph, path: str, role: str) -> ScalarField:
     """Read a ``vertex_id,value`` CSV into a field with the given role."""
     values: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_input(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["vertex_id", "value"]:

@@ -12,8 +12,9 @@ import heapq
 import json
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .errors import ConnectivityError, GraphError, MetricError, ValidationError
 
@@ -270,8 +271,20 @@ def write_graph(g: MetricGraph, path: str) -> None:
         fh.write("\n")
 
 
+@contextmanager
+def open_input(path: str) -> Iterator[TextIO]:
+    """Open an input file as UTF-8 text (newlines untranslated, as the csv
+    module wants); a byte sequence that is not UTF-8 raises ValidationError
+    naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})")
+
+
 def read_graph(path: str) -> MetricGraph:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_input(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -282,6 +295,7 @@ def read_graph(path: str) -> MetricGraph:
 def fixpoint_labels(
     adjacency: Mapping[str, Sequence[tuple[str, float]]],
     seeds: Mapping[str, float],
+    limit: float = math.inf,
 ) -> dict[str, float]:
     """Exact binary64 fixpoint of the Bellman labeling operator.
 
@@ -297,6 +311,11 @@ def fixpoint_labels(
     vertices no seed reaches, at inf, in ``adjacency`` order.  Every settled
     vertex other than a seed at its own datum has a neighbor settled before
     it whose label plus edge weight equals its label exactly.
+
+    A finite ``limit`` stops the pass once the next pop exceeds it and
+    returns only the settled vertices: every vertex with label <= limit,
+    each label bit-identical to the unbounded pass, since the pops are a
+    prefix of its pop sequence.
     """
     if not seeds:
         raise ValidationError("fixpoint_labels needs at least one seeded vertex")
@@ -313,14 +332,42 @@ def fixpoint_labels(
         d, v = heapq.heappop(heap)
         if d > dist[v]:
             continue
+        if d > limit:
+            return settled
         settled[v] = d
         for w, c in adjacency[v]:
             cand = d + c
             if cand < dist[w]:
                 dist[w] = cand
                 heapq.heappush(heap, (cand, w))
-    settled.update(dist)
+    if limit == math.inf:
+        settled.update(dist)
     return settled
+
+
+def settle_parents(
+    adjacency: Mapping[str, Sequence[tuple[str, float]]],
+    seeds: Mapping[str, float],
+    labels: Mapping[str, float],
+) -> dict[str, str]:
+    """Shortest-path forest of a :func:`fixpoint_labels` result.
+
+    Walks ``labels`` in settle order once.  A seed whose label equals its
+    datum is its own parent; any other settled x takes the first neighbor y
+    in adjacency order that was settled before x and satisfies
+    labels[x] == fl(labels[y] + w(x, y)).  Such a neighbor always exists, so
+    every settled vertex gets a parent, listed after its parent.
+    """
+    parent: dict[str, str] = {}
+    for x, ux in labels.items():
+        if x in seeds and ux == seeds[x]:
+            parent[x] = x
+            continue
+        for y, c in adjacency[x]:
+            if y in parent and ux == labels[y] + c:
+                parent[x] = y
+                break
+    return parent
 
 
 def _backtrack_path(
@@ -391,7 +438,7 @@ def ball(g: MetricGraph, x: str, r: float) -> BallSet:
         raise ValidationError(f"ball radius must be positive, got {r!r}")
     if not g.has_vertex(x):
         raise GraphError(f"unknown vertex {x!r}")
-    dist = fixpoint_labels(g.adjacency, {x: 0.0})
+    dist = fixpoint_labels(g.adjacency, {x: 0.0}, limit=r)
     members = {v: d for v, d in sorted(dist.items()) if d < r}
     return BallSet(center=x, radius=r, members=members)
 
@@ -513,6 +560,10 @@ def induce_intrinsic(
     chord metric never exceeds the intrinsic one on sampled pairs, and a
     heuristic probe reports how the ratio behaves as d shrinks.
     """
+    known = set(chord.ids)
+    for a, b in chord.adjacency:
+        if a not in known or b not in known:
+            raise ValidationError(f"edge ({a!r}, {b!r}) references unknown vertex")
     rng = random.Random(seed)
     _validate_chord(chord, rng, samples=max(32, sample_pairs // 2))
 

@@ -21,7 +21,15 @@ from .fields import (
     field_on,
     validate_field,
 )
-from .graph import ABS_TOL, REL_TOL, MetricGraph, distances_from, fixpoint_labels
+from .graph import (
+    ABS_TOL,
+    REL_TOL,
+    MetricGraph,
+    distances_from,
+    edge_key,
+    fixpoint_labels,
+    settle_parents,
+)
 
 
 @dataclass(frozen=True)
@@ -84,11 +92,8 @@ class BoundaryCertificate:
     zeta_lipschitz_ok: bool
     curve_condition_ok: bool
     weak_bound_ok: bool
-    realized_weak_constant: float
     weak_bound: float
-    tight_pair: tuple[str, str] | None
     two_sided_ok: bool | None
-    worst_pairs: dict[str, tuple[str, str]]
 
 
 @dataclass(frozen=True)
@@ -134,84 +139,140 @@ def solve_dirichlet(p: DirichletProblem) -> ValueFunction:
         raise ConnectivityError("some vertices are unreachable from the boundary")
 
     exit_vertex: dict[str, str] = {}
-    for x, ux in u.items():
-        if x in seeds and ux == seeds[x]:
-            exit_vertex[x] = x
-            continue
-        for y, c in adjacency[x]:
-            if y in exit_vertex and ux == u[y] + c:
-                exit_vertex[x] = exit_vertex[y]
-                break
+    for x, y in settle_parents(adjacency, seeds, u).items():
+        exit_vertex[x] = x if y == x else exit_vertex[y]
 
     attained = {y: u[y] == p.zeta[y] for y in sorted(g.boundary)}
     u_field = field_on(g, u, "solution_u")
     return ValueFunction(u=u_field, exit_vertex=exit_vertex, attained=attained)
 
 
+def _scaled(adjacency, k: float) -> dict[str, tuple[tuple[str, float], ...]]:
+    """An adjacency with every edge weight multiplied by k."""
+    return {x: tuple([(y, k * w) for y, w in nbrs]) for x, nbrs in adjacency.items()}
+
+
+def _undercuts(
+    g: MetricGraph, adjacency, seeds: dict[str, float]
+) -> tuple[dict[str, float], list[tuple[float, float]]]:
+    """One multi-source solve, plus (zeta(y) - zeta(source), path length)
+    for every seed y whose label another seed undercuts.
+
+    The source and the path come from the :func:`settle_parents` forest.
+    Each rise / length is the increment ratio of a realized boundary pair
+    over a path no shorter than their distance, so it is at most the
+    boundary Lipschitz constant L.
+    """
+    labels = fixpoint_labels(adjacency, seeds)
+    if all(labels[y] == zy for y, zy in seeds.items()):
+        return labels, []
+    source: dict[str, str] = {}
+    length: dict[str, float] = {}
+    for x, y in settle_parents(adjacency, seeds, labels).items():
+        if y == x:
+            source[x], length[x] = x, 0.0
+        else:
+            source[x], length[x] = source[y], length[y] + g.edges[edge_key(x, y)]
+    rises = [(zy - seeds[source[y]], length[y]) for y, zy in seeds.items() if source[y] != y]
+    return labels, rises
+
+
+def _steepest(rises: list[tuple[float, float]], floor: float) -> tuple[float, tuple[float, float] | None]:
+    """Largest rise / length above floor, with the pair that attains it."""
+    best, witness = floor, None
+    for rise, length in rises:
+        if rise / length > best:
+            best, witness = rise / length, (rise, length)
+    return best, witness
+
+
+def _lipschitz_on_boundary(
+    g: MetricGraph, seeds: dict[str, float], rises: list[tuple[float, float]]
+) -> tuple[float, tuple[float, float] | None]:
+    """Exact max over boundary pairs of (zeta(y) - zeta(y')) / d(y, y').
+
+    Dinkelbach's ratio iteration, started from the largest ratio in
+    ``rises`` (realized pairs, so K starts at most L): solve with weights
+    K * length and seeds zeta, and raise K to the largest ratio of the
+    undercut seeds.  While K < L the pair attaining L is undercut with a
+    ratio above K, so the iteration stops exactly when K is the maximal
+    ratio.  Returns K and the (rise, length) pair that attains it, None
+    for K = 0.
+    """
+    k, witness = _steepest(rises, 0.0)
+    if k == 0.0 and min(seeds.values()) == max(seeds.values()):
+        return 0.0, None  # constant data has no increment
+    while True:
+        _labels, rises = _undercuts(g, _scaled(g.adjacency, k), seeds)
+        best, steeper = _steepest(rises, k)
+        if steeper is None:
+            return k, witness
+        k, witness = best, steeper
+
+
 def check_boundary_consistency(p: DirichletProblem, vf: ValueFunction) -> BoundaryCertificate:
     """Certify the boundary-consistency bounds for a solved problem.
 
-    Checks, over all (interior, boundary) pairs, the one-sided bound
-    u(x) - zeta(y) <= d(x, y) * max{L, sup f} with L the boundary Lipschitz
-    constant of zeta, and, when zeta is (inf f)-Lipschitz on the boundary,
-    the two-sided bound |u(x) - zeta(y)| <= d(x, y) * sup f.
+    Every verdict has the form A(x) - B(y) <= K * d(x, y) * (1 + REL_TOL) +
+    ABS_TOL over pairs of vertices.  Over the reals that is one min-plus
+    statement, A(x) <= min_y (B(y) + K * (1 + REL_TOL) * d(x, y)) +
+    ABS_TOL, so each verdict costs one multi-source label-setting solve
+    with weights K * (1 + REL_TOL) * length and seeds B on the boundary.
+
+    - ``curve_condition_ok``: boundary increments are bounded by the cheapest
+      connecting path cost (A = B = zeta, the cost adjacency scaled by
+      1 + REL_TOL in place of K * length, judged on the boundary).
+    - ``zeta_lipschitz_ok``: zeta is (inf f)-Lipschitz on the boundary
+      (A = B = zeta, K = inf f, judged on the boundary).  It holds when
+      L <= inf f and fails when the pair attaining L violates it; only in
+      between does it take a solve.
+    - ``weak_bound_ok``: the one-sided bound u(x) - zeta(y) <= d(x, y) * K
+      with K = max(L, sup f) at interior x (A = u, B = zeta).  A solver
+      output meets it by construction (u(x) <= zeta(y) + path cost <=
+      zeta(y) + sup f * d), so it is a regression guard.
+    - ``two_sided_ok``: only when the strong condition holds, the one-sided
+      bound with K = sup f (the weak solve when L <= sup f) plus the reverse
+      bound zeta(y) - u(x) <= d(x, y) * sup f (A = -u, B = -zeta); None
+      otherwise.
+
+    ``lipschitz_L``, the boundary Lipschitz constant of zeta, comes from
+    Dinkelbach's ratio iteration with weights K * length, started from the
+    pairs the curve solve links: no solve for constant zeta, usually one or
+    two otherwise.
     """
     g = p.graph
-    zeta = p.zeta
-    u = vf.u
+    zeta = {y: p.zeta[y] for y in sorted(g.boundary)}
+    u = vf.u.values
     inf_f = min(p.f.values.values())
     sup_f = max(p.f.values.values())
+    slack = 1.0 + REL_TOL
 
-    b_list = sorted(g.boundary)
-    dist_from: dict[str, dict[str, float]] = {y: distances_from(g, [y]) for y in b_list}
+    def holds(adjacency, seeds, a, judged) -> bool:
+        labels = fixpoint_labels(adjacency, seeds)
+        return all(a[x] <= labels[x] + ABS_TOL for x in judged)
 
-    lipschitz_L = 0.0
-    zeta_ok = True
-    for i, y1 in enumerate(b_list):
-        for y2 in b_list[i + 1 :]:
-            d = dist_from[y1][y2]
-            if d <= 0.0:
-                continue
-            ratio = abs(zeta[y1] - zeta[y2]) / d
-            lipschitz_L = max(lipschitz_L, ratio)
-            if abs(zeta[y1] - zeta[y2]) > d * inf_f + ABS_TOL + REL_TOL * d * inf_f:
-                zeta_ok = False
+    def value_bound(k: float, seeds, a) -> bool:
+        return holds(_scaled(g.adjacency, k * slack), seeds, a, g.interior)
 
-    # weaker along-curves condition: boundary increments bounded by the best
-    # connecting path cost inside the closed domain
-    cost_adj = cost_adjacency(g, p.f)
-    curve_ok = True
-    worst_pairs: dict[str, tuple[str, str]] = {}
-    for y1 in b_list:
-        costs = fixpoint_labels(cost_adj, {y1: 0.0})
-        for y2 in b_list:
-            if y2 == y1:
-                continue
-            if zeta[y2] - zeta[y1] > costs[y2] + ABS_TOL + REL_TOL * abs(costs[y2]):
-                curve_ok = False
-                worst_pairs.setdefault("curve_condition", (y2, y1))
+    curve_labels, rises = _undercuts(g, _scaled(cost_adjacency(g, p.f), slack), zeta)
+    curve_ok = all(zy <= curve_labels[y] + ABS_TOL for y, zy in zeta.items())
+
+    lipschitz_L, witness = _lipschitz_on_boundary(g, zeta, rises)
+    if lipschitz_L <= inf_f:
+        zeta_ok = True  # every increment is at most L * d <= inf f * d
+    elif witness[0] > witness[1] * inf_f * slack + ABS_TOL:
+        zeta_ok = False  # the pair that attains L violates the condition
+    else:
+        zeta_ok = holds(_scaled(g.adjacency, inf_f * slack), zeta, zeta, zeta)
 
     weak_constant = max(lipschitz_L, sup_f)
-    weak_ok = True
-    realized = -math.inf
-    tight_pair: tuple[str, str] | None = None
-    two_sided_ok: bool | None = True if zeta_ok else None
-    for y in b_list:
-        dy = dist_from[y]
-        for x in g.interior:
-            d = dy[x]
-            if d <= 0.0:
-                continue
-            ratio = (u[x] - zeta[y]) / d
-            if tight_pair is None or ratio > realized:
-                realized = ratio
-                tight_pair = (x, y)
-            if u[x] - zeta[y] > d * weak_constant + ABS_TOL + REL_TOL * d * weak_constant:
-                weak_ok = False
-                worst_pairs.setdefault("weak_bound", (x, y))
-            if zeta_ok and abs(u[x] - zeta[y]) > d * sup_f + ABS_TOL + REL_TOL * d * sup_f:
-                two_sided_ok = False
-                worst_pairs.setdefault("two_sided", (x, y))
+    weak_ok = value_bound(weak_constant, zeta, u)
+    two_sided_ok: bool | None = None
+    if zeta_ok:
+        upper_ok = weak_ok if weak_constant == sup_f else value_bound(sup_f, zeta, u)
+        neg_zeta = {y: -zy for y, zy in zeta.items()}
+        neg_u = {x: -ux for x, ux in u.items()}
+        two_sided_ok = upper_ok and value_bound(sup_f, neg_zeta, neg_u)
 
     return BoundaryCertificate(
         lipschitz_L=lipschitz_L,
@@ -220,11 +281,8 @@ def check_boundary_consistency(p: DirichletProblem, vf: ValueFunction) -> Bounda
         zeta_lipschitz_ok=zeta_ok,
         curve_condition_ok=curve_ok,
         weak_bound_ok=weak_ok,
-        realized_weak_constant=realized,
         weak_bound=weak_constant,
-        tight_pair=tight_pair,
         two_sided_ok=two_sided_ok,
-        worst_pairs=worst_pairs,
     )
 
 

@@ -109,3 +109,93 @@ def retry_loop_exits(graph, costs, seeds, u):
             raise AssertionError(f"no optimal exit route found at {remaining[0]!r}")
         pending = remaining
     return exit_vertex
+
+
+def _trapezoid_costs(graph, f_values):
+    return {
+        (a, b): 0.5 * (f_values[a] + f_values[b]) * length
+        for (a, b), length in graph.edges.items()
+    }
+
+
+def pairwise_boundary_certificate(problem, u):
+    """Boundary-consistency verdicts by explicit pair loops.
+
+    One distance search per boundary vertex (value iteration), then every
+    boundary pair for the Lipschitz constant L, the strong condition and the
+    curve condition, and every (interior, boundary) pair for the one-sided
+    bound with constant max(L, sup f) and, when the strong condition holds,
+    the two-sided bound with sup f.  Each inequality carries the tolerance
+    ABS_TOL + REL_TOL * rhs.  Returns (L, zeta_ok, curve_ok, weak_ok,
+    two_sided_ok) with two_sided_ok None when the strong condition fails.
+    """
+    abs_tol, rel_tol = 1e-12, 1e-9
+    g = problem.graph
+    zeta = problem.zeta
+    f_values = problem.f.values
+    inf_f = min(f_values.values())
+    sup_f = max(f_values.values())
+
+    b_list = sorted(g.boundary)
+    dist_from = {y: distance_oracle(g, y) for y in b_list}
+
+    lipschitz_L = 0.0
+    zeta_ok = True
+    for i, y1 in enumerate(b_list):
+        for y2 in b_list[i + 1:]:
+            d = dist_from[y1][y2]
+            if d <= 0.0:
+                continue
+            lipschitz_L = max(lipschitz_L, abs(zeta[y1] - zeta[y2]) / d)
+            if abs(zeta[y1] - zeta[y2]) > d * inf_f + abs_tol + rel_tol * d * inf_f:
+                zeta_ok = False
+
+    costs = _trapezoid_costs(g, f_values)
+    curve_ok = True
+    for y1 in b_list:
+        cost_from = value_iteration(g, costs, {y1: 0.0})
+        for y2 in b_list:
+            if y2 != y1 and zeta[y2] - zeta[y1] > cost_from[y2] + abs_tol + rel_tol * abs(cost_from[y2]):
+                curve_ok = False
+
+    weak_constant = max(lipschitz_L, sup_f)
+    weak_ok = True
+    two_sided_ok = True if zeta_ok else None
+    for y in b_list:
+        for x in g.interior:
+            d = dist_from[y][x]
+            if d <= 0.0:
+                continue
+            if u[x] - zeta[y] > d * weak_constant + abs_tol + rel_tol * d * weak_constant:
+                weak_ok = False
+            if zeta_ok and abs(u[x] - zeta[y]) > d * sup_f + abs_tol + rel_tol * d * sup_f:
+                two_sided_ok = False
+    return lipschitz_L, zeta_ok, curve_ok, weak_ok, two_sided_ok
+
+
+def lipschitz_certificate_rows(graph, u, f, certificate_centers=6):
+    """Rows (center, radius, pairs, worst) of the local Lipschitz certificate
+    of the along-curves subsolution check, from full distance searches.
+
+    Centers are every (|V| // centers)-th vertex in id order; per center the
+    members are the vertices at distance < r = 2 h_max, sup f is taken over
+    distance < 2r, and worst is the largest |u(x) - u(y)| - d(x, y) * sup f
+    over member pairs (0 when none is positive).
+    """
+    n = len(graph.vertices)
+    stride = max(1, n // max(1, certificate_centers))
+    radius = 2.0 * graph.h_max
+    rows = []
+    for x0 in graph.vertices[::stride][:certificate_centers]:
+        d0 = distance_oracle(graph, x0)
+        members = sorted(v for v in graph.vertices if d0[v] < radius)
+        supf = max(f[v] for v in graph.vertices if d0[v] < 2.0 * radius)
+        worst = 0.0
+        pairs = 0
+        for i, x in enumerate(members):
+            dist = distance_oracle(graph, x)
+            for y in members[i + 1:]:
+                worst = max(worst, abs(u[x] - u[y]) - dist[y] * supf)
+                pairs += 1
+        rows.append((x0, radius, pairs, worst))
+    return rows

@@ -1,0 +1,194 @@
+"""Certificates against their pairwise references: the boundary certificate's
+min-plus solves and Dinkelbach L, the bounded searches of ball() and of the
+along-curves subsolution's Lipschitz certificate."""
+
+from __future__ import annotations
+
+import math
+import random
+
+import pytest
+
+from eikograph import (
+    DirichletProblem,
+    ball,
+    check_boundary_consistency,
+    check_c_subsolution,
+    distances_from,
+    field_on,
+    fixture,
+    random_metric_graph,
+    solve_dirichlet,
+)
+from eikograph.graph import fixpoint_labels
+
+from oracles import lipschitz_certificate_rows, pairwise_boundary_certificate
+
+GRAPHS = (
+    [("random", seed) for seed in range(8)]
+    + [("grid", {"n": 5}), ("grid", {"n": 6, "connectivity": 8}), ("binary_tree", {"depth": 4})]
+)
+DATA = ("compatible", "constant_zeta", "incompatible", "constant_f", "zero_patch")
+
+
+def make_graph(kind, arg):
+    if kind == "random":
+        return random_metric_graph(arg, n_max=30)
+    return fixture(kind, **arg).graph
+
+
+def make_problem(g, data, seed):
+    """Seeded f and zeta of one data kind.
+
+    compatible: zeta = 0.5 * inf f * d(., y0), Lipschitz below inf f;
+    constant_zeta: zeta = 0.25 everywhere on the boundary; incompatible: zeta uniform on [0, 50]; constant_f: f = 1, where the
+    one-sided bound is met with equality, and zeta = d(., y0); zero_patch:
+    f = 0 on a random quarter of the vertices (threshold 0), zeta uniform on
+    [0, 1].
+    """
+    rng = random.Random(f"{seed}-{data}")
+    boundary = sorted(g.boundary)
+    f_vals = {v: rng.uniform(0.5, 2.0) for v in g.vertices}
+    threshold = 1e-9
+    if data == "constant_f":
+        f_vals = dict.fromkeys(g.vertices, 1.0)
+    elif data == "zero_patch":
+        f_vals.update(dict.fromkeys(rng.sample(g.vertices, len(g.vertices) // 4), 0.0))
+        threshold = 0.0
+    d0 = distances_from(g, [boundary[0]])
+    if data == "compatible":
+        inf_f = min(f_vals.values())
+        zeta_vals = {y: 0.5 * inf_f * d0[y] for y in boundary}
+    elif data == "constant_f":
+        zeta_vals = {y: d0[y] for y in boundary}
+    elif data == "constant_zeta":
+        zeta_vals = dict.fromkeys(boundary, 0.25)
+    else:
+        high = 50.0 if data == "incompatible" else 1.0
+        zeta_vals = {y: rng.uniform(0.0, high) for y in boundary}
+    return DirichletProblem(
+        g,
+        field_on(g, f_vals, "rhs_f"),
+        field_on(g, zeta_vals, "boundary_zeta"),
+        threshold=threshold,
+    )
+
+
+@pytest.mark.parametrize("data", DATA)
+@pytest.mark.parametrize("kind,arg", GRAPHS)
+def test_boundary_certificate_matches_pairwise_oracle(kind, arg, data):
+    g = make_graph(kind, arg)
+    p = make_problem(g, data, seed=str(arg))
+    vf = solve_dirichlet(p)
+    cert = check_boundary_consistency(p, vf)
+    ref_L, *ref_verdicts = pairwise_boundary_certificate(p, vf.u)
+    got = [cert.zeta_lipschitz_ok, cert.curve_condition_ok, cert.weak_bound_ok, cert.two_sided_ok]
+    assert got == ref_verdicts
+    assert abs(cert.lipschitz_L - ref_L) <= 1e-9 * max(1.0, ref_L)
+    assert cert.weak_bound_ok  # holds for every solver output
+    if data == "compatible":
+        assert cert.zeta_lipschitz_ok and cert.two_sided_ok is not None
+
+
+def test_oracle_instances_cover_both_outcomes():
+    # the oracle comparison above must see both outcomes of each condition
+    seen = set()
+    for kind, arg in GRAPHS:
+        g = make_graph(kind, arg)
+        for data in DATA:
+            p = make_problem(g, data, seed=str(arg))
+            cert = check_boundary_consistency(p, solve_dirichlet(p))
+            seen.add(("zeta", cert.zeta_lipschitz_ok))
+            seen.add(("curve", cert.curve_condition_ok))
+            seen.add(("two_sided", cert.two_sided_ok))
+    assert {("zeta", True), ("zeta", False), ("curve", True), ("curve", False),
+            ("two_sided", True), ("two_sided", None)} <= seen
+
+
+@pytest.mark.parametrize("shift,weak,two_sided", [(10.0, False, False), (-10.0, True, False)])
+def test_value_bound_failure_is_reported(shift, weak, two_sided):
+    # u shifted above every cone zeta(y) + K d(x, y) fails the one-sided
+    # bound; shifted below every cone zeta(y) - sup f d(x, y), the reverse one
+    p = make_problem(fixture("grid", n=5).graph, "compatible", seed="shift")
+    vf = solve_dirichlet(p)
+    shifted = type(vf)(
+        u=field_on(p.graph, {v: x + shift for v, x in vf.u.values.items()}, "solution_u"),
+        exit_vertex=vf.exit_vertex,
+        attained=vf.attained,
+    )
+    cert = check_boundary_consistency(p, shifted)
+    assert (cert.weak_bound_ok, cert.two_sided_ok) == (weak, two_sided)
+    _L, _zeta_ok, _curve_ok, weak_ok, two_sided_ok = pairwise_boundary_certificate(p, shifted.u)
+    assert (weak_ok, two_sided_ok) == (weak, two_sided)
+
+
+@pytest.mark.parametrize("excess,holds", [
+    (lambda c: c * (1.0 + 5e-10), True),  # within REL_TOL of the bound
+    (lambda c: c + 5e-13, True),  # within ABS_TOL
+    (lambda c: c * (1.0 + 2e-9), False),
+    (lambda c: c + 1e-6, False),
+])
+def test_tolerance_form_at_the_bound(excess, holds):
+    # f = 1 on an interval: d = cost, so the strong and the curve condition
+    # both compare zeta(v10) - zeta(v0) with the end-to-end path length
+    g = fixture("interval", n=10).graph
+    length = distances_from(g, ["v0"])["v10"]
+    p = DirichletProblem(
+        g,
+        field_on(g, dict.fromkeys(g.vertices, 1.0), "rhs_f"),
+        field_on(g, {"v0": 0.0, "v10": excess(length)}, "boundary_zeta"),
+    )
+    vf = solve_dirichlet(p)
+    cert = check_boundary_consistency(p, vf)
+    assert (cert.zeta_lipschitz_ok, cert.curve_condition_ok) == (holds, holds)
+    ref_L, *ref_verdicts = pairwise_boundary_certificate(p, vf.u)
+    assert [cert.zeta_lipschitz_ok, cert.curve_condition_ok, cert.weak_bound_ok,
+            cert.two_sided_ok] == ref_verdicts
+    assert abs(cert.lipschitz_L - ref_L) <= 1e-9 * ref_L
+
+
+@pytest.mark.parametrize("kind,arg", GRAPHS)
+def test_csub_lipschitz_rows_match_full_searches(kind, arg):
+    g = make_graph(kind, arg)
+    p = make_problem(g, "incompatible", seed=str(arg))
+    u = solve_dirichlet(p).u
+    rows = check_c_subsolution(g, u, p.f).details["lipschitz_certificate"]
+    assert rows == lipschitz_certificate_rows(g, u, p.f)
+
+
+def test_csub_rows_match_on_non_solution():
+    # rows with positive worst values, from a u that is no subsolution
+    g = fixture("grid", n=6).graph
+    rng = random.Random(11)
+    u = field_on(g, {v: rng.uniform(0.0, 5.0) for v in g.vertices}, "solution_u")
+    f = field_on(g, {v: rng.uniform(0.5, 2.0) for v in g.vertices}, "rhs_f")
+    rows = check_c_subsolution(g, u, f).details["lipschitz_certificate"]
+    assert any(worst > 0.0 for *_rest, worst in rows)
+    assert rows == lipschitz_certificate_rows(g, u, f)
+
+
+@pytest.mark.parametrize("kind,arg", GRAPHS)
+def test_bounded_ball_equals_full_filter(kind, arg):
+    g = make_graph(kind, arg)
+    lengths = sorted(set(g.edges.values()))
+    radii = [lengths[0], math.nextafter(lengths[0], math.inf), lengths[-1],
+             math.nextafter(lengths[-1], math.inf), 2.0 * g.h_max, 1e9]
+    for x in g.vertices[:: max(1, len(g.vertices) // 5)]:
+        full = distances_from(g, [x])
+        for r in radii:
+            want = [(v, d) for v, d in sorted(full.items()) if d < r]
+            assert list(ball(g, x, r).members.items()) == want
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bounded_labels_are_a_prefix_of_the_full_pass(seed):
+    g = random_metric_graph(seed)
+    rng = random.Random(seed)
+    seeds = {y: rng.uniform(0.0, 1.0) for y in sorted(g.boundary)}
+    full = fixpoint_labels(g.adjacency, seeds)
+    order = list(full.items())
+    for limit in (0.0, 0.5, order[len(order) // 2][1], math.nextafter(order[-1][1], math.inf)):
+        bounded = fixpoint_labels(g.adjacency, seeds, limit=limit)
+        assert list(bounded.items()) == order[: len(bounded)]
+        assert all(d > limit for _v, d in order[len(bounded):])
+

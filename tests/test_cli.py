@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 
 import pytest
 
@@ -145,6 +146,22 @@ class TestPipeline:
         assert all(float(r[1]) >= 1.0 - 1e-12 for r in probe_rows[1:])
 
 
+    def test_solve_certify_incompatible_data(self, tmp_path, capsys):
+        g_path = tmp_path / "g.json"
+        zeta_path = tmp_path / "zeta.csv"
+        run_cli("fixture", "--name", "interval", "--n", "200", "--out", str(g_path))
+        zeta_path.write_text("vertex_id,value\nv0,0\nv200,3\n")
+        capsys.readouterr()
+        code = run_cli("solve", "--graph", str(g_path), "--f", "const:1", "--zeta", str(zeta_path),
+                       "--out", str(tmp_path / "u.csv"), "--certify")
+        assert code == 0
+        line = next(ln for ln in capsys.readouterr().out.splitlines() if "Lipschitz" in ln)
+        printed_L = re.search(r"L=(\S+) ", line).group(1)
+        assert float(printed_L) == pytest.approx(1.5, rel=1e-9)
+        assert "incompatible" in line
+        assert "holds" in line
+
+
 class TestPlot:
     def test_plot_written_with_coords(self, tmp_path):
         g_path = tmp_path / "g.json"
@@ -241,6 +258,48 @@ class TestErrorsAndConfig:
                        "--zeta", "const:0", "--out", str(tmp_path / "u.csv"))
         assert code == 2
         assert "boundary must be a list" in self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("target", ["graph", "u", "f", "config"])
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys, target):
+        paths = {name: tmp_path / file for name, file in
+                 [("graph", "g.json"), ("u", "u.csv"), ("f", "f.csv"), ("config", "cfg.json")]}
+        run_cli("fixture", "--name", "interval", "--n", "4", "--out", str(paths["graph"]))
+        run_cli("solve", "--graph", str(paths["graph"]), "--f", "const:1", "--zeta", "const:0",
+                "--out", str(paths["u"]))
+        write_field_csv(constant_field(read_graph(str(paths["graph"])), 1.0, "rhs_f"), str(paths["f"]))
+        paths["config"].write_text("{}")
+        text = paths[target].read_bytes()
+        paths[target].write_bytes(text[:20] + b"\xff" + text[20:])
+        capsys.readouterr()
+        code = run_cli("check", "monge", "--graph", str(paths["graph"]), "--u", str(paths["u"]),
+                       "--f", str(paths["f"]), "--config", str(paths["config"]))
+        assert code == 2
+        assert str(paths[target]) in self.assert_one_error_line(capsys)
+
+    def test_non_utf8_solution_for_regularity_exits_2(self, tmp_path, capsys):
+        g_path = tmp_path / "g.json"
+        u_path = tmp_path / "u.csv"
+        run_cli("fixture", "--name", "interval", "--n", "4", "--out", str(g_path))
+        u_path.write_bytes(b"vertex_id,u\nv0,\xff\n")
+        capsys.readouterr()
+        code = run_cli("check", "regularity", "--graph", str(g_path), "--u", str(u_path))
+        assert code == 2
+        assert "not UTF-8" in self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("points,edges,message", [
+        ("vertex_id,x,y\na,0,0\nb,1,0\n", "a,b\na,b\na,c\n", "'c'"),
+        ("vertex_id,x,y\na,0,0\nb,1,\xff\n", "a,b\na,b\n", "not UTF-8"),
+        ("vertex_id,x,y\na,0,0\nb,1,0\n", "a,b\na,\xff\n", "not UTF-8"),
+    ])
+    def test_induce_metric_bad_input_exits_2(self, tmp_path, capsys, points, edges, message):
+        pts_path = tmp_path / "pts.csv"
+        adj_path = tmp_path / "adj.csv"
+        pts_path.write_bytes(points.encode("latin-1"))
+        adj_path.write_bytes(edges.encode("latin-1"))
+        code = run_cli("induce-metric", "--points", str(pts_path), "--edges", str(adj_path),
+                       "--out", str(tmp_path / "g.json"))
+        assert code == 2
+        assert message in self.assert_one_error_line(capsys)
 
     def test_output_colliding_with_input_exits_2(self, tmp_path):
         g_path = tmp_path / "g.json"

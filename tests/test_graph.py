@@ -345,6 +345,16 @@ class TestInduceIntrinsic:
         with pytest.raises(ConnectivityError):
             induce_intrinsic(chord)
 
+    def test_edge_to_unknown_id_rejected(self):
+        coords = {"a": (0.0,), "b": (1.0,)}
+        chord = ChordInput(
+            ids=("a", "b"),
+            dist=chord_from_coords(coords),
+            adjacency=(("a", "b"), ("a", "c")),
+        )
+        with pytest.raises(ValidationError, match="'c'"):
+            induce_intrinsic(chord)
+
     def test_asymmetric_table_rejected(self):
         def lopsided(a, b):
             if a == b:
@@ -354,6 +364,13 @@ class TestInduceIntrinsic:
         chord = ChordInput(ids=("a", "b"), dist=lopsided, adjacency=(("a", "b"),))
         with pytest.raises(MetricError):
             induce_intrinsic(chord)
+
+
+def test_non_utf8_graph_file_rejected(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_bytes(b'{"vertices": ["\xff"]}')
+    with pytest.raises(ValidationError, match="not UTF-8"):
+        read_graph(str(path))
 
 
 def test_edge_key_is_sorted():
