@@ -88,10 +88,19 @@ def load_config(path: str | None) -> RunConfig:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}")
-    known = {f.name for f in dc_fields(RunConfig)}
-    unknown = set(data) - known
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path}: config must be a JSON object, got {type(data).__name__}")
+    types = {f.name: f.type for f in dc_fields(RunConfig)}
+    unknown = set(data) - set(types)
     if unknown:
         raise ValidationError(f"{path}: unknown config keys {sorted(unknown)}")
+    for key, value in data.items():
+        kind = types[key]  # "float", "int", "float | None" or "int | None"
+        if value is None and kind.endswith("| None"):
+            continue
+        wanted = int if kind.startswith("int") else (int, float)
+        if isinstance(value, bool) or not isinstance(value, wanted):
+            raise ValidationError(f"{path}: config key {key!r} must be {kind}, got {value!r}")
     return RunConfig(**data)
 
 

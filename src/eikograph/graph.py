@@ -229,8 +229,14 @@ def build_graph(spec: Mapping) -> MetricGraph:
         except (TypeError, KeyError):
             raise ValidationError(f"vertex entry {item!r} has no id")
         vertices.append(vid)
-        if item.get("coords") is not None:
-            coords[vid] = tuple(float(c) for c in item["coords"])
+        raw = item.get("coords")
+        if raw is not None:
+            if not isinstance(raw, (list, tuple)):
+                raise ValidationError(f"vertex {vid!r}: coords must be a list of numbers, got {raw!r}")
+            try:
+                coords[vid] = tuple(float(c) for c in raw)
+            except (TypeError, ValueError):
+                raise ValidationError(f"vertex {vid!r}: coords must be numbers, got {raw!r}")
 
     edges: dict[tuple[str, str], float] = {}
     for item in raw_edges:

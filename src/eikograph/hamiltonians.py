@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .errors import CoercivityError, ConvergenceError, HamiltonianError
-from .fields import ScalarField, field_on
-from .graph import MetricGraph
+from .fields import ScalarField, cost_adjacency, field_on
+from .graph import MetricGraph, fixpoint_labels
 from .slopes import CheckReport, slopes
-from .solver import DirichletProblem, ValueFunction, solve_dirichlet
+from .solver import DirichletProblem, ValueFunction, solve_dirichlet, value_function
 
 BRACKET_CAP = 2.0**40
 DEFAULT_P_MAX = 2.0**20
@@ -204,38 +204,90 @@ def reduce_h(H: HamiltonianSpec, x: str, rho: float, tol: float = 1e-9) -> float
     resolution so the root is a numerically stable function of rho; a
     coarser cut would quantize h and make outer fixed-point iterations
     limit-cycle above their tolerance.
+
+    ``H.evaluate`` is called directly inside one guard that raises the
+    error ``HamiltonianSpec.__call__`` would, naming the current p.  The
+    evaluation points, their order and the ``float`` of each value are
+    those of a loop through ``H(x, rho, p)``, so h is bit-identical to it.
+    :func:`solve_general` reuses a root only for the same vertex and the
+    same binary64 rho, where a pure evaluator would repeat every step.
     """
     if not (tol > 0.0):
         raise HamiltonianError(f"bisection tol must be positive, got {tol!r}")
-    h0 = H(x, rho, 0.0)
-    if h0 >= 0.0:
-        return 0.0
-    lo = 0.0
-    hi = 1.0
-    val = H(x, rho, hi)
-    while val <= 0.0:
-        if val == 0.0:
-            return hi  # bracket endpoint is the root
-        lo = hi
-        hi *= 2.0
-        if hi > BRACKET_CAP:
-            raise CoercivityError(
-                f"no sign change of {H.name!r} up to p = {BRACKET_CAP} at (x={x!r}, rho={rho})"
-            )
-        val = H(x, rho, hi)
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        val = H(x, rho, mid)
-        if val == 0.0:
-            return mid
-        if val > 0.0:
-            hi = mid
+    evaluate = H.evaluate
+    p = 0.0
+    try:
+        if float(evaluate(x, rho, p)) >= 0.0:
+            return 0.0
+        lo, hi = 0.0, 1.0
+        p = hi
+        val = float(evaluate(x, rho, p))
+        while val <= 0.0:
+            if val == 0.0:
+                return hi  # bracket endpoint is the root
+            lo, hi = hi, 2.0 * hi
+            if hi > BRACKET_CAP:
+                break  # raised below, outside the evaluator guard
+            p = hi
+            val = float(evaluate(x, rho, p))
         else:
-            lo = mid
-        if abs(val) <= tol and hi - lo <= 1e-13 * max(1.0, hi):
-            return 0.5 * (lo + hi)
+            for _ in range(500):
+                p = 0.5 * (lo + hi)
+                val = float(evaluate(x, rho, p))
+                if val == 0.0:
+                    return p
+                if val > 0.0:
+                    hi = p
+                else:
+                    lo = p
+                if hi - lo <= 1e-13 * (hi if hi > 1.0 else 1.0) and abs(val) <= tol:
+                    return 0.5 * (lo + hi)
+    except Exception as exc:  # noqa: BLE001 - evaluator is user code
+        raise HamiltonianError(
+            f"Hamiltonian {H.name!r} failed at (x={x!r}, rho={rho}, p={p}): {exc}"
+        )
+    if hi > BRACKET_CAP:
+        raise CoercivityError(
+            f"no sign change of {H.name!r} up to p = {BRACKET_CAP} at (x={x!r}, rho={rho})"
+        )
     raise HamiltonianError(
         f"bisection for {H.name!r} stalled at (x={x!r}, rho={rho}); bracket [{lo}, {hi}]"
+    )
+
+
+def _reduce_field(
+    H: HamiltonianSpec,
+    g: MetricGraph,
+    rho: Mapping[str, float],
+    tol: float,
+    memo: dict[str, tuple[float, float, float]],
+) -> ReductionField:
+    """:func:`reduce_field` that reuses ``memo[x]`` = (rho, h, residual)
+    when rho(x) is the same binary64 value, sign of zero included, and
+    stores each new reduction there."""
+    values: dict[str, float] = {}
+    residuals: dict[str, float] = {}
+    flagged: list[str] = []
+    for x in g.vertices:
+        r = rho[x]
+        slot = memo.get(x)
+        if slot is not None and slot[0] == r and (
+            r != 0.0 or math.copysign(1.0, r) == math.copysign(1.0, slot[0])
+        ):
+            _, hx, res = slot
+        else:
+            hx = reduce_h(H, x, r, tol)
+            res = abs(H(x, r, hx))
+            memo[x] = (r, hx, res)
+        values[x] = hx
+        residuals[x] = res
+        if res > tol:
+            flagged.append(x)
+    return ReductionField(
+        h=field_on(g, values, "rhs_f"),
+        residuals=residuals,
+        flagged=tuple(flagged),
+        tol=tol,
     )
 
 
@@ -246,22 +298,7 @@ def reduce_field(
     tol: float = 1e-9,
 ) -> ReductionField:
     """Vertexwise reduction to an eikonal right-hand side."""
-    values: dict[str, float] = {}
-    residuals: dict[str, float] = {}
-    flagged: list[str] = []
-    for x in g.vertices:
-        hx = reduce_h(H, x, rho[x], tol)
-        values[x] = hx
-        res = abs(H(x, rho[x], hx))
-        residuals[x] = res
-        if res > tol:
-            flagged.append(x)
-    return ReductionField(
-        h=field_on(g, values, "rhs_f"),
-        residuals=residuals,
-        flagged=tuple(flagged),
-        tol=tol,
-    )
+    return _reduce_field(H, g, rho, tol, {})
 
 
 def solve_general(
@@ -279,28 +316,38 @@ def solve_general(
     when the max vertex change drops to tol; raises ConvergenceError with the
     residual history otherwise.  The returned reduction is recomputed at the
     final iterate, so its residuals certify H(x, u(x), h(x)) ~ 0.
+
+    The first solve is a full :func:`solve_dirichlet`, which validates the
+    problem; later sweeps compute labels only, and exits are walked once for
+    the returned iterate.  A vertex whose label is the same binary64 value
+    as on the previous sweep reuses that sweep's root and residual instead
+    of bisecting again.  For an evaluator that depends only on (x, rho, p)
+    every label, root, residual, sweep count and change history is
+    bit-identical to reducing and solving afresh on every sweep.
     """
     validation = validate_hamiltonian(H, g)
     if not validation.passed:
         raise HamiltonianError(validation.describe())
 
-    rho = {v: 0.0 for v in g.vertices}
-    reduction = reduce_field(H, g, rho, bisect_tol)
+    memo: dict[str, tuple[float, float, float]] = {}
+    reduction = _reduce_field(H, g, {v: 0.0 for v in g.vertices}, bisect_tol, memo)
     vf = solve_dirichlet(DirichletProblem(g, reduction.h, zeta, threshold=0.0))
+    u = vf.u.values
     if H.rho_monotonicity == "independent":
-        final = reduce_field(H, g, vf.u.values, bisect_tol)
-        return vf, final, 1
+        return vf, _reduce_field(H, g, u, bisect_tol, memo), 1
 
+    seeds = {y: zeta[y] for y in g.boundary}
     history: list[float] = []
     for iteration in range(2, max_iter + 1):
-        reduction = reduce_field(H, g, vf.u.values, bisect_tol)
-        vf_next = solve_dirichlet(DirichletProblem(g, reduction.h, zeta, threshold=0.0))
-        change = max(abs(vf_next.u[v] - vf.u[v]) for v in g.vertices)
+        reduction = _reduce_field(H, g, u, bisect_tol, memo)
+        adjacency = cost_adjacency(g, reduction.h)
+        u_next = fixpoint_labels(adjacency, seeds)
+        change = max(abs(u_next[v] - u[v]) for v in g.vertices)
         history.append(change)
-        vf = vf_next
+        u = u_next
         if change <= tol:
-            final = reduce_field(H, g, vf.u.values, bisect_tol)
-            return vf, final, iteration
+            final = _reduce_field(H, g, u, bisect_tol, memo)
+            return value_function(g, adjacency, seeds, u), final, iteration
     raise ConvergenceError(
         f"Picard iteration did not reach tol {tol} in {max_iter} iterations "
         f"(last change {history[-1] if history else math.nan})",
@@ -414,6 +461,7 @@ def expression_hamiltonian(
 
     Only arithmetic and a small math namespace are allowed; the declared
     monotonicity defaults to "nondecreasing" when the expression uses rho.
+    The expression is compiled once, as the body of the evaluator.
     """
     try:
         code = compile(expr, "<hamiltonian>", "eval")
@@ -425,10 +473,11 @@ def expression_hamiltonian(
         raise HamiltonianError(f"hamiltonian expression uses unknown names {sorted(bad)}")
     if rho_monotonicity is None:
         rho_monotonicity = "nondecreasing" if "rho" in code.co_names else "independent"
-
-    def evaluate(x: str, rho: float, p: float) -> float:
-        return eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, "p": p, "rho": rho})
-
+    # newlines keep a trailing comment in expr from swallowing the paren
+    evaluate = eval(
+        compile(f"lambda x, rho, p: (\n{expr}\n)", "<hamiltonian>", "eval"),
+        {"__builtins__": {}, **_EXPR_NAMES},
+    )
     return HamiltonianSpec(
         name=f"expr({expr})",
         evaluate=evaluate,

@@ -138,13 +138,21 @@ def solve_dirichlet(p: DirichletProblem) -> ValueFunction:
     if any(math.isinf(val) for val in u.values()):
         raise ConnectivityError("some vertices are unreachable from the boundary")
 
+    return value_function(g, adjacency, seeds, u)
+
+
+def value_function(
+    g: MetricGraph, adjacency, seeds: dict[str, float], u: dict[str, float]
+) -> ValueFunction:
+    """Wrap the labels of ``fixpoint_labels(adjacency, seeds)``, seeded on
+    the boundary, with each vertex's optimal exit (see
+    :func:`solve_dirichlet`) and each boundary datum's attainment."""
     exit_vertex: dict[str, str] = {}
     for x, y in settle_parents(adjacency, seeds, u).items():
         exit_vertex[x] = x if y == x else exit_vertex[y]
 
-    attained = {y: u[y] == p.zeta[y] for y in sorted(g.boundary)}
-    u_field = field_on(g, u, "solution_u")
-    return ValueFunction(u=u_field, exit_vertex=exit_vertex, attained=attained)
+    attained = {y: u[y] == seeds[y] for y in sorted(g.boundary)}
+    return ValueFunction(u=field_on(g, u, "solution_u"), exit_vertex=exit_vertex, attained=attained)
 
 
 def _scaled(adjacency, k: float) -> dict[str, tuple[tuple[str, float], ...]]:

@@ -3,12 +3,25 @@
 These deliberately avoid the library's solver path: values come from
 exhaustive Jacobi value iteration (Bellman-Ford style full sweeps from the
 seeds), distances from the same iteration with edge lengths as costs, and
-path sums from direct summation.
+path sums from direct summation.  The general-Hamiltonian references keep
+the plain bisection and Picard loop the fast path must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+
+from eikograph import (
+    CoercivityError,
+    ConvergenceError,
+    DirichletProblem,
+    HamiltonianError,
+    ReductionField,
+    field_on,
+    solve_dirichlet,
+    validate_hamiltonian,
+)
+from eikograph.hamiltonians import BRACKET_CAP
 
 
 def value_iteration(graph, costs, seeds):
@@ -199,3 +212,84 @@ def lipschitz_certificate_rows(graph, u, f, certificate_centers=6):
                 pairs += 1
         rows.append((x0, radius, pairs, worst))
     return rows
+
+
+def reference_reduce_h(H, x, rho, tol=1e-9):
+    """The bisection reduction as the library computed it before its fast
+    path: every evaluation through ``HamiltonianSpec.__call__``."""
+    if not (tol > 0.0):
+        raise HamiltonianError(f"bisection tol must be positive, got {tol!r}")
+    h0 = H(x, rho, 0.0)
+    if h0 >= 0.0:
+        return 0.0
+    lo = 0.0
+    hi = 1.0
+    val = H(x, rho, hi)
+    while val <= 0.0:
+        if val == 0.0:
+            return hi  # bracket endpoint is the root
+        lo = hi
+        hi *= 2.0
+        if hi > BRACKET_CAP:
+            raise CoercivityError(
+                f"no sign change of {H.name!r} up to p = {BRACKET_CAP} at (x={x!r}, rho={rho})"
+            )
+        val = H(x, rho, hi)
+    for _ in range(500):
+        mid = 0.5 * (lo + hi)
+        val = H(x, rho, mid)
+        if val == 0.0:
+            return mid
+        if val > 0.0:
+            hi = mid
+        else:
+            lo = mid
+        if abs(val) <= tol and hi - lo <= 1e-13 * max(1.0, hi):
+            return 0.5 * (lo + hi)
+    raise HamiltonianError(
+        f"bisection for {H.name!r} stalled at (x={x!r}, rho={rho}); bracket [{lo}, {hi}]"
+    )
+
+
+def reference_reduce_field(H, g, rho, tol=1e-9):
+    """Vertexwise :func:`reference_reduce_h` with residuals, no reuse."""
+    values, residuals, flagged = {}, {}, []
+    for x in g.vertices:
+        hx = reference_reduce_h(H, x, rho[x], tol)
+        values[x] = hx
+        residuals[x] = abs(H(x, rho[x], hx))
+        if residuals[x] > tol:
+            flagged.append(x)
+    return ReductionField(
+        h=field_on(g, values, "rhs_f"), residuals=residuals, flagged=tuple(flagged), tol=tol
+    )
+
+
+def reference_solve_general(g, H, zeta, tol=1e-8, max_iter=100, bisect_tol=1e-9):
+    """Picard iteration with a full reduction and a full Dirichlet solve
+    on every sweep; returns (value function, final reduction, sweeps) or
+    raises ConvergenceError with the change history."""
+    validation = validate_hamiltonian(H, g)
+    if not validation.passed:
+        raise HamiltonianError(validation.describe())
+
+    def sweep(rho):
+        reduction = reference_reduce_field(H, g, rho, bisect_tol)
+        return solve_dirichlet(DirichletProblem(g, reduction.h, zeta, threshold=0.0))
+
+    vf = sweep({v: 0.0 for v in g.vertices})
+    if H.rho_monotonicity == "independent":
+        return vf, reference_reduce_field(H, g, vf.u.values, bisect_tol), 1
+    history = []
+    for iteration in range(2, max_iter + 1):
+        vf_next = sweep(vf.u.values)
+        change = max(abs(vf_next.u[v] - vf.u[v]) for v in g.vertices)
+        history.append(change)
+        vf = vf_next
+        if change <= tol:
+            return vf, reference_reduce_field(H, g, vf.u.values, bisect_tol), iteration
+    raise ConvergenceError(
+        f"Picard iteration did not reach tol {tol} in {max_iter} iterations "
+        f"(last change {history[-1] if history else math.nan})",
+        history,
+    )

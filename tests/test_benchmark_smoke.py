@@ -1,8 +1,9 @@
-"""Smoke run of the benchmark's certify workload at its tiny size.
+"""Smoke runs of the benchmark's certify and hjb workloads at their tiny size.
 
-The run gates every solve against the exact Bellman fixpoint and every
-check and certificate verdict against the verdicts recorded in
-perfbench/expected.json, so a changed certify verdict fails here.
+The runs gate every solve against the exact Bellman fixpoint (certify) or
+the reduction residuals (hjb), and every check and certificate verdict
+against the verdicts recorded in perfbench/expected.json, so a changed
+verdict fails here.
 """
 
 from __future__ import annotations
@@ -18,6 +19,20 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_certify_tiny_run_is_correct():
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "certify", "--size", "tiny",
+         "--seed", "1", "--seconds", "2", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, proc.stdout
+    assert result["failed"] == 0
+
+
+def test_hjb_tiny_run_is_correct():
+    # gates the hjb residuals and monge verdicts against the tiny record,
+    # so a reduction that drifts by one ulp fails here
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "hjb", "--size", "tiny",
          "--seed", "1", "--seconds", "2", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )

@@ -333,6 +333,57 @@ class TestErrorsAndConfig:
                        "--config", str(cfg_path))
         assert code == 2
 
+    @pytest.mark.parametrize("config,message", [
+        ([], "must be a JSON object"),
+        ("0.5", "must be a JSON object"),
+        ({"picard_tol": "1"}, "'picard_tol' must be float"),
+        ({"picard_max_iter": 2.5}, "'picard_max_iter' must be int"),
+        ({"bisect_tol": True}, "'bisect_tol' must be float"),
+        ({"seed": "7"}, "'seed' must be int | None"),
+        ({"positivity_threshold": None}, "'positivity_threshold' must be float"),
+    ])
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, config, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        g_path = tmp_path / "g.json"
+        run_cli("fixture", "--name", "interval", "--n", "4", "--out", str(g_path))
+        capsys.readouterr()
+        code = run_cli("solve", "--graph", str(g_path), "--f", "const:1",
+                       "--zeta", "const:0", "--out", str(tmp_path / "u.csv"),
+                       "--config", str(cfg_path))
+        assert code == 2
+        line = self.assert_one_error_line(capsys)
+        assert str(cfg_path) in line and message in line
+
+    def test_config_accepts_ints_and_nulls(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"picard_tol": 1, "check_tol": None, "seed": 3}))
+        g_path = tmp_path / "g.json"
+        run_cli("fixture", "--name", "interval", "--n", "4", "--out", str(g_path))
+        code = run_cli("solve", "--graph", str(g_path), "--f", "const:1",
+                       "--zeta", "const:0", "--out", str(tmp_path / "u.csv"),
+                       "--config", str(cfg_path))
+        assert code == 0
+
+    @pytest.mark.parametrize("coords,message", [
+        ("xy", "coords must be a list"),
+        (5, "coords must be a list"),
+        (["x", 1.0], "coords must be numbers"),
+        ([[0.0], 1.0], "coords must be numbers"),
+    ])
+    def test_bad_vertex_coords_exit_2(self, tmp_path, capsys, coords, message):
+        g_path = tmp_path / "g.json"
+        g_path.write_text(json.dumps({
+            "vertices": [{"id": "v0", "coords": [0.0, 0.0]}, {"id": "v1", "coords": coords}],
+            "edges": [{"a": "v0", "b": "v1", "length": 1.0}],
+            "boundary": ["v0"],
+        }))
+        code = run_cli("solve", "--graph", str(g_path), "--f", "const:1",
+                       "--zeta", "const:0", "--out", str(tmp_path / "u.csv"))
+        assert code == 2
+        line = self.assert_one_error_line(capsys)
+        assert "'v1'" in line and message in line
+
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             RunConfig(positivity_threshold=-1.0)
