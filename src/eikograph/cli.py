@@ -9,8 +9,6 @@ shortest round-trip representation.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from dataclasses import dataclass, fields as dc_fields
 
@@ -19,7 +17,6 @@ from .errors import EikographError, ValidationError
 from .fields import (
     ScalarField,
     field_from_expression,
-    field_on,
     is_field_expression,
     read_field_csv,
     write_field_csv,
@@ -29,9 +26,11 @@ from .graph import (
     MetricGraph,
     chord_from_coords,
     induce_intrinsic,
-    open_input,
+    read_csv,
     read_graph,
+    read_json,
     refine,
+    write_csv,
     write_graph,
 )
 from .hamiltonians import (
@@ -83,11 +82,7 @@ class RunConfig:
 def load_config(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig()
-    with open_input(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}")
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: config must be a JSON object, got {type(data).__name__}")
     types = {f.name: f.type for f in dc_fields(RunConfig)}
@@ -119,34 +114,14 @@ def _load_field(g: MetricGraph, spec: str, role: str) -> ScalarField:
 
 def write_solution_csv(vf: ValueFunction, path: str) -> None:
     """Solution CSV: vertex_id,u,exit_vertex,attained (attained on boundary rows)."""
-    g = vf.u.graph
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vertex_id", "u", "exit_vertex", "attained"])
-        for v in g.vertices:
-            attained = ""
-            if v in g.boundary:
-                attained = "true" if vf.attained[v] else "false"
-            writer.writerow([v, repr(vf.u[v]), vf.exit_vertex[v], attained])
+    rows = ([v, repr(vf.u[v]), vf.exit_vertex[v], str(vf.attained[v]).lower() if v in vf.attained else ""]
+            for v in vf.u.graph.vertices)
+    write_csv(path, ["vertex_id", "u", "exit_vertex", "attained"], rows)
 
 
 def read_solution_csv(g: MetricGraph, path: str) -> ScalarField:
     """Read either a plain field CSV or a solver output CSV as solution_u."""
-    values: dict[str, float] = {}
-    with open_input(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if (header is None or len(header) < 2 or header[0].strip() != "vertex_id"
-                or header[1].strip() not in ("u", "value")):
-            raise ValidationError(f"{path}: expected header 'vertex_id,u,...' or 'vertex_id,value'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                values[row[0]] = float(row[1])
-            except (IndexError, ValueError):
-                raise ValidationError(f"{path}:{lineno}: bad row {row!r}")
-    return field_on(g, values, "solution_u")
+    return read_field_csv(g, path, "solution_u")
 
 
 def emit_plot_data(u: ScalarField, g: MetricGraph, path: str, layout: str = "auto") -> None:
@@ -160,25 +135,16 @@ def emit_plot_data(u: ScalarField, g: MetricGraph, path: str, layout: str = "aut
         missing = next(v for v in g.vertices if v not in g.coords)
         raise ValidationError(f"plot layout 'coords' needs coords on every vertex (missing at {missing!r})")
     use_coords = have_all if layout == "auto" else layout == "coords"
-    dims = max((len(g.coords[v]) for v in g.vertices), default=0) if use_coords else 0
+    dims = len(g.coords[g.vertices[0]]) if use_coords else 0
     names = ["x", "y", "z"] + [f"c{k}" for k in range(3, dims)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vertex_id", *names[:dims], "u"])
-        for v in g.vertices:
-            xs = [repr(c) for c in g.coords[v][:dims]] if use_coords else []
-            xs += [""] * (dims - len(xs))
-            writer.writerow([v, *xs, repr(u[v])])
+    write_csv(path, ["vertex_id", *names[:dims], "u"],
+              ([v, *map(repr, g.coords[v] if use_coords else ()), repr(u[v])] for v in g.vertices))
 
 
 def write_report_csv(report: CheckReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["item_id", "residual", "verdict"])
-        for item, residual, verdict in report.rows():
-            writer.writerow([item, repr(residual), verdict])
-        for item in sorted(report.excluded):
-            writer.writerow([item, repr(report.excluded[item]), "excluded"])
+    rows = [[item, repr(residual), verdict] for item, residual, verdict in report.rows()]
+    rows += [[item, repr(report.excluded[item]), "excluded"] for item in sorted(report.excluded)]
+    write_csv(path, ["item_id", "residual", "verdict"], rows)
 
 
 # --- command handlers -------------------------------------------------------
@@ -313,16 +279,15 @@ def _cmd_compare(args) -> int:
     )
     report = compare(inst)
     if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["item", "value"])
-            writer.writerow(["hypothesis_failed", report.hypothesis_failed or ""])
-            writer.writerow(["band_size", report.band_size])
-            writer.writerow(["band_max", "" if report.band_max is None else repr(report.band_max)])
-            writer.writerow(["comparison_passed", "" if report.comparison_passed is None
-                             else str(report.comparison_passed).lower()])
-            writer.writerow(["max_excess", "" if report.max_excess is None else repr(report.max_excess)])
-            writer.writerow(["violating_vertex", report.violating_vertex or ""])
+        write_csv(args.report, ["item", "value"], [
+            ["hypothesis_failed", report.hypothesis_failed or ""],
+            ["band_size", report.band_size],
+            ["band_max", "" if report.band_max is None else repr(report.band_max)],
+            ["comparison_passed", "" if report.comparison_passed is None
+             else str(report.comparison_passed).lower()],
+            ["max_excess", "" if report.max_excess is None else repr(report.max_excess)],
+            ["violating_vertex", report.violating_vertex or ""],
+        ])
     if report.hypothesis_failed:
         print(f"compare: hypothesis {report.hypothesis_failed!r} failed; no comparison verdict")
         return 1
@@ -339,11 +304,8 @@ def _cmd_suite(args) -> int:
     report = equivalence_suite(fix, f_spec=args.f, zeta_spec=args.zeta, levels=args.levels)
     _check_io_paths([], [args.report])
     if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["fixture", "level", "check", "max_residual", "tol", "verdict"])
-            for row in report.rows:
-                writer.writerow([row[0], row[1], row[2], repr(row[3]), repr(row[4]), row[5]])
+        write_csv(args.report, ["fixture", "level", "check", "max_residual", "tol", "verdict"],
+                  ([row[0], row[1], row[2], repr(row[3]), repr(row[4]), row[5]] for row in report.rows))
     print(f"suite {fix.name}: levels={report.levels} "
           f"monge residuals {[r for r in report.monge_residuals]} "
           f"{'PASS' if report.passed else 'FAIL'}")
@@ -354,30 +316,12 @@ def _cmd_induce_metric(args) -> int:
     cfg = load_config(args.config)
     _check_io_paths([args.points, args.edges], [args.out, args.probe_out])
     coords: dict[str, tuple[float, ...]] = {}
-    with open_input(args.points) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[0].strip() != "vertex_id":
-            raise ValidationError(f"{args.points}: expected header 'vertex_id,x[,y,...]'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                coords[row[0]] = tuple(float(c) for c in row[1:] if c != "")
-            except ValueError:
-                raise ValidationError(f"{args.points}:{lineno}: bad coordinate in {row!r}")
-    adjacency: list[tuple[str, str]] = []
-    with open_input(args.edges) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["a", "b"]:
-            raise ValidationError(f"{args.edges}: expected header 'a,b'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise ValidationError(f"{args.edges}:{lineno}: expected 'a,b'")
-            adjacency.append((row[0], row[1]))
+    for lineno, row in read_csv(args.points, [("vertex_id",)], 1):
+        try:
+            coords[row[0]] = tuple(float(c) for c in row[1:] if c != "")
+        except ValueError:
+            raise ValidationError(f"{args.points}:{lineno}: bad coordinate in {row!r}")
+    adjacency = [(row[0], row[1]) for _, row in read_csv(args.edges, [("a", "b")], 2)]
     boundary = [b for b in (args.boundary or "").split(",") if b]
     chord = ChordInput(
         ids=tuple(sorted(coords)),
@@ -393,11 +337,9 @@ def _cmd_induce_metric(args) -> int:
     )
     write_graph(result.graph, args.out)
     if args.probe_out:
-        with open(args.probe_out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["d_max", "ratio_max", "ratio_mean", "count"])
-            for d_max, r_max, r_mean, count in result.probe.buckets:
-                writer.writerow([repr(d_max), repr(r_max), repr(r_mean), count])
+        write_csv(args.probe_out, ["d_max", "ratio_max", "ratio_mean", "count"],
+                  ([repr(d_max), repr(r_max), repr(r_mean), count]
+                   for d_max, r_max, r_mean, count in result.probe.buckets))
     probe = result.probe
     print(f"induced metric graph: {len(result.graph.vertices)} vertices, "
           f"{len(result.graph.edges)} edges -> {args.out}")

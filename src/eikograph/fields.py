@@ -6,12 +6,12 @@ which makes the trapezoid edge integral exact and refinement cost-preserving.
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .errors import FieldError, ValidationError
-from .graph import MetricGraph, edge_key, open_input
+from .graph import MetricGraph, edge_key, read_csv, write_csv
 
 ROLES = ("rhs_f", "solution_u", "boundary_zeta")
 
@@ -63,6 +63,10 @@ def field_on(g: MetricGraph, values: Mapping[str, float], role: str) -> ScalarFi
     if role not in ROLES:
         raise FieldError(f"unknown field role {role!r}; expected one of {ROLES}")
     vals = {str(v): float(x) for v, x in values.items()}
+    if not math.isfinite(sum(vals.values())):  # one C-level pass; finite values may still overflow the sum
+        bad = sorted(v for v, x in vals.items() if not math.isfinite(x))
+        if bad:
+            raise FieldError(f"field ({role}) has non-finite value {vals[bad[0]]!r} at vertex {bad[0]!r}")
     unknown = set(vals) - set(g.vertices)
     if unknown:
         raise FieldError(f"field values at unknown vertices {sorted(unknown)[:5]}")
@@ -196,28 +200,19 @@ def lipschitz_constant(g: MetricGraph, f: ScalarField) -> float:
 
 
 def read_field_csv(g: MetricGraph, path: str, role: str) -> ScalarField:
-    """Read a ``vertex_id,value`` CSV into a field with the given role."""
+    """Read a ``vertex_id,value`` CSV into a field with the given role; a
+    solution_u field may also come from a solver output ``vertex_id,u,...``."""
+    headers = [("vertex_id", "value")]
+    if role == "solution_u":
+        headers.insert(0, ("vertex_id", "u"))
     values: dict[str, float] = {}
-    with open_input(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["vertex_id", "value"]:
-            raise ValidationError(f"{path}: expected header 'vertex_id,value'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise ValidationError(f"{path}:{lineno}: expected 'vertex_id,value'")
-            try:
-                values[row[0]] = float(row[1])
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: bad value field {row[1]!r}")
+    for lineno, row in read_csv(path, headers, 2):
+        try:
+            values[row[0]] = float(row[1])
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: bad value field {row[1]!r}")
     return field_on(g, values, role)
 
 
 def write_field_csv(f: ScalarField, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vertex_id", "value"])
-        for v in sorted(f.values):
-            writer.writerow([v, repr(f.values[v])])
+    write_csv(path, ["vertex_id", "value"], ([v, repr(f.values[v])] for v in sorted(f.values)))

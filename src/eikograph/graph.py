@@ -8,6 +8,7 @@ All graphs are immutable after construction and safe for concurrent reads.
 
 from __future__ import annotations
 
+import csv
 import heapq
 import json
 import math
@@ -184,10 +185,19 @@ def _finalize(
             if v not in vset:
                 raise ValidationError(f"coords reference unknown vertex {v!r}")
             cmap[v] = tuple(float(c) for c in xy)
+        _require_one_dimension(cmap)
 
     g = MetricGraph(vertices=vs, edges=clean, boundary=bset, coords=cmap, adjacency=adjacency)
     _require_connected(g)
     return g
+
+
+def _require_one_dimension(coords: Mapping[str, Sequence[float]]) -> None:
+    if len({len(xy) for xy in coords.values()}) > 1:
+        first = next(iter(coords))
+        other = next(v for v, xy in coords.items() if len(xy) != len(coords[first]))
+        raise ValidationError(f"coords mix dimensions: {first!r} has {len(coords[first])}, "
+                              f"{other!r} has {len(coords[other])}")
 
 
 def _require_connected(g: MetricGraph) -> None:
@@ -217,6 +227,11 @@ def build_graph(spec: Mapping) -> MetricGraph:
         raw_edges = spec["edges"]
     except KeyError as exc:
         raise ValidationError(f"graph description missing key {exc.args[0]!r}")
+    boundary = spec.get("boundary", [])
+    for key, value, what in (("vertices", raw_vertices, "vertex entries"),
+                             ("edges", raw_edges, "edge entries"), ("boundary", boundary, "vertex ids")):
+        if not isinstance(value, (list, tuple)):
+            raise ValidationError(f"graph {key} must be a list of {what}, got {type(value).__name__}")
 
     vertices: list[str] = []
     coords: dict[str, tuple[float, ...]] = {}
@@ -235,22 +250,18 @@ def build_graph(spec: Mapping) -> MetricGraph:
                 raise ValidationError(f"vertex {vid!r}: coords must be a list of numbers, got {raw!r}")
             try:
                 coords[vid] = tuple(float(c) for c in raw)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ValidationError(f"vertex {vid!r}: coords must be numbers, got {raw!r}")
 
     edges: dict[tuple[str, str], float] = {}
     for item in raw_edges:
         try:
             a, b, length = str(item["a"]), str(item["b"]), float(item["length"])
-        except (TypeError, KeyError, ValueError):
+        except (TypeError, KeyError, ValueError, OverflowError):
             raise ValidationError(f"edge entry {item!r} must have a, b, length")
         k = edge_key(a, b)
         if k not in edges or length < edges[k]:
             edges[k] = length
-
-    boundary = spec.get("boundary", [])
-    if not isinstance(boundary, (list, tuple)):
-        raise ValidationError(f"graph boundary must be a list of vertex ids, got {type(boundary).__name__}")
     return _finalize(vertices, edges, [str(b) for b in boundary], coords)
 
 
@@ -289,13 +300,53 @@ def open_input(path: str) -> Iterator[TextIO]:
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})")
 
 
-def read_graph(path: str) -> MetricGraph:
+def read_json(path: str):
+    """Parse a JSON input file; malformed JSON raises ValidationError with
+    the line and column."""
     with open_input(path) as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}")
+    except (ValueError, RecursionError) as exc:  # an integer too long to convert, nesting too deep
+        raise ValidationError(f"{path}: unreadable JSON ({exc})")
+
+
+def read_csv(path: str, headers: Sequence[Sequence[str]], width: int) -> Iterator[tuple[int, list[str]]]:
+    """(line number, row) pairs of a CSV input file after its header.
+
+    The header's leading cells, stripped, must equal one of ``headers``.
+    Blank rows are skipped; a row with fewer than ``width`` cells raises
+    ValidationError at ``path:lineno``.
+    """
+    with open_input(path) as fh:
+        reader = csv.reader(fh)
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}")
-    return build_graph(data)
+            header = [h.strip() for h in next(reader, [])]
+            if not any(header[:len(h)] == list(h) for h in headers):
+                wanted = " or ".join(repr(",".join(h)) for h in headers)
+                raise ValidationError(f"{path}: expected header {wanted}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) < width:
+                    raise ValidationError(f"{path}:{lineno}: expected {width} columns, got {row!r}")
+                yield lineno, row
+        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+            raise ValidationError(f"{path}:{reader.line_num}: {exc}")
+
+
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and rows as UTF-8 CSV in the csv module's default dialect."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_graph(path: str) -> MetricGraph:
+    return build_graph(read_json(path))
 
 
 def fixpoint_labels(
@@ -376,38 +427,6 @@ def settle_parents(
     return parent
 
 
-def _backtrack_path(
-    adjacency: Mapping[str, Sequence[tuple[str, float]]],
-    dist: Mapping[str, float],
-    source: str,
-    target: str,
-) -> list[str]:
-    """Parent chain target -> source along exact label equalities.
-
-    At the fixpoint every non-source vertex has a neighbor y with
-    dist[v] == fl(dist[y] + w); ties break to the smallest vertex id, giving a
-    deterministic lexicographic witness along the path.
-    """
-    path = [target]
-    v = target
-    steps = 0
-    while v != source:
-        parent = None
-        for y, c in adjacency[v]:
-            if dist[v] == dist[y] + c:
-                parent = y
-                break  # adjacency is sorted by id: first hit is smallest
-        if parent is None:
-            raise GraphError(f"no shortest-path predecessor at {v!r} (degenerate weights)")
-        path.append(parent)
-        v = parent
-        steps += 1
-        if steps > len(adjacency):
-            raise GraphError("shortest-path backtrack did not terminate")
-    path.reverse()
-    return path
-
-
 def curve_along(g: MetricGraph, vertices: Sequence[str]) -> Curve:
     """Arc-length parametrized curve through consecutive graph neighbors."""
     if not vertices:
@@ -422,15 +441,20 @@ def intrinsic_distance(g: MetricGraph, x: str, y: str) -> tuple[float, Curve]:
     """Intrinsic distance between two vertices and a witness shortest path.
 
     On a finite graph the infimum of curve lengths is attained by a vertex
-    path; the witness curve's total length equals the reported distance.
+    path; the witness walks the :func:`settle_parents` forest from y back to
+    x, so its total length equals the reported distance.
     """
     if not g.has_vertex(x):
         raise GraphError(f"unknown vertex {x!r}")
     if not g.has_vertex(y):
         raise GraphError(f"unknown vertex {y!r}")
-    dist = fixpoint_labels(g.adjacency, {x: 0.0})
-    path = _backtrack_path(g.adjacency, dist, x, y)
-    return dist[y], curve_along(g, path)
+    seeds = {x: 0.0}
+    dist = fixpoint_labels(g.adjacency, seeds)
+    parent = settle_parents(g.adjacency, seeds, dist)
+    path = [y]
+    while path[-1] != x:
+        path.append(parent[path[-1]])
+    return dist[y], curve_along(g, path[::-1])
 
 
 def distances_from(g: MetricGraph, sources: Iterable[str]) -> dict[str, float]:
@@ -489,7 +513,7 @@ def refine(g: MetricGraph, h_max: float) -> MetricGraph:
             existing.add(vid)
             vertices.append(vid)
             chain.append(vid)
-            if a in coords and b in coords and len(coords[a]) == len(coords[b]):
+            if a in coords and b in coords:
                 t = i / k
                 coords[vid] = tuple(
                     ca + t * (cb - ca) for ca, cb in zip(coords[a], coords[b])
@@ -520,7 +544,10 @@ def chord_from_coords(coords: Mapping[str, Sequence[float]]) -> Callable[[str, s
 
     def dist(a: str, b: str) -> float:
         pa, pb = coords[a], coords[b]
-        return math.sqrt(math.fsum((ca - cb) ** 2 for ca, cb in zip(pa, pb)))
+        try:
+            return math.sqrt(math.fsum((ca - cb) ** 2 for ca, cb in zip(pa, pb)))
+        except OverflowError:
+            raise MetricError(f"distance between {a!r} and {b!r} overflows")
 
     return dist
 
@@ -570,6 +597,7 @@ def induce_intrinsic(
     for a, b in chord.adjacency:
         if a not in known or b not in known:
             raise ValidationError(f"edge ({a!r}, {b!r}) references unknown vertex")
+    _require_one_dimension(coords or {})
     rng = random.Random(seed)
     _validate_chord(chord, rng, samples=max(32, sample_pairs // 2))
 

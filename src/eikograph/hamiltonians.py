@@ -11,6 +11,7 @@ plateau that breaks strict monotonicity).
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -451,6 +452,16 @@ _EXPR_NAMES = {
 }
 
 
+def _code_names(code: types.CodeType) -> set[str]:
+    """Global and attribute names of a code object and every code object
+    nested in it (lambdas, comprehensions)."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _code_names(const)
+    return names
+
+
 def expression_hamiltonian(
     expr: str,
     lambda0: float = 1e-6,
@@ -467,12 +478,12 @@ def expression_hamiltonian(
         code = compile(expr, "<hamiltonian>", "eval")
     except SyntaxError as exc:
         raise HamiltonianError(f"bad hamiltonian expression {expr!r}: {exc}")
-    allowed = set(_EXPR_NAMES) | {"p", "rho"}
-    bad = set(code.co_names) - allowed
+    names = _code_names(code)
+    bad = names - set(_EXPR_NAMES) - {"p", "rho"}
     if bad:
         raise HamiltonianError(f"hamiltonian expression uses unknown names {sorted(bad)}")
     if rho_monotonicity is None:
-        rho_monotonicity = "nondecreasing" if "rho" in code.co_names else "independent"
+        rho_monotonicity = "nondecreasing" if "rho" in names else "independent"
     # newlines keep a trailing comment in expr from swallowing the paren
     evaluate = eval(
         compile(f"lambda x, rho, p: (\n{expr}\n)", "<hamiltonian>", "eval"),

@@ -57,6 +57,21 @@ def all_pairs_distance_oracle(graph):
     return {v: distance_oracle(graph, v) for v in graph.vertices}
 
 
+def backtrack_witness(graph, source, target):
+    """Witness path source -> target by walking back from target along exact
+    label equalities, taking the first neighbor in id order each step.  Can
+    cycle when an edge is absorbed in rounding (b and c each the other's
+    parent); the walk is cut after |V| steps with an AssertionError."""
+    dist = distance_oracle(graph, source)
+    path = [target]
+    while path[-1] != source:
+        v = path[-1]
+        path.append(next(y for y, c in graph.neighbors(v) if dist[v] == dist[y] + c))
+        if len(path) > len(graph.vertices):
+            raise AssertionError("backtrack did not terminate")
+    return path[::-1]
+
+
 def restricted_distance_oracle(graph, subset, source):
     """Value iteration on the induced subgraph (paths stay inside subset)."""
     members = set(subset)

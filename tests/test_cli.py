@@ -286,7 +286,60 @@ class TestErrorsAndConfig:
         assert code == 2
         assert "not UTF-8" in self.assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("vertices,edges", [
+        (5, [{"a": "v0", "b": "v1", "length": 1.0}]),
+        ("v0v1", [{"a": "v0", "b": "v1", "length": 1.0}]),
+        (["v0", "v1"], 7),
+        (["v0", "v1"], {"a": "v0", "b": "v1", "length": 1.0}),
+    ])
+    def test_non_list_vertices_or_edges_exit_2(self, tmp_path, capsys, vertices, edges):
+        g_path = tmp_path / "g.json"
+        g_path.write_text(json.dumps({"vertices": vertices, "edges": edges, "boundary": ["v0"]}))
+        code = run_cli("solve", "--graph", str(g_path), "--f", "const:1",
+                       "--zeta", "const:0", "--out", str(tmp_path / "u.csv"))
+        assert code == 2
+        assert "must be a list" in self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("target,text,vertex", [
+        ("f", "vertex_id,value\nv0,nan\nv1,1\nv2,1\nv3,1\nv4,1\n", "'v0'"),
+        ("f", "vertex_id,value\nv0,1\nv1,1\nv2,inf\nv3,1\nv4,1\n", "'v2'"),
+        ("zeta", "vertex_id,value\nv0,0\nv4,nan\n", "'v4'"),
+        ("zeta", "vertex_id,value\nv0,-inf\nv4,0\n", "'v0'"),
+    ])
+    def test_non_finite_field_value_exits_2(self, tmp_path, capsys, target, text, vertex):
+        # f(v0) = nan used to give u(v1) = 1.5 (0.5 with f = 1), zeta(v4) = nan
+        # only "not attained"; both exited 0
+        g_path = tmp_path / "g.json"
+        run_cli("fixture", "--name", "interval", "--n", "4", "--out", str(g_path))
+        fields = {"f": "const:1", "zeta": "const:0"}
+        fields[target] = str(tmp_path / "field.csv")
+        (tmp_path / "field.csv").write_text(text)
+        capsys.readouterr()
+        code = run_cli("solve", "--graph", str(g_path), "--f", fields["f"], "--zeta", fields["zeta"],
+                       "--out", str(tmp_path / "u.csv"))
+        assert code == 2
+        line = self.assert_one_error_line(capsys)
+        assert "non-finite" in line and vertex in line
+        assert not (tmp_path / "u.csv").exists()
+
+    def test_mixed_coord_dimensions_in_graph_exit_2(self, tmp_path, capsys):
+        g_path = tmp_path / "g.json"
+        g_path.write_text(json.dumps({
+            "vertices": [{"id": "a", "coords": [0.0, 0.0]}, {"id": "b", "coords": [1.0]}],
+            "edges": [{"a": "a", "b": "b", "length": 1.0}],
+            "boundary": ["a"],
+        }))
+        code = run_cli("solve", "--graph", str(g_path), "--f", "const:1", "--zeta", "const:0",
+                       "--out", str(tmp_path / "u.csv"), "--plot", str(tmp_path / "plot.csv"))
+        assert code == 2
+        assert "coords mix dimensions" in self.assert_one_error_line(capsys)
+
     @pytest.mark.parametrize("points,edges,message", [
+        # used to exit 0 with edge b-c of length 3.0 (zip truncated c's coords)
+        ("vertex_id,x,y\na,0,0\nb,3,4\nc,6\n", "a,b\na,b\nb,c\n", "coords mix dimensions"),
+        ("vertex_id\na,0\nb\n", "a,b\na,b\n", "coords mix dimensions"),
+        ("vertex_id,x\na,0\nb,1e200\n", "a,b\na,b\n", "overflows"),
+        ("vertex_id,x\na,0\nb,1\n", "a,b\na,b\nb\n", "expected 2 columns"),
         ("vertex_id,x,y\na,0,0\nb,1,0\n", "a,b\na,b\na,c\n", "'c'"),
         ("vertex_id,x,y\na,0,0\nb,1,\xff\n", "a,b\na,b\n", "not UTF-8"),
         ("vertex_id,x,y\na,0,0\nb,1,0\n", "a,b\na,\xff\n", "not UTF-8"),

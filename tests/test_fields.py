@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from eikograph import (
@@ -128,6 +130,20 @@ class TestFieldConstruction:
         with pytest.raises(FieldError):
             field_on(g, {"a": 1.0, "b": 1.0}, "speed")
 
+    @pytest.mark.parametrize("role", ["rhs_f", "solution_u", "boundary_zeta"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, role, bad):
+        g = two_vertex_graph()
+        values = {"a": 1.0, "b": bad} if role != "boundary_zeta" else {"a": bad}
+        vertex = "'b'" if role != "boundary_zeta" else "'a'"
+        with pytest.raises(FieldError, match=f"non-finite value .* at vertex {vertex}"):
+            field_on(g, values, role)
+
+    def test_finite_values_whose_sum_overflows_accepted(self):
+        g = two_vertex_graph()
+        f = field_on(g, {"a": 1e308, "b": 1e308}, "rhs_f")
+        assert f["a"] == f["b"] == 1e308
+
 
 class TestValidateField:
     def test_constant_one_passes(self):
@@ -200,6 +216,14 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("id,val\na,1\n")
         with pytest.raises(ValidationError):
+            read_field_csv(g, str(path), "rhs_f")
+
+    def test_solver_output_header_only_for_solution_u(self, tmp_path):
+        g = two_vertex_graph()
+        path = tmp_path / "u.csv"
+        path.write_text("vertex_id,u,exit_vertex,attained\na,0.0,a,true\n\nb,1.0,a,\n")
+        assert read_field_csv(g, str(path), "solution_u").values == {"a": 0.0, "b": 1.0}
+        with pytest.raises(ValidationError, match="expected header 'vertex_id,value'"):
             read_field_csv(g, str(path), "rhs_f")
 
     def test_bad_value_reports_line(self, tmp_path):

@@ -28,7 +28,7 @@ from eikograph import (
 )
 from eikograph.graph import close, edge_key
 
-from oracles import all_pairs_distance_oracle, distance_oracle, path_length_sum
+from oracles import all_pairs_distance_oracle, backtrack_witness, distance_oracle, path_length_sum
 
 
 def interval_spec():
@@ -100,6 +100,32 @@ class TestBuildGraph:
         with pytest.raises(ValidationError):
             build_graph(spec)
 
+    @pytest.mark.parametrize("key,value", [
+        ("vertices", 5), ("vertices", "abc"), ("vertices", {"p0": 1}), ("edges", 7), ("edges", "p0p1"),
+    ])
+    def test_non_list_vertices_or_edges_rejected(self, key, value):
+        spec = interval_spec()
+        spec[key] = value
+        with pytest.raises(ValidationError, match=f"graph {key} must be a list"):
+            build_graph(spec)
+
+    def test_integer_too_large_for_a_float_rejected(self):
+        spec = interval_spec()
+        spec["edges"][0]["length"] = 10**400
+        with pytest.raises(ValidationError, match="must have a, b, length"):
+            build_graph(spec)
+        spec = interval_spec()
+        spec["vertices"][0]["coords"] = [10**400]
+        with pytest.raises(ValidationError, match="coords must be numbers"):
+            build_graph(spec)
+
+    @pytest.mark.parametrize("coords", [[0.0, 0.0], [], [1.0, 2.0, 3.0]])
+    def test_mixed_coord_dimensions_rejected(self, coords):
+        spec = interval_spec()
+        spec["vertices"][2]["coords"] = coords
+        with pytest.raises(ValidationError, match="coords mix dimensions: 'p0' has 1, 'p2' has"):
+            build_graph(spec)
+
     @pytest.mark.parametrize("boundary", ["p0", {"p0": 1}, 3])
     def test_non_list_boundary_rejected(self, boundary):
         spec = interval_spec()
@@ -166,6 +192,36 @@ class TestIntrinsicDistance:
         g = build_graph(interval_spec())
         with pytest.raises(GraphError):
             intrinsic_distance(g, "p0", "nope")
+
+    def test_edge_absorbed_in_rounding(self):
+        # fl(1e16 + 1.0) == 1e16: b and c are each an exact-equality
+        # neighbor of the other, so an id-order backtrack from c cycles
+        g = build_graph({
+            "vertices": ["s", "b", "c"],
+            "edges": [{"a": "s", "b": "b", "length": 1e16}, {"a": "s", "b": "c", "length": 1e16},
+                      {"a": "b", "b": "c", "length": 1.0}],
+            "boundary": ["s"],
+        })
+        with pytest.raises(AssertionError):
+            backtrack_witness(g, "s", "c")
+        for y in ("b", "c"):
+            d, curve = intrinsic_distance(g, "s", y)
+            assert d == 1e16
+            assert curve.length == d
+            assert curve.vertices[0] == "s" and curve.vertices[-1] == y
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_witness_equals_id_order_backtrack(self, seed):
+        # with no edge absorbed, every exact-equality neighbor settles
+        # earlier, so the settle forest gives the id-order witness
+        g = random_metric_graph(seed, n_max=40)
+        rng = random.Random(seed)
+        for _ in range(8):
+            x, y = rng.choice(g.vertices), rng.choice(g.vertices)
+            assert intrinsic_distance(g, x, y)[1].vertices == tuple(backtrack_witness(g, x, y))
+        grid = fixture("grid", n=6, connectivity=8).graph
+        assert intrinsic_distance(grid, "v0_0", "v5_3")[1].vertices == tuple(
+            backtrack_witness(grid, "v0_0", "v5_3"))
 
 
 class TestCurve:
@@ -344,6 +400,20 @@ class TestInduceIntrinsic:
         )
         with pytest.raises(ConnectivityError):
             induce_intrinsic(chord)
+
+    def test_mixed_coord_dimensions_rejected_before_chord_checks(self):
+        # zip in chord_from_coords would truncate: d(b, c) would read 3.0
+        coords = {"a": (0.0, 0.0), "b": (3.0, 4.0), "c": (6.0,)}
+        chord = ChordInput(ids=("a", "b", "c"), dist=chord_from_coords(coords),
+                           adjacency=(("a", "b"), ("b", "c")))
+        with pytest.raises(ValidationError, match="coords mix dimensions"):
+            induce_intrinsic(chord, coords=coords)
+
+    def test_overflowing_chord_distance_rejected(self):
+        coords = {"a": (0.0,), "b": (1e200,)}
+        chord = ChordInput(ids=("a", "b"), dist=chord_from_coords(coords), adjacency=(("a", "b"),))
+        with pytest.raises(MetricError, match="overflows"):
+            induce_intrinsic(chord, coords=coords)
 
     def test_edge_to_unknown_id_rejected(self):
         coords = {"a": (0.0,), "b": (1.0,)}

@@ -214,6 +214,27 @@ class TestExpressions:
         with pytest.raises(HamiltonianError):
             expression_hamiltonian("p + q")
 
+    @pytest.mark.parametrize("expr", [
+        "p.__class__ and p - 1",
+        "[c.__class__.__mro__[1].__subclasses__ for c in (p,)][0] and p - 1",
+        "(lambda: p.__class__)() and p - 1",
+        "(lambda: [q.__class__ for q in (p,)])() and p - 1",
+        "{k: k.__class__ for k in (p,)} and p - 1",
+    ])
+    def test_names_in_nested_code_rejected(self, expr):
+        with pytest.raises(HamiltonianError, match="unknown names"):
+            expression_hamiltonian(expr)
+
+    @pytest.mark.parametrize("expr,uses_rho", [
+        ("p + rho - 1", True),
+        ("p * p + rho - 1", True),
+        ("max(abs(p), sqrt(p * p)) - exp(0) + pi - pi", False),
+        ("min([rho for _ in (1,)]) + p - 1", True),
+    ])
+    def test_allowed_names_accepted(self, expr, uses_rho):
+        H = expression_hamiltonian(expr)
+        assert H.rho_monotonicity == ("nondecreasing" if uses_rho else "independent")
+
     def test_syntax_error_rejected(self):
         with pytest.raises(HamiltonianError):
             expression_hamiltonian("p +* 2")

@@ -1,0 +1,157 @@
+"""Seeded mutation fuzz of every input file the CLI reads.
+
+Valid graph JSON, field CSV, solution CSV, config JSON and induce-metric
+points and edges CSVs are mutated (truncation, dropped columns, wrong JSON
+types, non-list containers, non-UTF-8 bytes, unknown ids, non-finite cells,
+ragged coords) and the command that reads each file runs in-process.  Every
+case must exit 0, 1 or 2 without an exception escaping, and an exit 2 must
+print exactly one ``error:`` line.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+
+import pytest
+
+from eikograph import fixture, write_graph
+from eikograph.cli import run
+
+CASES_PER_TARGET = 60
+WRONG_VALUES = [5, -1, 1.5, 10**400, "abc", "", None, True, [], [1, "x"], {}, {"id": 1}]
+BAD_CELLS = ["nan", "inf", "-inf", "", "abc", "1e400", "zz", "-1"]
+
+
+def mutate_bytes(data: bytes, rng: random.Random) -> bytes:
+    kind = rng.randrange(3)
+    at = rng.randrange(len(data) + 1)
+    if kind == 0:
+        return data[:at]  # truncation
+    if kind == 1:
+        return data[:at] + bytes([rng.choice([0x80, 0xC3, 0xFF, 0xFE])]) + data[at:]  # not UTF-8
+    return data[:at] + b"\x00" + data[at:]
+
+
+def mutate_csv(text: str, rng: random.Random, ragged: bool) -> str:
+    lines = text.splitlines()
+    k = rng.randrange(len(lines))
+    cells = lines[k].split(",")
+    kind = rng.randrange(5 if ragged else 4)
+    if kind == 0:
+        cells.pop(rng.randrange(len(cells)))  # dropped column
+    elif kind == 1:
+        cells[rng.randrange(len(cells))] = rng.choice(BAD_CELLS)  # non-finite or junk cell
+    elif kind == 2:
+        cells[0] = "ghost"  # unknown id
+    elif kind == 3:
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", ",", ",,,"]))
+    else:
+        cells.append(rng.choice(["0.5", "", "nan"]))  # ragged coords
+    lines[k] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, prefix + (i,))
+
+
+def mutate_json(text: str, rng: random.Random) -> str:
+    data = json.loads(text)
+    by_depth: dict[int, list] = {}
+    for path in _paths(data):
+        by_depth.setdefault(len(path), []).append(path)
+    depth = rng.randrange(len(by_depth))  # top-level keys as likely as deep cells
+    if depth == 0:
+        return json.dumps(rng.choice(WRONG_VALUES))
+    path = rng.choice(by_depth[depth])
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    kind = rng.randrange(5)
+    if kind == 0:
+        parent[path[-1]] = rng.choice(WRONG_VALUES)  # wrong type, or a non-list container
+    elif kind == 1 and isinstance(parent, dict):
+        del parent[path[-1]]
+    elif kind == 2 and isinstance(parent[path[-1]], list) and parent[path[-1]]:
+        parent[path[-1]].pop()  # ragged coords, a dropped vertex or edge
+    elif kind == 3:
+        parent[path[-1]] = float(rng.choice(["nan", "inf", "-inf"]))
+    else:
+        parent[path[-1]] = "ghost"  # unknown id
+    return json.dumps(data)
+
+
+@pytest.fixture(scope="module")
+def base(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    g = fixture("grid", n=3).graph
+    p = {name: str(d / name) for name in
+         ("g.json", "f.csv", "u.csv", "cfg.json", "pts.csv", "adj.csv", "out.csv", "out.json")}
+    write_graph(g, p["g.json"])
+    with open(p["f.csv"], "w") as fh:
+        fh.write("vertex_id,value\n" + "".join(f"{v},{1.0 + 0.25 * i}\n" for i, v in enumerate(g.vertices)))
+    with open(p["cfg.json"], "w") as fh:
+        json.dump({"positivity_threshold": 1e-9, "picard_tol": 1e-8, "bisect_tol": 1e-9,
+                   "picard_max_iter": 50, "check_tol": None, "seed": 3}, fh)
+    with open(p["pts.csv"], "w") as fh:
+        fh.write("vertex_id,x,y\n" + "".join(f"{v},{x!r},{y!r}\n" for v, (x, y) in sorted(g.coords.items())))
+    with open(p["adj.csv"], "w") as fh:
+        fh.write("a,b\n" + "".join(f"{a},{b}\n" for a, b in sorted(g.edges)))
+    assert run(["solve", "--graph", p["g.json"], "--f", p["f.csv"], "--zeta", "const:0",
+                "--out", p["u.csv"]]) == 0
+    return p
+
+
+COMMANDS = {
+    "g.json": lambda p: ["solve", "--graph", p["g.json"], "--f", "const:1", "--zeta", "const:0",
+                         "--out", p["out.csv"], "--plot", p["out.csv"] + ".plot"],
+    "f.csv": lambda p: ["solve", "--graph", p["g.json"], "--f", p["f.csv"], "--zeta", "const:0",
+                        "--out", p["out.csv"]],
+    "u.csv": lambda p: ["check", "monge", "--graph", p["g.json"], "--u", p["u.csv"], "--f", "const:1"],
+    "cfg.json": lambda p: ["solve-h", "--graph", p["g.json"], "--hamiltonian", "quadratic",
+                           "--zeta", "const:0", "--out", p["out.csv"], "--config", p["cfg.json"]],
+    "pts.csv": lambda p: ["induce-metric", "--points", p["pts.csv"], "--edges", p["adj.csv"],
+                          "--pairs", "16", "--out", p["out.json"]],
+    "adj.csv": lambda p: ["induce-metric", "--points", p["pts.csv"], "--edges", p["adj.csv"],
+                          "--pairs", "16", "--out", p["out.json"]],
+}
+
+
+@pytest.mark.parametrize("target", sorted(COMMANDS))
+def test_mutated_input_keeps_exit_code_contract(base, tmp_path, capsys, target):
+    rng = random.Random(f"fuzz-{target}")
+    with open(base[target], "rb") as fh:
+        original = fh.read()
+    paths = dict(base, **{target: str(tmp_path / target)})
+    argv = COMMANDS[target](dict(paths, **{"out.csv": str(tmp_path / "out.csv"),
+                                           "out.json": str(tmp_path / "out.json")}))
+    seen = set()
+    for case in range(CASES_PER_TARGET):
+        if case % 3 == 0:
+            data = mutate_bytes(original, rng)
+        elif target.endswith(".json"):
+            data = mutate_json(original.decode(), rng).encode()
+        else:
+            data = mutate_csv(original.decode(), rng, ragged=target == "pts.csv").encode()
+        with open(paths[target], "wb") as fh:
+            fh.write(data)
+        capsys.readouterr()
+        try:
+            code = run(argv)
+        except Exception as exc:  # a traceback: the contract is broken
+            pytest.fail(f"{target} case {case}: {type(exc).__name__}: {exc}\ninput: {data[:300]!r}")
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (case, data)
+        assert "Traceback" not in err, (case, data)
+        if code == 2:
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (case, data, err)
+        seen.add(code)
+    assert 2 in seen
