@@ -20,18 +20,15 @@ from .errors import (
     ValidationError,
 )
 from .fields import (
-    EdgeCost,
     FieldReport,
     ScalarField,
     constant_field,
     cost_adjacency,
-    edge_cost,
     edge_costs,
     field_from_expression,
     field_from_function,
     field_on,
     lipschitz_constant,
-    path_cost,
     read_field_csv,
     validate_field,
     write_field_csv,
@@ -46,7 +43,6 @@ from .graph import (
     ball,
     build_graph,
     chord_from_coords,
-    chord_from_table,
     curve_along,
     distances_from,
     edge_key,
@@ -79,18 +75,15 @@ from .slopes import (
     check_regularity,
     default_check_tol,
     descent_curve,
-    slope_field,
     slopes,
 )
 from .solver import (
     BoundaryCertificate,
     DirichletProblem,
-    QuasiconvexityEstimate,
     ValueFunction,
     boundary_band,
     check_boundary_consistency,
     distance_to_boundary,
-    quasiconvexity_probe,
     solve_dirichlet,
 )
 from .verify import (

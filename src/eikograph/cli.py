@@ -119,11 +119,6 @@ def write_solution_csv(vf: ValueFunction, path: str) -> None:
     write_csv(path, ["vertex_id", "u", "exit_vertex", "attained"], rows)
 
 
-def read_solution_csv(g: MetricGraph, path: str) -> ScalarField:
-    """Read either a plain field CSV or a solver output CSV as solution_u."""
-    return read_field_csv(g, path, "solution_u")
-
-
 def emit_plot_data(u: ScalarField, g: MetricGraph, path: str, layout: str = "auto") -> None:
     """Write plot-ready CSV: vertex_id[,x[,y[,...]]],u sorted by vertex id.
 
@@ -232,7 +227,7 @@ def _cmd_check(args) -> int:
     tol = args.tol if args.tol is not None else cfg.check_tol
     _check_io_paths([args.graph, args.u, args.f], [args.report])
     g = read_graph(args.graph)
-    u = read_solution_csv(g, args.u)
+    u = read_field_csv(g, args.u, "solution_u")
     f = None
     if args.f is not None:
         f = _load_field(g, args.f, "rhs_f")
@@ -264,8 +259,8 @@ def _cmd_compare(args) -> int:
     _check_io_paths([args.graph, args.f, args.u, args.v], [args.report])
     g = read_graph(args.graph)
     f = _load_field(g, args.f, "rhs_f")
-    u = read_solution_csv(g, args.u)
-    v = read_solution_csv(g, args.v)
+    u = read_field_csv(g, args.u, "solution_u")
+    v = read_field_csv(g, args.v, "solution_u")
     inst = ComparisonInstance(
         graph=g,
         f=f,
@@ -317,6 +312,8 @@ def _cmd_induce_metric(args) -> int:
     _check_io_paths([args.points, args.edges], [args.out, args.probe_out])
     coords: dict[str, tuple[float, ...]] = {}
     for lineno, row in read_csv(args.points, [("vertex_id",)], 1):
+        if row[0] in coords:
+            raise ValidationError(f"{args.points}:{lineno}: duplicate vertex id {row[0]!r}")
         try:
             coords[row[0]] = tuple(float(c) for c in row[1:] if c != "")
         except ValueError:

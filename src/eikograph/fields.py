@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .errors import FieldError, ValidationError
-from .graph import MetricGraph, edge_key, read_csv, write_csv
+from .graph import MetricGraph, read_csv, write_csv
 
 ROLES = ("rhs_f", "solution_u", "boundary_zeta")
 
@@ -36,14 +36,6 @@ class ScalarField:
 
     def __contains__(self, v: str) -> bool:
         return v in self.values
-
-
-@dataclass(frozen=True)
-class EdgeCost:
-    """Arc integral of a rhs field over one edge (trapezoid, exact here)."""
-
-    edge: tuple[str, str]
-    cost: float
 
 
 @dataclass(frozen=True)
@@ -138,15 +130,6 @@ def field_from_expression(g: MetricGraph, expr: str, role: str) -> ScalarField:
     return field_from_function(g, lambda v: fn(g, v), role)
 
 
-def edge_cost(g: MetricGraph, f: ScalarField, e: tuple[str, str]) -> EdgeCost:
-    """Trapezoid integral of f over edge e: length * (f(a) + f(b)) / 2."""
-    if f.role != "rhs_f":
-        raise FieldError(f"edge_cost needs a rhs_f field, got role {f.role!r}")
-    a, b = edge_key(*e)
-    length = g.edge_length(a, b)
-    return EdgeCost(edge=(a, b), cost=0.5 * (f[a] + f[b]) * length)
-
-
 def edge_costs(g: MetricGraph, f: ScalarField) -> dict[tuple[str, str], float]:
     """All edge costs at once, keyed by canonical edge pair."""
     if f.role != "rhs_f":
@@ -157,7 +140,8 @@ def edge_costs(g: MetricGraph, f: ScalarField) -> dict[tuple[str, str], float]:
 def cost_adjacency(g: MetricGraph, f: ScalarField) -> dict[str, tuple[tuple[str, float], ...]]:
     """Edge costs laid out like ``g.adjacency``: (neighbor, cost) pairs in id order.
 
-    Each cost is bit-identical to the :func:`edge_costs` entry of its edge.
+    Each cost is bit-identical to the :func:`edge_costs` entry of its edge,
+    whichever end it is listed under: the sum f(x) + f(y) commutes.
     """
     if f.role != "rhs_f":
         raise FieldError(f"edge costs need a rhs_f field, got role {f.role!r}")
@@ -170,14 +154,6 @@ def cost_adjacency(g: MetricGraph, f: ScalarField) -> dict[str, tuple[tuple[str,
     except KeyError as exc:
         raise FieldError(f"field ({f.role}) has no value at vertex {exc.args[0]!r}")
     return adj
-
-
-def path_cost(g: MetricGraph, f: ScalarField, vertices: list[str] | tuple[str, ...]) -> float:
-    """Accumulated trapezoid cost along a vertex path (left-to-right fl sums)."""
-    total = 0.0
-    for a, b in zip(vertices, vertices[1:]):
-        total = total + edge_cost(g, f, (a, b)).cost
-    return total
 
 
 def validate_field(f: ScalarField, positivity_threshold: float = DEFAULT_POSITIVITY_THRESHOLD) -> FieldReport:
@@ -207,6 +183,8 @@ def read_field_csv(g: MetricGraph, path: str, role: str) -> ScalarField:
         headers.insert(0, ("vertex_id", "u"))
     values: dict[str, float] = {}
     for lineno, row in read_csv(path, headers, 2):
+        if row[0] in values:
+            raise ValidationError(f"{path}:{lineno}: duplicate vertex id {row[0]!r}")
         try:
             values[row[0]] = float(row[1])
         except ValueError:

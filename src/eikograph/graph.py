@@ -111,8 +111,8 @@ class BallSet:
 class ChordInput:
     """Point set with a chord metric and an adjacency declaring edges.
 
-    ``dist`` is a symmetric callback d(x, y); use :func:`chord_from_table` or
-    :func:`chord_from_coords` to build one from data.
+    ``dist`` is a symmetric callback d(x, y), such as
+    :func:`chord_from_coords` builds from point coordinates.
     """
 
     ids: tuple[str, ...]
@@ -145,18 +145,23 @@ class InducedMetric:
 
 def _finalize(
     vertices: Iterable[str],
-    edges: Mapping[tuple[str, str], float],
+    edges: Iterable[tuple[tuple[str, str], float]],
     boundary: Iterable[str],
     coords: Mapping[str, tuple[float, ...]] | None = None,
 ) -> MetricGraph:
-    """Validate parts and assemble an immutable MetricGraph."""
+    """Validate parts and assemble an immutable MetricGraph.
+
+    ``edges`` holds ((a, b), length) entries, such as a dict's ``items()``.
+    Every entry is validated; parallel entries then collapse to the
+    shortest length, whatever their order.
+    """
     vs = tuple(sorted(set(vertices)))
     if not vs:
         raise ValidationError("graph has no vertices")
     vset = set(vs)
 
     clean: dict[tuple[str, str], float] = {}
-    for (a, b), length in edges.items():
+    for (a, b), length in edges:
         if a == b:
             raise ValidationError(f"self-loop at vertex {a!r}")
         if a not in vset or b not in vset:
@@ -233,35 +238,45 @@ def build_graph(spec: Mapping) -> MetricGraph:
         if not isinstance(value, (list, tuple)):
             raise ValidationError(f"graph {key} must be a list of {what}, got {type(value).__name__}")
 
-    vertices: list[str] = []
+    version = spec.get("version", GRAPH_FORMAT_VERSION)
+    if type(version) is not int or version != GRAPH_FORMAT_VERSION:
+        raise ValidationError(f"unsupported graph version {version!r}; expected {GRAPH_FORMAT_VERSION}")
+
+    vertices: set[str] = set()
     coords: dict[str, tuple[float, ...]] = {}
     for item in raw_vertices:
         if isinstance(item, str):
-            vertices.append(item)
-            continue
-        try:
-            vid = str(item["id"])
-        except (TypeError, KeyError):
-            raise ValidationError(f"vertex entry {item!r} has no id")
-        vertices.append(vid)
-        raw = item.get("coords")
-        if raw is not None:
-            if not isinstance(raw, (list, tuple)):
-                raise ValidationError(f"vertex {vid!r}: coords must be a list of numbers, got {raw!r}")
+            vid = item
+        else:
             try:
-                coords[vid] = tuple(float(c) for c in raw)
-            except (TypeError, ValueError, OverflowError):
-                raise ValidationError(f"vertex {vid!r}: coords must be numbers, got {raw!r}")
+                vid = str(item["id"])
+            except (TypeError, KeyError):
+                raise ValidationError(f"vertex entry {item!r} has no id")
+            raw = item.get("coords")
+            if raw is not None:
+                # a JSON boolean is no coordinate, though float() takes it
+                if not isinstance(raw, (list, tuple)) or bool in map(type, raw):
+                    raise ValidationError(f"vertex {vid!r}: coords must be a list of numbers, got {raw!r}")
+                try:
+                    xy = tuple(map(float, raw))
+                except (TypeError, ValueError, OverflowError):
+                    raise ValidationError(f"vertex {vid!r}: coords must be numbers, got {raw!r}")
+                if not all(map(math.isfinite, xy)):
+                    raise ValidationError(f"vertex {vid!r}: coords must be finite, got {raw!r}")
+                coords[vid] = xy
+        if vid in vertices:
+            raise ValidationError(f"duplicate vertex id {vid!r}")
+        vertices.add(vid)
 
-    edges: dict[tuple[str, str], float] = {}
+    edges: list[tuple[tuple[str, str], float]] = []
     for item in raw_edges:
         try:
-            a, b, length = str(item["a"]), str(item["b"]), float(item["length"])
+            a, b, length = str(item["a"]), str(item["b"]), item["length"]
+            edges.append(((a, b), float(length)))
         except (TypeError, KeyError, ValueError, OverflowError):
             raise ValidationError(f"edge entry {item!r} must have a, b, length")
-        k = edge_key(a, b)
-        if k not in edges or length < edges[k]:
-            edges[k] = length
+        if type(length) is bool:  # float() takes a JSON boolean
+            raise ValidationError(f"edge ({a!r}, {b!r}) has non-numeric length {length!r}")
     return _finalize(vertices, edges, [str(b) for b in boundary], coords)
 
 
@@ -496,13 +511,13 @@ def refine(g: MetricGraph, h_max: float) -> MetricGraph:
 
     vertices = list(g.vertices)
     coords = dict(g.coords)
-    edges: dict[tuple[str, str], float] = {}
+    edges: list[tuple[tuple[str, str], float]] = []
     existing = set(g.vertices)
     for (a, b) in sorted(g.edges):
         length = g.edges[(a, b)]
         k = parts[(a, b)]
         if k == 1:
-            edges[(a, b)] = length
+            edges.append(((a, b), length))
             continue
         sub = length / k
         chain = [a]
@@ -520,23 +535,8 @@ def refine(g: MetricGraph, h_max: float) -> MetricGraph:
                 )
         chain.append(b)
         for u, v in zip(chain, chain[1:]):
-            edges[edge_key(u, v)] = sub
+            edges.append(((u, v), sub))
     return _finalize(vertices, edges, g.boundary, coords)
-
-
-def chord_from_table(table: Mapping[tuple[str, str], float]) -> Callable[[str, str], float]:
-    """Distance callback backed by a pair table (either key order accepted)."""
-
-    def dist(a: str, b: str) -> float:
-        if a == b:
-            return 0.0
-        if (a, b) in table:
-            return float(table[(a, b)])
-        if (b, a) in table:
-            return float(table[(b, a)])
-        raise MetricError(f"distance table has no entry for pair ({a!r}, {b!r})")
-
-    return dist
 
 
 def chord_from_coords(coords: Mapping[str, Sequence[float]]) -> Callable[[str, str], float]:
@@ -601,7 +601,7 @@ def induce_intrinsic(
     rng = random.Random(seed)
     _validate_chord(chord, rng, samples=max(32, sample_pairs // 2))
 
-    edges = {edge_key(a, b): chord.dist(a, b) for a, b in chord.adjacency}
+    edges = [((a, b), chord.dist(a, b)) for a, b in chord.adjacency]
     try:
         g = _finalize(chord.ids, edges, boundary, coords)
     except ConnectivityError:

@@ -157,39 +157,27 @@ def validate_hamiltonian(
     xs = _spread(g.vertices, samples)
     grid = _p_grid(H.p_max)
 
-    for x in xs:
-        for rho in rhos:
-            prev_p = grid[0]
-            prev_h = H(x, rho, prev_p)
-            for p in grid[1:]:
-                h = H(x, rho, p)
-                if h - prev_h < H.lambda0 * (p - prev_p) - 1e-12:
-                    return HamiltonianValidation(
-                        name=H.name,
-                        monotonicity_ok=False,
-                        coercivity_ok=True,
-                        counterexample=("monotonicity", x, rho, prev_p, p, prev_h, h),
-                        p_grid_size=len(grid),
-                        rho_samples=rhos,
-                        vertex_samples=xs,
-                    )
-                prev_p, prev_h = p, h
-            top = H(x, rho, H.p_max)
-            if not (top > 0.0):
-                return HamiltonianValidation(
-                    name=H.name,
-                    monotonicity_ok=True,
-                    coercivity_ok=False,
-                    counterexample=("coercivity", x, rho, H.p_max, top),
-                    p_grid_size=len(grid),
-                    rho_samples=rhos,
-                    vertex_samples=xs,
-                )
+    def counterexamples():
+        for x in xs:
+            for rho in rhos:
+                prev_p = grid[0]
+                prev_h = H(x, rho, prev_p)
+                for p in grid[1:]:
+                    h = H(x, rho, p)
+                    if h - prev_h < H.lambda0 * (p - prev_p) - 1e-12:
+                        yield ("monotonicity", x, rho, prev_p, p, prev_h, h)
+                    prev_p, prev_h = p, h
+                top = H(x, rho, H.p_max)
+                if not (top > 0.0):
+                    yield ("coercivity", x, rho, H.p_max, top)
+
+    bad = next(counterexamples(), None)
+    kind = bad[0] if bad else None
     return HamiltonianValidation(
         name=H.name,
-        monotonicity_ok=True,
-        coercivity_ok=True,
-        counterexample=None,
+        monotonicity_ok=kind != "monotonicity",
+        coercivity_ok=kind != "coercivity",
+        counterexample=bad,
         p_grid_size=len(grid),
         rho_samples=rhos,
         vertex_samples=xs,

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import GraphError
-from .fields import ScalarField, cost_adjacency, edge_costs, lipschitz_constant
+from .fields import ScalarField, cost_adjacency, lipschitz_constant
 from .graph import REL_TOL, Curve, MetricGraph, ball, curve_along, fixpoint_labels
 
 # Base additive tolerance; interpolation error of a Lipschitz rhs adds
@@ -97,10 +97,6 @@ def slopes(g: MetricGraph, u: ScalarField, x: str) -> SlopeTriple:
     return SlopeTriple(vertex=x, slope=max(sub, sup), super_slope=sup, sub_slope=sub)
 
 
-def slope_field(g: MetricGraph, u: ScalarField) -> dict[str, SlopeTriple]:
-    return {x: slopes(g, u, x) for x in g.vertices}
-
-
 def check_monge(
     g: MetricGraph,
     u: ScalarField,
@@ -158,11 +154,11 @@ def check_c_subsolution(
     """
     uv = u.values
     residuals: dict[str, float] = {}
-    for (a, b), c in edge_costs(g, f).items():
-        # same operation order as the solver: compare u[x] with fl(u[y] + c)
-        ua, ub = uv[a], uv[b]
-        residuals[f"{a}->{b}"] = max(ua - (ub + c), 0.0)
-        residuals[f"{b}->{a}"] = max(ub - (ua + c), 0.0)
+    for x, nbrs in cost_adjacency(g, f).items():
+        ux = uv[x]
+        for y, c in nbrs:
+            # same operation order as the solver: compare u[x] with fl(u[y] + c)
+            residuals[f"{x}->{y}"] = max(ux - (uv[y] + c), 0.0)
 
     cert_rows: list[tuple[str, float, int, float]] = []
     n = len(g.vertices)
@@ -240,7 +236,7 @@ def check_c_supersolution(
     """Epsilon-optimal-curve supersolution check at interior vertices.
 
     At each interior x some neighbor y must satisfy
-    u(x) >= edge_cost(x, y) + u(y) - eps; the per-vertex margin
+    u(x) >= cost(x, y) + u(y) - eps; the per-vertex margin
     u(x) - min_y (cost + u(y)) + eps must be nonnegative.  The report stores
     the violation [-margin]+ as the residual (tol 0), keeping the pass rule
     "all residuals <= tol"; raw margins live in details.  A greedy descent

@@ -96,27 +96,6 @@ class BoundaryCertificate:
     two_sided_ok: bool | None
 
 
-@dataclass(frozen=True)
-class QuasiconvexityEstimate:
-    """Empirical convexity modulus of a region: in-region path length needed
-    to join points at a given ambient distance.  Heuristic estimate only."""
-
-    subset: tuple[str, ...]
-    steps: tuple[tuple[float, float], ...]  # (ambient distance, modulus value)
-    max_ratio: float
-    worst_pair: tuple[str, str] | None
-    note: str = "heuristic step-modulus fit from vertex pairs"
-
-    def __call__(self, t: float) -> float:
-        value = 0.0
-        for d, s in self.steps:
-            if d <= t:
-                value = s
-            else:
-                break
-        return max(value, 0.0)
-
-
 def solve_dirichlet(p: DirichletProblem) -> ValueFunction:
     """Solve the Dirichlet problem by multi-source label setting.
 
@@ -291,55 +270,6 @@ def check_boundary_consistency(p: DirichletProblem, vf: ValueFunction) -> Bounda
         weak_bound_ok=weak_ok,
         weak_bound=weak_constant,
         two_sided_ok=two_sided_ok,
-    )
-
-
-def quasiconvexity_probe(g: MetricGraph, subset) -> QuasiconvexityEstimate:
-    """Fit a nondecreasing step modulus bounding in-subset path lengths.
-
-    For vertex pairs in the subset, compares the ambient intrinsic distance
-    with the shortest connecting path that stays inside the subset, and fits
-    the running-max step function of the latter against the former.
-    """
-    members = sorted(set(subset))
-    unknown = [v for v in members if not g.has_vertex(v)]
-    if unknown:
-        raise ConnectivityError(f"subset references unknown vertices {unknown[:5]}")
-    mset = set(members)
-    sub_adj = {
-        v: tuple((w, c) for w, c in g.adjacency[v] if w in mset) for v in members
-    }
-
-    pairs: list[tuple[float, float, str, str]] = []
-    for x in members:
-        inside = fixpoint_labels(sub_adj, {x: 0.0})
-        unreachable = [v for v in members if math.isinf(inside[v])]
-        if unreachable:
-            raise ConnectivityError(
-                f"subset is disconnected: {unreachable[0]!r} unreachable from {x!r}"
-            )
-        ambient = distances_from(g, [x])
-        for y in members:
-            if y <= x:
-                continue
-            pairs.append((ambient[y], inside[y], x, y))
-
-    pairs.sort()
-    steps: list[tuple[float, float]] = []
-    running = 0.0
-    max_ratio = 0.0
-    worst_pair: tuple[str, str] | None = None
-    for d_amb, d_in, x, y in pairs:
-        running = max(running, d_in)
-        if not steps or steps[-1][0] != d_amb:
-            steps.append((d_amb, running))
-        else:
-            steps[-1] = (d_amb, running)
-        if d_amb > 0.0 and d_in / d_amb > max_ratio:
-            max_ratio = d_in / d_amb
-            worst_pair = (x, y)
-    return QuasiconvexityEstimate(
-        subset=tuple(members), steps=tuple(steps), max_ratio=max_ratio, worst_pair=worst_pair
     )
 
 

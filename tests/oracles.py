@@ -72,27 +72,6 @@ def backtrack_witness(graph, source, target):
     return path[::-1]
 
 
-def restricted_distance_oracle(graph, subset, source):
-    """Value iteration on the induced subgraph (paths stay inside subset)."""
-    members = set(subset)
-    u = {v: math.inf for v in members}
-    u[source] = 0.0
-    while True:
-        changed = False
-        for x in sorted(members):
-            best = 0.0 if x == source else math.inf
-            for y, length in graph.neighbors(x):
-                if y in members:
-                    cand = u[y] + length
-                    if cand < best:
-                        best = cand
-            if best < u[x]:
-                u[x] = best
-                changed = True
-        if not changed:
-            return u
-
-
 def path_length_sum(points):
     """Direct summation of consecutive Euclidean distances."""
     total = 0.0
@@ -102,7 +81,7 @@ def path_length_sum(points):
 
 
 def trapezoid_path_cost(graph, f_values, path):
-    """Direct trapezoid sum along a vertex path, independent of fields.edge_cost."""
+    """Direct trapezoid sum along a vertex path, independent of fields.edge_costs."""
     total = 0.0
     for a, b in zip(path, path[1:]):
         length = graph.edge_length(a, b)

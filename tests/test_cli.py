@@ -12,7 +12,7 @@ import pytest
 from eikograph import constant_field, field_on, fixture, read_graph
 from eikograph.cli import RunConfig, emit_plot_data, run
 from eikograph.errors import ValidationError
-from eikograph.fields import write_field_csv
+from eikograph.fields import read_field_csv, write_field_csv
 
 
 def run_cli(*args):
@@ -90,9 +90,7 @@ class TestPipeline:
         run_cli("solve", "--graph", str(g_path), "--f", "const:1", "--zeta", "const:0",
                 "--out", str(u_path))
         g = read_graph(str(g_path))
-        from eikograph.cli import read_solution_csv
-
-        vf_u = read_solution_csv(g, str(u_path))
+        vf_u = read_field_csv(g, str(u_path), "solution_u")
         half = field_on(g, {v: 0.5 * vf_u[v] for v in g.vertices}, "solution_u")
         half_path = tmp_path / "half.csv"
         write_field_csv(half, str(half_path))
@@ -322,6 +320,26 @@ class TestErrorsAndConfig:
         assert "non-finite" in line and vertex in line
         assert not (tmp_path / "u.csv").exists()
 
+    @pytest.mark.parametrize("target,text", [
+        ("f", "vertex_id,value\nv0,1\nv1,1\nv2,1\nv3,1\nv4,1\nv1,5\n"),
+        ("zeta", "vertex_id,value\nv0,0\nv4,0\nv0,2\n"),
+    ])
+    def test_duplicate_field_id_exits_2(self, tmp_path, capsys, target, text):
+        # the last row used to win: f(v1) = 5 solved and exited 0
+        g_path = tmp_path / "g.json"
+        run_cli("fixture", "--name", "interval", "--n", "4", "--out", str(g_path))
+        fields = {"f": "const:1", "zeta": "const:0"}
+        fields[target] = str(tmp_path / "field.csv")
+        (tmp_path / "field.csv").write_text(text)
+        capsys.readouterr()
+        code = run_cli("solve", "--graph", str(g_path), "--f", fields["f"], "--zeta", fields["zeta"],
+                       "--out", str(tmp_path / "u.csv"))
+        assert code == 2
+        line = self.assert_one_error_line(capsys)
+        vid, lineno = ("'v1'", 7) if target == "f" else ("'v0'", 4)
+        assert f"field.csv:{lineno}: duplicate vertex id {vid}" in line
+        assert not (tmp_path / "u.csv").exists()
+
     def test_mixed_coord_dimensions_in_graph_exit_2(self, tmp_path, capsys):
         g_path = tmp_path / "g.json"
         g_path.write_text(json.dumps({
@@ -343,6 +361,8 @@ class TestErrorsAndConfig:
         ("vertex_id,x,y\na,0,0\nb,1,0\n", "a,b\na,b\na,c\n", "'c'"),
         ("vertex_id,x,y\na,0,0\nb,1,\xff\n", "a,b\na,b\n", "not UTF-8"),
         ("vertex_id,x,y\na,0,0\nb,1,0\n", "a,b\na,\xff\n", "not UTF-8"),
+        # used to keep the last row: an edge a-b of length 2.0
+        ("vertex_id,x\na,0\na,3\nb,1\n", "a,b\na,b\n", "pts.csv:3: duplicate vertex id 'a'"),
     ])
     def test_induce_metric_bad_input_exits_2(self, tmp_path, capsys, points, edges, message):
         pts_path = tmp_path / "pts.csv"

@@ -11,19 +11,20 @@ from eikograph import (
     ValidationError,
     build_graph,
     constant_field,
-    edge_cost,
+    cost_adjacency,
     edge_costs,
     field_from_expression,
     field_on,
     fixture,
     lipschitz_constant,
-    path_cost,
     read_field_csv,
     refine,
     validate_field,
     write_field_csv,
 )
 from eikograph.graph import close
+
+from oracles import trapezoid_path_cost
 
 
 def two_vertex_graph(length=1.0):
@@ -34,16 +35,25 @@ def two_vertex_graph(length=1.0):
     })
 
 
+def ab_cost(g, f):
+    """The a-b edge cost of ``edge_costs``, asserted equal to both
+    ``cost_adjacency`` entries of the edge."""
+    c = edge_costs(g, f)[("a", "b")]
+    adj = cost_adjacency(g, f)
+    assert adj["a"] == (("b", c),) and adj["b"] == (("a", c),)
+    return c
+
+
 class TestEdgeCost:
     def test_constant_integrand(self):
         g = two_vertex_graph(length=0.7)
         f = constant_field(g, 1.0, "rhs_f")
-        assert edge_cost(g, f, ("a", "b")).cost == 0.7
+        assert ab_cost(g, f) == 0.7
 
     def test_trapezoid_midpoint(self):
         g = two_vertex_graph(length=1.0)
         f = field_on(g, {"a": 0.0, "b": 2.0}, "rhs_f")
-        assert edge_cost(g, f, ("a", "b")).cost == 1.0
+        assert ab_cost(g, f) == 1.0
 
     def test_quadratic_integral_via_fine_mesh(self):
         # f(x) = x^2 on [0, 1] at h = 1e-3: integral of the interpolant vs 1/3
@@ -55,24 +65,27 @@ class TestEdgeCost:
             "boundary": [ids[0], ids[n]],
         })
         f = field_on(g, {ids[k]: (k / n) ** 2 for k in range(n + 1)}, "rhs_f")
-        total = path_cost(g, f, ids)
+        total = trapezoid_path_cost(g, f.values, ids)
         assert abs(total - 1.0 / 3.0) < 1e-6
+        # the edge costs sum to the same integral
+        assert close(sum(edge_costs(g, f).values()), total)
 
     def test_orientation_symmetric(self):
         g = two_vertex_graph()
         f = field_on(g, {"a": 0.3, "b": 1.9}, "rhs_f")
-        assert edge_cost(g, f, ("a", "b")).cost == edge_cost(g, f, ("b", "a")).cost
+        reverse = field_on(g, {"a": 1.9, "b": 0.3}, "rhs_f")
+        assert ab_cost(g, f) == ab_cost(g, reverse)
 
     def test_bounds_between_min_and_max(self):
         g = two_vertex_graph(length=0.31)
         f = field_on(g, {"a": 0.4, "b": 1.7}, "rhs_f")
-        c = edge_cost(g, f, ("a", "b")).cost
+        c = ab_cost(g, f)
         assert 0.31 * 0.4 <= c <= 0.31 * 1.7
 
     def test_additive_under_refinement(self):
         g = two_vertex_graph(length=0.9)
         f = field_on(g, {"a": 0.5, "b": 2.5}, "rhs_f")
-        base = edge_cost(g, f, ("a", "b")).cost
+        base = ab_cost(g, f)
         r = refine(g, 0.3)
         # interpolate f linearly onto the refined chain, then sum sub-costs
         values = {}
@@ -91,13 +104,15 @@ class TestEdgeCost:
         g = two_vertex_graph(length=0.9)
         f = field_on(g, {"a": 0.5, "b": 2.5}, "rhs_f")
         f2 = field_on(g, {"a": 1.0, "b": 5.0}, "rhs_f")
-        assert edge_cost(g, f2, ("a", "b")).cost == 2.0 * edge_cost(g, f, ("a", "b")).cost
+        assert ab_cost(g, f2) == 2.0 * ab_cost(g, f)
 
     def test_wrong_role_rejected(self):
         g = two_vertex_graph()
         u = field_on(g, {"a": 0.0, "b": 1.0}, "solution_u")
         with pytest.raises(FieldError):
-            edge_cost(g, u, ("a", "b"))
+            edge_costs(g, u)
+        with pytest.raises(FieldError):
+            cost_adjacency(g, u)
 
 
 class TestFieldConstruction:

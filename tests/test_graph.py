@@ -16,7 +16,6 @@ from eikograph import (
     ball,
     build_graph,
     chord_from_coords,
-    chord_from_table,
     curve_along,
     fixture,
     induce_intrinsic,
@@ -93,6 +92,51 @@ class TestBuildGraph:
         spec["edges"].append({"a": "p0", "b": "p1", "length": 0.25})
         g = build_graph(spec)
         assert g.edge_length("p0", "p1") == 0.25
+
+    @pytest.mark.parametrize("parallel", [
+        # the bad entry was dropped when it came second and was not shorter
+        [{"a": "p0", "b": "p1", "length": 1.0}, {"a": "p0", "b": "p1", "length": math.nan}],
+        [{"a": "p0", "b": "p1", "length": math.inf}, {"a": "p1", "b": "p0", "length": 1.0}],
+        [{"a": "p0", "b": "p1", "length": 1.0}, {"a": "p1", "b": "p0", "length": math.inf}],
+    ])
+    def test_every_parallel_edge_is_validated(self, parallel):
+        spec = interval_spec()
+        spec["edges"] += parallel
+        with pytest.raises(ValidationError, match="nonpositive length"):
+            build_graph(spec)
+
+    @pytest.mark.parametrize("version", [99, 0, True, 1.0, "1", None, [1]])
+    def test_unsupported_version_rejected(self, version):
+        spec = dict(interval_spec(), version=version)
+        with pytest.raises(ValidationError, match="unsupported graph version"):
+            build_graph(spec)
+
+    @pytest.mark.parametrize("duplicate", ["p2", {"id": "p2"}, {"id": "p2", "coords": [-1.0]}])
+    def test_duplicate_vertex_id_rejected(self, duplicate):
+        spec = interval_spec()
+        spec["vertices"].append(duplicate)
+        with pytest.raises(ValidationError, match="duplicate vertex id 'p2'"):
+            build_graph(spec)
+
+    def test_boolean_length_rejected(self):
+        spec = interval_spec()
+        spec["edges"][1]["length"] = True
+        with pytest.raises(ValidationError, match="edge \\('p1', 'p2'\\) has non-numeric length True"):
+            build_graph(spec)
+
+    @pytest.mark.parametrize("coord,message", [
+        (True, "coords must be a list of numbers"),
+        (False, "coords must be a list of numbers"),
+        (math.inf, "coords must be finite"),
+        (-math.inf, "coords must be finite"),
+        (math.nan, "coords must be finite"),
+        ("inf", "coords must be finite"),
+    ])
+    def test_boolean_or_non_finite_coord_rejected(self, coord, message):
+        spec = interval_spec()
+        spec["vertices"][3]["coords"] = [coord]
+        with pytest.raises(ValidationError, match=f"vertex 'p3': {message}"):
+            build_graph(spec)
 
     def test_unknown_boundary_rejected(self):
         spec = interval_spec()
@@ -385,7 +429,7 @@ class TestInduceIntrinsic:
         }
         chord = ChordInput(
             ids=("a", "b", "c"),
-            dist=chord_from_table(table),
+            dist=lambda a, b: 0.0 if a == b else table.get((a, b), table.get((b, a))),
             adjacency=(("a", "b"), ("b", "c"), ("a", "c")),
         )
         with pytest.raises(MetricError):

@@ -48,7 +48,7 @@ class TestValidation:
 
     def test_ex1_rejected_in_decreasing_region(self, small_graph):
         report = validate_hamiltonian(builtin_hamiltonian("ex1"), small_graph)
-        assert not report.passed and not report.monotonicity_ok
+        assert not report.passed and not report.monotonicity_ok and report.coercivity_ok
         kind, _x, _rho, p1, p2, h1, h2 = report.counterexample
         assert kind == "monotonicity"
         assert 2.0 <= p1 < p2 <= 3.5  # H = 1 - |p-2| + max(p-3,0)^2 decreases here
@@ -70,8 +70,9 @@ class TestValidation:
     def test_non_coercive_rejected(self, small_graph):
         H = HamiltonianSpec("sink", lambda x, rho, p: -1.0 + 1e-9 * p, lambda0=1e-12)
         report = validate_hamiltonian(H, small_graph)
-        assert not report.passed and not report.coercivity_ok
+        assert not report.passed and not report.coercivity_ok and report.monotonicity_ok
         assert report.counterexample[0] == "coercivity"
+        assert "not coercive" in report.describe()
 
     def test_evaluator_exception_wrapped(self, small_graph):
         def broken(x, rho, p):

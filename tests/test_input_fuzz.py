@@ -3,14 +3,16 @@
 Valid graph JSON, field CSV, solution CSV, config JSON and induce-metric
 points and edges CSVs are mutated (truncation, dropped columns, wrong JSON
 types, non-list containers, non-UTF-8 bytes, unknown ids, non-finite cells,
-ragged coords) and the command that reads each file runs in-process.  Every
-case must exit 0, 1 or 2 without an exception escaping, and an exit 2 must
-print exactly one ``error:`` line.
+ragged coords, repeated rows and entries) and the command that reads each
+file runs in-process.  Every case must exit 0, 1 or 2 without an exception
+escaping, and an exit 2 must print exactly one ``error:`` line.  Named
+mutations that once exited 0 must exit 2.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import pytest
@@ -37,7 +39,10 @@ def mutate_csv(text: str, rng: random.Random, ragged: bool) -> str:
     lines = text.splitlines()
     k = rng.randrange(len(lines))
     cells = lines[k].split(",")
-    kind = rng.randrange(5 if ragged else 4)
+    kind = rng.randrange(6 if ragged else 5)
+    if kind == 4:
+        lines.insert(rng.randrange(1, len(lines) + 1), lines[k])  # repeated row or header
+        return "\n".join(lines) + "\n"
     if kind == 0:
         cells.pop(rng.randrange(len(cells)))  # dropped column
     elif kind == 1:
@@ -46,7 +51,7 @@ def mutate_csv(text: str, rng: random.Random, ragged: bool) -> str:
         cells[0] = "ghost"  # unknown id
     elif kind == 3:
         lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", ",", ",,,"]))
-    else:
+    elif kind == 5:
         cells.append(rng.choice(["0.5", "", "nan"]))  # ragged coords
     lines[k] = ",".join(cells)
     return "\n".join(lines) + "\n"
@@ -74,7 +79,7 @@ def mutate_json(text: str, rng: random.Random) -> str:
     parent = data
     for key in path[:-1]:
         parent = parent[key]
-    kind = rng.randrange(5)
+    kind = rng.randrange(6)
     if kind == 0:
         parent[path[-1]] = rng.choice(WRONG_VALUES)  # wrong type, or a non-list container
     elif kind == 1 and isinstance(parent, dict):
@@ -83,6 +88,9 @@ def mutate_json(text: str, rng: random.Random) -> str:
         parent[path[-1]].pop()  # ragged coords, a dropped vertex or edge
     elif kind == 3:
         parent[path[-1]] = float(rng.choice(["nan", "inf", "-inf"]))
+    elif kind == 4 and isinstance(parent[path[-1]], list) and parent[path[-1]]:
+        items = parent[path[-1]]
+        items.append(rng.choice(items))  # a repeated vertex, edge, boundary id or coord
     else:
         parent[path[-1]] = "ghost"  # unknown id
     return json.dumps(data)
@@ -155,3 +163,52 @@ def test_mutated_input_keeps_exit_code_contract(base, tmp_path, capsys, target):
             assert len(lines) == 1 and lines[0].startswith("error: "), (case, data, err)
         seen.add(code)
     assert 2 in seen
+
+
+def repeat_first_row(lines: list[str]) -> None:
+    vid, _, rest = lines[1].partition(",")
+    lines.append(vid + "," + "5.0" * bool(rest))  # v1 = 1.0, then v1 = 5.0
+
+
+HOLES = {
+    # inputs that must be rejected rather than read as something else
+    "version-99": ("g.json", lambda d: d.update(version=99), "unsupported graph version 99"),
+    "version-true": ("g.json", lambda d: d.update(version=True), "unsupported graph version True"),
+    "duplicate-vertex": ("g.json", lambda d: d["vertices"].append(d["vertices"][4]),
+                         "duplicate vertex id"),
+    "boolean-length": ("g.json", lambda d: d["edges"][0].update(length=True), "non-numeric length True"),
+    "boolean-coord": ("g.json", lambda d: d["vertices"][0]["coords"].__setitem__(1, True),
+                      "coords must be a list of numbers"),
+    "infinite-coord": ("g.json", lambda d: d["vertices"][0]["coords"].__setitem__(1, math.inf),
+                       "coords must be finite"),
+    "nan-parallel-edge": ("g.json", lambda d: d["edges"].append(dict(d["edges"][0], length=math.nan)),
+                          "nonpositive length nan"),
+    "inf-parallel-edge": ("g.json", lambda d: d["edges"].insert(0, dict(d["edges"][0], length=math.inf)),
+                          "nonpositive length inf"),
+    "duplicate-field-row": ("f.csv", repeat_first_row, ":11: duplicate vertex id"),
+    "duplicate-solution-row": ("u.csv", repeat_first_row, ":11: duplicate vertex id"),
+    "duplicate-point-row": ("pts.csv", repeat_first_row, ":11: duplicate vertex id"),
+}
+
+
+@pytest.mark.parametrize("hole", sorted(HOLES))
+def test_named_mutation_exits_2(base, tmp_path, capsys, hole):
+    target, mutation, message = HOLES[hole]
+    with open(base[target], encoding="utf-8") as fh:
+        text = fh.read()
+    if target.endswith(".json"):
+        data = json.loads(text)
+        mutation(data)
+        text = json.dumps(data)
+    else:
+        lines = text.splitlines()
+        mutation(lines)
+        text = "\n".join(lines) + "\n"
+    paths = dict(base, **{target: str(tmp_path / target), "out.csv": str(tmp_path / "out.csv"),
+                          "out.json": str(tmp_path / "out.json")})
+    with open(paths[target], "w", encoding="utf-8") as fh:
+        fh.write(text)
+    capsys.readouterr()
+    assert run(COMMANDS[target](paths)) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines

@@ -16,12 +16,12 @@ from eikograph import (
     check_regularity,
     constant_field,
     descent_curve,
+    edge_costs,
     field_from_expression,
     field_on,
     fixture,
     lipschitz_constant,
     random_metric_graph,
-    slope_field,
     slopes,
     solve_dirichlet,
 )
@@ -66,7 +66,8 @@ class TestSlopes:
         g = random_metric_graph(31, n_max=25)
         rng = random.Random(31)
         u = field_on(g, {v: rng.uniform(-2.0, 2.0) for v in g.vertices}, "solution_u")
-        for v, t in slope_field(g, u).items():
+        for v in g.vertices:
+            t = slopes(g, u, v)
             assert t.slope == max(t.super_slope, t.sub_slope)
             assert t.slope >= 0.0
 
@@ -153,6 +154,21 @@ class TestCheckCSubsolution:
         assert len(failures) == n  # one orientation of every edge
         h = g.h_max
         assert all(close(report.residuals[e], h) for e in failures)
+
+    def test_residuals_cover_each_oriented_edge_once(self):
+        # residuals read from the cost adjacency equal, bit for bit, the
+        # residuals of both orientations of every canonical edge_costs entry
+        g = random_metric_graph(33, n_max=40)
+        rng = random.Random(33)
+        u = field_on(g, {v: rng.uniform(-2.0, 2.0) for v in g.vertices}, "solution_u")
+        f = field_on(g, {v: rng.uniform(0.0, 1.5) for v in g.vertices}, "rhs_f")
+        expected = {}
+        for (a, b), c in edge_costs(g, f).items():
+            expected[f"{a}->{b}"] = max(u[a] - (u[b] + c), 0.0)
+            expected[f"{b}->{a}"] = max(u[b] - (u[a] + c), 0.0)
+        report = check_c_subsolution(g, u, f)
+        assert report.residuals == expected
+        assert len(expected) == 2 * len(g.edges) and not report.passed
 
     def test_solver_output_passes_at_zero(self):
         for seed in (5, 6):

@@ -7,7 +7,6 @@ import random
 import pytest
 
 from eikograph import (
-    ConnectivityError,
     DirichletProblem,
     FieldError,
     ProblemError,
@@ -18,15 +17,13 @@ from eikograph import (
     edge_costs,
     field_on,
     fixture,
-    intrinsic_distance,
-    quasiconvexity_probe,
     random_metric_graph,
     refine,
     solve_dirichlet,
 )
 from eikograph.graph import close, edge_key
 
-from oracles import restricted_distance_oracle, retry_loop_exits, value_iteration
+from oracles import retry_loop_exits, value_iteration
 
 
 def interval_problem(n=200, f_value=1.0, zeta=None):
@@ -354,41 +351,3 @@ class TestProblemValidation:
         vf = solve_dirichlet(DirichletProblem(g, f, z, threshold=0.0))
         assert vf.u["m"] == vf.u["z"] == 0.5
         assert vf.exit_vertex["m"] == "a"
-
-
-class TestQuasiconvexity:
-    def test_interval_is_convex(self):
-        g = fixture("interval", n=10).graph
-        est = quasiconvexity_probe(g, g.vertices)
-        assert est.max_ratio <= 1.0 + 1e-12
-        for d, s in est.steps:
-            assert close(s, d)
-
-    def test_full_grid_is_convex(self):
-        g = fixture("grid", n=5).graph
-        est = quasiconvexity_probe(g, g.vertices)
-        assert est.max_ratio <= 1.0 + 1e-12
-
-    def test_ring_with_gap_exceeds_identity(self):
-        g = fixture("grid", n=5).graph
-        gap = "v0_2"  # middle of one side
-        subset = [v for v in sorted(g.boundary) if v != gap]
-        est = quasiconvexity_probe(g, subset)
-        assert est.max_ratio > 1.0 + 1e-9
-        # the step modulus dominates the restricted shortest-path oracle
-        for x in subset:
-            oracle = restricted_distance_oracle(g, subset, x)
-            for y in subset:
-                if y <= x:
-                    continue
-                d_amb = intrinsic_distance(g, x, y)[0]
-                assert est(d_amb) >= oracle[y] - 1e-12
-        wx, wy = est.worst_pair
-        d_amb = intrinsic_distance(g, wx, wy)[0]
-        oracle = restricted_distance_oracle(g, subset, wx)
-        assert close(est.max_ratio, oracle[wy] / d_amb)
-
-    def test_disconnected_subset_rejected(self):
-        g = fixture("grid", n=4).graph
-        with pytest.raises(ConnectivityError):
-            quasiconvexity_probe(g, ["v0_0", "v3_3"])
