@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields as dc_fields
 
-from . import verify
 from .errors import EikographError, ValidationError
 from .fields import (
     ScalarField,
@@ -28,7 +26,6 @@ from .graph import (
     induce_intrinsic,
     read_csv,
     read_graph,
-    read_json,
     refine,
     write_csv,
     write_graph,
@@ -47,56 +44,7 @@ from .slopes import (
     check_regularity,
 )
 from .solver import DirichletProblem, ValueFunction, check_boundary_consistency, solve_dirichlet
-from .verify import ComparisonInstance, compare, equivalence_suite, fixture
-
-
-@dataclass
-class RunConfig:
-    """Tolerances and defaults; a --config JSON file overrides these, and
-    explicit command-line flags override the file."""
-
-    positivity_threshold: float = 1e-9
-    check_tol: float | None = None  # None: auto (1e-9 + Lip(f) * h_max)
-    bisect_tol: float = 1e-9
-    picard_tol: float = 1e-8
-    picard_max_iter: int = 100
-    band_tol: float = 1e-12
-    compare_tol: float = 1e-12
-    seed: int | None = None  # None: EIKOGRAPH_SEED or the package default
-
-    def __post_init__(self):
-        for name in ("positivity_threshold", "bisect_tol", "picard_tol", "band_tol", "compare_tol"):
-            value = getattr(self, name)
-            if not (value > 0.0):
-                raise ValidationError(f"config {name} must be positive, got {value!r}")
-        if self.check_tol is not None and self.check_tol < 0.0:
-            raise ValidationError(f"config check_tol must be >= 0, got {self.check_tol!r}")
-        if self.picard_max_iter < 1:
-            raise ValidationError("config picard_max_iter must be >= 1")
-
-    @property
-    def effective_seed(self) -> int:
-        return self.seed if self.seed is not None else verify.default_seed()
-
-
-def load_config(path: str | None) -> RunConfig:
-    if path is None:
-        return RunConfig()
-    data = read_json(path)
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path}: config must be a JSON object, got {type(data).__name__}")
-    types = {f.name: f.type for f in dc_fields(RunConfig)}
-    unknown = set(data) - set(types)
-    if unknown:
-        raise ValidationError(f"{path}: unknown config keys {sorted(unknown)}")
-    for key, value in data.items():
-        kind = types[key]  # "float", "int", "float | None" or "int | None"
-        if value is None and kind.endswith("| None"):
-            continue
-        wanted = int if kind.startswith("int") else (int, float)
-        if isinstance(value, bool) or not isinstance(value, wanted):
-            raise ValidationError(f"{path}: config key {key!r} must be {kind}, got {value!r}")
-    return RunConfig(**data)
+from .verify import ComparisonInstance, compare, default_seed, equivalence_suite, fixture
 
 
 def _check_io_paths(inputs, outputs) -> None:
@@ -104,6 +52,11 @@ def _check_io_paths(inputs, outputs) -> None:
     for out in outputs:
         if out and out in ins:
             raise ValidationError(f"output path {out!r} collides with an input path")
+
+
+def _given(**flags) -> dict:
+    """The flags set on the command line; an unset flag keeps the library default."""
+    return {name: value for name, value in flags.items() if value is not None}
 
 
 def _load_field(g: MetricGraph, spec: str, role: str) -> ScalarField:
@@ -170,13 +123,11 @@ def _cmd_fixture(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    cfg = load_config(args.config)
-    threshold = args.threshold if args.threshold is not None else cfg.positivity_threshold
     _check_io_paths([args.graph, args.f, args.zeta], [args.out, args.plot])
     g = read_graph(args.graph)
     f = _load_field(g, args.f, "rhs_f")
     zeta = _load_field(g, args.zeta, "boundary_zeta")
-    problem = DirichletProblem(g, f, zeta, threshold=threshold)
+    problem = DirichletProblem(g, f, zeta, **_given(threshold=args.threshold))
     vf = solve_dirichlet(problem)
     write_solution_csv(vf, args.out)
     if args.plot:
@@ -194,10 +145,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_solve_h(args) -> int:
-    cfg = load_config(args.config)
-    tol = args.tol if args.tol is not None else cfg.picard_tol
-    bisect_tol = args.bisect_tol if args.bisect_tol is not None else cfg.bisect_tol
-    max_iter = args.max_iter if args.max_iter is not None else cfg.picard_max_iter
     _check_io_paths([args.graph, args.zeta], [args.out, args.h_out, args.plot])
     g = read_graph(args.graph)
     zeta = _load_field(g, args.zeta, "boundary_zeta")
@@ -207,7 +154,7 @@ def _cmd_solve_h(args) -> int:
     else:
         H = expression_hamiltonian(name, rho_monotonicity=args.rho_monotonicity)
     vf, reduction, iterations = solve_general(
-        g, H, zeta, tol=tol, max_iter=max_iter, bisect_tol=bisect_tol
+        g, H, zeta, **_given(tol=args.tol, max_iter=args.max_iter, bisect_tol=args.bisect_tol)
     )
     write_solution_csv(vf, args.out)
     if args.h_out:
@@ -223,8 +170,6 @@ def _cmd_solve_h(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    cfg = load_config(args.config)
-    tol = args.tol if args.tol is not None else cfg.check_tol
     _check_io_paths([args.graph, args.u, args.f], [args.report])
     g = read_graph(args.graph)
     u = read_field_csv(g, args.u, "solution_u")
@@ -234,13 +179,13 @@ def _cmd_check(args) -> int:
     if args.kind != "regularity" and f is None:
         raise ValidationError(f"check {args.kind} needs --f")
     if args.kind == "monge":
-        report = check_monge(g, u, f, tol=tol, mode=args.mode)
+        report = check_monge(g, u, f, tol=args.tol, mode=args.mode)
     elif args.kind == "csub":
-        report = check_c_subsolution(g, u, f, tol=tol if tol is not None else 0.0)
+        report = check_c_subsolution(g, u, f, **_given(tol=args.tol))
     elif args.kind == "csuper":
-        report = check_c_supersolution(g, u, f, eps=tol)
+        report = check_c_supersolution(g, u, f, eps=args.tol)
     else:
-        report = check_regularity(g, u, tol=tol)
+        report = check_regularity(g, u, tol=args.tol)
     if args.report:
         write_report_csv(report, args.report)
     if report.passed:
@@ -255,7 +200,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cfg = load_config(args.config)
     _check_io_paths([args.graph, args.f, args.u, args.v], [args.report])
     g = read_graph(args.graph)
     f = _load_field(g, args.f, "rhs_f")
@@ -267,10 +211,9 @@ def _cmd_compare(args) -> int:
         u_sub=u,
         v_super=v,
         band_delta=args.delta,
-        sub_tol=args.sub_tol if args.sub_tol is not None else cfg.check_tol,
-        super_tol=args.super_tol if args.super_tol is not None else cfg.check_tol,
-        band_tol=args.band_tol if args.band_tol is not None else cfg.band_tol,
-        compare_tol=args.tol if args.tol is not None else cfg.compare_tol,
+        sub_tol=args.sub_tol,
+        super_tol=args.super_tol,
+        **_given(band_tol=args.band_tol, compare_tol=args.tol),
     )
     report = compare(inst)
     if args.report:
@@ -308,7 +251,6 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_induce_metric(args) -> int:
-    cfg = load_config(args.config)
     _check_io_paths([args.points, args.edges], [args.out, args.probe_out])
     coords: dict[str, tuple[float, ...]] = {}
     for lineno, row in read_csv(args.points, [("vertex_id",)], 1):
@@ -330,7 +272,7 @@ def _cmd_induce_metric(args) -> int:
         boundary=boundary,
         coords=coords,
         sample_pairs=args.pairs,
-        seed=cfg.effective_seed,
+        seed=default_seed(),
     )
     write_graph(result.graph, args.out)
     if args.probe_out:
@@ -358,11 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="eikograph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", default=None, help="JSON config overriding defaults")
-
     p = sub.add_parser("fixture", help="generate a deterministic fixture graph")
-    common(p)
     p.add_argument("--name", required=True,
                    choices=["interval", "circle", "grid", "binary_tree", "gasket"])
     p.add_argument("--n", type=int, default=None)
@@ -373,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_fixture)
 
     p = sub.add_parser("solve", help="solve the Dirichlet problem |grad u| = f")
-    common(p)
     p.add_argument("--graph", required=True)
     p.add_argument("--f", required=True, help="field CSV or expression (const:c, linear:a,b[,axis])")
     p.add_argument("--zeta", required=True, help="boundary field CSV or expression")
@@ -386,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("solve-h", help="solve H(x, u, |grad u|) = 0 via reduction")
-    common(p)
     p.add_argument("--graph", required=True)
     p.add_argument("--hamiltonian", required=True,
                    help=f"builtin name {BUILTIN_NAMES} (with optional :level) or expression in p, rho")
@@ -403,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_solve_h)
 
     p = sub.add_parser("check", help="run a solution-notion check")
-    common(p)
     p.add_argument("kind", choices=["monge", "csub", "csuper", "regularity"])
     p.add_argument("--graph", required=True)
     p.add_argument("--u", required=True)
@@ -415,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("compare", help="comparison-principle harness")
-    common(p)
     p.add_argument("--graph", required=True)
     p.add_argument("--f", required=True)
     p.add_argument("--u", required=True, help="candidate Monge subsolution")
@@ -429,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("suite", help="equivalence suite across refinement levels")
-    common(p)
     p.add_argument("--fixture", required=True,
                    choices=["interval", "circle", "grid", "binary_tree", "gasket"])
     p.add_argument("--n", type=int, default=None)
@@ -443,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_suite)
 
     p = sub.add_parser("induce-metric", help="induce the intrinsic metric from chord distances")
-    common(p)
     p.add_argument("--points", required=True, help="CSV vertex_id,x[,y,...]")
     p.add_argument("--edges", required=True, help="CSV a,b adjacency")
     p.add_argument("--boundary", default="", help="comma-separated boundary ids")
@@ -453,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_induce_metric)
 
     p = sub.add_parser("refine", help="subdivide edges to a target mesh size")
-    common(p)
     p.add_argument("--graph", required=True)
     p.add_argument("--h-max", type=float, required=True)
     p.add_argument("--out", required=True)

@@ -190,14 +190,18 @@ def _finalize(
             if v not in vset:
                 raise ValidationError(f"coords reference unknown vertex {v!r}")
             cmap[v] = tuple(float(c) for c in xy)
-        _require_one_dimension(cmap)
+        _require_coords(cmap)
 
     g = MetricGraph(vertices=vs, edges=clean, boundary=bset, coords=cmap, adjacency=adjacency)
     _require_connected(g)
     return g
 
 
-def _require_one_dimension(coords: Mapping[str, Sequence[float]]) -> None:
+def _require_coords(coords: Mapping[str, Sequence[float]]) -> None:
+    """Coords must be finite and share one dimension."""
+    for v, xy in coords.items():
+        if not all(map(math.isfinite, xy)):
+            raise ValidationError(f"vertex {v!r}: coords must be finite, got {xy!r}")
     if len({len(xy) for xy in coords.values()}) > 1:
         first = next(iter(coords))
         other = next(v for v, xy in coords.items() if len(xy) != len(coords[first]))
@@ -217,6 +221,12 @@ def _require_connected(g: MetricGraph) -> None:
     if len(seen) != len(g.vertices):
         missing = sorted(set(g.vertices) - seen)[:5]
         raise ConnectivityError(f"graph is disconnected; unreachable vertices include {missing}")
+
+
+def _is_json_number(value) -> bool:
+    """An int or a float: JSON's numbers, not the booleans and strings that
+    float() also takes."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def build_graph(spec: Mapping) -> MetricGraph:
@@ -254,16 +264,16 @@ def build_graph(spec: Mapping) -> MetricGraph:
                 raise ValidationError(f"vertex entry {item!r} has no id")
             raw = item.get("coords")
             if raw is not None:
-                # a JSON boolean is no coordinate, though float() takes it
-                if not isinstance(raw, (list, tuple)) or bool in map(type, raw):
+                if not isinstance(raw, (list, tuple)):
                     raise ValidationError(f"vertex {vid!r}: coords must be a list of numbers, got {raw!r}")
+                bad = [c for c in raw if not _is_json_number(c)]
+                if bad:
+                    raise ValidationError(f"vertex {vid!r}: coords must be a list of numbers, got {raw!r} "
+                                          f"(coords must be numbers, not {type(bad[0]).__name__})")
                 try:
-                    xy = tuple(map(float, raw))
-                except (TypeError, ValueError, OverflowError):
+                    coords[vid] = tuple(map(float, raw))
+                except OverflowError:
                     raise ValidationError(f"vertex {vid!r}: coords must be numbers, got {raw!r}")
-                if not all(map(math.isfinite, xy)):
-                    raise ValidationError(f"vertex {vid!r}: coords must be finite, got {raw!r}")
-                coords[vid] = xy
         if vid in vertices:
             raise ValidationError(f"duplicate vertex id {vid!r}")
         vertices.add(vid)
@@ -275,7 +285,7 @@ def build_graph(spec: Mapping) -> MetricGraph:
             edges.append(((a, b), float(length)))
         except (TypeError, KeyError, ValueError, OverflowError):
             raise ValidationError(f"edge entry {item!r} must have a, b, length")
-        if type(length) is bool:  # float() takes a JSON boolean
+        if not _is_json_number(length):
             raise ValidationError(f"edge ({a!r}, {b!r}) has non-numeric length {length!r}")
     return _finalize(vertices, edges, [str(b) for b in boundary], coords)
 
@@ -597,7 +607,7 @@ def induce_intrinsic(
     for a, b in chord.adjacency:
         if a not in known or b not in known:
             raise ValidationError(f"edge ({a!r}, {b!r}) references unknown vertex")
-    _require_one_dimension(coords or {})
+    _require_coords(coords or {})
     rng = random.Random(seed)
     _validate_chord(chord, rng, samples=max(32, sample_pairs // 2))
 

@@ -15,7 +15,7 @@ import types
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .errors import CoercivityError, ConvergenceError, HamiltonianError
+from .errors import CoercivityError, ConvergenceError, HamiltonianError, ValidationError
 from .fields import ScalarField, cost_adjacency, field_on
 from .graph import MetricGraph, fixpoint_labels
 from .slopes import CheckReport, slopes
@@ -313,7 +313,14 @@ def solve_general(
     of bisecting again.  For an evaluator that depends only on (x, rho, p)
     every label, root, residual, sweep count and change history is
     bit-identical to reducing and solving afresh on every sweep.
+
+    ``max_iter`` must be at least 1 and ``tol`` nonnegative; tol 0 stops
+    at the bitwise fixpoint.
     """
+    if not (max_iter >= 1):
+        raise ValidationError(f"Picard max_iter must be >= 1, got {max_iter!r}")
+    if not (tol >= 0.0):
+        raise ValidationError(f"Picard tol must be >= 0, got {tol!r}")
     validation = validate_hamiltonian(H, g)
     if not validation.passed:
         raise HamiltonianError(validation.describe())

@@ -189,6 +189,34 @@ def check_c_subsolution(
     )
 
 
+def _argmin_step(u: ScalarField, nbrs: tuple[tuple[str, float], ...]) -> tuple[str | None, float]:
+    """Neighbor minimizing cost + u (the first in id order on ties) and that
+    minimum; (None, inf) for no neighbors."""
+    best_y = None
+    best = math.inf
+    for y, c in nbrs:
+        cand = c + u[y]
+        if best_y is None or cand < best:
+            best_y = y
+            best = cand
+    return best_y, best
+
+
+def _descent(g: MetricGraph, u: ScalarField, costs: dict, start: str, limit: int) -> Curve:
+    path = [start]
+    x = start
+    for _ in range(limit):
+        if x in g.boundary:
+            break
+        best_y, _ = _argmin_step(u, costs[x])
+        # stop rather than cycle if the greedy step would not descend
+        if best_y is None or u[best_y] >= u[x]:
+            break
+        path.append(best_y)
+        x = best_y
+    return curve_along(g, path)
+
+
 def descent_curve(
     g: MetricGraph,
     u: ScalarField,
@@ -204,26 +232,8 @@ def descent_curve(
     """
     if not g.has_vertex(start):
         raise GraphError(f"unknown vertex {start!r}")
-    costs = cost_adjacency(g, f)
     limit = max_steps if max_steps is not None else len(g.vertices)
-    path = [start]
-    x = start
-    for _ in range(limit):
-        if x in g.boundary:
-            break
-        best_y = None
-        best_val = math.inf
-        for y, c in costs[x]:
-            cand = c + u[y]
-            if best_y is None or cand < best_val:
-                best_y = y
-                best_val = cand
-        # stop rather than cycle if the greedy step would not descend
-        if best_y is None or u[best_y] >= u[x]:
-            break
-        path.append(best_y)
-        x = best_y
-    return curve_along(g, path)
+    return _descent(g, u, cost_adjacency(g, f), start, limit)
 
 
 def check_c_supersolution(
@@ -249,12 +259,8 @@ def check_c_supersolution(
     residuals: dict[str, float] = {}
     margins: dict[str, float] = {}
     for x in g.interior:
-        best = None
-        for y, c in costs[x]:
-            cand = c + u[y]
-            if best is None or cand < best:
-                best = cand
-        if best is None:
+        best_y, best = _argmin_step(u, costs[x])
+        if best_y is None:
             raise GraphError(f"vertex {x!r} is isolated")
         margin = u[x] - best + eps
         margins[x] = margin
@@ -269,7 +275,7 @@ def check_c_supersolution(
         elif g.interior:
             start = max(g.interior, key=lambda v: (u[v], v))
     if start is not None:
-        details["witness"] = descent_curve(g, u, f, start)
+        details["witness"] = _descent(g, u, costs, start, len(g.vertices))
     return CheckReport(name="csuper", tol=0.0, residuals=residuals, details=details)
 
 

@@ -18,20 +18,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ValidationError
-from .fields import (
-    ScalarField,
-    field_from_expression,
-    field_on,
-    lipschitz_constant,
-)
+from .fields import ScalarField, field_from_expression, field_on
 from .graph import MetricGraph, _finalize, edge_key, refine
 from .slopes import (
-    BASE_TOL,
     CheckReport,
     check_c_subsolution,
     check_c_supersolution,
     check_monge,
     check_regularity,
+    default_check_tol,
 )
 from .solver import DirichletProblem, boundary_band, solve_dirichlet
 
@@ -239,7 +234,7 @@ def equivalence_suite(
         g = refine(fix.graph, base_h / (2**level))
         f = field_from_expression(g, f_spec, "rhs_f")
         zeta = field_from_expression(g, zeta_spec, "boundary_zeta")
-        tol = BASE_TOL + lipschitz_constant(g, f) * g.h_max
+        tol = default_check_tol(g, f)
         vf = solve_dirichlet(DirichletProblem(g, f, zeta, threshold=positivity_threshold))
 
         reports: list[CheckReport] = [
@@ -324,6 +319,9 @@ class ComparisonReport:
 def compare(inst: ComparisonInstance) -> ComparisonReport:
     """Verify u_sub <= v_super given the comparison-principle hypotheses."""
     g = inst.graph
+    delta = inst.band_delta if inst.band_delta is not None else 2.0 * g.h_max
+    if not (delta >= 0.0):
+        raise ValidationError(f"compare band_delta must be >= 0, got {delta!r}")
     inf_f = min(inst.f.values.values())
 
     def bail(which: str, sub=None, sup=None, band_size=0, band_max=None):
@@ -349,7 +347,6 @@ def compare(inst: ComparisonInstance) -> ComparisonReport:
     if not sup_rep.passed:
         return bail("monge-super", sub=sub_rep, sup=sup_rep)
 
-    delta = inst.band_delta if inst.band_delta is not None else 2.0 * g.h_max
     band = boundary_band(g, delta)
     band_max = max(inst.u_sub[v] - inst.v_super[v] for v in band)
     if band_max > inst.band_tol:

@@ -10,8 +10,7 @@ import re
 import pytest
 
 from eikograph import constant_field, field_on, fixture, read_graph
-from eikograph.cli import RunConfig, emit_plot_data, run
-from eikograph.errors import ValidationError
+from eikograph.cli import emit_plot_data, run
 from eikograph.fields import read_field_csv, write_field_csv
 
 
@@ -257,20 +256,19 @@ class TestErrorsAndConfig:
         assert code == 2
         assert "boundary must be a list" in self.assert_one_error_line(capsys)
 
-    @pytest.mark.parametrize("target", ["graph", "u", "f", "config"])
+    @pytest.mark.parametrize("target", ["graph", "u", "f"])
     def test_non_utf8_input_exits_2(self, tmp_path, capsys, target):
         paths = {name: tmp_path / file for name, file in
-                 [("graph", "g.json"), ("u", "u.csv"), ("f", "f.csv"), ("config", "cfg.json")]}
+                 [("graph", "g.json"), ("u", "u.csv"), ("f", "f.csv")]}
         run_cli("fixture", "--name", "interval", "--n", "4", "--out", str(paths["graph"]))
         run_cli("solve", "--graph", str(paths["graph"]), "--f", "const:1", "--zeta", "const:0",
                 "--out", str(paths["u"]))
         write_field_csv(constant_field(read_graph(str(paths["graph"])), 1.0, "rhs_f"), str(paths["f"]))
-        paths["config"].write_text("{}")
         text = paths[target].read_bytes()
         paths[target].write_bytes(text[:20] + b"\xff" + text[20:])
         capsys.readouterr()
         code = run_cli("check", "monge", "--graph", str(paths["graph"]), "--u", str(paths["u"]),
-                       "--f", str(paths["f"]), "--config", str(paths["config"]))
+                       "--f", str(paths["f"]))
         assert code == 2
         assert str(paths[target]) in self.assert_one_error_line(capsys)
 
@@ -380,64 +378,6 @@ class TestErrorsAndConfig:
         code = run_cli("refine", "--graph", str(g_path), "--h-max", "0.1", "--out", str(g_path))
         assert code == 2
 
-    def test_config_override(self, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"positivity_threshold": 0.5}))
-        g_path = tmp_path / "g.json"
-        run_cli("fixture", "--name", "interval", "--n", "10", "--out", str(g_path))
-        # f = 0.2 violates the configured threshold -> input error
-        code = run_cli("solve", "--graph", str(g_path), "--f", "const:0.2",
-                       "--zeta", "const:0", "--out", str(tmp_path / "u.csv"),
-                       "--config", str(cfg_path))
-        assert code == 2
-        # explicit flag takes precedence over the config file
-        code = run_cli("solve", "--graph", str(g_path), "--f", "const:0.2",
-                       "--zeta", "const:0", "--out", str(tmp_path / "u.csv"),
-                       "--config", str(cfg_path), "--threshold", "1e-9")
-        assert code == 0
-
-    def test_bad_config_key_exits_2(self, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"wrench": 1}))
-        g_path = tmp_path / "g.json"
-        run_cli("fixture", "--name", "interval", "--n", "4", "--out", str(g_path))
-        code = run_cli("solve", "--graph", str(g_path), "--f", "const:1",
-                       "--zeta", "const:0", "--out", str(tmp_path / "u.csv"),
-                       "--config", str(cfg_path))
-        assert code == 2
-
-    @pytest.mark.parametrize("config,message", [
-        ([], "must be a JSON object"),
-        ("0.5", "must be a JSON object"),
-        ({"picard_tol": "1"}, "'picard_tol' must be float"),
-        ({"picard_max_iter": 2.5}, "'picard_max_iter' must be int"),
-        ({"bisect_tol": True}, "'bisect_tol' must be float"),
-        ({"seed": "7"}, "'seed' must be int | None"),
-        ({"positivity_threshold": None}, "'positivity_threshold' must be float"),
-    ])
-    def test_bad_config_value_exits_2(self, tmp_path, capsys, config, message):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(config))
-        g_path = tmp_path / "g.json"
-        run_cli("fixture", "--name", "interval", "--n", "4", "--out", str(g_path))
-        capsys.readouterr()
-        code = run_cli("solve", "--graph", str(g_path), "--f", "const:1",
-                       "--zeta", "const:0", "--out", str(tmp_path / "u.csv"),
-                       "--config", str(cfg_path))
-        assert code == 2
-        line = self.assert_one_error_line(capsys)
-        assert str(cfg_path) in line and message in line
-
-    def test_config_accepts_ints_and_nulls(self, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"picard_tol": 1, "check_tol": None, "seed": 3}))
-        g_path = tmp_path / "g.json"
-        run_cli("fixture", "--name", "interval", "--n", "4", "--out", str(g_path))
-        code = run_cli("solve", "--graph", str(g_path), "--f", "const:1",
-                       "--zeta", "const:0", "--out", str(tmp_path / "u.csv"),
-                       "--config", str(cfg_path))
-        assert code == 0
-
     @pytest.mark.parametrize("coords,message", [
         ("xy", "coords must be a list"),
         (5, "coords must be a list"),
@@ -457,13 +397,69 @@ class TestErrorsAndConfig:
         line = self.assert_one_error_line(capsys)
         assert "'v1'" in line and message in line
 
-    def test_config_validation(self):
-        with pytest.raises(ValidationError):
-            RunConfig(positivity_threshold=-1.0)
-        with pytest.raises(ValidationError):
-            RunConfig(check_tol=-0.5)
-        with pytest.raises(ValidationError):
-            RunConfig(picard_max_iter=0)
+    @pytest.mark.parametrize("argv", [
+        ["fixture", "--name", "interval", "--n", "4", "--out", "g.json"],
+        ["solve", "--graph", "g.json", "--f", "const:1", "--zeta", "const:0", "--out", "u.csv"],
+        ["solve-h", "--graph", "g.json", "--hamiltonian", "quadratic", "--zeta", "const:0",
+         "--out", "u.csv"],
+        ["check", "monge", "--graph", "g.json", "--u", "u.csv", "--f", "const:1"],
+        ["compare", "--graph", "g.json", "--f", "const:1", "--u", "u.csv", "--v", "v.csv"],
+        ["suite", "--fixture", "interval", "--n", "4"],
+        ["induce-metric", "--points", "p.csv", "--edges", "e.csv", "--out", "g.json"],
+        ["refine", "--graph", "g.json", "--h-max", "0.5", "--out", "r.json"],
+    ], ids=lambda argv: argv[0])
+    def test_config_flag_is_unknown(self, tmp_path, capsys, argv):
+        # each setting has one way in, its flag; a settings file is no argument
+        assert run_cli(argv[0], "--help") == 0
+        assert "--config" not in capsys.readouterr().out
+        assert run_cli(*argv, "--config", str(tmp_path / "cfg.json")) == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--max-iter", "0", "max_iter"),
+        ("--tol", "-1", "tol"),
+        ("--tol", "nan", "tol"),
+    ])
+    def test_bad_picard_setting_exits_2(self, tmp_path, capsys, flag, value, name):
+        # --max-iter 0 used to fail after no sweep ("last change nan"), and
+        # --tol nan to run all 100 sweeps and report "last change 0.0"
+        g_path = tmp_path / "g.json"
+        run_cli("fixture", "--name", "interval", "--n", "4", "--out", str(g_path))
+        capsys.readouterr()
+        code = run_cli("solve-h", "--graph", str(g_path), "--hamiltonian", "affine-rho",
+                       "--zeta", "const:0", "--out", str(tmp_path / "u.csv"), flag, value)
+        assert code == 2
+        assert f"Picard {name} must be" in self.assert_one_error_line(capsys)
+        assert not (tmp_path / "u.csv").exists()
+
+    def test_zero_tolerance_and_threshold_solve(self, tmp_path, capsys):
+        g_path = tmp_path / "g.json"
+        run_cli("fixture", "--name", "interval", "--n", "4", "--out", str(g_path))
+        # tol 0 stops at the bitwise Picard fixpoint
+        assert run_cli("solve-h", "--graph", str(g_path), "--hamiltonian", "affine-rho",
+                       "--zeta", "const:0", "--out", str(tmp_path / "uh.csv"), "--tol", "0") == 0
+        assert "in 27 iteration(s)" in capsys.readouterr().out
+        # threshold 0 admits an f that vanishes at a vertex
+        f_path = tmp_path / "f.csv"
+        f_path.write_text("vertex_id,value\nv0,1\nv1,1\nv2,0\nv3,1\nv4,1\n")
+        assert run_cli("solve", "--graph", str(g_path), "--f", str(f_path), "--zeta", "const:0",
+                       "--out", str(tmp_path / "u.csv"), "--threshold", "0") == 0
+        assert run_cli("solve", "--graph", str(g_path), "--f", str(f_path), "--zeta", "const:0",
+                       "--out", str(tmp_path / "u.csv")) == 2
+
+    @pytest.mark.parametrize("delta", ["-1", "nan"])
+    def test_bad_band_delta_exits_2(self, tmp_path, capsys, delta):
+        # an empty band used to raise ValueError from max(): a traceback, exit 1
+        g_path = tmp_path / "g.json"
+        u_path = tmp_path / "u.csv"
+        run_cli("fixture", "--name", "interval", "--n", "4", "--out", str(g_path))
+        run_cli("solve", "--graph", str(g_path), "--f", "const:1", "--zeta", "const:0",
+                "--out", str(u_path))
+        capsys.readouterr()
+        code = run_cli("compare", "--graph", str(g_path), "--f", "const:1", "--u", str(u_path),
+                       "--v", str(u_path), "--delta", delta)
+        assert code == 2
+        assert "band_delta must be >= 0" in self.assert_one_error_line(capsys)
 
 
 class TestDeterminism:

@@ -130,12 +130,25 @@ class TestBuildGraph:
         (math.inf, "coords must be finite"),
         (-math.inf, "coords must be finite"),
         (math.nan, "coords must be finite"),
-        ("inf", "coords must be finite"),
     ])
     def test_boolean_or_non_finite_coord_rejected(self, coord, message):
         spec = interval_spec()
         spec["vertices"][3]["coords"] = [coord]
         with pytest.raises(ValidationError, match=f"vertex 'p3': {message}"):
+            build_graph(spec)
+
+    @pytest.mark.parametrize("where", ["length", "coord"])
+    @pytest.mark.parametrize("value", ["1.5", "inf", "1"])
+    def test_string_number_rejected(self, where, value):
+        # float() takes these strings: "length": "1.5" used to solve as 1.5
+        spec = interval_spec()
+        if where == "length":
+            spec["edges"][1]["length"] = value
+            message = f"edge \\('p1', 'p2'\\) has non-numeric length '{value}'"
+        else:
+            spec["vertices"][3]["coords"] = [value]
+            message = "vertex 'p3': coords must be a list of numbers, got .* \\(coords must be numbers, not str\\)"
+        with pytest.raises(ValidationError, match=message):
             build_graph(spec)
 
     def test_unknown_boundary_rejected(self):
@@ -451,6 +464,15 @@ class TestInduceIntrinsic:
         chord = ChordInput(ids=("a", "b", "c"), dist=chord_from_coords(coords),
                            adjacency=(("a", "b"), ("b", "c")))
         with pytest.raises(ValidationError, match="coords mix dimensions"):
+            induce_intrinsic(chord, coords=coords)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_coord_rejected_before_chord_checks(self, bad):
+        # a,0 / b,inf / c,2 used to read "distance not symmetric at ('a', 'b'): inf vs inf"
+        coords = {"a": (0.0,), "b": (bad,), "c": (2.0,)}
+        chord = ChordInput(ids=("a", "b", "c"), dist=chord_from_coords(coords),
+                           adjacency=(("a", "b"), ("b", "c")))
+        with pytest.raises(ValidationError, match="vertex 'b': coords must be finite"):
             induce_intrinsic(chord, coords=coords)
 
     def test_overflowing_chord_distance_rejected(self):

@@ -12,6 +12,7 @@ from eikograph import (
     DirichletProblem,
     HamiltonianError,
     HamiltonianSpec,
+    ValidationError,
     builtin_hamiltonian,
     check_hamiltonian_monge,
     check_monge,
@@ -199,6 +200,27 @@ class TestSolveGeneral:
         with pytest.raises(ConvergenceError) as exc:
             solve_general(g, builtin_hamiltonian("affine-rho"), z, tol=1e-16, max_iter=3)
         assert len(exc.value.history) == 2
+
+    @pytest.mark.parametrize("name", ["affine-rho", "linear"])
+    @pytest.mark.parametrize("key,value,bound", [
+        ("max_iter", 0, ">= 1"), ("max_iter", -3, ">= 1"), ("tol", -1.0, ">= 0"), ("tol", math.nan, ">= 0"),
+    ])
+    def test_unusable_picard_settings_rejected(self, name, key, value, bound):
+        # max_iter 0 used to fail with "last change nan", and tol nan to run
+        # every sweep; both are rejected before any work, rho-independent H too
+        g = fixture("interval", n=4).graph
+        z = constant_field(g, 0.0, "boundary_zeta")
+        with pytest.raises(ValidationError, match=f"Picard {key} must be {bound}, got {value!r}"):
+            solve_general(g, builtin_hamiltonian(name), z, **{key: value})
+
+    def test_zero_tol_stops_at_bitwise_fixpoint(self):
+        g = fixture("interval", n=4).graph
+        z = constant_field(g, 0.0, "boundary_zeta")
+        H = builtin_hamiltonian("affine-rho")
+        vf, _, iters = solve_general(g, H, z, tol=0.0)
+        assert iters == 27
+        again, _, _ = solve_general(g, H, z, tol=0.0, max_iter=iters)
+        assert again.u.values == vf.u.values
 
 
 class TestExpressions:

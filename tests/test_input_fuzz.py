@@ -1,7 +1,7 @@
 """Seeded mutation fuzz of every input file the CLI reads.
 
-Valid graph JSON, field CSV, solution CSV, config JSON and induce-metric
-points and edges CSVs are mutated (truncation, dropped columns, wrong JSON
+Valid graph JSON, field CSV, solution CSV and induce-metric points and
+edges CSVs are mutated (truncation, dropped columns, wrong JSON
 types, non-list containers, non-UTF-8 bytes, unknown ids, non-finite cells,
 ragged coords, repeated rows and entries) and the command that reads each
 file runs in-process.  Every case must exit 0, 1 or 2 without an exception
@@ -101,13 +101,10 @@ def base(tmp_path_factory):
     d = tmp_path_factory.mktemp("fuzz")
     g = fixture("grid", n=3).graph
     p = {name: str(d / name) for name in
-         ("g.json", "f.csv", "u.csv", "cfg.json", "pts.csv", "adj.csv", "out.csv", "out.json")}
+         ("g.json", "f.csv", "u.csv", "pts.csv", "adj.csv", "out.csv", "out.json")}
     write_graph(g, p["g.json"])
     with open(p["f.csv"], "w") as fh:
         fh.write("vertex_id,value\n" + "".join(f"{v},{1.0 + 0.25 * i}\n" for i, v in enumerate(g.vertices)))
-    with open(p["cfg.json"], "w") as fh:
-        json.dump({"positivity_threshold": 1e-9, "picard_tol": 1e-8, "bisect_tol": 1e-9,
-                   "picard_max_iter": 50, "check_tol": None, "seed": 3}, fh)
     with open(p["pts.csv"], "w") as fh:
         fh.write("vertex_id,x,y\n" + "".join(f"{v},{x!r},{y!r}\n" for v, (x, y) in sorted(g.coords.items())))
     with open(p["adj.csv"], "w") as fh:
@@ -123,8 +120,6 @@ COMMANDS = {
     "f.csv": lambda p: ["solve", "--graph", p["g.json"], "--f", p["f.csv"], "--zeta", "const:0",
                         "--out", p["out.csv"]],
     "u.csv": lambda p: ["check", "monge", "--graph", p["g.json"], "--u", p["u.csv"], "--f", "const:1"],
-    "cfg.json": lambda p: ["solve-h", "--graph", p["g.json"], "--hamiltonian", "quadratic",
-                           "--zeta", "const:0", "--out", p["out.csv"], "--config", p["cfg.json"]],
     "pts.csv": lambda p: ["induce-metric", "--points", p["pts.csv"], "--edges", p["adj.csv"],
                           "--pairs", "16", "--out", p["out.json"]],
     "adj.csv": lambda p: ["induce-metric", "--points", p["pts.csv"], "--edges", p["adj.csv"],
@@ -177,9 +172,14 @@ HOLES = {
     "duplicate-vertex": ("g.json", lambda d: d["vertices"].append(d["vertices"][4]),
                          "duplicate vertex id"),
     "boolean-length": ("g.json", lambda d: d["edges"][0].update(length=True), "non-numeric length True"),
+    "string-length": ("g.json", lambda d: d["edges"][0].update(length="1.5"), "non-numeric length '1.5'"),
     "boolean-coord": ("g.json", lambda d: d["vertices"][0]["coords"].__setitem__(1, True),
                       "coords must be a list of numbers"),
+    "string-coord": ("g.json", lambda d: d["vertices"][0]["coords"].__setitem__(1, "1.5"),
+                     "coords must be a list of numbers"),
     "infinite-coord": ("g.json", lambda d: d["vertices"][0]["coords"].__setitem__(1, math.inf),
+                       "coords must be finite"),
+    "infinite-point": ("pts.csv", lambda lines: lines.__setitem__(2, lines[2].split(",")[0] + ",inf,0.0"),
                        "coords must be finite"),
     "nan-parallel-edge": ("g.json", lambda d: d["edges"].append(dict(d["edges"][0], length=math.nan)),
                           "nonpositive length nan"),

@@ -186,6 +186,18 @@ class TestCompare:
         assert report.comparison_passed is False
         assert report.violating_vertex is not None
 
+    @pytest.mark.parametrize("delta", [-1.0, -1e-300, math.nan])
+    def test_negative_or_nan_band_delta_rejected(self, delta):
+        # -1 and nan used to leave the band empty, and max() raised ValueError
+        g, f, vf = self.setup_interval()
+        with pytest.raises(ValidationError, match="band_delta must be >= 0"):
+            compare(ComparisonInstance(graph=g, f=f, u_sub=vf.u, v_super=vf.u, band_delta=delta))
+
+    def test_zero_band_delta_is_the_boundary(self):
+        g, f, vf = self.setup_interval()
+        report = compare(ComparisonInstance(graph=g, f=f, u_sub=vf.u, v_super=vf.u, band_delta=0.0))
+        assert report.passed and report.band_size == len(g.boundary)
+
     def test_randomized_scaled_instances(self):
         for seed in range(25):
             report = compare(random_comparison_instance(seed))

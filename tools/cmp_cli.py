@@ -1,0 +1,133 @@
+"""Byte-identity check of the eikograph CLI between two source trees.
+
+    python tools/cmp_cli.py PARENT_SRC CHANGE_SRC
+
+Each argument is a directory that holds the ``eikograph`` package (a
+checkout's ``src``).  The same fixed command list runs once with each on
+``PYTHONPATH``, in its own temporary directory: fixtures, solve with --plot
+and --certify, solve-h with --h-out, the four checks with --report, compare,
+suite, induce-metric and refine, on valid input.  Every output file, each
+command's stdout and stderr and the list of exit codes are then compared
+byte for byte.  Exits 0 when all are identical, else 1 with the differing
+files listed.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import filecmp
+import math
+import os
+import subprocess
+import sys
+import tempfile
+
+CHECKS = ("monge", "csub", "csuper", "regularity")
+PAIRS = [  # (graph, solution, f) pairs every check runs on; bumpy.csv fails all four
+    ("interval.json", "u_interval.csv", "const:1"),
+    ("grid.json", "u_grid.csv", "linear:1,0.5"),
+    ("gasket.json", "u_gasket.csv", "const:2"),
+    ("grid.json", "bumpy.csv", "const:1"),
+]
+
+COMMANDS = [
+    ["fixture", "--name", "interval", "--n", "40", "--out", "interval.json"],
+    ["fixture", "--name", "interval", "--n", "4", "--out", "interval4.json"],
+    ["fixture", "--name", "grid", "--n", "12", "--out", "grid.json"],
+    ["fixture", "--name", "grid", "--n", "8", "--connectivity", "8", "--out", "grid8.json"],
+    ["fixture", "--name", "gasket", "--level", "3", "--out", "gasket.json"],
+    ["solve", "--graph", "interval.json", "--f", "const:1", "--zeta", "const:0",
+     "--out", "u_interval.csv", "--plot", "plot_interval.csv", "--certify"],
+    ["solve", "--graph", "grid.json", "--f", "linear:1,0.5", "--zeta", "linear:0,1",
+     "--out", "u_grid.csv", "--plot", "plot_grid.csv", "--plot-layout", "coords", "--certify"],
+    ["solve", "--graph", "gasket.json", "--f", "const:2", "--zeta", "linear:0,3",
+     "--out", "u_gasket.csv", "--plot", "plot_gasket.csv", "--certify"],
+    ["solve", "--graph", "interval.json", "--f", "f_zero.csv", "--zeta", "const:0",
+     "--out", "u_zero.csv", "--threshold", "0"],
+    ["solve", "--graph", "grid8.json", "--f", "const:0.5", "--zeta", "const:1", "--out", "u_grid8.csv"],
+    ["solve-h", "--graph", "interval.json", "--hamiltonian", "quadratic", "--zeta", "const:0",
+     "--out", "uh_quadratic.csv", "--h-out", "h_quadratic.csv", "--plot", "plot_h.csv"],
+    ["solve-h", "--graph", "interval.json", "--hamiltonian", "p + rho - 1", "--zeta", "const:0",
+     "--out", "uh_expr.csv", "--h-out", "h_expr.csv"],
+    ["solve-h", "--graph", "interval4.json", "--hamiltonian", "affine-rho", "--zeta", "const:0",
+     "--out", "uh_fixpoint.csv", "--h-out", "h_fixpoint.csv", "--tol", "0", "--max-iter", "40",
+     "--bisect-tol", "1e-10"],
+    *(["check", kind, "--graph", graph, "--u", u, "--f", f, "--report", f"{kind}_{n}.csv"]
+      for n, (graph, u, f) in enumerate(PAIRS) for kind in CHECKS),
+    ["check", "monge", "--graph", "grid.json", "--u", "u_grid.csv", "--f", "linear:1,0.5",
+     "--mode", "sub", "--tol", "0.25", "--report", "monge_sub.csv"],
+    ["check", "csub", "--graph", "grid.json", "--u", "bumpy.csv", "--f", "const:1",
+     "--tol", "0.5", "--report", "csub_tol.csv"],
+    ["compare", "--graph", "interval.json", "--f", "const:1", "--u", "half.csv",
+     "--v", "u_interval.csv", "--report", "compare_pass.csv"],
+    ["compare", "--graph", "interval.json", "--f", "const:1", "--u", "u_interval.csv",
+     "--v", "half.csv", "--report", "compare_swapped.csv"],
+    ["compare", "--graph", "interval.json", "--f", "const:1", "--u", "half.csv",
+     "--v", "u_interval.csv", "--delta", "0.3", "--band-tol", "0", "--sub-tol", "0.1",
+     "--super-tol", "0.1", "--tol", "-0.01", "--report", "compare_flags.csv"],
+    ["suite", "--fixture", "gasket", "--level", "2", "--levels", "3", "--report", "suite_gasket.csv"],
+    ["suite", "--fixture", "grid", "--n", "6", "--f", "linear:1,0.5", "--zeta", "const:0",
+     "--levels", "2", "--report", "suite_grid.csv"],
+    ["induce-metric", "--points", "points.csv", "--edges", "ring.csv", "--boundary", "c00,c30",
+     "--pairs", "64", "--out", "induced.json", "--probe-out", "probe.csv"],
+    ["refine", "--graph", "gasket.json", "--h-max", "0.05", "--out", "refined.json"],
+]
+
+
+def write_inputs(d: str) -> None:
+    """Hand-made inputs: a field with a zero, a half solution, a bumpy
+    solution on the 12 x 12 grid, and 60 points on a circle with a ring."""
+    x = [(2 * k - 40) / 40 for k in range(41)]
+    files = {
+        "f_zero.csv": [f"v{k},{0.0 if k == 20 else 1.0!r}" for k in range(41)],
+        "half.csv": [f"v{k},{0.5 * (1.0 - abs(x[k]))!r}" for k in range(41)],
+        "bumpy.csv": [f"v{i}_{j},{((7 * i + 3 * j) % 5) * 0.5!r}" for i in range(12) for j in range(12)],
+        "points.csv": [f"c{k:02d},{math.cos(2 * math.pi * k / 60)!r},{math.sin(2 * math.pi * k / 60)!r}"
+                       for k in range(60)],
+        "ring.csv": [f"c{k:02d},c{(k + 1) % 60:02d}" for k in range(60)],
+    }
+    headers = {"points.csv": "vertex_id,x,y", "ring.csv": "a,b"}
+    for name, rows in files.items():
+        with open(os.path.join(d, name), "w", encoding="utf-8") as fh:
+            fh.write("\n".join([headers.get(name, "vertex_id,value"), *rows]) + "\n")
+
+
+def run_all(src: str, d: str) -> None:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    write_inputs(d)
+    codes = []
+    for n, argv in enumerate(COMMANDS):
+        proc = subprocess.run([sys.executable, "-m", "eikograph.cli", *argv], cwd=d, env=env,
+                              capture_output=True)
+        for stream in ("stdout", "stderr"):
+            with open(os.path.join(d, f"cmd{n:02d}.{stream}"), "wb") as fh:
+                fh.write(getattr(proc, stream))
+        codes.append(f"{n:02d} {proc.returncode} {' '.join(argv)}\n")
+    with open(os.path.join(d, "exit_codes.txt"), "w", encoding="utf-8") as fh:
+        fh.writelines(codes)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python tools/cmp_cli.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as parent, tempfile.TemporaryDirectory() as change:
+        run_all(argv[0], parent)
+        run_all(argv[1], change)
+        names = sorted(set(os.listdir(parent)) | set(os.listdir(change)))
+        differ = [name for name in names
+                  if not (os.path.isfile(os.path.join(parent, name))
+                          and os.path.isfile(os.path.join(change, name))
+                          and filecmp.cmp(os.path.join(parent, name), os.path.join(change, name),
+                                          shallow=False))]
+        with open(os.path.join(parent, "exit_codes.txt"), encoding="utf-8") as fh:
+            summary = [line.split(" ", 2)[1] for line in fh]
+    print(f"{len(COMMANDS)} commands (exit codes {' '.join(summary)}), {len(names)} files compared")
+    if differ:
+        print("differ: " + " ".join(differ))
+        return 1
+    print("all identical")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
