@@ -161,9 +161,7 @@ def validate_field(f: ScalarField, positivity_threshold: float = DEFAULT_POSITIV
 
     Threshold 0 accepts any nonnegative field (subsolution-only checks).
     """
-    offenders = tuple(
-        (v, x) for v, x in sorted(f.values.items()) if x < positivity_threshold
-    )
+    offenders = tuple(sorted((v, x) for v, x in f.values.items() if x < positivity_threshold))
     return FieldReport(threshold=positivity_threshold, offenders=offenders)
 
 

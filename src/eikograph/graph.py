@@ -25,6 +25,7 @@ ABS_TOL = 1e-12
 REL_TOL = 1e-9
 
 GRAPH_FORMAT_VERSION = 1
+MAX_REFINE_VERTICES = 10**7  # refine() refuses an h_max that adds more vertices
 
 
 def close(a: float, b: float, abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL) -> bool:
@@ -503,7 +504,9 @@ def refine(g: MetricGraph, h_max: float) -> MetricGraph:
 
     Original vertex ids, boundary, and intrinsic distances between original
     vertices are preserved; new vertices interpolate coords linearly when both
-    endpoints carry them.  Returns the same graph when no edge needs splitting.
+    endpoints carry them.  Returns the same graph when no edge needs splitting,
+    h_max = inf included.  Raises ValidationError, before building anything,
+    when h_max would add more than MAX_REFINE_VERTICES vertices.
     """
     if not (h_max > 0.0):
         raise ValidationError(f"h_max must be positive, got {h_max!r}")
@@ -511,12 +514,17 @@ def refine(g: MetricGraph, h_max: float) -> MetricGraph:
     parts: dict[tuple[str, str], int] = {}
     for key, length in g.edges.items():
         q = length / h_max
-        k = math.ceil(q)
+        if not math.isfinite(q):
+            raise ValidationError(f"h_max {h_max!r} is too small for edge length {length!r}")
+        k = max(1, math.ceil(q))
         # guard against float roundup when length is an exact multiple of h_max
         if k > 1 and (k - 1) >= q * (1.0 - 1e-12):
             k -= 1
         parts[key] = k
-    if all(k == 1 for k in parts.values()):
+    added = sum(parts.values()) - len(parts)
+    if added > MAX_REFINE_VERTICES:
+        raise ValidationError(f"h_max {h_max!r} would add more than {MAX_REFINE_VERTICES} vertices")
+    if added == 0:
         return g
 
     vertices = list(g.vertices)

@@ -23,6 +23,7 @@ from .solver import DirichletProblem, ValueFunction, solve_dirichlet, value_func
 
 BRACKET_CAP = 2.0**40
 DEFAULT_P_MAX = 2.0**20
+VALIDATION_SAMPLES = 5  # vertices and rho values validate_hamiltonian samples
 
 RHO_MODES = ("independent", "nondecreasing", "strictly-increasing")
 
@@ -67,9 +68,6 @@ class HamiltonianValidation:
     monotonicity_ok: bool
     coercivity_ok: bool
     counterexample: tuple | None
-    p_grid_size: int
-    rho_samples: tuple[float, ...]
-    vertex_samples: tuple[str, ...]
 
     @property
     def passed(self) -> bool:
@@ -138,23 +136,16 @@ def _spread(items: tuple, count: int) -> tuple:
     return tuple(items[int(i * step)] for i in range(count))
 
 
-def validate_hamiltonian(
-    H: HamiltonianSpec,
-    g: MetricGraph,
-    rho_range: tuple[float, float] = (-1.0, 1.0),
-    samples: int = 5,
-) -> HamiltonianValidation:
+def validate_hamiltonian(H: HamiltonianSpec, g: MetricGraph) -> HamiltonianValidation:
     """Sampled finite-difference monotonicity and coercivity validation.
 
     Checks that H(x, rho, p2) - H(x, rho, p1) >= lambda0 * (p2 - p1) for
     consecutive grid points up to p_max, and that H(x, rho, p_max) > 0, over
-    sampled vertices and rho values.  Returns the first counterexample found.
+    VALIDATION_SAMPLES vertices spread in id order and as many rho values
+    spaced evenly on [-1, 1].  Returns the first counterexample found.
     """
-    if samples < 1:
-        raise HamiltonianError("samples must be >= 1")
-    lo, hi = rho_range
-    rhos = tuple(lo + (hi - lo) * i / max(1, samples - 1) for i in range(samples))
-    xs = _spread(g.vertices, samples)
+    rhos = tuple(-1.0 + 2.0 * i / (VALIDATION_SAMPLES - 1) for i in range(VALIDATION_SAMPLES))
+    xs = _spread(g.vertices, VALIDATION_SAMPLES)
     grid = _p_grid(H.p_max)
 
     def counterexamples():
@@ -178,9 +169,6 @@ def validate_hamiltonian(
         monotonicity_ok=kind != "monotonicity",
         coercivity_ok=kind != "coercivity",
         counterexample=bad,
-        p_grid_size=len(grid),
-        rho_samples=rhos,
-        vertex_samples=xs,
     )
 
 

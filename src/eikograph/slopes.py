@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import GraphError
 from .fields import ScalarField, cost_adjacency, lipschitz_constant
-from .graph import REL_TOL, Curve, MetricGraph, ball, curve_along, fixpoint_labels
+from .graph import Curve, MetricGraph, curve_along
 
 # Base additive tolerance; interpolation error of a Lipschitz rhs adds
 # Lip(f) * h_max on top of it (see default_check_tol).
@@ -39,7 +39,7 @@ class CheckReport:
     ``passed`` holds iff every judged residual is <= tol.  ``excluded`` items
     are reported but not judged (e.g. boundary-adjacent vertices in the
     regularity check).  ``details`` carries check-specific extras such as
-    witness curves or Lipschitz certificates.
+    witness curves.
     """
 
     name: str
@@ -133,7 +133,6 @@ def check_c_subsolution(
     u: ScalarField,
     f: ScalarField,
     tol: float = 0.0,
-    certificate_centers: int = 6,
 ) -> CheckReport:
     """Along-curves subsolution check, reduced to every oriented edge.
 
@@ -143,14 +142,10 @@ def check_c_subsolution(
     Bellman fixpoints satisfy this with residual exactly zero, hence the
     default tolerance 0.
 
-    A local Lipschitz certificate over sampled metric balls is attached to
-    the report details, not judged: per center x0, the largest
-    |u(x) - u(y)| - d(x, y) * sup f over pairs in the ball of radius
-    r = 2 h_max, with sup f taken on the ball of radius 2r.  Its searches
-    are bounded, so a row costs O(|ball|^2) label settings rather than
-    O(|ball| * |V|): member x stops past d(x, x0) + max d(x0, y) over the
-    members y it is paired with, which bounds d(x, y) by the triangle
-    inequality.  The distances are bit-identical to full searches.
+    Summed along a shortest path, the edge residuals also bound the local
+    Lipschitz excess: u(x) - u(y) <= d(x, y) * sup f + k * tol over the k
+    edges of the path, up to rounding, with sup f taken over the path's
+    vertices.
     """
     uv = u.values
     residuals: dict[str, float] = {}
@@ -159,34 +154,7 @@ def check_c_subsolution(
         for y, c in nbrs:
             # same operation order as the solver: compare u[x] with fl(u[y] + c)
             residuals[f"{x}->{y}"] = max(ux - (uv[y] + c), 0.0)
-
-    cert_rows: list[tuple[str, float, int, float]] = []
-    n = len(g.vertices)
-    stride = max(1, n // max(1, certificate_centers))
-    radius = 2.0 * g.h_max
-    for x0 in g.vertices[::stride][:certificate_centers]:
-        inner = ball(g, x0, radius).members
-        supf = max(f.values[v] for v in ball(g, x0, 2.0 * radius).members)
-        members = list(inner)  # id order
-        worst = 0.0
-        pairs = 0
-        for i, x in enumerate(members[:-1]):
-            later = members[i + 1 :]
-            # 1 + REL_TOL covers the rounding of float path sums, whose
-            # relative error stays below |V| * 2^-53
-            reach = (inner[x] + max(inner[y] for y in later)) * (1.0 + REL_TOL)
-            dist = fixpoint_labels(g.adjacency, {x: 0.0}, limit=reach)
-            for y in later:
-                viol = abs(uv[x] - uv[y]) - dist[y] * supf
-                worst = max(worst, viol)
-                pairs += 1
-        cert_rows.append((x0, radius, pairs, worst))
-    return CheckReport(
-        name="csub",
-        tol=tol,
-        residuals=residuals,
-        details={"lipschitz_certificate": cert_rows},
-    )
+    return CheckReport(name="csub", tol=tol, residuals=residuals)
 
 
 def _argmin_step(u: ScalarField, nbrs: tuple[tuple[str, float], ...]) -> tuple[str | None, float]:
@@ -202,10 +170,10 @@ def _argmin_step(u: ScalarField, nbrs: tuple[tuple[str, float], ...]) -> tuple[s
     return best_y, best
 
 
-def _descent(g: MetricGraph, u: ScalarField, costs: dict, start: str, limit: int) -> Curve:
+def _descent(g: MetricGraph, u: ScalarField, costs: dict, start: str) -> Curve:
     path = [start]
     x = start
-    for _ in range(limit):
+    for _ in range(len(g.vertices)):
         if x in g.boundary:
             break
         best_y, _ = _argmin_step(u, costs[x])
@@ -217,31 +185,20 @@ def _descent(g: MetricGraph, u: ScalarField, costs: dict, start: str, limit: int
     return curve_along(g, path)
 
 
-def descent_curve(
-    g: MetricGraph,
-    u: ScalarField,
-    f: ScalarField,
-    start: str,
-    max_steps: int | None = None,
-) -> Curve:
+def descent_curve(g: MetricGraph, u: ScalarField, f: ScalarField, start: str) -> Curve:
     """Greedy concatenation of argmin neighbors: the discrete optimal curve.
 
     From each vertex, steps to the neighbor minimizing edge cost plus value
     (ties to the smallest id); stops at a boundary vertex, at a vertex that
-    beats all its neighbors, or after max_steps edges.
+    beats all its neighbors, or after |V| edges.
     """
     if not g.has_vertex(start):
         raise GraphError(f"unknown vertex {start!r}")
-    limit = max_steps if max_steps is not None else len(g.vertices)
-    return _descent(g, u, cost_adjacency(g, f), start, limit)
+    return _descent(g, u, cost_adjacency(g, f), start)
 
 
 def check_c_supersolution(
-    g: MetricGraph,
-    u: ScalarField,
-    f: ScalarField,
-    eps: float | None = None,
-    witness_start: str | None = None,
+    g: MetricGraph, u: ScalarField, f: ScalarField, eps: float | None = None
 ) -> CheckReport:
     """Epsilon-optimal-curve supersolution check at interior vertices.
 
@@ -249,33 +206,26 @@ def check_c_supersolution(
     u(x) >= cost(x, y) + u(y) - eps; the per-vertex margin
     u(x) - min_y (cost + u(y)) + eps must be nonnegative.  The report stores
     the violation [-margin]+ as the residual (tol 0), keeping the pass rule
-    "all residuals <= tol"; raw margins live in details.  A greedy descent
-    curve from the deepest vertex (or from witness_start) is attached as the
-    epsilon-optimal curve witness.
+    "all residuals <= tol".  A greedy descent curve from the first failing
+    vertex, else from the deepest one, is attached as the epsilon-optimal
+    curve witness.
     """
     if eps is None:
         eps = default_check_tol(g, f)
     costs = cost_adjacency(g, f)
     residuals: dict[str, float] = {}
-    margins: dict[str, float] = {}
     for x in g.interior:
         best_y, best = _argmin_step(u, costs[x])
         if best_y is None:
             raise GraphError(f"vertex {x!r} is isolated")
-        margin = u[x] - best + eps
-        margins[x] = margin
-        residuals[x] = max(-margin, 0.0)
+        residuals[x] = max(-(u[x] - best + eps), 0.0)
 
-    details: dict = {"eps": eps, "margins": margins}
-    start = witness_start
+    details: dict = {"eps": eps}
+    start = next((x for x, r in sorted(residuals.items()) if r > 0.0), None)
     if start is None:
-        failures = [x for x, r in sorted(residuals.items()) if r > 0.0]
-        if failures:
-            start = failures[0]
-        elif g.interior:
-            start = max(g.interior, key=lambda v: (u[v], v))
+        start = max(g.interior, key=lambda v: (u[v], v), default=None)
     if start is not None:
-        details["witness"] = _descent(g, u, costs, start, len(g.vertices))
+        details["witness"] = _descent(g, u, costs, start)
     return CheckReport(name="csuper", tol=0.0, residuals=residuals, details=details)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConnectivityError, FieldError, ProblemError
+from .errors import FieldError, ProblemError
 from .fields import (
     DEFAULT_POSITIVITY_THRESHOLD,
     ScalarField,
@@ -114,8 +114,10 @@ def solve_dirichlet(p: DirichletProblem) -> ValueFunction:
     adjacency = cost_adjacency(g, p.f)
     seeds = {y: p.zeta[y] for y in g.boundary}
     u = fixpoint_labels(adjacency, seeds)
+    # the graph is connected and the data finite, so an inf label is an overflow
     if any(math.isinf(val) for val in u.values()):
-        raise ConnectivityError("some vertices are unreachable from the boundary")
+        v = next(v for v in g.vertices if math.isinf(u[v]))
+        raise ProblemError(f"the cost of reaching vertex {v!r} overflows binary64")
 
     return value_function(g, adjacency, seeds, u)
 

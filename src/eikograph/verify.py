@@ -212,7 +212,6 @@ def equivalence_suite(
     f_spec: str = "const:1",
     zeta_spec: str = "const:0",
     levels: int = 3,
-    positivity_threshold: float = 1e-9,
 ) -> SuiteReport:
     """Solve on refinements of a fixture and certify all four checks per level.
 
@@ -235,7 +234,7 @@ def equivalence_suite(
         f = field_from_expression(g, f_spec, "rhs_f")
         zeta = field_from_expression(g, zeta_spec, "boundary_zeta")
         tol = default_check_tol(g, f)
-        vf = solve_dirichlet(DirichletProblem(g, f, zeta, threshold=positivity_threshold))
+        vf = solve_dirichlet(DirichletProblem(g, f, zeta))
 
         reports: list[CheckReport] = [
             check_monge(g, vf.u, f, tol=tol),

@@ -181,8 +181,9 @@ def pairwise_boundary_certificate(problem, u):
 
 
 def lipschitz_certificate_rows(graph, u, f, certificate_centers=6):
-    """Rows (center, radius, pairs, worst) of the local Lipschitz certificate
-    of the along-curves subsolution check, from full distance searches.
+    """Rows (center, radius, pairs, worst) of a local Lipschitz certificate,
+    from full distance searches.  A u that passes the along-curves
+    subsolution check at tol 0 has worst 0 up to rounding.
 
     Centers are every (|V| // centers)-th vertex in id order; per center the
     members are the vertices at distance < r = 2 h_max, sup f is taken over

@@ -372,6 +372,33 @@ class TestErrorsAndConfig:
         assert code == 2
         assert message in self.assert_one_error_line(capsys)
 
+    def test_refine_infinite_h_max_keeps_graph(self, tmp_path):
+        g_path = tmp_path / "g.json"
+        r_path = tmp_path / "r.json"
+        run_cli("fixture", "--name", "interval", "--n", "4", "--out", str(g_path))
+        assert run_cli("refine", "--graph", str(g_path), "--h-max", "inf", "--out", str(r_path)) == 0
+        assert r_path.read_bytes() == g_path.read_bytes()
+
+    @pytest.mark.parametrize("h_max", ["1e-320", "1e-300"])
+    def test_refine_tiny_h_max_exits_2(self, tmp_path, capsys, h_max):
+        # used to end in OverflowError (1e-320) or MemoryError (1e-300)
+        g_path = tmp_path / "g.json"
+        run_cli("fixture", "--name", "interval", "--n", "4", "--out", str(g_path))
+        capsys.readouterr()
+        code = run_cli("refine", "--graph", str(g_path), "--h-max", h_max,
+                       "--out", str(tmp_path / "r.json"))
+        assert code == 2
+        assert f"h_max {h_max}" in self.assert_one_error_line(capsys)
+
+    def test_overflowing_cost_is_not_called_unreachable(self, tmp_path, capsys):
+        g_path = tmp_path / "g.json"
+        run_cli("fixture", "--name", "grid", "--n", "3", "--out", str(g_path))
+        capsys.readouterr()
+        code = run_cli("solve", "--graph", str(g_path), "--f", "const:1e308", "--zeta", "const:0",
+                       "--out", str(tmp_path / "u.csv"))
+        assert code == 2
+        assert "vertex 'v1_1' overflows binary64" in self.assert_one_error_line(capsys)
+
     def test_output_colliding_with_input_exits_2(self, tmp_path):
         g_path = tmp_path / "g.json"
         run_cli("fixture", "--name", "interval", "--n", "4", "--out", str(g_path))

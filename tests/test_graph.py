@@ -353,6 +353,24 @@ class TestRefine:
         g = build_graph(interval_spec())
         assert refine(g, g.h_max) is g
         assert refine(g, 10.0) is g
+        assert refine(g, math.inf) is g  # used to divide by zero parts
+
+    @pytest.mark.parametrize("h_max", [1e-320, 1e-300])
+    def test_h_max_too_small_rejected_before_splitting(self, h_max):
+        # 1e-320 makes length / h_max inf; 1e-300 asks for ~1e299 vertices
+        g = build_graph(interval_spec())
+        with pytest.raises(ValidationError, match="h_max"):
+            refine(g, h_max)
+
+    def test_vertex_limit_is_inclusive(self, monkeypatch):
+        import eikograph.graph as graph_module
+
+        g = build_graph(interval_spec())  # h 0.25 adds one vertex per edge
+        monkeypatch.setattr(graph_module, "MAX_REFINE_VERTICES", 4)
+        assert len(refine(g, 0.25).vertices) == 9
+        monkeypatch.setattr(graph_module, "MAX_REFINE_VERTICES", 3)
+        with pytest.raises(ValidationError, match="more than 3 vertices"):
+            refine(g, 0.25)
 
     def test_exact_multiple_does_not_overshoot(self):
         g = build_graph({

@@ -179,17 +179,6 @@ class TestCheckCSubsolution:
             vf = solve_dirichlet(DirichletProblem(g, f, z))
             assert check_c_subsolution(g, vf.u, f, tol=0.0).passed
 
-    def test_lipschitz_certificate_attached(self):
-        g = fixture("grid", n=8).graph
-        f = constant_field(g, 1.0, "rhs_f")
-        z = constant_field(g, 0.0, "boundary_zeta")
-        vf = solve_dirichlet(DirichletProblem(g, f, z))
-        report = check_c_subsolution(g, vf.u, f)
-        rows = report.details["lipschitz_certificate"]
-        assert rows
-        for _center, _radius, pairs, worst in rows:
-            assert worst <= 1e-12
-
 
 class TestCheckCSupersolution:
     def test_distance_cone_passes_with_eps_zero(self):

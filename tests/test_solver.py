@@ -326,6 +326,14 @@ class TestProblemValidation:
         with pytest.raises(FieldError):
             DirichletProblem(g, f, z)
 
+    def test_overflowing_cost_raises_problem_error(self):
+        # 0.5 * (1e308 + 1e308) is inf: every interior label overflows
+        g = fixture("grid", n=3).graph
+        f = constant_field(g, 1e308, "rhs_f")
+        z = constant_field(g, 0.0, "boundary_zeta")
+        with pytest.raises(ProblemError, match="vertex 'v1_1' overflows binary64"):
+            solve_dirichlet(DirichletProblem(g, f, z))
+
     def test_threshold_zero_allows_zero_rhs(self):
         g = fixture("interval", n=10).graph
         f = constant_field(g, 0.0, "rhs_f")

@@ -6,7 +6,8 @@ Each argument is a directory that holds the ``eikograph`` package (a
 checkout's ``src``).  The same fixed command list runs once with each on
 ``PYTHONPATH``, in its own temporary directory: fixtures, solve with --plot
 and --certify, solve-h with --h-out, the four checks with --report, compare,
-suite, induce-metric and refine, on valid input.  Every output file, each
+suite, induce-metric, and refine both with a split and with an h_max
+that splits no edge, on valid input.  Every output file, each
 command's stdout and stderr and the list of exit codes are then compared
 byte for byte.  Exits 0 when all are identical, else 1 with the differing
 files listed.  Standard library only.
@@ -70,6 +71,7 @@ COMMANDS = [
     ["induce-metric", "--points", "points.csv", "--edges", "ring.csv", "--boundary", "c00,c30",
      "--pairs", "64", "--out", "induced.json", "--probe-out", "probe.csv"],
     ["refine", "--graph", "gasket.json", "--h-max", "0.05", "--out", "refined.json"],
+    ["refine", "--graph", "gasket.json", "--h-max", "1e9", "--out", "unrefined.json"],
 ]
 
 
