@@ -54,29 +54,26 @@ def field_on(g: MetricGraph, values: Mapping[str, float], role: str) -> ScalarFi
     """Validate and wrap vertex values as a field with the given role."""
     if role not in ROLES:
         raise FieldError(f"unknown field role {role!r}; expected one of {ROLES}")
-    vals = {str(v): float(x) for v, x in values.items()}
+    vals = dict(zip(map(str, values.keys()), map(float, values.values())))
     if not math.isfinite(sum(vals.values())):  # one C-level pass; finite values may still overflow the sum
         bad = sorted(v for v, x in vals.items() if not math.isfinite(x))
         if bad:
             raise FieldError(f"field ({role}) has non-finite value {vals[bad[0]]!r} at vertex {bad[0]!r}")
-    unknown = set(vals) - set(g.vertices)
-    if unknown:
-        raise FieldError(f"field values at unknown vertices {sorted(unknown)[:5]}")
+    index = g.index
+    if not vals.keys() <= index.keys():
+        raise FieldError(f"field values at unknown vertices {sorted(vals.keys() - index.keys())[:5]}")
     if role == "boundary_zeta":
-        missing = g.boundary - set(vals)
+        missing = g.boundary.difference(vals)
         if missing:
             raise FieldError(f"boundary data missing at {sorted(missing)[:5]}")
-        extra = set(vals) - g.boundary
+        extra = vals.keys() - g.boundary
         if extra:
             raise FieldError(f"boundary data given at non-boundary vertices {sorted(extra)[:5]}")
-    else:
-        missing = set(g.vertices) - set(vals)
-        if missing:
-            raise FieldError(f"field ({role}) missing values at {sorted(missing)[:5]}")
-    if role == "rhs_f":
+    elif len(vals) < len(index):  # every id is known, so some are missing
+        raise FieldError(f"field ({role}) missing values at {sorted(index.keys() - vals.keys())[:5]}")
+    if role == "rhs_f" and min(vals.values()) < 0.0:
         neg = [(v, x) for v, x in vals.items() if x < 0.0]
-        if neg:
-            raise FieldError(f"rhs field has negative values, e.g. {sorted(neg)[:3]}")
+        raise FieldError(f"rhs field has negative values, e.g. {sorted(neg)[:3]}")
     return ScalarField(graph=g, values=vals, role=role)
 
 
@@ -145,15 +142,17 @@ def cost_adjacency(g: MetricGraph, f: ScalarField) -> dict[str, tuple[tuple[str,
     """
     if f.role != "rhs_f":
         raise FieldError(f"edge costs need a rhs_f field, got role {f.role!r}")
-    fv = f.values
-    adj: dict[str, tuple[tuple[str, float], ...]] = {}
+    fl, vs = field_list(g, f), g.vertices
+    return {v: tuple([(vs[y], 0.5 * (fx + fl[y]) * length) for y, length in zip(nbrs, lens)])
+            for v, fx, nbrs, lens in zip(vs, fl, g.nbrs, g.lens)}
+
+
+def field_list(g: MetricGraph, f: ScalarField) -> list[float]:
+    """f's values by vertex index, as :func:`settle` takes them."""
     try:
-        for x, nbrs in g.adjacency.items():
-            fx = fv[x]
-            adj[x] = tuple([(y, 0.5 * (fx + fv[y]) * length) for y, length in nbrs])
+        return list(map(f.values.__getitem__, g.vertices))
     except KeyError as exc:
         raise FieldError(f"field ({f.role}) has no value at vertex {exc.args[0]!r}")
-    return adj
 
 
 def validate_field(f: ScalarField, positivity_threshold: float = DEFAULT_POSITIVITY_THRESHOLD) -> FieldReport:

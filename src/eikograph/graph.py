@@ -15,6 +15,7 @@ import math
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .errors import ConnectivityError, GraphError, MetricError, ValidationError
@@ -44,14 +45,38 @@ class MetricGraph:
 
     ``edges`` maps canonical sorted pairs to positive lengths.  ``coords`` is
     optional per vertex and only feeds embedding-derived metrics and plot
-    output.  ``adjacency`` is derived and excluded from equality.
+    output.  Vertex i is ``vertices[i]`` (sorted ids); construction derives
+    ``index`` (id -> i) and, per vertex, neighbour indices ``nbrs[i]`` and
+    lengths ``lens[i]`` in id order, which :func:`settle` runs on.
     """
 
     vertices: tuple[str, ...]
     edges: dict[tuple[str, str], float]
     boundary: frozenset[str]
     coords: dict[str, tuple[float, ...]]
-    adjacency: dict[str, tuple[tuple[str, float], ...]] = field(compare=False, repr=False)
+    index: dict[str, int] = field(init=False, compare=False, repr=False)
+    nbrs: tuple[list[int], ...] = field(init=False, compare=False, repr=False)
+    lens: tuple[list[float], ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        index = {v: i for i, v in enumerate(self.vertices)}
+        nbrs, lens = tuple([] for _ in index), tuple([] for _ in index)
+        # sorted canonical keys list each vertex's smaller neighbours, then
+        # its larger ones, each in id order: every list comes out sorted
+        for (a, b), length in sorted(self.edges.items()):
+            i, j = index[a], index[b]
+            nbrs[i].append(j)
+            lens[i].append(length)
+            nbrs[j].append(i)
+            lens[j].append(length)
+        for name, value in (("index", index), ("nbrs", nbrs), ("lens", lens)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def adjacency(self) -> dict[str, tuple[tuple[str, float], ...]]:
+        """(neighbour id, length) pairs per vertex in id order; built on first use."""
+        vs = self.vertices
+        return {v: tuple(zip([vs[j] for j in nb], ln)) for v, nb, ln in zip(vs, self.nbrs, self.lens)}
 
     @property
     def interior(self) -> tuple[str, ...]:
@@ -62,7 +87,7 @@ class MetricGraph:
         return max(self.edges.values())
 
     def has_vertex(self, v: str) -> bool:
-        return v in self.adjacency
+        return v in self.index
 
     def neighbors(self, v: str) -> tuple[tuple[str, float], ...]:
         try:
@@ -167,8 +192,9 @@ def _finalize(
             raise ValidationError(f"self-loop at vertex {a!r}")
         if a not in vset or b not in vset:
             raise ValidationError(f"edge ({a!r}, {b!r}) references unknown vertex")
-        if not (length > 0.0) or not math.isfinite(length):
-            raise ValidationError(f"edge ({a!r}, {b!r}) has nonpositive length {length!r}")
+        if not (0.0 < length < math.inf):
+            raise ValidationError(f"edge ({a!r}, {b!r}) has length {length!r}; "
+                                  "a length must be a positive finite number")
         k = edge_key(a, b)
         # parallel edges collapse to the shorter length
         if k not in clean or length < clean[k]:
@@ -179,12 +205,6 @@ def _finalize(
     if unknown:
         raise ValidationError(f"boundary references unknown vertices {sorted(unknown)}")
 
-    adj: dict[str, list[tuple[str, float]]] = {v: [] for v in vs}
-    for (a, b), length in clean.items():
-        adj[a].append((b, length))
-        adj[b].append((a, length))
-    adjacency = {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
-
     cmap: dict[str, tuple[float, ...]] = {}
     if coords:
         for v, xy in coords.items():
@@ -193,7 +213,7 @@ def _finalize(
             cmap[v] = tuple(float(c) for c in xy)
         _require_coords(cmap)
 
-    g = MetricGraph(vertices=vs, edges=clean, boundary=bset, coords=cmap, adjacency=adjacency)
+    g = MetricGraph(vertices=vs, edges=clean, boundary=bset, coords=cmap)
     _require_connected(g)
     return g
 
@@ -211,16 +231,14 @@ def _require_coords(coords: Mapping[str, Sequence[float]]) -> None:
 
 
 def _require_connected(g: MetricGraph) -> None:
-    seen = {g.vertices[0]}
-    stack = [g.vertices[0]]
+    seen, stack = [True] + [False] * (len(g.vertices) - 1), [0]
     while stack:
-        v = stack.pop()
-        for w, _ in g.adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != len(g.vertices):
-        missing = sorted(set(g.vertices) - seen)[:5]
+        for j in g.nbrs[stack.pop()]:
+            if not seen[j]:
+                seen[j] = True
+                stack.append(j)
+    if not all(seen):
+        missing = [v for v, s in zip(g.vertices, seen) if not s][:5]
         raise ConnectivityError(f"graph is disconnected; unreachable vertices include {missing}")
 
 
@@ -375,82 +393,73 @@ def read_graph(path: str) -> MetricGraph:
     return build_graph(read_json(path))
 
 
-def fixpoint_labels(
-    adjacency: Mapping[str, Sequence[tuple[str, float]]],
-    seeds: Mapping[str, float],
+def settle(
+    g: MetricGraph,
+    seeds: Iterable[tuple[int, float]],
+    fl: Sequence[float] | None = None,
+    scale: float = 1.0,
     limit: float = math.inf,
-) -> dict[str, float]:
-    """Exact binary64 fixpoint of the Bellman labeling operator.
+) -> tuple[list[float], list[int], list[int]]:
+    """Exact binary64 fixpoint of the Bellman labeling operator on ``g``.
 
-    Returns the unique labels with u(x) = min(seed(x), min over neighbors y of
-    fl(u(y) + w(x, y))), computed by one multi-source Dijkstra pass.  Under
-    round-to-nearest, fl(d + w) is nondecreasing in d and >= d for w >= 0, so
-    labels pop in nondecreasing order and a popped label is final: no later
-    pop can lower it.  The labels therefore satisfy the fixpoint equations
-    exactly in floating point and are bit-identical to exhaustive value
-    iteration from the same seeds.
+    ``seeds`` are (vertex index, datum) pairs at distinct vertices.  Edge
+    (x, y) costs 0.5 * (fl[x] + fl[y]) * length * scale, computed as it is
+    relaxed (with no ``fl``, exactly length * scale).  One multi-source
+    Dijkstra pass gives the unique u with u(x) = min(datum(x), min over
+    neighbours y of fl(u(y) + cost)).  fl(d + c) is nondecreasing in d and
+    >= d for c >= 0, so labels pop in nondecreasing order, ties by index (id
+    order), and a popped label is final: bit-identical to value iteration.
 
-    The returned dict lists vertices in settle (pop) order, then the
-    vertices no seed reaches, at inf, in ``adjacency`` order.  Every settled
-    vertex other than a seed at its own datum has a neighbor settled before
-    it whose label plus edge weight equals its label exactly.
-
-    A finite ``limit`` stops the pass once the next pop exceeds it and
-    returns only the settled vertices: every vertex with label <= limit,
-    each label bit-identical to the unbounded pass, since the pops are a
-    prefix of its pop sequence.
+    Returns lists by index: labels; the settle order, then the unreached
+    vertices (label inf) in id order; and parents, picked at settle time.
+    A seed at its own datum is its own parent; any other vertex takes the
+    first neighbour in id order settled before it whose label plus cost
+    equals its label (the one that set the label qualifies); unreached
+    vertices have -1.  A finite ``limit`` stops before the first pop above
+    it, leaving a prefix of the unbounded order with the same labels.
     """
-    if not seeds:
-        raise ValidationError("fixpoint_labels needs at least one seeded vertex")
-    dist: dict[str, float] = {v: math.inf for v in adjacency}
-    heap: list[tuple[float, str]] = []
-    for v, d0 in seeds.items():
-        if v not in dist:
-            raise GraphError(f"seed at unknown vertex {v!r}")
-        if d0 < dist[v]:
-            dist[v] = d0
-            heapq.heappush(heap, (d0, v))
-    settled: dict[str, float] = {}
+    nbrs, lens = g.nbrs, g.lens
+    n = len(nbrs)
+    if fl is None:
+        fl = [1.0] * n
+    datum = dict(seeds)
+    if not datum:
+        raise ValidationError("label setting needs at least one seed")
+    dist = [math.inf] * n
+    parent = [-1] * n  # >= 0 exactly for the settled vertices
+    heap = sorted((d0, x) for x, d0 in datum.items() if d0 < math.inf)  # sorted: a heap
+    for d0, x in heap:
+        dist[x] = d0
+    pop, push = heapq.heappop, heapq.heappush
+    order: list[int] = []
     while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist[v]:
+        d, x = pop(heap)
+        if parent[x] >= 0:
             continue
         if d > limit:
-            return settled
-        settled[v] = d
-        for w, c in adjacency[v]:
-            cand = d + c
-            if cand < dist[w]:
-                dist[w] = cand
-                heapq.heappush(heap, (cand, w))
-    if limit == math.inf:
-        settled.update(dist)
-    return settled
+            return dist, order, parent
+        order.append(x)
+        p = x if datum.get(x) == d else -1
+        fx = fl[x]
+        for y, length in zip(nbrs[x], lens[x]):
+            c = 0.5 * (fx + fl[y]) * length * scale
+            if parent[y] >= 0:
+                if p < 0 and d == dist[y] + c:
+                    p = y
+            elif (t := d + c) < dist[y]:
+                dist[y] = t
+                push(heap, (t, y))
+        parent[x] = p
+    if len(order) < n and limit == math.inf:
+        order += [x for x in range(n) if parent[x] < 0]
+    return dist, order, parent
 
 
-def settle_parents(
-    adjacency: Mapping[str, Sequence[tuple[str, float]]],
-    seeds: Mapping[str, float],
-    labels: Mapping[str, float],
-) -> dict[str, str]:
-    """Shortest-path forest of a :func:`fixpoint_labels` result.
-
-    Walks ``labels`` in settle order once.  A seed whose label equals its
-    datum is its own parent; any other settled x takes the first neighbor y
-    in adjacency order that was settled before x and satisfies
-    labels[x] == fl(labels[y] + w(x, y)).  Such a neighbor always exists, so
-    every settled vertex gets a parent, listed after its parent.
-    """
-    parent: dict[str, str] = {}
-    for x, ux in labels.items():
-        if x in seeds and ux == seeds[x]:
-            parent[x] = x
-            continue
-        for y, c in adjacency[x]:
-            if y in parent and ux == labels[y] + c:
-                parent[x] = y
-                break
-    return parent
+def _vertex_index(g: MetricGraph, v: str) -> int:
+    try:
+        return g.index[v]
+    except KeyError:
+        raise GraphError(f"unknown vertex {v!r}")
 
 
 def curve_along(g: MetricGraph, vertices: Sequence[str]) -> Curve:
@@ -467,35 +476,32 @@ def intrinsic_distance(g: MetricGraph, x: str, y: str) -> tuple[float, Curve]:
     """Intrinsic distance between two vertices and a witness shortest path.
 
     On a finite graph the infimum of curve lengths is attained by a vertex
-    path; the witness walks the :func:`settle_parents` forest from y back to
-    x, so its total length equals the reported distance.
+    path; the witness walks the :func:`settle` parents from y back to x, so
+    its total length equals the reported distance.
     """
-    if not g.has_vertex(x):
-        raise GraphError(f"unknown vertex {x!r}")
-    if not g.has_vertex(y):
-        raise GraphError(f"unknown vertex {y!r}")
-    seeds = {x: 0.0}
-    dist = fixpoint_labels(g.adjacency, seeds)
-    parent = settle_parents(g.adjacency, seeds, dist)
-    path = [y]
-    while path[-1] != x:
+    i, j = _vertex_index(g, x), _vertex_index(g, y)
+    dist, _, parent = settle(g, [(i, 0.0)])
+    if dist[j] == math.inf:
+        raise MetricError(f"the distance from {x!r} to {y!r} overflows binary64")
+    path = [j]
+    while path[-1] != i:
         path.append(parent[path[-1]])
-    return dist[y], curve_along(g, path[::-1])
+    return dist[j], curve_along(g, [g.vertices[k] for k in reversed(path)])
 
 
 def distances_from(g: MetricGraph, sources: Iterable[str]) -> dict[str, float]:
-    """Intrinsic distances from a vertex set (edge lengths as weights)."""
-    return fixpoint_labels(g.adjacency, {s: 0.0 for s in sources})
+    """Intrinsic distances from a vertex set (edge lengths as weights), in
+    settle order."""
+    dist, order, _ = settle(g, [(_vertex_index(g, s), 0.0) for s in sources])
+    return {g.vertices[i]: dist[i] for i in order}
 
 
 def ball(g: MetricGraph, x: str, r: float) -> BallSet:
     """Open ball in the intrinsic metric: vertices at distance < r from x."""
     if not (r > 0.0):
         raise ValidationError(f"ball radius must be positive, got {r!r}")
-    if not g.has_vertex(x):
-        raise GraphError(f"unknown vertex {x!r}")
-    dist = fixpoint_labels(g.adjacency, {x: 0.0}, limit=r)
-    members = {v: d for v, d in sorted(dist.items()) if d < r}
+    dist, order, _ = settle(g, [(_vertex_index(g, x), 0.0)], limit=r)
+    members = {g.vertices[i]: dist[i] for i in sorted(order) if dist[i] < r}
     return BallSet(center=x, radius=r, members=members)
 
 
@@ -641,10 +647,10 @@ def induce_intrinsic(
     for a, b in pairs:
         by_source.setdefault(a, []).append(b)
     for a, targets in sorted(by_source.items()):
-        dist = fixpoint_labels(g.adjacency, {a: 0.0})
+        dist = settle(g, [(g.index[a], 0.0)])[0]
         for b in sorted(targets):
             d_chord = chord.dist(a, b)
-            d_int = dist[b]
+            d_int = dist[g.index[b]]
             if d_chord > d_int + ABS_TOL + REL_TOL * d_int:
                 raise MetricError(
                     f"chord distance exceeds intrinsic distance at ({a!r}, {b!r}): "

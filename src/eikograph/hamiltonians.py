@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .errors import CoercivityError, ConvergenceError, HamiltonianError, ValidationError
-from .fields import ScalarField, cost_adjacency, field_on
-from .graph import MetricGraph, fixpoint_labels
+from .fields import ScalarField, field_list, field_on
+from .graph import MetricGraph, settle
 from .slopes import CheckReport, slopes
-from .solver import DirichletProblem, ValueFunction, solve_dirichlet, value_function
+from .solver import DirichletProblem, ValueFunction, boundary_seeds, solve_dirichlet, value_function
 
 BRACKET_CAP = 2.0**40
 DEFAULT_P_MAX = 2.0**20
@@ -320,18 +320,18 @@ def solve_general(
     if H.rho_monotonicity == "independent":
         return vf, _reduce_field(H, g, u, bisect_tol, memo), 1
 
-    seeds = {y: zeta[y] for y in g.boundary}
+    seeds = boundary_seeds(g, zeta)
     history: list[float] = []
     for iteration in range(2, max_iter + 1):
         reduction = _reduce_field(H, g, u, bisect_tol, memo)
-        adjacency = cost_adjacency(g, reduction.h)
-        u_next = fixpoint_labels(adjacency, seeds)
+        run = settle(g, seeds, field_list(g, reduction.h))
+        u_next = dict(zip(g.vertices, run[0]))
         change = max(abs(u_next[v] - u[v]) for v in g.vertices)
         history.append(change)
         u = u_next
         if change <= tol:
             final = _reduce_field(H, g, u, bisect_tol, memo)
-            return value_function(g, adjacency, seeds, u), final, iteration
+            return value_function(g, zeta, run), final, iteration
     raise ConvergenceError(
         f"Picard iteration did not reach tol {tol} in {max_iter} iterations "
         f"(last change {history[-1] if history else math.nan})",

@@ -17,7 +17,7 @@ from .errors import FieldError, ProblemError
 from .fields import (
     DEFAULT_POSITIVITY_THRESHOLD,
     ScalarField,
-    cost_adjacency,
+    field_list,
     field_on,
     validate_field,
 )
@@ -27,8 +27,7 @@ from .graph import (
     MetricGraph,
     distances_from,
     edge_key,
-    fixpoint_labels,
-    settle_parents,
+    settle,
 )
 
 
@@ -104,65 +103,61 @@ def solve_dirichlet(p: DirichletProblem) -> ValueFunction:
     satisfy the discrete Bellman equation exactly in floating point, hence
     also the per-edge Lipschitz bound |u(x) - u(y)| <= cost(x, y).
 
-    Exits follow the settle order of that pass: a boundary vertex whose
-    label equals its datum exits at itself; any other x takes the exit of
-    the first neighbor y in id order that was settled before x and satisfies
-    u(x) == fl(u(y) + cost(x, y)).  Such a neighbor always exists, since the
-    vertex that set x's label was settled before x.
+    Exits follow the :func:`settle` parents: a boundary vertex whose label
+    equals its datum exits at itself; any other x takes the exit of the
+    first neighbor y in id order settled before x with u(x) == fl(u(y) +
+    cost(x, y)), which always exists.
     """
     g = p.graph
-    adjacency = cost_adjacency(g, p.f)
-    seeds = {y: p.zeta[y] for y in g.boundary}
-    u = fixpoint_labels(adjacency, seeds)
+    run = settle(g, boundary_seeds(g, p.zeta), field_list(g, p.f))
     # the graph is connected and the data finite, so an inf label is an overflow
-    if any(math.isinf(val) for val in u.values()):
-        v = next(v for v in g.vertices if math.isinf(u[v]))
+    if math.inf in run[0]:
+        v = g.vertices[run[0].index(math.inf)]
         raise ProblemError(f"the cost of reaching vertex {v!r} overflows binary64")
-
-    return value_function(g, adjacency, seeds, u)
-
-
-def value_function(
-    g: MetricGraph, adjacency, seeds: dict[str, float], u: dict[str, float]
-) -> ValueFunction:
-    """Wrap the labels of ``fixpoint_labels(adjacency, seeds)``, seeded on
-    the boundary, with each vertex's optimal exit (see
-    :func:`solve_dirichlet`) and each boundary datum's attainment."""
-    exit_vertex: dict[str, str] = {}
-    for x, y in settle_parents(adjacency, seeds, u).items():
-        exit_vertex[x] = x if y == x else exit_vertex[y]
-
-    attained = {y: u[y] == seeds[y] for y in sorted(g.boundary)}
-    return ValueFunction(u=field_on(g, u, "solution_u"), exit_vertex=exit_vertex, attained=attained)
+    return value_function(g, p.zeta, run)
 
 
-def _scaled(adjacency, k: float) -> dict[str, tuple[tuple[str, float], ...]]:
-    """An adjacency with every edge weight multiplied by k."""
-    return {x: tuple([(y, k * w) for y, w in nbrs]) for x, nbrs in adjacency.items()}
+def boundary_seeds(g: MetricGraph, data) -> list[tuple[int, float]]:
+    """:func:`settle` seeds: data[y] at each boundary vertex y."""
+    return [(g.index[y], data[y]) for y in g.boundary]
+
+
+def value_function(g: MetricGraph, zeta: ScalarField, run) -> ValueFunction:
+    """A :func:`settle` run seeded with zeta on the boundary as u, each
+    vertex's exit (see :func:`solve_dirichlet`) and each datum's attainment."""
+    dist, order, exits = run  # parents, turned into exits in settle order
+    names = g.vertices
+    u = field_on(g, {names[x]: dist[x] for x in order}, "solution_u")
+    for x in order:
+        exits[x] = exits[exits[x]]  # a parent's entry is already its exit
+    exit_vertex = {names[x]: names[exits[x]] for x in order}
+    attained = {y: u[y] == zeta[y] for y in sorted(g.boundary)}
+    return ValueFunction(u=u, exit_vertex=exit_vertex, attained=attained)
 
 
 def _undercuts(
-    g: MetricGraph, adjacency, seeds: dict[str, float]
-) -> tuple[dict[str, float], list[tuple[float, float]]]:
+    g: MetricGraph, seeds: dict[str, float], fl=None, scale: float = 1.0
+) -> tuple[list[float], list[tuple[float, float]]]:
     """One multi-source solve, plus (zeta(y) - zeta(source), path length)
     for every seed y whose label another seed undercuts.
 
-    The source and the path come from the :func:`settle_parents` forest.
-    Each rise / length is the increment ratio of a realized boundary pair
-    over a path no shorter than their distance, so it is at most the
-    boundary Lipschitz constant L.
+    The source and the path come from the :func:`settle` parents.  Each
+    rise / length is the increment ratio of a realized boundary pair over a
+    path no shorter than their distance, so it is at most the boundary
+    Lipschitz constant L.
     """
-    labels = fixpoint_labels(adjacency, seeds)
-    if all(labels[y] == zy for y, zy in seeds.items()):
+    labels, order, parent = settle(g, boundary_seeds(g, seeds), fl, scale)
+    index = g.index
+    if all(labels[index[y]] == zy for y, zy in seeds.items()):
         return labels, []
-    source: dict[str, str] = {}
-    length: dict[str, float] = {}
-    for x, y in settle_parents(adjacency, seeds, labels).items():
-        if y == x:
-            source[x], length[x] = x, 0.0
-        else:
-            source[x], length[x] = source[y], length[y] + g.edges[edge_key(x, y)]
-    rises = [(zy - seeds[source[y]], length[y]) for y, zy in seeds.items() if source[y] != y]
+    names = g.vertices
+    source, length = list(range(len(names))), [0.0] * len(names)
+    for x in order:
+        y = parent[x]
+        if 0 <= y != x:  # -1: unreached
+            source[x], length[x] = source[y], length[y] + g.edges[edge_key(names[x], names[y])]
+    rises = [(zy - seeds[names[source[i]]], length[i])
+             for y, zy in seeds.items() if source[i := index[y]] != i]
     return labels, rises
 
 
@@ -192,7 +187,7 @@ def _lipschitz_on_boundary(
     if k == 0.0 and min(seeds.values()) == max(seeds.values()):
         return 0.0, None  # constant data has no increment
     while True:
-        _labels, rises = _undercuts(g, _scaled(g.adjacency, k), seeds)
+        _labels, rises = _undercuts(g, seeds, scale=k)
         best, steeper = _steepest(rises, k)
         if steeper is None:
             return k, witness
@@ -236,15 +231,15 @@ def check_boundary_consistency(p: DirichletProblem, vf: ValueFunction) -> Bounda
     sup_f = max(p.f.values.values())
     slack = 1.0 + REL_TOL
 
-    def holds(adjacency, seeds, a, judged) -> bool:
-        labels = fixpoint_labels(adjacency, seeds)
-        return all(a[x] <= labels[x] + ABS_TOL for x in judged)
+    def holds(scale: float, seeds, a, judged) -> bool:
+        labels = settle(g, boundary_seeds(g, seeds), scale=scale)[0]
+        return all(a[x] <= labels[g.index[x]] + ABS_TOL for x in judged)
 
     def value_bound(k: float, seeds, a) -> bool:
-        return holds(_scaled(g.adjacency, k * slack), seeds, a, g.interior)
+        return holds(k * slack, seeds, a, g.interior)
 
-    curve_labels, rises = _undercuts(g, _scaled(cost_adjacency(g, p.f), slack), zeta)
-    curve_ok = all(zy <= curve_labels[y] + ABS_TOL for y, zy in zeta.items())
+    curve_labels, rises = _undercuts(g, zeta, field_list(g, p.f), slack)
+    curve_ok = all(zy <= curve_labels[g.index[y]] + ABS_TOL for y, zy in zeta.items())
 
     lipschitz_L, witness = _lipschitz_on_boundary(g, zeta, rises)
     if lipschitz_L <= inf_f:
@@ -252,7 +247,7 @@ def check_boundary_consistency(p: DirichletProblem, vf: ValueFunction) -> Bounda
     elif witness[0] > witness[1] * inf_f * slack + ABS_TOL:
         zeta_ok = False  # the pair that attains L violates the condition
     else:
-        zeta_ok = holds(_scaled(g.adjacency, inf_f * slack), zeta, zeta, zeta)
+        zeta_ok = holds(inf_f * slack, zeta, zeta, zeta)
 
     weak_constant = max(lipschitz_L, sup_f)
     weak_ok = value_bound(weak_constant, zeta, u)

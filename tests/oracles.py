@@ -4,19 +4,25 @@ These deliberately avoid the library's solver path: values come from
 exhaustive Jacobi value iteration (Bellman-Ford style full sweeps from the
 seeds), distances from the same iteration with edge lengths as costs, and
 path sums from direct summation.  The general-Hamiltonian references keep
-the plain bisection and Picard loop the fast path must reproduce bit for bit.
+the plain bisection and Picard loop the fast path must reproduce bit for bit,
+and the string-keyed label setting and settle-parent walk are the reference
+the integer kernel must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+from typing import Mapping, Sequence
 
 from eikograph import (
     CoercivityError,
     ConvergenceError,
     DirichletProblem,
+    GraphError,
     HamiltonianError,
     ReductionField,
+    ValidationError,
     field_on,
     solve_dirichlet,
     validate_hamiltonian,
@@ -46,6 +52,84 @@ def value_iteration(graph, costs, seeds):
         if new == u:
             return u
         u = new
+
+
+def fixpoint_labels(
+    adjacency: Mapping[str, Sequence[tuple[str, float]]],
+    seeds: Mapping[str, float],
+    limit: float = math.inf,
+) -> dict[str, float]:
+    """Exact binary64 fixpoint of the Bellman labeling operator.
+
+    Returns the unique labels with u(x) = min(seed(x), min over neighbors y of
+    fl(u(y) + w(x, y))), computed by one multi-source Dijkstra pass.  Under
+    round-to-nearest, fl(d + w) is nondecreasing in d and >= d for w >= 0, so
+    labels pop in nondecreasing order and a popped label is final: no later
+    pop can lower it.  The labels therefore satisfy the fixpoint equations
+    exactly in floating point and are bit-identical to exhaustive value
+    iteration from the same seeds.
+
+    The returned dict lists vertices in settle (pop) order, then the
+    vertices no seed reaches, at inf, in ``adjacency`` order.  Every settled
+    vertex other than a seed at its own datum has a neighbor settled before
+    it whose label plus edge weight equals its label exactly.
+
+    A finite ``limit`` stops the pass once the next pop exceeds it and
+    returns only the settled vertices: every vertex with label <= limit,
+    each label bit-identical to the unbounded pass, since the pops are a
+    prefix of its pop sequence.
+    """
+    if not seeds:
+        raise ValidationError("fixpoint_labels needs at least one seeded vertex")
+    dist: dict[str, float] = {v: math.inf for v in adjacency}
+    heap: list[tuple[float, str]] = []
+    for v, d0 in seeds.items():
+        if v not in dist:
+            raise GraphError(f"seed at unknown vertex {v!r}")
+        if d0 < dist[v]:
+            dist[v] = d0
+            heapq.heappush(heap, (d0, v))
+    settled: dict[str, float] = {}
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > dist[v]:
+            continue
+        if d > limit:
+            return settled
+        settled[v] = d
+        for w, c in adjacency[v]:
+            cand = d + c
+            if cand < dist[w]:
+                dist[w] = cand
+                heapq.heappush(heap, (cand, w))
+    if limit == math.inf:
+        settled.update(dist)
+    return settled
+
+
+def settle_parents(
+    adjacency: Mapping[str, Sequence[tuple[str, float]]],
+    seeds: Mapping[str, float],
+    labels: Mapping[str, float],
+) -> dict[str, str]:
+    """Shortest-path forest of a :func:`fixpoint_labels` result.
+
+    Walks ``labels`` in settle order once.  A seed whose label equals its
+    datum is its own parent; any other settled x takes the first neighbor y
+    in adjacency order that was settled before x and satisfies
+    labels[x] == fl(labels[y] + w(x, y)).  Such a neighbor always exists, so
+    every settled vertex gets a parent, listed after its parent.
+    """
+    parent: dict[str, str] = {}
+    for x, ux in labels.items():
+        if x in seeds and ux == seeds[x]:
+            parent[x] = x
+            continue
+        for y, c in adjacency[x]:
+            if y in parent and ux == labels[y] + c:
+                parent[x] = y
+                break
+    return parent
 
 
 def distance_oracle(graph, source):

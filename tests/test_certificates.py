@@ -20,7 +20,7 @@ from eikograph import (
     random_metric_graph,
     solve_dirichlet,
 )
-from eikograph.graph import fixpoint_labels
+from eikograph.graph import settle
 
 from oracles import lipschitz_certificate_rows, pairwise_boundary_certificate
 
@@ -185,11 +185,12 @@ def test_bounded_ball_equals_full_filter(kind, arg):
 def test_bounded_labels_are_a_prefix_of_the_full_pass(seed):
     g = random_metric_graph(seed)
     rng = random.Random(seed)
-    seeds = {y: rng.uniform(0.0, 1.0) for y in sorted(g.boundary)}
-    full = fixpoint_labels(g.adjacency, seeds)
-    order = list(full.items())
-    for limit in (0.0, 0.5, order[len(order) // 2][1], math.nextafter(order[-1][1], math.inf)):
-        bounded = fixpoint_labels(g.adjacency, seeds, limit=limit)
-        assert list(bounded.items()) == order[: len(bounded)]
-        assert all(d > limit for _v, d in order[len(bounded):])
+    seeds = [(g.index[y], rng.uniform(0.0, 1.0)) for y in sorted(g.boundary)]
+    labels, order, parent = settle(g, seeds)
+    for limit in (0.0, 0.5, labels[order[len(order) // 2]], math.nextafter(labels[order[-1]], math.inf)):
+        bounded, prefix, bounded_parent = settle(g, seeds, limit=limit)
+        assert prefix == order[: len(prefix)]
+        assert [bounded[x] for x in prefix] == [labels[x] for x in prefix]
+        assert [bounded_parent[x] for x in prefix] == [parent[x] for x in prefix]
+        assert all(labels[x] > limit for x in order[len(prefix):])
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -190,10 +191,7 @@ class TestPlot:
 
     def test_emit_plot_data_without_coords_drops_columns(self, tmp_path):
         g = fixture("interval", n=4).graph
-        stripped = type(g)(
-            vertices=g.vertices, edges=g.edges, boundary=g.boundary,
-            coords={}, adjacency=g.adjacency,
-        )
+        stripped = dataclasses.replace(g, coords={})
         u = constant_field(stripped, 0.5, "solution_u")
         path = tmp_path / "p.csv"
         emit_plot_data(u, stripped, str(path))

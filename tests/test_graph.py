@@ -102,7 +102,14 @@ class TestBuildGraph:
     def test_every_parallel_edge_is_validated(self, parallel):
         spec = interval_spec()
         spec["edges"] += parallel
-        with pytest.raises(ValidationError, match="nonpositive length"):
+        with pytest.raises(ValidationError, match="a length must be a positive finite number"):
+            build_graph(spec)
+
+    @pytest.mark.parametrize("length", [0.0, -0.5, -math.inf])
+    def test_nonpositive_length_rejected(self, length):
+        spec = interval_spec()
+        spec["edges"][1]["length"] = length
+        with pytest.raises(ValidationError, match=f"has length {length!r}; a length must be a positive finite"):
             build_graph(spec)
 
     @pytest.mark.parametrize("version", [99, 0, True, 1.0, "1", None, [1]])
@@ -204,6 +211,16 @@ class TestIntrinsicDistance:
         d, curve = intrinsic_distance(g, "p0", "p4")
         assert d == 2.0
         assert curve.vertices == ("p0", "p1", "p2", "p3", "p4")
+
+    @pytest.mark.parametrize("edges, target", [
+        ([("a", "b"), ("b", "c")], "c"),
+        ([("a", "c"), ("c", "d"), ("b", "d")], "b"),  # a walk back through unreached vertices had no parent
+    ])
+    def test_overflowing_distance_raises_metric_error(self, edges, target):
+        g = build_graph({"vertices": sorted({v for e in edges for v in e}),
+                         "edges": [{"a": a, "b": b, "length": 1e308} for a, b in edges]})
+        with pytest.raises(MetricError, match=f"the distance from 'a' to '{target}' overflows binary64"):
+            intrinsic_distance(g, "a", target)
 
     def test_circle_antipodal_near_pi(self):
         g = fixture("circle", n=1000).graph

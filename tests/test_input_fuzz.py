@@ -182,9 +182,9 @@ HOLES = {
     "infinite-point": ("pts.csv", lambda lines: lines.__setitem__(2, lines[2].split(",")[0] + ",inf,0.0"),
                        "coords must be finite"),
     "nan-parallel-edge": ("g.json", lambda d: d["edges"].append(dict(d["edges"][0], length=math.nan)),
-                          "nonpositive length nan"),
+                          "has length nan; a length must be a positive finite number"),
     "inf-parallel-edge": ("g.json", lambda d: d["edges"].insert(0, dict(d["edges"][0], length=math.inf)),
-                          "nonpositive length inf"),
+                          "has length inf; a length must be a positive finite number"),
     "duplicate-field-row": ("f.csv", repeat_first_row, ":11: duplicate vertex id"),
     "duplicate-solution-row": ("u.csv", repeat_first_row, ":11: duplicate vertex id"),
     "duplicate-point-row": ("pts.csv", repeat_first_row, ":11: duplicate vertex id"),

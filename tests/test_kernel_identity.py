@@ -1,0 +1,140 @@
+"""The integer label-setting kernel against the string-keyed reference.
+
+``oracles.fixpoint_labels`` and ``oracles.settle_parents`` are the heap loop
+on vertex ids and the parent walk over its settle order that
+``graph.settle`` replaced.  Labels and their dict order, exits and their
+order, attainment, distances, balls and shortest-path witnesses must all
+come out the same, every float bit for bit.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from eikograph import (
+    DirichletProblem,
+    ball,
+    cost_adjacency,
+    distances_from,
+    field_on,
+    fixture,
+    intrinsic_distance,
+    solve_dirichlet,
+)
+from eikograph.fields import field_list
+from eikograph.graph import settle
+
+from oracles import fixpoint_labels, settle_parents
+
+FIXTURES = {  # the circle has no boundary, so the solve cases use an 8-connected grid
+    "binary_tree": ("binary_tree", {"depth": 6}),
+    "circle": ("circle", {"n": 48}),
+    "gasket": ("gasket", {"level": 4}),
+    "grid": ("grid", {"n": 12}),
+    "grid8": ("grid", {"n": 9, "connectivity": 8}),
+    "interval": ("interval", {"n": 60}),
+}
+
+
+def graph(name):
+    kind, params = FIXTURES[name]
+    return fixture(kind, **params).graph
+
+
+def bits(values):
+    """Items with each float as its hex string: equal iff bit-identical, order included."""
+    return [(k, v.hex()) for k, v in values.items()]
+
+
+def reference_solve(p):
+    """Labels, exits and attainment the way the string-keyed solver made them."""
+    g = p.graph
+    adjacency = cost_adjacency(g, p.f)
+    seeds = {y: p.zeta[y] for y in g.boundary}
+    u = fixpoint_labels(adjacency, seeds)
+    exit_vertex = {}
+    for x, y in settle_parents(adjacency, seeds, u).items():
+        exit_vertex[x] = x if y == x else exit_vertex[y]
+    attained = {y: u[y] == seeds[y] for y in sorted(g.boundary)}
+    return u, exit_vertex, attained
+
+
+def middle_band(g):
+    """A sixth of the vertices, contiguous in the first coordinate."""
+    order = sorted(g.vertices, key=lambda v: (g.coords[v][0], v))
+    width = max(1, len(order) // 6)
+    start = (len(order) - width) // 2
+    return set(order[start : start + width])
+
+
+def make_problem(g, data, seed):
+    rng = random.Random(seed)
+    f_vals = {v: rng.uniform(0.5, 2.0) for v in g.vertices}
+    threshold = 1e-9
+    if data == "zero_band":
+        threshold = 0.0
+        f_vals.update(dict.fromkeys(middle_band(g), 0.0))
+    elif data == "constant":  # exact ties between equal-length routes
+        f_vals = dict.fromkeys(g.vertices, 1.0)
+    zeta = {y: rng.uniform(0.0, 1.0) for y in sorted(g.boundary)}
+    return DirichletProblem(g, field_on(g, f_vals, "rhs_f"), field_on(g, zeta, "boundary_zeta"), threshold)
+
+
+@pytest.mark.parametrize("data", ["random", "zero_band", "constant"])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", sorted(set(FIXTURES) - {"circle"}))
+def test_solve_matches_string_keyed_reference(name, seed, data):
+    p = make_problem(graph(name), data, seed)
+    vf = solve_dirichlet(p)
+    u, exit_vertex, attained = reference_solve(p)
+    assert bits(vf.u.values) == bits(u)
+    assert list(vf.exit_vertex.items()) == list(exit_vertex.items())
+    assert list(vf.attained.items()) == list(attained.items())
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_distances_balls_and_witnesses_match_string_keyed_reference(name, seed):
+    g = graph(name)
+    rng = random.Random(seed)
+    sources = rng.sample(g.vertices, 3)
+    reference = fixpoint_labels(g.adjacency, dict.fromkeys(sources, 0.0))
+    assert bits(distances_from(g, sources)) == bits(reference)
+
+    x = sources[0]
+    labels = fixpoint_labels(g.adjacency, {x: 0.0})
+    parent = settle_parents(g.adjacency, {x: 0.0}, labels)
+    for y in rng.sample(g.vertices, 5):
+        d, curve = intrinsic_distance(g, x, y)
+        path = [y]
+        while path[-1] != x:
+            path.append(parent[path[-1]])
+        assert d.hex() == labels[y].hex()
+        assert curve.vertices == tuple(reversed(path))
+
+    median = sorted(labels.values())[len(labels) // 2]
+    for r in (g.h_max, 2.5 * g.h_max, median):
+        bounded = fixpoint_labels(g.adjacency, {x: 0.0}, limit=r)
+        want = {v: dv for v, dv in sorted(bounded.items()) if dv < r}
+        assert bits(ball(g, x, r).members) == bits(want)
+
+
+@pytest.mark.parametrize("scale", [1.0 + 1e-9, 0.3, 7.0])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_scaled_costs_match_string_keyed_reference(name, scale):
+    """Costs computed while relaxing equal k * w over a precomputed adjacency,
+    with and without a field: the weights the boundary certificate solves on."""
+    g = graph(name)
+    rng = random.Random(len(g.vertices))
+    f = field_on(g, {v: rng.uniform(0.5, 2.0) for v in g.vertices}, "rhs_f")
+    data = {v: rng.uniform(0.0, 1.0) for v in rng.sample(g.vertices, 4)}
+    seeds = [(g.index[v], d) for v, d in data.items()]
+    for fl, weights in ((None, g.adjacency), (field_list(g, f), cost_adjacency(g, f))):
+        scaled = {x: tuple((y, scale * w) for y, w in nbrs) for x, nbrs in weights.items()}
+        labels = fixpoint_labels(scaled, data)
+        parents = settle_parents(scaled, data, labels)
+        dist, order, parent = settle(g, seeds, fl, scale)
+        assert [(g.vertices[x], dist[x].hex()) for x in order] == [(v, d.hex()) for v, d in labels.items()]
+        assert {g.vertices[x]: g.vertices[parent[x]] for x in order} == parents
