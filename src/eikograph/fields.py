@@ -137,8 +137,8 @@ def edge_costs(g: MetricGraph, f: ScalarField) -> dict[tuple[str, str], float]:
 def cost_adjacency(g: MetricGraph, f: ScalarField) -> dict[str, tuple[tuple[str, float], ...]]:
     """Edge costs laid out like ``g.adjacency``: (neighbor, cost) pairs in id order.
 
-    Each cost is bit-identical to the :func:`edge_costs` entry of its edge,
-    whichever end it is listed under: the sum f(x) + f(y) commutes.
+    The rule of :func:`edge_costs` and of :func:`graph.settle`'s relaxation,
+    bit for bit at either end of an edge: the sum f(x) + f(y) commutes.
     """
     if f.role != "rhs_f":
         raise FieldError(f"edge costs need a rhs_f field, got role {f.role!r}")

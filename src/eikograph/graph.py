@@ -442,7 +442,7 @@ def settle(
         p = x if datum.get(x) == d else -1
         fx = fl[x]
         for y, length in zip(nbrs[x], lens[x]):
-            c = 0.5 * (fx + fl[y]) * length * scale
+            c = 0.5 * (fx + fl[y]) * length * scale  # the rule of fields.cost_adjacency
             if parent[y] >= 0:
                 if p < 0 and d == dist[y] + c:
                     p = y

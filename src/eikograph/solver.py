@@ -125,11 +125,11 @@ def boundary_seeds(g: MetricGraph, data) -> list[tuple[int, float]]:
 def value_function(g: MetricGraph, zeta: ScalarField, run) -> ValueFunction:
     """A :func:`settle` run seeded with zeta on the boundary as u, each
     vertex's exit (see :func:`solve_dirichlet`) and each datum's attainment."""
-    dist, order, exits = run  # parents, turned into exits in settle order
-    names = g.vertices
+    dist, order, parent = run
+    names, exits = g.vertices, parent[:]  # the parents, turned into exits in settle order
     u = field_on(g, {names[x]: dist[x] for x in order}, "solution_u")
     for x in order:
-        exits[x] = exits[exits[x]]  # a parent's entry is already its exit
+        exits[x] = exits[exits[x]]  # a parent's entry is already its exit; field_on rejected -1s (inf)
     exit_vertex = {names[x]: names[exits[x]] for x in order}
     attained = {y: u[y] == zeta[y] for y in sorted(g.boundary)}
     return ValueFunction(u=u, exit_vertex=exit_vertex, attained=attained)

@@ -1,14 +1,15 @@
 """Paired benchmark runs of two source checkouts, written as one BENCH file.
 
     python3 tools/bench_pair.py PARENT_ROOT CHANGE_ROOT --workloads sweep,certify \\
-        --pairs 10 --seed 9100 --seconds 20 --out BENCH_9.json
+        --pairs 10 --seed 9100 --out BENCH_9.json
 
 Each root is a checkout with ``perfbench/`` and ``src/`` (a ``git archive``
 of the parent commit will do).  For every workload, pair i runs
-``perfbench/run.py --seed SEED+i --trace 0`` once in each root, the parent
-first on even i and the change first on odd i, so slow drift of the host
-falls on both sides alike.  Then one ``--trace 1`` run per side, at seed
-SEED+pairs, gives the per-layer metrics.  The runs are serial.
+``perfbench/run.py --seed SEED+i --trace 0`` once in each root, for the
+``run_seconds`` that ``BENCHMARK.json`` fixes and at perfbench's default
+size, the parent first on even i and the change first on odd i, so slow
+drift of the host falls on both sides alike.  Then one ``--trace 1`` run per
+side, at seed SEED+pairs, gives the per-layer metrics.  The runs are serial.
 
 The output holds, per workload and side, the median and quartiles of every
 end-to-end metric that ``BENCHMARK.json`` declares, each pair's values and
@@ -33,15 +34,15 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def run_once(root: Path, workload: str, seed: int, opts, trace: int) -> dict:
+def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One perfbench run in ``root``: its JSON line plus the run metadata."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(opts.seconds), "--trace", str(trace), "--size", opts.size]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0 or not proc.stdout.strip():
         raise SystemExit(f"error: {' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr}")
     line = json.loads(proc.stdout.strip().splitlines()[-1])
-    record = json.loads((root / "perfbench" / "_runs" / f"{workload}-{opts.size}-seed{seed}-trace{trace}.json").read_text())
+    record = json.loads((root / "perfbench" / "_runs" / f"{workload}-full-seed{seed}-trace{trace}.json").read_text())
     out = {name: m["value"] for name, m in line["metrics"].items()}
     out["correct"] = line["correct"]
     if not trace:
@@ -79,8 +80,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", default="sweep,certify,hjb,cli", help="comma-separated")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=9100, help="pair i runs seed SEED+i")
-    ap.add_argument("--seconds", type=float, default=20.0)
-    ap.add_argument("--size", default="full", help="perfbench size; tiny only checks this script")
     ap.add_argument("--out", type=Path, required=True)
     for side in SIDES:
         ap.add_argument(f"--{side}-sha", help=f"the {side}'s commit, when its root is not a git checkout")
@@ -95,8 +94,8 @@ def main(argv=None) -> int:
     result = {
         "complete": False,
         "command": ["tools/bench_pair.py", "PARENT_ROOT", "CHANGE_ROOT", "--workloads", ",".join(workloads),
-                    "--pairs", str(opts.pairs), "--seed", str(opts.seed), "--seconds", str(opts.seconds),
-                    "--size", opts.size],
+                    "--pairs", str(opts.pairs), "--seed", str(opts.seed)],
+        "run_seconds": bench["run_seconds"],
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "machine": platform.machine(),
@@ -109,7 +108,7 @@ def main(argv=None) -> int:
 
     def measure(side: str, workload: str, seed: int, trace: int) -> dict:
         print(f"{workload} seed {seed} trace {trace}: {side}", file=sys.stderr, flush=True)
-        run = run_once(roots[side], workload, seed, opts, trace)
+        run = run_once(roots[side], workload, seed, bench["run_seconds"], trace)
         meta = run.pop("_meta")
         result["nproc"] = meta.pop("nproc")
         sha = meta["git_sha"] or getattr(opts, f"{side}_sha")
