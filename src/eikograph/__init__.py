@@ -23,7 +23,6 @@ from .fields import (
     FieldReport,
     ScalarField,
     constant_field,
-    cost_adjacency,
     edge_costs,
     field_from_expression,
     field_from_function,
@@ -74,7 +73,6 @@ from .slopes import (
     check_monge,
     check_regularity,
     default_check_tol,
-    descent_curve,
     slopes,
 )
 from .solver import (

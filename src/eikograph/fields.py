@@ -134,19 +134,6 @@ def edge_costs(g: MetricGraph, f: ScalarField) -> dict[tuple[str, str], float]:
     return {e: 0.5 * (f[e[0]] + f[e[1]]) * length for e, length in g.edges.items()}
 
 
-def cost_adjacency(g: MetricGraph, f: ScalarField) -> dict[str, tuple[tuple[str, float], ...]]:
-    """Edge costs laid out like ``g.adjacency``: (neighbor, cost) pairs in id order.
-
-    The rule of :func:`edge_costs` and of :func:`graph.settle`'s relaxation,
-    bit for bit at either end of an edge: the sum f(x) + f(y) commutes.
-    """
-    if f.role != "rhs_f":
-        raise FieldError(f"edge costs need a rhs_f field, got role {f.role!r}")
-    fl, vs = field_list(g, f), g.vertices
-    return {v: tuple([(vs[y], 0.5 * (fx + fl[y]) * length) for y, length in zip(nbrs, lens)])
-            for v, fx, nbrs, lens in zip(vs, fl, g.nbrs, g.lens)}
-
-
 def field_list(g: MetricGraph, f: ScalarField) -> list[float]:
     """f's values by vertex index, as :func:`settle` takes them."""
     try:

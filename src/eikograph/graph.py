@@ -84,7 +84,7 @@ class MetricGraph:
 
     @property
     def h_max(self) -> float:
-        return max(self.edges.values())
+        return max(self.edges.values(), default=0.0)  # an edgeless graph has mesh 0
 
     def has_vertex(self, v: str) -> bool:
         return v in self.index
@@ -442,7 +442,7 @@ def settle(
         p = x if datum.get(x) == d else -1
         fx = fl[x]
         for y, length in zip(nbrs[x], lens[x]):
-            c = 0.5 * (fx + fl[y]) * length * scale  # the rule of fields.cost_adjacency
+            c = 0.5 * (fx + fl[y]) * length * scale  # the rule of fields.edge_costs
             if parent[y] >= 0:
                 if p < 0 and d == dist[y] + c:
                     p = y

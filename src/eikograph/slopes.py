@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
-from .errors import GraphError
-from .fields import ScalarField, cost_adjacency, lipschitz_constant
-from .graph import Curve, MetricGraph, curve_along
+from .errors import FieldError, GraphError
+from .fields import ScalarField, field_list, lipschitz_constant
+from .graph import MetricGraph, _vertex_index, curve_along
 
 # Base additive tolerance; interpolation error of a Lipschitz rhs adds
 # Lip(f) * h_max on top of it (see default_check_tol).
@@ -80,20 +81,36 @@ def default_check_tol(g: MetricGraph, f: ScalarField | None) -> float:
     return BASE_TOL + lipschitz_constant(g, f) * g.h_max
 
 
-def slopes(g: MetricGraph, u: ScalarField, x: str) -> SlopeTriple:
-    """One-hop slope triple of u at x; raises at isolated vertices."""
-    nbrs = g.neighbors(x)
-    if not nbrs:
-        raise GraphError(f"vertex {x!r} is isolated; slopes are undefined")
-    ux = u[x]
-    sub = 0.0
-    sup = 0.0
-    for y, length in nbrs:
-        d = ux - u[y]
+def _sub_super(ux: float, values, lens) -> tuple[float, float]:
+    """Sub-slope and super-slope at a vertex with value ux: the largest drop and
+    rise per unit length to a neighbour, given the neighbours' values and lengths."""
+    sub = sup = 0.0
+    for uy, length in zip(values, lens):
+        d = ux - uy
         if d > 0.0:
             sub = max(sub, d / length)
         elif d < 0.0:
             sup = max(sup, -d / length)
+    return sub, sup
+
+
+def _interior_slopes(g: MetricGraph, u: ScalarField) -> Iterator[tuple[int, float, float]]:
+    """(index, sub-slope, super-slope) of u at each interior vertex, in id order."""
+    ul = field_list(g, u)
+    for i, (x, nbrs, lens) in enumerate(zip(g.vertices, g.nbrs, g.lens)):
+        if x in g.boundary:
+            continue
+        if not nbrs:
+            raise GraphError(f"vertex {x!r} is isolated; slopes are undefined")
+        yield (i, *_sub_super(ul[i], [ul[j] for j in nbrs], lens))
+
+
+def slopes(g: MetricGraph, u: ScalarField, x: str) -> SlopeTriple:
+    """One-hop slope triple of u at x; raises at isolated vertices."""
+    i = _vertex_index(g, x)
+    if not g.nbrs[i]:
+        raise GraphError(f"vertex {x!r} is isolated; slopes are undefined")
+    sub, sup = _sub_super(u[x], [u[g.vertices[j]] for j in g.nbrs[i]], g.lens[i])
     return SlopeTriple(vertex=x, slope=max(sub, sup), super_slope=sup, sub_slope=sub)
 
 
@@ -114,18 +131,25 @@ def check_monge(
         raise ValueError(f"unknown monge mode {mode!r}")
     if tol is None:
         tol = default_check_tol(g, f)
+    fl = field_list(g, f)
     residuals: dict[str, float] = {}
-    for x in g.interior:
-        s = slopes(g, u, x).sub_slope
+    for i, s, _ in _interior_slopes(g, u):
         if mode == "solution":
-            r = abs(s - f[x])
+            r = abs(s - fl[i])
         elif mode == "sub":
-            r = max(s - f[x], 0.0)
+            r = max(s - fl[i], 0.0)
         else:
-            r = max(f[x] - s, 0.0)
-        residuals[x] = r
+            r = max(fl[i] - s, 0.0)
+        residuals[g.vertices[i]] = r
     name = {"solution": "monge", "sub": "monge-sub", "super": "monge-super"}[mode]
     return CheckReport(name=name, tol=tol, residuals=residuals)
+
+
+def _rhs_list(g: MetricGraph, f: ScalarField) -> list[float]:
+    """f's values by vertex index, for f an edge-cost integrand."""
+    if f.role != "rhs_f":
+        raise FieldError(f"edge costs need a rhs_f field, got role {f.role!r}")
+    return field_list(g, f)
 
 
 def check_c_subsolution(
@@ -147,54 +171,25 @@ def check_c_subsolution(
     edges of the path, up to rounding, with sup f taken over the path's
     vertices.
     """
-    uv = u.values
+    fl, ul, names = _rhs_list(g, f), field_list(g, u), g.vertices
     residuals: dict[str, float] = {}
-    for x, nbrs in cost_adjacency(g, f).items():
-        ux = uv[x]
-        for y, c in nbrs:
-            # same operation order as the solver: compare u[x] with fl(u[y] + c)
-            residuals[f"{x}->{y}"] = max(ux - (uv[y] + c), 0.0)
+    for x, ux, fx, nbrs, lens in zip(names, ul, fl, g.nbrs, g.lens):
+        for y, length in zip(nbrs, lens):
+            # the cost rule of graph.settle; compare u[x] with fl(u[y] + c) as it does
+            residuals[f"{x}->{names[y]}"] = max(ux - (ul[y] + 0.5 * (fx + fl[y]) * length), 0.0)
     return CheckReport(name="csub", tol=tol, residuals=residuals)
 
 
-def _argmin_step(u: ScalarField, nbrs: tuple[tuple[str, float], ...]) -> tuple[str | None, float]:
-    """Neighbor minimizing cost + u (the first in id order on ties) and that
-    minimum; (None, inf) for no neighbors."""
-    best_y = None
-    best = math.inf
-    for y, c in nbrs:
-        cand = c + u[y]
-        if best_y is None or cand < best:
-            best_y = y
-            best = cand
-    return best_y, best
-
-
-def _descent(g: MetricGraph, u: ScalarField, costs: dict, start: str) -> Curve:
-    path = [start]
-    x = start
-    for _ in range(len(g.vertices)):
-        if x in g.boundary:
-            break
-        best_y, _ = _argmin_step(u, costs[x])
-        # stop rather than cycle if the greedy step would not descend
-        if best_y is None or u[best_y] >= u[x]:
-            break
-        path.append(best_y)
-        x = best_y
-    return curve_along(g, path)
-
-
-def descent_curve(g: MetricGraph, u: ScalarField, f: ScalarField, start: str) -> Curve:
-    """Greedy concatenation of argmin neighbors: the discrete optimal curve.
-
-    From each vertex, steps to the neighbor minimizing edge cost plus value
-    (ties to the smallest id); stops at a boundary vertex, at a vertex that
-    beats all its neighbors, or after |V| edges.
-    """
-    if not g.has_vertex(start):
-        raise GraphError(f"unknown vertex {start!r}")
-    return _descent(g, u, cost_adjacency(g, f), start)
+def _argmin_step(g: MetricGraph, ul: list[float], fl: list[float], i: int) -> tuple[int, float]:
+    """Neighbour of vertex i minimizing cost + u (the first in id order on
+    ties) and that minimum; (-1, inf) for no neighbours."""
+    best_j, best = -1, math.inf
+    fx = fl[i]
+    for j, length in zip(g.nbrs[i], g.lens[i]):
+        cand = 0.5 * (fx + fl[j]) * length + ul[j]  # the cost rule of graph.settle
+        if best_j < 0 or cand < best:
+            best_j, best = j, cand
+    return best_j, best
 
 
 def check_c_supersolution(
@@ -206,26 +201,39 @@ def check_c_supersolution(
     u(x) >= cost(x, y) + u(y) - eps; the per-vertex margin
     u(x) - min_y (cost + u(y)) + eps must be nonnegative.  The report stores
     the violation [-margin]+ as the residual (tol 0), keeping the pass rule
-    "all residuals <= tol".  A greedy descent curve from the first failing
-    vertex, else from the deepest one, is attached as the epsilon-optimal
-    curve witness.
+    "all residuals <= tol".  The epsilon-optimal curve witness is the greedy
+    descent from the first failing vertex, else from the deepest one (largest
+    u, then largest id): it steps to the argmin neighbour (ties to the
+    smallest id) and stops at a boundary vertex or where that neighbour does
+    not lie strictly lower.
     """
     if eps is None:
         eps = default_check_tol(g, f)
-    costs = cost_adjacency(g, f)
+    fl, ul, names = _rhs_list(g, f), field_list(g, u), g.vertices
     residuals: dict[str, float] = {}
-    for x in g.interior:
-        best_y, best = _argmin_step(u, costs[x])
-        if best_y is None:
+    step = [-1] * len(names)  # argmin neighbour of each interior vertex
+    start = deepest = -1
+    for i, x in enumerate(names):
+        if x in g.boundary:
+            continue
+        step[i], best = _argmin_step(g, ul, fl, i)
+        if step[i] < 0:
             raise GraphError(f"vertex {x!r} is isolated")
-        residuals[x] = max(-(u[x] - best + eps), 0.0)
+        r = residuals[x] = max(-(ul[i] - best + eps), 0.0)
+        if r > 0.0 and start < 0:
+            start = i
+        if deepest < 0 or ul[i] >= ul[deepest]:
+            deepest = i
 
     details: dict = {"eps": eps}
-    start = next((x for x, r in sorted(residuals.items()) if r > 0.0), None)
-    if start is None:
-        start = max(g.interior, key=lambda v: (u[v], v), default=None)
-    if start is not None:
-        details["witness"] = _descent(g, u, costs, start)
+    x = start if start >= 0 else deepest
+    if x >= 0:
+        path = [x]
+        # u falls strictly along the path, so it never revisits a vertex
+        while step[x] >= 0 and ul[step[x]] < ul[x]:
+            x = step[x]
+            path.append(x)
+        details["witness"] = curve_along(g, [names[k] for k in path])
     return CheckReport(name="csuper", tol=0.0, residuals=residuals, details=details)
 
 
@@ -237,13 +245,13 @@ def check_regularity(g: MetricGraph, u: ScalarField, tol: float | None = None) -
     """
     if tol is None:
         tol = BASE_TOL
+    names = g.vertices
     residuals: dict[str, float] = {}
     excluded: dict[str, float] = {}
-    for x in g.interior:
-        t = slopes(g, u, x)
-        r = t.slope - t.sub_slope
-        if any(y in g.boundary for y, _ in g.neighbors(x)):
-            excluded[x] = r
+    for i, sub, sup in _interior_slopes(g, u):
+        r = max(sub, sup) - sub
+        if any(names[j] in g.boundary for j in g.nbrs[i]):
+            excluded[names[i]] = r
         else:
-            residuals[x] = r
+            residuals[names[i]] = r
     return CheckReport(name="regularity", tol=tol, residuals=residuals, excluded=excluded)

@@ -18,7 +18,6 @@ from .fields import (
     DEFAULT_POSITIVITY_THRESHOLD,
     ScalarField,
     field_list,
-    field_on,
     validate_field,
 )
 from .graph import (
@@ -109,12 +108,7 @@ def solve_dirichlet(p: DirichletProblem) -> ValueFunction:
     cost(x, y)), which always exists.
     """
     g = p.graph
-    run = settle(g, boundary_seeds(g, p.zeta), field_list(g, p.f))
-    # the graph is connected and the data finite, so an inf label is an overflow
-    if math.inf in run[0]:
-        v = g.vertices[run[0].index(math.inf)]
-        raise ProblemError(f"the cost of reaching vertex {v!r} overflows binary64")
-    return value_function(g, p.zeta, run)
+    return value_function(g, p.zeta, settle(g, boundary_seeds(g, p.zeta), field_list(g, p.f)))
 
 
 def boundary_seeds(g: MetricGraph, data) -> list[tuple[int, float]]:
@@ -124,12 +118,17 @@ def boundary_seeds(g: MetricGraph, data) -> list[tuple[int, float]]:
 
 def value_function(g: MetricGraph, zeta: ScalarField, run) -> ValueFunction:
     """A :func:`settle` run seeded with zeta on the boundary as u, each
-    vertex's exit (see :func:`solve_dirichlet`) and each datum's attainment."""
+    vertex's exit (see :func:`solve_dirichlet`) and each datum's attainment;
+    ProblemError names the first vertex whose label overflowed to inf."""
     dist, order, parent = run
+    # the graph is connected and the data finite, so an inf label is an overflow
+    if math.inf in dist:
+        v = g.vertices[dist.index(math.inf)]
+        raise ProblemError(f"the cost of reaching vertex {v!r} overflows binary64")
     names, exits = g.vertices, parent[:]  # the parents, turned into exits in settle order
-    u = field_on(g, {names[x]: dist[x] for x in order}, "solution_u")
+    u = ScalarField(g, {names[x]: dist[x] for x in order}, "solution_u")
     for x in order:
-        exits[x] = exits[exits[x]]  # a parent's entry is already its exit; field_on rejected -1s (inf)
+        exits[x] = exits[exits[x]]  # a parent's entry is already its exit: every vertex is reached
     exit_vertex = {names[x]: names[exits[x]] for x in order}
     attained = {y: u[y] == zeta[y] for y in sorted(g.boundary)}
     return ValueFunction(u=u, exit_vertex=exit_vertex, attained=attained)

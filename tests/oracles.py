@@ -5,8 +5,9 @@ exhaustive Jacobi value iteration (Bellman-Ford style full sweeps from the
 seeds), distances from the same iteration with edge lengths as costs, and
 path sums from direct summation.  The general-Hamiltonian references keep
 the plain bisection and Picard loop the fast path must reproduce bit for bit,
-and the string-keyed label setting and settle-parent walk are the reference
-the integer kernel must reproduce bit for bit.
+and the string-keyed label setting, settle-parent walk and slope checks are
+the reference the integer kernel and the CSR-list checks must reproduce bit
+for bit.
 """
 
 from __future__ import annotations
@@ -16,18 +17,29 @@ import math
 from typing import Mapping, Sequence
 
 from eikograph import (
+    CheckReport,
     CoercivityError,
     ConvergenceError,
+    Curve,
     DirichletProblem,
+    FieldError,
     GraphError,
     HamiltonianError,
+    HamiltonianSpec,
+    MetricGraph,
     ReductionField,
+    ScalarField,
+    SlopeTriple,
     ValidationError,
+    curve_along,
+    default_check_tol,
     field_on,
     solve_dirichlet,
     validate_hamiltonian,
 )
+from eikograph.fields import field_list
 from eikograph.hamiltonians import BRACKET_CAP
+from eikograph.slopes import BASE_TOL
 
 
 def value_iteration(graph, costs, seeds):
@@ -130,6 +142,193 @@ def settle_parents(
                 parent[x] = y
                 break
     return parent
+
+
+# The string-keyed checks the CSR-list checks in eikograph.slopes replaced,
+# kept verbatim as their bit-identity reference (tests/test_kernel_identity.py).
+
+
+def cost_adjacency(g: MetricGraph, f: ScalarField) -> dict[str, tuple[tuple[str, float], ...]]:
+    """Edge costs laid out like ``g.adjacency``: (neighbor, cost) pairs in id order.
+
+    The rule of :func:`edge_costs` and of :func:`graph.settle`'s relaxation,
+    bit for bit at either end of an edge: the sum f(x) + f(y) commutes.
+    """
+    if f.role != "rhs_f":
+        raise FieldError(f"edge costs need a rhs_f field, got role {f.role!r}")
+    fl, vs = field_list(g, f), g.vertices
+    return {v: tuple([(vs[y], 0.5 * (fx + fl[y]) * length) for y, length in zip(nbrs, lens)])
+            for v, fx, nbrs, lens in zip(vs, fl, g.nbrs, g.lens)}
+
+
+def reference_slopes(g: MetricGraph, u: ScalarField, x: str) -> SlopeTriple:
+    """One-hop slope triple of u at x; raises at isolated vertices."""
+    nbrs = g.neighbors(x)
+    if not nbrs:
+        raise GraphError(f"vertex {x!r} is isolated; slopes are undefined")
+    ux = u[x]
+    sub = 0.0
+    sup = 0.0
+    for y, length in nbrs:
+        d = ux - u[y]
+        if d > 0.0:
+            sub = max(sub, d / length)
+        elif d < 0.0:
+            sup = max(sup, -d / length)
+    return SlopeTriple(vertex=x, slope=max(sub, sup), super_slope=sup, sub_slope=sub)
+
+
+def reference_check_monge(
+    g: MetricGraph,
+    u: ScalarField,
+    f: ScalarField,
+    tol: float | None = None,
+    mode: str = "solution",
+) -> CheckReport:
+    """Monge residuals at interior vertices: sub-slope against f.
+
+    mode "solution" judges |sub_slope - f|; "sub" judges only the excess
+    [sub_slope - f]+ (Monge subsolution), "super" only the deficit
+    [f - sub_slope]+ (Monge supersolution).
+    """
+    if mode not in ("solution", "sub", "super"):
+        raise ValueError(f"unknown monge mode {mode!r}")
+    if tol is None:
+        tol = default_check_tol(g, f)
+    residuals: dict[str, float] = {}
+    for x in g.interior:
+        s = reference_slopes(g, u, x).sub_slope
+        if mode == "solution":
+            r = abs(s - f[x])
+        elif mode == "sub":
+            r = max(s - f[x], 0.0)
+        else:
+            r = max(f[x] - s, 0.0)
+        residuals[x] = r
+    name = {"solution": "monge", "sub": "monge-sub", "super": "monge-super"}[mode]
+    return CheckReport(name=name, tol=tol, residuals=residuals)
+
+
+def reference_check_c_subsolution(
+    g: MetricGraph,
+    u: ScalarField,
+    f: ScalarField,
+    tol: float = 0.0,
+) -> CheckReport:
+    """Along-curves subsolution check, reduced to every oriented edge.
+
+    Residual on edge (x, y) is the excess of u(x) - u(y) over the edge cost;
+    on a graph every admissible curve is a concatenation of edges, so the
+    integral inequality holds iff it holds edgewise in both orientations.
+    Bellman fixpoints satisfy this with residual exactly zero, hence the
+    default tolerance 0.
+
+    Summed along a shortest path, the edge residuals also bound the local
+    Lipschitz excess: u(x) - u(y) <= d(x, y) * sup f + k * tol over the k
+    edges of the path, up to rounding, with sup f taken over the path's
+    vertices.
+    """
+    uv = u.values
+    residuals: dict[str, float] = {}
+    for x, nbrs in cost_adjacency(g, f).items():
+        ux = uv[x]
+        for y, c in nbrs:
+            # same operation order as the solver: compare u[x] with fl(u[y] + c)
+            residuals[f"{x}->{y}"] = max(ux - (uv[y] + c), 0.0)
+    return CheckReport(name="csub", tol=tol, residuals=residuals)
+
+
+def _argmin_step(u: ScalarField, nbrs: tuple[tuple[str, float], ...]) -> tuple[str | None, float]:
+    """Neighbor minimizing cost + u (the first in id order on ties) and that
+    minimum; (None, inf) for no neighbors."""
+    best_y = None
+    best = math.inf
+    for y, c in nbrs:
+        cand = c + u[y]
+        if best_y is None or cand < best:
+            best_y = y
+            best = cand
+    return best_y, best
+
+
+def _descent(g: MetricGraph, u: ScalarField, costs: dict, start: str) -> Curve:
+    path = [start]
+    x = start
+    for _ in range(len(g.vertices)):
+        if x in g.boundary:
+            break
+        best_y, _ = _argmin_step(u, costs[x])
+        # stop rather than cycle if the greedy step would not descend
+        if best_y is None or u[best_y] >= u[x]:
+            break
+        path.append(best_y)
+        x = best_y
+    return curve_along(g, path)
+
+
+def reference_check_c_supersolution(
+    g: MetricGraph, u: ScalarField, f: ScalarField, eps: float | None = None
+) -> CheckReport:
+    """Epsilon-optimal-curve supersolution check at interior vertices.
+
+    At each interior x some neighbor y must satisfy
+    u(x) >= cost(x, y) + u(y) - eps; the per-vertex margin
+    u(x) - min_y (cost + u(y)) + eps must be nonnegative.  The report stores
+    the violation [-margin]+ as the residual (tol 0), keeping the pass rule
+    "all residuals <= tol".  A greedy descent curve from the first failing
+    vertex, else from the deepest one, is attached as the epsilon-optimal
+    curve witness.
+    """
+    if eps is None:
+        eps = default_check_tol(g, f)
+    costs = cost_adjacency(g, f)
+    residuals: dict[str, float] = {}
+    for x in g.interior:
+        best_y, best = _argmin_step(u, costs[x])
+        if best_y is None:
+            raise GraphError(f"vertex {x!r} is isolated")
+        residuals[x] = max(-(u[x] - best + eps), 0.0)
+
+    details: dict = {"eps": eps}
+    start = next((x for x, r in sorted(residuals.items()) if r > 0.0), None)
+    if start is None:
+        start = max(g.interior, key=lambda v: (u[v], v), default=None)
+    if start is not None:
+        details["witness"] = _descent(g, u, costs, start)
+    return CheckReport(name="csuper", tol=0.0, residuals=residuals, details=details)
+
+
+def reference_check_regularity(g: MetricGraph, u: ScalarField, tol: float | None = None) -> CheckReport:
+    """Regularity check: slope minus sub-slope at interior vertices.
+
+    Vertices adjacent to the boundary are excluded from the verdict and
+    reported separately; their one-sided stencils inflate the super-slope.
+    """
+    if tol is None:
+        tol = BASE_TOL
+    residuals: dict[str, float] = {}
+    excluded: dict[str, float] = {}
+    for x in g.interior:
+        t = reference_slopes(g, u, x)
+        r = t.slope - t.sub_slope
+        if any(y in g.boundary for y, _ in g.neighbors(x)):
+            excluded[x] = r
+        else:
+            residuals[x] = r
+    return CheckReport(name="regularity", tol=tol, residuals=residuals, excluded=excluded)
+
+
+def reference_check_hamiltonian_monge(
+    g: MetricGraph,
+    u: ScalarField,
+    H: HamiltonianSpec,
+    tol: float = 1e-9,
+) -> CheckReport:
+    """Monge residuals for a general Hamiltonian: |H(x, u(x), sub_slope(x))|."""
+    residuals = {
+        x: abs(H(x, u[x], reference_slopes(g, u, x).sub_slope)) for x in g.interior
+    }
+    return CheckReport(name="hamiltonian-monge", tol=tol, residuals=residuals)
 
 
 def distance_oracle(graph, source):

@@ -397,6 +397,23 @@ class TestErrorsAndConfig:
         assert code == 2
         assert "vertex 'v1_1' overflows binary64" in self.assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("command,flags,boundary,code,message", [
+        (["check", "monge"], ["--f", "const:1"], [], 2, "error: vertex 'a' is isolated; slopes are undefined"),
+        (["check", "csuper"], ["--f", "const:1"], [], 2, "error: vertex 'a' is isolated"),
+        (["compare"], ["--f", "const:1", "--v", "u.csv"], ["a"], 0, None),
+    ])
+    def test_one_vertex_graph(self, tmp_path, capsys, command, flags, boundary, code, message):
+        # an edgeless graph has mesh 0: the default tolerances need no edge
+        g_path, u_path = tmp_path / "g.json", tmp_path / "u.csv"
+        g_path.write_text(json.dumps({"vertices": ["a"], "edges": [], "boundary": boundary}))
+        u_path.write_text("vertex_id,value\na,0\n")
+        flags = [str(u_path) if flag == "u.csv" else flag for flag in flags]
+        assert run_cli(*command, "--graph", str(g_path), "--u", str(u_path), *flags) == code
+        if message is None:
+            assert "Traceback" not in capsys.readouterr().err
+        else:
+            assert self.assert_one_error_line(capsys) == message
+
     def test_output_colliding_with_input_exits_2(self, tmp_path):
         g_path = tmp_path / "g.json"
         run_cli("fixture", "--name", "interval", "--n", "4", "--out", str(g_path))

@@ -10,8 +10,9 @@ from eikograph import (
     FieldError,
     ValidationError,
     build_graph,
+    check_c_subsolution,
+    check_c_supersolution,
     constant_field,
-    cost_adjacency,
     edge_costs,
     field_from_expression,
     field_on,
@@ -36,12 +37,8 @@ def two_vertex_graph(length=1.0):
 
 
 def ab_cost(g, f):
-    """The a-b edge cost of ``edge_costs``, asserted equal to both
-    ``cost_adjacency`` entries of the edge."""
-    c = edge_costs(g, f)[("a", "b")]
-    adj = cost_adjacency(g, f)
-    assert adj["a"] == (("b", c),) and adj["b"] == (("a", c),)
-    return c
+    """The a-b edge cost of ``edge_costs``."""
+    return edge_costs(g, f)[("a", "b")]
 
 
 class TestEdgeCost:
@@ -112,7 +109,9 @@ class TestEdgeCost:
         with pytest.raises(FieldError):
             edge_costs(g, u)
         with pytest.raises(FieldError):
-            cost_adjacency(g, u)
+            check_c_subsolution(g, u, u)
+        with pytest.raises(FieldError):
+            check_c_supersolution(g, u, u)
 
 
 class TestFieldConstruction:

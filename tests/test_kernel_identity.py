@@ -1,10 +1,12 @@
-"""The integer label-setting kernel against the string-keyed reference.
+"""The integer label-setting kernel and the checks against the string-keyed reference.
 
 ``oracles.fixpoint_labels`` and ``oracles.settle_parents`` are the heap loop
 on vertex ids and the parent walk over its settle order that
 ``graph.settle`` replaced.  Labels and their dict order, exits and their
 order, attainment, distances, balls and shortest-path witnesses must all
-come out the same, every float bit for bit.
+come out the same, every float bit for bit.  The ``oracles.reference_*``
+checks are the string-keyed slope and cost loops that the checks on the
+CSR lists replaced; every report must match them the same way.
 """
 
 from __future__ import annotations
@@ -16,17 +18,33 @@ import pytest
 from eikograph import (
     DirichletProblem,
     ball,
-    cost_adjacency,
+    builtin_hamiltonian,
+    check_c_subsolution,
+    check_c_supersolution,
+    check_hamiltonian_monge,
+    check_monge,
+    check_regularity,
     distances_from,
     field_on,
     fixture,
     intrinsic_distance,
+    slopes,
     solve_dirichlet,
 )
 from eikograph.fields import field_list
 from eikograph.graph import settle
 
-from oracles import fixpoint_labels, settle_parents
+from oracles import (
+    cost_adjacency,
+    fixpoint_labels,
+    reference_check_c_subsolution,
+    reference_check_c_supersolution,
+    reference_check_hamiltonian_monge,
+    reference_check_monge,
+    reference_check_regularity,
+    reference_slopes,
+    settle_parents,
+)
 
 FIXTURES = {  # the circle has no boundary, so the solve cases use an 8-connected grid
     "binary_tree": ("binary_tree", {"depth": 6}),
@@ -138,3 +156,57 @@ def test_scaled_costs_match_string_keyed_reference(name, scale):
         dist, order, parent = settle(g, seeds, fl, scale)
         assert [(g.vertices[x], dist[x].hex()) for x in order] == [(v, d.hex()) for v, d in labels.items()]
         assert {g.vertices[x]: g.vertices[parent[x]] for x in order} == parents
+
+
+def report_bits(report):
+    """Everything a check report carries, each float as its hex string."""
+    out = [report.name, report.tol.hex(), bits(report.residuals), bits(report.excluded)]
+    for key, value in report.details.items():
+        if key == "witness":
+            out.append((key, value.vertices, [c.hex() for c in value.cumlen]))
+        else:
+            out.append((key, value.hex()))
+    return out
+
+
+def check_inputs(g, seed, kind):
+    """(u, f) for the checks: u is random, random on a coarse dyadic lattice
+    (exact ties between neighbours), or the solver's on random or constant
+    data (exact ties between routes)."""
+    rng = random.Random(seed)
+    if kind in ("solver", "solver_constant"):
+        p = make_problem(g, "random" if kind == "solver" else "constant", seed)
+        return solve_dirichlet(p).u, p.f
+    f = field_on(g, {v: rng.uniform(0.5, 2.0) for v in g.vertices}, "rhs_f")
+    if kind == "random":
+        values = {v: rng.uniform(0.0, 3.0) for v in g.vertices}
+    else:
+        values = {v: rng.randrange(16) * 0.125 for v in g.vertices}
+    return field_on(g, values, "solution_u"), f
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name,kind", [
+    (name, kind) for name in sorted(FIXTURES) for kind in ("random", "coarse", "solver", "solver_constant")
+    if name != "circle" or not kind.startswith("solver")  # the circle has no boundary to solve from
+])
+def test_checks_match_string_keyed_reference(name, kind, seed):
+    g = graph(name)
+    u, f = check_inputs(g, seed, kind)
+    H = builtin_hamiltonian("affine-rho")
+    pairs = [(check_monge(g, u, f, mode=mode), reference_check_monge(g, u, f, mode=mode))
+             for mode in ("solution", "sub", "super")]
+    pairs += [
+        (check_c_subsolution(g, u, f), reference_check_c_subsolution(g, u, f)),
+        (check_c_supersolution(g, u, f), reference_check_c_supersolution(g, u, f)),
+        (check_c_supersolution(g, u, f, eps=-0.25), reference_check_c_supersolution(g, u, f, eps=-0.25)),
+        (check_regularity(g, u), reference_check_regularity(g, u)),
+        (check_hamiltonian_monge(g, u, H), reference_check_hamiltonian_monge(g, u, H)),
+    ]
+    for report, reference in pairs:
+        assert report_bits(report) == report_bits(reference)
+    for x in g.vertices:
+        t, want = slopes(g, u, x), reference_slopes(g, u, x)
+        assert t.vertex == want.vertex
+        assert [t.slope.hex(), t.super_slope.hex(), t.sub_slope.hex()] == \
+            [want.slope.hex(), want.super_slope.hex(), want.sub_slope.hex()]

@@ -15,7 +15,6 @@ from eikograph import (
     check_monge,
     check_regularity,
     constant_field,
-    descent_curve,
     edge_costs,
     field_from_expression,
     field_on,
@@ -210,7 +209,8 @@ class TestCheckCSupersolution:
         f = constant_field(g, 1.0, "rhs_f")
         z = constant_field(g, 0.0, "boundary_zeta")
         vf = solve_dirichlet(DirichletProblem(g, f, z))
-        curve = descent_curve(g, vf.u, f, "v4_4")
+        curve = check_c_supersolution(g, vf.u, f).details["witness"]
+        assert curve.vertices[0] == "v4_4"
         values = [vf.u[v] for v in curve.vertices]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert curve.vertices[-1] in g.boundary

@@ -21,7 +21,8 @@ from eikograph import (
     refine,
     solve_dirichlet,
 )
-from eikograph.graph import close, edge_key
+from eikograph.graph import close, edge_key, settle
+from eikograph.solver import boundary_seeds, value_function
 
 from oracles import retry_loop_exits, value_iteration
 
@@ -333,6 +334,14 @@ class TestProblemValidation:
         z = constant_field(g, 0.0, "boundary_zeta")
         with pytest.raises(ProblemError, match="vertex 'v1_1' overflows binary64"):
             solve_dirichlet(DirichletProblem(g, f, z))
+
+    def test_value_function_rejects_an_overflowing_run(self):
+        # any settle run, such as Picard's last sweep, not only solve_dirichlet's
+        g = fixture("grid", n=3).graph
+        z = constant_field(g, 0.0, "boundary_zeta")
+        run = settle(g, boundary_seeds(g, z), [1e308] * len(g.vertices))
+        with pytest.raises(ProblemError, match="vertex 'v1_1' overflows binary64"):
+            value_function(g, z, run)
 
     def test_threshold_zero_allows_zero_rhs(self):
         g = fixture("interval", n=10).graph

@@ -5,7 +5,8 @@
 Each argument is a directory that holds the ``eikograph`` package (a
 checkout's ``src``).  The same fixed command list runs once with each on
 ``PYTHONPATH``, in its own temporary directory: fixtures, solve with --plot
-and --certify, solve-h with --h-out, the four checks with --report, compare,
+and --certify, solve-h with --h-out, the four checks with --report on six
+(graph, solution) pairs and monge's sub and super modes, compare,
 suite, induce-metric, and refine both with a split and with an h_max
 that splits no edge, on valid input.  Every output file, each
 command's stdout and stderr and the list of exit codes are then compared
@@ -28,6 +29,8 @@ PAIRS = [  # (graph, solution, f) pairs every check runs on; bumpy.csv fails all
     ("grid.json", "u_grid.csv", "linear:1,0.5"),
     ("gasket.json", "u_gasket.csv", "const:2"),
     ("grid.json", "bumpy.csv", "const:1"),
+    ("grid8.json", "u_grid8.csv", "const:0.5"),  # unequal edge lengths
+    ("tree.json", "u_tree.csv", "const:1"),  # boundary at the leaves: regularity excludes their parents
 ]
 
 COMMANDS = [
@@ -36,6 +39,7 @@ COMMANDS = [
     ["fixture", "--name", "grid", "--n", "12", "--out", "grid.json"],
     ["fixture", "--name", "grid", "--n", "8", "--connectivity", "8", "--out", "grid8.json"],
     ["fixture", "--name", "gasket", "--level", "3", "--out", "gasket.json"],
+    ["fixture", "--name", "binary_tree", "--depth", "5", "--out", "tree.json"],
     ["solve", "--graph", "interval.json", "--f", "const:1", "--zeta", "const:0",
      "--out", "u_interval.csv", "--plot", "plot_interval.csv", "--certify"],
     ["solve", "--graph", "grid.json", "--f", "linear:1,0.5", "--zeta", "linear:0,1",
@@ -45,6 +49,7 @@ COMMANDS = [
     ["solve", "--graph", "interval.json", "--f", "f_zero.csv", "--zeta", "const:0",
      "--out", "u_zero.csv", "--threshold", "0"],
     ["solve", "--graph", "grid8.json", "--f", "const:0.5", "--zeta", "const:1", "--out", "u_grid8.csv"],
+    ["solve", "--graph", "tree.json", "--f", "const:1", "--zeta", "const:0", "--out", "u_tree.csv"],
     ["solve-h", "--graph", "interval.json", "--hamiltonian", "quadratic", "--zeta", "const:0",
      "--out", "uh_quadratic.csv", "--h-out", "h_quadratic.csv", "--plot", "plot_h.csv"],
     ["solve-h", "--graph", "interval.json", "--hamiltonian", "p + rho - 1", "--zeta", "const:0",
@@ -56,6 +61,8 @@ COMMANDS = [
       for n, (graph, u, f) in enumerate(PAIRS) for kind in CHECKS),
     ["check", "monge", "--graph", "grid.json", "--u", "u_grid.csv", "--f", "linear:1,0.5",
      "--mode", "sub", "--tol", "0.25", "--report", "monge_sub.csv"],
+    ["check", "monge", "--graph", "grid.json", "--u", "bumpy.csv", "--f", "const:1",
+     "--mode", "super", "--report", "monge_super.csv"],
     ["check", "csub", "--graph", "grid.json", "--u", "bumpy.csv", "--f", "const:1",
      "--tol", "0.5", "--report", "csub_tol.csv"],
     ["compare", "--graph", "interval.json", "--f", "const:1", "--u", "half.csv",
