@@ -90,7 +90,6 @@ from .verify import (
     Fixture,
     SuiteReport,
     compare,
-    default_seed,
     equivalence_suite,
     fixture,
     random_comparison_instance,

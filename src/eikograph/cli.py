@@ -9,6 +9,7 @@ shortest round-trip representation.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .errors import EikographError, ValidationError
@@ -44,7 +45,7 @@ from .slopes import (
     check_regularity,
 )
 from .solver import DirichletProblem, ValueFunction, check_boundary_consistency, solve_dirichlet
-from .verify import ComparisonInstance, compare, default_seed, equivalence_suite, fixture
+from .verify import DEFAULT_SEED, ComparisonInstance, compare, equivalence_suite, fixture
 
 
 def _check_io_paths(inputs, outputs) -> None:
@@ -52,6 +53,17 @@ def _check_io_paths(inputs, outputs) -> None:
     for out in outputs:
         if out and out in ins:
             raise ValidationError(f"output path {out!r} collides with an input path")
+
+
+def _tolerance(text: str) -> float:
+    """float() that refuses NaN, which every comparison reads as false."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+    return value
 
 
 def _given(**flags) -> dict:
@@ -272,7 +284,7 @@ def _cmd_induce_metric(args) -> int:
         boundary=boundary,
         coords=coords,
         sample_pairs=args.pairs,
-        seed=default_seed(),
+        seed=DEFAULT_SEED,
     )
     write_graph(result.graph, args.out)
     if args.probe_out:
@@ -315,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True, help="field CSV or expression (const:c, linear:a,b[,axis])")
     p.add_argument("--zeta", required=True, help="boundary field CSV or expression")
     p.add_argument("--out", required=True)
-    p.add_argument("--threshold", type=float, default=None, help="positivity threshold for f")
+    p.add_argument("--threshold", type=_tolerance, default=None, help="positivity threshold for f")
     p.add_argument("--plot", default=None, help="also write plot-data CSV here")
     p.add_argument("--plot-layout", default="auto", choices=["auto", "coords"])
     p.add_argument("--certify", action="store_true",
@@ -343,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--u", required=True)
     p.add_argument("--f", default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_tolerance, default=None)
     p.add_argument("--mode", default="solution", choices=["solution", "sub", "super"],
                    help="monge check mode")
     p.add_argument("--report", default=None, help="write per-item report CSV here")
@@ -355,10 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", required=True, help="candidate Monge subsolution")
     p.add_argument("--v", required=True, help="candidate Monge supersolution")
     p.add_argument("--delta", type=float, default=None, help="boundary band width (default 2 h_max)")
-    p.add_argument("--band-tol", type=float, default=None)
-    p.add_argument("--sub-tol", type=float, default=None)
-    p.add_argument("--super-tol", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None, help="comparison tolerance")
+    p.add_argument("--band-tol", type=_tolerance, default=None)
+    p.add_argument("--sub-tol", type=_tolerance, default=None)
+    p.add_argument("--super-tol", type=_tolerance, default=None)
+    p.add_argument("--tol", type=_tolerance, default=None, help="comparison tolerance")
     p.add_argument("--report", default=None)
     p.set_defaults(handler=_cmd_compare)
 

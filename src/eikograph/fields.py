@@ -153,9 +153,12 @@ def validate_field(f: ScalarField, positivity_threshold: float = DEFAULT_POSITIV
 
 def lipschitz_constant(g: MetricGraph, f: ScalarField) -> float:
     """Lipschitz constant of the piecewise-linear interpolant: max |df|/length."""
+    fl = field_list(g, f)
     lip = 0.0
-    for (a, b), length in g.edges.items():
-        lip = max(lip, abs(f[a] - f[b]) / length)
+    for i, (fi, nbrs, lens) in enumerate(zip(fl, g.nbrs, g.lens)):
+        for j, length in zip(nbrs, lens):
+            if j > i and (slope := abs(fi - fl[j]) / length) > lip:  # each edge once
+                lip = slope
     return lip
 
 

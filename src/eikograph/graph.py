@@ -43,38 +43,24 @@ def edge_key(a: str, b: str) -> tuple[str, str]:
 class MetricGraph:
     """Finite weighted graph with a distinguished boundary vertex set.
 
-    ``edges`` maps canonical sorted pairs to positive lengths.  ``coords`` is
-    optional per vertex and only feeds embedding-derived metrics and plot
-    output.  Vertex i is ``vertices[i]`` (sorted ids); construction derives
-    ``index`` (id -> i) and, per vertex, neighbour indices ``nbrs[i]`` and
-    lengths ``lens[i]`` in id order, which :func:`settle` runs on.
+    ``edges`` maps canonical sorted pairs to positive lengths, in id order.
+    ``coords`` is optional per vertex and only feeds embedding-derived
+    metrics and plot output.  Vertex i is ``vertices[i]`` (sorted ids), and
+    ``index`` maps id -> i; per vertex, ``nbrs[i]`` and ``lens[i]`` list
+    neighbour indices and lengths in id order.  Built by :func:`_finalize`.
     """
 
     vertices: tuple[str, ...]
     edges: dict[tuple[str, str], float]
     boundary: frozenset[str]
     coords: dict[str, tuple[float, ...]]
-    index: dict[str, int] = field(init=False, compare=False, repr=False)
-    nbrs: tuple[list[int], ...] = field(init=False, compare=False, repr=False)
-    lens: tuple[list[float], ...] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        index = {v: i for i, v in enumerate(self.vertices)}
-        nbrs, lens = tuple([] for _ in index), tuple([] for _ in index)
-        # sorted canonical keys list each vertex's smaller neighbours, then
-        # its larger ones, each in id order: every list comes out sorted
-        for (a, b), length in sorted(self.edges.items()):
-            i, j = index[a], index[b]
-            nbrs[i].append(j)
-            lens[i].append(length)
-            nbrs[j].append(i)
-            lens[j].append(length)
-        for name, value in (("index", index), ("nbrs", nbrs), ("lens", lens)):
-            object.__setattr__(self, name, value)
+    index: dict[str, int] = field(compare=False, repr=False)
+    nbrs: tuple[list[int], ...] = field(compare=False, repr=False)
+    lens: tuple[list[float], ...] = field(compare=False, repr=False)
 
     @cached_property
     def adjacency(self) -> dict[str, tuple[tuple[str, float], ...]]:
-        """(neighbour id, length) pairs per vertex in id order; built on first use."""
+        """(neighbour id, length) pairs per vertex in id order; unread in the package."""
         vs = self.vertices
         return {v: tuple(zip([vs[j] for j in nb], ln)) for v, nb, ln in zip(vs, self.nbrs, self.lens)}
 
@@ -85,15 +71,6 @@ class MetricGraph:
     @property
     def h_max(self) -> float:
         return max(self.edges.values(), default=0.0)  # an edgeless graph has mesh 0
-
-    def has_vertex(self, v: str) -> bool:
-        return v in self.index
-
-    def neighbors(self, v: str) -> tuple[tuple[str, float], ...]:
-        try:
-            return self.adjacency[v]
-        except KeyError:
-            raise GraphError(f"unknown vertex {v!r}")
 
     def edge_length(self, a: str, b: str) -> float:
         try:
@@ -175,47 +152,64 @@ def _finalize(
     boundary: Iterable[str],
     coords: Mapping[str, tuple[float, ...]] | None = None,
 ) -> MetricGraph:
-    """Validate parts and assemble an immutable MetricGraph.
+    """Validate parts and lay out an immutable MetricGraph.
 
     ``edges`` holds ((a, b), length) entries, such as a dict's ``items()``.
-    Every entry is validated; parallel entries then collapse to the
-    shortest length, whatever their order.
+    Every entry is validated; parallel entries collapse to the shortest
+    length, whatever their order.  One sort of the (i, j) pairs, i < j, fills
+    ``edges`` and each vertex's lists: smaller neighbours, then larger ones.
     """
     vs = tuple(sorted(set(vertices)))
     if not vs:
         raise ValidationError("graph has no vertices")
-    vset = set(vs)
+    index = {v: i for i, v in enumerate(vs)}
 
-    clean: dict[tuple[str, str], float] = {}
+    shortest: dict[tuple[int, int], float] = {}
     for (a, b), length in edges:
         if a == b:
             raise ValidationError(f"self-loop at vertex {a!r}")
-        if a not in vset or b not in vset:
+        i, j = index.get(a), index.get(b)
+        if i is None or j is None:
             raise ValidationError(f"edge ({a!r}, {b!r}) references unknown vertex")
         if not (0.0 < length < math.inf):
             raise ValidationError(f"edge ({a!r}, {b!r}) has length {length!r}; "
                                   "a length must be a positive finite number")
-        k = edge_key(a, b)
-        # parallel edges collapse to the shorter length
-        if k not in clean or length < clean[k]:
-            clean[k] = float(length)
+        k = (i, j) if i < j else (j, i)
+        if k not in shortest or length < shortest[k]:
+            shortest[k] = float(length)
 
     bset = frozenset(boundary)
-    unknown = bset - vset
+    unknown = bset - index.keys()
     if unknown:
         raise ValidationError(f"boundary references unknown vertices {sorted(unknown)}")
 
     cmap: dict[str, tuple[float, ...]] = {}
     if coords:
         for v, xy in coords.items():
-            if v not in vset:
+            if v not in index:
                 raise ValidationError(f"coords reference unknown vertex {v!r}")
             cmap[v] = tuple(float(c) for c in xy)
         _require_coords(cmap)
 
-    g = MetricGraph(vertices=vs, edges=clean, boundary=bset, coords=cmap)
-    _require_connected(g)
-    return g
+    emap: dict[tuple[str, str], float] = {}
+    nbrs, lens = tuple([] for _ in vs), tuple([] for _ in vs)
+    for i, j in sorted(shortest):
+        length = emap[vs[i], vs[j]] = shortest[i, j]
+        nbrs[i].append(j)
+        lens[i].append(length)
+        nbrs[j].append(i)
+        lens[j].append(length)
+
+    seen, stack = [True] + [False] * (len(vs) - 1), [0]
+    while stack:
+        for j in nbrs[stack.pop()]:
+            if not seen[j]:
+                seen[j] = True
+                stack.append(j)
+    if not all(seen):
+        missing = [v for v, s in zip(vs, seen) if not s][:5]
+        raise ConnectivityError(f"graph is disconnected; unreachable vertices include {missing}")
+    return MetricGraph(vertices=vs, edges=emap, boundary=bset, coords=cmap, index=index, nbrs=nbrs, lens=lens)
 
 
 def _require_coords(coords: Mapping[str, Sequence[float]]) -> None:
@@ -228,18 +222,6 @@ def _require_coords(coords: Mapping[str, Sequence[float]]) -> None:
         other = next(v for v, xy in coords.items() if len(xy) != len(coords[first]))
         raise ValidationError(f"coords mix dimensions: {first!r} has {len(coords[first])}, "
                               f"{other!r} has {len(coords[other])}")
-
-
-def _require_connected(g: MetricGraph) -> None:
-    seen, stack = [True] + [False] * (len(g.vertices) - 1), [0]
-    while stack:
-        for j in g.nbrs[stack.pop()]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(j)
-    if not all(seen):
-        missing = [v for v, s in zip(g.vertices, seen) if not s][:5]
-        raise ConnectivityError(f"graph is disconnected; unreachable vertices include {missing}")
 
 
 def _is_json_number(value) -> bool:
@@ -317,7 +299,7 @@ def graph_to_dict(g: MetricGraph) -> dict:
         if v in g.coords:
             entry["coords"] = list(g.coords[v])
         vertices.append(entry)
-    edges = [{"a": a, "b": b, "length": g.edges[(a, b)]} for a, b in sorted(g.edges)]
+    edges = [{"a": a, "b": b, "length": length} for (a, b), length in g.edges.items()]
     return {
         "version": GRAPH_FORMAT_VERSION,
         "vertices": vertices,
@@ -537,9 +519,8 @@ def refine(g: MetricGraph, h_max: float) -> MetricGraph:
     coords = dict(g.coords)
     edges: list[tuple[tuple[str, str], float]] = []
     existing = set(g.vertices)
-    for (a, b) in sorted(g.edges):
+    for (a, b), k in parts.items():
         length = g.edges[(a, b)]
-        k = parts[(a, b)]
         if k == 1:
             edges.append(((a, b), length))
             continue
@@ -633,7 +614,7 @@ def induce_intrinsic(
 
     # sample every edge (capped) plus long-range random pairs
     ids = g.vertices
-    pairs: set[tuple[str, str]] = set(sorted(g.edges)[: 4 * sample_pairs])
+    pairs: set[tuple[str, str]] = set(list(g.edges)[: 4 * sample_pairs])
     target = min(len(pairs) + sample_pairs, len(ids) * (len(ids) - 1) // 2)
     attempts = 0
     while len(pairs) < target and attempts < 64 * sample_pairs:

@@ -25,7 +25,6 @@ from .graph import (
     REL_TOL,
     MetricGraph,
     distances_from,
-    edge_key,
     settle,
 )
 
@@ -154,7 +153,7 @@ def _undercuts(
     for x in order:
         y = parent[x]
         if 0 <= y != x:  # -1: unreached
-            source[x], length[x] = source[y], length[y] + g.edges[edge_key(names[x], names[y])]
+            source[x], length[x] = source[y], length[y] + g.lens[x][g.nbrs[x].index(y)]
     rises = [(zy - seeds[names[source[i]]], length[i])
              for y, zy in seeds.items() if source[i := index[y]] != i]
     return labels, rises

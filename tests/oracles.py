@@ -7,7 +7,9 @@ path sums from direct summation.  The general-Hamiltonian references keep
 the plain bisection and Picard loop the fast path must reproduce bit for bit,
 and the string-keyed label setting, settle-parent walk and slope checks are
 the reference the integer kernel and the CSR-list checks must reproduce bit
-for bit.
+for bit.  Neighbours come from :func:`adjacency`, which reads only
+``g.edges``, never the per-vertex lists under test; :func:`reference_layout`
+is the rule those lists must follow.
 """
 
 from __future__ import annotations
@@ -33,13 +35,49 @@ from eikograph import (
     ValidationError,
     curve_along,
     default_check_tol,
+    edge_key,
     field_on,
     solve_dirichlet,
     validate_hamiltonian,
 )
-from eikograph.fields import field_list
 from eikograph.hamiltonians import BRACKET_CAP
 from eikograph.slopes import BASE_TOL
+
+_last_adjacency: list = [None, None]  # (graph, its adjacency): the oracles ask for one graph at a time
+
+
+def adjacency(graph: MetricGraph) -> dict[str, list[tuple[str, float]]]:
+    """(neighbor, length) pairs per vertex in id order, built from
+    ``graph.edges`` alone; cached for the last graph asked about."""
+    if _last_adjacency[0] is not graph:
+        adj: dict[str, list[tuple[str, float]]] = {v: [] for v in graph.vertices}
+        for (a, b), length in graph.edges.items():
+            adj[a].append((b, length))
+            adj[b].append((a, length))
+        _last_adjacency[:] = [graph, {v: sorted(pairs) for v, pairs in adj.items()}]
+    return _last_adjacency[1]
+
+
+def reference_layout(vertices, entries):
+    """The layout rule that ``_finalize`` must follow, as ``MetricGraph``
+    once derived it: valid ((a, b), length) entries collapse on canonical
+    string keys to the shortest length, and the sorted string-keyed items
+    fill the per-vertex neighbor and length lists.  Returns (edges in key
+    order, index, nbrs, lens)."""
+    edges: dict[tuple[str, str], float] = {}
+    for (a, b), length in entries:
+        k = edge_key(a, b)
+        if k not in edges or length < edges[k]:
+            edges[k] = float(length)
+    index = {v: i for i, v in enumerate(sorted(set(vertices)))}
+    nbrs, lens = tuple([] for _ in index), tuple([] for _ in index)
+    for (a, b), length in sorted(edges.items()):
+        i, j = index[a], index[b]
+        nbrs[i].append(j)
+        lens[i].append(length)
+        nbrs[j].append(i)
+        lens[j].append(length)
+    return dict(sorted(edges.items())), index, nbrs, lens
 
 
 def value_iteration(graph, costs, seeds):
@@ -48,6 +86,7 @@ def value_iteration(graph, costs, seeds):
     u0 = seeds (inf elsewhere); each synchronous sweep relaxes every vertex
     against all neighbors; stops when a full sweep changes nothing.
     """
+    adj = adjacency(graph)
     u = {v: math.inf for v in graph.vertices}
     for v, s in seeds.items():
         u[v] = min(u[v], s)
@@ -55,7 +94,7 @@ def value_iteration(graph, costs, seeds):
         new = {}
         for x in graph.vertices:
             best = seeds.get(x, math.inf)
-            for y, _length in graph.neighbors(x):
+            for y, _length in adj[x]:
                 c = costs[(x, y) if x <= y else (y, x)]
                 cand = u[y] + c
                 if cand < best:
@@ -149,21 +188,20 @@ def settle_parents(
 
 
 def cost_adjacency(g: MetricGraph, f: ScalarField) -> dict[str, tuple[tuple[str, float], ...]]:
-    """Edge costs laid out like ``g.adjacency``: (neighbor, cost) pairs in id order.
+    """Edge costs laid out like :func:`adjacency`: (neighbor, cost) pairs in id order.
 
     The rule of :func:`edge_costs` and of :func:`graph.settle`'s relaxation,
     bit for bit at either end of an edge: the sum f(x) + f(y) commutes.
     """
     if f.role != "rhs_f":
         raise FieldError(f"edge costs need a rhs_f field, got role {f.role!r}")
-    fl, vs = field_list(g, f), g.vertices
-    return {v: tuple([(vs[y], 0.5 * (fx + fl[y]) * length) for y, length in zip(nbrs, lens)])
-            for v, fx, nbrs, lens in zip(vs, fl, g.nbrs, g.lens)}
+    return {x: tuple([(y, 0.5 * (f[x] + f[y]) * length) for y, length in nbrs])
+            for x, nbrs in adjacency(g).items()}
 
 
 def reference_slopes(g: MetricGraph, u: ScalarField, x: str) -> SlopeTriple:
     """One-hop slope triple of u at x; raises at isolated vertices."""
-    nbrs = g.neighbors(x)
+    nbrs = adjacency(g)[x]
     if not nbrs:
         raise GraphError(f"vertex {x!r} is isolated; slopes are undefined")
     ux = u[x]
@@ -311,7 +349,7 @@ def reference_check_regularity(g: MetricGraph, u: ScalarField, tol: float | None
     for x in g.interior:
         t = reference_slopes(g, u, x)
         r = t.slope - t.sub_slope
-        if any(y in g.boundary for y, _ in g.neighbors(x)):
+        if any(y in g.boundary for y, _ in adjacency(g)[x]):
             excluded[x] = r
         else:
             residuals[x] = r
@@ -349,7 +387,7 @@ def backtrack_witness(graph, source, target):
     path = [target]
     while path[-1] != source:
         v = path[-1]
-        path.append(next(y for y, c in graph.neighbors(v) if dist[v] == dist[y] + c))
+        path.append(next(y for y, c in adjacency(graph)[v] if dist[v] == dist[y] + c))
         if len(path) > len(graph.vertices):
             raise AssertionError("backtrack did not terminate")
     return path[::-1]
@@ -388,7 +426,7 @@ def retry_loop_exits(graph, costs, seeds, u):
             if x in seeds and u[x] == seeds[x]:
                 exit_vertex[x] = x
                 continue
-            for y, _length in graph.neighbors(x):
+            for y, _length in adjacency(graph)[x]:
                 c = costs[(x, y) if x <= y else (y, x)]
                 if u[x] == u[y] + c and y in exit_vertex:
                     exit_vertex[x] = exit_vertex[y]

@@ -489,6 +489,26 @@ class TestErrorsAndConfig:
         assert run_cli("solve", "--graph", str(g_path), "--f", str(f_path), "--zeta", "const:0",
                        "--out", str(tmp_path / "u.csv")) == 2
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["check", "monge", "--graph", "g.json", "--u", "u.csv", "--f", "const:1"], "--tol"),
+        (["check", "csuper", "--graph", "g.json", "--u", "u.csv", "--f", "const:1"], "--tol"),
+        *((["compare", "--graph", "g.json", "--f", "const:1", "--u", "u.csv", "--v", "u.csv"], flag)
+          for flag in ("--tol", "--band-tol", "--sub-tol", "--super-tol")),
+        (["solve", "--graph", "g.json", "--f", "const:0", "--zeta", "const:0", "--out", "u0.csv"],
+         "--threshold"),
+    ], ids=lambda x: x if isinstance(x, str) else x[1] if x[0] == "check" else x[0])
+    def test_nan_tolerance_exits_2(self, tmp_path, capsys, monkeypatch, argv, flag):
+        # every comparison with NaN is false: compare --band-tol nan passed the
+        # band hypothesis, check --tol nan failed with 0 failing items, and
+        # solve --threshold nan accepted f = 0
+        monkeypatch.chdir(tmp_path)
+        run_cli("fixture", "--name", "grid", "--n", "6", "--out", "g.json")
+        run_cli("solve", "--graph", "g.json", "--f", "const:1", "--zeta", "const:0", "--out", "u.csv")
+        capsys.readouterr()
+        assert run_cli(*argv, flag, "nan") == 2
+        assert f"argument {flag}: 'nan' is not a number" in capsys.readouterr().err
+        assert not (tmp_path / "u0.csv").exists()
+
     @pytest.mark.parametrize("delta", ["-1", "nan"])
     def test_bad_band_delta_exits_2(self, tmp_path, capsys, delta):
         # an empty band used to raise ValueError from max(): a traceback, exit 1

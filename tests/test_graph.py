@@ -27,7 +27,13 @@ from eikograph import (
 )
 from eikograph.graph import close, edge_key
 
-from oracles import all_pairs_distance_oracle, backtrack_witness, distance_oracle, path_length_sum
+from oracles import (
+    all_pairs_distance_oracle,
+    backtrack_witness,
+    distance_oracle,
+    path_length_sum,
+    reference_layout,
+)
 
 
 def interval_spec():
@@ -92,6 +98,25 @@ class TestBuildGraph:
         spec["edges"].append({"a": "p0", "b": "p1", "length": 0.25})
         g = build_graph(spec)
         assert g.edge_length("p0", "p1") == 0.25
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_layout_matches_string_keyed_reference(self, seed):
+        """Shuffled entries with parallel edges, both ways round and of random
+        or equal lengths, lay out as the string-keyed rule does: edges in key
+        order, and the same index and per-vertex lists."""
+        rng = random.Random(seed)
+        ids = rng.sample([f"v{k}" for k in range(200)], rng.randint(2, 40))  # "v10" sorts before "v9"
+        entries = [((ids[i], ids[rng.randrange(i)]), rng.uniform(0.1, 3.0)) for i in range(1, len(ids))]
+        entries += [(tuple(rng.sample(ids, 2)), rng.uniform(0.1, 3.0)) for _ in range(2 * len(ids))]
+        entries += [((b, a), rng.choice([length, rng.uniform(0.1, 3.0)]))
+                    for (a, b), length in rng.sample(entries, len(entries) // 2)]
+        rng.shuffle(entries)
+        g = build_graph({"vertices": rng.sample(ids, len(ids)), "boundary": [],
+                         "edges": [{"a": a, "b": b, "length": length} for (a, b), length in entries]})
+        edges, index, nbrs, lens = reference_layout(ids, entries)
+        assert list(g.edges.items()) == list(edges.items())
+        assert list(g.index.items()) == list(index.items())
+        assert g.nbrs == nbrs and g.lens == lens
 
     @pytest.mark.parametrize("parallel", [
         # the bad entry was dropped when it came second and was not shorter

@@ -24,7 +24,7 @@ from eikograph import (
 from eikograph.graph import close, edge_key, settle
 from eikograph.solver import boundary_seeds, value_function
 
-from oracles import retry_loop_exits, value_iteration
+from oracles import adjacency, retry_loop_exits, value_iteration
 
 
 def interval_problem(n=200, f_value=1.0, zeta=None):
@@ -42,7 +42,7 @@ def zero_patches(g, values, rng, centers):
     out = dict(values)
     for c in rng.sample(g.vertices, centers):
         out[c] = 0.0
-        for y, _ in g.neighbors(c):
+        for y, _ in adjacency(g)[c]:
             out[y] = 0.0
     return out
 
@@ -72,7 +72,7 @@ def assert_exits_along_equalities(p, vf):
         seen, stack = {x}, [x]
         while stack and e not in seen:
             a = stack.pop()
-            for b, _ in g.neighbors(a):
+            for b, _ in adjacency(g)[a]:
                 if b not in seen and vf.exit_vertex[b] == e and u[a] == u[b] + costs[edge_key(a, b)]:
                     seen.add(b)
                     stack.append(b)
@@ -125,7 +125,7 @@ class TestBellmanInvariants:
             for x in g.vertices:
                 candidates = [
                     costs[(x, y) if x <= y else (y, x)] + vf.u[y]
-                    for y, _l in g.neighbors(x)
+                    for y, _l in adjacency(g)[x]
                 ]
                 if x in g.boundary:
                     candidates.append(p.zeta[x])

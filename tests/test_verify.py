@@ -75,6 +75,18 @@ class TestFixtures:
         assert len(g.edges) == 2 * 4 * 3 + 2 * 9
         assert g.edge_length("v0_0", "v1_1") == math.sqrt(2.0)
 
+    @pytest.mark.parametrize("name,params", [
+        ("interval", {"n": 10**7}),  # 10**7 + 1 vertices
+        ("circle", {"n": 10**7 + 1}),
+        ("grid", {"n": 3163}),  # 3163**2 > 10**7 >= 3162**2
+        ("binary_tree", {"depth": 23}),  # 2**24 - 1 vertices; depth 22 has 2**23 - 1
+        ("gasket", {"level": 15}),  # 21,524,862 vertices; level 14 has 7,174,455
+        ("binary_tree", {"depth": 10**9}),
+    ])
+    def test_oversized_fixture_rejected_before_building(self, name, params):
+        with pytest.raises(ValidationError, match=f"{name} fixture would have more than 10000000 vertices"):
+            fixture(name, **params)
+
     def test_binary_tree_counts(self):
         fix = fixture("binary_tree", depth=3)
         g = fix.graph
@@ -208,15 +220,6 @@ class TestCompare:
 class TestRandomGraph:
     def test_deterministic(self):
         assert random_metric_graph(42) == random_metric_graph(42)
-
-    def test_seed_env_override(self, monkeypatch):
-        from eikograph import default_seed
-        from eikograph.verify import DEFAULT_SEED
-
-        monkeypatch.delenv("EIKOGRAPH_SEED", raising=False)
-        assert default_seed() == DEFAULT_SEED
-        monkeypatch.setenv("EIKOGRAPH_SEED", "313")
-        assert default_seed() == 313
 
     def test_size_bounds_and_boundary(self):
         for seed in range(10):

@@ -5,18 +5,21 @@
 Each argument is a directory that holds the ``eikograph`` package (a
 checkout's ``src``).  The same fixed command list runs once with each on
 ``PYTHONPATH``, in its own temporary directory: fixtures, solve with --plot
-and --certify, solve-h with --h-out, the four checks with --report on six
+and --certify, solve-h with --h-out, the four checks with --report on seven
 (graph, solution) pairs and monge's sub and super modes, compare,
 suite, induce-metric, and refine both with a split and with an h_max
-that splits no edge, on valid input.  Every output file, each
-command's stdout and stderr and the list of exit codes are then compared
-byte for byte.  Exits 0 when all are identical, else 1 with the differing
+that splits no edge, on valid input.  One hand-written graph, MESSY, lists
+its vertices and edges out of id order, with parallel edges of different
+lengths both ways round; it is solved, checked and refined.  Every output
+file, each command's stdout and stderr and the list of exit codes are then
+compared byte for byte.  Exits 0 when all are identical, else 1 with the differing
 files listed.  Standard library only.
 """
 
 from __future__ import annotations
 
 import filecmp
+import json
 import math
 import os
 import subprocess
@@ -31,7 +34,17 @@ PAIRS = [  # (graph, solution, f) pairs every check runs on; bumpy.csv fails all
     ("grid.json", "bumpy.csv", "const:1"),
     ("grid8.json", "u_grid8.csv", "const:0.5"),  # unequal edge lengths
     ("tree.json", "u_tree.csv", "const:1"),  # boundary at the leaves: regularity excludes their parents
+    ("messy.json", "u_messy.csv", "const:1"),
 ]
+
+MESSY = {  # ids out of order ("w10" sorts before "w2"); parallel edges shorter, longer and equal
+    "vertices": ["w3", "w10", "w1", "w20", "w2", "w4", "w11"],
+    "edges": [{"a": a, "b": b, "length": length} for a, b, length in [
+        ("w4", "w3", 1.0), ("w10", "w1", 0.5), ("w3", "w2", 0.8), ("w2", "w1", 1.5),
+        ("w1", "w2", 0.75), ("w20", "w4", 1.25), ("w11", "w10", 0.6), ("w3", "w11", 0.9),
+        ("w11", "w3", 1.9), ("w2", "w20", 2.0), ("w4", "w11", 0.3), ("w20", "w2", 2.0)]],
+    "boundary": ["w20", "w1"],
+}
 
 COMMANDS = [
     ["fixture", "--name", "interval", "--n", "40", "--out", "interval.json"],
@@ -50,6 +63,8 @@ COMMANDS = [
      "--out", "u_zero.csv", "--threshold", "0"],
     ["solve", "--graph", "grid8.json", "--f", "const:0.5", "--zeta", "const:1", "--out", "u_grid8.csv"],
     ["solve", "--graph", "tree.json", "--f", "const:1", "--zeta", "const:0", "--out", "u_tree.csv"],
+    ["solve", "--graph", "messy.json", "--f", "const:1", "--zeta", "const:0", "--out", "u_messy.csv",
+     "--certify"],
     ["solve-h", "--graph", "interval.json", "--hamiltonian", "quadratic", "--zeta", "const:0",
      "--out", "uh_quadratic.csv", "--h-out", "h_quadratic.csv", "--plot", "plot_h.csv"],
     ["solve-h", "--graph", "interval.json", "--hamiltonian", "p + rho - 1", "--zeta", "const:0",
@@ -79,12 +94,14 @@ COMMANDS = [
      "--pairs", "64", "--out", "induced.json", "--probe-out", "probe.csv"],
     ["refine", "--graph", "gasket.json", "--h-max", "0.05", "--out", "refined.json"],
     ["refine", "--graph", "gasket.json", "--h-max", "1e9", "--out", "unrefined.json"],
+    ["refine", "--graph", "messy.json", "--h-max", "0.4", "--out", "refined_messy.json"],
 ]
 
 
 def write_inputs(d: str) -> None:
     """Hand-made inputs: a field with a zero, a half solution, a bumpy
-    solution on the 12 x 12 grid, and 60 points on a circle with a ring."""
+    solution on the 12 x 12 grid, 60 points on a circle with a ring, and
+    the out-of-order graph MESSY."""
     x = [(2 * k - 40) / 40 for k in range(41)]
     files = {
         "f_zero.csv": [f"v{k},{0.0 if k == 20 else 1.0!r}" for k in range(41)],
@@ -98,6 +115,8 @@ def write_inputs(d: str) -> None:
     for name, rows in files.items():
         with open(os.path.join(d, name), "w", encoding="utf-8") as fh:
             fh.write("\n".join([headers.get(name, "vertex_id,value"), *rows]) + "\n")
+    with open(os.path.join(d, "messy.json"), "w", encoding="utf-8") as fh:
+        json.dump(MESSY, fh)
 
 
 def run_all(src: str, d: str) -> None:
