@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from typing import TYPE_CHECKING
 
 from .errors import EikographError, ValidationError
 from .fields import (
@@ -31,12 +32,6 @@ from .graph import (
     write_csv,
     write_graph,
 )
-from .hamiltonians import (
-    BUILTIN_NAMES,
-    builtin_hamiltonian,
-    expression_hamiltonian,
-    solve_general,
-)
 from .slopes import (
     CheckReport,
     check_c_subsolution,
@@ -44,8 +39,13 @@ from .slopes import (
     check_monge,
     check_regularity,
 )
-from .solver import DirichletProblem, ValueFunction, check_boundary_consistency, solve_dirichlet
-from .verify import DEFAULT_SEED, ComparisonInstance, compare, equivalence_suite, fixture
+
+if TYPE_CHECKING:
+    from .solver import ValueFunction
+
+# Handlers import solver, hamiltonians and verify, so `check` and `refine` never
+# load them; hamiltonians.BUILTIN_NAMES, literal so that the parser needs neither:
+BUILTIN_NAMES = ("affine-rho", "ex1", "ex2", "linear", "plateau", "quadratic")
 
 
 def _check_io_paths(inputs, outputs) -> None:
@@ -125,6 +125,7 @@ def _fixture_params(name: str, args) -> dict:
 
 
 def _cmd_fixture(args) -> int:
+    from .verify import fixture
     fix = fixture(args.name, **_fixture_params(args.name, args))
     _check_io_paths([], [args.out])
     write_graph(fix.graph, args.out)
@@ -135,6 +136,7 @@ def _cmd_fixture(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .solver import DirichletProblem, check_boundary_consistency, solve_dirichlet
     _check_io_paths([args.graph, args.f, args.zeta], [args.out, args.plot])
     g = read_graph(args.graph)
     f = _load_field(g, args.f, "rhs_f")
@@ -157,6 +159,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_solve_h(args) -> int:
+    from .hamiltonians import builtin_hamiltonian, expression_hamiltonian, solve_general
     _check_io_paths([args.graph, args.zeta], [args.out, args.h_out, args.plot])
     g = read_graph(args.graph)
     zeta = _load_field(g, args.zeta, "boundary_zeta")
@@ -212,6 +215,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .verify import ComparisonInstance, compare
     _check_io_paths([args.graph, args.f, args.u, args.v], [args.report])
     g = read_graph(args.graph)
     f = _load_field(g, args.f, "rhs_f")
@@ -250,6 +254,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    from .verify import equivalence_suite, fixture
     fix = fixture(args.fixture, **_fixture_params(args.fixture, args))
     report = equivalence_suite(fix, f_spec=args.f, zeta_spec=args.zeta, levels=args.levels)
     _check_io_paths([], [args.report])
@@ -263,6 +268,7 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_induce_metric(args) -> int:
+    from .verify import DEFAULT_SEED
     _check_io_paths([args.points, args.edges], [args.out, args.probe_out])
     coords: dict[str, tuple[float, ...]] = {}
     for lineno, row in read_csv(args.points, [("vertex_id",)], 1):

@@ -9,6 +9,7 @@ All graphs are immutable after construction and safe for concurrent reads.
 from __future__ import annotations
 
 import csv
+import gc
 import heapq
 import json
 import math
@@ -16,6 +17,8 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, compress, repeat
+from operator import eq, is_not, itemgetter, lt
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .errors import ConnectivityError, GraphError, MetricError, ValidationError
@@ -26,7 +29,9 @@ ABS_TOL = 1e-12
 REL_TOL = 1e-9
 
 GRAPH_FORMAT_VERSION = 1
-MAX_REFINE_VERTICES = 10**7  # refine() refuses an h_max that adds more vertices
+# refine() and the fixtures refuse more vertices than this: a graph takes about 2 kB
+# a vertex (read_graph of grid n=100, 10**4 vertices, peaks at 20 MB), so ~2 GB.
+MAX_REFINE_VERTICES = 10**6
 
 
 def close(a: float, b: float, abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL) -> bool:
@@ -148,35 +153,40 @@ class InducedMetric:
 
 def _finalize(
     vertices: Iterable[str],
-    edges: Iterable[tuple[tuple[str, str], float]],
+    ends: Sequence[tuple[str, str]],
+    lengths: Sequence[float],
     boundary: Iterable[str],
-    coords: Mapping[str, tuple[float, ...]] | None = None,
+    coords: Mapping[str, Sequence[float]] | None = None,
 ) -> MetricGraph:
     """Validate parts and lay out an immutable MetricGraph.
 
-    ``edges`` holds ((a, b), length) entries, such as a dict's ``items()``.
-    Every entry is validated; parallel entries collapse to the shortest
-    length, whatever their order.  One sort of the (i, j) pairs, i < j, fills
-    ``edges`` and each vertex's lists: smaller neighbours, then larger ones.
+    ``ends`` holds (a, b) pairs and ``lengths`` their lengths, such as a dict's
+    keys and values.  C-level passes validate every entry; only when one fails
+    does a walk name the first bad one.  Parallel entries collapse to the
+    shortest length, whatever their order.  One sort of the (i, j) pairs, i < j,
+    fills ``edges`` and each vertex's lists: smaller neighbours, then larger.
     """
     vs = tuple(sorted(set(vertices)))
     if not vs:
         raise ValidationError("graph has no vertices")
-    index = {v: i for i, v in enumerate(vs)}
+    index = dict(zip(vs, range(len(vs))))
 
-    shortest: dict[tuple[int, int], float] = {}
-    for (a, b), length in edges:
-        if a == b:
-            raise ValidationError(f"self-loop at vertex {a!r}")
-        i, j = index.get(a), index.get(b)
-        if i is None or j is None:
-            raise ValidationError(f"edge ({a!r}, {b!r}) references unknown vertex")
-        if not (0.0 < length < math.inf):
-            raise ValidationError(f"edge ({a!r}, {b!r}) has length {length!r}; "
-                                  "a length must be a positive finite number")
-        k = (i, j) if i < j else (j, i)
-        if k not in shortest or length < shortest[k]:
-            shortest[k] = float(length)
+    ii = list(map(index.get, map(itemgetter(0), ends)))
+    jj = list(map(index.get, map(itemgetter(1), ends)))
+    if (None in ii or None in jj or any(map(eq, ii, jj)) or not all(map(lt, repeat(0.0), lengths))
+            or not all(map(lt, lengths, repeat(math.inf)))):
+        for (a, b), length in zip(ends, lengths):  # some entry is bad: name the first
+            if a == b:
+                raise ValidationError(f"self-loop at vertex {a!r}")
+            if a not in index or b not in index:
+                raise ValidationError(f"edge ({a!r}, {b!r}) references unknown vertex")
+            if not (0.0 < length < math.inf):
+                raise ValidationError(f"edge ({a!r}, {b!r}) has length {length!r}; "
+                                      "a length must be a positive finite number")
+    keys = [(i, j) if i < j else (j, i) for i, j in zip(ii, jj)]
+    shortest = dict(zip(keys, map(float, lengths)))
+    if len(shortest) < len(keys):  # parallel entries: sorted down, each key's shortest comes last
+        shortest = dict(sorted(zip(keys, map(float, lengths)), reverse=True))
 
     bset = frozenset(boundary)
     unknown = bset - index.keys()
@@ -185,10 +195,10 @@ def _finalize(
 
     cmap: dict[str, tuple[float, ...]] = {}
     if coords:
-        for v, xy in coords.items():
-            if v not in index:
-                raise ValidationError(f"coords reference unknown vertex {v!r}")
-            cmap[v] = tuple(float(c) for c in xy)
+        if not coords.keys() <= index.keys():
+            v = next(v for v in coords if v not in index)
+            raise ValidationError(f"coords reference unknown vertex {v!r}")
+        cmap = {v: tuple(map(float, xy)) for v, xy in coords.items()}
         _require_coords(cmap)
 
     emap: dict[tuple[str, str], float] = {}
@@ -214,10 +224,10 @@ def _finalize(
 
 def _require_coords(coords: Mapping[str, Sequence[float]]) -> None:
     """Coords must be finite and share one dimension."""
-    for v, xy in coords.items():
-        if not all(map(math.isfinite, xy)):
-            raise ValidationError(f"vertex {v!r}: coords must be finite, got {xy!r}")
-    if len({len(xy) for xy in coords.values()}) > 1:
+    if not all(map(math.isfinite, chain.from_iterable(coords.values()))):
+        v, xy = next((v, xy) for v, xy in coords.items() if not all(map(math.isfinite, xy)))
+        raise ValidationError(f"vertex {v!r}: coords must be finite, got {xy!r}")
+    if len(set(map(len, coords.values()))) > 1:
         first = next(iter(coords))
         other = next(v for v, xy in coords.items() if len(xy) != len(coords[first]))
         raise ValidationError(f"coords mix dimensions: {first!r} has {len(coords[first])}, "
@@ -253,6 +263,43 @@ def build_graph(spec: Mapping) -> MetricGraph:
     if type(version) is not int or version != GRAPH_FORMAT_VERSION:
         raise ValidationError(f"unsupported graph version {version!r}; expected {GRAPH_FORMAT_VERSION}")
 
+    parts = _bulk_entries(raw_vertices, raw_edges)
+    vertices, coords, ends, lengths = _walk_entries(raw_vertices, raw_edges) if parts is None else parts
+    return _finalize(vertices, ends, lengths, [str(b) for b in boundary], coords)
+
+
+def _strs(values: list) -> list:
+    """``values`` as str, converting only when some value is not one already."""
+    return values if set(map(type, values)) <= {str} else list(map(str, values))
+
+
+def _bulk_entries(raw_vertices: Sequence, raw_edges: Sequence) -> tuple | None:
+    """Vertex ids, coords, edge ends and lengths by C-level passes, if each vertex is
+    an id or a dict with float coords or none, and each length an int or float."""
+    named = [item for item in raw_vertices if type(item) is not str]
+    try:
+        named_ids = _strs(list(map(itemgetter("id"), named)))
+        raws = list(map(dict.get, named, repeat("coords")))
+        ends = list(zip(*(_strs(list(map(itemgetter(key), raw_edges))) for key in "ab")))
+        lengths = list(map(itemgetter("length"), raw_edges))
+    except (TypeError, KeyError, ValueError):
+        return None
+    has = list(map(is_not, raws, repeat(None)))
+    raws = list(compress(raws, has))
+    ids = {*named_ids, *(item for item in raw_vertices if type(item) is str)}
+    if (len(ids) < len(raw_vertices) or not set(map(type, raws)) <= {list}
+            or not set(map(type, chain.from_iterable(raws))) <= {float}
+            or not set(map(type, lengths)) <= {int, float}):
+        return None
+    try:
+        return ids, dict(zip(compress(named_ids, has), raws)), ends, list(map(float, lengths))
+    except OverflowError:  # an int length beyond binary64
+        return None
+
+
+def _walk_entries(raw_vertices: Sequence, raw_edges: Sequence) -> tuple:
+    """The entries one by one, when :func:`_bulk_entries` gives None: raises
+    ValidationError at the first bad one, or returns the parts of a valid spec."""
     vertices: set[str] = set()
     coords: dict[str, tuple[float, ...]] = {}
     for item in raw_vertices:
@@ -279,16 +326,18 @@ def build_graph(spec: Mapping) -> MetricGraph:
             raise ValidationError(f"duplicate vertex id {vid!r}")
         vertices.add(vid)
 
-    edges: list[tuple[tuple[str, str], float]] = []
+    ends: list[tuple[str, str]] = []
+    lengths: list[float] = []
     for item in raw_edges:
         try:
             a, b, length = str(item["a"]), str(item["b"]), item["length"]
-            edges.append(((a, b), float(length)))
+            lengths.append(float(length))
         except (TypeError, KeyError, ValueError, OverflowError):
             raise ValidationError(f"edge entry {item!r} must have a, b, length")
         if not _is_json_number(length):
             raise ValidationError(f"edge ({a!r}, {b!r}) has non-numeric length {length!r}")
-    return _finalize(vertices, edges, [str(b) for b in boundary], coords)
+        ends.append((a, b))
+    return vertices, coords, ends, lengths
 
 
 def graph_to_dict(g: MetricGraph) -> dict:
@@ -309,9 +358,9 @@ def graph_to_dict(g: MetricGraph) -> dict:
 
 
 def write_graph(g: MetricGraph, path: str) -> None:
+    """One line of compact JSON: json.dumps runs the C encoder, json.dump does not."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_dict(g), fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(graph_to_dict(g), separators=(",", ":")) + "\n")
 
 
 @contextmanager
@@ -372,7 +421,15 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
 
 
 def read_graph(path: str) -> MetricGraph:
-    return build_graph(read_json(path))
+    """Parse and build a graph file, with the cyclic collector paused: the load
+    keeps what it makes and makes no cycles, so a pass would free nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return build_graph(read_json(path))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def settle(
@@ -517,12 +574,12 @@ def refine(g: MetricGraph, h_max: float) -> MetricGraph:
 
     vertices = list(g.vertices)
     coords = dict(g.coords)
-    edges: list[tuple[tuple[str, str], float]] = []
+    edges: dict[tuple[str, str], float] = {}
     existing = set(g.vertices)
     for (a, b), k in parts.items():
         length = g.edges[(a, b)]
         if k == 1:
-            edges.append(((a, b), length))
+            edges[a, b] = length
             continue
         sub = length / k
         chain = [a]
@@ -540,8 +597,8 @@ def refine(g: MetricGraph, h_max: float) -> MetricGraph:
                 )
         chain.append(b)
         for u, v in zip(chain, chain[1:]):
-            edges.append(((u, v), sub))
-    return _finalize(vertices, edges, g.boundary, coords)
+            edges[u, v] = sub
+    return _finalize(vertices, edges, edges.values(), g.boundary, coords)
 
 
 def chord_from_coords(coords: Mapping[str, Sequence[float]]) -> Callable[[str, str], float]:
@@ -606,9 +663,9 @@ def induce_intrinsic(
     rng = random.Random(seed)
     _validate_chord(chord, rng, samples=max(32, sample_pairs // 2))
 
-    edges = [((a, b), chord.dist(a, b)) for a, b in chord.adjacency]
+    lengths = [chord.dist(a, b) for a, b in chord.adjacency]
     try:
-        g = _finalize(chord.ids, edges, boundary, coords)
+        g = _finalize(chord.ids, chord.adjacency, lengths, boundary, coords)
     except ConnectivityError:
         raise ConnectivityError("chord adjacency is disconnected")
 

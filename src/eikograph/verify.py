@@ -61,7 +61,7 @@ def _interval(n: int) -> Fixture:
     coords = {ids[k]: ((2 * k - n) / n,) for k in range(n + 1)}
     h = 2.0 / n
     edges = {edge_key(ids[k], ids[k + 1]): h for k in range(n)}
-    g = _finalize(ids, edges.items(), {ids[0], ids[n]}, coords)
+    g = _finalize(ids, edges, edges.values(), {ids[0], ids[n]}, coords)
     reference = {v: 1.0 - abs(coords[v][0]) for v in ids}
     return Fixture("interval", {"n": n}, g, reference)
 
@@ -77,7 +77,7 @@ def _circle(n: int) -> Fixture:
     }
     chord = 2.0 * math.sin(math.pi / n)
     edges = {edge_key(ids[k], ids[(k + 1) % n]): chord for k in range(n)}
-    g = _finalize(ids, edges.items(), (), coords)
+    g = _finalize(ids, edges, edges.values(), (), coords)
     return Fixture("circle", {"n": n}, g, None)
 
 
@@ -108,7 +108,7 @@ def _grid(n: int, connectivity: int = 4) -> Fixture:
         for j in range(n)
         if i in (0, n - 1) or j in (0, n - 1)
     }
-    g = _finalize(ids.values(), edges.items(), ring, coords)
+    g = _finalize(ids.values(), edges, edges.values(), ring, coords)
     reference = None
     if connectivity == 4:
         reference = {
@@ -136,7 +136,7 @@ def _binary_tree(depth: int) -> Fixture:
         for k, child in enumerate(nxt):
             coords[child] = ((k + 0.5) / len(nxt), -float(d))
         level = nxt
-    g = _finalize(ids, edges.items(), level, coords)  # leaves form the boundary
+    g = _finalize(ids, edges, edges.values(), level, coords)  # leaves form the boundary
     reference = {v: float(depth - (len(v) - 1)) for v in ids}
     return Fixture("binary_tree", {"depth": depth}, g, reference)
 
@@ -174,7 +174,7 @@ def _gasket(level: int) -> Fixture:
         for u, v in ((0, 1), (0, 2), (1, 2)):
             edges[edge_key(names[u], names[v])] = side
     corners = {vid((0, 0)), vid((res, 0)), vid((0, res))}
-    g = _finalize(vertices, edges.items(), corners, coords)
+    g = _finalize(vertices, edges, edges.values(), corners, coords)
     return Fixture("gasket", {"level": level}, g, None)
 
 
@@ -389,7 +389,7 @@ def random_metric_graph(seed: int, n_min: int = 8, n_max: int = 50) -> MetricGra
             edges.setdefault(edge_key(ids[i], ids[j]), rng.uniform(0.2, 2.0))
     k = max(1, n // 4)
     boundary = rng.sample(ids, k)
-    return _finalize(ids, edges.items(), boundary)
+    return _finalize(ids, edges, edges.values(), boundary)
 
 
 def random_comparison_instance(seed: int) -> ComparisonInstance:

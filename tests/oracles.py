@@ -9,18 +9,20 @@ and the string-keyed label setting, settle-parent walk and slope checks are
 the reference the integer kernel and the CSR-list checks must reproduce bit
 for bit.  Neighbours come from :func:`adjacency`, which reads only
 ``g.edges``, never the per-vertex lists under test; :func:`reference_layout`
-is the rule those lists must follow.
+is the rule those lists must follow, and :func:`reference_build_graph` the
+entry-by-entry graph load whose graphs and errors the bulk load must give.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from eikograph import (
     CheckReport,
     CoercivityError,
+    ConnectivityError,
     ConvergenceError,
     Curve,
     DirichletProblem,
@@ -40,6 +42,7 @@ from eikograph import (
     solve_dirichlet,
     validate_hamiltonian,
 )
+from eikograph.graph import GRAPH_FORMAT_VERSION
 from eikograph.hamiltonians import BRACKET_CAP
 from eikograph.slopes import BASE_TOL
 
@@ -78,6 +81,154 @@ def reference_layout(vertices, entries):
         nbrs[j].append(i)
         lens[j].append(length)
     return dict(sorted(edges.items())), index, nbrs, lens
+
+
+def _reference_finalize(
+    vertices: Iterable[str],
+    edges: Iterable[tuple[tuple[str, str], float]],
+    boundary: Iterable[str],
+    coords: Mapping[str, tuple[float, ...]] | None = None,
+) -> MetricGraph:
+    """Validate parts and lay out an immutable MetricGraph.
+
+    ``edges`` holds ((a, b), length) entries, such as a dict's ``items()``.
+    Every entry is validated; parallel entries collapse to the shortest
+    length, whatever their order.  One sort of the (i, j) pairs, i < j, fills
+    ``edges`` and each vertex's lists: smaller neighbours, then larger ones.
+    """
+    vs = tuple(sorted(set(vertices)))
+    if not vs:
+        raise ValidationError("graph has no vertices")
+    index = {v: i for i, v in enumerate(vs)}
+
+    shortest: dict[tuple[int, int], float] = {}
+    for (a, b), length in edges:
+        if a == b:
+            raise ValidationError(f"self-loop at vertex {a!r}")
+        i, j = index.get(a), index.get(b)
+        if i is None or j is None:
+            raise ValidationError(f"edge ({a!r}, {b!r}) references unknown vertex")
+        if not (0.0 < length < math.inf):
+            raise ValidationError(f"edge ({a!r}, {b!r}) has length {length!r}; "
+                                  "a length must be a positive finite number")
+        k = (i, j) if i < j else (j, i)
+        if k not in shortest or length < shortest[k]:
+            shortest[k] = float(length)
+
+    bset = frozenset(boundary)
+    unknown = bset - index.keys()
+    if unknown:
+        raise ValidationError(f"boundary references unknown vertices {sorted(unknown)}")
+
+    cmap: dict[str, tuple[float, ...]] = {}
+    if coords:
+        for v, xy in coords.items():
+            if v not in index:
+                raise ValidationError(f"coords reference unknown vertex {v!r}")
+            cmap[v] = tuple(float(c) for c in xy)
+        _reference_require_coords(cmap)
+
+    emap: dict[tuple[str, str], float] = {}
+    nbrs, lens = tuple([] for _ in vs), tuple([] for _ in vs)
+    for i, j in sorted(shortest):
+        length = emap[vs[i], vs[j]] = shortest[i, j]
+        nbrs[i].append(j)
+        lens[i].append(length)
+        nbrs[j].append(i)
+        lens[j].append(length)
+
+    seen, stack = [True] + [False] * (len(vs) - 1), [0]
+    while stack:
+        for j in nbrs[stack.pop()]:
+            if not seen[j]:
+                seen[j] = True
+                stack.append(j)
+    if not all(seen):
+        missing = [v for v, s in zip(vs, seen) if not s][:5]
+        raise ConnectivityError(f"graph is disconnected; unreachable vertices include {missing}")
+    return MetricGraph(vertices=vs, edges=emap, boundary=bset, coords=cmap, index=index, nbrs=nbrs, lens=lens)
+
+
+def _reference_require_coords(coords: Mapping[str, Sequence[float]]) -> None:
+    """Coords must be finite and share one dimension."""
+    for v, xy in coords.items():
+        if not all(map(math.isfinite, xy)):
+            raise ValidationError(f"vertex {v!r}: coords must be finite, got {xy!r}")
+    if len({len(xy) for xy in coords.values()}) > 1:
+        first = next(iter(coords))
+        other = next(v for v, xy in coords.items() if len(xy) != len(coords[first]))
+        raise ValidationError(f"coords mix dimensions: {first!r} has {len(coords[first])}, "
+                              f"{other!r} has {len(coords[other])}")
+
+
+def _reference_is_json_number(value) -> bool:
+    """An int or a float: JSON's numbers, not the booleans and strings that
+    float() also takes."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def reference_build_graph(spec: Mapping) -> MetricGraph:
+    """The entry-by-entry graph load that ``build_graph`` must reproduce: the
+    same ``MetricGraph`` (``index``, ``nbrs`` and ``lens`` included) for a
+    valid description, and the same exception class and message, naming
+    the same first bad entry, for a malformed one.
+
+    Expected keys: ``vertices`` (list of {id, coords?}), ``edges`` (list of
+    {a, b, length}), ``boundary`` (list of ids), optional ``version``.
+    """
+    if not isinstance(spec, Mapping):
+        raise ValidationError("graph description must be a mapping")
+    try:
+        raw_vertices = spec["vertices"]
+        raw_edges = spec["edges"]
+    except KeyError as exc:
+        raise ValidationError(f"graph description missing key {exc.args[0]!r}")
+    boundary = spec.get("boundary", [])
+    for key, value, what in (("vertices", raw_vertices, "vertex entries"),
+                             ("edges", raw_edges, "edge entries"), ("boundary", boundary, "vertex ids")):
+        if not isinstance(value, (list, tuple)):
+            raise ValidationError(f"graph {key} must be a list of {what}, got {type(value).__name__}")
+
+    version = spec.get("version", GRAPH_FORMAT_VERSION)
+    if type(version) is not int or version != GRAPH_FORMAT_VERSION:
+        raise ValidationError(f"unsupported graph version {version!r}; expected {GRAPH_FORMAT_VERSION}")
+
+    vertices: set[str] = set()
+    coords: dict[str, tuple[float, ...]] = {}
+    for item in raw_vertices:
+        if isinstance(item, str):
+            vid = item
+        else:
+            try:
+                vid = str(item["id"])
+            except (TypeError, KeyError):
+                raise ValidationError(f"vertex entry {item!r} has no id")
+            raw = item.get("coords")
+            if raw is not None:
+                if not isinstance(raw, (list, tuple)):
+                    raise ValidationError(f"vertex {vid!r}: coords must be a list of numbers, got {raw!r}")
+                bad = [c for c in raw if not _reference_is_json_number(c)]
+                if bad:
+                    raise ValidationError(f"vertex {vid!r}: coords must be a list of numbers, got {raw!r} "
+                                          f"(coords must be numbers, not {type(bad[0]).__name__})")
+                try:
+                    coords[vid] = tuple(map(float, raw))
+                except OverflowError:
+                    raise ValidationError(f"vertex {vid!r}: coords must be numbers, got {raw!r}")
+        if vid in vertices:
+            raise ValidationError(f"duplicate vertex id {vid!r}")
+        vertices.add(vid)
+
+    edges: list[tuple[tuple[str, str], float]] = []
+    for item in raw_edges:
+        try:
+            a, b, length = str(item["a"]), str(item["b"]), item["length"]
+            edges.append(((a, b), float(length)))
+        except (TypeError, KeyError, ValueError, OverflowError):
+            raise ValidationError(f"edge entry {item!r} must have a, b, length")
+        if not _reference_is_json_number(length):
+            raise ValidationError(f"edge ({a!r}, {b!r}) has non-numeric length {length!r}")
+    return _reference_finalize(vertices, edges, [str(b) for b in boundary], coords)
 
 
 def value_iteration(graph, costs, seeds):

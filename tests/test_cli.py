@@ -11,6 +11,8 @@ import re
 import pytest
 
 from eikograph import constant_field, field_on, fixture, read_graph
+from eikograph import graph as graph_module
+from eikograph import verify as verify_module
 from eikograph.cli import emit_plot_data, run
 from eikograph.fields import read_field_csv, write_field_csv
 
@@ -387,6 +389,28 @@ class TestErrorsAndConfig:
                        "--out", str(tmp_path / "r.json"))
         assert code == 2
         assert f"h_max {h_max}" in self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["fixture", "--name", "grid", "--n", "1001"], "grid fixture would have more than 1000000 vertices"),
+        (["refine", "--graph", "g.json", "--h-max", "1.6e-6"], "would add more than 1000000 vertices"),
+    ], ids=["fixture", "refine"])
+    def test_over_a_million_vertices_exits_2_before_building(self, tmp_path, capsys, monkeypatch, argv,
+                                                              message):
+        # at about 2 kB a vertex these once went on to build 1.0 and 1.25 million vertices
+        monkeypatch.chdir(tmp_path)
+        run_cli("fixture", "--name", "interval", "--n", "2", "--out", "g.json")
+        capsys.readouterr()
+
+        def build(vertices, *args, finalize=graph_module._finalize):
+            vertices = list(vertices)
+            assert len(vertices) == 3, "a big graph was built"
+            return finalize(vertices, *args)
+
+        monkeypatch.setattr(graph_module, "_finalize", build)
+        monkeypatch.setattr(verify_module, "_finalize", build)
+        assert run_cli(*argv, "--out", "big.json") == 2
+        assert message in self.assert_one_error_line(capsys)
+        assert not (tmp_path / "big.json").exists()
 
     def test_overflowing_cost_is_not_called_unreachable(self, tmp_path, capsys):
         g_path = tmp_path / "g.json"

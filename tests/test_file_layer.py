@@ -7,9 +7,16 @@ import pytest
 
 from eikograph.cli import run
 from eikograph.errors import ValidationError
-from eikograph.graph import read_csv, read_json, write_csv
+from eikograph.graph import read_csv, read_graph, read_json, write_csv
 
+# Graph files are one line of compact JSON.  INDENTED holds the same two files
+# in the layout written before (json.dump with indent=1), which read_graph
+# still takes.
 GRAPH = (
+    '{"version":1,"vertices":[{"id":"v0","coords":[-1.0]},{"id":"v1","coords":[0.0]},{"id":"v2","coords":[1.0]}],'
+    '"edges":[{"a":"v0","b":"v1","length":1.0},{"a":"v1","b":"v2","length":1.0}],'
+)
+INDENTED_GRAPH = (
     '{\n "version": 1,\n "vertices": [\n  {\n   "id": "v0",\n   "coords": [\n    -1.0\n   ]\n  },\n'
     '  {\n   "id": "v1",\n   "coords": [\n    0.0\n   ]\n  },\n'
     '  {\n   "id": "v2",\n   "coords": [\n    1.0\n   ]\n  }\n ],\n'
@@ -19,7 +26,7 @@ GRAPH = (
 
 # Files written on interval n=2 with f = linear:1,0.5 and zeta = 0.
 EXPECTED = {
-    "g.json": GRAPH + ' "boundary": [\n  "v0",\n  "v2"\n ]\n}\n',
+    "g.json": GRAPH + '"boundary":["v0","v2"]}\n',
     "u.csv": "vertex_id,u,exit_vertex,attained\r\nv0,0.0,v0,true\r\nv1,0.75,v0,\r\nv2,0.0,v2,true\r\n",
     "plot.csv": "vertex_id,x,u\r\nv0,-1.0,0.0\r\nv1,0.0,0.75\r\nv2,1.0,0.0\r\n",
     "uh.csv": "vertex_id,u,exit_vertex,attained\r\nv0,0.0,v0,true\r\nv1,0.6666666641831398,v0,\r\n"
@@ -33,7 +40,7 @@ EXPECTED = {
                  "interval,0,monge,0.0,1e-09,pass\r\ninterval,0,csub,0.0,0.0,pass\r\n"
                  "interval,0,csuper,0.0,0.0,pass\r\ninterval,0,regularity,0.0,1e-09,pass\r\n"
                  "interval,all,monge-residual-monotone,0.0,1e-12,pass\r\n",
-    "ind.json": GRAPH + ' "boundary": []\n}\n',
+    "ind.json": GRAPH + '"boundary":[]}\n',
     "probe.csv": "d_max,ratio_max,ratio_mean,count\r\n1.0,1.0,1.0,1\r\n1.0,1.0,1.0,1\r\n2.0,1.0,1.0,1\r\n",
 }
 
@@ -61,6 +68,21 @@ def test_every_writer_byte_exact(tmp_path):
         assert run(argv) == 0, argv
     for name, text in EXPECTED.items():
         assert (tmp_path / name).read_bytes() == text.encode("utf-8"), name
+
+
+INDENTED = {
+    "g.json": INDENTED_GRAPH + ' "boundary": [\n  "v0",\n  "v2"\n ]\n}\n',
+    "ind.json": INDENTED_GRAPH + ' "boundary": []\n}\n',
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDENTED))
+def test_indented_graph_file_reads_as_the_compact_one(tmp_path, name):
+    (tmp_path / "old.json").write_text(INDENTED[name], encoding="utf-8")
+    (tmp_path / "new.json").write_text(EXPECTED[name], encoding="utf-8")
+    old, new = read_graph(str(tmp_path / "old.json")), read_graph(str(tmp_path / "new.json"))
+    assert old == new
+    assert (old.index, old.nbrs, old.lens) == (new.index, new.nbrs, new.lens)
 
 
 class TestReadCsv:

@@ -76,15 +76,15 @@ class TestFixtures:
         assert g.edge_length("v0_0", "v1_1") == math.sqrt(2.0)
 
     @pytest.mark.parametrize("name,params", [
-        ("interval", {"n": 10**7}),  # 10**7 + 1 vertices
-        ("circle", {"n": 10**7 + 1}),
-        ("grid", {"n": 3163}),  # 3163**2 > 10**7 >= 3162**2
-        ("binary_tree", {"depth": 23}),  # 2**24 - 1 vertices; depth 22 has 2**23 - 1
-        ("gasket", {"level": 15}),  # 21,524,862 vertices; level 14 has 7,174,455
+        ("interval", {"n": 10**6}),  # 10**6 + 1 vertices
+        ("circle", {"n": 10**6 + 1}),
+        ("grid", {"n": 1001}),  # 1001**2 > 10**6 >= 1000**2
+        ("binary_tree", {"depth": 19}),  # 2**20 - 1 vertices; depth 18 has 2**19 - 1
+        ("gasket", {"level": 13}),  # 2,391,486 vertices; level 12 has 797,163
         ("binary_tree", {"depth": 10**9}),
     ])
     def test_oversized_fixture_rejected_before_building(self, name, params):
-        with pytest.raises(ValidationError, match=f"{name} fixture would have more than 10000000 vertices"):
+        with pytest.raises(ValidationError, match=f"{name} fixture would have more than 1000000 vertices"):
             fixture(name, **params)
 
     def test_binary_tree_counts(self):

@@ -8,12 +8,14 @@ checkout's ``src``).  The same fixed command list runs once with each on
 and --certify, solve-h with --h-out, the four checks with --report on seven
 (graph, solution) pairs and monge's sub and super modes, compare,
 suite, induce-metric, and refine both with a split and with an h_max
-that splits no edge, on valid input.  One hand-written graph, MESSY, lists
+that splits no edge, on valid input, and ``--help`` of the program and of
+each subcommand.  One hand-written graph, MESSY, lists
 its vertices and edges out of id order, with parallel edges of different
 lengths both ways round; it is solved, checked and refined.  Every output
 file, each command's stdout and stderr and the list of exit codes are then
 compared byte for byte.  Exits 0 when all are identical, else 1 with the differing
-files listed.  Standard library only.
+files listed, and among them the JSON files whose parsed contents are equal.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -95,6 +97,9 @@ COMMANDS = [
     ["refine", "--graph", "gasket.json", "--h-max", "0.05", "--out", "refined.json"],
     ["refine", "--graph", "gasket.json", "--h-max", "1e9", "--out", "unrefined.json"],
     ["refine", "--graph", "messy.json", "--h-max", "0.4", "--out", "refined_messy.json"],
+    ["--help"],
+    *([command, "--help"] for command in ("fixture", "solve", "solve-h", "check", "compare", "suite",
+                                          "induce-metric", "refine")),
 ]
 
 
@@ -134,6 +139,11 @@ def run_all(src: str, d: str) -> None:
         fh.writelines(codes)
 
 
+def read(d: str, name: str) -> str:
+    with open(os.path.join(d, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python tools/cmp_cli.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
@@ -149,9 +159,14 @@ def main(argv: list[str]) -> int:
                                           shallow=False))]
         with open(os.path.join(parent, "exit_codes.txt"), encoding="utf-8") as fh:
             summary = [line.split(" ", 2)[1] for line in fh]
+        parse_equal = [name for name in differ if name.endswith(".json") and all(
+            os.path.isfile(os.path.join(d, name)) for d in (parent, change))
+            and json.loads(read(parent, name)) == json.loads(read(change, name))]
     print(f"{len(COMMANDS)} commands (exit codes {' '.join(summary)}), {len(names)} files compared")
     if differ:
         print("differ: " + " ".join(differ))
+        if parse_equal:
+            print("of these, JSON that parses equal: " + " ".join(parse_equal))
         return 1
     print("all identical")
     return 0
