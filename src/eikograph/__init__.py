@@ -17,13 +17,12 @@ from .errors import (
     HamiltonianError, MetricError, ProblemError, ValidationError,
 )
 from .fields import (
-    FieldReport, ScalarField, constant_field, edge_costs, field_from_expression, field_from_function,
-    field_on, lipschitz_constant, read_field_csv, validate_field, write_field_csv,
+    ScalarField, constant_field, edge_costs, field_from_expression, field_from_function, field_on,
+    lipschitz_constant, read_field_csv, validate_field, write_field_csv,
 )
 from .graph import (
-    BallSet, ChordInput, ConsistencyProbe, Curve, InducedMetric, MetricGraph, ball, build_graph,
-    chord_from_coords, curve_along, distances_from, edge_key, induce_intrinsic, intrinsic_distance,
-    read_graph, refine, write_graph,
+    ConsistencyProbe, Curve, MetricGraph, ball, build_graph, chord_from_coords, curve_along,
+    distances_from, edge_key, induce_intrinsic, intrinsic_distance, read_graph, refine, write_graph,
 )
 from .slopes import (  # binds the name slopes to the function, not the module
     CheckReport, SlopeTriple, check_c_subsolution, check_c_supersolution, check_monge, check_regularity,

@@ -22,7 +22,6 @@ from .fields import (
     write_field_csv,
 )
 from .graph import (
-    ChordInput,
     MetricGraph,
     chord_from_coords,
     induce_intrinsic,
@@ -268,7 +267,6 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_induce_metric(args) -> int:
-    from .verify import DEFAULT_SEED
     _check_io_paths([args.points, args.edges], [args.out, args.probe_out])
     coords: dict[str, tuple[float, ...]] = {}
     for lineno, row in read_csv(args.points, [("vertex_id",)], 1):
@@ -280,26 +278,14 @@ def _cmd_induce_metric(args) -> int:
             raise ValidationError(f"{args.points}:{lineno}: bad coordinate in {row!r}")
     adjacency = [(row[0], row[1]) for _, row in read_csv(args.edges, [("a", "b")], 2)]
     boundary = [b for b in (args.boundary or "").split(",") if b]
-    chord = ChordInput(
-        ids=tuple(sorted(coords)),
-        dist=chord_from_coords(coords),
-        adjacency=tuple(adjacency),
-    )
-    result = induce_intrinsic(
-        chord,
-        boundary=boundary,
-        coords=coords,
-        sample_pairs=args.pairs,
-        seed=DEFAULT_SEED,
-    )
-    write_graph(result.graph, args.out)
+    g, probe = induce_intrinsic(tuple(sorted(coords)), chord_from_coords(coords), adjacency,
+                                boundary=boundary, coords=coords, sample_pairs=args.pairs)
+    write_graph(g, args.out)
     if args.probe_out:
         write_csv(args.probe_out, ["d_max", "ratio_max", "ratio_mean", "count"],
                   ([repr(d_max), repr(r_max), repr(r_mean), count]
-                   for d_max, r_max, r_mean, count in result.probe.buckets))
-    probe = result.probe
-    print(f"induced metric graph: {len(result.graph.vertices)} vertices, "
-          f"{len(result.graph.edges)} edges -> {args.out}")
+                   for d_max, r_max, r_mean, count in probe.buckets))
+    print(f"induced metric graph: {len(g.vertices)} vertices, {len(g.edges)} edges -> {args.out}")
     print(f"consistency probe: {probe.pairs_sampled} pairs, max ratio {probe.max_ratio} ({probe.note})")
     return 0
 

@@ -38,18 +38,6 @@ class ScalarField:
         return v in self.values
 
 
-@dataclass(frozen=True)
-class FieldReport:
-    """Positivity validation outcome: offending vertices below the threshold."""
-
-    threshold: float
-    offenders: tuple[tuple[str, float], ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.offenders
-
-
 def field_on(g: MetricGraph, values: Mapping[str, float], role: str) -> ScalarField:
     """Validate and wrap vertex values as a field with the given role."""
     if role not in ROLES:
@@ -142,13 +130,13 @@ def field_list(g: MetricGraph, f: ScalarField) -> list[float]:
         raise FieldError(f"field ({f.role}) has no value at vertex {exc.args[0]!r}")
 
 
-def validate_field(f: ScalarField, positivity_threshold: float = DEFAULT_POSITIVITY_THRESHOLD) -> FieldReport:
-    """List vertices where f falls below the threshold; pass iff none.
+def validate_field(f: ScalarField, positivity_threshold: float = DEFAULT_POSITIVITY_THRESHOLD) -> tuple:
+    """The sorted (vertex, value) pairs where f falls below the threshold; f
+    passes iff there are none.
 
     Threshold 0 accepts any nonnegative field (subsolution-only checks).
     """
-    offenders = tuple(sorted((v, x) for v, x in f.values.items() if x < positivity_threshold))
-    return FieldReport(threshold=positivity_threshold, offenders=offenders)
+    return tuple(sorted((v, x) for v, x in f.values.items() if x < positivity_threshold))
 
 
 def lipschitz_constant(g: MetricGraph, f: ScalarField) -> float:

@@ -32,6 +32,10 @@ GRAPH_FORMAT_VERSION = 1
 # refine() and the fixtures refuse more vertices than this: a graph takes about 2 kB
 # a vertex (read_graph of grid n=100, 10**4 vertices, peaks at 20 MB), so ~2 GB.
 MAX_REFINE_VERTICES = 10**6
+# induce_intrinsic's sampled checks run about sample_pairs / 2 triangle draws
+# whatever the point count, so the count is bounded.
+MAX_SAMPLE_PAIRS = 10**6
+DEFAULT_SEED = 1729  # seeds the sampled metric checks of induce_intrinsic
 
 
 def close(a: float, b: float, abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL) -> bool:
@@ -104,31 +108,6 @@ class Curve:
 
 
 @dataclass(frozen=True)
-class BallSet:
-    """Open intrinsic-metric ball: member vertices with distance < radius."""
-
-    center: str
-    radius: float
-    members: dict[str, float]
-
-    def __contains__(self, v: str) -> bool:
-        return v in self.members
-
-
-@dataclass(frozen=True)
-class ChordInput:
-    """Point set with a chord metric and an adjacency declaring edges.
-
-    ``dist`` is a symmetric callback d(x, y), such as
-    :func:`chord_from_coords` builds from point coordinates.
-    """
-
-    ids: tuple[str, ...]
-    dist: Callable[[str, str], float]
-    adjacency: tuple[tuple[str, str], ...]
-
-
-@dataclass(frozen=True)
 class ConsistencyProbe:
     """Heuristic statistics for the small-scale agreement of d and the induced
     intrinsic metric (ratio d-tilde / d over sampled pairs, bucketed by d).
@@ -141,14 +120,6 @@ class ConsistencyProbe:
     pairs_sampled: int
     max_ratio: float
     note: str = "heuristic probe only; small-d consistency is not certified"
-
-
-@dataclass(frozen=True)
-class InducedMetric:
-    """Result of :func:`induce_intrinsic`: the graph plus the probe report."""
-
-    graph: MetricGraph
-    probe: ConsistencyProbe
 
 
 def _finalize(
@@ -535,13 +506,13 @@ def distances_from(g: MetricGraph, sources: Iterable[str]) -> dict[str, float]:
     return {g.vertices[i]: dist[i] for i in order}
 
 
-def ball(g: MetricGraph, x: str, r: float) -> BallSet:
-    """Open ball in the intrinsic metric: vertices at distance < r from x."""
+def ball(g: MetricGraph, x: str, r: float) -> dict[str, float]:
+    """Open ball in the intrinsic metric: {vertex: distance} for the vertices
+    at distance < r from x, in id order."""
     if not (r > 0.0):
         raise ValidationError(f"ball radius must be positive, got {r!r}")
     dist, order, _ = settle(g, [(_vertex_index(g, x), 0.0)], limit=r)
-    members = {g.vertices[i]: dist[i] for i in sorted(order) if dist[i] < r}
-    return BallSet(center=x, radius=r, members=members)
+    return {g.vertices[i]: dist[i] for i in sorted(order) if dist[i] < r}
 
 
 def refine(g: MetricGraph, h_max: float) -> MetricGraph:
@@ -614,10 +585,9 @@ def chord_from_coords(coords: Mapping[str, Sequence[float]]) -> Callable[[str, s
     return dist
 
 
-def _validate_chord(chord: ChordInput, rng: random.Random, samples: int) -> None:
-    ids = chord.ids
-    d = chord.dist
-    pairs = [(a, b) for a, b in chord.adjacency]
+def _validate_chord(ids: Sequence[str], d: Callable[[str, str], float],
+                    adjacency: Sequence[tuple[str, str]], rng: random.Random, samples: int) -> None:
+    pairs = list(adjacency)
     # spot-check symmetry and definiteness on declared edges plus random pairs
     for _ in range(min(samples, 4 * len(ids))):
         a, b = rng.choice(ids), rng.choice(ids)
@@ -642,40 +612,47 @@ def _validate_chord(chord: ChordInput, rng: random.Random, samples: int) -> None
 
 
 def induce_intrinsic(
-    chord: ChordInput,
+    ids: Sequence[str],
+    dist: Callable[[str, str], float],
+    adjacency: Sequence[tuple[str, str]],
     boundary: Iterable[str] = (),
     coords: Mapping[str, tuple[float, ...]] | None = None,
     sample_pairs: int = 256,
-    seed: int = 0,
-) -> InducedMetric:
-    """Induce the intrinsic metric graph from a chord metric and adjacency.
+    seed: int = DEFAULT_SEED,
+) -> tuple[MetricGraph, ConsistencyProbe]:
+    """Induce the intrinsic metric graph of the points ``ids`` from a chord
+    metric and the (a, b) pairs of ``adjacency``.
 
-    Each declared edge (x, y) gets length d(x, y); shortest paths on the result
-    realize the discrete intrinsic metric.  Postconditions checked here: the
-    chord metric never exceeds the intrinsic one on sampled pairs, and a
-    heuristic probe reports how the ratio behaves as d shrinks.
+    ``dist`` is a symmetric callback d(x, y), such as :func:`chord_from_coords`
+    builds from point coordinates.  Each declared edge (x, y) gets length
+    d(x, y); shortest paths on the result realize the discrete intrinsic
+    metric.  Postconditions checked here: the chord metric never exceeds the
+    intrinsic one on sampled pairs, and a heuristic probe reports how the
+    ratio behaves as d shrinks.  Returns the graph and the probe.
     """
-    known = set(chord.ids)
-    for a, b in chord.adjacency:
+    if not (0 <= sample_pairs <= MAX_SAMPLE_PAIRS):
+        raise ValidationError(f"sample_pairs must be between 0 and {MAX_SAMPLE_PAIRS}, got {sample_pairs!r}")
+    known = set(ids)
+    for a, b in adjacency:
         if a not in known or b not in known:
             raise ValidationError(f"edge ({a!r}, {b!r}) references unknown vertex")
     _require_coords(coords or {})
     rng = random.Random(seed)
-    _validate_chord(chord, rng, samples=max(32, sample_pairs // 2))
+    _validate_chord(ids, dist, adjacency, rng, samples=max(32, sample_pairs // 2))
 
-    lengths = [chord.dist(a, b) for a, b in chord.adjacency]
+    lengths = [dist(a, b) for a, b in adjacency]
     try:
-        g = _finalize(chord.ids, chord.adjacency, lengths, boundary, coords)
+        g = _finalize(ids, adjacency, lengths, boundary, coords)
     except ConnectivityError:
         raise ConnectivityError("chord adjacency is disconnected")
 
     # sample every edge (capped) plus long-range random pairs
-    ids = g.vertices
+    vs = g.vertices
     pairs: set[tuple[str, str]] = set(list(g.edges)[: 4 * sample_pairs])
-    target = min(len(pairs) + sample_pairs, len(ids) * (len(ids) - 1) // 2)
+    target = min(len(pairs) + sample_pairs, len(vs) * (len(vs) - 1) // 2)
     attempts = 0
     while len(pairs) < target and attempts < 64 * sample_pairs:
-        a, b = rng.choice(ids), rng.choice(ids)
+        a, b = rng.choice(vs), rng.choice(vs)
         attempts += 1
         if a != b:
             pairs.add(edge_key(a, b))
@@ -685,10 +662,10 @@ def induce_intrinsic(
     for a, b in pairs:
         by_source.setdefault(a, []).append(b)
     for a, targets in sorted(by_source.items()):
-        dist = settle(g, [(g.index[a], 0.0)])[0]
+        labels = settle(g, [(g.index[a], 0.0)])[0]
         for b in sorted(targets):
-            d_chord = chord.dist(a, b)
-            d_int = dist[g.index[b]]
+            d_chord = dist(a, b)
+            d_int = labels[g.index[b]]
             if d_chord > d_int + ABS_TOL + REL_TOL * d_int:
                 raise MetricError(
                     f"chord distance exceeds intrinsic distance at ({a!r}, {b!r}): "
@@ -712,4 +689,4 @@ def induce_intrinsic(
         buckets.append((chunk[-1][0], max(ratios), sum(ratios) / len(ratios), len(ratios)))
         max_ratio = max(max_ratio, max(ratios))
     probe = ConsistencyProbe(buckets=tuple(buckets), pairs_sampled=len(samples), max_ratio=max_ratio)
-    return InducedMetric(graph=g, probe=probe)
+    return g, probe

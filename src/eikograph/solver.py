@@ -45,12 +45,12 @@ class DirichletProblem:
             raise FieldError(f"f must have role rhs_f, got {self.f.role!r}")
         if self.zeta.role != "boundary_zeta":
             raise FieldError(f"zeta must have role boundary_zeta, got {self.zeta.role!r}")
-        report = validate_field(self.f, self.threshold)
-        if not report.passed:
-            worst = report.offenders[0]
+        offenders = validate_field(self.f, self.threshold)
+        if offenders:
+            worst = offenders[0]
             raise FieldError(
                 f"rhs field fails positivity threshold {self.threshold}: "
-                f"{len(report.offenders)} vertices, e.g. {worst[0]!r} = {worst[1]}"
+                f"{len(offenders)} vertices, e.g. {worst[0]!r} = {worst[1]}"
             )
 
 

@@ -11,6 +11,7 @@ for bit.  Neighbours come from :func:`adjacency`, which reads only
 ``g.edges``, never the per-vertex lists under test; :func:`reference_layout`
 is the rule those lists must follow, and :func:`reference_build_graph` the
 entry-by-entry graph load whose graphs and errors the bulk load must give.
+:func:`reference_gasket` builds the gasket fixture by triangle subdivision.
 """
 
 from __future__ import annotations
@@ -229,6 +230,42 @@ def reference_build_graph(spec: Mapping) -> MetricGraph:
         if not _reference_is_json_number(length):
             raise ValidationError(f"edge ({a!r}, {b!r}) has non-numeric length {length!r}")
     return _reference_finalize(vertices, edges, [str(b) for b in boundary], coords)
+
+
+def reference_gasket(level: int) -> MetricGraph:
+    """The Sierpinski gasket graph by subdivision, the construction that the
+    closed form of ``fixture("gasket")`` must reproduce: each level splits
+    every triangle at its edge midpoints into three, listed in corner order."""
+    triangles = [((0, 0), (1, 0), (0, 1))]
+    for _ in range(level):
+        nxt = []
+        for a, b, c in triangles:
+            a = (2 * a[0], 2 * a[1])
+            b = (2 * b[0], 2 * b[1])
+            c = (2 * c[0], 2 * c[1])
+            mab = ((a[0] + b[0]) // 2, (a[1] + b[1]) // 2)
+            mac = ((a[0] + c[0]) // 2, (a[1] + c[1]) // 2)
+            mbc = ((b[0] + c[0]) // 2, (b[1] + c[1]) // 2)
+            nxt.extend([(a, mab, mac), (mab, b, mbc), (mac, mbc, c)])
+        triangles = nxt
+    res = 2**level
+    side = 2.0 ** (-level)
+
+    def vid(p: tuple[int, int]) -> str:
+        return f"g{p[0]}_{p[1]}"
+
+    vertices: set[str] = set()
+    coords: dict[str, tuple[float, float]] = {}
+    edges: dict[tuple[str, str], float] = {}
+    for tri in triangles:
+        names = [vid(p) for p in tri]
+        for p, name in zip(tri, names):
+            vertices.add(name)
+            coords[name] = ((p[0] + 0.5 * p[1]) / res, p[1] * (math.sqrt(3.0) / 2.0) / res)
+        for u, v in ((0, 1), (0, 2), (1, 2)):
+            edges[edge_key(names[u], names[v])] = side
+    corners = {vid((0, 0)), vid((res, 0)), vid((0, res))}
+    return _reference_finalize(vertices, edges.items(), corners, coords)
 
 
 def value_iteration(graph, costs, seeds):

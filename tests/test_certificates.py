@@ -178,7 +178,7 @@ def test_bounded_ball_equals_full_filter(kind, arg):
         full = distances_from(g, [x])
         for r in radii:
             want = [(v, d) for v, d in sorted(full.items()) if d < r]
-            assert list(ball(g, x, r).members.items()) == want
+            assert list(ball(g, x, r).items()) == want
 
 
 @pytest.mark.parametrize("seed", range(6))

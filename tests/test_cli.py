@@ -102,6 +102,23 @@ class TestPipeline:
         assert run_cli("compare", "--graph", str(g_path), "--f", "const:1",
                        "--u", str(u_path), "--v", str(half_path)) == 1
 
+    def test_compare_cli_fail_and_subsolution_hypothesis(self, tmp_path, capsys):
+        g_path, u_path, triple_path = tmp_path / "g.json", tmp_path / "u.csv", tmp_path / "triple.csv"
+        run_cli("fixture", "--name", "interval", "--n", "10", "--out", str(g_path))
+        run_cli("solve", "--graph", str(g_path), "--f", "const:1", "--zeta", "const:0", "--out", str(u_path))
+        g = read_graph(str(g_path))
+        u = read_field_csv(g, str(u_path), "solution_u")
+        write_field_csv(field_on(g, {v: 3.0 * u[v] for v in g.vertices}, "solution_u"), str(triple_path))
+        capsys.readouterr()
+        # u = v: no vertex meets u <= v - 1
+        assert run_cli("compare", "--graph", str(g_path), "--f", "const:1",
+                       "--u", str(u_path), "--v", str(u_path), "--tol", "-1") == 1
+        assert capsys.readouterr().out == "compare: FAIL at v0 (excess 0.0)\n"
+        # |grad 3u| = 3 > f: u is no Monge subsolution
+        assert run_cli("compare", "--graph", str(g_path), "--f", "const:1",
+                       "--u", str(triple_path), "--v", str(u_path)) == 1
+        assert "hypothesis 'monge-sub' failed" in capsys.readouterr().out
+
     def test_suite_cli(self, tmp_path):
         report_path = tmp_path / "suite.csv"
         code = run_cli("suite", "--fixture", "gasket", "--level", "3",
@@ -437,6 +454,26 @@ class TestErrorsAndConfig:
             assert "Traceback" not in capsys.readouterr().err
         else:
             assert self.assert_one_error_line(capsys) == message
+
+    @pytest.mark.parametrize("pairs", ["-1", "1000000000"])
+    def test_induce_metric_pairs_out_of_range_exits_2(self, tmp_path, capsys, pairs):
+        # 10**9 used to run the triangle sampling for minutes on these four points
+        (tmp_path / "pts.csv").write_text("vertex_id,x,y\na,0,0\nb,1,0\nc,1,1\nd,0,1\n")
+        (tmp_path / "adj.csv").write_text("a,b\na,b\nb,c\nc,d\nd,a\n")
+        code = run_cli("induce-metric", "--points", str(tmp_path / "pts.csv"), "--edges",
+                       str(tmp_path / "adj.csv"), "--out", str(tmp_path / "g.json"), "--pairs", pairs)
+        assert code == 2
+        assert f"got {pairs}" in self.assert_one_error_line(capsys)
+        assert not (tmp_path / "g.json").exists()
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        g_path = tmp_path / "g.json"
+        run_cli("fixture", "--name", "interval", "--n", "4", "--out", str(g_path))
+        capsys.readouterr()
+        code = run_cli("solve", "--graph", str(g_path), "--f", "const:1", "--zeta", "const:0",
+                       "--out", str(tmp_path / "missing" / "u.csv"))
+        assert code == 2
+        assert "No such file or directory" in self.assert_one_error_line(capsys)
 
     def test_output_colliding_with_input_exits_2(self, tmp_path):
         g_path = tmp_path / "g.json"

@@ -8,7 +8,6 @@ import random
 import pytest
 
 from eikograph import (
-    ChordInput,
     ConnectivityError,
     GraphError,
     MetricError,
@@ -25,7 +24,7 @@ from eikograph import (
     refine,
     write_graph,
 )
-from eikograph.graph import close, edge_key
+from eikograph.graph import MAX_SAMPLE_PAIRS, close, edge_key
 
 from oracles import (
     all_pairs_distance_oracle,
@@ -92,6 +91,10 @@ class TestBuildGraph:
         spec["edges"].append({"a": "p1", "b": "p1", "length": 1.0})
         with pytest.raises(ValidationError):
             build_graph(spec)
+
+    def test_no_vertices_rejected(self):
+        with pytest.raises(ValidationError, match="graph has no vertices"):
+            build_graph({"vertices": [], "edges": [], "boundary": []})
 
     def test_parallel_edges_keep_shorter(self):
         spec = interval_spec()
@@ -345,21 +348,21 @@ class TestBall:
     def test_interval_ball(self):
         g = build_graph(interval_spec())
         b = ball(g, "p2", 0.6)
-        assert set(b.members) == {"p1", "p2", "p3"}
-        assert b.members["p2"] == 0.0
-        assert b.members["p1"] == 0.5
+        assert set(b) == {"p1", "p2", "p3"}
+        assert b["p2"] == 0.0
+        assert b["p1"] == 0.5
 
     def test_small_radius_is_center_only(self):
         g = build_graph(interval_spec())
-        assert set(ball(g, "p2", 0.4).members) == {"p2"}
+        assert set(ball(g, "p2", 0.4)) == {"p2"}
 
     def test_radius_beyond_diameter_covers_graph(self):
         g = random_metric_graph(11, n_max=25)
         x = g.vertices[0]
         oracle = distance_oracle(g, x)
         b = ball(g, x, 1e9)
-        assert set(b.members) == set(g.vertices)
-        for v, d in b.members.items():
+        assert set(b) == set(g.vertices)
+        for v, d in b.items():
             assert d == oracle[v]
 
     def test_membership_iff_distance_below_radius(self):
@@ -414,6 +417,15 @@ class TestRefine:
         with pytest.raises(ValidationError, match="more than 3 vertices"):
             refine(g, 0.25)
 
+    def test_new_id_colliding_with_a_vertex_rejected(self):
+        g = build_graph({
+            "vertices": ["a", "b", "a~b~1"],
+            "edges": [{"a": "a", "b": "b", "length": 1.0}, {"a": "a~b~1", "b": "b", "length": 1.0}],
+            "boundary": ["a"],
+        })
+        with pytest.raises(ValidationError, match="refinement id collision at 'a~b~1'"):
+            refine(g, 0.5)
+
     def test_exact_multiple_does_not_overshoot(self):
         g = build_graph({
             "vertices": ["a", "b"],
@@ -447,36 +459,27 @@ class TestInduceIntrinsic:
     def circle_chord(self, n=1000):
         g = fixture("circle", n=n).graph
         coords = {v: g.coords[v] for v in g.vertices}
-        return ChordInput(
-            ids=tuple(sorted(coords)),
-            dist=chord_from_coords(coords),
-            adjacency=tuple(sorted(g.edges)),
-        ), coords
+        return (tuple(sorted(coords)), chord_from_coords(coords), tuple(sorted(g.edges))), coords
 
     def test_circle_antipodal_arc(self):
         chord, coords = self.circle_chord()
-        result = induce_intrinsic(chord, coords=coords, seed=7)
-        d, _ = intrinsic_distance(result.graph, "c0", "c500")
+        g, _ = induce_intrinsic(*chord, coords=coords, seed=7)
+        d, _ = intrinsic_distance(g, "c0", "c500")
         assert abs(d - math.pi) < 1e-4
         # chord of the semicircle is 2, the arc is pi
-        assert chord.dist("c0", "c500") == pytest.approx(2.0, abs=1e-12)
+        assert chord[1]("c0", "c500") == pytest.approx(2.0, abs=1e-12)
 
     def test_chord_never_exceeds_intrinsic_on_samples(self):
         chord, _ = self.circle_chord(n=200)
-        result = induce_intrinsic(chord, sample_pairs=300, seed=3)
-        assert result.probe.pairs_sampled > 200
-        assert result.probe.max_ratio >= 1.0 - 1e-12
+        _, probe = induce_intrinsic(*chord, sample_pairs=300, seed=3)
+        assert probe.pairs_sampled > 200
+        assert probe.max_ratio >= 1.0 - 1e-12
 
     def test_collinear_dyadic_points_intrinsic_equals_chord(self):
         xs = [0.0, 0.25, 0.5, 1.0]
         ids = [f"q{k}" for k in range(4)]
         coords = {ids[k]: (xs[k],) for k in range(4)}
-        chord = ChordInput(
-            ids=tuple(ids),
-            dist=chord_from_coords(coords),
-            adjacency=tuple((ids[k], ids[k + 1]) for k in range(3)),
-        )
-        g = induce_intrinsic(chord).graph
+        g, _ = induce_intrinsic(ids, chord_from_coords(coords), [(ids[k], ids[k + 1]) for k in range(3)])
         d, _ = intrinsic_distance(g, "q0", "q3")
         assert d == 1.0  # dyadic lengths: exact
 
@@ -484,12 +487,8 @@ class TestInduceIntrinsic:
         pts = [(0.0, 0.0), (0.3, 0.0), (0.7, 0.0), (1.0, 0.0), (1.0, 0.4), (1.0, 1.1)]
         ids = [f"L{k}" for k in range(len(pts))]
         coords = dict(zip(ids, pts))
-        chord = ChordInput(
-            ids=tuple(ids),
-            dist=chord_from_coords(coords),
-            adjacency=tuple((ids[k], ids[k + 1]) for k in range(len(pts) - 1)),
-        )
-        g = induce_intrinsic(chord).graph
+        g, _ = induce_intrinsic(ids, chord_from_coords(coords),
+                                [(ids[k], ids[k + 1]) for k in range(len(pts) - 1)])
         d, curve = intrinsic_distance(g, "L0", f"L{len(pts)-1}")
         assert close(d, path_length_sum(pts))
         assert len(curve) == len(pts)
@@ -500,56 +499,37 @@ class TestInduceIntrinsic:
             ("b", "c"): 1.0,
             ("a", "c"): 5.0,  # violates a-b-c
         }
-        chord = ChordInput(
-            ids=("a", "b", "c"),
-            dist=lambda a, b: 0.0 if a == b else table.get((a, b), table.get((b, a))),
-            adjacency=(("a", "b"), ("b", "c"), ("a", "c")),
-        )
         with pytest.raises(MetricError):
-            induce_intrinsic(chord, seed=1)
+            induce_intrinsic(("a", "b", "c"), lambda a, b: 0.0 if a == b else table.get((a, b), table.get((b, a))),
+                             (("a", "b"), ("b", "c"), ("a", "c")), seed=1)
 
     def test_disconnected_adjacency_rejected(self):
         coords = {"a": (0.0,), "b": (1.0,), "c": (2.0,), "d": (3.0,)}
-        chord = ChordInput(
-            ids=("a", "b", "c", "d"),
-            dist=chord_from_coords(coords),
-            adjacency=(("a", "b"), ("c", "d")),
-        )
         with pytest.raises(ConnectivityError):
-            induce_intrinsic(chord)
+            induce_intrinsic(("a", "b", "c", "d"), chord_from_coords(coords), (("a", "b"), ("c", "d")))
 
     def test_mixed_coord_dimensions_rejected_before_chord_checks(self):
         # zip in chord_from_coords would truncate: d(b, c) would read 3.0
         coords = {"a": (0.0, 0.0), "b": (3.0, 4.0), "c": (6.0,)}
-        chord = ChordInput(ids=("a", "b", "c"), dist=chord_from_coords(coords),
-                           adjacency=(("a", "b"), ("b", "c")))
         with pytest.raises(ValidationError, match="coords mix dimensions"):
-            induce_intrinsic(chord, coords=coords)
+            induce_intrinsic(("a", "b", "c"), chord_from_coords(coords), (("a", "b"), ("b", "c")), coords=coords)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_coord_rejected_before_chord_checks(self, bad):
         # a,0 / b,inf / c,2 used to read "distance not symmetric at ('a', 'b'): inf vs inf"
         coords = {"a": (0.0,), "b": (bad,), "c": (2.0,)}
-        chord = ChordInput(ids=("a", "b", "c"), dist=chord_from_coords(coords),
-                           adjacency=(("a", "b"), ("b", "c")))
         with pytest.raises(ValidationError, match="vertex 'b': coords must be finite"):
-            induce_intrinsic(chord, coords=coords)
+            induce_intrinsic(("a", "b", "c"), chord_from_coords(coords), (("a", "b"), ("b", "c")), coords=coords)
 
     def test_overflowing_chord_distance_rejected(self):
         coords = {"a": (0.0,), "b": (1e200,)}
-        chord = ChordInput(ids=("a", "b"), dist=chord_from_coords(coords), adjacency=(("a", "b"),))
         with pytest.raises(MetricError, match="overflows"):
-            induce_intrinsic(chord, coords=coords)
+            induce_intrinsic(("a", "b"), chord_from_coords(coords), (("a", "b"),), coords=coords)
 
     def test_edge_to_unknown_id_rejected(self):
         coords = {"a": (0.0,), "b": (1.0,)}
-        chord = ChordInput(
-            ids=("a", "b"),
-            dist=chord_from_coords(coords),
-            adjacency=(("a", "b"), ("a", "c")),
-        )
         with pytest.raises(ValidationError, match="'c'"):
-            induce_intrinsic(chord)
+            induce_intrinsic(("a", "b"), chord_from_coords(coords), (("a", "b"), ("a", "c")))
 
     def test_asymmetric_table_rejected(self):
         def lopsided(a, b):
@@ -557,9 +537,16 @@ class TestInduceIntrinsic:
                 return 0.0
             return 1.0 if a < b else 2.0
 
-        chord = ChordInput(ids=("a", "b"), dist=lopsided, adjacency=(("a", "b"),))
         with pytest.raises(MetricError):
-            induce_intrinsic(chord)
+            induce_intrinsic(("a", "b"), lopsided, (("a", "b"),))
+
+    @pytest.mark.parametrize("pairs", [-1, MAX_SAMPLE_PAIRS + 1])
+    def test_sample_pairs_out_of_range_rejected_before_sampling(self, pairs):
+        def never(a, b):
+            raise AssertionError("sampled")
+
+        with pytest.raises(ValidationError, match=f"got {pairs}"):
+            induce_intrinsic(("a", "b"), never, (("a", "b"),), sample_pairs=pairs)
 
 
 def test_non_utf8_graph_file_rejected(tmp_path):

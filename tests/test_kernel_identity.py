@@ -136,7 +136,7 @@ def test_distances_balls_and_witnesses_match_string_keyed_reference(name, seed):
     for r in (g.h_max, 2.5 * g.h_max, median):
         bounded = fixpoint_labels(g.adjacency, {x: 0.0}, limit=r)
         want = {v: dv for v, dv in sorted(bounded.items()) if dv < r}
-        assert bits(ball(g, x, r).members) == bits(want)
+        assert bits(ball(g, x, r)) == bits(want)
 
 
 @pytest.mark.parametrize("scale", [1.0 + 1e-9, 0.3, 7.0])

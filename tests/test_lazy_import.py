@@ -1,6 +1,6 @@
-"""What a process loads: `import eikograph` and a `check` run leave the
-solver, hamiltonians and verify modules unloaded, and the package resolves
-their names on first use."""
+"""What a process loads: `import eikograph`, a `check` run and an
+`induce-metric` run leave the solver, hamiltonians and verify modules
+unloaded, and the package resolves their names on first use."""
 
 from __future__ import annotations
 
@@ -49,6 +49,15 @@ def test_check_process_loads_no_lazy_module(tmp_path, monkeypatch):
     assert not names & set(LAZY)
 
 
+def test_induce_metric_process_loads_no_lazy_module(tmp_path):
+    (tmp_path / "pts.csv").write_text("vertex_id,x\na,0\nb,1\nc,2\n")
+    (tmp_path / "adj.csv").write_text("a,b\na,b\nb,c\n")
+    code, names = imported("-m", "eikograph.cli", "induce-metric", "--points", "pts.csv", "--edges", "adj.csv",
+                           "--out", "g.json", cwd=tmp_path)
+    assert code == 0 and "eikograph.graph" in names
+    assert not names & set(LAZY)
+
+
 def test_lazy_names_resolve_on_first_use():
     """In a fresh process: hamiltonians.BUILTIN_NAMES before anything imports
     that module, every name in __all__, dir(), and slopes still the function
@@ -69,7 +78,7 @@ print(json.dumps([before, builtin, missing, unlisted, slopes_is_function, len(ek
     assert before == []
     assert builtin == list(hamiltonians.BUILTIN_NAMES)
     assert missing == [] and unlisted == []
-    assert count == 74  # the public names the package exported when it imported every module at once
+    assert count == 70  # 74 once, less ChordInput, InducedMetric, BallSet and FieldReport
     assert slopes_is_function
 
 

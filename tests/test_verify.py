@@ -22,7 +22,7 @@ from eikograph import (
 )
 from eikograph.graph import close
 
-from oracles import value_iteration
+from oracles import reference_gasket, value_iteration
 
 
 class TestFixtures:
@@ -40,6 +40,14 @@ class TestFixtures:
             assert len(g.edges) == 3 ** (level + 1)
             assert len(g.vertices) == (3 ** (level + 1) + 3) // 2
             assert len(g.boundary) == 3
+
+    @pytest.mark.parametrize("level", range(8))
+    def test_gasket_closed_form_equals_subdivision(self, level):
+        g, ref = fixture("gasket", level=level).graph, reference_gasket(level)
+        assert g == ref
+        assert list(g.edges.items()) == list(ref.edges.items())
+        assert list(g.coords.items()) == list(ref.coords.items())
+        assert g.index == ref.index and g.nbrs == ref.nbrs and g.lens == ref.lens
 
     def test_gasket_zero_is_triangle(self):
         g = fixture("gasket", level=0).graph
