@@ -662,7 +662,10 @@ def induce_intrinsic(
     for a, b in pairs:
         by_source.setdefault(a, []).append(b)
     for a, targets in sorted(by_source.items()):
-        labels = settle(g, [(g.index[a], 0.0)])[0]
+        # an edge bounds its target's distance, so a source whose targets are all
+        # edges needs only the prefix of its search up to the longest of them
+        limit = max(g.edges.get((a, b), math.inf) for b in targets)
+        labels = settle(g, [(g.index[a], 0.0)], limit=limit)[0]
         for b in sorted(targets):
             d_chord = dist(a, b)
             d_int = labels[g.index[b]]

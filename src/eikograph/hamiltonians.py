@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 from .errors import CoercivityError, ConvergenceError, HamiltonianError, ValidationError
 from .fields import ScalarField, field_list, field_on
 from .graph import MetricGraph, settle
-from .slopes import CheckReport, _interior_slopes
+from .slopes import CheckReport, _interior, _one_hop
 from .solver import DirichletProblem, ValueFunction, boundary_seeds, solve_dirichlet, value_function
 
 BRACKET_CAP = 2.0**40
@@ -346,8 +346,8 @@ def check_hamiltonian_monge(
     tol: float = 1e-9,
 ) -> CheckReport:
     """Monge residuals for a general Hamiltonian: |H(x, u(x), sub_slope(x))|."""
-    names = g.vertices
-    residuals = {names[i]: abs(H(names[i], u[names[i]], sub)) for i, sub, _ in _interior_slopes(g, u)}
+    names, ul = g.vertices, field_list(g, u)
+    residuals = {names[i]: abs(H(names[i], ul[i], sub)) for i, sub, _ in _one_hop(g, ul, _interior(g))}
     return CheckReport(name="hamiltonian-monge", tol=tol, residuals=residuals)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import FieldError, GraphError
 from .fields import ScalarField, field_list, lipschitz_constant
@@ -81,36 +81,36 @@ def default_check_tol(g: MetricGraph, f: ScalarField | None) -> float:
     return BASE_TOL + lipschitz_constant(g, f) * g.h_max
 
 
-def _sub_super(ux: float, values, lens) -> tuple[float, float]:
-    """Sub-slope and super-slope at a vertex with value ux: the largest drop and
-    rise per unit length to a neighbour, given the neighbours' values and lengths."""
-    sub = sup = 0.0
-    for uy, length in zip(values, lens):
-        d = ux - uy
-        if d > 0.0:
-            sub = max(sub, d / length)
-        elif d < 0.0:
-            sup = max(sup, -d / length)
-    return sub, sup
+def _one_hop(g: MetricGraph, ul, at: Iterable[int]) -> Iterator[tuple[int, float, float]]:
+    """(index, sub-slope, super-slope) at each vertex index in ``at``: the
+    largest drop and rise per unit length of ul (values by index) to a
+    neighbour.  Raises at isolated vertices."""
+    nbrs, lens = g.nbrs, g.lens
+    for i in at:
+        if not nbrs[i]:
+            raise GraphError(f"vertex {g.vertices[i]!r} is isolated; slopes are undefined")
+        ux = ul[i]
+        sub = sup = 0.0
+        for j, length in zip(nbrs[i], lens[i]):
+            if (d := ux - ul[j]) > 0.0:
+                if (q := d / length) > sub:
+                    sub = q
+            elif d < 0.0 and (q := -d / length) > sup:
+                sup = q
+        yield i, sub, sup
 
 
-def _interior_slopes(g: MetricGraph, u: ScalarField) -> Iterator[tuple[int, float, float]]:
-    """(index, sub-slope, super-slope) of u at each interior vertex, in id order."""
-    ul = field_list(g, u)
-    for i, (x, nbrs, lens) in enumerate(zip(g.vertices, g.nbrs, g.lens)):
-        if x in g.boundary:
-            continue
-        if not nbrs:
-            raise GraphError(f"vertex {x!r} is isolated; slopes are undefined")
-        yield (i, *_sub_super(ul[i], [ul[j] for j in nbrs], lens))
+def _interior(g: MetricGraph) -> list[int]:
+    """Indices of the interior vertices, in id order."""
+    return [i for i, x in enumerate(g.vertices) if x not in g.boundary]
 
 
 def slopes(g: MetricGraph, u: ScalarField, x: str) -> SlopeTriple:
     """One-hop slope triple of u at x; raises at isolated vertices."""
     i = _vertex_index(g, x)
-    if not g.nbrs[i]:
-        raise GraphError(f"vertex {x!r} is isolated; slopes are undefined")
-    sub, sup = _sub_super(u[x], [u[g.vertices[j]] for j in g.nbrs[i]], g.lens[i])
+    nb = g.nbrs[i]
+    ul = {j: u[g.vertices[j]] for j in (i, *nb)} if nb else {}  # isolated: raise before reading u
+    _, sub, sup = next(_one_hop(g, ul, (i,)))
     return SlopeTriple(vertex=x, slope=max(sub, sup), super_slope=sup, sub_slope=sub)
 
 
@@ -131,16 +131,15 @@ def check_monge(
         raise ValueError(f"unknown monge mode {mode!r}")
     if tol is None:
         tol = default_check_tol(g, f)
-    fl = field_list(g, f)
+    fl, names = field_list(g, f), g.vertices
     residuals: dict[str, float] = {}
-    for i, s, _ in _interior_slopes(g, u):
+    for i, s, _ in _one_hop(g, field_list(g, u), _interior(g)):
         if mode == "solution":
             r = abs(s - fl[i])
-        elif mode == "sub":
-            r = max(s - fl[i], 0.0)
         else:
-            r = max(fl[i] - s, 0.0)
-        residuals[g.vertices[i]] = r
+            r = s - fl[i] if mode == "sub" else fl[i] - s
+            r = 0.0 if 0.0 > r else r  # max(r, 0.0), -0.0 included
+        residuals[names[i]] = r
     name = {"solution": "monge", "sub": "monge-sub", "super": "monge-super"}[mode]
     return CheckReport(name=name, tol=tol, residuals=residuals)
 
@@ -176,20 +175,9 @@ def check_c_subsolution(
     for x, ux, fx, nbrs, lens in zip(names, ul, fl, g.nbrs, g.lens):
         for y, length in zip(nbrs, lens):
             # the cost rule of graph.settle; compare u[x] with fl(u[y] + c) as it does
-            residuals[f"{x}->{names[y]}"] = max(ux - (ul[y] + 0.5 * (fx + fl[y]) * length), 0.0)
+            r = ux - (ul[y] + 0.5 * (fx + fl[y]) * length)
+            residuals[f"{x}->{names[y]}"] = 0.0 if 0.0 > r else r  # max(r, 0.0), -0.0 included
     return CheckReport(name="csub", tol=tol, residuals=residuals)
-
-
-def _argmin_step(g: MetricGraph, ul: list[float], fl: list[float], i: int) -> tuple[int, float]:
-    """Neighbour of vertex i minimizing cost + u (the first in id order on
-    ties) and that minimum; (-1, inf) for no neighbours."""
-    best_j, best = -1, math.inf
-    fx = fl[i]
-    for j, length in zip(g.nbrs[i], g.lens[i]):
-        cand = 0.5 * (fx + fl[j]) * length + ul[j]  # the cost rule of graph.settle
-        if best_j < 0 or cand < best:
-            best_j, best = j, cand
-    return best_j, best
 
 
 def check_c_supersolution(
@@ -213,13 +201,17 @@ def check_c_supersolution(
     residuals: dict[str, float] = {}
     step = [-1] * len(names)  # argmin neighbour of each interior vertex
     start = deepest = -1
-    for i, x in enumerate(names):
-        if x in g.boundary:
-            continue
-        step[i], best = _argmin_step(g, ul, fl, i)
-        if step[i] < 0:
-            raise GraphError(f"vertex {x!r} is isolated")
-        r = residuals[x] = max(-(ul[i] - best + eps), 0.0)
+    for i in _interior(g):
+        best_j, best, fx = -1, math.inf, fl[i]
+        for j, length in zip(g.nbrs[i], g.lens[i]):
+            cand = 0.5 * (fx + fl[j]) * length + ul[j]  # the cost rule of graph.settle
+            if cand < best or best_j < 0:
+                best_j, best = j, cand
+        if best_j < 0:
+            raise GraphError(f"vertex {names[i]!r} is isolated")
+        step[i] = best_j
+        r = -(ul[i] - best + eps)
+        r = residuals[names[i]] = 0.0 if 0.0 > r else r
         if r > 0.0 and start < 0:
             start = i
         if deepest < 0 or ul[i] >= ul[deepest]:
@@ -245,12 +237,13 @@ def check_regularity(g: MetricGraph, u: ScalarField, tol: float | None = None) -
     """
     if tol is None:
         tol = BASE_TOL
-    names = g.vertices
+    names, nbrs = g.vertices, g.nbrs
+    near = [x in g.boundary for x in names]  # by index: is a boundary vertex
     residuals: dict[str, float] = {}
     excluded: dict[str, float] = {}
-    for i, sub, sup in _interior_slopes(g, u):
-        r = max(sub, sup) - sub
-        if any(names[j] in g.boundary for j in g.nbrs[i]):
+    for i, sub, sup in _one_hop(g, field_list(g, u), [i for i, b in enumerate(near) if not b]):
+        r = (sup if sup > sub else sub) - sub  # slope minus sub-slope
+        if any(map(near.__getitem__, nbrs[i])):
             excluded[names[i]] = r
         else:
             residuals[names[i]] = r

@@ -11,13 +11,16 @@ for bit.  Neighbours come from :func:`adjacency`, which reads only
 ``g.edges``, never the per-vertex lists under test; :func:`reference_layout`
 is the rule those lists must follow, and :func:`reference_build_graph` the
 entry-by-entry graph load whose graphs and errors the bulk load must give.
-:func:`reference_gasket` builds the gasket fixture by triangle subdivision.
+:func:`reference_gasket` builds the gasket fixture by triangle subdivision,
+and :func:`reference_consistency_probe` is ``induce_intrinsic``'s probe with
+no search cut short.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import random
 from typing import Iterable, Mapping, Sequence
 
 from eikograph import (
@@ -31,6 +34,7 @@ from eikograph import (
     GraphError,
     HamiltonianError,
     HamiltonianSpec,
+    MetricError,
     MetricGraph,
     ReductionField,
     ScalarField,
@@ -43,7 +47,7 @@ from eikograph import (
     solve_dirichlet,
     validate_hamiltonian,
 )
-from eikograph.graph import GRAPH_FORMAT_VERSION
+from eikograph.graph import ABS_TOL, DEFAULT_SEED, GRAPH_FORMAT_VERSION, REL_TOL, _finalize, _validate_chord
 from eikograph.hamiltonians import BRACKET_CAP
 from eikograph.slopes import BASE_TOL
 
@@ -555,6 +559,47 @@ def reference_check_hamiltonian_monge(
         x: abs(H(x, u[x], reference_slopes(g, u, x).sub_slope)) for x in g.interior
     }
     return CheckReport(name="hamiltonian-monge", tol=tol, residuals=residuals)
+
+
+def reference_consistency_probe(ids, dist, edges, sample_pairs=256, seed=DEFAULT_SEED):
+    """``induce_intrinsic``'s probe with every search unbounded: one full
+    string-keyed label setting per sampled source.
+
+    The seeded stream first runs the library's chord validation, as
+    ``induce_intrinsic`` does, so the same pairs are drawn.  Returns
+    (buckets, pairs_sampled, max_ratio), or raises the error the library
+    raises; ``ids``, ``edges`` and ``sample_pairs`` must pass its input checks.
+    """
+    rng = random.Random(seed)
+    _validate_chord(ids, dist, edges, rng, samples=max(32, sample_pairs // 2))
+    g = _finalize(ids, edges, [dist(a, b) for a, b in edges], (), None)
+    vs = g.vertices
+    pairs = set(list(g.edges)[: 4 * sample_pairs])
+    target = min(len(pairs) + sample_pairs, len(vs) * (len(vs) - 1) // 2)
+    attempts = 0
+    while len(pairs) < target and attempts < 64 * sample_pairs:
+        a, b = rng.choice(vs), rng.choice(vs)
+        attempts += 1
+        if a != b:
+            pairs.add(edge_key(a, b))
+    samples = []
+    source = None
+    for a, b in sorted(pairs):
+        if a != source:
+            source, labels = a, fixpoint_labels(adjacency(g), {a: 0.0})
+        d_chord, d_int = dist(a, b), labels[b]
+        if d_chord > d_int + ABS_TOL + REL_TOL * d_int:
+            raise MetricError(f"chord distance exceeds intrinsic distance at ({a!r}, {b!r}): {d_chord} > {d_int}")
+        samples.append((d_chord, d_int))
+    samples.sort()
+    nb = min(8, len(samples))
+    buckets = []
+    for i in range(nb):
+        chunk = samples[(i * len(samples)) // nb : ((i + 1) * len(samples)) // nb]
+        ratios = [di / dc for dc, di in chunk if dc > 0.0]
+        if ratios:
+            buckets.append((chunk[-1][0], max(ratios), sum(ratios) / len(ratios), len(ratios)))
+    return tuple(buckets), len(samples), max((b[1] for b in buckets), default=0.0)
 
 
 def distance_oracle(graph, source):

@@ -31,6 +31,7 @@ from oracles import (
     backtrack_witness,
     distance_oracle,
     path_length_sum,
+    reference_consistency_probe,
     reference_layout,
 )
 
@@ -539,6 +540,57 @@ class TestInduceIntrinsic:
 
         with pytest.raises(MetricError):
             induce_intrinsic(("a", "b"), lopsided, (("a", "b"),))
+
+    @staticmethod
+    def probe_point_set(name):
+        """(ids, chord, edges) of a small point set; "warped_pair" and
+        "warped_edge" stretch one chord by half, which the probe may catch."""
+        if name == "grid":
+            ids = [f"g{i}_{j}" for i in range(9) for j in range(9)]
+            coords = {v: (0.125 * int(v[1]), 0.125 * int(v[3])) for v in ids}
+            edges = [(f"g{i}_{j}", f"g{i + di}_{j + dj}") for i in range(9) for j in range(9)
+                     for di, dj in ((1, 0), (0, 1)) if i + di < 9 and j + dj < 9]
+            return ids, chord_from_coords(coords), edges
+        if name == "scattered":  # a path plus each point's 3 nearest: unequal lengths
+            rng = random.Random(11)
+            ids = [f"s{k:02d}" for k in range(60)]
+            coords = {v: (rng.random(), rng.random()) for v in ids}
+            d = chord_from_coords(coords)
+            edges = {edge_key(a, b) for a, b in zip(ids, ids[1:])}
+            edges |= {edge_key(a, b) for a in ids for b in sorted(ids, key=lambda b: d(a, b))[1:4]}
+            return ids, d, sorted(edges)
+        ids = [f"p{k:02d}" for k in range(20)]
+        d = chord_from_coords({v: (float(k),) for k, v in enumerate(ids)})
+        edges = list(zip(ids, ids[1:]))
+        stretched = {"p00", "p19"} if name == "warped_pair" else {"p00", "p06"}
+        if name == "warped_edge":
+            edges.append(("p00", "p06"))
+        return ids, (lambda a, b: 1.5 * d(a, b) if {a, b} == stretched else d(a, b)), edges
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("sample_pairs", [4, 32, 256])
+    @pytest.mark.parametrize("name", ["grid", "scattered", "warped_pair", "warped_edge"])
+    def test_probe_matches_unbounded_reference(self, name, sample_pairs, seed):
+        """Sources whose targets are all edges stop their search at the longest
+        one; buckets, pairs sampled, max ratio and errors stay those of full searches."""
+        ids, d, edges = self.probe_point_set(name)
+
+        def outcome(run):
+            try:
+                buckets, pairs_sampled, max_ratio = run()
+            except MetricError as exc:
+                return str(exc)
+            hexed = [[x.hex() if isinstance(x, float) else x for x in b] for b in buckets]
+            return hexed, pairs_sampled, max_ratio.hex()
+
+        def library():
+            probe = induce_intrinsic(ids, d, edges, sample_pairs=sample_pairs, seed=seed)[1]
+            return probe.buckets, probe.pairs_sampled, probe.max_ratio
+
+        got = outcome(library)
+        assert got == outcome(lambda: reference_consistency_probe(ids, d, edges, sample_pairs, seed))
+        if name == "warped_edge" and seed > 0 and sample_pairs < 256:  # the probe catches it, not a triangle
+            assert got == "chord distance exceeds intrinsic distance at ('p00', 'p06'): 9.0 > 6.0"
 
     @pytest.mark.parametrize("pairs", [-1, MAX_SAMPLE_PAIRS + 1])
     def test_sample_pairs_out_of_range_rejected_before_sampling(self, pairs):

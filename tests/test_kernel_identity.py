@@ -171,12 +171,17 @@ def report_bits(report):
 
 def check_inputs(g, seed, kind):
     """(u, f) for the checks: u is random, random on a coarse dyadic lattice
-    (exact ties between neighbours), or the solver's on random or constant
-    data (exact ties between routes)."""
+    (exact ties between neighbours), the solver's on random or constant
+    data (exact ties between routes), or mostly signed zeros in u and f."""
     rng = random.Random(seed)
     if kind in ("solver", "solver_constant"):
         p = make_problem(g, "random" if kind == "solver" else "constant", seed)
         return solve_dirichlet(p).u, p.f
+    if kind == "signed_zero":  # u(x) = -0.0 against u(y) + cost = 0.0 clamps r = -0.0
+        f = field_on(g, {v: rng.choice((0.0, -0.0, 1.0)) for v in g.vertices}, "rhs_f")
+        values = {v: rng.choice((0.0, -0.0, 0.25)) for v in g.vertices}
+        values.update(dict.fromkeys(sorted(g.boundary)[:1], -0.0))
+        return field_on(g, values, "solution_u"), f
     f = field_on(g, {v: rng.uniform(0.5, 2.0) for v in g.vertices}, "rhs_f")
     if kind == "random":
         values = {v: rng.uniform(0.0, 3.0) for v in g.vertices}
@@ -187,7 +192,8 @@ def check_inputs(g, seed, kind):
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("name,kind", [
-    (name, kind) for name in sorted(FIXTURES) for kind in ("random", "coarse", "solver", "solver_constant")
+    (name, kind) for name in sorted(FIXTURES)
+    for kind in ("random", "coarse", "solver", "solver_constant", "signed_zero")
     if name != "circle" or not kind.startswith("solver")  # the circle has no boundary to solve from
 ])
 def test_checks_match_string_keyed_reference(name, kind, seed):
@@ -205,6 +211,8 @@ def test_checks_match_string_keyed_reference(name, kind, seed):
     ]
     for report, reference in pairs:
         assert report_bits(report) == report_bits(reference)
+    if kind == "signed_zero":
+        assert "-0x0.0p+0" in (r.hex() for r in pairs[3][0].residuals.values())  # csub clamped a -0.0
     for x in g.vertices:
         t, want = slopes(g, u, x), reference_slopes(g, u, x)
         assert t.vertex == want.vertex
