@@ -192,18 +192,57 @@ def _lipschitz_on_boundary(
         k, witness = best, steeper
 
 
+def _labels_reach(
+    g: MetricGraph, a: list[float], seeds: dict[str, float], fl=None, scale: float = 1.0
+) -> bool:
+    """Whether one pass over the edges proves every :func:`settle` label from
+    ``seeds`` (weights as settle takes them) at or above ``a``, a list by
+    vertex index, without solving.
+
+    The pass asks a <= datum at every seed and a(x) <= fl(a(y) + cost(x, y))
+    on every arc, the cost computed as settle computes it.  Then induction
+    over the settle order puts each label at or above a: a seed at its datum
+    is, and any other label is fl(label(y) + cost(x, y)) for a y settled
+    before it, which is at least fl(a(y) + cost(x, y)) since fl(. + cost) is
+    nondecreasing.  False proves nothing; NaN fails the pass.
+    """
+    index = g.index
+    if not all(a[index[y]] <= zy for y, zy in seeds.items()):
+        return False
+    if fl is None:  # settle's unit field: 0.5 * (1.0 + 1.0) * length is exactly length
+        for ax, nbrs, lens in zip(a, g.nbrs, g.lens):
+            for y, length in zip(nbrs, lens):
+                if not ax <= a[y] + length * scale:
+                    return False
+        return True
+    for ax, fx, nbrs, lens in zip(a, fl, g.nbrs, g.lens):
+        for y, length in zip(nbrs, lens):
+            if not ax <= a[y] + 0.5 * (fx + fl[y]) * length * scale:  # settle's cost rule
+                return False
+    return True
+
+
 def check_boundary_consistency(p: DirichletProblem, vf: ValueFunction) -> BoundaryCertificate:
     """Certify the boundary-consistency bounds for a solved problem.
 
     Every verdict has the form A(x) - B(y) <= K * d(x, y) * (1 + REL_TOL) +
     ABS_TOL over pairs of vertices.  Over the reals that is one min-plus
     statement, A(x) <= min_y (B(y) + K * (1 + REL_TOL) * d(x, y)) +
-    ABS_TOL, so each verdict costs one multi-source label-setting solve
-    with weights K * (1 + REL_TOL) * length and seeds B on the boundary.
+    ABS_TOL: the labels of a multi-source label-setting solve with weights
+    K * (1 + REL_TOL) * length and seeds B on the boundary must reach A.
+    Where B is A's own boundary restriction, one pass over the edges
+    (:func:`_labels_reach`) first tries to prove that every label reaches
+    A; that is the along-curves subsolution inequality, which the solver's
+    u meets edge by edge.  Only when the pass fails does the verdict take
+    its solve.
 
     - ``curve_condition_ok``: boundary increments are bounded by the cheapest
       connecting path cost (A = B = zeta, the cost adjacency scaled by
-      1 + REL_TOL in place of K * length, judged on the boundary).
+      1 + REL_TOL in place of K * length, judged on the boundary).  When
+      zeta is constant, or u == zeta on the boundary and the pass proves
+      the labels reach u, the labels equal zeta there (a label is never
+      below the least datum, nor a seed's above its own): the condition
+      holds and no seed is undercut, so the solve is skipped.
     - ``zeta_lipschitz_ok``: zeta is (inf f)-Lipschitz on the boundary
       (A = B = zeta, K = inf f, judged on the boundary).  It holds when
       L <= inf f and fails when the pair attaining L violates it; only in
@@ -213,31 +252,41 @@ def check_boundary_consistency(p: DirichletProblem, vf: ValueFunction) -> Bounda
       output meets it by construction (u(x) <= zeta(y) + path cost <=
       zeta(y) + sup f * d), so it is a regression guard.
     - ``two_sided_ok``: only when the strong condition holds, the one-sided
-      bound with K = sup f (the weak solve when L <= sup f) plus the reverse
-      bound zeta(y) - u(x) <= d(x, y) * sup f (A = -u, B = -zeta); None
-      otherwise.
+      bound with K = sup f (the weak verdict when L <= sup f) plus the
+      reverse bound zeta(y) - u(x) <= d(x, y) * sup f (A = -u, B = -zeta);
+      None otherwise.
 
     ``lipschitz_L``, the boundary Lipschitz constant of zeta, comes from
     Dinkelbach's ratio iteration with weights K * length, started from the
     pairs the curve solve links: no solve for constant zeta, usually one or
-    two otherwise.
+    two otherwise.  So a solver output takes no solve for constant zeta,
+    and only Dinkelbach's and, when some route undercuts a datum, the
+    curve solve otherwise.
     """
     g = p.graph
     zeta = {y: p.zeta[y] for y in sorted(g.boundary)}
-    u = vf.u.values
+    u = field_list(g, vf.u)
+    fl = field_list(g, p.f)
     inf_f = min(p.f.values.values())
     sup_f = max(p.f.values.values())
     slack = 1.0 + REL_TOL
 
-    def holds(scale: float, seeds, a, judged) -> bool:
+    def holds(scale: float, seeds, judged) -> bool:
         labels = settle(g, boundary_seeds(g, seeds), scale=scale)[0]
-        return all(a[x] <= labels[g.index[x]] + ABS_TOL for x in judged)
+        return all(ax <= labels[x] + ABS_TOL for x, ax in judged)
 
     def value_bound(k: float, seeds, a) -> bool:
-        return holds(k * slack, seeds, a, g.interior)
+        scale = k * slack
+        return _labels_reach(g, a, seeds, scale=scale) or holds(
+            scale, seeds, ((x, a[x]) for x in map(g.index.__getitem__, g.interior)))
 
-    curve_labels, rises = _undercuts(g, zeta, field_list(g, p.f), slack)
-    curve_ok = all(zy <= curve_labels[g.index[y]] + ABS_TOL for y, zy in zeta.items())
+    if min(zeta.values()) == max(zeta.values()) or (
+        all(u[g.index[y]] == zy for y, zy in zeta.items()) and _labels_reach(g, u, zeta, fl, slack)
+    ):  # a constant datum is the least label; else the labels reach u, which is zeta on the boundary
+        curve_ok, rises = True, []
+    else:
+        curve_labels, rises = _undercuts(g, zeta, fl, slack)
+        curve_ok = all(zy <= curve_labels[g.index[y]] + ABS_TOL for y, zy in zeta.items())
 
     lipschitz_L, witness = _lipschitz_on_boundary(g, zeta, rises)
     if lipschitz_L <= inf_f:
@@ -245,7 +294,7 @@ def check_boundary_consistency(p: DirichletProblem, vf: ValueFunction) -> Bounda
     elif witness[0] > witness[1] * inf_f * slack + ABS_TOL:
         zeta_ok = False  # the pair that attains L violates the condition
     else:
-        zeta_ok = holds(inf_f * slack, zeta, zeta, zeta)
+        zeta_ok = holds(inf_f * slack, zeta, boundary_seeds(g, zeta))
 
     weak_constant = max(lipschitz_L, sup_f)
     weak_ok = value_bound(weak_constant, zeta, u)
@@ -253,8 +302,7 @@ def check_boundary_consistency(p: DirichletProblem, vf: ValueFunction) -> Bounda
     if zeta_ok:
         upper_ok = weak_ok if weak_constant == sup_f else value_bound(sup_f, zeta, u)
         neg_zeta = {y: -zy for y, zy in zeta.items()}
-        neg_u = {x: -ux for x, ux in u.items()}
-        two_sided_ok = upper_ok and value_bound(sup_f, neg_zeta, neg_u)
+        two_sided_ok = upper_ok and value_bound(sup_f, neg_zeta, [-ux for ux in u])
 
     return BoundaryCertificate(
         lipschitz_L=lipschitz_L,

@@ -13,7 +13,9 @@ is the rule those lists must follow, and :func:`reference_build_graph` the
 entry-by-entry graph load whose graphs and errors the bulk load must give.
 :func:`reference_gasket` builds the gasket fixture by triangle subdivision,
 and :func:`reference_consistency_probe` is ``induce_intrinsic``'s probe with
-no search cut short.
+no search cut short.  :func:`reference_boundary_consistency` is the boundary
+certificate with one min-plus solve per verdict, whose every field the
+certificate with its edge pass must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import random
 from typing import Iterable, Mapping, Sequence
 
 from eikograph import (
+    BoundaryCertificate,
     CheckReport,
     CoercivityError,
     ConnectivityError,
@@ -47,7 +50,8 @@ from eikograph import (
     solve_dirichlet,
     validate_hamiltonian,
 )
-from eikograph.graph import ABS_TOL, DEFAULT_SEED, GRAPH_FORMAT_VERSION, REL_TOL, _finalize, _validate_chord
+from eikograph.fields import field_list
+from eikograph.graph import ABS_TOL, DEFAULT_SEED, GRAPH_FORMAT_VERSION, REL_TOL, _finalize, _validate_chord, settle
 from eikograph.hamiltonians import BRACKET_CAP
 from eikograph.slopes import BASE_TOL
 
@@ -732,6 +736,151 @@ def pairwise_boundary_certificate(problem, u):
             if zeta_ok and abs(u[x] - zeta[y]) > d * sup_f + abs_tol + rel_tol * d * sup_f:
                 two_sided_ok = False
     return lipschitz_L, zeta_ok, curve_ok, weak_ok, two_sided_ok
+
+
+# The boundary certificate as it stood before its edge pass: one min-plus
+# solve per verdict.  Copied verbatim, helpers included and renamed, as the
+# bit-identity reference for every BoundaryCertificate field.
+
+
+def _reference_boundary_seeds(g: MetricGraph, data) -> list[tuple[int, float]]:
+    """:func:`settle` seeds: data[y] at each boundary vertex y."""
+    return [(g.index[y], data[y]) for y in g.boundary]
+
+
+def _reference_undercuts(
+    g: MetricGraph, seeds: dict[str, float], fl=None, scale: float = 1.0
+) -> tuple[list[float], list[tuple[float, float]]]:
+    """One multi-source solve, plus (zeta(y) - zeta(source), path length)
+    for every seed y whose label another seed undercuts.
+
+    The source and the path come from the :func:`settle` parents.  Each
+    rise / length is the increment ratio of a realized boundary pair over a
+    path no shorter than their distance, so it is at most the boundary
+    Lipschitz constant L.
+    """
+    labels, order, parent = settle(g, _reference_boundary_seeds(g, seeds), fl, scale)
+    index = g.index
+    if all(labels[index[y]] == zy for y, zy in seeds.items()):
+        return labels, []
+    names = g.vertices
+    source, length = list(range(len(names))), [0.0] * len(names)
+    for x in order:
+        y = parent[x]
+        if 0 <= y != x:  # -1: unreached
+            source[x], length[x] = source[y], length[y] + g.lens[x][g.nbrs[x].index(y)]
+    rises = [(zy - seeds[names[source[i]]], length[i])
+             for y, zy in seeds.items() if source[i := index[y]] != i]
+    return labels, rises
+
+
+def _reference_steepest(rises: list[tuple[float, float]], floor: float) -> tuple[float, tuple[float, float] | None]:
+    """Largest rise / length above floor, with the pair that attains it."""
+    best, witness = floor, None
+    for rise, length in rises:
+        if rise / length > best:
+            best, witness = rise / length, (rise, length)
+    return best, witness
+
+
+def _reference_lipschitz_on_boundary(
+    g: MetricGraph, seeds: dict[str, float], rises: list[tuple[float, float]]
+) -> tuple[float, tuple[float, float] | None]:
+    """Exact max over boundary pairs of (zeta(y) - zeta(y')) / d(y, y').
+
+    Dinkelbach's ratio iteration, started from the largest ratio in
+    ``rises`` (realized pairs, so K starts at most L): solve with weights
+    K * length and seeds zeta, and raise K to the largest ratio of the
+    undercut seeds.  While K < L the pair attaining L is undercut with a
+    ratio above K, so the iteration stops exactly when K is the maximal
+    ratio.  Returns K and the (rise, length) pair that attains it, None
+    for K = 0.
+    """
+    k, witness = _reference_steepest(rises, 0.0)
+    if k == 0.0 and min(seeds.values()) == max(seeds.values()):
+        return 0.0, None  # constant data has no increment
+    while True:
+        _labels, rises = _reference_undercuts(g, seeds, scale=k)
+        best, steeper = _reference_steepest(rises, k)
+        if steeper is None:
+            return k, witness
+        k, witness = best, steeper
+
+
+def reference_boundary_consistency(p: DirichletProblem, vf: ValueFunction) -> BoundaryCertificate:
+    """Certify the boundary-consistency bounds for a solved problem.
+
+    Every verdict has the form A(x) - B(y) <= K * d(x, y) * (1 + REL_TOL) +
+    ABS_TOL over pairs of vertices.  Over the reals that is one min-plus
+    statement, A(x) <= min_y (B(y) + K * (1 + REL_TOL) * d(x, y)) +
+    ABS_TOL, so each verdict costs one multi-source label-setting solve
+    with weights K * (1 + REL_TOL) * length and seeds B on the boundary.
+
+    - ``curve_condition_ok``: boundary increments are bounded by the cheapest
+      connecting path cost (A = B = zeta, the cost adjacency scaled by
+      1 + REL_TOL in place of K * length, judged on the boundary).
+    - ``zeta_lipschitz_ok``: zeta is (inf f)-Lipschitz on the boundary
+      (A = B = zeta, K = inf f, judged on the boundary).  It holds when
+      L <= inf f and fails when the pair attaining L violates it; only in
+      between does it take a solve.
+    - ``weak_bound_ok``: the one-sided bound u(x) - zeta(y) <= d(x, y) * K
+      with K = max(L, sup f) at interior x (A = u, B = zeta).  A solver
+      output meets it by construction (u(x) <= zeta(y) + path cost <=
+      zeta(y) + sup f * d), so it is a regression guard.
+    - ``two_sided_ok``: only when the strong condition holds, the one-sided
+      bound with K = sup f (the weak solve when L <= sup f) plus the reverse
+      bound zeta(y) - u(x) <= d(x, y) * sup f (A = -u, B = -zeta); None
+      otherwise.
+
+    ``lipschitz_L``, the boundary Lipschitz constant of zeta, comes from
+    Dinkelbach's ratio iteration with weights K * length, started from the
+    pairs the curve solve links: no solve for constant zeta, usually one or
+    two otherwise.
+    """
+    g = p.graph
+    zeta = {y: p.zeta[y] for y in sorted(g.boundary)}
+    u = vf.u.values
+    inf_f = min(p.f.values.values())
+    sup_f = max(p.f.values.values())
+    slack = 1.0 + REL_TOL
+
+    def holds(scale: float, seeds, a, judged) -> bool:
+        labels = settle(g, _reference_boundary_seeds(g, seeds), scale=scale)[0]
+        return all(a[x] <= labels[g.index[x]] + ABS_TOL for x in judged)
+
+    def value_bound(k: float, seeds, a) -> bool:
+        return holds(k * slack, seeds, a, g.interior)
+
+    curve_labels, rises = _reference_undercuts(g, zeta, field_list(g, p.f), slack)
+    curve_ok = all(zy <= curve_labels[g.index[y]] + ABS_TOL for y, zy in zeta.items())
+
+    lipschitz_L, witness = _reference_lipschitz_on_boundary(g, zeta, rises)
+    if lipschitz_L <= inf_f:
+        zeta_ok = True  # every increment is at most L * d <= inf f * d
+    elif witness[0] > witness[1] * inf_f * slack + ABS_TOL:
+        zeta_ok = False  # the pair that attains L violates the condition
+    else:
+        zeta_ok = holds(inf_f * slack, zeta, zeta, zeta)
+
+    weak_constant = max(lipschitz_L, sup_f)
+    weak_ok = value_bound(weak_constant, zeta, u)
+    two_sided_ok: bool | None = None
+    if zeta_ok:
+        upper_ok = weak_ok if weak_constant == sup_f else value_bound(sup_f, zeta, u)
+        neg_zeta = {y: -zy for y, zy in zeta.items()}
+        neg_u = {x: -ux for x, ux in u.items()}
+        two_sided_ok = upper_ok and value_bound(sup_f, neg_zeta, neg_u)
+
+    return BoundaryCertificate(
+        lipschitz_L=lipschitz_L,
+        inf_f=inf_f,
+        sup_f=sup_f,
+        zeta_lipschitz_ok=zeta_ok,
+        curve_condition_ok=curve_ok,
+        weak_bound_ok=weak_ok,
+        weak_bound=weak_constant,
+        two_sided_ok=two_sided_ok,
+    )
 
 
 def lipschitz_certificate_rows(graph, u, f, certificate_centers=6):

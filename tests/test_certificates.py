@@ -1,6 +1,8 @@
 """Certificates against their pairwise references: the boundary certificate's
 min-plus solves and Dinkelbach L, and the bounded searches of ball(); the
-local Lipschitz bound that the along-curves subsolution check implies."""
+boundary certificate bit for bit against its one-solve-per-verdict
+reference, with the solves its edge pass saves counted; the local Lipschitz
+bound that the along-curves subsolution check implies."""
 
 from __future__ import annotations
 
@@ -9,8 +11,10 @@ import random
 
 import pytest
 
+import oracles
 from eikograph import (
     DirichletProblem,
+    FieldError,
     ball,
     check_boundary_consistency,
     check_c_subsolution,
@@ -20,9 +24,10 @@ from eikograph import (
     random_metric_graph,
     solve_dirichlet,
 )
+from eikograph import solver
 from eikograph.graph import settle
 
-from oracles import lipschitz_certificate_rows, pairwise_boundary_certificate
+from oracles import lipschitz_certificate_rows, pairwise_boundary_certificate, reference_boundary_consistency
 
 GRAPHS = (
     [("random", seed) for seed in range(8)]
@@ -120,6 +125,152 @@ def test_value_bound_failure_is_reported(shift, weak, two_sided):
     assert (cert.weak_bound_ok, cert.two_sided_ok) == (weak, two_sided)
     _L, _zeta_ok, _curve_ok, weak_ok, two_sided_ok = pairwise_boundary_certificate(p, shifted.u)
     assert (weak_ok, two_sided_ok) == (weak, two_sided)
+
+
+def with_u(vf, values):
+    return type(vf)(u=field_on(vf.u.graph, values, "solution_u"), exit_vertex=vf.exit_vertex,
+                    attained=vf.attained)
+
+
+def u_variants(p, vf):
+    """(name, u values): the solver's u, then u that are no solver output.
+
+    shift_up and shift_down move u by +-10; dip lowers the middle interior
+    vertex by 1 (the one-sided bound still holds), deep_dip by 1e6, below
+    every edge weight the certificate uses; boundary_dip puts the first
+    boundary vertex 1 below its datum, so the curve condition needs its
+    solve; jitter adds +-1e-13, + at the first boundary vertex that attains
+    its datum and - at another.
+    """
+    g, u = p.graph, vf.u.values
+    boundary = sorted(g.boundary)
+    rng = random.Random(len(u))
+    jitter = {v: x + rng.choice((-1e-13, 1e-13)) for v, x in u.items()}
+    up = next(y for y in boundary if vf.attained[y])
+    down = next(y for y in boundary if y != up)
+    jitter[up], jitter[down] = u[up] + 1e-13, u[down] - 1e-13
+    x0 = g.interior[len(g.interior) // 2]
+    yield "solver", u
+    yield "shift_up", {v: x + 10.0 for v, x in u.items()}
+    yield "shift_down", {v: x - 10.0 for v, x in u.items()}
+    yield "dip", {**u, x0: u[x0] - 1.0}
+    yield "deep_dip", {**u, x0: u[x0] - 1e6}
+    yield "boundary_dip", {**u, boundary[0]: p.zeta[boundary[0]] - 1.0}
+    yield "jitter", jitter
+
+
+def as_hex(cert):
+    return [x.hex() if isinstance(x, float) else x for x in vars(cert).values()]
+
+
+@pytest.mark.parametrize("data", DATA)
+@pytest.mark.parametrize("kind,arg", GRAPHS)
+def test_certificate_bit_identical_to_reference(kind, arg, data):
+    g = make_graph(kind, arg)
+    p = make_problem(g, data, seed=str(arg))
+    vf = solve_dirichlet(p)
+    for name, u in u_variants(p, vf):
+        w = with_u(vf, u)
+        assert as_hex(check_boundary_consistency(p, w)) == as_hex(reference_boundary_consistency(p, w)), name
+
+
+def trace_solves(monkeypatch):
+    """Patch the certificate's and the reference's solves to be logged.
+
+    Returns (log, reference count, proven): each certificate solve is logged
+    as "curve" (the one with f weights), "dinkelbach" (inside the boundary
+    Lipschitz iteration) or "bound"; proven lists each edge pass's result.
+    """
+    log, ref, proven, phase = [], [0], [], ["bound"]
+    lipschitz, labels_reach = solver._lipschitz_on_boundary, solver._labels_reach
+
+    def counted(g, seeds, fl=None, *args, **kwargs):
+        log.append("curve" if fl is not None else phase[0])
+        return settle(g, seeds, fl, *args, **kwargs)
+
+    def ref_counted(*args, **kwargs):
+        ref[0] += 1
+        return settle(*args, **kwargs)
+
+    def in_dinkelbach(*args):
+        phase[0] = "dinkelbach"
+        try:
+            return lipschitz(*args)
+        finally:
+            phase[0] = "bound"
+
+    def recorded(*args, **kwargs):
+        proven.append(labels_reach(*args, **kwargs))
+        return proven[-1]
+
+    monkeypatch.setattr(solver, "settle", counted)
+    monkeypatch.setattr(oracles, "settle", ref_counted)
+    monkeypatch.setattr(solver, "_lipschitz_on_boundary", in_dinkelbach)
+    monkeypatch.setattr(solver, "_labels_reach", recorded)
+    return log, ref, proven
+
+
+@pytest.mark.parametrize("kind,arg", GRAPHS)
+def test_certificate_solve_counts(kind, arg, monkeypatch):
+    g = make_graph(kind, arg)
+    log, ref, proven = trace_solves(monkeypatch)
+    for data in DATA:
+        p = make_problem(g, data, seed=str(arg))
+        vf = solve_dirichlet(p)
+        for name, u in u_variants(p, vf):
+            log.clear(), proven.clear()
+            ref[0] = 0
+            w = with_u(vf, u)
+            cert = check_boundary_consistency(p, w)
+            reference_boundary_consistency(p, w)
+            where = (data, name)
+            flat = data == "constant_zeta"  # a constant datum needs no curve solve
+            # each pass that proves its verdict saves that verdict's solve, and only that
+            assert len(log) == ref[0] - sum(proven) - flat, where
+            if name == "solver" and data == "constant_zeta":
+                assert log == [], where
+            elif name == "solver" and data == "incompatible":
+                # the curve solve, unless no datum is undercut, then Dinkelbach's
+                curve = ["curve"] * (not all(vf.attained.values()))
+                assert log == curve + ["dinkelbach"] * (len(log) - len(curve)), where
+            elif name in ("shift_up", "deep_dip", "jitter"):
+                assert not any(proven), where  # every pass fails
+            elif name == "shift_down":
+                assert cert.weak_bound_ok and any(proven), where  # each edge inequality survives the shift
+            elif name == "boundary_dip":
+                assert ("curve" in log) != flat, where
+            if name in ("dip", "deep_dip"):
+                assert cert.weak_bound_ok, where
+
+
+@pytest.mark.parametrize("slope,holds", [(0.5, True), (1.0 + 5e-10, True), (1.0 + 2e-9, False), (1.5, False)])
+def test_curve_pass_on_a_linear_u(slope, holds, monkeypatch):
+    # f = 1 on an interval and u linear in arc length, equal to zeta at both
+    # ends: the curve pass proves the condition up to slope 1 + REL_TOL and
+    # past it leaves the verdict to the curve solve
+    g = fixture("interval", n=10).graph
+    at = distances_from(g, ["v0"])
+    p = DirichletProblem(
+        g,
+        field_on(g, dict.fromkeys(g.vertices, 1.0), "rhs_f"),
+        field_on(g, {"v0": 0.0, "v10": slope * at["v10"]}, "boundary_zeta"),
+    )
+    vf = with_u(solve_dirichlet(p), {v: slope * d for v, d in at.items()})
+    log, _ref, _proven = trace_solves(monkeypatch)
+    cert = check_boundary_consistency(p, vf)
+    assert as_hex(cert) == as_hex(reference_boundary_consistency(p, vf))
+    assert cert.curve_condition_ok == holds
+    assert ("curve" in log) != holds
+
+
+@pytest.mark.parametrize("other", [("interval", {"n": 4}, "v0_0"), ("grid", {"n": 5}, "v0_5")])
+def test_certificate_rejects_u_of_another_graph(other):
+    # a u that lacks a vertex of the problem's graph, interior or boundary
+    kind, arg, missing = other
+    p = make_problem(fixture("grid", n=6).graph, "compatible", seed="other")
+    q = make_problem(fixture(kind, **arg).graph, "compatible", seed="other")
+    with pytest.raises(FieldError, match=f"no value at vertex '{missing}'"):
+        check_boundary_consistency(p, solve_dirichlet(q))
 
 
 @pytest.mark.parametrize("excess,holds", [
