@@ -136,8 +136,8 @@ def u_variants(p, vf):
     """(name, u values): the solver's u, then u that are no solver output.
 
     shift_up and shift_down move u by +-10; dip lowers the middle interior
-    vertex by 1 (the one-sided bound still holds), deep_dip by 1e6, below
-    every edge weight the certificate uses; boundary_dip puts the first
+    vertex by 1 (the one-sided bound still holds), deep_dip by 1e6, more
+    than any edge weight the certificate uses; boundary_dip puts the first
     boundary vertex 1 below its datum, so the curve condition needs its
     solve; jitter adds +-1e-13, + at the first boundary vertex that attains
     its datum and - at another.
