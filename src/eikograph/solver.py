@@ -230,11 +230,11 @@ def check_boundary_consistency(p: DirichletProblem, vf: ValueFunction) -> Bounda
     statement, A(x) <= min_y (B(y) + K * (1 + REL_TOL) * d(x, y)) +
     ABS_TOL: the labels of a multi-source label-setting solve with weights
     K * (1 + REL_TOL) * length and seeds B on the boundary must reach A.
-    Where B is A's own boundary restriction, one pass over the edges
+    Where A is given at every vertex, one pass over the edges
     (:func:`_labels_reach`) first tries to prove that every label reaches
-    A; that is the along-curves subsolution inequality, which the solver's
-    u meets edge by edge.  Only when the pass fails does the verdict take
-    its solve.
+    A: A at most B on the boundary, and along every edge the along-curves
+    subsolution inequality, which the solver's u meets edge by edge.  Only
+    when the pass fails does the verdict take its solve.
 
     - ``curve_condition_ok``: boundary increments are bounded by the cheapest
       connecting path cost (A = B = zeta, the cost adjacency scaled by
