@@ -209,12 +209,8 @@ def _labels_reach(
     index = g.index
     if not all(a[index[y]] <= zy for y, zy in seeds.items()):
         return False
-    if fl is None:  # settle's unit field: 0.5 * (1.0 + 1.0) * length is exactly length
-        for ax, nbrs, lens in zip(a, g.nbrs, g.lens):
-            for y, length in zip(nbrs, lens):
-                if not ax <= a[y] + length * scale:
-                    return False
-        return True
+    if fl is None:
+        fl = [1.0] * len(a)
     for ax, fx, nbrs, lens in zip(a, fl, g.nbrs, g.lens):
         for y, length in zip(nbrs, lens):
             if not ax <= a[y] + 0.5 * (fx + fl[y]) * length * scale:  # settle's cost rule
@@ -239,9 +235,10 @@ def check_boundary_consistency(p: DirichletProblem, vf: ValueFunction) -> Bounda
     - ``curve_condition_ok``: boundary increments are bounded by the cheapest
       connecting path cost (A = B = zeta, the cost adjacency scaled by
       1 + REL_TOL in place of K * length, judged on the boundary).  When
-      zeta is constant, or u == zeta on the boundary and the pass proves
-      the labels reach u, the labels equal zeta there (a label is never
-      below the least datum, nor a seed's above its own): the condition
+      zeta is constant and f >= 0, or u == zeta on the boundary and the
+      pass proves the labels reach u, the labels equal zeta there (with no
+      negative cost a label is never below the least datum, and no seed's
+      is above its own): the condition
       holds and no seed is undercut, so the solve is skipped.
     - ``zeta_lipschitz_ok``: zeta is (inf f)-Lipschitz on the boundary
       (A = B = zeta, K = inf f, judged on the boundary).  It holds when
@@ -280,9 +277,9 @@ def check_boundary_consistency(p: DirichletProblem, vf: ValueFunction) -> Bounda
         return _labels_reach(g, a, seeds, scale=scale) or holds(
             scale, seeds, ((x, a[x]) for x in map(g.index.__getitem__, g.interior)))
 
-    if min(zeta.values()) == max(zeta.values()) or (
+    if (inf_f >= 0.0 and min(zeta.values()) == max(zeta.values())) or (
         all(u[g.index[y]] == zy for y, zy in zeta.items()) and _labels_reach(g, u, zeta, fl, slack)
-    ):  # a constant datum is the least label; else the labels reach u, which is zeta on the boundary
+    ):  # with no negative cost a constant datum is the least label; else the labels reach u == zeta
         curve_ok, rises = True, []
     else:
         curve_labels, rises = _undercuts(g, zeta, fl, slack)
