@@ -267,7 +267,7 @@ def test_curve_pass_on_a_linear_u(slope, holds, monkeypatch):
 def outcome(check, p, vf):
     try:
         return as_hex(check(p, vf))
-    except Exception as exc:  # noqa: BLE001 - the error is part of the outcome
+    except Exception as exc:  # the error is part of the outcome
         return type(exc).__name__, str(exc)
 
 
