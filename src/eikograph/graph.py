@@ -52,20 +52,25 @@ def edge_key(a: str, b: str) -> tuple[str, str]:
 class MetricGraph:
     """Finite weighted graph with a distinguished boundary vertex set.
 
-    ``edges`` maps canonical sorted pairs to positive lengths, in id order.
-    ``coords`` is optional per vertex and only feeds embedding-derived
-    metrics and plot output.  Vertex i is ``vertices[i]`` (sorted ids), and
-    ``index`` maps id -> i; per vertex, ``nbrs[i]`` and ``lens[i]`` list
-    neighbour indices and lengths in id order.  Built by :func:`_finalize`.
+    Vertex i is ``vertices[i]`` (sorted ids) and ``index`` maps id -> i; the
+    edges are stored once, as ``nbrs[i]`` and ``lens[i]``: neighbour indices
+    and positive lengths in id order.  ``coords`` is optional per vertex and
+    only feeds embedding-derived metrics and plot output.  Built by :func:`_finalize`.
     """
 
     vertices: tuple[str, ...]
-    edges: dict[tuple[str, str], float]
     boundary: frozenset[str]
     coords: dict[str, tuple[float, ...]]
     index: dict[str, int] = field(compare=False, repr=False)
-    nbrs: tuple[list[int], ...] = field(compare=False, repr=False)
-    lens: tuple[list[float], ...] = field(compare=False, repr=False)
+    nbrs: tuple[list[int], ...] = field(repr=False)
+    lens: tuple[list[float], ...] = field(repr=False)
+
+    @cached_property
+    def edges(self) -> dict[tuple[str, str], float]:
+        """Canonical sorted id pairs -> lengths in id order, built from the lists on first read."""
+        vs = self.vertices
+        return {(vs[i], vs[j]): length for i, (nb, ln) in enumerate(zip(self.nbrs, self.lens))
+                for j, length in zip(nb, ln) if i < j}
 
     @cached_property
     def adjacency(self) -> dict[str, tuple[tuple[str, float], ...]]:
@@ -79,12 +84,13 @@ class MetricGraph:
 
     @property
     def h_max(self) -> float:
-        return max(self.edges.values(), default=0.0)  # an edgeless graph has mesh 0
+        return max(chain.from_iterable(self.lens), default=0.0)  # an edgeless graph has mesh 0
 
     def edge_length(self, a: str, b: str) -> float:
+        i, j = self.index.get(a), self.index.get(b)
         try:
-            return self.edges[edge_key(a, b)]
-        except KeyError:
+            return self.lens[i][self.nbrs[i].index(j)]
+        except (TypeError, ValueError):  # an unknown id, or no such neighbour
             raise GraphError(f"no edge between {a!r} and {b!r}")
 
 
@@ -135,7 +141,7 @@ def _finalize(
     keys and values.  C-level passes validate every entry; only when one fails
     does a walk name the first bad one.  Parallel entries collapse to the
     shortest length, whatever their order.  One sort of the (i, j) pairs, i < j,
-    fills ``edges`` and each vertex's lists: smaller neighbours, then larger.
+    fills each vertex's lists: smaller neighbours, then larger.
     """
     vs = tuple(sorted(set(vertices)))
     if not vs:
@@ -172,10 +178,9 @@ def _finalize(
         cmap = {v: tuple(map(float, xy)) for v, xy in coords.items()}
         _require_coords(cmap)
 
-    emap: dict[tuple[str, str], float] = {}
     nbrs, lens = tuple([] for _ in vs), tuple([] for _ in vs)
     for i, j in sorted(shortest):
-        length = emap[vs[i], vs[j]] = shortest[i, j]
+        length = shortest[i, j]
         nbrs[i].append(j)
         lens[i].append(length)
         nbrs[j].append(i)
@@ -190,7 +195,7 @@ def _finalize(
     if not all(seen):
         missing = [v for v, s in zip(vs, seen) if not s][:5]
         raise ConnectivityError(f"graph is disconnected; unreachable vertices include {missing}")
-    return MetricGraph(vertices=vs, edges=emap, boundary=bset, coords=cmap, index=index, nbrs=nbrs, lens=lens)
+    return MetricGraph(vertices=vs, boundary=bset, coords=cmap, index=index, nbrs=nbrs, lens=lens)
 
 
 def _require_coords(coords: Mapping[str, Sequence[float]]) -> None:

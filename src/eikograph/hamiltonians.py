@@ -33,8 +33,8 @@ class HamiltonianSpec:
     """Evaluable Hamiltonian with declared monotonicity/coercivity metadata.
 
     ``lambda0`` is the declared margin by which p -> H - lambda0 * p is
-    nondecreasing (validated on a sample grid); ``p_max`` caps the range on
-    which coercivity is probed.
+    nondecreasing (validated on a sample grid); ``p_max``, positive and
+    finite, caps the range on which coercivity is probed.
     """
 
     name: str
@@ -46,6 +46,8 @@ class HamiltonianSpec:
     def __post_init__(self):
         if not (self.lambda0 > 0.0):
             raise HamiltonianError(f"lambda0 must be positive, got {self.lambda0!r}")
+        if not (0.0 < self.p_max < math.inf):
+            raise HamiltonianError(f"p_max must be positive and finite, got {self.p_max!r}")
         if self.rho_monotonicity not in RHO_MODES:
             raise HamiltonianError(
                 f"rho_monotonicity {self.rho_monotonicity!r} not in {RHO_MODES}"
@@ -158,9 +160,8 @@ def validate_hamiltonian(H: HamiltonianSpec, g: MetricGraph) -> HamiltonianValid
                     if h - prev_h < H.lambda0 * (p - prev_p) - 1e-12:
                         yield ("monotonicity", x, rho, prev_p, p, prev_h, h)
                     prev_p, prev_h = p, h
-                top = H(x, rho, H.p_max)
-                if not (top > 0.0):
-                    yield ("coercivity", x, rho, H.p_max, top)
+                if not (prev_h > 0.0):  # the grid ends at p_max
+                    yield ("coercivity", x, rho, H.p_max, prev_h)
 
     bad = next(counterexamples(), None)
     kind = bad[0] if bad else None

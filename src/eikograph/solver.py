@@ -31,7 +31,7 @@ from .graph import (
 
 @dataclass(frozen=True)
 class DirichletProblem:
-    """Graph, nonnegative rhs field f, boundary data zeta, positivity threshold."""
+    """Graph, nonnegative rhs field f, boundary data zeta, nonnegative positivity threshold."""
 
     graph: MetricGraph
     f: ScalarField
@@ -45,6 +45,8 @@ class DirichletProblem:
             raise FieldError(f"f must have role rhs_f, got {self.f.role!r}")
         if self.zeta.role != "boundary_zeta":
             raise FieldError(f"zeta must have role boundary_zeta, got {self.zeta.role!r}")
+        if not (self.threshold >= 0.0):  # NaN too: every x < NaN is false
+            raise ProblemError(f"positivity threshold must be nonnegative, got {self.threshold!r}")
         offenders = validate_field(self.f, self.threshold)
         if offenders:
             worst = offenders[0]
@@ -235,11 +237,10 @@ def check_boundary_consistency(p: DirichletProblem, vf: ValueFunction) -> Bounda
     - ``curve_condition_ok``: boundary increments are bounded by the cheapest
       connecting path cost (A = B = zeta, the cost adjacency scaled by
       1 + REL_TOL in place of K * length, judged on the boundary).  When
-      zeta is constant and f >= 0, or u == zeta on the boundary and the
-      pass proves the labels reach u, the labels equal zeta there (with no
-      negative cost a label is never below the least datum, and no seed's
-      is above its own): the condition
-      holds and no seed is undercut, so the solve is skipped.
+      zeta is constant, or u == zeta on the boundary and the pass proves
+      the labels reach u, the labels equal zeta there (a label is never
+      below the least datum, and no seed's is above its own): the
+      condition holds and no seed is undercut, so the solve is skipped.
     - ``zeta_lipschitz_ok``: zeta is (inf f)-Lipschitz on the boundary
       (A = B = zeta, K = inf f, judged on the boundary).  It holds when
       L <= inf f and fails when the pair attaining L violates it; only in
@@ -277,9 +278,9 @@ def check_boundary_consistency(p: DirichletProblem, vf: ValueFunction) -> Bounda
         return _labels_reach(g, a, seeds, scale=scale) or holds(
             scale, seeds, ((x, a[x]) for x in map(g.index.__getitem__, g.interior)))
 
-    if (inf_f >= 0.0 and min(zeta.values()) == max(zeta.values())) or (
+    if min(zeta.values()) == max(zeta.values()) or (
         all(u[g.index[y]] == zy for y, zy in zeta.items()) and _labels_reach(g, u, zeta, fl, slack)
-    ):  # with no negative cost a constant datum is the least label; else the labels reach u == zeta
+    ):  # a constant datum is the least label; else the labels reach u == zeta
         curve_ok, rises = True, []
     else:
         curve_labels, rises = _undercuts(g, zeta, fl, slack)

@@ -155,7 +155,9 @@ def _reference_finalize(
     if not all(seen):
         missing = [v for v, s in zip(vs, seen) if not s][:5]
         raise ConnectivityError(f"graph is disconnected; unreachable vertices include {missing}")
-    return MetricGraph(vertices=vs, edges=emap, boundary=bset, coords=cmap, index=index, nbrs=nbrs, lens=lens)
+    g = MetricGraph(vertices=vs, boundary=bset, coords=cmap, index=index, nbrs=nbrs, lens=lens)
+    vars(g)["edges"] = emap  # the oracle's own edge dict stands in for the view built from the lists
+    return g
 
 
 def _reference_require_coords(coords: Mapping[str, Sequence[float]]) -> None:

@@ -15,6 +15,7 @@ import oracles
 from eikograph import (
     DirichletProblem,
     FieldError,
+    ProblemError,
     ScalarField,
     ball,
     check_boundary_consistency,
@@ -264,30 +265,15 @@ def test_curve_pass_on_a_linear_u(slope, holds, monkeypatch):
     assert ("curve" in log) != holds
 
 
-def outcome(check, p, vf):
-    try:
-        return as_hex(check(p, vf))
-    except Exception as exc:  # the error is part of the outcome
-        return type(exc).__name__, str(exc)
-
-
-@pytest.mark.parametrize("flat", [True, False])
-@pytest.mark.parametrize("seed", range(3))
-def test_negative_f_takes_the_curve_solve(seed, flat, monkeypatch):
-    # f < 0 is reachable only through a ScalarField built directly and a
-    # negative threshold; a negative cost undercuts a seed even below a
-    # constant datum, so constant zeta must not skip the curve solve, and
-    # the certificate must end as the reference ends
-    g = fixture("grid", n=5).graph
-    rng = random.Random(seed)
-    f = ScalarField(g, {v: rng.uniform(-1.0, 0.5) for v in g.vertices}, "rhs_f")
-    zeta = {y: 0.25 if flat else rng.uniform(0.0, 1.0) for y in sorted(g.boundary)}
-    p = DirichletProblem(g, f, field_on(g, zeta, "boundary_zeta"), threshold=-2.0)
-    vf = solve_dirichlet(p)
-    log, _ref, _proven = trace_solves(monkeypatch)
-    got = outcome(check_boundary_consistency, p, vf)
-    assert got == outcome(reference_boundary_consistency, p, vf)
-    assert "curve" in log
+@pytest.mark.parametrize("threshold", [-2.0, math.nan])
+def test_negative_or_nan_threshold_is_rejected(threshold):
+    # f < 0 reached the certificate only through a ScalarField built directly
+    # and a negative threshold (NaN admits any f, as every x < NaN is false);
+    # with constant zeta it ended in a TypeError at the Lipschitz witness
+    g = fixture("grid", n=6).graph
+    f = ScalarField(g, {v: -1.0 for v in g.vertices}, "rhs_f")
+    with pytest.raises(ProblemError, match="positivity threshold must be nonnegative"):
+        DirichletProblem(g, f, field_on(g, {y: 0.25 for y in g.boundary}, "boundary_zeta"), threshold=threshold)
 
 
 @pytest.mark.parametrize("other", [("interval", {"n": 4}, "v0_0"), ("grid", {"n": 5}, "v0_5")])

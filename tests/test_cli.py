@@ -179,6 +179,35 @@ class TestPipeline:
         assert "holds" in line
 
 
+def test_hot_commands_never_build_the_edge_view(tmp_path, capsys, monkeypatch):
+    # check, solve --certify, solve-h and compare read only the CSR lists,
+    # h_max and csuper's witness curve included
+    monkeypatch.chdir(tmp_path)
+    run_cli("fixture", "--name", "grid", "--n", "6", "--out", "g.json")
+    run_cli("solve", "--graph", "g.json", "--f", "const:1", "--zeta", "const:0", "--out", "u.csv")
+
+    def no_view(g):
+        raise AssertionError("the string-keyed edge view was built")
+
+    monkeypatch.setattr(graph_module.MetricGraph, "edges", property(no_view))
+    with pytest.raises(AssertionError, match="edge view"):
+        read_graph("g.json").edges
+    solution = ["--graph", "g.json", "--u", "u.csv"]
+    for argv, code in [
+        (["check", "monge", *solution, "--f", "const:1"], 0),
+        (["check", "csub", *solution, "--f", "const:1"], 0),
+        (["check", "csuper", *solution, "--f", "const:1"], 0),
+        (["check", "regularity", *solution], 0),
+        (["solve", "--graph", "g.json", "--f", "const:1", "--zeta", "linear:0,0.5", "--out", "v.csv",
+          "--certify"], 0),
+        (["solve-h", "--graph", "g.json", "--hamiltonian", "affine-rho", "--zeta", "const:0",
+          "--out", "h.csv"], 0),
+        (["compare", "--graph", "g.json", "--f", "const:1", "--u", "u.csv", "--v", "u.csv"], 0),
+    ]:
+        assert run_cli(*argv) == code, argv
+    assert "Lipschitz L=" in capsys.readouterr().out
+
+
 class TestPlot:
     def test_plot_written_with_coords(self, tmp_path):
         g_path = tmp_path / "g.json"
@@ -569,6 +598,15 @@ class TestErrorsAndConfig:
         assert run_cli(*argv, flag, "nan") == 2
         assert f"argument {flag}: 'nan' is not a number" in capsys.readouterr().err
         assert not (tmp_path / "u0.csv").exists()
+
+    def test_negative_threshold_exits_2(self, tmp_path, capsys):
+        g_path = tmp_path / "g.json"
+        run_cli("fixture", "--name", "grid", "--n", "6", "--out", str(g_path))
+        capsys.readouterr()
+        assert run_cli("solve", "--graph", str(g_path), "--f", "const:1", "--zeta", "const:0",
+                       "--out", str(tmp_path / "u.csv"), "--threshold", "-1") == 2
+        assert "positivity threshold must be nonnegative, got -1.0" in self.assert_one_error_line(capsys)
+        assert not (tmp_path / "u.csv").exists()
 
     @pytest.mark.parametrize("delta", ["-1", "nan"])
     def test_bad_band_delta_exits_2(self, tmp_path, capsys, delta):

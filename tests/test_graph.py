@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -11,6 +12,7 @@ from eikograph import (
     ConnectivityError,
     GraphError,
     MetricError,
+    MetricGraph,
     ValidationError,
     ball,
     build_graph,
@@ -24,6 +26,8 @@ from eikograph import (
     refine,
     write_graph,
 )
+from eikograph import graph as graph_module
+from eikograph import verify as verify_module
 from eikograph.graph import MAX_SAMPLE_PAIRS, close, edge_key
 
 from oracles import (
@@ -611,3 +615,96 @@ def test_non_utf8_graph_file_rejected(tmp_path):
 def test_edge_key_is_sorted():
     assert edge_key("z", "a") == ("a", "z")
     assert edge_key("a", "z") == ("a", "z")
+
+
+def _spy_on_finalize(monkeypatch) -> list:
+    """Record, per call, the graph ``_finalize`` returns and the raw vertices
+    and ((a, b), length) entries its caller passed."""
+    calls = []
+    real = graph_module._finalize
+
+    def spy(vertices, ends, lengths, boundary, coords=None):
+        vertices, ends, lengths = list(vertices), list(ends), list(lengths)
+        g = real(vertices, ends, lengths, boundary, coords)
+        calls.append((g, vertices, list(zip(ends, lengths))))
+        return g
+
+    monkeypatch.setattr(graph_module, "_finalize", spy)
+    monkeypatch.setattr(verify_module, "_finalize", spy)
+    return calls
+
+
+def _point_grid(n):
+    coords = {f"q{i}_{j}": (float(i), 0.5 * j) for i in range(n) for j in range(n)}
+    adjacency = [(f"q{i}_{j}", f"q{i + di}_{j + dj}") for i in range(n) for j in range(n)
+                 for di, dj in ((1, 0), (0, 1), (1, 1)) if i + di < n and j + dj < n]
+    return induce_intrinsic(sorted(coords), chord_from_coords(coords), adjacency, coords=coords,
+                            sample_pairs=16)[0]
+
+
+def _shuffled_spec(seed):
+    rng = random.Random(seed)
+    ids = [f"w{k}" for k in range(12)]
+    entries = [(ids[i], ids[rng.randrange(i)], rng.uniform(0.1, 3.0)) for i in range(1, len(ids))]
+    entries += [(*rng.sample(ids, 2), rng.choice([0.5, rng.uniform(0.1, 3.0)])) for _ in range(20)]
+    rng.shuffle(entries)
+    return {"vertices": rng.sample(ids, len(ids)), "boundary": ids[:2],
+            "edges": [{"a": a, "b": b, "length": length} for a, b, length in entries]}
+
+
+class TestOneLayout:
+    """The CSR lists are the one stored form of the edges; ``g.edges`` is a
+    view built from them on first read.  Since ``oracles.adjacency`` reads
+    that view, these tests tie every constructor's lists and view to
+    ``oracles.reference_layout`` of the raw entries it passed."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: fixture("interval", n=7).graph,
+        lambda: fixture("circle", n=9).graph,
+        lambda: fixture("grid", n=5, connectivity=8).graph,
+        lambda: fixture("binary_tree", depth=4).graph,
+        lambda: fixture("gasket", level=3).graph,
+        lambda: random_metric_graph(5),
+        lambda: refine(fixture("grid", n=3).graph, 0.3),
+        lambda: _point_grid(5),
+        lambda: build_graph(_shuffled_spec(3)),
+    ], ids=["interval", "circle", "grid", "binary_tree", "gasket", "random_metric_graph", "refine",
+            "induce_intrinsic", "build_graph"])
+    def test_every_constructor_lays_out_the_reference(self, monkeypatch, make):
+        calls = _spy_on_finalize(monkeypatch)
+        g = make()
+        built, vertices, entries = calls[-1]
+        assert built is g
+        edges, index, nbrs, lens = reference_layout(vertices, entries)
+        assert list(g.edges.items()) == list(edges.items())
+        assert list(g.index.items()) == list(index.items())
+        assert g.nbrs == nbrs and g.lens == lens
+
+    def test_edges_is_no_field(self):
+        assert "edges" not in {f.name for f in dataclasses.fields(MetricGraph)}
+
+    def test_read_graph_builds_the_view_on_first_read(self, tmp_path):
+        path = str(tmp_path / "g.json")
+        write_graph(fixture("grid", n=4).graph, path)
+        g = read_graph(path)
+        assert "edges" not in vars(g)
+        assert g.h_max == 1.0 and g.edge_length("v0_0", "v0_1") == 1.0
+        assert "edges" not in vars(g)  # h_max and edge_length read the lists
+        assert len(g.edges) == 2 * 4 * 3 and vars(g)["edges"] is g.edges
+
+    def test_shuffled_entries_compare_equal(self):
+        spec = _shuffled_spec(11)
+        rng = random.Random(0)
+        other = dict(spec, vertices=rng.sample(spec["vertices"], len(spec["vertices"])),
+                     edges=[{"a": e["b"], "b": e["a"], "length": e["length"]}
+                            for e in rng.sample(spec["edges"], len(spec["edges"]))])
+        assert build_graph(spec) == build_graph(other)
+
+    def test_one_ulp_compares_unequal(self):
+        spec = _shuffled_spec(11)
+        g = build_graph(spec)
+        (a, b), length = next(iter(g.edges.items()))
+        nudged = [e for e in spec["edges"] if edge_key(e["a"], e["b"]) != (a, b)]
+        nudged.append({"a": a, "b": b, "length": math.nextafter(length, math.inf)})
+        h = build_graph(dict(spec, edges=nudged))
+        assert h.vertices == g.vertices and h.nbrs == g.nbrs and h != g

@@ -29,6 +29,7 @@ from eikograph import (
     validate_hamiltonian,
 )
 from eikograph.graph import close
+from eikograph.hamiltonians import VALIDATION_SAMPLES, _p_grid
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +87,25 @@ class TestValidation:
     def test_describe_mentions_counterexample(self, small_graph):
         report = validate_hamiltonian(builtin_hamiltonian("ex1"), small_graph)
         assert "decreases" in report.describe()
+
+    @pytest.mark.parametrize("p_max", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_p_max_rejected(self, p_max):
+        # -1 and nan used to leave validate_hamiltonian an empty p grid: IndexError
+        with pytest.raises(HamiltonianError, match="p_max must be positive and finite"):
+            HamiltonianSpec("linear", lambda x, rho, p: p - 1.0, lambda0=1.0, p_max=p_max)
+
+    @pytest.mark.parametrize("p_max", [0.5, 3.0, 1000.0])
+    def test_coercivity_reads_the_grid_at_p_max(self, small_graph, p_max):
+        # each sampled (x, rho) evaluates H once per grid point, the last at p_max
+        calls = []
+        H = HamiltonianSpec("sink", lambda x, rho, p: calls.append(p) or p - 2.0, lambda0=1.0, p_max=p_max)
+        report = validate_hamiltonian(H, small_graph)
+        assert report.coercivity_ok == (p_max > 2.0) and report.monotonicity_ok
+        if p_max <= 2.0:
+            assert report.counterexample == ("coercivity", small_graph.vertices[0], -1.0, p_max, p_max - 2.0)
+        grid = _p_grid(p_max)
+        samples = VALIDATION_SAMPLES ** 2 if p_max > 2.0 else 1  # the first counterexample ends the scan
+        assert grid[-1] == p_max and calls == grid * samples
 
 
 class TestReduceH:
