@@ -29,8 +29,9 @@ ABS_TOL = 1e-12
 REL_TOL = 1e-9
 
 GRAPH_FORMAT_VERSION = 1
-# refine() and the fixtures refuse more vertices than this: a graph takes about 2 kB
-# a vertex (read_graph of grid n=100, 10**4 vertices, peaks at 20 MB), so ~2 GB.
+# refine() and the fixtures refuse more vertices than this: loading a graph peaks at
+# about 1.8 kB a vertex (read_graph of grid n=100, 10**4 vertices, peaks at 18.2 MB
+# under tracemalloc and keeps 5.0 MB), so ~2 GB.
 MAX_REFINE_VERTICES = 10**6
 # induce_intrinsic's sampled checks run about sample_pairs / 2 triangle draws
 # whatever the point count, so the count is bounded.

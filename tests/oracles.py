@@ -8,9 +8,13 @@ the plain bisection and Picard loop the fast path must reproduce bit for bit,
 and the string-keyed label setting, settle-parent walk and slope checks are
 the reference the integer kernel and the CSR-list checks must reproduce bit
 for bit.  Neighbours come from :func:`adjacency`, which reads only
-``g.edges``, never the per-vertex lists under test; :func:`reference_layout`
-is the rule those lists must follow, and :func:`reference_build_graph` the
-entry-by-entry graph load whose graphs and errors the bulk load must give.
+``g.edges``.  That is a view built from the per-vertex lists under test, so
+the oracles' independence rests on the layout tests
+(``test_graph.TestOneLayout``): they tie every constructor's lists and view
+to :func:`reference_layout` of the raw entries the constructor passed,
+which is the rule those lists must follow.  :func:`reference_build_graph`
+is the entry-by-entry graph load whose graphs and errors the bulk load must
+give; its graphs carry the oracle's own edge dict in place of the view.
 :func:`reference_gasket` builds the gasket fixture by triangle subdivision,
 and :func:`reference_consistency_probe` is ``induce_intrinsic``'s probe with
 no search cut short.  :func:`reference_boundary_consistency` is the boundary
@@ -103,7 +107,8 @@ def _reference_finalize(
     ``edges`` holds ((a, b), length) entries, such as a dict's ``items()``.
     Every entry is validated; parallel entries collapse to the shortest
     length, whatever their order.  One sort of the (i, j) pairs, i < j, fills
-    ``edges`` and each vertex's lists: smaller neighbours, then larger ones.
+    an edge dict, which the graph carries in place of its ``edges`` view, and
+    each vertex's lists: smaller neighbours, then larger ones.
     """
     vs = tuple(sorted(set(vertices)))
     if not vs:

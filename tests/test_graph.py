@@ -343,6 +343,12 @@ class TestCurve:
         with pytest.raises(GraphError):
             curve_along(g, ["p0", "p2"])
 
+    @pytest.mark.parametrize("a,b", [("p0", "zz"), ("zz", "p0"), ("p1", "p1")])
+    def test_unknown_or_repeated_vertex_rejected(self, a, b):
+        # edge_length looks b up among a's neighbours
+        with pytest.raises(GraphError, match=f"no edge between '{a}' and '{b}'"):
+            build_graph(interval_spec()).edge_length(a, b)
+
     def test_single_vertex_curve(self):
         g = build_graph(interval_spec())
         c = curve_along(g, ["p1"])
