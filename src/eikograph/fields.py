@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Mapping
 
-from .errors import FieldError, ValidationError
+from .errors import FieldError, GraphError, ValidationError
 from .graph import MetricGraph, read_csv, write_csv
 
 ROLES = ("rhs_f", "solution_u", "boundary_zeta")
@@ -22,11 +23,34 @@ DEFAULT_POSITIVITY_THRESHOLD = 1e-9
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Real values at vertices with a role tag (rhs_f, solution_u, boundary_zeta)."""
+    """Real values at vertices with a role tag (rhs_f, solution_u, boundary_zeta).
+
+    Immutable after construction, like its graph; mutating ``values`` in place
+    is unsupported.  Two values derived from it are computed on first use and
+    kept, and are read only for checks run on ``graph`` itself:
+
+    - the Lipschitz constant, read through :func:`lipschitz_constant` by
+      ``default_check_tol`` (so by ``check_monge`` and
+      ``check_c_supersolution`` of an rhs field);
+    - the one-hop (sub, super) slopes at the interior vertices, read through
+      :func:`interior_slopes` by ``check_monge``, ``check_regularity`` and
+      ``check_hamiltonian_monge`` of a solution field.
+
+    Neither takes part in equality.
+    """
 
     graph: MetricGraph
     values: dict[str, float]
     role: str
+
+    @cached_property
+    def _lipschitz(self) -> float:
+        return _lipschitz_pass(self.graph, field_list(self.graph, self))
+
+    @cached_property
+    def _interior_slopes(self) -> tuple[tuple[int, float, float], ...]:
+        g = self.graph
+        return tuple(_one_hop(g, field_list(g, self), _interior(g)))
 
     def __getitem__(self, v: str) -> float:
         try:
@@ -140,14 +164,50 @@ def validate_field(f: ScalarField, positivity_threshold: float = DEFAULT_POSITIV
 
 
 def lipschitz_constant(g: MetricGraph, f: ScalarField) -> float:
-    """Lipschitz constant of the piecewise-linear interpolant: max |df|/length."""
-    fl = field_list(g, f)
+    """Lipschitz constant of the piecewise-linear interpolant: max |df|/length.
+
+    Computed once per field when g is f's own graph."""
+    return f._lipschitz if g is f.graph else _lipschitz_pass(g, field_list(g, f))
+
+
+def _lipschitz_pass(g: MetricGraph, fl: list[float]) -> float:
+    """The largest |fl[i] - fl[j]| / length over g's edges, fl by index."""
     lip = 0.0
     for i, (fi, nbrs, lens) in enumerate(zip(fl, g.nbrs, g.lens)):
         for j, length in zip(nbrs, lens):
             if j > i and (slope := abs(fi - fl[j]) / length) > lip:  # each edge once
                 lip = slope
     return lip
+
+
+def _one_hop(g: MetricGraph, ul, at: Iterable[int]) -> Iterator[tuple[int, float, float]]:
+    """(index, sub-slope, super-slope) at each vertex index in ``at``: the
+    largest drop and rise per unit length of ul (values by index) to a
+    neighbour.  Raises at isolated vertices."""
+    nbrs, lens = g.nbrs, g.lens
+    for i in at:
+        if not nbrs[i]:
+            raise GraphError(f"vertex {g.vertices[i]!r} is isolated; slopes are undefined")
+        ux = ul[i]
+        sub = sup = 0.0
+        for j, length in zip(nbrs[i], lens[i]):
+            if (d := ux - ul[j]) > 0.0:
+                if (q := d / length) > sub:
+                    sub = q
+            elif d < 0.0 and (q := -d / length) > sup:
+                sup = q
+        yield i, sub, sup
+
+
+def _interior(g: MetricGraph) -> list[int]:
+    """Indices of the interior vertices, in id order."""
+    return [i for i, x in enumerate(g.vertices) if x not in g.boundary]
+
+
+def interior_slopes(g: MetricGraph, u: ScalarField) -> Iterable[tuple[int, float, float]]:
+    """:func:`_one_hop` of u at the interior vertices of g, in id order;
+    computed once per field when g is u's own graph."""
+    return u._interior_slopes if g is u.graph else _one_hop(g, field_list(g, u), _interior(g))
 
 
 def read_field_csv(g: MetricGraph, path: str, role: str) -> ScalarField:

@@ -57,6 +57,17 @@ class MetricGraph:
     edges are stored once, as ``nbrs[i]`` and ``lens[i]``: neighbour indices
     and positive lengths in id order.  ``coords`` is optional per vertex and
     only feeds embedding-derived metrics and plot output.  Built by :func:`_finalize`.
+
+    Immutable after construction: mutating its lists in place is unsupported.
+    These values are built from the lists on first read and kept; none takes
+    part in equality:
+
+    - ``h_max``, the mesh: read by ``default_check_tol``, ``compare`` and
+      ``equivalence_suite``;
+    - ``arc_keys``: the report keys of ``check_c_subsolution``;
+    - ``edges``, the string-keyed view: read by ``refine``,
+      ``induce_intrinsic``, ``graph_to_dict``, ``edge_costs`` and the CLI's
+      edge counts; ``adjacency`` is unread in the package.
     """
 
     vertices: tuple[str, ...]
@@ -83,9 +94,15 @@ class MetricGraph:
     def interior(self) -> tuple[str, ...]:
         return tuple(v for v in self.vertices if v not in self.boundary)
 
-    @property
+    @cached_property
     def h_max(self) -> float:
         return max(chain.from_iterable(self.lens), default=0.0)  # an edgeless graph has mesh 0
+
+    @cached_property
+    def arc_keys(self) -> tuple[str, ...]:
+        """``"x->y"`` for every oriented edge, in the order of the lists."""
+        vs = self.vertices
+        return tuple([f"{x}->{vs[j]}" for x, nb in zip(vs, self.nbrs) for j in nb])
 
     def edge_length(self, a: str, b: str) -> float:
         i, j = self.index.get(a), self.index.get(b)

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .errors import CoercivityError, ConvergenceError, HamiltonianError, ValidationError
-from .fields import ScalarField, field_list, field_on
+from .fields import ScalarField, field_list, field_on, interior_slopes
 from .graph import MetricGraph, settle
-from .slopes import CheckReport, _interior, _one_hop
+from .slopes import CheckReport
 from .solver import DirichletProblem, ValueFunction, boundary_seeds, solve_dirichlet, value_function
 
 BRACKET_CAP = 2.0**40
@@ -348,7 +348,7 @@ def check_hamiltonian_monge(
 ) -> CheckReport:
     """Monge residuals for a general Hamiltonian: |H(x, u(x), sub_slope(x))|."""
     names, ul = g.vertices, field_list(g, u)
-    residuals = {names[i]: abs(H(names[i], ul[i], sub)) for i, sub, _ in _one_hop(g, ul, _interior(g))}
+    residuals = {names[i]: abs(H(names[i], ul[i], sub)) for i, sub, _ in interior_slopes(g, u)}
     return CheckReport(name="hamiltonian-monge", tol=tol, residuals=residuals)
 
 

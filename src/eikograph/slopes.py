@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
 
 from .errors import FieldError, GraphError
-from .fields import ScalarField, field_list, lipschitz_constant
+from .fields import ScalarField, _interior, _one_hop, field_list, interior_slopes, lipschitz_constant
 from .graph import MetricGraph, _vertex_index, curve_along
 
 # Base additive tolerance; interpolation error of a Lipschitz rhs adds
@@ -81,30 +80,6 @@ def default_check_tol(g: MetricGraph, f: ScalarField | None) -> float:
     return BASE_TOL + lipschitz_constant(g, f) * g.h_max
 
 
-def _one_hop(g: MetricGraph, ul, at: Iterable[int]) -> Iterator[tuple[int, float, float]]:
-    """(index, sub-slope, super-slope) at each vertex index in ``at``: the
-    largest drop and rise per unit length of ul (values by index) to a
-    neighbour.  Raises at isolated vertices."""
-    nbrs, lens = g.nbrs, g.lens
-    for i in at:
-        if not nbrs[i]:
-            raise GraphError(f"vertex {g.vertices[i]!r} is isolated; slopes are undefined")
-        ux = ul[i]
-        sub = sup = 0.0
-        for j, length in zip(nbrs[i], lens[i]):
-            if (d := ux - ul[j]) > 0.0:
-                if (q := d / length) > sub:
-                    sub = q
-            elif d < 0.0 and (q := -d / length) > sup:
-                sup = q
-        yield i, sub, sup
-
-
-def _interior(g: MetricGraph) -> list[int]:
-    """Indices of the interior vertices, in id order."""
-    return [i for i, x in enumerate(g.vertices) if x not in g.boundary]
-
-
 def slopes(g: MetricGraph, u: ScalarField, x: str) -> SlopeTriple:
     """One-hop slope triple of u at x; raises at isolated vertices."""
     i = _vertex_index(g, x)
@@ -133,7 +108,7 @@ def check_monge(
         tol = default_check_tol(g, f)
     fl, names = field_list(g, f), g.vertices
     residuals: dict[str, float] = {}
-    for i, s, _ in _one_hop(g, field_list(g, u), _interior(g)):
+    for i, s, _ in interior_slopes(g, u):
         if mode == "solution":
             r = abs(s - fl[i])
         else:
@@ -170,14 +145,14 @@ def check_c_subsolution(
     edges of the path, up to rounding, with sup f taken over the path's
     vertices.
     """
-    fl, ul, names = _rhs_list(g, f), field_list(g, u), g.vertices
-    residuals: dict[str, float] = {}
-    for x, ux, fx, nbrs, lens in zip(names, ul, fl, g.nbrs, g.lens):
+    fl, ul = _rhs_list(g, f), field_list(g, u)
+    rs: list[float] = []
+    for ux, fx, nbrs, lens in zip(ul, fl, g.nbrs, g.lens):
         for y, length in zip(nbrs, lens):
             # the cost rule of graph.settle; compare u[x] with fl(u[y] + c) as it does
             r = ux - (ul[y] + 0.5 * (fx + fl[y]) * length)
-            residuals[f"{x}->{names[y]}"] = 0.0 if 0.0 > r else r  # max(r, 0.0), -0.0 included
-    return CheckReport(name="csub", tol=tol, residuals=residuals)
+            rs.append(0.0 if 0.0 > r else r)  # max(r, 0.0), -0.0 included
+    return CheckReport(name="csub", tol=tol, residuals=dict(zip(g.arc_keys, rs)))
 
 
 def check_c_supersolution(
@@ -241,7 +216,7 @@ def check_regularity(g: MetricGraph, u: ScalarField, tol: float | None = None) -
     near = [x in g.boundary for x in names]  # by index: is a boundary vertex
     residuals: dict[str, float] = {}
     excluded: dict[str, float] = {}
-    for i, sub, sup in _one_hop(g, field_list(g, u), [i for i, b in enumerate(near) if not b]):
+    for i, sub, sup in interior_slopes(g, u):
         r = (sup if sup > sub else sub) - sub  # slope minus sub-slope
         if any(map(near.__getitem__, nbrs[i])):
             excluded[names[i]] = r

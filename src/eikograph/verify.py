@@ -329,9 +329,8 @@ def compare(inst: ComparisonInstance) -> ComparisonReport:
 
     if not (inf_f > 0.0):
         return bail("positivity")
-    # both default tolerances read the same (g, f): compute Lip(f) once
-    default = default_check_tol(g, inst.f) if None in (inst.sub_tol, inst.super_tol) else None
-    sub_tol, super_tol = (default if t is None else t for t in (inst.sub_tol, inst.super_tol))
+    sub_tol, super_tol = (default_check_tol(g, inst.f) if t is None else t
+                          for t in (inst.sub_tol, inst.super_tol))
     sub_rep = check_monge(g, inst.u_sub, inst.f, tol=sub_tol, mode="sub")
     if not sub_rep.passed:
         return bail("monge-sub", sub=sub_rep)

@@ -12,6 +12,7 @@ CSR lists replaced; every report must match them the same way.
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import pytest
 
@@ -190,6 +191,21 @@ def check_inputs(g, seed, kind):
     return field_on(g, values, "solution_u"), f
 
 
+def check_calls():
+    """(check, string-keyed reference) pairs, each called as (g, u, f)."""
+    H = builtin_hamiltonian("affine-rho")
+    return [
+        *((partial(check_monge, mode=mode), partial(reference_check_monge, mode=mode))
+          for mode in ("solution", "sub", "super")),
+        (check_c_subsolution, reference_check_c_subsolution),
+        (check_c_supersolution, reference_check_c_supersolution),
+        (partial(check_c_supersolution, eps=-0.25), partial(reference_check_c_supersolution, eps=-0.25)),
+        (lambda g, u, f: check_regularity(g, u), lambda g, u, f: reference_check_regularity(g, u)),
+        (lambda g, u, f: check_hamiltonian_monge(g, u, H),
+         lambda g, u, f: reference_check_hamiltonian_monge(g, u, H)),
+    ]
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("name,kind", [
     (name, kind) for name in sorted(FIXTURES)
@@ -197,24 +213,34 @@ def check_inputs(g, seed, kind):
     if name != "circle" or not kind.startswith("solver")  # the circle has no boundary to solve from
 ])
 def test_checks_match_string_keyed_reference(name, kind, seed):
+    """Every check, run cold, warm, in reverse order and on fields over an
+    equal but distinct graph, matches the reference bit for bit."""
     g = graph(name)
     u, f = check_inputs(g, seed, kind)
-    H = builtin_hamiltonian("affine-rho")
-    pairs = [(check_monge(g, u, f, mode=mode), reference_check_monge(g, u, f, mode=mode))
-             for mode in ("solution", "sub", "super")]
-    pairs += [
-        (check_c_subsolution(g, u, f), reference_check_c_subsolution(g, u, f)),
-        (check_c_supersolution(g, u, f), reference_check_c_supersolution(g, u, f)),
-        (check_c_supersolution(g, u, f, eps=-0.25), reference_check_c_supersolution(g, u, f, eps=-0.25)),
-        (check_regularity(g, u), reference_check_regularity(g, u)),
-        (check_hamiltonian_monge(g, u, H), reference_check_hamiltonian_monge(g, u, H)),
+    calls = check_calls()
+    want = [report_bits(reference(g, u, f)) for _, reference in calls]
+    g2 = graph(name)
+    assert g2 == g and g2 is not g
+
+    def on(graph_, field):
+        return field_on(graph_, field.values, field.role)
+
+    u2, f2 = on(g2, u), on(g2, f)
+    runs = [  # (graph passed, u, f, order of the calls)
+        (g, u, f, range(len(calls))),  # cold
+        (g, u, f, range(len(calls))),  # warm
+        (g, on(g, u), on(g, f), range(len(calls) - 1, -1, -1)),  # cold, in reverse order
+        (g, u2, f2, range(len(calls))),  # fields over another graph: computed as without caches
+        (g2, u2, f2, range(len(calls))),
+        (g, u2, f2, range(len(calls))),  # the fields now hold values computed on g2
     ]
-    for report, reference in pairs:
-        assert report_bits(report) == report_bits(reference)
-    if kind == "signed_zero":
-        assert "-0x0.0p+0" in (r.hex() for r in pairs[3][0].residuals.values())  # csub clamped a -0.0
+    for graph_, u_, f_, order in runs:
+        got = {k: calls[k][0](graph_, u_, f_) for k in order}
+        assert [report_bits(got[k]) for k in range(len(calls))] == want
+        if kind == "signed_zero":  # u(x) = -0.0 against u(y) + cost = 0.0: csub clamped a -0.0
+            assert "-0x0.0p+0" in (r.hex() for r in got[3].residuals.values())
     for x in g.vertices:
-        t, want = slopes(g, u, x), reference_slopes(g, u, x)
-        assert t.vertex == want.vertex
+        t, want_t = slopes(g, u, x), reference_slopes(g, u, x)
+        assert t.vertex == want_t.vertex
         assert [t.slope.hex(), t.super_slope.hex(), t.sub_slope.hex()] == \
-            [want.slope.hex(), want.super_slope.hex(), want.sub_slope.hex()]
+            [want_t.slope.hex(), want_t.super_slope.hex(), want_t.sub_slope.hex()]

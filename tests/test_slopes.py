@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
+from functools import cached_property
 
 import pytest
 
+import eikograph.fields as fields_module
 from eikograph import (
     DirichletProblem,
     GraphError,
@@ -16,6 +19,7 @@ from eikograph import (
     check_regularity,
     constant_field,
     edge_costs,
+    equivalence_suite,
     field_from_expression,
     field_on,
     fixture,
@@ -24,7 +28,7 @@ from eikograph import (
     slopes,
     solve_dirichlet,
 )
-from eikograph.graph import close
+from eikograph.graph import MetricGraph, close
 
 
 def interval_field(fn, n=256):
@@ -260,3 +264,72 @@ class TestSolverSlopeIdentities:
         bound = lipschitz_constant(g, f) * g.h_max
         for x in g.interior:
             assert abs(slopes(g, vf.u, x).sub_slope - f[x]) <= bound + 1e-12
+
+
+FOUR_CHECKS = (
+    lambda g, u, f: check_monge(g, u, f),
+    lambda g, u, f: check_c_subsolution(g, u, f),
+    lambda g, u, f: check_c_supersolution(g, u, f),
+    lambda g, u, f: check_regularity(g, u),
+)
+
+
+def solved_grid(n=10):
+    g = fixture("grid", n=n).graph
+    f = field_from_expression(g, "linear:1,0.5", "rhs_f")
+    vf = solve_dirichlet(DirichletProblem(g, f, constant_field(g, 0.0, "boundary_zeta")))
+    return g, vf.u, f
+
+
+class TestComputedOnce:
+    """Lip(f), u's one-hop slopes, the mesh and csub's keys are computed once
+    per field or graph, and read only for checks on the field's own graph."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = {"lipschitz": 0, "one_hop": 0, "keys": 0}
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(fields_module, "_lipschitz_pass", counting("lipschitz", fields_module._lipschitz_pass))
+        monkeypatch.setattr(fields_module, "_one_hop", counting("one_hop", fields_module._one_hop))
+        keys = cached_property(counting("keys", MetricGraph.__dict__["arc_keys"].func))
+        keys.__set_name__(MetricGraph, "arc_keys")
+        monkeypatch.setattr(MetricGraph, "arc_keys", keys)
+        return calls
+
+    def test_four_checks_on_one_pair(self, counts):
+        g, u, f = solved_grid()
+        for _ in range(2):
+            for check in FOUR_CHECKS:
+                check(g, u, f)
+        assert counts == {"lipschitz": 1, "one_hop": 1, "keys": 1}
+
+    def test_equivalence_suite(self, counts):
+        # one graph, rhs field and solution per level
+        assert equivalence_suite(fixture("grid", n=6), levels=3).passed
+        assert counts == {"lipschitz": 3, "one_hop": 3, "keys": 3}
+
+    def test_values_cached_on_one_graph_are_not_read_for_another(self):
+        g, u, f = solved_grid()
+        stretched = dataclasses.replace(g, lens=tuple([2.0 * x for x in ln] for ln in g.lens))
+        on_stretched = [check(stretched, *(field_on(stretched, x.values, x.role) for x in (u, f)))
+                        for check in FOUR_CHECKS]
+        on_g = [check(g, u, f) for check in FOUR_CHECKS]  # u and f now hold values computed on g
+        assert [check(stretched, u, f) for check in FOUR_CHECKS] == on_stretched
+        assert on_stretched[0] != on_g[0] and on_stretched[2] != on_g[2]
+
+    def test_cached_values_leave_equality_alone(self):
+        g, u, f = solved_grid()
+        assert g.h_max == 1.0 and "edges" not in vars(g)
+        for check in FOUR_CHECKS:
+            check(g, u, f)
+        assert {"h_max", "arc_keys"} <= vars(g).keys() and "edges" not in vars(g)
+        assert "_lipschitz" in vars(f) and "_interior_slopes" in vars(u)
+        fresh_g, fresh_u, fresh_f = solved_grid()
+        assert not {"h_max", "arc_keys"} & vars(fresh_g).keys()
+        assert (g, u, f) == (fresh_g, fresh_u, fresh_f)
