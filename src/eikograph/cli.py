@@ -166,7 +166,7 @@ def _cmd_solve_h(args) -> int:
     if name.partition(":")[0] in BUILTIN_NAMES:
         H = builtin_hamiltonian(name)
     else:
-        H = expression_hamiltonian(name, rho_monotonicity=args.rho_monotonicity)
+        H = expression_hamiltonian(name)
     vf, reduction, iterations = solve_general(
         g, H, zeta, **_given(tol=args.tol, max_iter=args.max_iter, bisect_tol=args.bisect_tol)
     )
@@ -335,8 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None, help="Picard stopping tolerance")
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--bisect-tol", type=float, default=None)
-    p.add_argument("--rho-monotonicity", default=None,
-                   choices=["independent", "nondecreasing", "strictly-increasing"])
     p.add_argument("--h-out", default=None, help="write the reduced rhs field CSV here")
     p.add_argument("--plot", default=None)
     p.add_argument("--plot-layout", default="auto", choices=["auto", "coords"])

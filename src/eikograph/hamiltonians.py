@@ -1,12 +1,16 @@
 """General monotone coercive Hamiltonians H(x, rho, p).
 
-Provides validation of the monotonicity/coercivity metadata, the implicit
+A Hamiltonian is an evaluator with declared metadata
+(:class:`HamiltonianSpec`).  The six builtins are rows of expressions in p,
+rho and a level c, compiled by the one builder that also compiles user
+expressions; an expression's rho-monotonicity is derived ("nondecreasing"
+if it names rho, else "independent").  Provides sampled validation of the
+declared monotonicity in p and in rho and of coercivity, the implicit
 reduction h(x) = inf{p >= 0 : H(x, rho, p) > 0} solved by bracketing and
-bisection, and the fixed-point solve of H(x, u, |grad u|) = 0 through repeated
-eikonal solves with f = h.  Also ships the three stock Hamiltonians whose
-failure modes the checks are designed to detect (two non-monotone ones and a
-plateau that breaks strict monotonicity).
-"""
+bisection, and the fixed-point solve of H(x, u, |grad u|) = 0 through
+repeated eikonal solves with f = h.  Three builtins are the stock failure
+modes the checks are designed to detect (two non-monotone ones and a
+plateau that breaks strict monotonicity)."""
 
 from __future__ import annotations
 
@@ -64,7 +68,12 @@ class HamiltonianSpec:
 
 @dataclass(frozen=True)
 class HamiltonianValidation:
-    """Sampled monotonicity and coercivity verdicts with a counterexample."""
+    """Sampled monotonicity and coercivity verdicts with a counterexample.
+
+    ``counterexample`` is the first one found, or None: a tuple whose first
+    item is its kind, "monotonicity" (in p), "rho" (against the declared
+    rho_monotonicity) or "coercivity".
+    """
 
     name: str
     monotonicity_ok: bool
@@ -73,17 +82,23 @@ class HamiltonianValidation:
 
     @property
     def passed(self) -> bool:
-        return self.monotonicity_ok and self.coercivity_ok
+        return self.counterexample is None
 
     def describe(self) -> str:
         if self.passed:
-            return f"hamiltonian {self.name!r}: monotonicity and coercivity OK"
+            return f"hamiltonian {self.name!r}: monotonicity in p and rho and coercivity OK"
         kind, *rest = self.counterexample
         if kind == "monotonicity":
             x, rho, p1, p2, h1, h2 = rest
             return (
                 f"hamiltonian {self.name!r}: p -> H - lambda0*p decreases on "
                 f"[{p1}, {p2}] at (x={x!r}, rho={rho}): H({p1})={h1}, H({p2})={h2}"
+            )
+        if kind == "rho":
+            mode, x, p, rho1, rho2, h1, h2 = rest
+            return (
+                f"hamiltonian {self.name!r}: declared {mode} in rho, but at (x={x!r}, p={p}) "
+                f"H(rho={rho1})={h1} and H(rho={rho2})={h2}"
             )
         x, rho, pmax, val = rest
         return (
@@ -144,24 +159,34 @@ def validate_hamiltonian(H: HamiltonianSpec, g: MetricGraph) -> HamiltonianValid
     Checks that H(x, rho, p2) - H(x, rho, p1) >= lambda0 * (p2 - p1) for
     consecutive grid points up to p_max, and that H(x, rho, p_max) > 0, over
     VALIDATION_SAMPLES vertices spread in id order and as many rho values
-    spaced evenly on [-1, 1].  Returns the first counterexample found.
+    spaced evenly on [-1, 1].  At each p the values for consecutive rho
+    must also match ``H.rho_monotonicity``: equal when "independent", else
+    no drop below -1e-12.  Each sampled (x, rho, p) is evaluated once, and
+    the scan stops at the first counterexample, which is returned.
     """
     rhos = tuple(-1.0 + 2.0 * i / (VALIDATION_SAMPLES - 1) for i in range(VALIDATION_SAMPLES))
     xs = _spread(g.vertices, VALIDATION_SAMPLES)
     grid = _p_grid(H.p_max)
+    mode = H.rho_monotonicity
 
     def counterexamples():
         for x in xs:
+            below = None  # H(x, previous rho, p) over the grid
             for rho in rhos:
-                prev_p = grid[0]
-                prev_h = H(x, rho, prev_p)
-                for p in grid[1:]:
+                row = []
+                for j, p in enumerate(grid):
                     h = H(x, rho, p)
-                    if h - prev_h < H.lambda0 * (p - prev_p) - 1e-12:
-                        yield ("monotonicity", x, rho, prev_p, p, prev_h, h)
-                    prev_p, prev_h = p, h
-                if not (prev_h > 0.0):  # the grid ends at p_max
-                    yield ("coercivity", x, rho, H.p_max, prev_h)
+                    if j and h - row[-1] < H.lambda0 * (p - grid[j - 1]) - 1e-12:
+                        yield ("monotonicity", x, rho, grid[j - 1], p, row[-1], h)
+                    if below:
+                        # a NaN rise (inf - inf) passes, as a NaN step in p does
+                        rise = h - below[j]
+                        if abs(rise) > 0.0 if mode == "independent" else rise < -1e-12:
+                            yield ("rho", mode, x, p, rho_below, rho, below[j], h)
+                    row.append(h)
+                if not (row[-1] > 0.0):  # the grid ends at p_max
+                    yield ("coercivity", x, rho, H.p_max, row[-1])
+                below, rho_below = row, rho
 
     bad = next(counterexamples(), None)
     kind = bad[0] if bad else None
@@ -352,74 +377,20 @@ def check_hamiltonian_monge(
     return CheckReport(name="hamiltonian-monge", tol=tol, residuals=residuals)
 
 
-def _builtin_table() -> dict[str, Callable[[float], HamiltonianSpec]]:
-    def linear(c: float) -> HamiltonianSpec:
-        return HamiltonianSpec("linear", lambda x, rho, p: p - c, lambda0=1.0)
+# name -> (expression in p, rho and the level c, lambda0, rho_monotonicity).
+# quadratic is strictly increasing on (0, inf) but with vanishing margin at
+# p = 0, and plateau is flat on [1, 2]: both declare the tiniest useful
+# lambda0, so the sampled check accepts quadratic and catches the plateau.
+_BUILTINS = {
+    "linear": ("p - c", 1.0, "independent"),
+    "quadratic": ("p * p - c * c", 1e-6, "independent"),
+    "affine-rho": ("p + rho - c", 1.0, "strictly-increasing"),
+    "ex1": ("1.0 - abs(p - 2.0) + max(p - 3.0, 0.0) ** 2", 1.0, "independent"),
+    "ex2": ("1.0 - abs(p) + max(p - 3.0, 0.0) ** 2", 1.0, "independent"),
+    "plateau": ("p if p < 1.0 else 1.0 if p < 2.0 else p - 1.0", 1e-6, "independent"),
+}
 
-    def quadratic(c: float) -> HamiltonianSpec:
-        # strictly increasing on (0, inf) but with vanishing margin at p = 0;
-        # declare the tiniest useful lambda0 so the sampled check matches
-        return HamiltonianSpec("quadratic", lambda x, rho, p: p * p - c * c, lambda0=1e-6)
-
-    def affine_rho(c: float) -> HamiltonianSpec:
-        return HamiltonianSpec(
-            "affine-rho",
-            lambda x, rho, p: p + rho - c,
-            lambda0=1.0,
-            rho_monotonicity="strictly-increasing",
-        )
-
-    def ex1(_c: float) -> HamiltonianSpec:
-        return HamiltonianSpec(
-            "ex1",
-            lambda x, rho, p: 1.0 - abs(p - 2.0) + max(p - 3.0, 0.0) ** 2,
-            lambda0=1.0,
-        )
-
-    def ex2(_c: float) -> HamiltonianSpec:
-        return HamiltonianSpec(
-            "ex2",
-            lambda x, rho, p: 1.0 - abs(p) + max(p - 3.0, 0.0) ** 2,
-            lambda0=1.0,
-        )
-
-    def plateau(_c: float) -> HamiltonianSpec:
-        def h(x, rho, p):
-            if p < 1.0:
-                return p
-            if p < 2.0:
-                return 1.0
-            return p - 1.0
-
-        return HamiltonianSpec("plateau", h, lambda0=1e-6)
-
-    return {
-        "linear": linear,
-        "quadratic": quadratic,
-        "affine-rho": affine_rho,
-        "ex1": ex1,
-        "ex2": ex2,
-        "plateau": plateau,
-    }
-
-
-BUILTIN_NAMES = tuple(sorted(_builtin_table()))
-
-
-def builtin_hamiltonian(name: str) -> HamiltonianSpec:
-    """Builtin by name, with an optional level parameter: e.g. ``linear:2``."""
-    base, _, param = name.partition(":")
-    table = _builtin_table()
-    if base not in table:
-        raise HamiltonianError(f"unknown builtin hamiltonian {name!r}; known: {BUILTIN_NAMES}")
-    c = 1.0
-    if param:
-        try:
-            c = float(param)
-        except ValueError:
-            raise HamiltonianError(f"bad parameter in hamiltonian name {name!r}")
-    return table[base](c)
-
+BUILTIN_NAMES = tuple(sorted(_BUILTINS))
 
 _EXPR_NAMES = {
     "abs": abs,
@@ -445,38 +416,60 @@ def _code_names(code: types.CodeType) -> set[str]:
     return names
 
 
-def expression_hamiltonian(
-    expr: str,
-    lambda0: float = 1e-6,
-    rho_monotonicity: str | None = None,
-    p_max: float = DEFAULT_P_MAX,
-) -> HamiltonianSpec:
-    """Hamiltonian from a Python expression in ``p`` and ``rho``.
+def _evaluator(expr: str, **bound: float) -> tuple[Callable[[str, float, float], float], set[str]]:
+    """``lambda x, rho, p: (expr)`` compiled once, with the math namespace
+    and ``bound`` as its globals, and the names ``expr`` reads.
 
-    Only arithmetic and a small math namespace are allowed; the declared
-    monotonicity defaults to "nondecreasing" when the expression uses rho.
-    The expression is compiled once, as the body of the evaluator.
+    Only arithmetic, those names, ``p`` and ``rho`` are allowed.
     """
     try:
         code = compile(expr, "<hamiltonian>", "eval")
     except SyntaxError as exc:
         raise HamiltonianError(f"bad hamiltonian expression {expr!r}: {exc}")
     names = _code_names(code)
-    bad = names - set(_EXPR_NAMES) - {"p", "rho"}
+    bad = names - set(_EXPR_NAMES) - set(bound) - {"p", "rho"}
     if bad:
         raise HamiltonianError(f"hamiltonian expression uses unknown names {sorted(bad)}")
-    if rho_monotonicity is None:
-        rho_monotonicity = "nondecreasing" if "rho" in names else "independent"
     # newlines keep a trailing comment in expr from swallowing the paren
     evaluate = eval(
         compile(f"lambda x, rho, p: (\n{expr}\n)", "<hamiltonian>", "eval"),
-        {"__builtins__": {}, **_EXPR_NAMES},
+        {"__builtins__": {}, **_EXPR_NAMES, **bound},
     )
+    return evaluate, names
+
+
+def builtin_hamiltonian(name: str) -> HamiltonianSpec:
+    """Builtin by name, with an optional level parameter c: e.g. ``linear:2``."""
+    base, _, param = name.partition(":")
+    if base not in _BUILTINS:
+        raise HamiltonianError(f"unknown builtin hamiltonian {name!r}; known: {BUILTIN_NAMES}")
+    c = 1.0
+    if param:
+        try:
+            c = float(param)
+        except ValueError:
+            raise HamiltonianError(f"bad parameter in hamiltonian name {name!r}")
+    expr, lambda0, rho_monotonicity = _BUILTINS[base]
+    return HamiltonianSpec(base, _evaluator(expr, c=c)[0], lambda0, rho_monotonicity)
+
+
+def expression_hamiltonian(
+    expr: str,
+    lambda0: float = 1e-6,
+    p_max: float = DEFAULT_P_MAX,
+) -> HamiltonianSpec:
+    """Hamiltonian from a Python expression in ``p`` and ``rho``.
+
+    Only arithmetic and a small math namespace are allowed.  The declared
+    rho-monotonicity is "nondecreasing" when the expression names rho and
+    "independent" otherwise; :func:`validate_hamiltonian` checks it.
+    """
+    evaluate, names = _evaluator(expr)
     return HamiltonianSpec(
         name=f"expr({expr})",
         evaluate=evaluate,
         lambda0=lambda0,
-        rho_monotonicity=rho_monotonicity,
+        rho_monotonicity="nondecreasing" if "rho" in names else "independent",
         p_max=p_max,
     )
 
