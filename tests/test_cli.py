@@ -85,6 +85,21 @@ class TestPipeline:
         assert h_rows[0] == ["vertex_id", "value"]
         assert all(abs(float(r[1]) - 1.0) <= 1e-9 for r in h_rows[1:])
 
+    def test_solve_h_derives_rho_monotonicity(self, tmp_path, capsys):
+        # the option is gone: an expression that names rho is nondecreasing in
+        # rho, so Picard iterates instead of stopping after the single solve
+        g_path = tmp_path / "g.json"
+        run_cli("fixture", "--name", "interval", "--n", "40", "--out", str(g_path))
+        argv = ["solve-h", "--graph", str(g_path), "--hamiltonian", "p + rho - 1",
+                "--zeta", "const:0", "--out", str(tmp_path / "u.csv")]
+        capsys.readouterr()
+        assert run_cli(*argv, "--rho-monotonicity", "independent") == 2
+        assert "unrecognized arguments: --rho-monotonicity" in capsys.readouterr().err
+        assert not (tmp_path / "u.csv").exists()
+        assert run_cli(*argv) == 0
+        iterations = int(re.search(r"in (\d+) iteration", capsys.readouterr().out).group(1))
+        assert iterations > 1
+
     def test_compare_cli(self, tmp_path):
         g_path = tmp_path / "g.json"
         run_cli("fixture", "--name", "interval", "--n", "100", "--out", str(g_path))

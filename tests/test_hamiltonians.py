@@ -28,8 +28,9 @@ from eikograph import (
     solve_general,
     validate_hamiltonian,
 )
+from eikograph import hamiltonians as hamiltonians_module
 from eikograph.graph import close
-from eikograph.hamiltonians import VALIDATION_SAMPLES, _p_grid
+from eikograph.hamiltonians import BUILTIN_NAMES, VALIDATION_SAMPLES, _p_grid
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +88,54 @@ class TestValidation:
     def test_describe_mentions_counterexample(self, small_graph):
         report = validate_hamiltonian(builtin_hamiltonian("ex1"), small_graph)
         assert "decreases" in report.describe()
+
+    def test_describe_a_pass(self, small_graph):
+        report = validate_hamiltonian(builtin_hamiltonian("affine-rho"), small_graph)
+        assert report.counterexample is None
+        assert report.describe() == "hamiltonian 'affine-rho': monotonicity in p and rho and coercivity OK"
+
+    @pytest.mark.parametrize("evaluate,mode,ok", [
+        pytest.param(lambda x, rho, p: p + rho - 1.0, "independent", False, id="rising-independent"),
+        pytest.param(lambda x, rho, p: p + 1e-13 * rho - 1.0, "independent", False, id="any-change-independent"),
+        pytest.param(lambda x, rho, p: p - 1.0, "nondecreasing", True, id="constant-nondecreasing"),
+        pytest.param(lambda x, rho, p: p - 1e-13 * rho - 1.0, "nondecreasing", True, id="drop-within-1e-12"),
+        pytest.param(lambda x, rho, p: p - rho - 1.0, "nondecreasing", False, id="falling-nondecreasing"),
+        pytest.param(lambda x, rho, p: p - rho - 1.0, "strictly-increasing", False, id="falling-strictly"),
+        pytest.param(lambda x, rho, p: p + rho * rho - 1.0, "nondecreasing", False, id="falls-on-[-1,0]"),
+        pytest.param(lambda x, rho, p: p + rho - 1.0, "strictly-increasing", True, id="rising-strictly"),
+    ])
+    def test_declared_rho_monotonicity_is_checked(self, small_graph, evaluate, mode, ok):
+        H = HamiltonianSpec("mine", evaluate, 1.0, mode)
+        report = validate_hamiltonian(H, small_graph)
+        assert report.passed == ok and report.monotonicity_ok and report.coercivity_ok
+        if not ok:
+            kind, got_mode, x, p, rho1, rho2, h1, h2 = report.counterexample
+            assert (kind, got_mode, x, p) == ("rho", mode, small_graph.vertices[0], 0.0)
+            assert rho2 - rho1 == 0.5 and (h1, h2) == (evaluate(x, rho1, p), evaluate(x, rho2, p))
+            assert report.describe().startswith(f"hamiltonian 'mine': declared {mode} in rho, but at")
+
+    def test_undeclared_rho_dependence_raises_before_solving(self, monkeypatch):
+        # declared "independent" by default, this H took the single-solve path:
+        # u(v20) = 1.0 where affine-rho gives 0.632, with residual 1.7e-14
+        g = fixture("interval", n=40).graph
+        z = constant_field(g, 0.0, "boundary_zeta")
+        H = HamiltonianSpec("mine", lambda x, rho, p: p + rho - 1.0, 1.0)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(hamiltonians_module, "solve_dirichlet", no_solve)
+        with pytest.raises(HamiltonianError, match="'mine': declared independent in rho"):
+            solve_general(g, H, z)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES + ("p + rho - 1", "p * p + rho - 1", "linear:-inf"))
+    def test_builtins_and_hjb_expressions_keep_their_verdicts(self, small_graph, name):
+        # linear:-inf is +inf at every point: its rows differ by inf - inf =
+        # NaN, which passes as a NaN step in p does
+        H = builtin_hamiltonian(name) if name.partition(":")[0] in BUILTIN_NAMES else expression_hamiltonian(name)
+        report = validate_hamiltonian(H, small_graph)
+        assert report.passed == (name not in ("ex1", "ex2", "plateau"))
+        assert report.passed or report.counterexample[0] == "monotonicity"
 
     @pytest.mark.parametrize("p_max", [-1.0, 0.0, math.nan, math.inf])
     def test_bad_p_max_rejected(self, p_max):
@@ -253,6 +302,13 @@ class TestExpressions:
         H = expression_hamiltonian("p + rho - 1")
         assert H.rho_monotonicity == "nondecreasing"
 
+    def test_decreasing_in_rho_rejected(self, small_graph):
+        H = expression_hamiltonian("p - rho - 1")
+        assert validate_hamiltonian(H, small_graph).counterexample[0] == "rho"
+        z = constant_field(small_graph, 0.0, "boundary_zeta")
+        with pytest.raises(HamiltonianError, match="declared nondecreasing in rho"):
+            solve_general(small_graph, H, z)
+
     def test_unknown_names_rejected(self):
         with pytest.raises(HamiltonianError):
             expression_hamiltonian("p + q")
@@ -292,6 +348,68 @@ class TestExpressions:
     def test_unknown_builtin_rejected(self):
         with pytest.raises(HamiltonianError):
             builtin_hamiltonian("cubic")
+
+
+def _plateau(c, rho, p):
+    if p < 1.0:
+        return p
+    if p < 2.0:
+        return 1.0
+    return p - 1.0
+
+
+# each builtin written out here: H(c, rho, p) with level c, lambda0, rho_monotonicity
+BUILTIN_FORMULAS = {
+    "linear": (lambda c, rho, p: p - c, 1.0, "independent"),
+    "quadratic": (lambda c, rho, p: p * p - c * c, 1e-6, "independent"),
+    "affine-rho": (lambda c, rho, p: p + rho - c, 1.0, "strictly-increasing"),
+    "ex1": (lambda c, rho, p: 1.0 - abs(p - 2.0) + max(p - 3.0, 0.0) ** 2, 1.0, "independent"),
+    "ex2": (lambda c, rho, p: 1.0 - abs(p) + max(p - 3.0, 0.0) ** 2, 1.0, "independent"),
+    "plateau": (_plateau, 1e-6, "independent"),
+}
+LEVELS = ("", ":2.5", ":-0.0", ":1e-310", ":inf", ":nan")
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.0**-1022, 1e300, -1e300,
+               math.inf, -math.inf, math.nan, -1.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5)
+
+
+def _hex_or_error(fn, *args):
+    """The value as float.hex (NaN-aware: every NaN reads 'nan'), or the exception type."""
+    try:
+        return float(fn(*args)).hex()
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc)
+
+
+class TestBuiltinRows:
+    def test_names(self):
+        assert BUILTIN_NAMES == tuple(sorted(BUILTIN_FORMULAS))
+
+    @pytest.mark.parametrize("level", LEVELS)
+    @pytest.mark.parametrize("name", sorted(BUILTIN_FORMULAS))
+    def test_bit_identical_to_the_formula(self, name, level):
+        formula, lambda0, mode = BUILTIN_FORMULAS[name]
+        c = float(level[1:]) if level else 1.0
+        H = builtin_hamiltonian(name + level)
+        assert (H.name, H.lambda0, H.rho_monotonicity, H.p_max) == (name, lambda0, mode, 2.0**20)
+        for rho in EDGE_VALUES:
+            for p in EDGE_VALUES:
+                want = _hex_or_error(formula, c, rho, p)
+                assert _hex_or_error(H.evaluate, "v", rho, p) == want, (rho, p)
+
+    def test_bad_level_rejected(self):
+        with pytest.raises(HamiltonianError, match="bad parameter in hamiltonian name 'linear:abc'"):
+            builtin_hamiltonian("linear:abc")
+
+
+class TestSpec:
+    @pytest.mark.parametrize("lambda0", [0.0, -1.0, math.nan])
+    def test_nonpositive_lambda0_rejected(self, lambda0):
+        with pytest.raises(HamiltonianError, match="lambda0 must be positive"):
+            HamiltonianSpec("linear", lambda x, rho, p: p - 1.0, lambda0)
+
+    def test_unknown_rho_monotonicity_rejected(self):
+        with pytest.raises(HamiltonianError, match="rho_monotonicity 'increasing' not in"):
+            HamiltonianSpec("linear", lambda x, rho, p: p - 1.0, 1.0, "increasing")
 
 
 @pytest.fixture(scope="module")
