@@ -432,6 +432,7 @@ def settle(
     fl: Sequence[float] | None = None,
     scale: float = 1.0,
     limit: float = math.inf,
+    until: Iterable[int] = (),
 ) -> tuple[list[float], list[int], list[int]]:
     """Exact binary64 fixpoint of the Bellman labeling operator on ``g``.
 
@@ -449,7 +450,9 @@ def settle(
     first neighbour in id order settled before it whose label plus cost
     equals its label (the one that set the label qualifies); unreached
     vertices have -1.  A finite ``limit`` stops before the first pop above
-    it, leaving a prefix of the unbounded order with the same labels.
+    it, leaving a prefix of the unbounded order with the same labels and
+    parents.  Once every vertex index in ``until`` is settled, the limit
+    falls to the label of the last of them.
     """
     nbrs, lens = g.nbrs, g.lens
     n = len(nbrs)
@@ -465,12 +468,17 @@ def settle(
         dist[x] = d0
     pop, push = heapq.heappop, heapq.heappush
     order: list[int] = []
+    goal = set(until)  # left to settle
     while heap:
         d, x = pop(heap)
         if parent[x] >= 0:
             continue
         if d > limit:
             return dist, order, parent
+        if goal and x in goal:
+            goal.discard(x)
+            if not goal:
+                limit = d
         order.append(x)
         p = x if datum.get(x) == d else -1
         fx = fl[x]
@@ -684,14 +692,13 @@ def induce_intrinsic(
     by_source: dict[str, list[str]] = {}
     for a, b in pairs:
         by_source.setdefault(a, []).append(b)
+    index = g.index
     for a, targets in sorted(by_source.items()):
-        # an edge bounds its target's distance, so a source whose targets are all
-        # edges needs only the prefix of its search up to the longest of them
-        limit = max(g.edges.get((a, b), math.inf) for b in targets)
-        labels = settle(g, [(g.index[a], 0.0)], limit=limit)[0]
+        # the search stops once its last target is settled, its label final
+        labels = settle(g, [(index[a], 0.0)], until=[index[b] for b in targets])[0]
         for b in sorted(targets):
             d_chord = dist(a, b)
-            d_int = labels[g.index[b]]
+            d_int = labels[index[b]]
             if d_chord > d_int + ABS_TOL + REL_TOL * d_int:
                 raise MetricError(
                     f"chord distance exceeds intrinsic distance at ({a!r}, {b!r}): "

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import types
 from dataclasses import dataclass
+from operator import sub
 from typing import Callable, Mapping
 
 from .errors import CoercivityError, ConvergenceError, HamiltonianError, ValidationError
@@ -71,8 +72,9 @@ class HamiltonianValidation:
     """Sampled monotonicity and coercivity verdicts with a counterexample.
 
     ``counterexample`` is the first one found, or None: a tuple whose first
-    item is its kind, "monotonicity" (in p), "rho" (against the declared
-    rho_monotonicity) or "coercivity".
+    item is its kind, "non-finite" (a sampled value is NaN or infinite),
+    "monotonicity" (in p), "rho" (against the declared rho_monotonicity) or
+    "coercivity".
     """
 
     name: str
@@ -88,6 +90,9 @@ class HamiltonianValidation:
         if self.passed:
             return f"hamiltonian {self.name!r}: monotonicity in p and rho and coercivity OK"
         kind, *rest = self.counterexample
+        if kind == "non-finite":
+            x, rho, p, val = rest
+            return f"hamiltonian {self.name!r}: H(x={x!r}, rho={rho}, p={p}) = {val} is not finite"
         if kind == "monotonicity":
             x, rho, p1, p2, h1, h2 = rest
             return (
@@ -161,13 +166,16 @@ def validate_hamiltonian(H: HamiltonianSpec, g: MetricGraph) -> HamiltonianValid
     VALIDATION_SAMPLES vertices spread in id order and as many rho values
     spaced evenly on [-1, 1].  At each p the values for consecutive rho
     must also match ``H.rho_monotonicity``: equal when "independent", else
-    no drop below -1e-12.  Each sampled (x, rho, p) is evaluated once, and
-    the scan stops at the first counterexample, which is returned.
+    no drop below -1e-12.  A sampled value that is NaN or infinite is a
+    counterexample of its own, so every step compared is between finite
+    values.  Each sampled (x, rho, p) is evaluated once, and the scan stops
+    at the first counterexample, which is returned.
     """
     rhos = tuple(-1.0 + 2.0 * i / (VALIDATION_SAMPLES - 1) for i in range(VALIDATION_SAMPLES))
     xs = _spread(g.vertices, VALIDATION_SAMPLES)
     grid = _p_grid(H.p_max)
     mode = H.rho_monotonicity
+    inf = math.inf
 
     def counterexamples():
         for x in xs:
@@ -176,10 +184,11 @@ def validate_hamiltonian(H: HamiltonianSpec, g: MetricGraph) -> HamiltonianValid
                 row = []
                 for j, p in enumerate(grid):
                     h = H(x, rho, p)
+                    if not -inf < h < inf:
+                        yield ("non-finite", x, rho, p, h)
                     if j and h - row[-1] < H.lambda0 * (p - grid[j - 1]) - 1e-12:
                         yield ("monotonicity", x, rho, grid[j - 1], p, row[-1], h)
                     if below:
-                        # a NaN rise (inf - inf) passes, as a NaN step in p does
                         rise = h - below[j]
                         if abs(rise) > 0.0 if mode == "independent" else rise < -1e-12:
                             yield ("rho", mode, x, p, rho_below, rho, below[j], h)
@@ -209,7 +218,10 @@ def reduce_h(H: HamiltonianSpec, x: str, rho: float, tol: float = 1e-9) -> float
     limit-cycle above their tolerance.
 
     ``H.evaluate`` is called directly inside one guard that raises the
-    error ``HamiltonianSpec.__call__`` would, naming the current p.  The
+    error ``HamiltonianSpec.__call__`` would, naming the current p.  Each
+    bisection step first tests the bracket width against the stop bound
+    1e-13 * max(1, hi) taken at the bracket: hi only falls, so no later
+    bound is wider, and most steps skip computing their own.  The
     evaluation points, their order and the ``float`` of each value are
     those of a loop through ``H(x, rho, p)``, so h is bit-identical to it.
     :func:`solve_general` reuses a root only for the same vertex and the
@@ -234,16 +246,18 @@ def reduce_h(H: HamiltonianSpec, x: str, rho: float, tol: float = 1e-9) -> float
             p = hi
             val = float(evaluate(x, rho, p))
         else:
+            # hi only falls, so no later step's width bound exceeds this one
+            wide = 1e-13 * (hi if hi > 1.0 else 1.0)
             for _ in range(500):
                 p = 0.5 * (lo + hi)
                 val = float(evaluate(x, rho, p))
-                if val == 0.0:
-                    return p
                 if val > 0.0:
                     hi = p
+                elif val == 0.0:
+                    return p
                 else:
-                    lo = p
-                if hi - lo <= 1e-13 * (hi if hi > 1.0 else 1.0) and abs(val) <= tol:
+                    lo = p  # NaN too
+                if hi - lo <= wide and hi - lo <= 1e-13 * (hi if hi > 1.0 else 1.0) and abs(val) <= tol:
                     return 0.5 * (lo + hi)
     except Exception as exc:  # noqa: BLE001 - evaluator is user code
         raise HamiltonianError(
@@ -258,38 +272,38 @@ def reduce_h(H: HamiltonianSpec, x: str, rho: float, tol: float = 1e-9) -> float
     )
 
 
-def _reduce_field(
+def _rereduce(
     H: HamiltonianSpec,
-    g: MetricGraph,
-    rho: Mapping[str, float],
+    names: tuple[str, ...],
+    u: list[float],
+    taken: list[float],
+    roots: list[float],
+    residuals: list[float],
     tol: float,
-    memo: dict[str, tuple[float, float, float]],
+) -> None:
+    """Bring ``roots`` and ``residuals`` to rho = ``u``, all lists by vertex
+    index: each vertex whose label is not bitwise ``taken[i]``, the rho its
+    root was taken at (the sign of zero counts, and NaN never matches), is
+    reduced again and records its new rho, root and residual."""
+    copysign = math.copysign
+    for i, (r, old) in enumerate(zip(u, taken)):
+        if r == old and (r != 0.0 or copysign(1.0, r) == copysign(1.0, old)):
+            continue
+        x = names[i]
+        hx = reduce_h(H, x, r, tol)
+        roots[i], residuals[i], taken[i] = hx, abs(H(x, r, hx)), r
+
+
+def _reduction_field(
+    g: MetricGraph, roots: list[float], residuals: list[float], tol: float
 ) -> ReductionField:
-    """:func:`reduce_field` that reuses ``memo[x]`` = (rho, h, residual)
-    when rho(x) is the same binary64 value, sign of zero included, and
-    stores each new reduction there."""
-    values: dict[str, float] = {}
-    residuals: dict[str, float] = {}
-    flagged: list[str] = []
-    for x in g.vertices:
-        r = rho[x]
-        slot = memo.get(x)
-        if slot is not None and slot[0] == r and (
-            r != 0.0 or math.copysign(1.0, r) == math.copysign(1.0, slot[0])
-        ):
-            _, hx, res = slot
-        else:
-            hx = reduce_h(H, x, r, tol)
-            res = abs(H(x, r, hx))
-            memo[x] = (r, hx, res)
-        values[x] = hx
-        residuals[x] = res
-        if res > tol:
-            flagged.append(x)
+    """The :class:`ReductionField` of roots and residuals by vertex index.
+    Roots are finite and >= 0 by construction, so h needs no validation."""
+    names = g.vertices
     return ReductionField(
-        h=field_on(g, values, "rhs_f"),
-        residuals=residuals,
-        flagged=tuple(flagged),
+        h=ScalarField(g, dict(zip(names, roots)), "rhs_f"),
+        residuals=dict(zip(names, residuals)),
+        flagged=tuple(x for x, res in zip(names, residuals) if res > tol),
         tol=tol,
     )
 
@@ -301,7 +315,10 @@ def reduce_field(
     tol: float = 1e-9,
 ) -> ReductionField:
     """Vertexwise reduction to an eikonal right-hand side."""
-    return _reduce_field(H, g, rho, tol, {})
+    n = len(g.vertices)
+    roots, residuals = [0.0] * n, [0.0] * n
+    _rereduce(H, g.vertices, [rho[x] for x in g.vertices], [math.nan] * n, roots, residuals, tol)
+    return _reduction_field(g, roots, residuals, tol)
 
 
 def solve_general(
@@ -317,16 +334,20 @@ def solve_general(
     Each sweep reduces H at the current iterate to an eikonal right-hand side
     and re-solves; rho-independent Hamiltonians need a single solve.  Stops
     when the max vertex change drops to tol; raises ConvergenceError with the
-    residual history otherwise.  The returned reduction is recomputed at the
+    residual history otherwise.  The returned reduction is taken at the
     final iterate, so its residuals certify H(x, u(x), h(x)) ~ 0.
 
     The first solve is a full :func:`solve_dirichlet`, which validates the
-    problem; later sweeps compute labels only, and exits are walked once for
-    the returned iterate.  A vertex whose label is the same binary64 value
-    as on the previous sweep reuses that sweep's root and residual instead
-    of bisecting again.  For an evaluator that depends only on (x, rho, p)
-    every label, root, residual, sweep count and change history is
-    bit-identical to reducing and solving afresh on every sweep.
+    problem.  After it the sweeps run on lists by vertex index: the labels,
+    the roots with their residuals, and the rho each root was taken at.  A
+    sweep bisects again only at the vertices whose label changed bitwise
+    (the sign of zero counts), passes the roots straight to
+    :func:`settle` as its weights, and takes the change as the max over
+    the two label lists; exits and the returned :class:`ReductionField`
+    are built once, for the returned iterate.  For an evaluator that
+    depends only on (x, rho, p) every label, root, residual, H call, sweep
+    count and change history is bit-identical to reducing and solving
+    afresh on every sweep.
 
     ``max_iter`` must be at least 1 and ``tol`` nonnegative; tol 0 stops
     at the bitwise fixpoint.
@@ -339,24 +360,27 @@ def solve_general(
     if not validation.passed:
         raise HamiltonianError(validation.describe())
 
-    memo: dict[str, tuple[float, float, float]] = {}
-    reduction = _reduce_field(H, g, {v: 0.0 for v in g.vertices}, bisect_tol, memo)
-    vf = solve_dirichlet(DirichletProblem(g, reduction.h, zeta, threshold=0.0))
-    u = vf.u.values
+    names, n = g.vertices, len(g.vertices)
+    taken, roots, residuals = [math.nan] * n, [0.0] * n, [0.0] * n
+    _rereduce(H, names, [0.0] * n, taken, roots, residuals, bisect_tol)
+    f = ScalarField(g, dict(zip(names, roots)), "rhs_f")
+    vf = solve_dirichlet(DirichletProblem(g, f, zeta, threshold=0.0))
+    u = field_list(g, vf.u)
     if H.rho_monotonicity == "independent":
-        return vf, _reduce_field(H, g, u, bisect_tol, memo), 1
+        _rereduce(H, names, u, taken, roots, residuals, bisect_tol)
+        return vf, _reduction_field(g, roots, residuals, bisect_tol), 1
 
     seeds = boundary_seeds(g, zeta)
     history: list[float] = []
     for iteration in range(2, max_iter + 1):
-        reduction = _reduce_field(H, g, u, bisect_tol, memo)
-        run = settle(g, seeds, field_list(g, reduction.h))
-        u_next = dict(zip(g.vertices, run[0]))
-        change = max(abs(u_next[v] - u[v]) for v in g.vertices)
+        _rereduce(H, names, u, taken, roots, residuals, bisect_tol)
+        run = settle(g, seeds, roots)
+        change = max(map(abs, map(sub, run[0], u)))
         history.append(change)
-        u = u_next
+        u = run[0]
         if change <= tol:
-            final = _reduce_field(H, g, u, bisect_tol, memo)
+            _rereduce(H, names, u, taken, roots, residuals, bisect_tol)
+            final = _reduction_field(g, roots, residuals, bisect_tol)
             return value_function(g, zeta, run), final, iteration
     raise ConvergenceError(
         f"Picard iteration did not reach tol {tol} in {max_iter} iterations "

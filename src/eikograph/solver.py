@@ -145,8 +145,12 @@ def _undercuts(
     rise / length is the increment ratio of a realized boundary pair over a
     path no shorter than their distance, so it is at most the boundary
     Lipschitz constant L.
+
+    The solve stops at the largest datum: a seed's label is at most its
+    datum, and its parents are settled before it, so the prefix holds every
+    seed's label and path.  Only the labels at the seeds are final.
     """
-    labels, order, parent = settle(g, boundary_seeds(g, seeds), fl, scale)
+    labels, order, parent = settle(g, boundary_seeds(g, seeds), fl, scale, max(seeds.values()))
     index = g.index
     if all(labels[index[y]] == zy for y, zy in seeds.items()):
         return labels, []
@@ -270,7 +274,10 @@ def check_boundary_consistency(p: DirichletProblem, vf: ValueFunction) -> Bounda
     slack = 1.0 + REL_TOL
 
     def holds(scale: float, seeds, judged) -> bool:
-        labels = settle(g, boundary_seeds(g, seeds), scale=scale)[0]
+        # a label is final up to the limit, and past it above every judged value
+        judged = list(judged)
+        limit = max((ax for _, ax in judged), default=-math.inf)
+        labels = settle(g, boundary_seeds(g, seeds), scale=scale, limit=limit)[0]
         return all(ax <= labels[x] + ABS_TOL for x, ax in judged)
 
     def value_bound(k: float, seeds, a) -> bool:

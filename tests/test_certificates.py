@@ -245,6 +245,34 @@ def test_certificate_solve_counts(kind, arg, monkeypatch):
                 assert cert.weak_bound_ok, where
 
 
+def test_limited_certificate_solves_keep_every_verdict(monkeypatch):
+    # _undercuts stops at the largest datum and holds at the largest judged
+    # value: each run is a prefix of the unlimited one with the same labels
+    # and parents, and every field equals the reference's full solves
+    cases = []
+    for seed in range(40):
+        g = random_metric_graph(seed, n_max=40)
+        for data in DATA:
+            p = make_problem(g, data, seed=f"limit-{seed}")
+            cases.append((p, solve_dirichlet(p)))
+    settled, searched = [0], [0]
+
+    def prefix(g, seeds, fl=None, scale=1.0, limit=math.inf):
+        dist, order, parent = settle(g, seeds, fl, scale, limit)
+        full_dist, full_order, full_parent = settle(g, seeds, fl, scale)
+        assert order == full_order[:len(order)]
+        got = [(dist[x].hex(), parent[x]) for x in order]
+        assert got == [(full_dist[x].hex(), full_parent[x]) for x in order]
+        settled[0] += len(order)
+        searched[0] += len(full_order)
+        return dist, order, parent
+
+    monkeypatch.setattr(solver, "settle", prefix)
+    for p, vf in cases:
+        assert as_hex(check_boundary_consistency(p, vf)) == as_hex(reference_boundary_consistency(p, vf))
+    assert settled[0] < searched[0]
+
+
 @pytest.mark.parametrize("slope,holds", [(0.5, True), (1.0 + 5e-10, True), (1.0 + 2e-9, False), (1.5, False)])
 def test_curve_pass_on_a_linear_u(slope, holds, monkeypatch):
     # f = 1 on an interval and u linear in arc length, equal to zeta at both

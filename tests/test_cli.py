@@ -73,6 +73,18 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "decreases" in err
 
+    def test_solve_h_non_finite_hamiltonian_exits_2(self, tmp_path, capsys):
+        # linear:-inf is +inf everywhere: it used to pass validation and exit 0
+        # with "max reduction residual inf"
+        g_path = tmp_path / "g.json"
+        run_cli("fixture", "--name", "interval", "--n", "4", "--out", str(g_path))
+        code = run_cli("solve-h", "--graph", str(g_path), "--hamiltonian", "linear:-inf",
+                       "--zeta", "const:0", "--out", str(tmp_path / "u.csv"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: hamiltonian 'linear': H(x='v0', rho=-1.0, p=0.0) = inf is not finite" in err
+        assert not (tmp_path / "u.csv").exists()
+
     def test_solve_h_quadratic(self, tmp_path):
         g_path = tmp_path / "g.json"
         u_path = tmp_path / "u.csv"

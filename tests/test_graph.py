@@ -581,8 +581,8 @@ class TestInduceIntrinsic:
     @pytest.mark.parametrize("sample_pairs", [4, 32, 256])
     @pytest.mark.parametrize("name", ["grid", "scattered", "warped_pair", "warped_edge"])
     def test_probe_matches_unbounded_reference(self, name, sample_pairs, seed):
-        """Sources whose targets are all edges stop their search at the longest
-        one; buckets, pairs sampled, max ratio and errors stay those of full searches."""
+        """Each search stops once its last target is settled; buckets, pairs
+        sampled, max ratio and errors stay those of full searches."""
         ids, d, edges = self.probe_point_set(name)
 
         def outcome(run):
@@ -601,6 +601,34 @@ class TestInduceIntrinsic:
         assert got == outcome(lambda: reference_consistency_probe(ids, d, edges, sample_pairs, seed))
         if name == "warped_edge" and seed > 0 and sample_pairs < 256:  # the probe catches it, not a triangle
             assert got == "chord distance exceeds intrinsic distance at ('p00', 'p06'): 9.0 > 6.0"
+
+    def test_probe_searches_stop_at_their_last_target(self, monkeypatch):
+        # on a 30 x 30 point grid the default 256 random pairs give over 200
+        # sources that used to search all 900 points; each search now settles
+        # its targets exactly and about half as many vertices in all
+        n = 30
+        ids = [f"g{i:02d}_{j:02d}" for i in range(n) for j in range(n)]
+        d = chord_from_coords({v: (int(v[1:3]) / (n - 1), int(v[4:6]) / (n - 1)) for v in ids})
+        edges = [(f"g{i:02d}_{j:02d}", f"g{i + di:02d}_{j + dj:02d}") for i in range(n) for j in range(n)
+                 for di, dj in ((1, 0), (0, 1)) if i + di < n and j + dj < n]
+        settled, searched = [0], [0]
+        real = graph_module.settle
+
+        def counted(g, seeds, *args, **kwargs):
+            dist, order, parent = real(g, seeds, *args, **kwargs)
+            full_dist, full_order, _ = real(g, seeds)
+            assert order == full_order[:len(order)]
+            assert all(dist[t].hex() == full_dist[t].hex() for t in kwargs.get("until", ()))
+            settled[0] += len(order)
+            searched[0] += len(full_order)
+            return dist, order, parent
+
+        monkeypatch.setattr(graph_module, "settle", counted)
+        probe = induce_intrinsic(ids, d, edges)[1]
+        monkeypatch.undo()
+        want = reference_consistency_probe(ids, d, edges)
+        assert (probe.buckets, probe.pairs_sampled, probe.max_ratio) == want
+        assert settled[0] < 0.6 * searched[0]
 
     @pytest.mark.parametrize("pairs", [-1, MAX_SAMPLE_PAIRS + 1])
     def test_sample_pairs_out_of_range_rejected_before_sampling(self, pairs):

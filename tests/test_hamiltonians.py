@@ -130,12 +130,33 @@ class TestValidation:
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES + ("p + rho - 1", "p * p + rho - 1", "linear:-inf"))
     def test_builtins_and_hjb_expressions_keep_their_verdicts(self, small_graph, name):
-        # linear:-inf is +inf at every point: its rows differ by inf - inf =
-        # NaN, which passes as a NaN step in p does
+        # linear:-inf is +inf at every point; it passed while NaN steps (inf - inf) did
         H = builtin_hamiltonian(name) if name.partition(":")[0] in BUILTIN_NAMES else expression_hamiltonian(name)
         report = validate_hamiltonian(H, small_graph)
-        assert report.passed == (name not in ("ex1", "ex2", "plateau"))
-        assert report.passed or report.counterexample[0] == "monotonicity"
+        want = dict.fromkeys(("ex1", "ex2", "plateau"), "monotonicity") | {"linear:-inf": "non-finite"}
+        assert (report.counterexample or (None,))[0] == want.get(name)
+
+    @pytest.mark.parametrize("name,value", [("linear:-inf", math.inf), ("linear:inf", -math.inf),
+                                            ("quadratic:nan", math.nan)])
+    def test_non_finite_value_is_a_counterexample(self, small_graph, name, value):
+        # every sampled value is infinite or NaN: the first one is named
+        report = validate_hamiltonian(builtin_hamiltonian(name), small_graph)
+        assert not report.passed and report.monotonicity_ok and report.coercivity_ok
+        kind, x, rho, p, got = report.counterexample
+        assert (kind, x, rho, p) == ("non-finite", small_graph.vertices[0], -1.0, 0.0)
+        assert got.hex() == value.hex() if value == value else got != got
+        base = name.partition(":")[0]
+        assert report.describe() == (
+            f"hamiltonian {base!r}: H(x={x!r}, rho=-1.0, p=0.0) = {value} is not finite"
+        )
+
+    def test_non_finite_value_past_the_root_is_a_counterexample(self, small_graph):
+        # finite up to p = 4, then +inf: the first infinite grid point is named
+        H = HamiltonianSpec("cliff", lambda x, rho, p: p - 1.0 if p < 4.0 else math.inf, lambda0=1.0)
+        report = validate_hamiltonian(H, small_graph)
+        assert report.counterexample == ("non-finite", small_graph.vertices[0], -1.0, 4.0, math.inf)
+        with pytest.raises(HamiltonianError, match=r"H\(x='v0', rho=-1.0, p=4.0\) = inf is not finite"):
+            solve_general(small_graph, H, constant_field(small_graph, 0.0, "boundary_zeta"))
 
     @pytest.mark.parametrize("p_max", [-1.0, 0.0, math.nan, math.inf])
     def test_bad_p_max_rejected(self, p_max):

@@ -244,3 +244,24 @@ def test_checks_match_string_keyed_reference(name, kind, seed):
         assert t.vertex == want_t.vertex
         assert [t.slope.hex(), t.super_slope.hex(), t.sub_slope.hex()] == \
             [want_t.slope.hex(), want_t.super_slope.hex(), want_t.sub_slope.hex()]
+
+
+@pytest.mark.parametrize("data", ["random", "zero_band"])
+@pytest.mark.parametrize("name", sorted(set(FIXTURES) - {"circle"}))
+def test_until_stops_after_the_last_target(name, data):
+    """A run with ``until`` is the prefix of the unbounded run up to the last
+    target's label, ties included: the same labels and parents."""
+    g = graph(name)
+    p = make_problem(g, data, 5)
+    seeds = [(g.index[y], p.zeta[y]) for y in g.boundary]
+    fl = field_list(g, p.f)
+    full_dist, full_order, full_parent = settle(g, seeds, fl)
+    rng = random.Random(name)
+    for count in (1, 3, 8):
+        targets = rng.sample(range(len(g.vertices)), count)
+        dist, order, parent = settle(g, seeds, fl, until=targets)
+        last = max(full_dist[t] for t in targets)
+        assert order == [x for x in full_order if full_dist[x] <= last]
+        got = [(dist[x].hex(), parent[x]) for x in order]
+        assert got == [(full_dist[x].hex(), full_parent[x]) for x in order]
+    assert settle(g, seeds, fl, until=()) == (full_dist, full_order, full_parent)

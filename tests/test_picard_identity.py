@@ -1,7 +1,8 @@
 """The general-Hamiltonian fast path against the plain references.
 
-``reduce_h`` calls the evaluator directly, ``solve_general`` reuses roots
-whose rho did not change and carries labels only between sweeps.  Each
+``reduce_h`` calls the evaluator directly and skips most steps' own stop
+bound; ``solve_general`` sweeps on lists by vertex index, reusing each root
+whose rho did not change bitwise, and builds fields once for the result.  Each
 must reproduce the plain bisection and Picard loop in ``tests/oracles.py``
 bit for bit: floats, signs of zero, sweep counts, error types and messages.
 """
@@ -24,7 +25,7 @@ from eikograph import (
     reduce_h,
     solve_general,
 )
-from eikograph.hamiltonians import _EXPR_NAMES, BUILTIN_NAMES, _reduce_field
+from eikograph.hamiltonians import _EXPR_NAMES, BUILTIN_NAMES, _reduction_field, _rereduce
 from oracles import reference_reduce_field, reference_reduce_h, reference_solve_general
 
 EXPRESSIONS = ("p + rho - 1", "p * p + sin(rho) - 0.5", "max(p - 2, 0) + exp(rho) - 1.5")
@@ -73,6 +74,26 @@ def test_reduce_h_bit_identical(H):
         for tol in (1e-9, 1e-12, 1e-5):
             got = outcome(reduce_h, H, "v3", rho, tol)
             assert got == outcome(reference_reduce_h, H, "v3", rho, tol), (rho, tol)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12, 1e-300])
+@pytest.mark.parametrize("root", [3.0 + 2.0**-20, 40.0 - 1e-7, 2.0**20 + 0.3])
+def test_reduce_h_doubled_bracket_bit_identical(root, tol):
+    # the bracket doubles to 4, 64 and 2**21 before bisecting; at tol 1e-300
+    # the loop runs past float resolution into the stalled-bracket error
+    calls = []
+    Hs = (HamiltonianSpec("lin", lambda x, rho, p: calls.append(p) or p - root - 1e-3 * rho, 1.0),
+          HamiltonianSpec("sq", lambda x, rho, p: calls.append(p) or p * p - root * root + rho, 1e-6))
+    for H in Hs:
+        for rho in rho_samples():
+            calls.clear()
+            got = outcome(reduce_h, H, "v1", rho, tol)
+            seen = calls[:]
+            calls.clear()
+            assert got == outcome(reference_reduce_h, H, "v1", rho, tol), (H.name, rho)
+            assert [p.hex() for p in seen] == [p.hex() for p in calls]
+            if tol == 1e-300 and got[0] is None:
+                assert got[1][1].startswith(f"bisection for {H.name!r} stalled") and len(seen) > 500
 
 
 def raising(bad_p, result, root=0.7):
@@ -153,14 +174,45 @@ def test_convergence_error_history_matches(max_iter):
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("seed", [0, 4])
+def test_many_sweeps_match_reference_loop(seed):
+    # affine-rho on grid n=12 takes dozens of sweeps, most vertices changing
+    # on each, so roots are reused and retaken sweep after sweep
+    g = fixture("grid", n=12).graph
+    H = builtin_hamiltonian("affine-rho")
+    zeta = seeded_zeta(g, seed)
+    got = solve_general(g, H, zeta)
+    assert got[2] > 24
+    assert_same_solution(got, reference_solve_general(g, H, zeta))
+
+
+def test_convergence_error_after_many_sweeps_matches():
+    g = fixture("grid", n=10).graph
+    H = builtin_hamiltonian("affine-rho")
+    zeta = seeded_zeta(g, 2)
+    with pytest.raises(ConvergenceError) as got:
+        solve_general(g, H, zeta, max_iter=30)
+    with pytest.raises(ConvergenceError) as want:
+        reference_solve_general(g, H, zeta, max_iter=30)
+    assert [c.hex() for c in got.value.history] == [c.hex() for c in want.value.history]
+    assert len(got.value.history) == 29 and str(got.value) == str(want.value)
+
+
 def test_reused_root_keeps_sign_of_zero():
-    # H tells rho = -0.0 from 0.0, so the memo must not treat them as equal
-    H = HamiltonianSpec("signed", lambda x, rho, p: p - math.copysign(1.5, rho), lambda0=1.0)
+    # H tells rho = -0.0 from 0.0, so a root taken at one must not be reused
+    # at the other; a repeat of the same signed zero reuses every root
+    calls = []
+    H = HamiltonianSpec("signed", lambda x, rho, p: calls.append(p) or p - math.copysign(1.5, rho), 1.0)
     g = fixture("interval", n=4).graph
-    memo = {}
-    for sign in (1.0, -1.0, -1.0, 1.0):
+    n = len(g.vertices)
+    taken, roots, residuals = [math.nan] * n, [0.0] * n, [0.0] * n
+    for sign, reused in ((1.0, False), (-1.0, False), (-1.0, True), (1.0, False)):
         rho = {v: math.copysign(0.0, sign) for v in g.vertices}
-        got = _reduce_field(H, g, rho, 1e-9, memo)
+        calls.clear()
+        _rereduce(H, g.vertices, list(rho.values()), taken, roots, residuals, 1e-9)
+        assert (calls == []) == reused
+        got = _reduction_field(g, roots, residuals, 1e-9)
+        calls.clear()
         want = reference_reduce_field(H, g, rho)
         assert bits(got.h.values) == bits(want.h.values)
         assert bits(got.residuals) == bits(want.residuals) and got.flagged == want.flagged

@@ -5,7 +5,8 @@
 Each argument is a directory that holds the ``eikograph`` package (a
 checkout's ``src``).  The same fixed command list runs once with each on
 ``PYTHONPATH``, in its own temporary directory: fixtures, solve with --plot
-and --certify, solve-h with --h-out, the four checks with --report on seven
+and --certify, solve-h with --h-out (Picard over many sweeps and stopped
+by --max-iter among them), the four checks with --report on seven
 (graph, solution) pairs and monge's sub and super modes, compare,
 suite, induce-metric, and refine both with a split and with an h_max
 that splits no edge, on valid input, and ``--help`` of the program and of
@@ -74,6 +75,11 @@ COMMANDS = [
     ["solve-h", "--graph", "interval4.json", "--hamiltonian", "affine-rho", "--zeta", "const:0",
      "--out", "uh_fixpoint.csv", "--h-out", "h_fixpoint.csv", "--tol", "0", "--max-iter", "40",
      "--bisect-tol", "1e-10"],
+    # Picard over many sweeps (50), and stopped after 3 with the ConvergenceError message
+    ["solve-h", "--graph", "grid.json", "--hamiltonian", "affine-rho", "--zeta", "linear:0,0.02",
+     "--out", "uh_picard.csv", "--h-out", "h_picard.csv"],
+    ["solve-h", "--graph", "grid.json", "--hamiltonian", "affine-rho", "--zeta", "linear:0,0.02",
+     "--out", "uh_stopped.csv", "--max-iter", "3"],
     *(["check", kind, "--graph", graph, "--u", u, "--f", f, "--report", f"{kind}_{n}.csv"]
       for n, (graph, u, f) in enumerate(PAIRS) for kind in CHECKS),
     ["check", "monge", "--graph", "grid.json", "--u", "u_grid.csv", "--f", "linear:1,0.5",
