@@ -129,7 +129,7 @@ def _cmd_fixture(args) -> int:
     _check_io_paths([], [args.out])
     write_graph(fix.graph, args.out)
     g = fix.graph
-    print(f"fixture {args.name}: {len(g.vertices)} vertices, {len(g.edges)} edges, "
+    print(f"fixture {args.name}: {len(g.vertices)} vertices, {sum(map(len, g.nbrs)) // 2} edges, "
           f"{len(g.boundary)} boundary -> {args.out}")
     return 0
 
@@ -285,7 +285,8 @@ def _cmd_induce_metric(args) -> int:
         write_csv(args.probe_out, ["d_max", "ratio_max", "ratio_mean", "count"],
                   ([repr(d_max), repr(r_max), repr(r_mean), count]
                    for d_max, r_max, r_mean, count in probe.buckets))
-    print(f"induced metric graph: {len(g.vertices)} vertices, {len(g.edges)} edges -> {args.out}")
+    print(f"induced metric graph: {len(g.vertices)} vertices, {sum(map(len, g.nbrs)) // 2} edges "
+          f"-> {args.out}")
     print(f"consistency probe: {probe.pairs_sampled} pairs, max ratio {probe.max_ratio} ({probe.note})")
     return 0
 
@@ -296,7 +297,7 @@ def _cmd_refine(args) -> int:
     refined = refine(g, args.h_max)
     write_graph(refined, args.out)
     print(f"refined to h_max<={args.h_max}: {len(refined.vertices)} vertices, "
-          f"{len(refined.edges)} edges -> {args.out}")
+          f"{sum(map(len, refined.nbrs)) // 2} edges -> {args.out}")
     return 0
 
 

@@ -66,8 +66,8 @@ class MetricGraph:
       ``equivalence_suite``;
     - ``arc_keys``: the report keys of ``check_c_subsolution``;
     - ``edges``, the string-keyed view: read by ``refine``,
-      ``induce_intrinsic``, ``graph_to_dict``, ``edge_costs`` and the CLI's
-      edge counts; ``adjacency`` is unread in the package.
+      ``induce_intrinsic`` and ``edge_costs``; ``adjacency`` is unread in the
+      package.
     """
 
     vertices: tuple[str, ...]
@@ -155,11 +155,13 @@ def _finalize(
 ) -> MetricGraph:
     """Validate parts and lay out an immutable MetricGraph.
 
-    ``ends`` holds (a, b) pairs and ``lengths`` their lengths, such as a dict's
-    keys and values.  C-level passes validate every entry; only when one fails
-    does a walk name the first bad one.  Parallel entries collapse to the
-    shortest length, whatever their order.  One sort of the (i, j) pairs, i < j,
-    fills each vertex's lists: smaller neighbours, then larger.
+    ``ends`` holds (a, b) pairs and ``lengths`` their lengths: the fixtures pass
+    two plain lists, other callers a dict's keys and values.  C-level passes
+    validate every entry; only when one fails does a walk name the first bad
+    one.  Parallel entries collapse to the shortest length, whatever their
+    order.  ``coords`` whose values are all tuples of floats are kept as they
+    are; others are converted.  One sort of the (i, j) pairs, i < j, fills each
+    vertex's lists: smaller neighbours, then larger.
     """
     vs = tuple(sorted(set(vertices)))
     if not vs:
@@ -193,12 +195,14 @@ def _finalize(
         if not coords.keys() <= index.keys():
             v = next(v for v in coords if v not in index)
             raise ValidationError(f"coords reference unknown vertex {v!r}")
-        cmap = {v: tuple(map(float, xy)) for v, xy in coords.items()}
+        xys = coords.values()
+        as_is = set(map(type, xys)) <= {tuple} and set(map(type, chain.from_iterable(xys))) <= {float}
+        cmap = dict(coords) if as_is else {v: tuple(map(float, xy)) for v, xy in coords.items()}
         _require_coords(cmap)
 
     nbrs, lens = tuple([] for _ in vs), tuple([] for _ in vs)
-    for i, j in sorted(shortest):
-        length = shortest[i, j]
+    ordered = sorted(shortest)  # sorting the items instead would hold E (key, length) tuples at once
+    for (i, j), length in zip(ordered, map(shortest.__getitem__, ordered)):
         nbrs[i].append(j)
         lens[i].append(length)
         nbrs[j].append(i)
@@ -342,7 +346,9 @@ def graph_to_dict(g: MetricGraph) -> dict:
         if v in g.coords:
             entry["coords"] = list(g.coords[v])
         vertices.append(entry)
-    edges = [{"a": a, "b": b, "length": length} for (a, b), length in g.edges.items()]
+    vs = g.vertices
+    edges = [{"a": a, "b": vs[j], "length": length} for i, (a, nb, ln) in enumerate(zip(vs, g.nbrs, g.lens))
+             for j, length in zip(nb, ln) if i < j]  # the order of the edges view, without building it
     return {
         "version": GRAPH_FORMAT_VERSION,
         "vertices": vertices,
@@ -414,16 +420,23 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
         writer.writerows(rows)
 
 
-def read_graph(path: str) -> MetricGraph:
-    """Parse and build a graph file, with the cyclic collector paused: the load
-    keeps what it makes and makes no cycles, so a pass would free nothing."""
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic collector for a graph build and restore its state: a
+    build keeps what it makes and makes no cycles, so a pass would free nothing."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return build_graph(read_json(path))
+        yield
     finally:
         if enabled:
             gc.enable()
+
+
+def read_graph(path: str) -> MetricGraph:
+    """Parse and build a graph file, with the cyclic collector paused."""
+    with collector_paused():
+        return build_graph(read_json(path))
 
 
 def settle(

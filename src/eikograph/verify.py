@@ -14,11 +14,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
 from .errors import ValidationError
 from .fields import ScalarField, field_from_expression, field_on
-from .graph import MAX_REFINE_VERTICES, MetricGraph, _finalize, edge_key, refine
+from .graph import MAX_REFINE_VERTICES, MetricGraph, _finalize, collector_paused, edge_key, refine
 from .slopes import (
     CheckReport,
     check_c_subsolution,
@@ -58,9 +59,7 @@ def _interval(n: int) -> Fixture:
     _require_size("interval", n + 1)
     ids = [f"v{k}" for k in range(n + 1)]
     coords = {ids[k]: ((2 * k - n) / n,) for k in range(n + 1)}
-    h = 2.0 / n
-    edges = {edge_key(ids[k], ids[k + 1]): h for k in range(n)}
-    g = _finalize(ids, edges, edges.values(), {ids[0], ids[n]}, coords)
+    g = _finalize(ids, list(zip(ids, ids[1:])), [2.0 / n] * n, {ids[0], ids[n]}, coords)
     reference = {v: 1.0 - abs(coords[v][0]) for v in ids}
     return Fixture("interval", {"n": n}, g, reference)
 
@@ -75,8 +74,7 @@ def _circle(n: int) -> Fixture:
         for k in range(n)
     }
     chord = 2.0 * math.sin(math.pi / n)
-    edges = {edge_key(ids[k], ids[(k + 1) % n]): chord for k in range(n)}
-    g = _finalize(ids, edges, edges.values(), (), coords)
+    g = _finalize(ids, list(zip(ids, ids[1:] + ids[:1])), [chord] * n, (), coords)
     return Fixture("circle", {"n": n}, g, None)
 
 
@@ -86,33 +84,22 @@ def _grid(n: int, connectivity: int = 4) -> Fixture:
     if connectivity not in (4, 8):
         raise ValidationError("grid connectivity must be 4 or 8")
     _require_size("grid", n * n)
-    ids = {(i, j): f"v{i}_{j}" for i in range(n) for j in range(n)}
-    coords = {ids[(i, j)]: (float(i), float(j)) for i, j in ids}
-    edges: dict[tuple[str, str], float] = {}
-    diag = math.sqrt(2.0)
-    for i in range(n):
-        for j in range(n):
-            if i + 1 < n:
-                edges[edge_key(ids[(i, j)], ids[(i + 1, j)])] = 1.0
-            if j + 1 < n:
-                edges[edge_key(ids[(i, j)], ids[(i, j + 1)])] = 1.0
-            if connectivity == 8:
-                if i + 1 < n and j + 1 < n:
-                    edges[edge_key(ids[(i, j)], ids[(i + 1, j + 1)])] = diag
-                if i + 1 < n and j - 1 >= 0:
-                    edges[edge_key(ids[(i, j)], ids[(i + 1, j - 1)])] = diag
-    ring = {
-        ids[(i, j)]
-        for i in range(n)
-        for j in range(n)
-        if i in (0, n - 1) or j in (0, n - 1)
-    }
-    g = _finalize(ids.values(), edges, edges.values(), ring, coords)
+    rows = [[f"v{i}_{j}" for j in range(n)] for i in range(n)]  # rows[i][j] sits at (i, j)
+    coords = {name: (float(i), float(j)) for i, row in enumerate(rows) for j, name in enumerate(row)}
+    steps = [(row[j], row[j + 1]) for row in rows for j in range(n - 1)]  # (i, j) to (i, j + 1)
+    steps += zip(chain.from_iterable(rows[:-1]), chain.from_iterable(rows[1:]))  # to (i + 1, j)
+    diagonals = []
+    if connectivity == 8:
+        for row, below in zip(rows, rows[1:]):
+            diagonals += zip(row, below[1:])  # (i, j) to (i + 1, j + 1)
+            diagonals += zip(row[1:], below)  # (i, j) to (i + 1, j - 1)
+    lengths = [1.0] * len(steps) + [math.sqrt(2.0)] * len(diagonals)
+    ring = {*rows[0], *rows[-1], *(row[0] for row in rows), *(row[-1] for row in rows)}
+    g = _finalize(coords, steps + diagonals, lengths, ring, coords)
     reference = None
     if connectivity == 4:
-        reference = {
-            ids[(i, j)]: float(min(i, j, n - 1 - i, n - 1 - j)) for i, j in ids
-        }
+        reference = {name: float(min(i, j, n - 1 - i, n - 1 - j))
+                     for i, row in enumerate(rows) for j, name in enumerate(row)}
     return Fixture("grid", {"n": n, "connectivity": connectivity}, g, reference)
 
 
@@ -120,23 +107,16 @@ def _binary_tree(depth: int) -> Fixture:
     if depth < 1:
         raise ValidationError("binary_tree fixture needs depth >= 1")
     _require_size("binary_tree", 2 ** (min(depth, 64) + 1) - 1)  # capped: no huge integer
-    ids = ["t"]
     coords = {"t": (0.5, 0.0)}
-    edges: dict[tuple[str, str], float] = {}
+    ends: list[tuple[str, str]] = []
     level = ["t"]
     for d in range(1, depth + 1):
-        nxt = []
-        for node in level:
-            for bit in "01":
-                child = node + bit
-                ids.append(child)
-                nxt.append(child)
-                edges[edge_key(node, child)] = 1.0
-        for k, child in enumerate(nxt):
-            coords[child] = ((k + 0.5) / len(nxt), -float(d))
+        nxt = [node + bit for node in level for bit in "01"]
+        ends += zip(chain.from_iterable(zip(level, level)), nxt)  # each node to its two children
+        coords.update((child, ((k + 0.5) / len(nxt), -float(d))) for k, child in enumerate(nxt))
         level = nxt
-    g = _finalize(ids, edges, edges.values(), level, coords)  # leaves form the boundary
-    reference = {v: float(depth - (len(v) - 1)) for v in ids}
+    g = _finalize(coords, ends, [1.0] * len(ends), level, coords)  # leaves form the boundary
+    reference = {v: float(depth - (len(v) - 1)) for v in coords}
     return Fixture("binary_tree", {"depth": depth}, g, reference)
 
 
@@ -145,27 +125,26 @@ def _gasket(level: int) -> Fixture:
         raise ValidationError("gasket fixture needs level >= 0")
     _require_size("gasket", 3 * (3 ** min(level, 64) + 1) // 2)  # capped: no huge integer
     res = 2**level
-    side = 2.0 ** (-level)
     # unit triangles (i, j), (i+1, j), (i, j+1) with i + j < 2^level and i & j == 0, in the
     # order that subdividing each triangle into three lists them: i's and j's bits interleaved
     cells = sorted(((i, j) for j in range(res) for i in range(res - j) if not i & j),
                    key=lambda c: int(f"{c[0]:b}", 4) + 2 * int(f"{c[1]:b}", 4))
     coords: dict[str, tuple[float, float]] = {}
-    edges: dict[tuple[str, str], float] = {}
+    ends: list[tuple[str, str]] = []
     for i, j in cells:
         corners = ((i, j), (i + 1, j), (i, j + 1))
-        names = [f"g{x}_{y}" for x, y in corners]
+        a, b, c = names = [f"g{x}_{y}" for x, y in corners]
         for (x, y), name in zip(corners, names):
             coords[name] = ((x + 0.5 * y) / res, y * (math.sqrt(3.0) / 2.0) / res)
-        for u, v in ((0, 1), (0, 2), (1, 2)):
-            edges[edge_key(names[u], names[v])] = side
-    g = _finalize(coords, edges, edges.values(), {"g0_0", f"g{res}_0", f"g0_{res}"}, coords)
+        ends += ((a, b), (a, c), (b, c))
+    g = _finalize(coords, ends, [2.0 ** (-level)] * len(ends), {"g0_0", f"g{res}_0", f"g0_{res}"}, coords)
     return Fixture("gasket", {"level": level}, g, None)
 
 
 def fixture(name: str, **params) -> Fixture:
     """Deterministic fixture by name: interval(n) | circle(n) |
-    grid(n, connectivity) | binary_tree(depth) | gasket(level)."""
+    grid(n, connectivity) | binary_tree(depth) | gasket(level).  Built with
+    the cyclic collector paused."""
     makers: dict[str, Callable[..., Fixture]] = {
         "interval": _interval,
         "circle": _circle,
@@ -176,7 +155,8 @@ def fixture(name: str, **params) -> Fixture:
     if name not in makers:
         raise ValidationError(f"unknown fixture {name!r}; known: {sorted(makers)}")
     try:
-        return makers[name](**params)
+        with collector_paused():
+            return makers[name](**params)
     except TypeError:
         raise ValidationError(f"bad parameters {params!r} for fixture {name!r}")
 

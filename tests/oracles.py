@@ -16,6 +16,7 @@ which is the rule those lists must follow.  :func:`reference_build_graph`
 is the entry-by-entry graph load whose graphs and errors the bulk load must
 give; its graphs carry the oracle's own edge dict in place of the view.
 :func:`reference_gasket` builds the gasket fixture by triangle subdivision,
+:func:`reference_fixture` the other fixtures through string-keyed edge dicts,
 and :func:`reference_consistency_probe` is ``induce_intrinsic``'s probe with
 no search cut short.  :func:`reference_boundary_consistency` is the boundary
 certificate with one min-plus solve per verdict, whose every field the
@@ -38,6 +39,7 @@ from eikograph import (
     Curve,
     DirichletProblem,
     FieldError,
+    Fixture,
     GraphError,
     HamiltonianError,
     HamiltonianSpec,
@@ -281,6 +283,67 @@ def reference_gasket(level: int) -> MetricGraph:
             edges[edge_key(names[u], names[v])] = side
     corners = {vid((0, 0)), vid((res, 0)), vid((0, res))}
     return _reference_finalize(vertices, edges.items(), corners, coords)
+
+
+def reference_fixture(name: str, **params) -> Fixture:
+    """The fixtures as string-keyed ``edge_key`` dicts fed to
+    :func:`_reference_finalize`, one entry at a time, the construction whose
+    every field, order included, ``fixture`` must reproduce; the gasket is
+    :func:`reference_gasket`.  Valid parameters only."""
+    if name == "gasket":
+        return Fixture("gasket", dict(params), reference_gasket(params["level"]), None)
+    edges: dict[tuple[str, str], float] = {}
+    reference: dict[str, float] | None = None
+    if name == "interval":
+        n = params["n"]
+        ids = [f"v{k}" for k in range(n + 1)]
+        coords = {ids[k]: ((2 * k - n) / n,) for k in range(n + 1)}
+        for k in range(n):
+            edges[edge_key(ids[k], ids[k + 1])] = 2.0 / n
+        boundary = {ids[0], ids[n]}
+        reference = {v: 1.0 - abs(coords[v][0]) for v in ids}
+    elif name == "circle":
+        n = params["n"]
+        ids = [f"c{k}" for k in range(n)]
+        coords = {ids[k]: (math.cos(2.0 * math.pi * k / n), math.sin(2.0 * math.pi * k / n))
+                  for k in range(n)}
+        for k in range(n):
+            edges[edge_key(ids[k], ids[(k + 1) % n])] = 2.0 * math.sin(math.pi / n)
+        boundary = set()
+    elif name == "grid":
+        n, connectivity = params["n"], params.get("connectivity", 4)
+        params = {"n": n, "connectivity": connectivity}
+        names = {(i, j): f"v{i}_{j}" for i in range(n) for j in range(n)}
+        ids = list(names.values())
+        coords = {names[i, j]: (float(i), float(j)) for i, j in names}
+        steps = [(1, 0, 1.0), (0, 1, 1.0)]
+        if connectivity == 8:
+            steps += [(1, 1, math.sqrt(2.0)), (1, -1, math.sqrt(2.0))]
+        for i, j in names:
+            for di, dj, length in steps:
+                if (i + di, j + dj) in names:
+                    edges[edge_key(names[i, j], names[i + di, j + dj])] = length
+        boundary = {names[i, j] for i, j in names if i in (0, n - 1) or j in (0, n - 1)}
+        if connectivity == 4:
+            reference = {names[i, j]: float(min(i, j, n - 1 - i, n - 1 - j)) for i, j in names}
+    elif name == "binary_tree":
+        depth = params["depth"]
+        ids, coords, level = ["t"], {"t": (0.5, 0.0)}, ["t"]
+        for d in range(1, depth + 1):
+            nxt = []
+            for node in level:
+                for bit in "01":
+                    ids.append(node + bit)
+                    nxt.append(node + bit)
+                    edges[edge_key(node, node + bit)] = 1.0
+            for k, child in enumerate(nxt):
+                coords[child] = ((k + 0.5) / len(nxt), -float(d))
+            level = nxt
+        boundary = set(level)
+        reference = {v: float(depth - (len(v) - 1)) for v in ids}
+    else:
+        raise ValueError(f"no reference for fixture {name!r}")
+    return Fixture(name, params, _reference_finalize(ids, edges.items(), boundary, coords), reference)
 
 
 def value_iteration(graph, costs, seeds):

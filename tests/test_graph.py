@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 import random
 
@@ -28,7 +29,7 @@ from eikograph import (
 )
 from eikograph import graph as graph_module
 from eikograph import verify as verify_module
-from eikograph.graph import MAX_SAMPLE_PAIRS, close, edge_key
+from eikograph.graph import MAX_SAMPLE_PAIRS, close, edge_key, read_json
 
 from oracles import (
     all_pairs_distance_oracle,
@@ -726,6 +727,13 @@ class TestOneLayout:
         assert "edges" not in vars(g)  # h_max and edge_length read the lists
         assert len(g.edges) == 2 * 4 * 3 and vars(g)["edges"] is g.edges
 
+    def test_write_graph_builds_no_view(self, tmp_path):
+        g = fixture("grid", n=4, connectivity=8).graph
+        write_graph(g, str(tmp_path / "g.json"))
+        assert "edges" not in vars(g)
+        edges = [(e["a"], e["b"], e["length"]) for e in read_json(str(tmp_path / "g.json"))["edges"]]
+        assert edges == [(a, b, length) for (a, b), length in g.edges.items()]  # the view's order
+
     def test_shuffled_entries_compare_equal(self):
         spec = _shuffled_spec(11)
         rng = random.Random(0)
@@ -742,3 +750,61 @@ class TestOneLayout:
         nudged.append({"a": a, "b": b, "length": math.nextafter(length, math.inf)})
         h = build_graph(dict(spec, edges=nudged))
         assert h.vertices == g.vertices and h.nbrs == g.nbrs and h != g
+
+
+def _bad_graph_file(tmp_path) -> str:
+    path = tmp_path / "bad.json"
+    path.write_text('{"vertices": ["a", "b"], "edges": [{"a": "a", "b": "c", "length": 1}]}')
+    return str(path)
+
+
+def _write(tmp_path, g) -> str:
+    path = str(tmp_path / "g.json")
+    write_graph(g, path)
+    return path
+
+
+class TestCollectorPaused:
+    """``fixture`` and ``read_graph`` build with the cyclic collector off and
+    leave it as they found it, on return and on raise."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("build", [
+        lambda tmp_path: fixture("grid", n=3),
+        lambda tmp_path: fixture("gasket", level=2),
+        lambda tmp_path: read_graph(_write(tmp_path, fixture("circle", n=5).graph)),
+    ], ids=["grid", "gasket", "read_graph"])
+    def test_state_restored_on_return(self, collector, tmp_path, build):
+        build(tmp_path)
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("build", [
+        lambda tmp_path: fixture("grid", n=1),
+        lambda tmp_path: fixture("grid", n=1001),  # oversized
+        lambda tmp_path: fixture("grid", m=3),  # TypeError, raised as ValidationError
+        lambda tmp_path: read_graph(_bad_graph_file(tmp_path)),
+    ], ids=["grid-n1", "oversized", "bad-parameters", "malformed-file"])
+    def test_state_restored_on_raise(self, collector, tmp_path, build):
+        with pytest.raises(ValidationError):
+            build(tmp_path)
+        assert gc.isenabled() is collector
+
+    def test_builds_run_with_the_collector_off(self, collector, monkeypatch, tmp_path):
+        seen = []
+        real = graph_module._finalize
+
+        def spy(*args):
+            seen.append(gc.isenabled())
+            return real(*args)
+
+        monkeypatch.setattr(graph_module, "_finalize", spy)
+        monkeypatch.setattr(verify_module, "_finalize", spy)
+        path = _write(tmp_path, fixture("interval", n=3).graph)
+        read_graph(path)
+        assert seen == [False, False]

@@ -22,7 +22,7 @@ from eikograph import (
 )
 from eikograph.graph import close
 
-from oracles import reference_gasket, value_iteration
+from oracles import reference_fixture, reference_gasket, value_iteration
 
 
 class TestFixtures:
@@ -48,6 +48,24 @@ class TestFixtures:
         assert list(g.edges.items()) == list(ref.edges.items())
         assert list(g.coords.items()) == list(ref.coords.items())
         assert g.index == ref.index and g.nbrs == ref.nbrs and g.lens == ref.lens
+
+    @pytest.mark.parametrize("name,params", [
+        ("grid", {"n": 2}), ("binary_tree", {"depth": 1}), ("interval", {"n": 1}), ("circle", {"n": 3}),
+        ("gasket", {"level": 0}),
+        ("grid", {"n": 150}), ("grid", {"n": 60, "connectivity": 8}), ("binary_tree", {"depth": 13}),
+        ("gasket", {"level": 7}),  # the smallest of each kind, then the sweep benchmark's graphs
+    ], ids=lambda v: v if isinstance(v, str) else "-".join(map(str, v.values())))
+    def test_fixture_equals_the_edge_dict_construction(self, name, params):
+        fix, ref = fixture(name, **params), reference_fixture(name, **params)
+        g, h = fix.graph, ref.graph
+        assert g.vertices == h.vertices and sorted(g.boundary) == sorted(h.boundary)
+        assert list(g.coords.items()) == list(h.coords.items())
+        assert list(g.index.items()) == list(h.index.items())
+        assert g.nbrs == h.nbrs and g.lens == h.lens
+        assert list(g.edges.items()) == list(h.edges.items())
+        assert fix.params == ref.params
+        assert (fix.reference is None) == (ref.reference is None)
+        assert list((fix.reference or {}).items()) == list((ref.reference or {}).items())
 
     def test_gasket_zero_is_triangle(self):
         g = fixture("gasket", level=0).graph

@@ -4,13 +4,13 @@
 
 Each argument is a directory that holds the ``eikograph`` package (a
 checkout's ``src``).  The same fixed command list runs once with each on
-``PYTHONPATH``, in its own temporary directory: fixtures, solve with --plot
-and --certify, solve-h with --h-out (Picard over many sweeps and stopped
-by --max-iter among them), the four checks with --report on seven
-(graph, solution) pairs and monge's sub and super modes, compare,
-suite, induce-metric, and refine both with a split and with an h_max
-that splits no edge, on valid input, and ``--help`` of the program and of
-each subcommand.  One hand-written graph, MESSY, lists
+``PYTHONPATH``, in its own temporary directory: every fixture kind, small
+and at benchmark sizes, solve with --plot and --certify, solve-h with
+--h-out (Picard over many sweeps and stopped by --max-iter among them), the
+four checks with --report on seven (graph, solution) pairs and monge's sub
+and super modes, compare, suite, induce-metric, and refine both with a
+split and with an h_max that splits no edge, on valid input, and ``--help``
+of the program and of each subcommand.  One hand-written graph, MESSY, lists
 its vertices and edges out of id order, with parallel edges of different
 lengths both ways round; it is solved, checked and refined.  Every output
 file, each command's stdout and stderr and the list of exit codes are then
@@ -56,6 +56,12 @@ COMMANDS = [
     ["fixture", "--name", "grid", "--n", "8", "--connectivity", "8", "--out", "grid8.json"],
     ["fixture", "--name", "gasket", "--level", "3", "--out", "gasket.json"],
     ["fixture", "--name", "binary_tree", "--depth", "5", "--out", "tree.json"],
+    ["fixture", "--name", "circle", "--n", "9", "--out", "circle.json"],
+    # benchmark sizes: cli's grid, sweep's 8-connected grid, certify's tree and gasket
+    ["fixture", "--name", "grid", "--n", "100", "--out", "grid100.json"],
+    ["fixture", "--name", "grid", "--n", "60", "--connectivity", "8", "--out", "grid60_8.json"],
+    ["fixture", "--name", "binary_tree", "--depth", "9", "--out", "tree9.json"],
+    ["fixture", "--name", "gasket", "--level", "6", "--out", "gasket6.json"],
     ["solve", "--graph", "interval.json", "--f", "const:1", "--zeta", "const:0",
      "--out", "u_interval.csv", "--plot", "plot_interval.csv", "--certify"],
     ["solve", "--graph", "grid.json", "--f", "linear:1,0.5", "--zeta", "linear:0,1",
