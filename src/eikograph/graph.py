@@ -155,8 +155,8 @@ def _finalize(
 ) -> MetricGraph:
     """Validate parts and lay out an immutable MetricGraph.
 
-    ``ends`` holds (a, b) pairs and ``lengths`` their lengths: the fixtures pass
-    two plain lists, other callers a dict's keys and values.  C-level passes
+    ``ends`` holds (a, b) pairs and ``lengths`` their lengths, such as the
+    fixtures' two plain lists or a dict's keys and values.  C-level passes
     validate every entry; only when one fails does a walk name the first bad
     one.  Parallel entries collapse to the shortest length, whatever their
     order.  ``coords`` whose values are all tuples of floats are kept as they
