@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -48,10 +49,14 @@ BUILTIN_NAMES = ("affine-rho", "ex1", "ex2", "linear", "plateau", "quadratic")
 
 
 def _check_io_paths(inputs, outputs) -> None:
-    ins = {p for p in inputs if p}
-    for out in outputs:
-        if out and out in ins:
-            raise ValidationError(f"output path {out!r} collides with an input path")
+    """Refuse an output that would overwrite an input or another output;
+    paths are compared resolved, so ``./g.json`` is ``g.json``."""
+    taken = {os.path.realpath(p) for p in inputs if p}
+    for out in filter(None, outputs):
+        real = os.path.realpath(out)
+        if real in taken:
+            raise ValidationError(f"output path {out!r} collides with an input path or another output")
+        taken.add(real)
 
 
 def _tolerance(text: str) -> float:

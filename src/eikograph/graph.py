@@ -14,10 +14,11 @@ import heapq
 import json
 import math
 import random
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from operator import eq, is_not, itemgetter, lt
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -28,10 +29,11 @@ from .errors import ConnectivityError, GraphError, MetricError, ValidationError
 ABS_TOL = 1e-12
 REL_TOL = 1e-9
 
-GRAPH_FORMAT_VERSION = 1
-# refine() and the fixtures refuse more vertices than this: loading a graph peaks at
-# about 1.8 kB a vertex (read_graph of grid n=100, 10**4 vertices, peaks at 18.2 MB
-# under tracemalloc and keeps 5.0 MB), so ~2 GB.
+GRAPH_FORMAT_VERSION = 2  # what write_graph writes; build_graph also reads version 1
+COLUMNS = ("ids", "dim", "coords", "a", "b", "length", "boundary")  # the keys of version 2
+# refine() and the fixtures refuse more vertices than this: loading a graph file peaks
+# at about 0.8 kB a vertex (read_graph of grid n=100, 10**4 vertices, peaks at 8.1 MB
+# under tracemalloc and keeps 5.0 MB; its version 1 file peaks at 18.2 MB), so ~1 GB.
 MAX_REFINE_VERTICES = 10**6
 # induce_intrinsic's sampled checks run about sample_pairs / 2 triangle draws
 # whatever the point count, so the count is bounded.
@@ -185,10 +187,7 @@ def _finalize(
     if len(shortest) < len(keys):  # parallel entries: sorted down, each key's shortest comes last
         shortest = dict(sorted(zip(keys, map(float, lengths)), reverse=True))
 
-    bset = frozenset(boundary)
-    unknown = bset - index.keys()
-    if unknown:
-        raise ValidationError(f"boundary references unknown vertices {sorted(unknown)}")
+    bset = _known_boundary(boundary, index)
 
     cmap: dict[str, tuple[float, ...]] = {}
     if coords:
@@ -200,9 +199,27 @@ def _finalize(
         cmap = dict(coords) if as_is else {v: tuple(map(float, xy)) for v, xy in coords.items()}
         _require_coords(cmap)
 
-    nbrs, lens = tuple([] for _ in vs), tuple([] for _ in vs)
     ordered = sorted(shortest)  # sorting the items instead would hold E (key, length) tuples at once
-    for (i, j), length in zip(ordered, map(shortest.__getitem__, ordered)):
+    return _layout(vs, index, ordered, map(shortest.__getitem__, ordered), bset, cmap)
+
+
+def _known_boundary(boundary: Iterable[str], index: Mapping[str, int]) -> frozenset[str]:
+    """The boundary as a frozenset; raises ValidationError naming ids not in ``index``."""
+    bset = frozenset(boundary)
+    unknown = bset - index.keys()
+    if unknown:
+        raise ValidationError(f"boundary references unknown vertices {sorted(unknown)}")
+    return bset
+
+
+def _layout(vs: tuple[str, ...], index: dict[str, int], pairs: Iterable[tuple[int, int]],
+            lengths: Iterable[float], boundary: frozenset[str], coords: dict) -> MetricGraph:
+    """Lay out the graph from strictly increasing index pairs (i, j), i < j, and
+    their lengths: each vertex's lists get its smaller neighbours, then its
+    larger ones, so both are in id order.  Raises ConnectivityError when some
+    vertex cannot be reached from vertex 0."""
+    nbrs, lens = tuple([] for _ in vs), tuple([] for _ in vs)
+    for (i, j), length in zip(pairs, lengths):
         nbrs[i].append(j)
         lens[i].append(length)
         nbrs[j].append(i)
@@ -217,7 +234,7 @@ def _finalize(
     if not all(seen):
         missing = [v for v, s in zip(vs, seen) if not s][:5]
         raise ConnectivityError(f"graph is disconnected; unreachable vertices include {missing}")
-    return MetricGraph(vertices=vs, boundary=bset, coords=cmap, index=index, nbrs=nbrs, lens=lens)
+    return MetricGraph(vertices=vs, boundary=boundary, coords=coords, index=index, nbrs=nbrs, lens=lens)
 
 
 def _require_coords(coords: Mapping[str, Sequence[float]]) -> None:
@@ -241,11 +258,18 @@ def _is_json_number(value) -> bool:
 def build_graph(spec: Mapping) -> MetricGraph:
     """Build and validate a graph from a structured description.
 
-    Expected keys: ``vertices`` (list of {id, coords?}), ``edges`` (list of
-    {a, b, length}), ``boundary`` (list of ids), optional ``version``.
+    ``version`` 2 is the columns that :func:`graph_to_dict` writes, read by
+    :func:`_build_columns`.  Version 1, the default: ``vertices`` (list of
+    {id, coords?}), ``edges`` (list of {a, b, length}), ``boundary`` (list of
+    ids, optional).
     """
     if not isinstance(spec, Mapping):
         raise ValidationError("graph description must be a mapping")
+    version = spec.get("version", 1)
+    if type(version) is not int or version not in (1, GRAPH_FORMAT_VERSION):
+        raise ValidationError(f"unsupported graph version {version!r}; expected 1 or {GRAPH_FORMAT_VERSION}")
+    if version == GRAPH_FORMAT_VERSION:
+        return _build_columns(spec)
     try:
         raw_vertices = spec["vertices"]
         raw_edges = spec["edges"]
@@ -257,13 +281,96 @@ def build_graph(spec: Mapping) -> MetricGraph:
         if not isinstance(value, (list, tuple)):
             raise ValidationError(f"graph {key} must be a list of {what}, got {type(value).__name__}")
 
-    version = spec.get("version", GRAPH_FORMAT_VERSION)
-    if type(version) is not int or version != GRAPH_FORMAT_VERSION:
-        raise ValidationError(f"unsupported graph version {version!r}; expected {GRAPH_FORMAT_VERSION}")
-
     parts = _bulk_entries(raw_vertices, raw_edges)
     vertices, coords, ends, lengths = _walk_entries(raw_vertices, raw_edges) if parts is None else parts
     return _finalize(vertices, ends, lengths, [str(b) for b in boundary], coords)
+
+
+def _build_columns(spec: Mapping) -> MetricGraph:
+    """Lay out a version 2 description, trusting none of it.
+
+    ``ids`` are strictly increasing strings.  ``a``, ``b`` and ``length`` are
+    columns of one length: index pairs 0 <= a < b < len(ids), strictly
+    increasing, and positive finite lengths.  ``coords`` holds ``dim`` finite
+    numbers for each vertex listed in ``coords_at`` (strictly increasing
+    indices; every vertex when the key is absent), in that order.  Each check
+    is one C-level pass; only a failed one walks the entries to name the
+    first bad one.
+    """
+    try:
+        ids, dim, coords, a, b, length, boundary = map(spec.__getitem__, COLUMNS)
+    except KeyError as exc:
+        raise ValidationError(f"graph description missing key {exc.args[0]!r}")
+    at = spec.get("coords_at")
+    for key in COLUMNS:
+        if key != "dim" and type(spec[key]) is not list:  # dim is checked with the coords
+            raise ValidationError(f"graph {key} must be a list, got {type(spec[key]).__name__}")
+    n = len(ids)
+    if not n:
+        raise ValidationError("graph has no vertices")
+    _require_increasing("ids", ids, lambda v: type(v) is str, set(map(type, ids)) <= {str},
+                        "ids must be strictly increasing strings")
+    if not len(a) == len(b) == len(length):
+        raise ValidationError(f"graph columns a, b and length must be equally long, "
+                              f"got {len(a)}, {len(b)} and {len(length)}")
+    fit = (set(map(type, a)) | set(map(type, b)) <= {int} and all(map(lt, a, b))
+           and min(a, default=0) >= 0 and max(b, default=0) < n)
+    canon = list(range(n))  # the lists hold one int object per index, as _finalize's do
+    pairs = list(zip(map(canon.__getitem__, a), map(canon.__getitem__, b)) if fit else zip(a, b))
+    _require_increasing("(a, b)", pairs, lambda p: type(p[0]) is type(p[1]) is int and 0 <= p[0] < p[1] < n,
+                        fit, f"pairs must be strictly increasing, with integer ends 0 <= a < b < {n}")
+    lens = _floats(length)
+    if lens is None or not (all(map(lt, repeat(0.0), lens)) and all(map(lt, lens, repeat(math.inf)))):
+        k = next(k for k, x in enumerate(length) if not (f := _floats([x])) or not 0.0 < f[0] < math.inf)
+        raise ValidationError(f"edge ({ids[a[k]]!r}, {ids[b[k]]!r}) has length {length[k]!r}; "
+                              "a length must be a positive finite number")
+    index = dict(zip(ids, canon))
+    if not set(map(type, boundary)) <= {str}:
+        v = next(v for v in boundary if type(v) is not str)
+        raise ValidationError(f"graph boundary must list vertex ids, got {v!r}")
+    bset = _known_boundary(boundary, index)
+
+    if at is None:  # every vertex carries coords
+        owners, count = ids, n
+    elif type(at) is not list:
+        raise ValidationError(f"graph coords_at must be a list, got {type(at).__name__}")
+    else:
+        _require_increasing("coords_at", at, lambda i: type(i) is int and 0 <= i < n,
+                            set(map(type, at)) <= {int} and (not at or 0 <= at[0] and at[-1] < n),
+                            f"vertex indices must be strictly increasing integers 0 <= i < {n}")
+        owners, count = list(map(ids.__getitem__, at)), len(at)
+    if not (type(dim) is int and dim >= 0 and len(coords) == count * dim):
+        raise ValidationError(f"graph coords must hold dim = {dim!r} numbers for each of {count} vertices, "
+                              f"got {len(coords)}")
+    xs = _floats(coords)
+    if xs is None:
+        k = next(k for k, x in enumerate(coords) if not _floats([x]))
+        raise ValidationError(f"vertex {owners[k // dim]!r}: coords must be numbers, got {coords[k]!r}")
+    # count * dim entries, so with count > 0 the zip's dim iterators are bounded by the file
+    cmap = dict(zip(owners, zip(*[iter(xs)] * dim) if count and dim else repeat((), count)))
+    if not all(map(math.isfinite, xs)):
+        _require_coords(cmap)  # names the vertex
+    return _layout(tuple(ids), index, pairs, lens, bset, cmap)
+
+
+def _require_increasing(key: str, values: list, fits: Callable, fit: bool, rule: str) -> None:
+    """Raise ValidationError stating ``rule`` and naming the first entry of
+    ``values`` that fails ``fits`` or does not exceed the entry before it.
+    ``fit``, computed by C-level passes, says whether every entry fits."""
+    if not (fit and all(map(lt, values, islice(values, 1, None)))):
+        k = next(k for k, x in enumerate(values) if not fits(x) or k and not values[k - 1] < x)
+        raise ValidationError(f"graph {key} entry {k} is {values[k]!r}; {rule}")
+
+
+def _floats(values: list) -> list[float] | None:
+    """``values`` as floats, if each is an int or a float (not a bool) within binary64, else None."""
+    types = set(map(type, values))
+    if not types <= {int, float}:
+        return None
+    try:
+        return values if types <= {float} else list(map(float, values))
+    except OverflowError:
+        return None
 
 
 def _strs(values: list) -> list:
@@ -339,22 +446,23 @@ def _walk_entries(raw_vertices: Sequence, raw_edges: Sequence) -> tuple:
 
 
 def graph_to_dict(g: MetricGraph) -> dict:
-    """Serialize to the JSON-ready structured form (deterministic ordering)."""
-    vertices = []
-    for v in g.vertices:
-        entry: dict = {"id": v}
-        if v in g.coords:
-            entry["coords"] = list(g.coords[v])
-        vertices.append(entry)
-    vs = g.vertices
-    edges = [{"a": a, "b": vs[j], "length": length} for i, (a, nb, ln) in enumerate(zip(vs, g.nbrs, g.lens))
-             for j, length in zip(nb, ln) if i < j]  # the order of the edges view, without building it
-    return {
-        "version": GRAPH_FORMAT_VERSION,
-        "vertices": vertices,
-        "edges": edges,
-        "boundary": sorted(g.boundary),
-    }
+    """Serialize to the version 2 columns (deterministic ordering): ids, the
+    pairs i < j in the order of the lists, and coords in id order, with
+    ``coords_at`` listing the vertices that carry them when not all do."""
+    vs, a, b, length = g.vertices, [], [], []
+    for i, (nb, ln) in enumerate(zip(g.nbrs, g.lens)):
+        k = bisect_right(nb, i)  # the lists are in id order: the larger neighbours come last
+        a += repeat(i, len(nb) - k)
+        b += nb[k:]
+        length += ln[k:]
+    at = list(compress(range(len(vs)), map(g.coords.__contains__, vs)))
+    xys = list(map(g.coords.__getitem__, map(vs.__getitem__, at)))
+    spec = {"version": GRAPH_FORMAT_VERSION, "ids": list(vs), "dim": len(xys[0]) if xys else 0,
+            "coords": list(chain.from_iterable(xys)), "a": a, "b": b, "length": length,
+            "boundary": sorted(g.boundary)}
+    if len(at) < len(vs):
+        spec["coords_at"] = at
+    return spec
 
 
 def write_graph(g: MetricGraph, path: str) -> None:

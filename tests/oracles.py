@@ -13,8 +13,10 @@ the oracles' independence rests on the layout tests
 (``test_graph.TestOneLayout``): they tie every constructor's lists and view
 to :func:`reference_layout` of the raw entries the constructor passed,
 which is the rule those lists must follow.  :func:`reference_build_graph`
-is the entry-by-entry graph load whose graphs and errors the bulk load must
-give; its graphs carry the oracle's own edge dict in place of the view.
+is the entry-by-entry load of version 1 graph descriptions whose graphs and
+errors the bulk load must give; its graphs carry the oracle's own edge dict
+in place of the view.  :func:`graph_to_dict_v1` is the version 1 writer that
+version 2 replaced, kept as the source of version 1 inputs.
 :func:`reference_gasket` builds the gasket fixture by triangle subdivision,
 :func:`reference_fixture` the other fixtures through string-keyed edge dicts,
 and :func:`reference_consistency_probe` is ``induce_intrinsic``'s probe with
@@ -57,7 +59,7 @@ from eikograph import (
     validate_hamiltonian,
 )
 from eikograph.fields import field_list
-from eikograph.graph import ABS_TOL, DEFAULT_SEED, GRAPH_FORMAT_VERSION, REL_TOL, _finalize, _validate_chord, settle
+from eikograph.graph import ABS_TOL, DEFAULT_SEED, REL_TOL, _finalize, _validate_chord, settle
 from eikograph.hamiltonians import BRACKET_CAP
 from eikograph.slopes import BASE_TOL
 
@@ -185,6 +187,26 @@ def _reference_is_json_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def graph_to_dict_v1(g: MetricGraph) -> dict:
+    """Serialize to the JSON-ready structured form (deterministic ordering):
+    the version 1 ``graph_to_dict`` as it was, with the version it wrote."""
+    vertices = []
+    for v in g.vertices:
+        entry: dict = {"id": v}
+        if v in g.coords:
+            entry["coords"] = list(g.coords[v])
+        vertices.append(entry)
+    vs = g.vertices
+    edges = [{"a": a, "b": vs[j], "length": length} for i, (a, nb, ln) in enumerate(zip(vs, g.nbrs, g.lens))
+             for j, length in zip(nb, ln) if i < j]  # the order of the edges view, without building it
+    return {
+        "version": 1,
+        "vertices": vertices,
+        "edges": edges,
+        "boundary": sorted(g.boundary),
+    }
+
+
 def reference_build_graph(spec: Mapping) -> MetricGraph:
     """The entry-by-entry graph load that ``build_graph`` must reproduce: the
     same ``MetricGraph`` (``index``, ``nbrs`` and ``lens`` included) for a
@@ -207,9 +229,9 @@ def reference_build_graph(spec: Mapping) -> MetricGraph:
         if not isinstance(value, (list, tuple)):
             raise ValidationError(f"graph {key} must be a list of {what}, got {type(value).__name__}")
 
-    version = spec.get("version", GRAPH_FORMAT_VERSION)
-    if type(version) is not int or version != GRAPH_FORMAT_VERSION:
-        raise ValidationError(f"unsupported graph version {version!r}; expected {GRAPH_FORMAT_VERSION}")
+    version = spec.get("version", 1)
+    if type(version) is not int or version != 1:
+        raise ValidationError(f"unsupported graph version {version!r}; expected 1")
 
     vertices: set[str] = set()
     coords: dict[str, tuple[float, ...]] = {}

@@ -307,6 +307,31 @@ class TestErrorsAndConfig:
         assert run_cli(command, *flags, *out) == 2
         self.assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("argv", [
+        ["refine", "--graph", "g.json", "--h-max", "0.1", "--out", "./g.json"],
+        ["refine", "--graph", "g.json", "--h-max", "0.1", "--out", "sub/../g.json"],
+        ["solve", "--graph", "g.json", "--f", "const:1", "--zeta", "const:0", "--out", "u.csv", "--plot", "u.csv"],
+        ["solve", "--graph", "g.json", "--f", "const:1", "--zeta", "const:0", "--out", "u.csv",
+         "--plot", "./u.csv"],
+        ["solve-h", "--graph", "g.json", "--hamiltonian", "quadratic", "--zeta", "const:0", "--out", "h.csv",
+         "--h-out", "h.csv"],
+        ["induce-metric", "--points", "pts.csv", "--edges", "adj.csv", "--out", "p.csv", "--probe-out", "p.csv"],
+    ], ids=["refine-input", "refine-input-dotdot", "solve-plot", "solve-plot-dot", "solve-h-h-out",
+            "induce-metric-probe"])
+    def test_output_on_an_input_or_another_output_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        # these once overwrote the input graph, or wrote the solution and then replaced it, and exited 0
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        run_cli("fixture", "--name", "interval", "--n", "4", "--out", "g.json")
+        (tmp_path / "pts.csv").write_text("vertex_id,x\na,0.0\nb,1.0\n")
+        (tmp_path / "adj.csv").write_text("a,b\na,b\n")
+        before = (tmp_path / "g.json").read_bytes()
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        assert "collides with an input path or another output" in self.assert_one_error_line(capsys)
+        assert (tmp_path / "g.json").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adj.csv", "g.json", "pts.csv", "sub"]
+
     def test_one_column_solution_header_exits_2(self, tmp_path, capsys):
         g_path = tmp_path / "g.json"
         run_cli("fixture", "--name", "interval", "--n", "4", "--out", str(g_path))

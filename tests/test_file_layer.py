@@ -9,10 +9,12 @@ from eikograph.cli import run
 from eikograph.errors import ValidationError
 from eikograph.graph import read_csv, read_graph, read_json, write_csv
 
-# Graph files are one line of compact JSON.  INDENTED holds the same two files
-# in the layout written before (json.dump with indent=1), which read_graph
-# still takes.
-GRAPH = (
+# Graph files are one line of compact JSON in format version 2.  V1_GRAPH and
+# INDENTED_GRAPH hold the same two files in version 1, as written before:
+# compact, and earlier indented (json.dump with indent=1); read_graph still
+# takes both.
+GRAPH = '{"version":2,"ids":["v0","v1","v2"],"dim":1,"coords":[-1.0,0.0,1.0],"a":[0,1],"b":[1,2],"length":[1.0,1.0],'
+V1_GRAPH = (
     '{"version":1,"vertices":[{"id":"v0","coords":[-1.0]},{"id":"v1","coords":[0.0]},{"id":"v2","coords":[1.0]}],'
     '"edges":[{"a":"v0","b":"v1","length":1.0},{"a":"v1","b":"v2","length":1.0}],'
 )
@@ -74,15 +76,21 @@ INDENTED = {
     "g.json": INDENTED_GRAPH + ' "boundary": [\n  "v0",\n  "v2"\n ]\n}\n',
     "ind.json": INDENTED_GRAPH + ' "boundary": []\n}\n',
 }
+V1 = {"g.json": V1_GRAPH + '"boundary":["v0","v2"]}\n', "ind.json": V1_GRAPH + '"boundary":[]}\n'}
 
 
 @pytest.mark.parametrize("name", sorted(INDENTED))
 def test_indented_graph_file_reads_as_the_compact_one(tmp_path, name):
-    (tmp_path / "old.json").write_text(INDENTED[name], encoding="utf-8")
-    (tmp_path / "new.json").write_text(EXPECTED[name], encoding="utf-8")
-    old, new = read_graph(str(tmp_path / "old.json")), read_graph(str(tmp_path / "new.json"))
-    assert old == new
-    assert (old.index, old.nbrs, old.lens) == (new.index, new.nbrs, new.lens)
+    """Both version 1 layouts load to the graph of the version 2 file."""
+    new = tmp_path / "new.json"
+    new.write_text(EXPECTED[name], encoding="utf-8")
+    g = read_graph(str(new))
+    for old_text in (INDENTED[name], V1[name]):
+        (tmp_path / "old.json").write_text(old_text, encoding="utf-8")
+        old = read_graph(str(tmp_path / "old.json"))
+        assert old == g
+        assert (list(old.coords.items()), old.index, old.nbrs, old.lens) == (list(g.coords.items()), g.index,
+                                                                              g.nbrs, g.lens)
 
 
 class TestReadCsv:

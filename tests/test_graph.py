@@ -731,7 +731,9 @@ class TestOneLayout:
         g = fixture("grid", n=4, connectivity=8).graph
         write_graph(g, str(tmp_path / "g.json"))
         assert "edges" not in vars(g)
-        edges = [(e["a"], e["b"], e["length"]) for e in read_json(str(tmp_path / "g.json"))["edges"]]
+        spec = read_json(str(tmp_path / "g.json"))
+        edges = list(zip(map(spec["ids"].__getitem__, spec["a"]), map(spec["ids"].__getitem__, spec["b"]),
+                         spec["length"]))
         assert edges == [(a, b, length) for (a, b), length in g.edges.items()]  # the view's order
 
     def test_shuffled_entries_compare_equal(self):
@@ -797,14 +799,13 @@ class TestCollectorPaused:
 
     def test_builds_run_with_the_collector_off(self, collector, monkeypatch, tmp_path):
         seen = []
-        real = graph_module._finalize
+        real = graph_module._layout  # the tail of every build: _finalize's and the version 2 load's
 
         def spy(*args):
             seen.append(gc.isenabled())
             return real(*args)
 
-        monkeypatch.setattr(graph_module, "_finalize", spy)
-        monkeypatch.setattr(verify_module, "_finalize", spy)
+        monkeypatch.setattr(graph_module, "_layout", spy)
         path = _write(tmp_path, fixture("interval", n=3).graph)
         read_graph(path)
         assert seen == [False, False]

@@ -1,12 +1,13 @@
 """Seeded mutation fuzz of every input file the CLI reads.
 
-Valid graph JSON, field CSV, solution CSV and induce-metric points and
-edges CSVs are mutated (truncation, dropped columns, wrong JSON
-types, non-list containers, non-UTF-8 bytes, unknown ids, non-finite cells,
-ragged coords, repeated rows and entries) and the command that reads each
-file runs in-process.  Every case must exit 0, 1 or 2 without an exception
-escaping, and an exit 2 must print exactly one ``error:`` line.  Named
-mutations that once exited 0 must exit 2.
+Valid graph JSON (version 2 as write_graph writes it, and version 1), field
+CSV, solution CSV and induce-metric points and edges CSVs are mutated
+(truncation, dropped columns, wrong JSON types, non-list containers,
+non-UTF-8 bytes, unknown ids, non-finite cells, ragged coords, repeated rows
+and entries) and the command that reads each file runs in-process.  Every
+case must exit 0, 1 or 2 without an exception escaping, and an exit 2 must
+print exactly one ``error:`` line.  Named mutations that once exited 0, and
+those of the version 2 columns, must exit 2.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import pytest
 
 from eikograph import fixture, write_graph
 from eikograph.cli import run
+
+from oracles import graph_to_dict_v1
 
 CASES_PER_TARGET = 60
 WRONG_VALUES = [5, -1, 1.5, 10**400, "abc", "", None, True, [], [1, "x"], {}, {"id": 1}]
@@ -101,8 +104,10 @@ def base(tmp_path_factory):
     d = tmp_path_factory.mktemp("fuzz")
     g = fixture("grid", n=3).graph
     p = {name: str(d / name) for name in
-         ("g.json", "f.csv", "u.csv", "pts.csv", "adj.csv", "out.csv", "out.json")}
+         ("g.json", "g1.json", "f.csv", "u.csv", "pts.csv", "adj.csv", "out.csv", "out.json")}
     write_graph(g, p["g.json"])
+    with open(p["g1.json"], "w", encoding="utf-8") as fh:
+        json.dump(graph_to_dict_v1(g), fh)
     with open(p["f.csv"], "w") as fh:
         fh.write("vertex_id,value\n" + "".join(f"{v},{1.0 + 0.25 * i}\n" for i, v in enumerate(g.vertices)))
     with open(p["pts.csv"], "w") as fh:
@@ -114,9 +119,14 @@ def base(tmp_path_factory):
     return p
 
 
+def solve_on(graph):
+    return lambda p: ["solve", "--graph", p[graph], "--f", "const:1", "--zeta", "const:0",
+                      "--out", p["out.csv"], "--plot", p["out.csv"] + ".plot"]
+
+
 COMMANDS = {
-    "g.json": lambda p: ["solve", "--graph", p["g.json"], "--f", "const:1", "--zeta", "const:0",
-                         "--out", p["out.csv"], "--plot", p["out.csv"] + ".plot"],
+    "g.json": solve_on("g.json"),
+    "g1.json": solve_on("g1.json"),
     "f.csv": lambda p: ["solve", "--graph", p["g.json"], "--f", p["f.csv"], "--zeta", "const:0",
                         "--out", p["out.csv"]],
     "u.csv": lambda p: ["check", "monge", "--graph", p["g.json"], "--u", p["u.csv"], "--f", "const:1"],
@@ -169,22 +179,51 @@ HOLES = {
     # inputs that must be rejected rather than read as something else
     "version-99": ("g.json", lambda d: d.update(version=99), "unsupported graph version 99"),
     "version-true": ("g.json", lambda d: d.update(version=True), "unsupported graph version True"),
-    "duplicate-vertex": ("g.json", lambda d: d["vertices"].append(d["vertices"][4]),
+    "duplicate-vertex": ("g1.json", lambda d: d["vertices"].append(d["vertices"][4]),
                          "duplicate vertex id"),
-    "boolean-length": ("g.json", lambda d: d["edges"][0].update(length=True), "non-numeric length True"),
-    "string-length": ("g.json", lambda d: d["edges"][0].update(length="1.5"), "non-numeric length '1.5'"),
-    "boolean-coord": ("g.json", lambda d: d["vertices"][0]["coords"].__setitem__(1, True),
+    "boolean-length": ("g1.json", lambda d: d["edges"][0].update(length=True), "non-numeric length True"),
+    "string-length": ("g1.json", lambda d: d["edges"][0].update(length="1.5"), "non-numeric length '1.5'"),
+    "boolean-coord": ("g1.json", lambda d: d["vertices"][0]["coords"].__setitem__(1, True),
                       "coords must be a list of numbers"),
-    "string-coord": ("g.json", lambda d: d["vertices"][0]["coords"].__setitem__(1, "1.5"),
+    "string-coord": ("g1.json", lambda d: d["vertices"][0]["coords"].__setitem__(1, "1.5"),
                      "coords must be a list of numbers"),
-    "infinite-coord": ("g.json", lambda d: d["vertices"][0]["coords"].__setitem__(1, math.inf),
+    "infinite-coord": ("g1.json", lambda d: d["vertices"][0]["coords"].__setitem__(1, math.inf),
                        "coords must be finite"),
     "infinite-point": ("pts.csv", lambda lines: lines.__setitem__(2, lines[2].split(",")[0] + ",inf,0.0"),
                        "coords must be finite"),
-    "nan-parallel-edge": ("g.json", lambda d: d["edges"].append(dict(d["edges"][0], length=math.nan)),
+    "nan-parallel-edge": ("g1.json", lambda d: d["edges"].append(dict(d["edges"][0], length=math.nan)),
                           "has length nan; a length must be a positive finite number"),
-    "inf-parallel-edge": ("g.json", lambda d: d["edges"].insert(0, dict(d["edges"][0], length=math.inf)),
+    "inf-parallel-edge": ("g1.json", lambda d: d["edges"].insert(0, dict(d["edges"][0], length=math.inf)),
                           "has length inf; a length must be a positive finite number"),
+    "v2-index-out-of-range": ("g.json", lambda d: d["b"].__setitem__(-1, len(d["ids"])),
+                              "graph (a, b) entry 11 is (7, 9); pairs must be strictly increasing"),
+    "v2-a-not-below-b": ("g.json", lambda d: d.update(a=d["b"], b=d["a"]), "graph (a, b) entry 0 is (1, 0)"),
+    "v2-unsorted-pairs": ("g.json", lambda d: [d[k].insert(0, d[k].pop(1)) for k in ("a", "b", "length")],
+                          "graph (a, b) entry 1 is (0, 1)"),
+    "v2-repeated-pair": ("g.json", lambda d: [d[k].insert(1, d[k][0]) for k in ("a", "b", "length")],
+                         "graph (a, b) entry 1 is (0, 1)"),
+    "v2-bool-index": ("g.json", lambda d: d["a"].__setitem__(0, False), "graph (a, b) entry 0 is (False, 1)"),
+    "v2-float-index": ("g.json", lambda d: d["a"].__setitem__(0, 0.0), "graph (a, b) entry 0 is (0.0, 1)"),
+    "v2-unequal-columns": ("g.json", lambda d: d["length"].pop(), "must be equally long, got 12, 12 and 11"),
+    "v2-ragged-coords": ("g.json", lambda d: d["coords"].pop(),
+                         "graph coords must hold dim = 2 numbers for each of 9 vertices, got 17"),
+    "v2-nonfinite-coords": ("g.json", lambda d: d["coords"].__setitem__(3, math.inf),
+                            "vertex 'v0_1': coords must be finite"),
+    "v2-string-coord": ("g.json", lambda d: d["coords"].__setitem__(3, "1.5"),
+                        "vertex 'v0_1': coords must be numbers, got '1.5'"),
+    "v2-unsorted-ids": ("g.json", lambda d: d["ids"].insert(0, d["ids"].pop(1)), "graph ids entry 1 is 'v0_0'"),
+    "v2-repeated-id": ("g.json", lambda d: d["ids"].__setitem__(1, "v0_0"), "graph ids entry 1 is 'v0_0'"),
+    "v2-non-string-id": ("g.json", lambda d: d["ids"].__setitem__(0, 0), "graph ids entry 0 is 0"),
+    "v2-with-v1-keys": ("g1.json", lambda d: d.update(version=2), "graph description missing key 'ids'"),
+    "v2-zero-length": ("g.json", lambda d: d["length"].__setitem__(2, 0.0),
+                       "edge ('v0_1', 'v0_2') has length 0.0; a length must be a positive finite number"),
+    "v2-boolean-length": ("g.json", lambda d: d["length"].__setitem__(0, True), "has length True"),
+    "v2-unknown-boundary": ("g.json", lambda d: d["boundary"].append("ghost"),
+                            "boundary references unknown vertices ['ghost']"),
+    "v2-coords-at-out-of-range": ("g.json", lambda d: d.update(coords_at=[0, 9], coords=d["coords"][:4]),
+                                  "graph coords_at entry 1 is 9"),
+    "v2-disconnected": ("g.json", lambda d: [d[k].__delitem__(slice(2)) for k in ("a", "b", "length")],
+                        "graph is disconnected; unreachable vertices include ['v0_1', "),
     "duplicate-field-row": ("f.csv", repeat_first_row, ":11: duplicate vertex id"),
     "duplicate-solution-row": ("u.csv", repeat_first_row, ":11: duplicate vertex id"),
     "duplicate-point-row": ("pts.csv", repeat_first_row, ":11: duplicate vertex id"),

@@ -1,11 +1,16 @@
-"""The bulk graph load against the entry-by-entry reference.
+"""Graph loads against references.
 
-``oracles.reference_build_graph`` is the load that ``build_graph`` and
-``_finalize`` replaced: one loop over the vertex entries, one over the edge
-entries, then one over the parsed edges.  For a valid description both must
-give the same ``MetricGraph``, ``edges`` order, coords order and
+Version 1: ``oracles.reference_build_graph`` is the load that ``build_graph``
+and ``_finalize`` replaced: one loop over the vertex entries, one over the
+edge entries, then one over the parsed edges.  For a valid description both
+must give the same ``MetricGraph``, ``edges`` order, coords order and
 ``index``/``nbrs``/``lens`` included; for a malformed one, the same exception
-class and message, so the same first bad entry is named.
+class and message, so the same first bad entry is named.  The version 1
+descriptions come from ``oracles.graph_to_dict_v1``.
+
+Version 2: ``read_graph`` of the file ``write_graph`` wrote must give the
+written graph back field for field, and version 1 files of the same graph,
+compact and indented, must load to the same graph.
 """
 
 from __future__ import annotations
@@ -16,11 +21,10 @@ import random
 
 import pytest
 
-from eikograph import build_graph, fixture, random_metric_graph
+from eikograph import build_graph, fixture, random_metric_graph, read_graph, write_graph
 from eikograph import graph as graph_module
-from eikograph.graph import graph_to_dict
 
-from oracles import reference_build_graph
+from oracles import graph_to_dict_v1, reference_build_graph
 from test_input_fuzz import WRONG_VALUES
 
 FIXTURES = [("interval", {"n": 7}), ("circle", {"n": 9}), ("grid", {"n": 6}),
@@ -58,7 +62,7 @@ def assert_same(spec):
 
 
 def json_spec(g):
-    return json.loads(json.dumps(graph_to_dict(g)))
+    return json.loads(json.dumps(graph_to_dict_v1(g)))
 
 
 @pytest.mark.parametrize("name,params", FIXTURES, ids=lambda x: x if isinstance(x, str) else "")
@@ -152,3 +156,48 @@ def test_seeded_malformed_specs():
         assert outcome(build_graph, spec) == expected, f"seed {seed}"
         errors += isinstance(expected[0], str)
     assert errors >= 200
+
+
+# coords on some vertices only, as refine keeps them: "a~b~1" has none
+PARTIAL = {"vertices": ["a", {"id": "b", "coords": [1.0]}, {"id": "c", "coords": [2.5]}],
+           "edges": [{"a": "a", "b": "b", "length": 1.0}, {"a": "b", "b": "c", "length": 0.5}], "boundary": ["c"]}
+
+WRITTEN = {
+    **{f"{name}-{k}": (lambda name=name, params=params: fixture(name, **params).graph)
+       for k, (name, params) in enumerate(FIXTURES)},
+    **{f"random-{seed}": (lambda seed=seed: random_metric_graph(seed)) for seed in range(6)},
+    "mixed": lambda: build_graph(MIXED),
+    "partial-coords": lambda: graph_module.refine(build_graph(PARTIAL), 0.4),
+    "no-coords": lambda: build_graph(dict(PARTIAL, vertices=["a", "b", "c"])),
+}
+
+
+def fields(g):
+    """Every stored part of a graph, coords as (id, coords) items in order."""
+    return g.vertices, sorted(g.boundary), list(g.coords.items()), list(g.index.items()), g.nbrs, g.lens
+
+
+@pytest.mark.parametrize("name", sorted(WRITTEN))
+def test_version_2_file_loads_the_written_graph(tmp_path, name):
+    g = WRITTEN[name]()
+    path = str(tmp_path / "g.json")
+    write_graph(g, path)
+    assert json.loads((tmp_path / "g.json").read_text(encoding="utf-8"))["version"] == 2
+    h = read_graph(path)
+    assert h == g
+    # coords come back in id order, as a version 1 file gives them
+    assert fields(h) == (g.vertices, sorted(g.boundary), sorted(g.coords.items()), list(g.index.items()),
+                         g.nbrs, g.lens)
+    spec = graph_to_dict_v1(g)
+    for v1_name, text in (("compact.json", json.dumps(spec, separators=(",", ":"))),
+                          ("indented.json", json.dumps(spec, indent=1))):
+        (tmp_path / v1_name).write_text(text + "\n", encoding="utf-8")
+        assert fields(read_graph(str(tmp_path / v1_name))) == fields(h), v1_name
+
+
+def test_partial_coords_survive_the_round_trip(tmp_path):
+    g = WRITTEN["partial-coords"]()
+    assert 0 < len(g.coords) < len(g.vertices)
+    write_graph(g, str(tmp_path / "g.json"))
+    assert json.loads((tmp_path / "g.json").read_text())["coords_at"] == [g.index[v] for v in sorted(g.coords)]
+    assert read_graph(str(tmp_path / "g.json")).coords == g.coords
