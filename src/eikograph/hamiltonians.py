@@ -8,12 +8,15 @@ if it names rho, else "independent").  Provides sampled validation of the
 declared monotonicity in p and in rho and of coercivity, the implicit
 reduction h(x) = inf{p >= 0 : H(x, rho, p) > 0} solved by bracketing and
 bisection, and the fixed-point solve of H(x, u, |grad u|) = 0 through
-repeated eikonal solves with f = h.  Three builtins are the stock failure
+repeated eikonal solves with f = h.  The reduction loop is one source
+template, compiled with each expression inlined and once, generically,
+for every other evaluator.  Three builtins are the stock failure
 modes the checks are designed to detect (two non-monotone ones and a
 plateau that breaks strict monotonicity)."""
 
 from __future__ import annotations
 
+import dis
 import math
 import types
 from dataclasses import dataclass
@@ -207,6 +210,112 @@ def validate_hamiltonian(H: HamiltonianSpec, g: MetricGraph) -> HamiltonianValid
     )
 
 
+# The bracket, bisection and residual loop, written once.  ``__H__`` stands
+# for the value of H at (x, rho, p): the expression itself in the kernel
+# ``_evaluator`` compiles per expression, ``evaluate(x, rho, p)`` in the one
+# ``_GENERIC`` kernel that serves every other evaluator.  A kernel brings
+# ``roots``, ``residuals`` (skipped when None) and ``taken``, lists by
+# index, to rho = ``u``, as :func:`_rereduce` documents.  Its locals and
+# globals must not be names an expression may read (``_EXPR_NAMES``, the
+# level ``c``), or they would shadow them.
+_KERNEL_SOURCE = """
+def kernel(evaluate, name, names, u, taken, roots, residuals, tol):
+    if not (tol > 0.0):
+        raise HamiltonianError(f"bisection tol must be positive, got {tol!r}")
+    for i, (rho, old) in enumerate(zip(u, taken)):
+        if rho == old and (rho != 0.0 or copysign(1.0, rho) == copysign(1.0, old)):
+            continue
+        x = names[i]
+        p = root = 0.0
+        try:
+            if not float(__H__) >= 0.0:
+                lo, hi = 0.0, 1.0
+                p = hi
+                val = float(__H__)
+                while val < 0.0:
+                    lo, hi = hi, 2.0 * hi
+                    if hi > BRACKET_CAP:
+                        root = None
+                        break
+                    p = hi
+                    val = float(__H__)
+                if val == 0.0:
+                    root = hi  # bracket endpoint is the root
+                elif root is not None:
+                    # hi only falls, so no later step's width bound exceeds this one
+                    wide = 1e-13 * (hi if hi > 1.0 else 1.0)
+                    # each evaluation's stop test runs at the top of the next
+                    # pass, where p is already the root it would return.  The
+                    # width halves each step, so it is below wide within 90
+                    # steps, and the 500-evaluation cap is tested only there.
+                    for k in range(501):
+                        p = 0.5 * (lo + hi)
+                        if hi - lo <= wide:
+                            if hi - lo <= 1e-13 * (hi if hi > 1.0 else 1.0) and abs(val) <= tol:
+                                root = p
+                                break
+                            if k == 500:
+                                root = None
+                                break
+                        val = float(__H__)
+                        if val > 0.0:
+                            hi = p
+                        elif val == 0.0:
+                            root = p
+                            break
+                        else:
+                            lo = p  # NaN too
+                    else:
+                        root = None  # not reached: the width test holds by step 90
+            if root is not None and residuals is not None:
+                residuals[i] = abs(float(__H__))  # p is the root on every path here
+        except Exception as exc:  # noqa: BLE001 - evaluator is user code
+            raise HamiltonianError(
+                f"Hamiltonian {name!r} failed at (x={x!r}, rho={rho}, p={p}): {exc}"
+            )
+        if root is None:
+            if hi > BRACKET_CAP:
+                raise CoercivityError(
+                    f"no sign change of {name!r} up to p = {BRACKET_CAP} at (x={x!r}, rho={rho})"
+                )
+            raise HamiltonianError(
+                f"bisection for {name!r} stalled at (x={x!r}, rho={rho}); bracket [{lo}, {hi}]"
+            )
+        roots[i], taken[i] = root, rho
+"""
+
+_KERNEL_NAMES = {
+    "abs": abs,
+    "enumerate": enumerate,
+    "zip": zip,
+    "range": range,
+    "float": float,
+    "Exception": Exception,
+    "copysign": math.copysign,
+    "BRACKET_CAP": BRACKET_CAP,
+    "HamiltonianError": HamiltonianError,
+    "CoercivityError": CoercivityError,
+}
+
+
+def _kernel(h_source: str, names: Mapping[str, object]) -> Callable:
+    """The kernel with ``h_source`` in place of ``__H__``, its globals
+    ``names`` on top of the kernel's own and no builtins."""
+    code = compile(_KERNEL_SOURCE.replace("__H__", h_source), "<hamiltonian kernel>", "exec")
+    scope = {"__builtins__": {}, **_KERNEL_NAMES, **names}
+    exec(code, scope)
+    return scope["kernel"]
+
+
+_GENERIC = _kernel("evaluate(x, rho, p)", {})
+
+
+def _kernel_of(evaluate: Callable) -> Callable:
+    """The kernel compiled for ``evaluate`` by :func:`_evaluator`, else the
+    generic one."""
+    return getattr(evaluate, "_kernel", _GENERIC)
+
+
 def reduce_h(H: HamiltonianSpec, x: str, rho: float, tol: float = 1e-9) -> float:
     """Smallest nonnegative root of p -> H(x, rho, p) by bracketed bisection.
 
@@ -217,8 +326,10 @@ def reduce_h(H: HamiltonianSpec, x: str, rho: float, tol: float = 1e-9) -> float
     coarser cut would quantize h and make outer fixed-point iterations
     limit-cycle above their tolerance.
 
-    ``H.evaluate`` is called directly inside one guard that raises the
-    error ``HamiltonianSpec.__call__`` would, naming the current p.  Each
+    The loop is the kernel that belongs to ``H.evaluate``: the expression
+    inlined for a builtin or :func:`expression_hamiltonian`, else one call
+    of ``H.evaluate`` per point.  One guard raises the error
+    ``HamiltonianSpec.__call__`` would, naming the current p.  Each
     bisection step first tests the bracket width against the stop bound
     1e-13 * max(1, hi) taken at the bracket: hi only falls, so no later
     bound is wider, and most steps skip computing their own.  The
@@ -227,49 +338,9 @@ def reduce_h(H: HamiltonianSpec, x: str, rho: float, tol: float = 1e-9) -> float
     :func:`solve_general` reuses a root only for the same vertex and the
     same binary64 rho, where a pure evaluator would repeat every step.
     """
-    if not (tol > 0.0):
-        raise HamiltonianError(f"bisection tol must be positive, got {tol!r}")
-    evaluate = H.evaluate
-    p = 0.0
-    try:
-        if float(evaluate(x, rho, p)) >= 0.0:
-            return 0.0
-        lo, hi = 0.0, 1.0
-        p = hi
-        val = float(evaluate(x, rho, p))
-        while val <= 0.0:
-            if val == 0.0:
-                return hi  # bracket endpoint is the root
-            lo, hi = hi, 2.0 * hi
-            if hi > BRACKET_CAP:
-                break  # raised below, outside the evaluator guard
-            p = hi
-            val = float(evaluate(x, rho, p))
-        else:
-            # hi only falls, so no later step's width bound exceeds this one
-            wide = 1e-13 * (hi if hi > 1.0 else 1.0)
-            for _ in range(500):
-                p = 0.5 * (lo + hi)
-                val = float(evaluate(x, rho, p))
-                if val > 0.0:
-                    hi = p
-                elif val == 0.0:
-                    return p
-                else:
-                    lo = p  # NaN too
-                if hi - lo <= wide and hi - lo <= 1e-13 * (hi if hi > 1.0 else 1.0) and abs(val) <= tol:
-                    return 0.5 * (lo + hi)
-    except Exception as exc:  # noqa: BLE001 - evaluator is user code
-        raise HamiltonianError(
-            f"Hamiltonian {H.name!r} failed at (x={x!r}, rho={rho}, p={p}): {exc}"
-        )
-    if hi > BRACKET_CAP:
-        raise CoercivityError(
-            f"no sign change of {H.name!r} up to p = {BRACKET_CAP} at (x={x!r}, rho={rho})"
-        )
-    raise HamiltonianError(
-        f"bisection for {H.name!r} stalled at (x={x!r}, rho={rho}); bracket [{lo}, {hi}]"
-    )
+    roots = [0.0]
+    _kernel_of(H.evaluate)(H.evaluate, H.name, (x,), (rho,), [math.nan], roots, None, tol)
+    return roots[0]
 
 
 def _rereduce(
@@ -284,14 +355,9 @@ def _rereduce(
     """Bring ``roots`` and ``residuals`` to rho = ``u``, all lists by vertex
     index: each vertex whose label is not bitwise ``taken[i]``, the rho its
     root was taken at (the sign of zero counts, and NaN never matches), is
-    reduced again and records its new rho, root and residual."""
-    copysign = math.copysign
-    for i, (r, old) in enumerate(zip(u, taken)):
-        if r == old and (r != 0.0 or copysign(1.0, r) == copysign(1.0, old)):
-            continue
-        x = names[i]
-        hx = reduce_h(H, x, r, tol)
-        roots[i], residuals[i], taken[i] = hx, abs(H(x, r, hx)), r
+    reduced again by :func:`reduce_h`'s kernel, which then evaluates the
+    residual |H(x, rho, root)| and records the new rho, root and residual."""
+    _kernel_of(H.evaluate)(H.evaluate, H.name, names, u, taken, roots, residuals, tol)
 
 
 def _reduction_field(
@@ -430,35 +496,62 @@ _EXPR_NAMES = {
 }
 
 
-def _code_names(code: types.CodeType) -> set[str]:
+# opcodes that bind a name in the expression's own scope: only ``:=`` does,
+# at the top level or in a comprehension
+_BINDING_OPS = frozenset(("STORE_NAME", "STORE_GLOBAL", "DELETE_NAME", "DELETE_GLOBAL"))
+
+
+def _code_names(code: types.CodeType) -> tuple[set[str], bool]:
     """Global and attribute names of a code object and every code object
-    nested in it (lambdas, comprehensions)."""
+    nested in it (lambdas, comprehensions), and whether any of them binds
+    a name in the expression's own scope."""
     names = set(code.co_names)
+    binds = any(ins.opname in _BINDING_OPS for ins in dis.get_instructions(code))
     for const in code.co_consts:
         if isinstance(const, types.CodeType):
-            names |= _code_names(const)
-    return names
+            inner, inner_binds = _code_names(const)
+            names |= inner
+            binds = binds or inner_binds
+    return names, binds
 
 
 def _evaluator(expr: str, **bound: float) -> tuple[Callable[[str, float, float], float], set[str]]:
     """``lambda x, rho, p: (expr)`` compiled once, with the math namespace
-    and ``bound`` as its globals, and the names ``expr`` reads.
+    and ``bound`` as its globals, and the names ``expr`` reads.  The lambda
+    carries as ``_kernel`` the reduction kernel with ``expr`` inlined, on
+    the same globals.
 
-    Only arithmetic, those names, ``p`` and ``rho`` are allowed.
+    Only arithmetic, those names, ``p`` and ``rho`` are allowed.  ``:=``
+    that binds in the expression's own scope is refused: inlined, it would
+    rebind the kernel's own p or rho.  An expression nested too deeply to
+    compile is refused; one that compiles as the lambda but not inlined, a
+    few levels deeper, keeps the generic kernel.
     """
+    scope = {**_EXPR_NAMES, **bound}
     try:
-        code = compile(expr, "<hamiltonian>", "eval")
+        names, binds = _code_names(compile(expr, "<hamiltonian>", "eval"))
+        if binds:
+            raise HamiltonianError(
+                f"hamiltonian expression {expr!r} assigns with ':='; only arithmetic is allowed"
+            )
+        bad = names - set(scope) - {"p", "rho"}
+        if bad:
+            raise HamiltonianError(f"hamiltonian expression uses unknown names {sorted(bad)}")
+        # newlines keep a trailing comment in expr from swallowing the paren
+        evaluate = eval(
+            compile(f"lambda x, rho, p: (\n{expr}\n)", "<hamiltonian>", "eval"),
+            {"__builtins__": {}, **scope},
+        )
     except SyntaxError as exc:
         raise HamiltonianError(f"bad hamiltonian expression {expr!r}: {exc}")
-    names = _code_names(code)
-    bad = names - set(_EXPR_NAMES) - set(bound) - {"p", "rho"}
-    if bad:
-        raise HamiltonianError(f"hamiltonian expression uses unknown names {sorted(bad)}")
-    # newlines keep a trailing comment in expr from swallowing the paren
-    evaluate = eval(
-        compile(f"lambda x, rho, p: (\n{expr}\n)", "<hamiltonian>", "eval"),
-        {"__builtins__": {}, **_EXPR_NAMES, **bound},
-    )
+    except (RecursionError, MemoryError):
+        raise HamiltonianError(
+            f"hamiltonian expression of {len(expr)} characters is nested too deeply to compile"
+        )
+    try:
+        evaluate._kernel = _kernel(f"(\n{expr}\n)", scope)
+    except (SyntaxError, RecursionError, MemoryError):
+        pass  # _kernel_of falls back to the generic kernel
     return evaluate, names
 
 

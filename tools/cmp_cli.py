@@ -6,11 +6,12 @@ Each argument is a directory that holds the ``eikograph`` package (a
 checkout's ``src``).  The same fixed command list runs once with each on
 ``PYTHONPATH``, in its own temporary directory: every fixture kind, small
 and at benchmark sizes, solve with --plot and --certify, solve-h with
---h-out (Picard over many sweeps and stopped by --max-iter among them), the
-four checks with --report on seven (graph, solution) pairs and monge's sub
-and super modes, compare, suite, induce-metric, and refine both with a
-split and with an h_max that splits no edge, on valid input, and ``--help``
-of the program and of each subcommand.  One hand-written graph, MESSY, lists
+--h-out (Picard over many sweeps and stopped by --max-iter among them, a
+builtin with a level, an expression with nested scopes and a finer
+--bisect-tol), the four checks with --report on seven (graph, solution)
+pairs and monge's sub and super modes, compare, suite, induce-metric, and
+refine both with a split and with an h_max that splits no edge, on valid
+input, and ``--help`` of the program and of each subcommand.  One hand-written graph, MESSY, lists
 its vertices and edges out of id order, with parallel edges of different
 lengths both ways round; it is solved, checked and refined.  Another,
 PARTIAL, has coords on some vertices only; it is refined.  Every output
@@ -115,6 +116,14 @@ COMMANDS = [
      "--out", "uh_picard.csv", "--h-out", "h_picard.csv"],
     ["solve-h", "--graph", "grid.json", "--hamiltonian", "affine-rho", "--zeta", "linear:0,0.02",
      "--out", "uh_stopped.csv", "--max-iter", "3"],
+    # a builtin level, an expression with nested scopes and a finer bisection,
+    # each through the reduction kernel its Hamiltonian compiles to
+    ["solve-h", "--graph", "grid8.json", "--hamiltonian", "affine-rho:2", "--zeta", "linear:0,0.1",
+     "--out", "uh_level.csv", "--h-out", "h_level.csv"],
+    ["solve-h", "--graph", "interval.json", "--hamiltonian", "min([rho for _ in (1,)]) + (lambda: p)() - 1",
+     "--zeta", "const:0.1", "--out", "uh_scopes.csv", "--h-out", "h_scopes.csv"],
+    ["solve-h", "--graph", "gasket.json", "--hamiltonian", "p * p + rho - 1", "--zeta", "const:0",
+     "--out", "uh_bisect.csv", "--h-out", "h_bisect.csv", "--bisect-tol", "1e-12"],
     *(["check", kind, "--graph", graph, "--u", u, "--f", f, "--report", f"{kind}_{n}.csv"]
       for n, (graph, u, f) in enumerate(PAIRS) for kind in CHECKS),
     ["check", "monge", "--graph", "grid.json", "--u", "u_grid.csv", "--f", "linear:1,0.5",
