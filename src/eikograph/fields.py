@@ -12,7 +12,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import FieldError, GraphError, ValidationError
-from .graph import MetricGraph, read_csv, write_csv
+from .graph import MetricGraph, _edge_items, read_csv, write_csv
 
 ROLES = ("rhs_f", "solution_u", "boundary_zeta")
 
@@ -143,7 +143,7 @@ def edge_costs(g: MetricGraph, f: ScalarField) -> dict[tuple[str, str], float]:
     """All edge costs at once, keyed by canonical edge pair."""
     if f.role != "rhs_f":
         raise FieldError(f"edge costs need a rhs_f field, got role {f.role!r}")
-    return {e: 0.5 * (f[e[0]] + f[e[1]]) * length for e, length in g.edges.items()}
+    return {e: 0.5 * (f[e[0]] + f[e[1]]) * length for e, length in _edge_items(g)}
 
 
 def field_list(g: MetricGraph, f: ScalarField) -> list[float]:

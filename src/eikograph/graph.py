@@ -14,13 +14,14 @@ import heapq
 import json
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections.abc import ItemsView, Mapping, ValuesView
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from operator import eq, is_not, itemgetter, lt
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .errors import ConnectivityError, GraphError, MetricError, ValidationError
 
@@ -61,15 +62,15 @@ class MetricGraph:
     only feeds embedding-derived metrics and plot output.  Built by :func:`_finalize`.
 
     Immutable after construction: mutating its lists in place is unsupported.
-    These values are built from the lists on first read and kept; none takes
-    part in equality:
+    These values are built from the lists on first read and kept; neither
+    takes part in equality:
 
     - ``h_max``, the mesh: read by ``default_check_tol``, ``compare`` and
       ``equivalence_suite``;
-    - ``arc_keys``: the report keys of ``check_c_subsolution``;
-    - ``edges``, the string-keyed view: read by ``refine``,
-      ``induce_intrinsic`` and ``edge_costs``; ``adjacency`` is unread in the
-      package.
+    - ``arc_keys``: the report keys of ``check_c_subsolution``.
+
+    ``edges`` and ``adjacency`` are read-only views of the lists that store
+    nothing; the package reads the lists instead.
     """
 
     vertices: tuple[str, ...]
@@ -79,18 +80,15 @@ class MetricGraph:
     nbrs: tuple[list[int], ...] = field(repr=False)
     lens: tuple[list[float], ...] = field(repr=False)
 
-    @cached_property
-    def edges(self) -> dict[tuple[str, str], float]:
-        """Canonical sorted id pairs -> lengths in id order, built from the lists on first read."""
-        vs = self.vertices
-        return {(vs[i], vs[j]): length for i, (nb, ln) in enumerate(zip(self.nbrs, self.lens))
-                for j, length in zip(nb, ln) if i < j}
+    @property
+    def edges(self) -> Mapping[tuple[str, str], float]:
+        """Canonical sorted id pairs -> lengths in id order: ``len`` is O(V), a lookup O(log degree)."""
+        return _EdgeView(self)
 
-    @cached_property
-    def adjacency(self) -> dict[str, tuple[tuple[str, float], ...]]:
-        """(neighbour id, length) pairs per vertex in id order; unread in the package."""
-        vs = self.vertices
-        return {v: tuple(zip([vs[j] for j in nb], ln)) for v, nb, ln in zip(vs, self.nbrs, self.lens)}
+    @property
+    def adjacency(self) -> Mapping[str, tuple[tuple[str, float], ...]]:
+        """Vertex id -> its (neighbour id, length) pairs, both in id order; a lookup is O(degree)."""
+        return _AdjacencyView(self)
 
     @property
     def interior(self) -> tuple[str, ...]:
@@ -112,6 +110,94 @@ class MetricGraph:
             return self.lens[i][self.nbrs[i].index(j)]
         except (TypeError, ValueError):  # an unknown id, or no such neighbour
             raise GraphError(f"no edge between {a!r} and {b!r}")
+
+
+def _edge_items(g: MetricGraph) -> Iterator[tuple[tuple[str, str], float]]:
+    """((a, b), length) for every edge, a < b, in id order: one walk of the lists."""
+    vs = g.vertices
+    for i, (a, nb, ln) in enumerate(zip(vs, g.nbrs, g.lens)):
+        for j, length in zip(nb, ln):
+            if i < j:
+                yield (a, vs[j]), length
+
+
+class _ListView(Mapping):
+    """A read-only mapping over a graph's lists that keeps nothing but the
+    graph: ``items()`` and ``values()`` walk the lists once, through the
+    subclass's ``_items``, instead of looking up each key."""
+
+    __slots__ = ("_g",)
+
+    def __init__(self, g: MetricGraph):
+        self._g = g
+
+    def items(self) -> ItemsView:
+        return _WalkedItems(self)
+
+    def values(self) -> ValuesView:
+        return _WalkedValues(self)
+
+
+class _WalkedItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return self._mapping._items()
+
+
+class _WalkedValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return map(itemgetter(1), self._mapping._items())
+
+
+class _EdgeView(_ListView):
+    """The ``edges`` view: (a, b) -> length for every edge, a < b, in id order."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return sum(map(len, self._g.nbrs)) // 2
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        return map(itemgetter(0), self._items())
+
+    def __getitem__(self, key: tuple[str, str]) -> float:
+        g = self._g
+        if isinstance(key, tuple) and len(key) == 2:
+            i, j = map(g.index.get, key)
+            if i is not None and j is not None and i < j:  # a reversed pair is no key
+                nb = g.nbrs[i]
+                k = bisect_left(nb, j)
+                if k < len(nb) and nb[k] == j:
+                    return g.lens[i][k]
+        hash(key)  # an unhashable key raises TypeError, as a dict lookup does
+        raise KeyError(key)
+
+    def _items(self) -> Iterator[tuple[tuple[str, str], float]]:
+        return _edge_items(self._g)
+
+
+class _AdjacencyView(_ListView):
+    """The ``adjacency`` view: vertex id -> its (neighbour id, length) pairs, in id order."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return len(self._g.vertices)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._g.vertices)
+
+    def __getitem__(self, v: str) -> tuple[tuple[str, float], ...]:
+        g = self._g
+        i = g.index[v]
+        return tuple(zip(map(g.vertices.__getitem__, g.nbrs[i]), g.lens[i]))
+
+    def _items(self) -> Iterator[tuple[str, tuple[tuple[str, float], ...]]]:
+        vs = self._g.vertices
+        return zip(vs, (tuple(zip(map(vs.__getitem__, nb), ln)) for nb, ln in zip(self._g.nbrs, self._g.lens)))
 
 
 @dataclass(frozen=True)
@@ -679,8 +765,8 @@ def refine(g: MetricGraph, h_max: float) -> MetricGraph:
     if not (h_max > 0.0):
         raise ValidationError(f"h_max must be positive, got {h_max!r}")
 
-    parts: dict[tuple[str, str], int] = {}
-    for key, length in g.edges.items():
+    parts: list[tuple[tuple[str, str], float, int]] = []  # (edge, length, pieces) in id order
+    for key, length in _edge_items(g):
         q = length / h_max
         if not math.isfinite(q):
             raise ValidationError(f"h_max {h_max!r} is too small for edge length {length!r}")
@@ -688,8 +774,8 @@ def refine(g: MetricGraph, h_max: float) -> MetricGraph:
         # guard against float roundup when length is an exact multiple of h_max
         if k > 1 and (k - 1) >= q * (1.0 - 1e-12):
             k -= 1
-        parts[key] = k
-    added = sum(parts.values()) - len(parts)
+        parts.append((key, length, k))
+    added = sum(map(itemgetter(2), parts)) - len(parts)
     if added > MAX_REFINE_VERTICES:
         raise ValidationError(f"h_max {h_max!r} would add more than {MAX_REFINE_VERTICES} vertices")
     if added == 0:
@@ -699,8 +785,7 @@ def refine(g: MetricGraph, h_max: float) -> MetricGraph:
     coords = dict(g.coords)
     edges: dict[tuple[str, str], float] = {}
     existing = set(g.vertices)
-    for (a, b), k in parts.items():
-        length = g.edges[(a, b)]
+    for (a, b), length, k in parts:
         if k == 1:
             edges[a, b] = length
             continue
@@ -800,7 +885,7 @@ def induce_intrinsic(
 
     # sample every edge (capped) plus long-range random pairs
     vs = g.vertices
-    pairs: set[tuple[str, str]] = set(list(g.edges)[: 4 * sample_pairs])
+    pairs: set[tuple[str, str]] = set(map(itemgetter(0), islice(_edge_items(g), 4 * sample_pairs)))
     target = min(len(pairs) + sample_pairs, len(vs) * (len(vs) - 1) // 2)
     attempts = 0
     while len(pairs) < target and attempts < 64 * sample_pairs:

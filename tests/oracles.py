@@ -8,14 +8,15 @@ the plain bisection and Picard loop the fast path must reproduce bit for bit,
 and the string-keyed label setting, settle-parent walk and slope checks are
 the reference the integer kernel and the CSR-list checks must reproduce bit
 for bit.  Neighbours come from :func:`adjacency`, which reads only
-``g.edges``.  That is a view built from the per-vertex lists under test, so
-the oracles' independence rests on the layout tests
+``g.edges``.  That is a view of the per-vertex lists under test that stores
+nothing, so the oracles' independence rests on the layout tests
 (``test_graph.TestOneLayout``): they tie every constructor's lists and view
 to :func:`reference_layout` of the raw entries the constructor passed,
-which is the rule those lists must follow.  :func:`reference_build_graph`
-is the entry-by-entry load of version 1 graph descriptions whose graphs and
-errors the bulk load must give; its graphs carry the oracle's own edge dict
-in place of the view.  :func:`graph_to_dict_v1` is the version 1 writer that
+which is the rule those lists must follow, and tie both views to
+:func:`views_from_lists`, plain loops over the lists.
+:func:`reference_build_graph` is the entry-by-entry load of version 1 graph
+descriptions whose graphs and errors the bulk load must give.
+:func:`graph_to_dict_v1` is the version 1 writer that
 version 2 replaced, kept as the source of version 1 inputs.
 :func:`reference_gasket` builds the gasket fixture by triangle subdivision,
 :func:`reference_fixture` the other fixtures through string-keyed edge dicts,
@@ -78,6 +79,24 @@ def adjacency(graph: MetricGraph) -> dict[str, list[tuple[str, float]]]:
     return _last_adjacency[1]
 
 
+def views_from_lists(graph: MetricGraph) -> tuple[dict, dict]:
+    """The dicts that ``graph.edges`` and ``graph.adjacency`` must equal, in
+    order, built from ``graph.nbrs`` and ``graph.lens`` by plain loops: every
+    pair (a, b) with index a < b, vertex by vertex in the order of the lists,
+    and every vertex's (neighbor, length) pairs in the order of its lists."""
+    vs = graph.vertices
+    edges: dict[tuple[str, str], float] = {}
+    adj: dict[str, tuple[tuple[str, float], ...]] = {}
+    for i, v in enumerate(vs):
+        pairs = []
+        for j, length in zip(graph.nbrs[i], graph.lens[i]):
+            pairs.append((vs[j], length))
+            if i < j:
+                edges[v, vs[j]] = length
+        adj[v] = tuple(pairs)
+    return edges, adj
+
+
 def reference_layout(vertices, entries):
     """The layout rule that ``_finalize`` must follow, as ``MetricGraph``
     once derived it: valid ((a, b), length) entries collapse on canonical
@@ -111,7 +130,6 @@ def _reference_finalize(
     ``edges`` holds ((a, b), length) entries, such as a dict's ``items()``.
     Every entry is validated; parallel entries collapse to the shortest
     length, whatever their order.  One sort of the (i, j) pairs, i < j, fills
-    an edge dict, which the graph carries in place of its ``edges`` view, and
     each vertex's lists: smaller neighbours, then larger ones.
     """
     vs = tuple(sorted(set(vertices)))
@@ -146,10 +164,9 @@ def _reference_finalize(
             cmap[v] = tuple(float(c) for c in xy)
         _reference_require_coords(cmap)
 
-    emap: dict[tuple[str, str], float] = {}
     nbrs, lens = tuple([] for _ in vs), tuple([] for _ in vs)
     for i, j in sorted(shortest):
-        length = emap[vs[i], vs[j]] = shortest[i, j]
+        length = shortest[i, j]
         nbrs[i].append(j)
         lens[i].append(length)
         nbrs[j].append(i)
@@ -164,9 +181,7 @@ def _reference_finalize(
     if not all(seen):
         missing = [v for v, s in zip(vs, seen) if not s][:5]
         raise ConnectivityError(f"graph is disconnected; unreachable vertices include {missing}")
-    g = MetricGraph(vertices=vs, boundary=bset, coords=cmap, index=index, nbrs=nbrs, lens=lens)
-    vars(g)["edges"] = emap  # the oracle's own edge dict stands in for the view built from the lists
-    return g
+    return MetricGraph(vertices=vs, boundary=bset, coords=cmap, index=index, nbrs=nbrs, lens=lens)
 
 
 def _reference_require_coords(coords: Mapping[str, Sequence[float]]) -> None:

@@ -6,6 +6,8 @@ import dataclasses
 import gc
 import math
 import random
+import tracemalloc
+from collections import deque
 
 import pytest
 
@@ -38,6 +40,7 @@ from oracles import (
     path_length_sum,
     reference_consistency_probe,
     reference_layout,
+    views_from_lists,
 )
 
 
@@ -687,11 +690,44 @@ def _shuffled_spec(seed):
             "edges": [{"a": a, "b": b, "length": length} for a, b, length in entries]}
 
 
+def _messy_spec():
+    """Ids out of id order ("w10" sorts before "w2") and parallel edges of
+    different lengths, both ways round."""
+    return {"vertices": ["w3", "w10", "w1", "w20", "w2", "w4", "w11"],
+            "edges": [{"a": a, "b": b, "length": length} for a, b, length in [
+                ("w4", "w3", 1.0), ("w10", "w1", 0.5), ("w3", "w2", 0.8), ("w2", "w1", 1.5),
+                ("w1", "w2", 0.75), ("w20", "w4", 1.25), ("w11", "w10", 0.6), ("w3", "w11", 0.9),
+                ("w11", "w3", 1.9), ("w2", "w20", 2.0), ("w4", "w11", 0.3), ("w20", "w2", 2.0)]],
+            "boundary": ["w20", "w1"]}
+
+
+VIEW_GRAPHS = {
+    "interval": lambda: fixture("interval", n=7).graph,
+    "circle": lambda: fixture("circle", n=9).graph,
+    "grid": lambda: fixture("grid", n=5).graph,
+    "grid8": lambda: fixture("grid", n=5, connectivity=8).graph,
+    "binary_tree": lambda: fixture("binary_tree", depth=4).graph,
+    "gasket": lambda: fixture("gasket", level=3).graph,
+    "messy": lambda: build_graph(_messy_spec()),
+    "shuffled": lambda: build_graph(_shuffled_spec(5)),
+    **{f"random_metric_graph{seed}": (lambda seed=seed: random_metric_graph(seed)) for seed in range(5)},
+}
+
+
+def _read_views(g):
+    """len of ``g.edges``, one items() pass over each view and one lookup in each."""
+    key = next(iter(g.edges))
+    deque(g.edges.items(), maxlen=0)
+    deque(g.adjacency.items(), maxlen=0)
+    return len(g.edges), g.edges[key], g.adjacency[key[0]]
+
+
 class TestOneLayout:
-    """The CSR lists are the one stored form of the edges; ``g.edges`` is a
-    view built from them on first read.  Since ``oracles.adjacency`` reads
-    that view, these tests tie every constructor's lists and view to
-    ``oracles.reference_layout`` of the raw entries it passed."""
+    """The CSR lists are the one stored form of the edges; ``g.edges`` and
+    ``g.adjacency`` are read-only views of them that store nothing.  Since
+    ``oracles.adjacency`` reads ``g.edges``, these tests tie every
+    constructor's lists and view to ``oracles.reference_layout`` of the raw
+    entries it passed, and both views to ``oracles.views_from_lists``."""
 
     @pytest.mark.parametrize("make", [
         lambda: fixture("interval", n=7).graph,
@@ -718,14 +754,63 @@ class TestOneLayout:
     def test_edges_is_no_field(self):
         assert "edges" not in {f.name for f in dataclasses.fields(MetricGraph)}
 
-    def test_read_graph_builds_the_view_on_first_read(self, tmp_path):
+    @pytest.mark.parametrize("make", VIEW_GRAPHS.values(), ids=VIEW_GRAPHS.keys())
+    def test_views_behave_as_the_dicts_of_the_lists(self, make):
+        g = make()
+        edges, adj = views_from_lists(g)
+        for view, want, other in ((g.edges, edges, -1.0), (g.adjacency, adj, ())):
+            assert list(view.items()) == list(want.items()) and dict(view.items()) == want
+            assert list(view) == list(view.keys()) == list(want)
+            assert list(view.values()) == list(want.values())
+            assert len(view) == len(want)
+            assert view == want and want == view and not view != want
+            assert all(k in view and view[k] == v and view.get(k) == v for k, v in want.items())
+            first = next(iter(want))
+            assert view != {**want, first: other}
+            assert view != dict(list(want.items())[1:])
+        vs = g.vertices
+        non_edges = [(a, b) for a in vs for b in vs if a < b and (a, b) not in edges][:50]
+        for key in [(b, a) for a, b in edges] + non_edges + [
+                (vs[0], vs[0]), ("nowhere", vs[0]), (vs[0], "nowhere"), (vs[0],), vs[:3], vs[0], None]:
+            assert key not in edges and key not in g.edges
+            assert g.edges.get(key) is None and g.edges.get(key, 7) == 7
+            with pytest.raises(KeyError):
+                g.edges[key]
+        for v in ("nowhere", (vs[0],), None, (vs[0], vs[1])):
+            assert v not in adj and v not in g.adjacency and g.adjacency.get(v) is None
+            with pytest.raises(KeyError):
+                g.adjacency[v]
+        for view in (g.edges, g.adjacency):
+            with pytest.raises(TypeError):
+                view[[vs[0], vs[1]]]  # unhashable, as for a dict
+            with pytest.raises(TypeError):
+                view[vs[0]] = 1.0  # read-only
+
+    def test_read_graph_stores_no_view(self, tmp_path):
         path = str(tmp_path / "g.json")
         write_graph(fixture("grid", n=4).graph, path)
         g = read_graph(path)
-        assert "edges" not in vars(g)
         assert g.h_max == 1.0 and g.edge_length("v0_0", "v0_1") == 1.0
-        assert "edges" not in vars(g)  # h_max and edge_length read the lists
-        assert len(g.edges) == 2 * 4 * 3 and vars(g)["edges"] is g.edges
+        stored = set(vars(g))
+        assert not {"edges", "adjacency"} & stored
+        assert _read_views(g) == (2 * 4 * 3, 1.0, (("v0_1", 1.0), ("v1_0", 1.0)))
+        assert set(vars(g)) == stored
+
+    def test_reading_the_views_keeps_nothing(self):
+        g = fixture("grid", n=60, connectivity=8).graph
+        stored = set(vars(g))
+        # freed tuples wait on the interpreter's free lists, still traced: fill
+        # those lists first, by reading the views of an equal graph
+        _read_views(fixture("grid", n=60, connectivity=8).graph)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _read_views(g)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert set(vars(g)) == stored
+        assert kept < 64 * 1024  # a dict of the 14,042 edges alone holds about 3 MB
 
     def test_write_graph_builds_no_view(self, tmp_path):
         g = fixture("grid", n=4, connectivity=8).graph

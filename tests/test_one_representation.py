@@ -1,0 +1,113 @@
+"""The package reads a graph's lists, never its ``edges`` or ``adjacency``
+views: with both properties made to raise, every entry point that walks the
+edges still runs, and gives what it gives with the views in place."""
+
+from __future__ import annotations
+
+import pytest
+
+from eikograph import (
+    DirichletProblem,
+    MetricGraph,
+    builtin_hamiltonian,
+    check_boundary_consistency,
+    check_c_subsolution,
+    check_c_supersolution,
+    check_hamiltonian_monge,
+    check_monge,
+    check_regularity,
+    chord_from_coords,
+    compare,
+    edge_costs,
+    equivalence_suite,
+    field_from_expression,
+    fixture,
+    induce_intrinsic,
+    random_comparison_instance,
+    read_graph,
+    refine,
+    solve_dirichlet,
+    solve_general,
+    write_graph,
+)
+
+
+class ViewRead(BaseException):
+    """Raised by a view property; a BaseException, so no ``except Exception`` hides it."""
+
+
+def _refuse(self):
+    raise ViewRead("a view of the lists was read")
+
+
+def _problem(g, f="linear:1,0.5", zeta="linear:0,0.25"):
+    return DirichletProblem(g, field_from_expression(g, f, "rhs_f"), field_from_expression(g, zeta, "boundary_zeta"))
+
+
+def _solved():
+    p = _problem(fixture("grid", n=6, connectivity=8).graph)
+    return p, solve_dirichlet(p)
+
+
+def _checks():
+    p, vf = _solved()
+    return [check(p.graph, vf.u, p.f) for check in (check_monge, check_c_subsolution, check_c_supersolution)] + [
+        check_regularity(p.graph, vf.u)]
+
+
+def _induced():
+    coords = {f"q{i}_{j}": (float(i), 0.5 * j) for i in range(5) for j in range(5)}
+    pairs = [(f"q{i}_{j}", f"q{i + di}_{j + dj}") for i in range(5) for j in range(5)
+             for di, dj in ((1, 0), (0, 1), (1, 1)) if i + di < 5 and j + dj < 5]
+    return induce_intrinsic(sorted(coords), chord_from_coords(coords), pairs, boundary=["q0_0"],
+                            coords=coords, sample_pairs=16)
+
+
+def _general():
+    g = fixture("grid", n=5).graph
+    H = builtin_hamiltonian("affine-rho")
+    zeta = field_from_expression(g, "const:0", "boundary_zeta")
+    vf, h, sweeps = solve_general(g, H, zeta)
+    return vf, h, sweeps, check_hamiltonian_monge(g, vf.u, H)
+
+
+def _edge_costs():
+    g = fixture("circle", n=9).graph
+    return edge_costs(g, field_from_expression(g, "linear:1,0.5", "rhs_f"))
+
+
+def _round_trip(tmp_path):
+    path = str(tmp_path / "g.json")
+    write_graph(fixture("gasket", level=3).graph, path)
+    return read_graph(path)
+
+
+CASES = {
+    "refine-split": lambda tmp_path: refine(fixture("grid", n=4, connectivity=8).graph, 0.3),
+    "refine-none": lambda tmp_path: refine(fixture("binary_tree", depth=3).graph, 10.0),
+    "induce_intrinsic": lambda tmp_path: _induced(),
+    "edge_costs": lambda tmp_path: _edge_costs(),
+    "write-read": _round_trip,
+    "solve_dirichlet": lambda tmp_path: _solved(),
+    "check_boundary_consistency": lambda tmp_path: check_boundary_consistency(*_solved()),
+    "four checks": lambda tmp_path: _checks(),
+    "solve_general": lambda tmp_path: _general(),
+    "equivalence_suite": lambda tmp_path: equivalence_suite(fixture("grid", n=4), "linear:1,0.5", levels=2),
+    "compare": lambda tmp_path: compare(random_comparison_instance(3)),
+}
+
+
+@pytest.mark.parametrize("run", CASES.values(), ids=CASES.keys())
+def test_runs_without_the_views(run, tmp_path, monkeypatch):
+    monkeypatch.setattr(MetricGraph, "edges", property(_refuse))
+    monkeypatch.setattr(MetricGraph, "adjacency", property(_refuse))
+    without = run(tmp_path)
+    monkeypatch.undo()
+    again = run(tmp_path)
+    assert repr(again) == repr(without) and again == without
+
+
+def test_the_guard_catches_a_reader(monkeypatch):
+    monkeypatch.setattr(MetricGraph, "edges", property(_refuse))
+    with pytest.raises(ViewRead):
+        len(fixture("interval", n=3).graph.edges)
