@@ -810,7 +810,7 @@ class TestOneLayout:
         finally:
             tracemalloc.stop()
         assert set(vars(g)) == stored
-        assert kept < 64 * 1024  # a dict of the 14,042 edges alone holds about 3 MB
+        assert kept < 64 * 1024  # dicts of both views would hold about 3.3 MB
 
     def test_write_graph_builds_no_view(self, tmp_path):
         g = fixture("grid", n=4, connectivity=8).graph
