@@ -213,7 +213,7 @@ def graph_to_dict_v1(g: MetricGraph) -> dict:
         vertices.append(entry)
     vs = g.vertices
     edges = [{"a": a, "b": vs[j], "length": length} for i, (a, nb, ln) in enumerate(zip(vs, g.nbrs, g.lens))
-             for j, length in zip(nb, ln) if i < j]  # the order of the edges view, without building it
+             for j, length in zip(nb, ln) if i < j]  # the order of the edges view
     return {
         "version": 1,
         "vertices": vertices,
