@@ -211,9 +211,8 @@ def _cmd_check(args) -> int:
         print(f"check {report.name}: PASS ({len(report.residuals)} items, "
               f"max residual {report.max_residual} <= tol {report.tol})")
         return 0
-    worst = report.worst_item
-    print(f"check {report.name}: FAIL at {worst} "
-          f"(residual {report.residuals[worst]} > tol {report.tol}; "
+    print(f"check {report.name}: FAIL at {report.worst_item} "
+          f"(residual {report.max_residual} > tol {report.tol}; "
           f"{len(report.failures())} failing items)")
     return 1
 

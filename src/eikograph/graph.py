@@ -62,12 +62,9 @@ class MetricGraph:
     only feeds embedding-derived metrics and plot output.  Built by :func:`_finalize`.
 
     Immutable after construction: mutating its lists in place is unsupported.
-    These values are built from the lists on first read and kept; neither
-    takes part in equality:
-
-    - ``h_max``, the mesh: read by ``default_check_tol``, ``compare`` and
-      ``equivalence_suite``;
-    - ``arc_keys``: the report keys of ``check_c_subsolution``.
+    One value is built from the lists on first read and kept, and takes no
+    part in equality: ``h_max``, the mesh, read by ``default_check_tol``,
+    ``compare`` and ``equivalence_suite``.
 
     ``edges`` and ``adjacency`` are read-only views of the lists that store
     nothing; the package reads the lists instead.
@@ -98,12 +95,6 @@ class MetricGraph:
     def h_max(self) -> float:
         return max(chain.from_iterable(self.lens), default=0.0)  # an edgeless graph has mesh 0
 
-    @cached_property
-    def arc_keys(self) -> tuple[str, ...]:
-        """``"x->y"`` for every oriented edge, in the order of the lists."""
-        vs = self.vertices
-        return tuple([f"{x}->{vs[j]}" for x, nb in zip(vs, self.nbrs) for j in nb])
-
     def edge_length(self, a: str, b: str) -> float:
         i, j = self.index.get(a), self.index.get(b)
         try:
@@ -124,7 +115,7 @@ def _edge_items(g: MetricGraph) -> Iterator[tuple[tuple[str, str], float]]:
 class _ListView(Mapping):
     """A read-only mapping over a graph's lists that keeps nothing but the
     graph: ``items()`` and ``values()`` walk the lists once, through the
-    subclass's ``_items``, instead of looking up each key."""
+    subclass's ``_items`` and ``_values``, instead of looking up each key."""
 
     __slots__ = ("_g",)
 
@@ -136,6 +127,9 @@ class _ListView(Mapping):
 
     def values(self) -> ValuesView:
         return _WalkedValues(self)
+
+    def _values(self) -> Iterator:
+        return map(itemgetter(1), self._items())
 
 
 class _WalkedItems(ItemsView):
@@ -149,7 +143,7 @@ class _WalkedValues(ValuesView):
     __slots__ = ()
 
     def __iter__(self):
-        return map(itemgetter(1), self._mapping._items())
+        return self._mapping._values()
 
 
 class _EdgeView(_ListView):

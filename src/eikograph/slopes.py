@@ -11,11 +11,16 @@ inequality, and the regularity property (slope equals sub-slope).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import itemgetter
+from typing import Iterator
 
 from .errors import FieldError, GraphError
 from .fields import ScalarField, _interior, _one_hop, field_list, interior_slopes, lipschitz_constant
-from .graph import MetricGraph, _vertex_index, curve_along
+from .graph import MetricGraph, _ListView, _vertex_index, curve_along
 
 # Base additive tolerance; interpolation error of a Lipschitz rhs adds
 # Lip(f) * h_max on top of it (see default_check_tol).
@@ -40,11 +45,17 @@ class CheckReport:
     are reported but not judged (e.g. boundary-adjacent vertices in the
     regularity check).  ``details`` carries check-specific extras such as
     witness curves.
+
+    Vertex-keyed residuals are dicts.  csub's are a read-only view of the
+    graph and one residual per oriented edge (:class:`_ArcView`): ``len`` is
+    O(1), and its ``"x->y"`` keys are built only while it is walked.
+    ``passed``, ``max_residual`` and ``len`` read the residuals alone, so
+    they judge every item even where two printed keys coincide.
     """
 
     name: str
     tol: float
-    residuals: dict[str, float]
+    residuals: Mapping[str, float]
     excluded: dict[str, float] = field(default_factory=dict)
     details: dict = field(default_factory=dict)
 
@@ -54,23 +65,70 @@ class CheckReport:
 
     @property
     def worst_item(self) -> str | None:
-        if not self.residuals:
-            return None
-        return max(sorted(self.residuals), key=lambda k: self.residuals[k])
+        return max(sorted(self.residuals.items()), key=itemgetter(1), default=(None,))[0]
 
     @property
     def max_residual(self) -> float:
         return max(self.residuals.values(), default=0.0)
 
     def rows(self) -> list[tuple[str, float, str]]:
-        out = []
-        for item in sorted(self.residuals):
-            r = self.residuals[item]
-            out.append((item, r, "pass" if r <= self.tol else "fail"))
-        return out
+        return [(item, r, "pass" if r <= self.tol else "fail") for item, r in sorted(self.residuals.items())]
 
     def failures(self) -> list[str]:
         return [item for item, r in sorted(self.residuals.items()) if r > self.tol]
+
+
+class _ArcView(_ListView):
+    """csub's residuals: ``"x->y"`` -> residual for every oriented edge, in
+    the order of the lists.  Keeps the graph and the residual list; a lookup
+    parses its key, at each ``->``, into ids, and keeps at most the V + 1
+    offsets of the vertices' first arcs."""
+
+    __slots__ = ("_rs", "_starts")
+
+    def __init__(self, g: MetricGraph, rs: list[float]):
+        super().__init__(g)
+        self._rs = rs
+
+    def __len__(self) -> int:
+        return len(self._rs)
+
+    def __iter__(self) -> Iterator[str]:
+        vs = self._g.vertices
+        for x, nb in zip(vs, self._g.nbrs):
+            for j in nb:
+                yield f"{x}->{vs[j]}"
+
+    def __getitem__(self, key: str) -> float:
+        g = self._g
+        if isinstance(key, str):
+            at = key.find("->")
+            while at >= 0:  # ids sort as their prefixes do: the first split found is the first arc
+                i, j = g.index.get(key[:at]), g.index.get(key[at + 2:])
+                if i is not None and j is not None:
+                    nb = g.nbrs[i]
+                    k = bisect_left(nb, j)
+                    if k < len(nb) and nb[k] == j:
+                        return self._rs[self._start(i) + k]
+                at = key.find("->", at + 2)
+        hash(key)  # an unhashable key raises TypeError, as a dict lookup does
+        raise KeyError(key)
+
+    def __repr__(self) -> str:
+        return "{" + ", ".join([f"{k!r}: {r!r}" for k, r in self._items()]) + "}"
+
+    def _start(self, i: int) -> int:
+        try:
+            starts = self._starts
+        except AttributeError:
+            starts = self._starts = [0, *accumulate(map(len, self._g.nbrs))]
+        return starts[i]
+
+    def _items(self) -> Iterator[tuple[str, float]]:
+        return zip(self, self._rs)
+
+    def _values(self) -> Iterator[float]:
+        return iter(self._rs)
 
 
 def default_check_tol(g: MetricGraph, f: ScalarField | None) -> float:
@@ -138,7 +196,8 @@ def check_c_subsolution(
     on a graph every admissible curve is a concatenation of edges, so the
     integral inequality holds iff it holds edgewise in both orientations.
     Bellman fixpoints satisfy this with residual exactly zero, hence the
-    default tolerance 0.
+    default tolerance 0.  The report's residuals are a view of the graph and
+    one residual per arc (see :class:`CheckReport`).
 
     Summed along a shortest path, the edge residuals also bound the local
     Lipschitz excess: u(x) - u(y) <= d(x, y) * sup f + k * tol over the k
@@ -152,7 +211,7 @@ def check_c_subsolution(
             # the cost rule of graph.settle; compare u[x] with fl(u[y] + c) as it does
             r = ux - (ul[y] + 0.5 * (fx + fl[y]) * length)
             rs.append(0.0 if 0.0 > r else r)  # max(r, 0.0), -0.0 included
-    return CheckReport(name="csub", tol=tol, residuals=dict(zip(g.arc_keys, rs)))
+    return CheckReport(name="csub", tol=tol, residuals=_ArcView(g, rs))
 
 
 def check_c_supersolution(

@@ -13,7 +13,8 @@ nothing, so the oracles' independence rests on the layout tests
 (``test_graph.TestOneLayout``): they tie every constructor's lists and view
 to :func:`reference_layout` of the raw entries the constructor passed,
 which is the rule those lists must follow, and tie both views to
-:func:`views_from_lists`, plain loops over the lists.
+:func:`views_from_lists`, plain loops over the lists; csub's report keys
+come from :func:`arc_keys_from_lists`, the same loops.
 :func:`reference_build_graph` is the entry-by-entry load of version 1 graph
 descriptions whose graphs and errors the bulk load must give.
 :func:`graph_to_dict_v1` is the version 1 writer that
@@ -95,6 +96,25 @@ def views_from_lists(graph: MetricGraph) -> tuple[dict, dict]:
                 edges[v, vs[j]] = length
         adj[v] = tuple(pairs)
     return edges, adj
+
+
+def arc_keys_from_lists(graph: MetricGraph) -> list[str]:
+    """The keys that ``check_c_subsolution``'s residuals must yield, in
+    order: ``"x->y"`` for every y in the lists of every x, by plain loops."""
+    keys = []
+    for i, x in enumerate(graph.vertices):
+        for j in graph.nbrs[i]:
+            keys.append(x + "->" + graph.vertices[j])
+    return keys
+
+
+# Ids that hold "->": arcs a -> "b->c" and "a->b" -> c both print as
+# "a->b->c".  COLLIDE_U breaks the first by 4.0 under f = 1 and no other arc.
+COLLIDE = {"vertices": ["a", "a->b", "b->c", "c", "z"],
+           "edges": [{"a": a, "b": b, "length": 1.0}
+                     for a, b in [("a", "b->c"), ("a->b", "c"), ("b->c", "z"), ("c", "z")]],
+           "boundary": ["z"]}
+COLLIDE_U = {"a": 6.0, "a->b": 2.0, "b->c": 1.0, "c": 1.0, "z": 0.0}
 
 
 def reference_layout(vertices, entries):

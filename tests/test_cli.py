@@ -15,6 +15,7 @@ from eikograph import graph as graph_module
 from eikograph import verify as verify_module
 from eikograph.cli import emit_plot_data, run
 from eikograph.fields import read_field_csv, write_field_csv
+from oracles import COLLIDE, COLLIDE_U
 
 
 def run_cli(*args):
@@ -63,6 +64,20 @@ class TestPipeline:
         verdicts = {r[0]: r[2] for r in rows[1:]}
         assert verdicts["v100"] == "fail"
         assert sum(1 for v in verdicts.values() if v == "fail") == 1
+
+    def test_csub_reports_arcs_that_print_alike(self, tmp_path, capsys):
+        # arcs a -> "b->c" and "a->b" -> c both print as "a->b->c"; the first fails by 4.0
+        g_path, u_path, report_path = (str(tmp_path / name) for name in ("g.json", "u.csv", "report.csv"))
+        with open(g_path, "w", encoding="utf-8") as fh:
+            json.dump(COLLIDE, fh)
+        write_field_csv(field_on(read_graph(g_path), COLLIDE_U, "solution_u"), u_path)
+        code = run_cli("check", "csub", "--graph", g_path, "--u", u_path, "--f", "const:1",
+                       "--report", report_path)
+        assert code == 1
+        assert capsys.readouterr().out == "check csub: FAIL at a->b->c (residual 4.0 > tol 0.0; 1 failing items)\n"
+        rows = read_rows(report_path)
+        assert len(rows) == 1 + 8
+        assert [r for r in rows if r[0] == "a->b->c"] == [["a->b->c", "0.0", "pass"], ["a->b->c", "4.0", "fail"]]
 
     def test_solve_h_counterexample_exits_2(self, tmp_path, capsys):
         g_path = tmp_path / "g.json"

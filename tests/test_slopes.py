@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from functools import cached_property
+import tracemalloc
 
 import pytest
 
@@ -28,7 +28,8 @@ from eikograph import (
     slopes,
     solve_dirichlet,
 )
-from eikograph.graph import MetricGraph, close
+from eikograph.graph import close
+from oracles import COLLIDE, COLLIDE_U, arc_keys_from_lists, reference_check_c_subsolution, views_from_lists
 
 
 def interval_field(fn, n=256):
@@ -173,6 +174,19 @@ class TestCheckCSubsolution:
         assert report.residuals == expected
         assert len(expected) == 2 * len(g.edges) and not report.passed
 
+    def test_arcs_that_print_alike_are_all_judged(self):
+        # a -> "b->c" and "a->b" -> c share the key "a->b->c"; only the first fails
+        g = build_graph(COLLIDE)
+        u = field_on(g, COLLIDE_U, "solution_u")
+        report = check_c_subsolution(g, u, constant_field(g, 1.0, "rhs_f"))
+        assert len(report.residuals) == 8 and not report.passed
+        assert report.worst_item == "a->b->c" and report.max_residual == 4.0
+        assert report.residuals["a->b->c"] == 4.0  # the first arc in list order
+        assert report.failures() == ["a->b->c"]
+        assert [row for row in report.rows() if row[0] == "a->b->c"] == [
+            ("a->b->c", 0.0, "pass"), ("a->b->c", 4.0, "fail")]
+        assert list(report.residuals).count("a->b->c") == 2
+
     def test_solver_output_passes_at_zero(self):
         for seed in (5, 6):
             g = random_metric_graph(seed)
@@ -282,12 +296,12 @@ def solved_grid(n=10):
 
 
 class TestComputedOnce:
-    """Lip(f), u's one-hop slopes, the mesh and csub's keys are computed once
-    per field or graph, and read only for checks on the field's own graph."""
+    """Lip(f), u's one-hop slopes and the mesh are computed once per field or
+    graph, and read only for checks on the field's own graph."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        calls = {"lipschitz": 0, "one_hop": 0, "keys": 0}
+        calls = {"lipschitz": 0, "one_hop": 0}
 
         def counting(name, fn):
             def counted(*args):
@@ -297,9 +311,6 @@ class TestComputedOnce:
 
         monkeypatch.setattr(fields_module, "_lipschitz_pass", counting("lipschitz", fields_module._lipschitz_pass))
         monkeypatch.setattr(fields_module, "_one_hop", counting("one_hop", fields_module._one_hop))
-        keys = cached_property(counting("keys", MetricGraph.__dict__["arc_keys"].func))
-        keys.__set_name__(MetricGraph, "arc_keys")
-        monkeypatch.setattr(MetricGraph, "arc_keys", keys)
         return calls
 
     def test_four_checks_on_one_pair(self, counts):
@@ -307,12 +318,12 @@ class TestComputedOnce:
         for _ in range(2):
             for check in FOUR_CHECKS:
                 check(g, u, f)
-        assert counts == {"lipschitz": 1, "one_hop": 1, "keys": 1}
+        assert counts == {"lipschitz": 1, "one_hop": 1}
 
     def test_equivalence_suite(self, counts):
         # one graph, rhs field and solution per level
         assert equivalence_suite(fixture("grid", n=6), levels=3).passed
-        assert counts == {"lipschitz": 3, "one_hop": 3, "keys": 3}
+        assert counts == {"lipschitz": 3, "one_hop": 3}
 
     def test_values_cached_on_one_graph_are_not_read_for_another(self):
         g, u, f = solved_grid()
@@ -328,8 +339,91 @@ class TestComputedOnce:
         assert g.h_max == 1.0 and "edges" not in vars(g)
         for check in FOUR_CHECKS:
             check(g, u, f)
-        assert {"h_max", "arc_keys"} <= vars(g).keys() and "edges" not in vars(g)
+        assert "h_max" in vars(g) and "edges" not in vars(g)
         assert "_lipschitz" in vars(f) and "_interior_slopes" in vars(u)
         fresh_g, fresh_u, fresh_f = solved_grid()
-        assert not {"h_max", "arc_keys"} & vars(fresh_g).keys()
+        assert "h_max" not in vars(fresh_g)
         assert (g, u, f) == (fresh_g, fresh_u, fresh_f)
+
+
+def _out_of_order_spec():
+    """Ids out of id order ("w10" sorts before "w2") and parallel edges of
+    different lengths, both ways round."""
+    return {"vertices": ["w3", "w10", "w1", "w20", "w2", "w4", "w11"],
+            "edges": [{"a": a, "b": b, "length": length} for a, b, length in [
+                ("w4", "w3", 1.0), ("w10", "w1", 0.5), ("w3", "w2", 0.8), ("w2", "w1", 1.5),
+                ("w1", "w2", 0.75), ("w20", "w4", 1.25), ("w11", "w10", 0.6), ("w3", "w11", 0.9),
+                ("w11", "w3", 1.9), ("w2", "w20", 2.0), ("w4", "w11", 0.3), ("w20", "w2", 2.0)]],
+            "boundary": ["w20", "w1"]}
+
+
+ARC_VIEW_GRAPHS = {
+    "interval": lambda: fixture("interval", n=7).graph,
+    "circle": lambda: fixture("circle", n=9).graph,
+    "grid": lambda: fixture("grid", n=5).graph,
+    "grid8": lambda: fixture("grid", n=5, connectivity=8).graph,
+    "binary_tree": lambda: fixture("binary_tree", depth=4).graph,
+    "gasket": lambda: fixture("gasket", level=3).graph,
+    "messy": lambda: build_graph(_out_of_order_spec()),
+    **{f"random_metric_graph{seed}": (lambda seed=seed: random_metric_graph(seed)) for seed in range(5)},
+}
+
+
+class TestArcView:
+    """csub's residuals are a read-only view of the graph and one residual per
+    arc that behaves as the dict of ``oracles.arc_keys_from_lists`` and the
+    residuals, and keeps no key."""
+
+    @pytest.mark.parametrize("make", ARC_VIEW_GRAPHS.values(), ids=ARC_VIEW_GRAPHS.keys())
+    def test_residuals_behave_as_the_dict_of_the_keys(self, make):
+        g = make()
+        stored = set(vars(g))
+        rng = random.Random(len(g.vertices))
+        u = field_on(g, {v: rng.uniform(-2.0, 2.0) for v in g.vertices}, "solution_u")
+        f = field_on(g, {v: rng.uniform(0.0, 1.5) for v in g.vertices}, "rhs_f")
+        report = check_c_subsolution(g, u, f)
+        view, keys = report.residuals, arc_keys_from_lists(g)
+        reference = reference_check_c_subsolution(g, u, f).residuals
+        want = dict(zip(keys, map(reference.__getitem__, keys)))
+        edges, _ = views_from_lists(g)
+        assert list(view.items()) == list(want.items())
+        assert list(view) == list(view.keys()) == keys and list(view.values()) == list(want.values())
+        assert len(view) == len(want) == 2 * len(edges)
+        assert view == want and want == view and not view != want
+        assert view != {**want, keys[0]: -1.0} and view != dict(list(want.items())[1:])
+        assert repr(view) == repr(want) and repr(report) == repr(dataclasses.replace(report, residuals=want))
+        assert all(k in view and view[k] == r and view.get(k) == r for k, r in want.items())
+        assert all(view[f"{b}->{a}"] == want[f"{b}->{a}"] for a, b in edges)  # reversed arcs
+        vs = g.vertices
+        non_arcs = [f"{a}->{b}" for a in vs for b in vs if f"{a}->{b}" not in want][:50]
+        for key in non_arcs + [f"nowhere->{vs[0]}", f"{vs[0]}->nowhere", f"{vs[0]}->", vs[0], "->", "",
+                               (vs[0], vs[1]), None]:
+            assert key not in view and view.get(key) is None and view.get(key, 7) == 7
+            with pytest.raises(KeyError):
+                view[key]
+        with pytest.raises(TypeError):
+            view[[vs[0], vs[1]]]  # unhashable, as for a dict
+        with pytest.raises(TypeError):
+            view[keys[0]] = 1.0  # read-only
+        for check in FOUR_CHECKS:
+            check(g, u, f)
+        assert set(vars(g)) == stored | {"h_max"}
+
+    def test_report_keeps_one_residual_per_arc(self):
+        g = fixture("grid", n=60, connectivity=8).graph
+        f = field_from_expression(g, "linear:1,0.5", "rhs_f")
+        u = solve_dirichlet(DirichletProblem(g, f, constant_field(g, 0.0, "boundary_zeta"))).u
+        arcs = sum(map(len, g.nbrs))
+        warm = check_c_subsolution(g, u, f)  # fill the free lists and u's and f's caches first
+        assert warm.passed and warm.max_residual == 0.0 and len(warm.residuals) == arcs
+        tracemalloc.start()
+        try:
+            report = check_c_subsolution(g, u, f)
+            kept = tracemalloc.get_traced_memory()[0]
+            tracemalloc.clear_traces()  # from here, count only what reading the verdict keeps
+            assert report.passed and report.max_residual == 0.0 and len(report.residuals) == arcs
+            read = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 16 * arcs  # a dict keyed by "x->y" strings keeps 37 bytes an arc, its keys 70 more
+        assert read == 0

@@ -8,13 +8,17 @@ checkout's ``src``).  The same fixed command list runs once with each on
 and at benchmark sizes, solve with --plot and --certify, solve-h with
 --h-out (Picard over many sweeps and stopped by --max-iter among them, a
 builtin with a level, an expression with nested scopes and a finer
---bisect-tol), the four checks with --report on seven (graph, solution)
+--bisect-tol), the four checks with --report on eight (graph, solution)
 pairs and monge's sub and super modes, compare, suite, induce-metric, and
 refine both with a split and with an h_max that splits no edge, on valid
 input, and ``--help`` of the program and of each subcommand.  One hand-written graph, MESSY, lists
 its vertices and edges out of id order, with parallel edges of different
 lengths both ways round; it is solved, checked and refined.  Another,
-PARTIAL, has coords on some vertices only; it is refined.  Every output
+PARTIAL, has coords on some vertices only; it is refined.  A third, COLLIDE,
+has ids that hold ``->``, so that two of its oriented edges print as the
+same csub item ``a->b->c``; the four checks run on it with a hand-written
+solution that breaks one of the two by 4.0 (a report keyed by the printed
+item would keep only one of them).  Every output
 file, each command's stdout and stderr and the list of exit codes are then
 compared byte for byte.  Graph files whose bytes differ, as they do across a
 change of the graph format, are loaded with CHANGE_SRC's ``read_graph``, and
@@ -43,6 +47,7 @@ PAIRS = [  # (graph, solution, f) pairs every check runs on; bumpy.csv fails all
     ("grid8.json", "u_grid8.csv", "const:0.5"),  # unequal edge lengths
     ("tree.json", "u_tree.csv", "const:1"),  # boundary at the leaves: regularity excludes their parents
     ("messy.json", "u_messy.csv", "const:1"),
+    ("collide.json", "u_collide.csv", "const:1"),  # two csub arcs print as "a->b->c"; one fails
 ]
 
 MESSY = {  # ids out of order ("w10" sorts before "w2"); parallel edges shorter, longer and equal
@@ -53,6 +58,13 @@ MESSY = {  # ids out of order ("w10" sorts before "w2"); parallel edges shorter,
         ("w11", "w3", 1.9), ("w2", "w20", 2.0), ("w4", "w11", 0.3), ("w20", "w2", 2.0)]],
     "boundary": ["w20", "w1"],
 }
+
+COLLIDE = {  # ids that hold "->": arcs a -> "b->c" and "a->b" -> c both print as "a->b->c"
+    "vertices": ["a", "a->b", "b->c", "c", "z"],
+    "edges": [{"a": a, "b": b, "length": 1.0} for a, b in [("a", "b->c"), ("a->b", "c"), ("b->c", "z"), ("c", "z")]],
+    "boundary": ["z"],
+}
+COLLIDE_U = {"a": 6.0, "a->b": 2.0, "b->c": 1.0, "c": 1.0, "z": 0.0}  # f = 1: a -> "b->c" fails by 4.0
 
 PARTIAL = {  # coords on p1 and p2 only; refine interpolates between them and nowhere else
     "vertices": ["p0", {"id": "p1", "coords": [0.0, 1.0]}, {"id": "p2", "coords": [1.0, 1.0]}, "p3"],
@@ -157,7 +169,8 @@ COMMANDS = [
 def write_inputs(d: str) -> None:
     """Hand-made inputs: a field with a zero, a half solution, a bumpy
     solution on the 12 x 12 grid, 60 points on a circle with a ring, the
-    out-of-order graph MESSY and the partial-coords graph PARTIAL."""
+    out-of-order graph MESSY, the partial-coords graph PARTIAL and the graph
+    COLLIDE with its solution."""
     x = [(2 * k - 40) / 40 for k in range(41)]
     files = {
         "f_zero.csv": [f"v{k},{0.0 if k == 20 else 1.0!r}" for k in range(41)],
@@ -166,12 +179,13 @@ def write_inputs(d: str) -> None:
         "points.csv": [f"c{k:02d},{math.cos(2 * math.pi * k / 60)!r},{math.sin(2 * math.pi * k / 60)!r}"
                        for k in range(60)],
         "ring.csv": [f"c{k:02d},c{(k + 1) % 60:02d}" for k in range(60)],
+        "u_collide.csv": [f"{v},{x!r}" for v, x in COLLIDE_U.items()],
     }
     headers = {"points.csv": "vertex_id,x,y", "ring.csv": "a,b"}
     for name, rows in files.items():
         with open(os.path.join(d, name), "w", encoding="utf-8") as fh:
             fh.write("\n".join([headers.get(name, "vertex_id,value"), *rows]) + "\n")
-    for name, spec in (("messy.json", MESSY), ("partial.json", PARTIAL)):
+    for name, spec in (("messy.json", MESSY), ("partial.json", PARTIAL), ("collide.json", COLLIDE)):
         with open(os.path.join(d, name), "w", encoding="utf-8") as fh:
             json.dump(spec, fh)
 
