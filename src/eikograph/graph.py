@@ -112,6 +112,13 @@ def _edge_items(g: MetricGraph) -> Iterator[tuple[tuple[str, str], float]]:
                 yield (a, vs[j]), length
 
 
+def _slot(g: MetricGraph, i: int, j: int) -> int:
+    """The position of j in the neighbour list of i, or -1 if they are not adjacent."""
+    nb = g.nbrs[i]
+    k = bisect_left(nb, j)
+    return k if k < len(nb) and nb[k] == j else -1
+
+
 class _ListView(Mapping):
     """A read-only mapping over a graph's lists that keeps nothing but the
     graph: ``items()`` and ``values()`` walk the lists once, through the
@@ -162,9 +169,8 @@ class _EdgeView(_ListView):
         if isinstance(key, tuple) and len(key) == 2:
             i, j = map(g.index.get, key)
             if i is not None and j is not None and i < j:  # a reversed pair is no key
-                nb = g.nbrs[i]
-                k = bisect_left(nb, j)
-                if k < len(nb) and nb[k] == j:
+                k = _slot(g, i, j)
+                if k >= 0:
                     return g.lens[i][k]
         hash(key)  # an unhashable key raises TypeError, as a dict lookup does
         raise KeyError(key)

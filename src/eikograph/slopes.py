@@ -11,7 +11,6 @@ inequality, and the regularity property (slope equals sub-slope).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -20,7 +19,7 @@ from typing import Iterator
 
 from .errors import FieldError, GraphError
 from .fields import ScalarField, _interior, _one_hop, field_list, interior_slopes, lipschitz_constant
-from .graph import MetricGraph, _ListView, _vertex_index, curve_along
+from .graph import MetricGraph, _ListView, _slot, _vertex_index, curve_along
 
 # Base additive tolerance; interpolation error of a Lipschitz rhs adds
 # Lip(f) * h_max on top of it (see default_check_tol).
@@ -106,9 +105,8 @@ class _ArcView(_ListView):
             while at >= 0:  # ids sort as their prefixes do: the first split found is the first arc
                 i, j = g.index.get(key[:at]), g.index.get(key[at + 2:])
                 if i is not None and j is not None:
-                    nb = g.nbrs[i]
-                    k = bisect_left(nb, j)
-                    if k < len(nb) and nb[k] == j:
+                    k = _slot(g, i, j)
+                    if k >= 0:
                         return self._rs[self._start(i) + k]
                 at = key.find("->", at + 2)
         hash(key)  # an unhashable key raises TypeError, as a dict lookup does

@@ -30,6 +30,7 @@ from eikograph import (
 )
 from eikograph.graph import close
 from oracles import COLLIDE, COLLIDE_U, arc_keys_from_lists, reference_check_c_subsolution, views_from_lists
+from test_graph import VIEW_GRAPHS
 
 
 def interval_field(fn, n=256):
@@ -346,35 +347,12 @@ class TestComputedOnce:
         assert (g, u, f) == (fresh_g, fresh_u, fresh_f)
 
 
-def _out_of_order_spec():
-    """Ids out of id order ("w10" sorts before "w2") and parallel edges of
-    different lengths, both ways round."""
-    return {"vertices": ["w3", "w10", "w1", "w20", "w2", "w4", "w11"],
-            "edges": [{"a": a, "b": b, "length": length} for a, b, length in [
-                ("w4", "w3", 1.0), ("w10", "w1", 0.5), ("w3", "w2", 0.8), ("w2", "w1", 1.5),
-                ("w1", "w2", 0.75), ("w20", "w4", 1.25), ("w11", "w10", 0.6), ("w3", "w11", 0.9),
-                ("w11", "w3", 1.9), ("w2", "w20", 2.0), ("w4", "w11", 0.3), ("w20", "w2", 2.0)]],
-            "boundary": ["w20", "w1"]}
-
-
-ARC_VIEW_GRAPHS = {
-    "interval": lambda: fixture("interval", n=7).graph,
-    "circle": lambda: fixture("circle", n=9).graph,
-    "grid": lambda: fixture("grid", n=5).graph,
-    "grid8": lambda: fixture("grid", n=5, connectivity=8).graph,
-    "binary_tree": lambda: fixture("binary_tree", depth=4).graph,
-    "gasket": lambda: fixture("gasket", level=3).graph,
-    "messy": lambda: build_graph(_out_of_order_spec()),
-    **{f"random_metric_graph{seed}": (lambda seed=seed: random_metric_graph(seed)) for seed in range(5)},
-}
-
-
 class TestArcView:
     """csub's residuals are a read-only view of the graph and one residual per
     arc that behaves as the dict of ``oracles.arc_keys_from_lists`` and the
     residuals, and keeps no key."""
 
-    @pytest.mark.parametrize("make", ARC_VIEW_GRAPHS.values(), ids=ARC_VIEW_GRAPHS.keys())
+    @pytest.mark.parametrize("make", VIEW_GRAPHS.values(), ids=VIEW_GRAPHS.keys())
     def test_residuals_behave_as_the_dict_of_the_keys(self, make):
         g = make()
         stored = set(vars(g))
