@@ -12,12 +12,15 @@ import argparse
 import math
 import os
 import sys
+from itertools import repeat
+from operator import gt
 from typing import TYPE_CHECKING
 
 from .errors import EikographError, ValidationError
 from .fields import (
     ScalarField,
     field_from_expression,
+    field_list,
     is_field_expression,
     read_field_csv,
     write_field_csv,
@@ -83,8 +86,10 @@ def _load_field(g: MetricGraph, spec: str, role: str) -> ScalarField:
 
 def write_solution_csv(vf: ValueFunction, path: str) -> None:
     """Solution CSV: vertex_id,u,exit_vertex,attained (attained on boundary rows)."""
-    rows = ([v, repr(vf.u[v]), vf.exit_vertex[v], str(vf.attained[v]).lower() if v in vf.attained else ""]
-            for v in vf.u.graph.vertices)
+    vs = vf.u.graph.vertices
+    attained = {y: str(ok).lower() for y, ok in vf.attained.items()}
+    rows = zip(vs, map(repr, field_list(vf.u.graph, vf.u)), map(vf.exit_vertex.__getitem__, vs),
+               map(attained.get, vs, repeat("")))
     write_csv(path, ["vertex_id", "u", "exit_vertex", "attained"], rows)
 
 
@@ -101,8 +106,9 @@ def emit_plot_data(u: ScalarField, g: MetricGraph, path: str, layout: str = "aut
     use_coords = have_all if layout == "auto" else layout == "coords"
     dims = len(g.coords[g.vertices[0]]) if use_coords else 0
     names = ["x", "y", "z"] + [f"c{k}" for k in range(3, dims)]
+    axes = zip(*map(g.coords.__getitem__, g.vertices)) if use_coords else ()  # coords share one dim
     write_csv(path, ["vertex_id", *names[:dims], "u"],
-              ([v, *map(repr, g.coords[v] if use_coords else ()), repr(u[v])] for v in g.vertices))
+              zip(g.vertices, *(map(repr, axis) for axis in axes), map(repr, field_list(g, u))))
 
 
 def write_report_csv(report: CheckReport, path: str) -> None:
@@ -213,7 +219,7 @@ def _cmd_check(args) -> int:
         return 0
     print(f"check {report.name}: FAIL at {report.worst_item} "
           f"(residual {report.max_residual} > tol {report.tol}; "
-          f"{len(report.failures())} failing items)")
+          f"{sum(map(gt, report.residuals.values(), repeat(report.tol)))} failing items)")
     return 1
 
 

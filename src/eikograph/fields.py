@@ -66,7 +66,10 @@ def field_on(g: MetricGraph, values: Mapping[str, float], role: str) -> ScalarFi
     """Validate and wrap vertex values as a field with the given role."""
     if role not in ROLES:
         raise FieldError(f"unknown field role {role!r}; expected one of {ROLES}")
-    vals = dict(zip(map(str, values.keys()), map(float, values.values())))
+    if set(map(type, values.keys())) == {str} and set(map(type, values.values())) == {float}:
+        vals = dict(values)  # str() and float() would return each key and value unchanged
+    else:
+        vals = dict(zip(map(str, values.keys()), map(float, values.values())))
     if not math.isfinite(sum(vals.values())):  # one C-level pass; finite values may still overflow the sum
         bad = sorted(v for v, x in vals.items() if not math.isfinite(x))
         if bad:
@@ -148,6 +151,8 @@ def edge_costs(g: MetricGraph, f: ScalarField) -> dict[tuple[str, str], float]:
 
 def field_list(g: MetricGraph, f: ScalarField) -> list[float]:
     """f's values by vertex index, as :func:`settle` takes them."""
+    if tuple(f.values) == g.vertices:  # keyed in id order, as a field built over g.vertices is
+        return list(f.values.values())
     try:
         return list(map(f.values.__getitem__, g.vertices))
     except KeyError as exc:
@@ -160,6 +165,8 @@ def validate_field(f: ScalarField, positivity_threshold: float = DEFAULT_POSITIV
 
     Threshold 0 accepts any nonnegative field (subsolution-only checks).
     """
+    if min(f.values.values(), default=math.inf) >= positivity_threshold:
+        return ()  # false for a NaN minimum or threshold, which the pass below judges
     return tuple(sorted((v, x) for v, x in f.values.items() if x < positivity_threshold))
 
 

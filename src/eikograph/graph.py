@@ -120,14 +120,18 @@ def _slot(g: MetricGraph, i: int, j: int) -> int:
 
 
 class _ListView(Mapping):
-    """A read-only mapping over a graph's lists that keeps nothing but the
-    graph: ``items()`` and ``values()`` walk the lists once, through the
-    subclass's ``_items`` and ``_values``, instead of looking up each key."""
+    """A read-only mapping over a graph's lists, and any the subclass adds:
+    ``items()``, ``values()`` and the dict-like ``repr`` walk the lists once,
+    through the subclass's ``_items`` and ``_values``, instead of looking up
+    each key."""
 
     __slots__ = ("_g",)
 
     def __init__(self, g: MetricGraph):
         self._g = g
+
+    def __repr__(self) -> str:
+        return "{" + ", ".join([f"{k!r}: {v!r}" for k, v in self._items()]) + "}"
 
     def items(self) -> ItemsView:
         return _WalkedItems(self)

@@ -436,7 +436,7 @@ def solve_general(
         _rereduce(H, names, u, taken, roots, residuals, bisect_tol)
         return vf, _reduction_field(g, roots, residuals, bisect_tol), 1
 
-    seeds = boundary_seeds(g, zeta)
+    seeds = boundary_seeds(g, zeta.values)
     history: list[float] = []
     for iteration in range(2, max_iter + 1):
         _rereduce(H, names, u, taken, roots, residuals, bisect_tol)
@@ -447,7 +447,7 @@ def solve_general(
         if change <= tol:
             _rereduce(H, names, u, taken, roots, residuals, bisect_tol)
             final = _reduction_field(g, roots, residuals, bisect_tol)
-            return value_function(g, zeta, run), final, iteration
+            return value_function(g, zeta.values, run), final, iteration
     raise ConvergenceError(
         f"Picard iteration did not reach tol {tol} in {max_iter} iterations "
         f"(last change {history[-1] if history else math.nan})",

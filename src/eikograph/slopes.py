@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import accumulate
-from operator import itemgetter
+from itertools import accumulate, compress, filterfalse, repeat
+from operator import eq
 from typing import Iterator
 
 from .errors import FieldError, GraphError
@@ -49,7 +49,10 @@ class CheckReport:
     graph and one residual per oriented edge (:class:`_ArcView`): ``len`` is
     O(1), and its ``"x->y"`` keys are built only while it is walked.
     ``passed``, ``max_residual`` and ``len`` read the residuals alone, so
-    they judge every item even where two printed keys coincide.
+    they judge every item even where two printed keys coincide (ids that
+    hold ``->``).  There the view is no faithful dict: a lookup returns the
+    first of those arcs in list order, and ``residuals == d`` compares
+    ``dict(items())``, which keeps only the last.
     """
 
     name: str
@@ -64,7 +67,16 @@ class CheckReport:
 
     @property
     def worst_item(self) -> str | None:
-        return max(sorted(self.residuals.items()), key=itemgetter(1), default=(None,))[0]
+        """``max(sorted(items), key=residual)``'s item without the sort: the
+        smallest key among ties; a NaN is kept at the smallest key, else skipped."""
+        rs = self.residuals
+        values = rs.values()
+        if any(map(math.isnan, values)):
+            first = min(rs)
+            if math.isnan(rs[first]):
+                return first
+            values = list(filterfalse(math.isnan, values))
+        return min(compress(rs, map(eq, repeat(max(values, default=None)), rs.values())), default=None)
 
     @property
     def max_residual(self) -> float:
@@ -111,9 +123,6 @@ class _ArcView(_ListView):
                 at = key.find("->", at + 2)
         hash(key)  # an unhashable key raises TypeError, as a dict lookup does
         raise KeyError(key)
-
-    def __repr__(self) -> str:
-        return "{" + ", ".join([f"{k!r}: {r!r}" for k, r in self._items()]) + "}"
 
     def _start(self, i: int) -> int:
         try:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator, Mapping
 
 from .errors import FieldError, ProblemError
 from .fields import (
@@ -24,6 +25,7 @@ from .graph import (
     ABS_TOL,
     REL_TOL,
     MetricGraph,
+    _ListView,
     distances_from,
     settle,
 )
@@ -63,11 +65,13 @@ class ValueFunction:
     ``exit_vertex[x]`` is the boundary vertex where the optimal route from x
     leaves the domain; ``attained[y]`` records, per boundary vertex, whether
     u(y) equals the prescribed boundary value (false when an interior route
-    undercuts incompatible data).
+    undercuts incompatible data).  ``exit_vertex`` is a read-only view of
+    the settle order and the exits list (:class:`_ExitView`): a lookup costs
+    one ``index`` lookup and two list reads, more than a dict lookup.
     """
 
     u: ScalarField
-    exit_vertex: dict[str, str]
+    exit_vertex: Mapping[str, str]
     attained: dict[str, bool]
 
     def __getitem__(self, v: str) -> float:
@@ -109,30 +113,61 @@ def solve_dirichlet(p: DirichletProblem) -> ValueFunction:
     cost(x, y)), which always exists.
     """
     g = p.graph
-    return value_function(g, p.zeta, settle(g, boundary_seeds(g, p.zeta), field_list(g, p.f)))
+    zeta = p.zeta.values
+    return value_function(g, zeta, settle(g, boundary_seeds(g, zeta), field_list(g, p.f)))
 
 
 def boundary_seeds(g: MetricGraph, data) -> list[tuple[int, float]]:
-    """:func:`settle` seeds: data[y] at each boundary vertex y."""
+    """:func:`settle` seeds: data[y] at each boundary vertex y; a dict keyed
+    on the boundary alone is read in its own order (settle sorts the seeds)."""
+    if isinstance(data, dict) and data.keys() == g.boundary:
+        return list(zip(map(g.index.__getitem__, data), data.values()))
     return [(g.index[y], data[y]) for y in g.boundary]
 
 
-def value_function(g: MetricGraph, zeta: ScalarField, run) -> ValueFunction:
-    """A :func:`settle` run seeded with zeta on the boundary as u, each
-    vertex's exit (see :func:`solve_dirichlet`) and each datum's attainment;
-    ProblemError names the first vertex whose label overflowed to inf."""
+def value_function(g: MetricGraph, zeta: Mapping[str, float], run) -> ValueFunction:
+    """A :func:`settle` run seeded with zeta (a boundary field's values) as
+    u, each vertex's exit (see :func:`solve_dirichlet`) as a view of the
+    settle order and the exits list, whose lookup costs one ``index`` lookup
+    and two list reads, and each datum's attainment; ProblemError names the
+    first vertex whose label overflowed to inf."""
     dist, order, parent = run
     # the graph is connected and the data finite, so an inf label is an overflow
     if math.inf in dist:
         v = g.vertices[dist.index(math.inf)]
         raise ProblemError(f"the cost of reaching vertex {v!r} overflows binary64")
     names, exits = g.vertices, parent[:]  # the parents, turned into exits in settle order
-    u = ScalarField(g, {names[x]: dist[x] for x in order}, "solution_u")
+    u = {names[x]: dist[x] for x in order}
     for x in order:
         exits[x] = exits[exits[x]]  # a parent's entry is already its exit: every vertex is reached
-    exit_vertex = {names[x]: names[exits[x]] for x in order}
-    attained = {y: u[y] == zeta[y] for y in sorted(g.boundary)}
-    return ValueFunction(u=u, exit_vertex=exit_vertex, attained=attained)
+    attained = {y: u[y] == zeta[y] for y in sorted(zeta)}  # zeta's keys are the boundary
+    return ValueFunction(ScalarField(g, u, "solution_u"), _ExitView(g, order, exits), attained)
+
+
+class _ExitView(_ListView):
+    """``exit_vertex``: vertex id -> its exit's id, in settle order, from the
+    graph, the settle order and the exits by vertex index."""
+
+    __slots__ = ("_order", "_exits")
+
+    def __init__(self, g: MetricGraph, order: list[int], exits: list[int]):
+        super().__init__(g)
+        self._order, self._exits = order, exits
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __iter__(self) -> Iterator[str]:
+        return map(self._g.vertices.__getitem__, self._order)
+
+    def __getitem__(self, v: str) -> str:
+        return self._g.vertices[self._exits[self._g.index[v]]]  # index raises as a dict lookup does
+
+    def _items(self) -> Iterator[tuple[str, str]]:
+        return zip(self, self._values())
+
+    def _values(self) -> Iterator[str]:
+        return map(self._g.vertices.__getitem__, map(self._exits.__getitem__, self._order))
 
 
 def _undercuts(

@@ -23,6 +23,7 @@ from eikograph import (
     validate_field,
     write_field_csv,
 )
+from eikograph.fields import ScalarField
 from eikograph.graph import close
 
 from oracles import trapezoid_path_cost
@@ -159,7 +160,99 @@ class TestFieldConstruction:
         assert f["a"] == f["b"] == 1e308
 
 
+class Id(str):
+    """A str subclass: field_on stores its plain str."""
+
+
+class Ratio(float):
+    """A float subclass: field_on stores its plain float."""
+
+
+def converted(values):
+    """The converting build that field_on skips for exact str keys and float values."""
+    return dict(zip(map(str, values.keys()), map(float, values.values())))
+
+
+def outcome(call):
+    """("ok", result) or (exception type, message): what a call returns or raises."""
+    try:
+        return "ok", call()
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
+        return type(exc), str(exc)
+
+
+class TestFieldOnInputs:
+    """field_on copies exact str/float input as it is and converts every
+    other input: either way the same dict, order and errors."""
+
+    @staticmethod
+    def cases(g):
+        vs = list(reversed(g.vertices))  # an order other than id order
+        floats = {v: 0.25 * k for k, v in enumerate(vs)}
+        return {
+            "exact": floats,
+            "exact, negative": {**floats, vs[1]: -0.5},
+            "exact, missing": dict(list(floats.items())[1:]),
+            "exact, unknown": {**floats, "nowhere": 1.0},
+            "int": {v: k for k, v in enumerate(vs)},
+            "bool": {v: k % 2 == 0 for k, v in enumerate(vs)},
+            "numeric str": {v: f"{0.5 * k}" for k, v in enumerate(vs)},
+            "str keys subclass": {Id(v): x for v, x in floats.items()},
+            "float subclass": {v: Ratio(x) for v, x in floats.items()},
+            "mixed": {**floats, vs[0]: 3},
+            **{f"non-finite {bad!r}": {**floats, vs[2]: bad, vs[4]: bad}
+               for bad in (math.nan, math.inf, -math.inf, "nan", "-inf")},
+        }
+
+    @pytest.mark.parametrize("role", ["rhs_f", "solution_u"])
+    def test_same_dict_order_and_errors_as_the_converting_build(self, role):
+        g = fixture("grid", n=4).graph
+        for name, values in self.cases(g).items():
+            want = converted(values)
+            got = outcome(lambda: field_on(g, values, role))
+            assert got[0] is outcome(lambda: field_on(g, want, role))[0], name
+            if got[0] == "ok":
+                field = got[1]
+                assert list(field.values.items()) == list(want.items()), name
+                assert {type(k) for k in field.values} == {str} and {type(x) for x in field.values.values()} == {float}
+                assert field.values is not values  # a copy: the caller's dict stays the caller's
+            else:
+                assert got == outcome(lambda: field_on(g, want, role)), name
+
+    def test_boundary_data_inputs(self):
+        g = fixture("grid", n=4).graph
+        boundary = sorted(g.boundary, reverse=True)
+        for values in ({y: 0.5 for y in boundary}, {y: 1 for y in boundary}, {Id(y): "2" for y in boundary},
+                       {**{y: 0.5 for y in boundary}, "v1_1": 0.5}, {y: 0.5 for y in boundary[1:]},
+                       {**{y: 0.5 for y in boundary}, boundary[3]: math.inf}):
+            want = converted(values)
+            got = outcome(lambda: field_on(g, values, "boundary_zeta"))
+            assert got[0] is outcome(lambda: field_on(g, want, "boundary_zeta"))[0]
+            if got[0] == "ok":
+                assert list(got[1].values.items()) == list(want.items())
+            else:
+                assert got == outcome(lambda: field_on(g, want, "boundary_zeta"))
+
+
 class TestValidateField:
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0, 1.5, math.inf, math.nan])
+    def test_offenders_are_the_sorted_values_below_the_threshold(self, threshold):
+        g = fixture("interval", n=6).graph
+        vs = list(reversed(g.vertices))
+        cases = [
+            {v: 1.0 for v in vs},  # at, below or above the threshold
+            {v: 0.25 * k for k, v in enumerate(vs)},
+            {**{v: 1.0 for v in vs}, vs[2]: 0.5, vs[4]: -0.0},
+            {**{v: 2.0 for v in vs}, vs[0]: math.nan},  # a NaN first: min() returns it
+            {**{v: 2.0 for v in vs}, vs[3]: math.nan, vs[5]: 0.0},  # a NaN later: min() skips it
+            {},
+        ]
+        for values in cases:
+            f = ScalarField(g, values, "rhs_f")  # unvalidated, so NaN and gaps reach validate_field
+            want = tuple(sorted((v, x) for v, x in values.items() if x < threshold))
+            assert validate_field(f, threshold) == want
+
+
     def test_constant_one_passes(self):
         g = two_vertex_graph()
         f = constant_field(g, 1.0, "rhs_f")

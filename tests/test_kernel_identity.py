@@ -113,6 +113,34 @@ def test_solve_matches_string_keyed_reference(name, seed, data):
     assert list(vf.attained.items()) == list(attained.items())
 
 
+def outcome(call):
+    """("ok", result) or (exception type, args): what a call returns or raises."""
+    try:
+        return "ok", call()
+    except (KeyError, TypeError) as exc:
+        return type(exc), exc.args
+
+
+@pytest.mark.parametrize("data", ["random", "zero_band", "constant"])
+@pytest.mark.parametrize("name", sorted(set(FIXTURES) - {"circle"}))
+def test_exit_vertex_behaves_as_the_reference_dict(name, data):
+    """The solver's exit_vertex view answers every read as the reference's
+    plain dict does: items, order, lookups, errors, len, repr and ==."""
+    p = make_problem(graph(name), data, 0)
+    view = solve_dirichlet(p).exit_vertex
+    _, want, _ = reference_solve(p)
+    assert list(dict(view).items()) == list(want.items())  # dict() reads keys() and each lookup
+    assert list(view) == list(want) and list(view.values()) == list(want.values())
+    assert len(view) == len(want) and repr(view) == repr(want)
+    assert view == want and want == view and not view != want
+    some = next(iter(want))
+    assert view != {**want, some: "nowhere"} and view != dict(list(want.items())[1:])
+    vs = p.graph.vertices
+    for key in [*vs, "nowhere", "", vs[0] + " ", 0, None, (vs[0],), [vs[0]], {vs[0]: 1}]:
+        for read in (lambda m: m[key], lambda m: m.get(key), lambda m: m.get(key, 7), lambda m: key in m):
+            assert outcome(lambda: read(view)) == outcome(lambda: read(want)), key
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_distances_balls_and_witnesses_match_string_keyed_reference(name, seed):

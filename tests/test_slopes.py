@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 import tracemalloc
 
@@ -188,6 +189,19 @@ class TestCheckCSubsolution:
             ("a->b->c", 0.0, "pass"), ("a->b->c", 4.0, "fail")]
         assert list(report.residuals).count("a->b->c") == 2
 
+    def test_arcs_that_print_alike_make_no_faithful_dict(self):
+        # == against a dict compares dict(items()), which keeps the last of the two
+        # arcs, 0.0; a lookup returns the first, 4.0; the verdicts judge both
+        g = build_graph(COLLIDE)
+        u = field_on(g, COLLIDE_U, "solution_u")
+        report = check_c_subsolution(g, u, constant_field(g, 1.0, "rhs_f"))
+        view = report.residuals
+        items = dict(view.items())
+        assert items["a->b->c"] == 0.0 and view["a->b->c"] == 4.0
+        assert view == items and view != dict(view)  # dict(view) reads each key's lookup
+        assert len(items) == 7 and len(view) == 8
+        assert not report.passed and report.max_residual == 4.0
+
     def test_solver_output_passes_at_zero(self):
         for seed in (5, 6):
             g = random_metric_graph(seed)
@@ -345,6 +359,45 @@ class TestComputedOnce:
         fresh_g, fresh_u, fresh_f = solved_grid()
         assert "h_max" not in vars(fresh_g)
         assert (g, u, f) == (fresh_g, fresh_u, fresh_f)
+
+
+def sorted_worst(report):
+    """worst_item as a max over the sorted items: the smallest key among ties,
+    NaN residuals as that walk meets them."""
+    return max(sorted(report.residuals.items()), key=lambda item: item[1], default=(None,))[0]
+
+
+class TestWorstItem:
+    """worst_item without the sort gives the sorted walk's item, for ties,
+    signed zeros and NaN residuals, on csub's view and on a vertex-keyed dict."""
+
+    DRAWS = (0.0, -0.0, 0.5, 2.0, 2.0, math.nan)
+
+    def test_matches_the_sorted_walk(self):
+        g = fixture("grid", n=4).graph
+        u = field_on(g, {v: 0.0 for v in g.vertices}, "solution_u")
+        csub = check_c_subsolution(g, u, constant_field(g, 1.0, "rhs_f"))
+        monge = check_monge(g, u, constant_field(g, 1.0, "rhs_f"))
+        arcs, ids = len(csub.residuals), list(reversed(monge.residuals))  # not in key order
+        rng = random.Random(4)
+        fixed = [[math.nan] * arcs, [2.0] * arcs, [math.nan] + [1.0] * (arcs - 1),
+                 [1.0] * (arcs - 1) + [math.nan], [0.0, -0.0] * (arcs // 2)]
+        for rs in fixed + [[rng.choice(self.DRAWS) for _ in range(arcs)] for _ in range(200)]:
+            for report in (dataclasses.replace(csub, residuals=type(csub.residuals)(g, rs)),
+                           dataclasses.replace(monge, residuals=dict(zip(ids, rs)))):
+                assert report.worst_item == sorted_worst(report)
+        assert dataclasses.replace(monge, residuals={}).worst_item is None
+
+    def test_ties_take_the_smallest_key_and_a_first_nan_stays(self):
+        g = fixture("interval", n=4).graph
+        u = field_on(g, {v: 0.0 for v in g.vertices}, "solution_u")
+        report = check_monge(g, u, constant_field(g, 1.0, "rhs_f"))
+        for residuals, worst in [({"v3": 2.0, "v1": 2.0, "v2": 1.0}, "v1"),
+                                 ({"v3": 2.0, "v2": math.nan, "v1": 1.0}, "v3"),
+                                 ({"v3": 2.0, "v1": math.nan, "v2": 1.0}, "v1"),
+                                 ({"v2": 0.0, "v1": -0.0}, "v1")]:
+            tied = dataclasses.replace(report, residuals=residuals)
+            assert tied.worst_item == sorted_worst(tied) == worst
 
 
 class TestArcView:
