@@ -13,7 +13,6 @@ import math
 import os
 import sys
 from itertools import repeat
-from operator import gt
 from typing import TYPE_CHECKING
 
 from .errors import EikographError, ValidationError
@@ -219,7 +218,7 @@ def _cmd_check(args) -> int:
         return 0
     print(f"check {report.name}: FAIL at {report.worst_item} "
           f"(residual {report.max_residual} > tol {report.tol}; "
-          f"{sum(map(gt, report.residuals.values(), repeat(report.tol)))} failing items)")
+          f"{report.failing} failing items)")
     return 1
 
 

@@ -151,8 +151,6 @@ def edge_costs(g: MetricGraph, f: ScalarField) -> dict[tuple[str, str], float]:
 
 def field_list(g: MetricGraph, f: ScalarField) -> list[float]:
     """f's values by vertex index, as :func:`settle` takes them."""
-    if tuple(f.values) == g.vertices:  # keyed in id order, as a field built over g.vertices is
-        return list(f.values.values())
     try:
         return list(map(f.values.__getitem__, g.vertices))
     except KeyError as exc:

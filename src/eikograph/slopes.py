@@ -14,7 +14,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, filterfalse, repeat
-from operator import eq
+from operator import eq, gt
 from typing import Iterator
 
 from .errors import FieldError, GraphError
@@ -85,8 +85,16 @@ class CheckReport:
     def rows(self) -> list[tuple[str, float, str]]:
         return [(item, r, "pass" if r <= self.tol else "fail") for item, r in sorted(self.residuals.items())]
 
+    @property
+    def failing(self) -> int:
+        """How many items :meth:`failures` lists, counted without its sort."""
+        return sum(self._fails())
+
     def failures(self) -> list[str]:
-        return [item for item, r in sorted(self.residuals.items()) if r > self.tol]
+        return sorted(compress(self.residuals, self._fails()))
+
+    def _fails(self) -> Iterator[bool]:
+        return map(gt, self.residuals.values(), repeat(self.tol))  # a NaN residual is not listed
 
 
 class _ArcView(_ListView):

@@ -65,9 +65,9 @@ class ValueFunction:
     ``exit_vertex[x]`` is the boundary vertex where the optimal route from x
     leaves the domain; ``attained[y]`` records, per boundary vertex, whether
     u(y) equals the prescribed boundary value (false when an interior route
-    undercuts incompatible data).  ``exit_vertex`` is a read-only view of
-    the settle order and the exits list (:class:`_ExitView`): a lookup costs
-    one ``index`` lookup and two list reads, more than a dict lookup.
+    undercuts incompatible data).  ``exit_vertex`` is a view of the settle
+    order and the exits list (:class:`_ExitView`): a lookup costs one
+    ``index`` lookup and two list reads, more than a dict lookup.
     """
 
     u: ScalarField
@@ -117,12 +117,10 @@ def solve_dirichlet(p: DirichletProblem) -> ValueFunction:
     return value_function(g, zeta, settle(g, boundary_seeds(g, zeta), field_list(g, p.f)))
 
 
-def boundary_seeds(g: MetricGraph, data) -> list[tuple[int, float]]:
-    """:func:`settle` seeds: data[y] at each boundary vertex y; a dict keyed
-    on the boundary alone is read in its own order (settle sorts the seeds)."""
-    if isinstance(data, dict) and data.keys() == g.boundary:
-        return list(zip(map(g.index.__getitem__, data), data.values()))
-    return [(g.index[y], data[y]) for y in g.boundary]
+def boundary_seeds(g: MetricGraph, data: Mapping[str, float]) -> list[tuple[int, float]]:
+    """:func:`settle` seeds from boundary data keyed on exactly the boundary,
+    read in their own order (settle sorts the seeds)."""
+    return list(zip(map(g.index.__getitem__, data), data.values()))
 
 
 def value_function(g: MetricGraph, zeta: Mapping[str, float], run) -> ValueFunction:
@@ -146,7 +144,9 @@ def value_function(g: MetricGraph, zeta: Mapping[str, float], run) -> ValueFunct
 
 class _ExitView(_ListView):
     """``exit_vertex``: vertex id -> its exit's id, in settle order, from the
-    graph, the settle order and the exits by vertex index."""
+    graph, the settle order and the exits by vertex index.  Writing a known
+    id's exit changes the list in place, as the dict this replaces allowed;
+    an unknown id raises KeyError and adds nothing."""
 
     __slots__ = ("_order", "_exits")
 
@@ -162,6 +162,9 @@ class _ExitView(_ListView):
 
     def __getitem__(self, v: str) -> str:
         return self._g.vertices[self._exits[self._g.index[v]]]  # index raises as a dict lookup does
+
+    def __setitem__(self, v: str, y: str) -> None:
+        self._exits[self._g.index[v]] = self._g.index[y]
 
     def _items(self) -> Iterator[tuple[str, str]]:
         return zip(self, self._values())

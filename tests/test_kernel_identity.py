@@ -141,6 +141,23 @@ def test_exit_vertex_behaves_as_the_reference_dict(name, data):
             assert outcome(lambda: read(view)) == outcome(lambda: read(want)), key
 
 
+@pytest.mark.parametrize("data", ["random", "zero_band", "constant"])
+@pytest.mark.parametrize("name", sorted(set(FIXTURES) - {"circle"}))
+def test_exit_vertex_takes_a_write_as_the_reference_dict(name, data):
+    """A write to a known id reads back as it does from a dict, in place; an
+    unknown id or exit raises KeyError and changes nothing."""
+    p = make_problem(graph(name), data, 0)
+    view = solve_dirichlet(p).exit_vertex
+    _, want, _ = reference_solve(p)
+    x, y = list(want)[len(want) // 2], p.graph.vertices[0]
+    view[x] = want[x] = y
+    assert view[x] == view.get(x) == y and list(view.items()) == list(want.items())
+    for key, value in (("nowhere", y), (x, "nowhere"), (0, y)):
+        with pytest.raises(KeyError):
+            view[key] = value
+    assert list(view.items()) == list(want.items())
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_distances_balls_and_witnesses_match_string_keyed_reference(name, seed):

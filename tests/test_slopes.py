@@ -368,8 +368,9 @@ def sorted_worst(report):
 
 
 class TestWorstItem:
-    """worst_item without the sort gives the sorted walk's item, for ties,
-    signed zeros and NaN residuals, on csub's view and on a vertex-keyed dict."""
+    """worst_item and the failure count without the sort, and failures(),
+    give the sorted walk's results, for ties, signed zeros and NaN residuals,
+    on csub's view and on a vertex-keyed dict."""
 
     DRAWS = (0.0, -0.0, 0.5, 2.0, 2.0, math.nan)
 
@@ -386,6 +387,8 @@ class TestWorstItem:
             for report in (dataclasses.replace(csub, residuals=type(csub.residuals)(g, rs)),
                            dataclasses.replace(monge, residuals=dict(zip(ids, rs)))):
                 assert report.worst_item == sorted_worst(report)
+                failing = [k for k, r in sorted(report.residuals.items()) if r > report.tol]
+                assert report.failures() == failing and report.failing == len(failing)
         assert dataclasses.replace(monge, residuals={}).worst_item is None
 
     def test_ties_take_the_smallest_key_and_a_first_nan_stays(self):

@@ -339,9 +339,9 @@ class TestProblemValidation:
         # any settle run, such as Picard's last sweep, not only solve_dirichlet's
         g = fixture("grid", n=3).graph
         z = constant_field(g, 0.0, "boundary_zeta")
-        run = settle(g, boundary_seeds(g, z), [1e308] * len(g.vertices))
+        run = settle(g, boundary_seeds(g, z.values), [1e308] * len(g.vertices))
         with pytest.raises(ProblemError, match="vertex 'v1_1' overflows binary64"):
-            value_function(g, z, run)
+            value_function(g, z.values, run)
 
     def test_threshold_zero_allows_zero_rhs(self):
         g = fixture("interval", n=10).graph
