@@ -120,10 +120,10 @@ def _slot(g: MetricGraph, i: int, j: int) -> int:
 
 
 class _ListView(Mapping):
-    """A read-only mapping over a graph's lists, and any the subclass adds:
-    ``items()``, ``values()`` and the dict-like ``repr`` walk the lists once,
-    through the subclass's ``_items`` and ``_values``, instead of looking up
-    each key."""
+    """A mapping over a graph's lists, and any the subclass adds, read-only
+    unless the subclass adds a write: ``items()``, ``values()`` and the
+    dict-like ``repr`` walk the lists once, through the subclass's
+    ``_items`` and ``_values``, instead of looking up each key."""
 
     __slots__ = ("_g",)
 
