@@ -7,12 +7,12 @@ which makes the trapezoid edge integral exact and refinement cost-preserving.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import FieldError, GraphError, ValidationError
-from .graph import MetricGraph, _edge_items, read_csv, write_csv
+from .graph import MetricGraph, _edge_items, _ListView, read_csv, write_csv
 
 ROLES = ("rhs_f", "solution_u", "boundary_zeta")
 
@@ -26,31 +26,34 @@ class ScalarField:
     """Real values at vertices with a role tag (rhs_f, solution_u, boundary_zeta).
 
     Immutable after construction, like its graph; mutating ``values`` in place
-    is unsupported.  Two values derived from it are computed on first use and
-    kept, and are read only for checks run on ``graph`` itself:
-
-    - the Lipschitz constant, read through :func:`lipschitz_constant` by
-      ``default_check_tol`` (so by ``check_monge`` and
-      ``check_c_supersolution`` of an rhs field);
-    - the one-hop (sub, super) slopes at the interior vertices, read through
-      :func:`interior_slopes` by ``check_monge``, ``check_regularity`` and
-      ``check_hamiltonian_monge`` of a solution field.
-
-    Neither takes part in equality.
+    is unsupported.  The values by vertex index of ``graph`` are kept as one
+    list for :func:`field_list`: passed in as ``by_index`` by every
+    constructor but a boundary field's, else built on first use.  The
+    Lipschitz constant and the interior one-hop (sub, super) slopes derived
+    from it are computed on first use.  None of the three takes part in
+    equality.
     """
 
     graph: MetricGraph
-    values: dict[str, float]
+    values: Mapping[str, float]
     role: str
+    by_index: InitVar[list[float] | None] = None
+
+    def __post_init__(self, by_index: list[float] | None) -> None:
+        if by_index is not None:
+            self.__dict__["_list"] = by_index  # what the cached property below would build
+
+    @cached_property
+    def _list(self) -> list[float]:
+        return _lookup(self.graph, self)
 
     @cached_property
     def _lipschitz(self) -> float:
-        return _lipschitz_pass(self.graph, field_list(self.graph, self))
+        return _lipschitz_pass(self.graph, self._list)
 
     @cached_property
     def _interior_slopes(self) -> tuple[tuple[int, float, float], ...]:
-        g = self.graph
-        return tuple(_one_hop(g, field_list(g, self), _interior(g)))
+        return tuple(_one_hop(self.graph, self._list, _interior(self.graph)))
 
     def __getitem__(self, v: str) -> float:
         try:
@@ -60,6 +63,47 @@ class ScalarField:
 
     def __contains__(self, v: str) -> bool:
         return v in self.values
+
+
+class _VertexView(_ListView):
+    """A field's values, or with ``ids`` a solve's exits as vertex indices
+    read and written as ids: vertex id -> its entry in a list by vertex
+    index, walked in ``order``.  A lookup costs an ``index`` lookup and one
+    list read (two with ``ids``).  Writing a known id changes the list in
+    place, as the dict this replaces allowed; an unknown id (or exit)
+    raises KeyError and changes nothing."""
+
+    __slots__ = ("_order", "_list", "_ids")
+
+    def __init__(self, g: MetricGraph, order: Sequence[int], entries: list, ids: bool = False):
+        super().__init__(g)
+        self._order, self._list, self._ids = order, entries, ids
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __iter__(self) -> Iterator[str]:
+        return map(self._g.vertices.__getitem__, self._order)
+
+    def __getitem__(self, v: str):
+        x = self._list[self._g.index[v]]  # index raises as a dict lookup does
+        return self._g.vertices[x] if self._ids else x
+
+    def __setitem__(self, v: str, y) -> None:
+        i = self._g.index[v]
+        self._list[i] = self._g.index[y] if self._ids else y
+
+    def _items(self) -> Iterator[tuple]:
+        return zip(self, self._values())
+
+    def _values(self) -> Iterator:
+        entries = map(self._list.__getitem__, self._order)
+        return map(self._g.vertices.__getitem__, entries) if self._ids else entries
+
+
+def _list_field(g: MetricGraph, order: Sequence[int], fl: list[float], role: str) -> ScalarField:
+    """An unvalidated field of ``fl``, values by vertex index, walked in ``order``."""
+    return ScalarField(g, _VertexView(g, order, fl), role, fl)
 
 
 def field_on(g: MetricGraph, values: Mapping[str, float], role: str) -> ScalarField:
@@ -74,27 +118,24 @@ def field_on(g: MetricGraph, values: Mapping[str, float], role: str) -> ScalarFi
         bad = sorted(v for v, x in vals.items() if not math.isfinite(x))
         if bad:
             raise FieldError(f"field ({role}) has non-finite value {vals[bad[0]]!r} at vertex {bad[0]!r}")
-    index = g.index
-    if not vals.keys() <= index.keys():
-        raise FieldError(f"field values at unknown vertices {sorted(vals.keys() - index.keys())[:5]}")
-    if role == "boundary_zeta":
-        missing = g.boundary.difference(vals)
-        if missing:
+    fl = None if role == "boundary_zeta" else list(map(vals.get, g.vertices))
+    if fl is None or None in fl or len(vals) > len(fl):  # a boundary field, or some id unknown or missing
+        if unknown := vals.keys() - g.index.keys():
+            raise FieldError(f"field values at unknown vertices {sorted(unknown)[:5]}")
+        if fl is not None:
+            raise FieldError(f"field ({role}) missing values at {sorted(g.index.keys() - vals.keys())[:5]}")
+        if missing := g.boundary.difference(vals):
             raise FieldError(f"boundary data missing at {sorted(missing)[:5]}")
-        extra = vals.keys() - g.boundary
-        if extra:
+        if extra := vals.keys() - g.boundary:
             raise FieldError(f"boundary data given at non-boundary vertices {sorted(extra)[:5]}")
-    elif len(vals) < len(index):  # every id is known, so some are missing
-        raise FieldError(f"field ({role}) missing values at {sorted(index.keys() - vals.keys())[:5]}")
     if role == "rhs_f" and min(vals.values()) < 0.0:
         neg = [(v, x) for v, x in vals.items() if x < 0.0]
         raise FieldError(f"rhs field has negative values, e.g. {sorted(neg)[:3]}")
-    return ScalarField(graph=g, values=vals, role=role)
+    return ScalarField(g, vals, role, fl)
 
 
 def constant_field(g: MetricGraph, value: float, role: str) -> ScalarField:
-    domain = g.boundary if role == "boundary_zeta" else g.vertices
-    return field_on(g, {v: value for v in domain}, role)
+    return field_from_function(g, lambda v: value, role)
 
 
 def field_from_function(g: MetricGraph, fn: Callable[[str], float], role: str) -> ScalarField:
@@ -150,7 +191,12 @@ def edge_costs(g: MetricGraph, f: ScalarField) -> dict[tuple[str, str], float]:
 
 
 def field_list(g: MetricGraph, f: ScalarField) -> list[float]:
-    """f's values by vertex index, as :func:`settle` takes them."""
+    """f's values by vertex index, as :func:`settle` takes them: on f's own
+    graph the list f keeps, which no caller may change; else looked up."""
+    return f._list if g is f.graph else _lookup(g, f)
+
+
+def _lookup(g: MetricGraph, f: ScalarField) -> list[float]:
     try:
         return list(map(f.values.__getitem__, g.vertices))
     except KeyError as exc:

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .errors import FieldError, ProblemError
 from .fields import (
     DEFAULT_POSITIVITY_THRESHOLD,
     ScalarField,
+    _list_field,
+    _VertexView,
     field_list,
     validate_field,
 )
@@ -25,7 +27,6 @@ from .graph import (
     ABS_TOL,
     REL_TOL,
     MetricGraph,
-    _ListView,
     distances_from,
     settle,
 )
@@ -65,9 +66,9 @@ class ValueFunction:
     ``exit_vertex[x]`` is the boundary vertex where the optimal route from x
     leaves the domain; ``attained[y]`` records, per boundary vertex, whether
     u(y) equals the prescribed boundary value (false when an interior route
-    undercuts incompatible data).  ``exit_vertex`` is a view of the settle
-    order and the exits list (:class:`_ExitView`): a lookup costs one
-    ``index`` lookup and two list reads, more than a dict lookup.
+    undercuts incompatible data).  ``u.values`` and ``exit_vertex`` view the
+    settle order and the label and exits lists (:class:`fields._VertexView`),
+    so a lookup costs more than a dict lookup.
     """
 
     u: ScalarField
@@ -125,52 +126,21 @@ def boundary_seeds(g: MetricGraph, data: Mapping[str, float]) -> list[tuple[int,
 
 def value_function(g: MetricGraph, zeta: Mapping[str, float], run) -> ValueFunction:
     """A :func:`settle` run seeded with zeta (a boundary field's values) as
-    u, each vertex's exit (see :func:`solve_dirichlet`) as a view of the
-    settle order and the exits list, whose lookup costs one ``index`` lookup
-    and two list reads, and each datum's attainment; ProblemError names the
-    first vertex whose label overflowed to inf."""
+    u, the run's labels walked in settle order; each vertex's exit (see
+    :func:`solve_dirichlet`) as a view of the settle order and the exits
+    list; and each datum's attainment.  ProblemError names the first vertex
+    whose label overflowed to inf."""
     dist, order, parent = run
     # the graph is connected and the data finite, so an inf label is an overflow
     if math.inf in dist:
         v = g.vertices[dist.index(math.inf)]
         raise ProblemError(f"the cost of reaching vertex {v!r} overflows binary64")
-    names, exits = g.vertices, parent[:]  # the parents, turned into exits in settle order
-    u = {names[x]: dist[x] for x in order}
+    exits = parent[:]  # the parents, turned into exits in settle order
     for x in order:
         exits[x] = exits[exits[x]]  # a parent's entry is already its exit: every vertex is reached
-    attained = {y: u[y] == zeta[y] for y in sorted(zeta)}  # zeta's keys are the boundary
-    return ValueFunction(ScalarField(g, u, "solution_u"), _ExitView(g, order, exits), attained)
-
-
-class _ExitView(_ListView):
-    """``exit_vertex``: vertex id -> its exit's id, in settle order, from the
-    graph, the settle order and the exits by vertex index.  Writing a known
-    id's exit changes the list in place, as the dict this replaces allowed;
-    an unknown id raises KeyError and adds nothing."""
-
-    __slots__ = ("_order", "_exits")
-
-    def __init__(self, g: MetricGraph, order: list[int], exits: list[int]):
-        super().__init__(g)
-        self._order, self._exits = order, exits
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __iter__(self) -> Iterator[str]:
-        return map(self._g.vertices.__getitem__, self._order)
-
-    def __getitem__(self, v: str) -> str:
-        return self._g.vertices[self._exits[self._g.index[v]]]  # index raises as a dict lookup does
-
-    def __setitem__(self, v: str, y: str) -> None:
-        self._exits[self._g.index[v]] = self._g.index[y]
-
-    def _items(self) -> Iterator[tuple[str, str]]:
-        return zip(self, self._values())
-
-    def _values(self) -> Iterator[str]:
-        return map(self._g.vertices.__getitem__, map(self._exits.__getitem__, self._order))
+    attained = {y: dist[g.index[y]] == zeta[y] for y in sorted(zeta)}  # zeta's keys are the boundary
+    u = _list_field(g, order, dist, "solution_u")
+    return ValueFunction(u, _VertexView(g, order, exits, ids=True), attained)
 
 
 def _undercuts(
@@ -215,17 +185,22 @@ def _steepest(rises: list[tuple[float, float]], floor: float) -> tuple[float, tu
 def _lipschitz_on_boundary(
     g: MetricGraph, seeds: dict[str, float], rises: list[tuple[float, float]]
 ) -> tuple[float, tuple[float, float] | None]:
-    """Exact max over boundary pairs of (zeta(y) - zeta(y')) / d(y, y').
+    """Max over boundary pairs of (zeta(y) - zeta(y')) / d(y, y').
 
     Dinkelbach's ratio iteration, started from the largest ratio in
-    ``rises`` (realized pairs, so K starts at most L): solve with weights
-    K * length and seeds zeta, and raise K to the largest ratio of the
-    undercut seeds.  While K < L the pair attaining L is undercut with a
-    ratio above K, so the iteration stops exactly when K is the maximal
-    ratio.  Returns K and the (rise, length) pair that attains it, None
-    for K = 0.
+    ``rises`` and over the edges between boundary vertices (realized pairs,
+    as d <= length, so K starts at most L): solve with weights K * length
+    and seeds zeta, and raise K to the largest ratio of the undercut seeds.
+    While K < L the pair attaining L is undercut with a ratio above K,
+    unless that ratio is within an ulp or two of K and rounds to no
+    undercut: K is exact where a boundary edge's rise / length is the
+    maximum, else may fall that short.  Returns K and the (rise, length)
+    pair that attains it, None for K = 0.
     """
-    k, witness = _steepest(rises, 0.0)
+    index, names = g.index, g.vertices
+    edges = [(zy - seeds[names[j]], length) for y, zy in seeds.items()
+             for j, length in zip(g.nbrs[index[y]], g.lens[index[y]]) if names[j] in seeds]
+    k, witness = _steepest(rises + edges, 0.0)
     if k == 0.0 and min(seeds.values()) == max(seeds.values()):
         return 0.0, None  # constant data has no increment
     while True:

@@ -18,7 +18,7 @@ from itertools import chain
 from typing import Callable
 
 from .errors import ValidationError
-from .fields import ScalarField, field_from_expression, field_on
+from .fields import ScalarField, field_from_expression, field_list, field_on
 from .graph import MAX_REFINE_VERTICES, MetricGraph, _finalize, collector_paused, edge_key, refine
 from .slopes import (
     CheckReport,
@@ -272,13 +272,13 @@ class ComparisonReport:
     seed: int | None
     inf_f: float
     hypothesis_failed: str | None
-    sub_report: CheckReport | None
-    super_report: CheckReport | None
-    band_size: int
-    band_max: float | None
-    comparison_passed: bool | None
-    max_excess: float | None
-    violating_vertex: str | None
+    sub_report: CheckReport | None = None
+    super_report: CheckReport | None = None
+    band_size: int = 0
+    band_max: float | None = None
+    comparison_passed: bool | None = None
+    max_excess: float | None = None
+    violating_vertex: str | None = None
 
     @property
     def passed(self) -> bool:
@@ -293,52 +293,31 @@ def compare(inst: ComparisonInstance) -> ComparisonReport:
         raise ValidationError(f"compare band_delta must be >= 0, got {delta!r}")
     inf_f = min(inst.f.values.values())
 
-    def bail(which: str, sub=None, sup=None, band_size=0, band_max=None):
-        return ComparisonReport(
-            seed=inst.seed,
-            inf_f=inf_f,
-            hypothesis_failed=which,
-            sub_report=sub,
-            super_report=sup,
-            band_size=band_size,
-            band_max=band_max,
-            comparison_passed=None,
-            max_excess=None,
-            violating_vertex=None,
-        )
+    def report(failed: str | None, **found) -> ComparisonReport:
+        return ComparisonReport(inst.seed, inf_f, failed, **found)
 
     if not (inf_f > 0.0):
-        return bail("positivity")
+        return report("positivity")
     sub_tol, super_tol = (default_check_tol(g, inst.f) if t is None else t
                           for t in (inst.sub_tol, inst.super_tol))
     sub_rep = check_monge(g, inst.u_sub, inst.f, tol=sub_tol, mode="sub")
     if not sub_rep.passed:
-        return bail("monge-sub", sub=sub_rep)
+        return report("monge-sub", sub_report=sub_rep)
     sup_rep = check_monge(g, inst.v_super, inst.f, tol=super_tol, mode="super")
     if not sup_rep.passed:
-        return bail("monge-super", sub=sub_rep, sup=sup_rep)
+        return report("monge-super", sub_report=sub_rep, super_report=sup_rep)
 
+    # the checks above read every vertex of both fields
+    excess = [a - b for a, b in zip(field_list(g, inst.u_sub), field_list(g, inst.v_super))]
     band = boundary_band(g, delta)
-    band_max = max(inst.u_sub[v] - inst.v_super[v] for v in band)
+    band_max = max(map(excess.__getitem__, map(g.index.__getitem__, band)))
+    found = {"sub_report": sub_rep, "super_report": sup_rep, "band_size": len(band), "band_max": band_max}
     if band_max > inst.band_tol:
-        return bail("boundary-band", sub=sub_rep, sup=sup_rep, band_size=len(band), band_max=band_max)
-
-    excess = {v: inst.u_sub[v] - inst.v_super[v] for v in g.vertices}
-    worst = max(sorted(excess), key=lambda v: excess[v])
-    max_excess = excess[worst]
-    ok = max_excess <= inst.compare_tol
-    return ComparisonReport(
-        seed=inst.seed,
-        inf_f=inf_f,
-        hypothesis_failed=None,
-        sub_report=sub_rep,
-        super_report=sup_rep,
-        band_size=len(band),
-        band_max=band_max,
-        comparison_passed=ok,
-        max_excess=max_excess,
-        violating_vertex=None if ok else worst,
-    )
+        return report("boundary-band", **found)
+    worst = max(range(len(excess)), key=excess.__getitem__)  # the first in id order among ties
+    ok = excess[worst] <= inst.compare_tol
+    return report(None, **found, comparison_passed=ok, max_excess=excess[worst],
+                  violating_vertex=None if ok else g.vertices[worst])
 
 
 def random_metric_graph(seed: int, n_min: int = 8, n_max: int = 50) -> MetricGraph:
@@ -372,5 +351,5 @@ def random_comparison_instance(seed: int) -> ComparisonInstance:
     zeta = field_on(g, {v: 0.0 for v in g.boundary}, "boundary_zeta")
     vf = solve_dirichlet(DirichletProblem(g, f, zeta))
     lam = 1.0 - rng.random()  # in (0, 1]
-    u = field_on(g, {v: lam * vf.u[v] for v in g.vertices}, "solution_u")
+    u = field_on(g, dict(zip(g.vertices, [lam * x for x in field_list(g, vf.u)])), "solution_u")
     return ComparisonInstance(graph=g, f=f, u_sub=u, v_super=vf.u, seed=seed)

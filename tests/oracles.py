@@ -865,9 +865,24 @@ def pairwise_boundary_certificate(problem, u):
     return lipschitz_L, zeta_ok, curve_ok, weak_ok, two_sided_ok
 
 
+def reference_boundary_lipschitz(g: MetricGraph, zeta: Mapping[str, float]) -> float:
+    """The boundary Lipschitz constant by brute force: one distance search
+    per boundary vertex on the oracle's own adjacency, then the largest
+    (zeta(y) - zeta(y')) / d(y, y') over every ordered boundary pair."""
+    adj = adjacency(g)
+    best = 0.0
+    for y in sorted(zeta):
+        d = fixpoint_labels(adj, {y: 0.0})
+        for z in sorted(zeta):
+            if z != y and (ratio := (zeta[z] - zeta[y]) / d[z]) > best:
+                best = ratio
+    return best
+
+
 # The boundary certificate as it stood before its edge pass: one min-plus
 # solve per verdict.  Copied verbatim, helpers included and renamed, as the
-# bit-identity reference for every BoundaryCertificate field.
+# bit-identity reference for every BoundaryCertificate field; its Dinkelbach
+# start also takes the boundary edges' ratios, as the certificate's does.
 
 
 def _reference_boundary_seeds(g: MetricGraph, data) -> list[tuple[int, float]]:
@@ -916,14 +931,13 @@ def _reference_lipschitz_on_boundary(
     """Exact max over boundary pairs of (zeta(y) - zeta(y')) / d(y, y').
 
     Dinkelbach's ratio iteration, started from the largest ratio in
-    ``rises`` (realized pairs, so K starts at most L): solve with weights
-    K * length and seeds zeta, and raise K to the largest ratio of the
-    undercut seeds.  While K < L the pair attaining L is undercut with a
-    ratio above K, so the iteration stops exactly when K is the maximal
-    ratio.  Returns K and the (rise, length) pair that attains it, None
-    for K = 0.
+    ``rises`` and over the edges between boundary vertices (realized pairs,
+    so K starts at most L): solve with weights K * length and seeds zeta,
+    and raise K to the largest ratio of the undercut seeds.  Returns K and
+    the (rise, length) pair that attains it, None for K = 0.
     """
-    k, witness = _reference_steepest(rises, 0.0)
+    edges = [(zy - seeds[z], length) for y, zy in seeds.items() for z, length in adjacency(g)[y] if z in seeds]
+    k, witness = _reference_steepest(rises + edges, 0.0)
     if k == 0.0 and min(seeds.values()) == max(seeds.values()):
         return 0.0, None  # constant data has no increment
     while True:

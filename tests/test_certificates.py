@@ -20,7 +20,9 @@ from eikograph import (
     ball,
     check_boundary_consistency,
     check_c_subsolution,
+    constant_field,
     distances_from,
+    field_from_expression,
     field_on,
     fixture,
     random_metric_graph,
@@ -291,6 +293,30 @@ def test_curve_pass_on_a_linear_u(slope, holds, monkeypatch):
     assert as_hex(cert) == as_hex(reference_boundary_consistency(p, vf))
     assert cert.curve_condition_ok == holds
     assert ("curve" in log) != holds
+
+
+def linear_zeta_grids():
+    """(n, zeta expression): the grid n = 12 with zeta = 0.7 x, where the
+    largest ratio lies on the boundary edge v8_11 - v9_11, then 60 seeded
+    grids, n in [4, 15], with zeta linear in one coordinate."""
+    yield 12, "linear:0,0.7"
+    for seed in range(60):
+        rng = random.Random(f"linear-zeta-{seed}")
+        yield rng.randint(4, 15), f"linear:{rng.uniform(-1, 1)!r},{rng.uniform(-2, 2)!r},{rng.randrange(2)}"
+
+
+def test_lipschitz_L_is_the_pairwise_maximum():
+    # Dinkelbach stopped an ulp or two short of the maximum where the pair
+    # attaining it, a boundary edge, rounded to no undercut; its start now
+    # takes the boundary edges' ratios
+    for n, expr in linear_zeta_grids():
+        g = fixture("grid", n=n).graph
+        zeta = field_from_expression(g, expr, "boundary_zeta")
+        p = DirichletProblem(g, constant_field(g, 1.0, "rhs_f"), zeta)
+        cert = check_boundary_consistency(p, solve_dirichlet(p))
+        assert cert.lipschitz_L.hex() == oracles.reference_boundary_lipschitz(g, zeta.values).hex(), (n, expr)
+        if (n, expr) == (12, "linear:0,0.7"):
+            assert cert.lipschitz_L.hex() == "0x1.6666666666668p-1"
 
 
 @pytest.mark.parametrize("threshold", [-2.0, math.nan])

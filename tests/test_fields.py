@@ -7,23 +7,33 @@ import math
 import pytest
 
 from eikograph import (
+    DirichletProblem,
     FieldError,
     ValidationError,
     build_graph,
+    builtin_hamiltonian,
+    check_boundary_consistency,
     check_c_subsolution,
     check_c_supersolution,
+    check_hamiltonian_monge,
+    check_monge,
+    check_regularity,
     constant_field,
     edge_costs,
     field_from_expression,
+    field_from_function,
     field_on,
     fixture,
     lipschitz_constant,
     read_field_csv,
+    reduce_field,
     refine,
+    solve_dirichlet,
+    solve_general,
     validate_field,
     write_field_csv,
 )
-from eikograph.fields import ScalarField
+from eikograph.fields import ScalarField, field_list
 from eikograph.graph import close
 
 from oracles import trapezoid_path_cost
@@ -340,3 +350,71 @@ class TestCsvRoundTrip:
         path.write_text("vertex_id,value\na,1.0\nb,oops\n")
         with pytest.raises(ValidationError, match=":3:"):
             read_field_csv(g, str(path), "rhs_f")
+
+
+def hexes(values):
+    return [x.hex() for x in values]
+
+
+class TestOneListPerField:
+    """Every field keeps its values as one list by vertex index of its own
+    graph, which field_list hands out there and no reader in the package
+    writes; any other graph gets the lookup, with the same values or error."""
+
+    @staticmethod
+    def fields(g, tmp_path):
+        """(name, field) for every constructor of a field with values at every vertex."""
+        vs = list(reversed(g.vertices))  # an order other than id order
+        f = field_on(g, {v: 0.5 + 0.125 * k for k, v in enumerate(vs)}, "rhs_f")
+        zeta = field_from_function(g, lambda y: 0.25 * g.coords[y][0], "boundary_zeta")
+        u = solve_dirichlet(DirichletProblem(g, f, zeta)).u
+        write_field_csv(u, tmp_path / "u.csv")
+        H = builtin_hamiltonian("affine-rho")
+        _, general, _ = solve_general(g, H, zeta)
+        return [
+            ("field_on", f),
+            ("constant_field", constant_field(g, 0.75, "solution_u")),
+            ("field_from_function", field_from_function(g, lambda v: g.coords[v][1] - 0.5, "solution_u")),
+            ("read_field_csv", read_field_csv(g, tmp_path / "u.csv", "solution_u")),
+            ("value_function", u),
+            ("solve_general h", general.h),
+            ("reduce_field", reduce_field(H, g, u.values).h),
+        ]
+
+    def test_own_graph_list_is_the_id_order_lookup(self, tmp_path):
+        g = fixture("grid", n=5).graph
+        for name, field in self.fields(g, tmp_path):
+            fl = field_list(g, field)
+            assert hexes(fl) == hexes(field.values[v] for v in g.vertices), name
+            assert field_list(g, field) is fl, name  # kept, not rebuilt
+
+    def test_foreign_graph_gets_the_lookup(self, tmp_path):
+        g, same, larger = (fixture("grid", n=n).graph for n in (5, 5, 6))
+        assert same == g and same is not g
+        for name, field in self.fields(g, tmp_path):
+            assert hexes(field_list(same, field)) == hexes(field_list(g, field)), name
+            assert field_list(same, field) is not field_list(g, field), name
+            missing = next(v for v in larger.vertices if v not in g.index)
+            want = f"^field \\({field.role}\\) has no value at vertex '{missing}'$"
+            with pytest.raises(FieldError, match=want):
+                field_list(larger, field)
+
+    def test_no_reader_writes_a_kept_list(self):
+        g = fixture("grid", n=6, connectivity=8).graph
+        H = builtin_hamiltonian("affine-rho")
+        f = field_from_expression(g, "linear:1,0.5", "rhs_f")
+        zeta = field_from_expression(g, "linear:0,0.7", "boundary_zeta")
+        p = DirichletProblem(g, f, zeta)
+        vf = solve_dirichlet(p)
+        h = solve_general(g, H, zeta)[1].h
+        fields = (f, vf.u, h)
+        kept = [field_list(g, x) for x in fields]
+        before = [hexes(fl) for fl in kept] + [hexes(zeta.values.values())]
+        check_boundary_consistency(p, vf)
+        for u, rhs in ((vf.u, f), (h, h)):  # h as u and as f: every check reads both fields' lists
+            check_monge(g, u, rhs), check_c_subsolution(g, u, rhs), check_c_supersolution(g, u, rhs)
+            check_regularity(g, u), check_hamiltonian_monge(g, u, H)
+        solve_dirichlet(DirichletProblem(g, h, zeta, threshold=0.0))
+        solve_general(g, H, zeta)
+        assert all(field_list(g, x) is fl for x, fl in zip(fields, kept))
+        assert [hexes(fl) for fl in kept] + [hexes(zeta.values.values())] == before

@@ -11,6 +11,7 @@ CSR lists replaced; every report must match them the same way.
 
 from __future__ import annotations
 
+import math
 import random
 from functools import partial
 
@@ -156,6 +157,44 @@ def test_exit_vertex_takes_a_write_as_the_reference_dict(name, data):
         with pytest.raises(KeyError):
             view[key] = value
     assert list(view.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("data", ["random", "zero_band", "constant"])
+@pytest.mark.parametrize("name", sorted(set(FIXTURES) - {"circle"}))
+def test_u_values_behaves_as_the_reference_dict(name, data):
+    """The solver's u.values view answers every read as the reference's
+    plain dict does: items, order, lookups, errors, len, repr and ==."""
+    p = make_problem(graph(name), data, 0)
+    view = solve_dirichlet(p).u.values
+    want, _, _ = reference_solve(p)
+    assert bits(dict(view)) == bits(want)  # dict() reads keys() and each lookup
+    assert list(view) == list(want) and bits(view) == bits(want)
+    assert len(view) == len(want) and repr(view) == repr(want)
+    assert view == want and want == view and not view != want
+    some = next(iter(want))
+    assert view != {**want, some: want[some] + 1.0} and view != dict(list(want.items())[1:])
+    vs = p.graph.vertices
+    for key in [*vs, "nowhere", "", vs[0] + " ", 0, None, (vs[0],), [vs[0]], {vs[0]: 1}]:
+        for read in (lambda m: m[key], lambda m: m.get(key), lambda m: m.get(key, 7), lambda m: key in m):
+            assert outcome(lambda: read(view)) == outcome(lambda: read(want)), key
+
+
+@pytest.mark.parametrize("data", ["random", "zero_band", "constant"])
+@pytest.mark.parametrize("name", sorted(set(FIXTURES) - {"circle"}))
+def test_u_values_takes_a_write_as_the_reference_dict(name, data):
+    """A write to a known id reads back as it does from a dict, in place and
+    in the field's list; an unknown id raises KeyError and changes nothing."""
+    p = make_problem(graph(name), data, 0)
+    u = solve_dirichlet(p).u
+    want, _, _ = reference_solve(p)
+    x = list(want)[len(want) // 2]
+    u.values[x] = want[x] = math.nextafter(want[x], math.inf)
+    assert u.values[x] == u.values.get(x) == u[x] == want[x] and bits(u.values) == bits(want)
+    assert field_list(p.graph, u)[p.graph.index[x]] == want[x]
+    for key in ("nowhere", 0):
+        with pytest.raises(KeyError):
+            u.values[key] = 1.0
+    assert bits(u.values) == bits(want)
 
 
 @pytest.mark.parametrize("seed", range(3))
