@@ -101,25 +101,22 @@ class _VertexView(_ListView):
         return map(self._g.vertices.__getitem__, entries) if self._ids else entries
 
 
-def _list_field(g: MetricGraph, order: Sequence[int], fl: list[float], role: str) -> ScalarField:
-    """An unvalidated field of ``fl``, values by vertex index, walked in ``order``."""
-    return ScalarField(g, _VertexView(g, order, fl), role, fl)
-
-
 def field_on(g: MetricGraph, values: Mapping[str, float], role: str) -> ScalarField:
     """Validate and wrap vertex values as a field with the given role."""
     if role not in ROLES:
         raise FieldError(f"unknown field role {role!r}; expected one of {ROLES}")
-    if set(map(type, values.keys())) == {str} and set(map(type, values.values())) == {float}:
+    fl = None if role == "boundary_zeta" else list(map(values.get, g.vertices))
+    whole = fl is not None and len(fl) == len(values)  # if fl holds only floats: every id and no other key
+    if set(map(type, values.keys())) == {str} and set(map(type, fl if whole else values.values())) == {float}:
         vals = dict(values)  # str() and float() would return each key and value unchanged
     else:
         vals = dict(zip(map(str, values.keys()), map(float, values.values())))
+        whole, fl = False, fl and list(map(vals.get, g.vertices))
     if not math.isfinite(sum(vals.values())):  # one C-level pass; finite values may still overflow the sum
         bad = sorted(v for v, x in vals.items() if not math.isfinite(x))
         if bad:
             raise FieldError(f"field ({role}) has non-finite value {vals[bad[0]]!r} at vertex {bad[0]!r}")
-    fl = None if role == "boundary_zeta" else list(map(vals.get, g.vertices))
-    if fl is None or None in fl or len(vals) > len(fl):  # a boundary field, or some id unknown or missing
+    if not whole and (fl is None or None in fl or len(vals) > len(fl)):  # boundary data, or a bad id
         if unknown := vals.keys() - g.index.keys():
             raise FieldError(f"field values at unknown vertices {sorted(unknown)[:5]}")
         if fl is not None:

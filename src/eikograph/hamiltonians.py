@@ -24,7 +24,7 @@ from operator import sub
 from typing import Callable, Mapping
 
 from .errors import CoercivityError, ConvergenceError, HamiltonianError, ValidationError
-from .fields import ScalarField, _list_field, field_list, field_on, interior_slopes
+from .fields import ScalarField, _VertexView, field_list, field_on, interior_slopes
 from .graph import MetricGraph, settle
 from .slopes import CheckReport
 from .solver import DirichletProblem, ValueFunction, boundary_seeds, solve_dirichlet, value_function
@@ -367,7 +367,7 @@ def _reduction_field(
     Roots are finite and >= 0 by construction, so h needs no validation."""
     names = g.vertices
     return ReductionField(
-        h=_list_field(g, range(len(names)), roots, "rhs_f"),
+        h=ScalarField(g, _VertexView(g, range(len(names)), roots), "rhs_f", roots),
         residuals=dict(zip(names, residuals)),
         flagged=tuple(x for x, res in zip(names, residuals) if res > tol),
         tol=tol,
@@ -429,7 +429,7 @@ def solve_general(
     names, n = g.vertices, len(g.vertices)
     taken, roots, residuals = [math.nan] * n, [0.0] * n, [0.0] * n
     _rereduce(H, names, [0.0] * n, taken, roots, residuals, bisect_tol)
-    f = _list_field(g, range(n), roots, "rhs_f")  # f keeps roots, which the sweeps change after this solve
+    f = ScalarField(g, _VertexView(g, range(n), roots), "rhs_f", roots)  # roots changes once f is solved
     vf = solve_dirichlet(DirichletProblem(g, f, zeta, threshold=0.0))
     u = field_list(g, vf.u)
     if H.rho_monotonicity == "independent":

@@ -18,7 +18,6 @@ from .errors import FieldError, ProblemError
 from .fields import (
     DEFAULT_POSITIVITY_THRESHOLD,
     ScalarField,
-    _list_field,
     _VertexView,
     field_list,
     validate_field,
@@ -139,7 +138,7 @@ def value_function(g: MetricGraph, zeta: Mapping[str, float], run) -> ValueFunct
     for x in order:
         exits[x] = exits[exits[x]]  # a parent's entry is already its exit: every vertex is reached
     attained = {y: dist[g.index[y]] == zeta[y] for y in sorted(zeta)}  # zeta's keys are the boundary
-    u = _list_field(g, order, dist, "solution_u")
+    u = ScalarField(g, _VertexView(g, order, dist), "solution_u", dist)
     return ValueFunction(u, _VertexView(g, order, exits, ids=True), attained)
 
 

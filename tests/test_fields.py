@@ -204,6 +204,7 @@ class TestFieldOnInputs:
             "exact, negative": {**floats, vs[1]: -0.5},
             "exact, missing": dict(list(floats.items())[1:]),
             "exact, unknown": {**floats, "nowhere": 1.0},
+            "exact, an id swapped for an unknown one": {**dict(list(floats.items())[1:]), "nowhere": 1.0},
             "int": {v: k for k, v in enumerate(vs)},
             "bool": {v: k % 2 == 0 for k, v in enumerate(vs)},
             "numeric str": {v: f"{0.5 * k}" for k, v in enumerate(vs)},
