@@ -48,6 +48,8 @@ if TYPE_CHECKING:
 # Handlers import solver, hamiltonians and verify, so `check` and `refine` never
 # load them; hamiltonians.BUILTIN_NAMES, literal so that the parser needs neither:
 BUILTIN_NAMES = ("affine-rho", "ex1", "ex2", "linear", "plateau", "quadratic")
+# verify.fixture's names, each with the flag that sizes it; a grid also takes --connectivity
+FIXTURE_SIZE_FLAGS = {"interval": "n", "circle": "n", "grid": "n", "binary_tree": "depth", "gasket": "level"}
 
 
 def _check_io_paths(inputs, outputs) -> None:
@@ -123,7 +125,7 @@ def _fixture_params(name: str, args) -> dict:
     """Fixture parameters from the size flag the fixture needs (--n, --depth
     or --level), plus --connectivity for grids; a missing size flag is an
     input error."""
-    flag = {"interval": "n", "circle": "n", "grid": "n", "binary_tree": "depth", "gasket": "level"}[name]
+    flag = FIXTURE_SIZE_FLAGS[name]
     value = getattr(args, flag)
     if value is None:
         raise ValidationError(f"fixture {name!r} needs --{flag}")
@@ -310,17 +312,21 @@ def _cmd_refine(args) -> int:
     return 0
 
 
+def _add_fixture_args(p: argparse.ArgumentParser, choice: str) -> None:
+    """The flag that names the fixture, then its size flags."""
+    p.add_argument(choice, required=True, choices=list(FIXTURE_SIZE_FLAGS))
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--connectivity", type=int, default=4, choices=[4, 8])
+    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--level", type=int, default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="eikograph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fixture", help="generate a deterministic fixture graph")
-    p.add_argument("--name", required=True,
-                   choices=["interval", "circle", "grid", "binary_tree", "gasket"])
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--connectivity", type=int, default=4, choices=[4, 8])
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--level", type=int, default=None)
+    _add_fixture_args(p, "--name")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_fixture)
 
@@ -375,12 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("suite", help="equivalence suite across refinement levels")
-    p.add_argument("--fixture", required=True,
-                   choices=["interval", "circle", "grid", "binary_tree", "gasket"])
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--connectivity", type=int, default=4, choices=[4, 8])
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--level", type=int, default=None)
+    _add_fixture_args(p, "--fixture")
     p.add_argument("--f", default="const:1")
     p.add_argument("--zeta", default="const:0")
     p.add_argument("--levels", type=int, default=3)

@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
-from operator import eq, is_not, itemgetter, lt
+from operator import eq, itemgetter, lt
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .errors import ConnectivityError, GraphError, MetricError, ValidationError
@@ -351,7 +351,7 @@ def build_graph(spec: Mapping) -> MetricGraph:
     ``version`` 2 is the columns that :func:`graph_to_dict` writes, read by
     :func:`_build_columns`.  Version 1, the default: ``vertices`` (list of
     {id, coords?}), ``edges`` (list of {a, b, length}), ``boundary`` (list of
-    ids, optional).
+    ids, optional), read one entry at a time: the first bad one raises.
     """
     if not isinstance(spec, Mapping):
         raise ValidationError("graph description must be a mapping")
@@ -371,8 +371,43 @@ def build_graph(spec: Mapping) -> MetricGraph:
         if not isinstance(value, (list, tuple)):
             raise ValidationError(f"graph {key} must be a list of {what}, got {type(value).__name__}")
 
-    parts = _bulk_entries(raw_vertices, raw_edges)
-    vertices, coords, ends, lengths = _walk_entries(raw_vertices, raw_edges) if parts is None else parts
+    vertices: set[str] = set()
+    coords: dict[str, tuple[float, ...]] = {}
+    for item in raw_vertices:
+        if isinstance(item, str):
+            vid = item
+        else:
+            try:
+                vid = str(item["id"])
+            except (TypeError, KeyError):
+                raise ValidationError(f"vertex entry {item!r} has no id")
+            raw = item.get("coords")
+            if raw is not None:
+                if not isinstance(raw, (list, tuple)):
+                    raise ValidationError(f"vertex {vid!r}: coords must be a list of numbers, got {raw!r}")
+                bad = [c for c in raw if not _is_json_number(c)]
+                if bad:
+                    raise ValidationError(f"vertex {vid!r}: coords must be a list of numbers, got {raw!r} "
+                                          f"(coords must be numbers, not {type(bad[0]).__name__})")
+                try:
+                    coords[vid] = tuple(map(float, raw))
+                except OverflowError:
+                    raise ValidationError(f"vertex {vid!r}: coords must be numbers, got {raw!r}")
+        if vid in vertices:
+            raise ValidationError(f"duplicate vertex id {vid!r}")
+        vertices.add(vid)
+
+    ends: list[tuple[str, str]] = []
+    lengths: list[float] = []
+    for item in raw_edges:
+        try:
+            a, b, length = str(item["a"]), str(item["b"]), item["length"]
+            lengths.append(float(length))
+        except (TypeError, KeyError, ValueError, OverflowError):
+            raise ValidationError(f"edge entry {item!r} must have a, b, length")
+        if not _is_json_number(length):
+            raise ValidationError(f"edge ({a!r}, {b!r}) has non-numeric length {length!r}")
+        ends.append((a, b))
     return _finalize(vertices, ends, lengths, [str(b) for b in boundary], coords)
 
 
@@ -461,78 +496,6 @@ def _floats(values: list) -> list[float] | None:
         return values if types <= {float} else list(map(float, values))
     except OverflowError:
         return None
-
-
-def _strs(values: list) -> list:
-    """``values`` as str, converting only when some value is not one already."""
-    return values if set(map(type, values)) <= {str} else list(map(str, values))
-
-
-def _bulk_entries(raw_vertices: Sequence, raw_edges: Sequence) -> tuple | None:
-    """Vertex ids, coords, edge ends and lengths by C-level passes, if each vertex is
-    an id or a dict with float coords or none, and each length an int or float."""
-    named = [item for item in raw_vertices if type(item) is not str]
-    try:
-        named_ids = _strs(list(map(itemgetter("id"), named)))
-        raws = list(map(dict.get, named, repeat("coords")))
-        ends = list(zip(*(_strs(list(map(itemgetter(key), raw_edges))) for key in "ab")))
-        lengths = list(map(itemgetter("length"), raw_edges))
-    except (TypeError, KeyError, ValueError):
-        return None
-    has = list(map(is_not, raws, repeat(None)))
-    raws = list(compress(raws, has))
-    ids = {*named_ids, *(item for item in raw_vertices if type(item) is str)}
-    if (len(ids) < len(raw_vertices) or not set(map(type, raws)) <= {list}
-            or not set(map(type, chain.from_iterable(raws))) <= {float}
-            or not set(map(type, lengths)) <= {int, float}):
-        return None
-    try:
-        return ids, dict(zip(compress(named_ids, has), raws)), ends, list(map(float, lengths))
-    except OverflowError:  # an int length beyond binary64
-        return None
-
-
-def _walk_entries(raw_vertices: Sequence, raw_edges: Sequence) -> tuple:
-    """The entries one by one, when :func:`_bulk_entries` gives None: raises
-    ValidationError at the first bad one, or returns the parts of a valid spec."""
-    vertices: set[str] = set()
-    coords: dict[str, tuple[float, ...]] = {}
-    for item in raw_vertices:
-        if isinstance(item, str):
-            vid = item
-        else:
-            try:
-                vid = str(item["id"])
-            except (TypeError, KeyError):
-                raise ValidationError(f"vertex entry {item!r} has no id")
-            raw = item.get("coords")
-            if raw is not None:
-                if not isinstance(raw, (list, tuple)):
-                    raise ValidationError(f"vertex {vid!r}: coords must be a list of numbers, got {raw!r}")
-                bad = [c for c in raw if not _is_json_number(c)]
-                if bad:
-                    raise ValidationError(f"vertex {vid!r}: coords must be a list of numbers, got {raw!r} "
-                                          f"(coords must be numbers, not {type(bad[0]).__name__})")
-                try:
-                    coords[vid] = tuple(map(float, raw))
-                except OverflowError:
-                    raise ValidationError(f"vertex {vid!r}: coords must be numbers, got {raw!r}")
-        if vid in vertices:
-            raise ValidationError(f"duplicate vertex id {vid!r}")
-        vertices.add(vid)
-
-    ends: list[tuple[str, str]] = []
-    lengths: list[float] = []
-    for item in raw_edges:
-        try:
-            a, b, length = str(item["a"]), str(item["b"]), item["length"]
-            lengths.append(float(length))
-        except (TypeError, KeyError, ValueError, OverflowError):
-            raise ValidationError(f"edge entry {item!r} must have a, b, length")
-        if not _is_json_number(length):
-            raise ValidationError(f"edge ({a!r}, {b!r}) has non-numeric length {length!r}")
-        ends.append((a, b))
-    return vertices, coords, ends, lengths
 
 
 def graph_to_dict(g: MetricGraph) -> dict:

@@ -265,8 +265,6 @@ def kernel(evaluate, name, names, u, taken, roots, residuals, tol):
                             break
                         else:
                             lo = p  # NaN too
-                    else:
-                        root = None  # not reached: the width test holds by step 90
             if root is not None and residuals is not None:
                 residuals[i] = abs(float(__H__))  # p is the root on every path here
         except Exception as exc:  # noqa: BLE001 - evaluator is user code

@@ -14,7 +14,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, filterfalse, repeat
-from operator import eq, gt
+from operator import eq, le, not_
 from typing import Iterator
 
 from .errors import FieldError, GraphError
@@ -40,7 +40,8 @@ class SlopeTriple:
 class CheckReport:
     """Per-item residuals of one check, with verdict at a fixed tolerance.
 
-    ``passed`` holds iff every judged residual is <= tol.  ``excluded`` items
+    ``passed`` holds iff every judged residual is <= tol, so a NaN residual
+    fails, and ``failures()`` and ``failing`` list it.  ``excluded`` items
     are reported but not judged (e.g. boundary-adjacent vertices in the
     regularity check).  ``details`` carries check-specific extras such as
     witness curves.
@@ -94,7 +95,7 @@ class CheckReport:
         return sorted(compress(self.residuals, self._fails()))
 
     def _fails(self) -> Iterator[bool]:
-        return map(gt, self.residuals.values(), repeat(self.tol))  # a NaN residual is not listed
+        return map(not_, map(le, self.residuals.values(), repeat(self.tol)))  # as passed: a NaN fails
 
 
 class _ArcView(_ListView):

@@ -15,8 +15,8 @@ to :func:`reference_layout` of the raw entries the constructor passed,
 which is the rule those lists must follow, and tie both views to
 :func:`views_from_lists`, plain loops over the lists; csub's report keys
 come from :func:`arc_keys_from_lists`, the same loops.
-:func:`reference_build_graph` is the entry-by-entry load of version 1 graph
-descriptions whose graphs and errors the bulk load must give.
+:func:`reference_build_graph` is the load of version 1 graph descriptions
+that ``build_graph`` replaced, whose graphs and errors it must give.
 :func:`graph_to_dict_v1` is the version 1 writer that
 version 2 replaced, kept as the source of version 1 inputs.
 :func:`reference_gasket` builds the gasket fixture by triangle subdivision,

@@ -46,3 +46,12 @@ def test_hjb_tiny_run_is_correct():
 
 def test_cli_tiny_run_is_correct():
     assert_tiny_run_correct("cli")
+
+
+def test_benchmark_selftest_passes():
+    # the traced probe (edge_costs, distances_from, ball, reduce_field, graph
+    # read and write) and the gates' writes through vf.u.values,
+    # vf.exit_vertex and h.values run only there
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT, capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr[-4000:]

@@ -13,7 +13,8 @@ import pytest
 from eikograph import constant_field, field_on, fixture, read_graph
 from eikograph import graph as graph_module
 from eikograph import verify as verify_module
-from eikograph.cli import emit_plot_data, run
+from eikograph.cli import FIXTURE_SIZE_FLAGS, emit_plot_data, run
+from eikograph.errors import ValidationError
 from eikograph.fields import read_field_csv, write_field_csv
 from oracles import COLLIDE, COLLIDE_U
 
@@ -78,6 +79,29 @@ class TestPipeline:
         rows = read_rows(report_path)
         assert len(rows) == 1 + 8
         assert [r for r in rows if r[0] == "a->b->c"] == [["a->b->c", "0.0", "pass"], ["a->b->c", "4.0", "fail"]]
+
+    def test_nan_residual_counts_as_failing(self, tmp_path, capsys):
+        # edges of length 1e-300 around x overflow both slopes to inf, and inf - inf is NaN
+        g_path, u_path, report_path = (str(tmp_path / name) for name in ("g.json", "u.csv", "report.csv"))
+        path = [("p", "a", 1.0), ("a", "x", 1e-300), ("x", "b", 1e-300), ("b", "q", 1.0)]
+        with open(g_path, "w", encoding="utf-8") as fh:
+            json.dump({"vertices": ["p", "a", "x", "b", "q"], "boundary": ["p", "q"],
+                       "edges": [{"a": a, "b": b, "length": length} for a, b, length in path]}, fh)
+        (tmp_path / "u.csv").write_text("vertex_id,value\np,0\na,-1e10\nx,0\nb,1e10\nq,0\n")
+        code = run_cli("check", "regularity", "--graph", g_path, "--u", u_path, "--report", report_path)
+        assert code == 1
+        assert capsys.readouterr().out == ("check regularity: FAIL at x "
+                                           "(residual nan > tol 1e-09; 1 failing items)\n")
+        assert ["x", "nan", "fail"] in read_rows(report_path)
+
+    def test_fixture_table_names_every_fixture(self, tmp_path):
+        # each name builds from its size flag alone, and the table lists what verify.fixture knows
+        for name, flag in FIXTURE_SIZE_FLAGS.items():
+            out = str(tmp_path / f"{name}.json")
+            assert run_cli("fixture", "--name", name, f"--{flag}", "3", "--out", out) == 0
+            assert read_graph(out) == fixture(name, **{flag: 3}).graph
+        with pytest.raises(ValidationError, match=re.escape(f"known: {sorted(FIXTURE_SIZE_FLAGS)}")):
+            fixture("nowhere")
 
     def test_solve_h_counterexample_exits_2(self, tmp_path, capsys):
         g_path = tmp_path / "g.json"

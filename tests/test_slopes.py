@@ -387,7 +387,7 @@ class TestWorstItem:
             for report in (dataclasses.replace(csub, residuals=type(csub.residuals)(g, rs)),
                            dataclasses.replace(monge, residuals=dict(zip(ids, rs)))):
                 assert report.worst_item == sorted_worst(report)
-                failing = [k for k, r in sorted(report.residuals.items()) if r > report.tol]
+                failing = [k for k, r in sorted(report.residuals.items()) if not r <= report.tol]
                 assert report.failures() == failing and report.failing == len(failing)
         assert dataclasses.replace(monge, residuals={}).worst_item is None
 
