@@ -415,10 +415,7 @@ def run(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except EikographError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (EikographError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

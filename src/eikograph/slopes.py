@@ -13,13 +13,13 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, filterfalse, repeat
+from itertools import compress, repeat
 from operator import eq, le, not_
 from typing import Iterator
 
 from .errors import FieldError, GraphError
 from .fields import ScalarField, _interior, _one_hop, field_list, interior_slopes, lipschitz_constant
-from .graph import MetricGraph, _ListView, _slot, _vertex_index, curve_along
+from .graph import MetricGraph, _ListView, _vertex_index, curve_along
 
 # Base additive tolerance; interpolation error of a Lipschitz rhs adds
 # Lip(f) * h_max on top of it (see default_check_tol).
@@ -40,20 +40,21 @@ class SlopeTriple:
 class CheckReport:
     """Per-item residuals of one check, with verdict at a fixed tolerance.
 
-    ``passed`` holds iff every judged residual is <= tol, so a NaN residual
-    fails, and ``failures()`` and ``failing`` list it.  ``excluded`` items
-    are reported but not judged (e.g. boundary-adjacent vertices in the
-    regularity check).  ``details`` carries check-specific extras such as
-    witness curves.
+    An item fails unless its residual is <= tol, so a NaN residual fails;
+    ``passed``, ``failing``, ``failures()`` and ``rows()`` all judge by that
+    rule.  ``max_residual`` is NaN if any residual is NaN, else the largest
+    (0.0 with none), and ``worst_item`` is the smallest key whose residual
+    is ``max_residual``: a failing report names a failing item.
+    ``excluded`` items are reported but not judged (e.g. boundary-adjacent
+    vertices in the regularity check).  ``details`` carries check-specific
+    extras such as witness curves.
 
     Vertex-keyed residuals are dicts.  csub's are a read-only view of the
     graph and one residual per oriented edge (:class:`_ArcView`): ``len`` is
-    O(1), and its ``"x->y"`` keys are built only while it is walked.
-    ``passed``, ``max_residual`` and ``len`` read the residuals alone, so
-    they judge every item even where two printed keys coincide (ids that
-    hold ``->``).  There the view is no faithful dict: a lookup returns the
-    first of those arcs in list order, and ``residuals == d`` compares
-    ``dict(items())``, which keeps only the last.
+    O(1), and its ``"x->y"`` keys are built only while it is walked.  The
+    verdict, ``max_residual``, ``worst_item`` and ``len`` walk the list, so
+    they judge every arc even where two printed keys coincide (ids that hold
+    ``->``); there a lookup, like ``==``, sees the last of those arcs.
     """
 
     name: str
@@ -64,24 +65,19 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
-        return all(r <= self.tol for r in self.residuals.values())
+        return not any(self._fails())
 
     @property
     def worst_item(self) -> str | None:
-        """``max(sorted(items), key=residual)``'s item without the sort: the
-        smallest key among ties; a NaN is kept at the smallest key, else skipped."""
-        rs = self.residuals
-        values = rs.values()
-        if any(map(math.isnan, values)):
-            first = min(rs)
-            if math.isnan(rs[first]):
-                return first
-            values = list(filterfalse(math.isnan, values))
-        return min(compress(rs, map(eq, repeat(max(values, default=None)), rs.values())), default=None)
+        """The smallest key whose residual is ``max_residual``, a NaN matching a NaN."""
+        rs, top = self.residuals, self.max_residual
+        hits = map(math.isnan, rs.values()) if math.isnan(top) else map(eq, repeat(top), rs.values())
+        return min(compress(rs, hits), default=None)
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values(), default=0.0)
+        values = self.residuals.values()
+        return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
 
     def rows(self) -> list[tuple[str, float, str]]:
         return [(item, r, "pass" if r <= self.tol else "fail") for item, r in sorted(self.residuals.items())]
@@ -95,16 +91,16 @@ class CheckReport:
         return sorted(compress(self.residuals, self._fails()))
 
     def _fails(self) -> Iterator[bool]:
-        return map(not_, map(le, self.residuals.values(), repeat(self.tol)))  # as passed: a NaN fails
+        return map(not_, map(le, self.residuals.values(), repeat(self.tol)))  # a NaN fails
 
 
 class _ArcView(_ListView):
     """csub's residuals: ``"x->y"`` -> residual for every oriented edge, in
-    the order of the lists.  Keeps the graph and the residual list; a lookup
-    parses its key, at each ``->``, into ids, and keeps at most the V + 1
-    offsets of the vertices' first arcs."""
+    the order of the lists.  Keeps the graph and the residual list; the
+    first lookup builds ``dict(items())`` and keeps it, so a lookup agrees
+    with ``==``."""
 
-    __slots__ = ("_rs", "_starts")
+    __slots__ = ("_rs", "_dict")
 
     def __init__(self, g: MetricGraph, rs: list[float]):
         super().__init__(g)
@@ -120,25 +116,11 @@ class _ArcView(_ListView):
                 yield f"{x}->{vs[j]}"
 
     def __getitem__(self, key: str) -> float:
-        g = self._g
-        if isinstance(key, str):
-            at = key.find("->")
-            while at >= 0:  # ids sort as their prefixes do: the first split found is the first arc
-                i, j = g.index.get(key[:at]), g.index.get(key[at + 2:])
-                if i is not None and j is not None:
-                    k = _slot(g, i, j)
-                    if k >= 0:
-                        return self._rs[self._start(i) + k]
-                at = key.find("->", at + 2)
-        hash(key)  # an unhashable key raises TypeError, as a dict lookup does
-        raise KeyError(key)
-
-    def _start(self, i: int) -> int:
         try:
-            starts = self._starts
+            d = self._dict
         except AttributeError:
-            starts = self._starts = [0, *accumulate(map(len, self._g.nbrs))]
-        return starts[i]
+            d = self._dict = dict(self._items())
+        return d[key]
 
     def _items(self) -> Iterator[tuple[str, float]]:
         return zip(self, self._rs)

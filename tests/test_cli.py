@@ -94,6 +94,23 @@ class TestPipeline:
                                            "(residual nan > tol 1e-09; 1 failing items)\n")
         assert ["x", "nan", "fail"] in read_rows(report_path)
 
+    def test_fail_line_names_a_nan_item_past_the_smallest_key(self, tmp_path, capsys):
+        # zz's NaN sorts after the passing c2; the FAIL line names zz and its residual
+        g_path, u_path, report_path = (str(tmp_path / name) for name in ("g.json", "u.csv", "report.csv"))
+        edges = [("p", "a", 1.0), ("a", "zz", 1e-300), ("zz", "b", 1e-300), ("b", "q", 1.0),
+                 ("p", "c1", 1.0), ("c1", "c2", 1.0), ("c2", "c3", 1.0), ("c3", "r", 1.0)]
+        with open(g_path, "w", encoding="utf-8") as fh:
+            json.dump({"vertices": ["p", "a", "zz", "b", "q", "c1", "c2", "c3", "r"], "boundary": ["p", "q", "r"],
+                       "edges": [{"a": a, "b": b, "length": length} for a, b, length in edges]}, fh)
+        (tmp_path / "u.csv").write_text(
+            "vertex_id,value\np,0\na,-1e10\nzz,0\nb,1e10\nq,0\nc1,0\nc2,0\nc3,0\nr,0\n")
+        code = run_cli("check", "regularity", "--graph", g_path, "--u", u_path, "--report", report_path)
+        assert code == 1
+        assert capsys.readouterr().out == ("check regularity: FAIL at zz "
+                                           "(residual nan > tol 1e-09; 1 failing items)\n")
+        rows = read_rows(report_path)
+        assert ["c2", "0.0", "pass"] in rows and ["zz", "nan", "fail"] in rows
+
     def test_fixture_table_names_every_fixture(self, tmp_path):
         # each name builds from its size flag alone, and the table lists what verify.fixture knows
         for name, flag in FIXTURE_SIZE_FLAGS.items():

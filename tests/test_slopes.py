@@ -183,22 +183,23 @@ class TestCheckCSubsolution:
         report = check_c_subsolution(g, u, constant_field(g, 1.0, "rhs_f"))
         assert len(report.residuals) == 8 and not report.passed
         assert report.worst_item == "a->b->c" and report.max_residual == 4.0
-        assert report.residuals["a->b->c"] == 4.0  # the first arc in list order
+        assert report.residuals["a->b->c"] == 0.0  # the last arc in list order, as dict(items()) keeps
         assert report.failures() == ["a->b->c"]
         assert [row for row in report.rows() if row[0] == "a->b->c"] == [
             ("a->b->c", 0.0, "pass"), ("a->b->c", 4.0, "fail")]
         assert list(report.residuals).count("a->b->c") == 2
 
     def test_arcs_that_print_alike_make_no_faithful_dict(self):
-        # == against a dict compares dict(items()), which keeps the last of the two
-        # arcs, 0.0; a lookup returns the first, 4.0; the verdicts judge both
+        # a lookup and == against a dict both read dict(items()), which keeps the last
+        # of the two arcs, 0.0; len still counts 8 arcs over 7 keys; the verdicts judge both
         g = build_graph(COLLIDE)
         u = field_on(g, COLLIDE_U, "solution_u")
         report = check_c_subsolution(g, u, constant_field(g, 1.0, "rhs_f"))
         view = report.residuals
         items = dict(view.items())
-        assert items["a->b->c"] == 0.0 and view["a->b->c"] == 4.0
-        assert view == items and view != dict(view)  # dict(view) reads each key's lookup
+        assert items["a->b->c"] == 0.0 and view["a->b->c"] == 0.0
+        assert all(view[k] == r for k, r in items.items())
+        assert view == items and view == dict(view)  # dict(view) reads each key's lookup
         assert len(items) == 7 and len(view) == 8
         assert not report.passed and report.max_residual == 4.0
 
@@ -361,16 +362,21 @@ class TestComputedOnce:
         assert (g, u, f) == (fresh_g, fresh_u, fresh_f)
 
 
-def sorted_worst(report):
-    """worst_item as a max over the sorted items: the smallest key among ties,
-    NaN residuals as that walk meets them."""
-    return max(sorted(report.residuals.items()), key=lambda item: item[1], default=(None,))[0]
+def largest(report):
+    """(max_residual, worst_item) by definition: the largest residual, a NaN
+    counting as larger than any number, and the smallest key holding it."""
+    rs = report.residuals
+    nans = sorted(k for k, r in rs.items() if math.isnan(r))
+    if nans:
+        return math.nan, nans[0]
+    top = max(rs.values(), default=0.0)
+    return top, min((k for k, r in rs.items() if r == top), default=None)
 
 
 class TestWorstItem:
-    """worst_item and the failure count without the sort, and failures(),
-    give the sorted walk's results, for ties, signed zeros and NaN residuals,
-    on csub's view and on a vertex-keyed dict."""
+    """worst_item and max_residual match their definition, and the failure
+    count without the sort and failures() match the failure rule, for ties,
+    signed zeros and NaN residuals, on csub's view and on a vertex-keyed dict."""
 
     DRAWS = (0.0, -0.0, 0.5, 2.0, 2.0, math.nan)
 
@@ -386,21 +392,29 @@ class TestWorstItem:
         for rs in fixed + [[rng.choice(self.DRAWS) for _ in range(arcs)] for _ in range(200)]:
             for report in (dataclasses.replace(csub, residuals=type(csub.residuals)(g, rs)),
                            dataclasses.replace(monge, residuals=dict(zip(ids, rs)))):
-                assert report.worst_item == sorted_worst(report)
+                top, worst = largest(report)
+                assert report.worst_item == worst
+                assert report.max_residual == top or math.isnan(report.max_residual) and math.isnan(top)
                 failing = [k for k, r in sorted(report.residuals.items()) if not r <= report.tol]
                 assert report.failures() == failing and report.failing == len(failing)
+                assert report.passed == (not failing)
+                if failing:
+                    assert report.worst_item in failing
         assert dataclasses.replace(monge, residuals={}).worst_item is None
 
-    def test_ties_take_the_smallest_key_and_a_first_nan_stays(self):
+    def test_ties_take_the_smallest_key_and_a_nan_is_the_worst(self):
         g = fixture("interval", n=4).graph
         u = field_on(g, {v: 0.0 for v in g.vertices}, "solution_u")
         report = check_monge(g, u, constant_field(g, 1.0, "rhs_f"))
         for residuals, worst in [({"v3": 2.0, "v1": 2.0, "v2": 1.0}, "v1"),
-                                 ({"v3": 2.0, "v2": math.nan, "v1": 1.0}, "v3"),
+                                 ({"v3": 2.0, "v2": math.nan, "v1": 1.0}, "v2"),
                                  ({"v3": 2.0, "v1": math.nan, "v2": 1.0}, "v1"),
+                                 ({"a": 1.0, "b": math.nan}, "b"),
+                                 ({"b": math.nan, "a": 1.0}, "b"),
                                  ({"v2": 0.0, "v1": -0.0}, "v1")]:
             tied = dataclasses.replace(report, residuals=residuals)
-            assert tied.worst_item == sorted_worst(tied) == worst
+            assert tied.worst_item == largest(tied)[1] == worst
+            assert math.isnan(tied.max_residual) == any(map(math.isnan, residuals.values()))
 
 
 class TestArcView:
@@ -456,8 +470,16 @@ class TestArcView:
             kept = tracemalloc.get_traced_memory()[0]
             tracemalloc.clear_traces()  # from here, count only what reading the verdict keeps
             assert report.passed and report.max_residual == 0.0 and len(report.residuals) == arcs
+            assert report.worst_item == min(report.residuals)  # every residual is 0.0
             read = tracemalloc.get_traced_memory()[0]
+            key = next(iter(report.residuals))
+            assert report.residuals[key] == 0.0
+            built = tracemalloc.get_traced_memory()[0]
+            tracemalloc.clear_traces()  # from here, count only what a second lookup keeps
+            assert report.residuals[key] == 0.0
+            again = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert kept < 16 * arcs  # a dict keyed by "x->y" strings keeps 37 bytes an arc, its keys 70 more
         assert read == 0
+        assert built > 0 and again == 0  # the first lookup builds the dict, a second keeps nothing
