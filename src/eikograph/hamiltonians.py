@@ -6,13 +6,14 @@ rho and a level c, compiled by the one builder that also compiles user
 expressions; an expression's rho-monotonicity is derived ("nondecreasing"
 if it names rho, else "independent").  Provides sampled validation of the
 declared monotonicity in p and in rho and of coercivity, the implicit
-reduction h(x) = inf{p >= 0 : H(x, rho, p) > 0} solved by bracketing and
-bisection, and the fixed-point solve of H(x, u, |grad u|) = 0 through
-repeated eikonal solves with f = h.  The reduction loop is one source
-template, compiled with each expression inlined and once, generically,
-for every other evaluator.  Three builtins are the stock failure
-modes the checks are designed to detect (two non-monotone ones and a
-plateau that breaks strict monotonicity)."""
+reduction h(x) = inf{p >= 0 : H(x, rho, p) > 0} solved by bracketing, a
+search for the bisection's last cell and bisection, and the fixed-point
+solve of H(x, u, |grad u|) = 0 through repeated eikonal solves with
+f = h.  The reduction loop is one source template, compiled with each
+expression inlined and once, generically, for every other evaluator.
+Three builtins are the stock failure modes the checks are designed to
+detect (two non-monotone ones and a plateau that breaks strict
+monotonicity)."""
 
 from __future__ import annotations
 
@@ -210,14 +211,29 @@ def validate_hamiltonian(H: HamiltonianSpec, g: MetricGraph) -> HamiltonianValid
     )
 
 
-# The bracket, bisection and residual loop, written once.  ``__H__`` stands
-# for the value of H at (x, rho, p): the expression itself in the kernel
-# ``_evaluator`` compiles per expression, ``evaluate(x, rho, p)`` in the one
-# ``_GENERIC`` kernel that serves every other evaluator.  A kernel brings
-# ``roots``, ``residuals`` (skipped when None) and ``taken``, lists by
+# The bracket, search, bisection and residual loop, written once.  ``__H__``
+# stands for the value of H at (x, rho, p): the expression itself in the
+# kernel ``_evaluator`` compiles per expression, ``evaluate(x, rho, p)`` in
+# the one ``_GENERIC`` kernel that serves every other evaluator.  A kernel
+# brings ``roots``, ``residuals`` (skipped when None) and ``taken``, lists by
 # index, to rho = ``u``, as :func:`_rereduce` documents.  Its locals and
 # globals must not be names an expression may read (``_EXPR_NAMES``, the
 # level ``c``), or they would shadow them.
+#
+# The bisection halves [lo, hi] n times before its stop test can pass, and
+# the width hi - lo is a power of two, so each of those midpoints is exactly
+# lo + j * step on the grid of step (hi - lo) / 2**n.  The search finds the
+# grid cell [left, right] with H < 0 at left and H > 0 at right by Illinois
+# regula falsi on the index j.  It takes a bisection step whenever the index
+# range has not halved over the last two steps, and whenever the bisection
+# steps the range still needs would take it past 2 n evaluations, so it
+# never takes more than twice the n the bisection would.  For an H that is
+# finite and nondecreasing in p on the bracket, every midpoint the
+# bisection would take lies outside that cell on the side its sign gives,
+# so the bisection enters the cell after n steps, holding H at the cell's
+# odd end, and goes on from there as from the cell.  A zero, a NaN, an
+# infinite value or an exception in the search leaves the bracket as it
+# was, and the bisection runs from the start.
 _KERNEL_SOURCE = """
 def kernel(evaluate, name, names, u, taken, roots, residuals, tol):
     if not (tol > 0.0):
@@ -228,12 +244,14 @@ def kernel(evaluate, name, names, u, taken, roots, residuals, tol):
         x = names[i]
         p = root = 0.0
         try:
-            if not float(__H__) >= 0.0:
+            val = float(__H__)
+            if not val >= 0.0:
                 lo, hi = 0.0, 1.0
+                below = val  # H at lo
                 p = hi
                 val = float(__H__)
                 while val < 0.0:
-                    lo, hi = hi, 2.0 * hi
+                    lo, hi, below = hi, 2.0 * hi, val
                     if hi > BRACKET_CAP:
                         root = None
                         break
@@ -244,11 +262,58 @@ def kernel(evaluate, name, names, u, taken, roots, residuals, tol):
                 elif root is not None:
                     # hi only falls, so no later step's width bound exceeds this one
                     wide = 1e-13 * (hi if hi > 1.0 else 1.0)
+                    # n, the halvings until the width is within wide, is the
+                    # least with 2**-n <= wide / (hi - lo), a quotient that is
+                    # exact as the width is a power of two; the width is at
+                    # least 1 and wide below 1, so n >= 1
+                    n = 1 - frexp(wide / (hi - lo))[1]
+                    step = (hi - lo) / (1 << n)
+                    start = 0
+                    if -inf < below and val < inf:
+                        try:
+                            left, right, at_left, at_right = 0, 1 << n, below, val
+                            # run: interpolations in a row that moved the same
+                            # end, > 0 for right; older: the index range two
+                            # steps back; probes: the search's evaluations
+                            run, older, probes, halve = 0, 2 << n, 0, False
+                            while right - left > 1:
+                                span = right - left
+                                # the bisection steps span still needs keep
+                                # the search within 2 n evaluations
+                                halve = halve or probes + (span - 1).bit_length() >= 2 * n
+                                if halve:
+                                    j = left + span // 2
+                                else:
+                                    # Illinois: an end kept k > 1 times weighs 2**(1 - k)
+                                    w_left = at_left * 0.5 ** (run - 1) if run > 1 else at_left
+                                    w_right = at_right * 0.5 ** (-run - 1) if run < -1 else at_right
+                                    j = left + int(span * (w_left / (w_left - w_right)))
+                                    j = left + 1 if j <= left else right - 1 if j >= right else j
+                                p = lo + j * step
+                                v = float(__H__)
+                                if -inf < v < 0.0:
+                                    left, at_left = j, v
+                                    if not halve:
+                                        run = run - 1 if run < 0 else -1
+                                elif 0.0 < v < inf:
+                                    right, at_right = j, v
+                                    if not halve:
+                                        run = run + 1 if run > 0 else 1
+                                else:
+                                    break
+                                probes += 1
+                                halve, older = 2 * (right - left) > older, span
+                            else:  # one cell left: bisect on from it
+                                lo, hi = lo + left * step, lo + right * step
+                                val = at_left if left & 1 else at_right
+                                start = n
+                        except Exception:  # noqa: BLE001 - raised again if the bisection meets it
+                            pass
                     # each evaluation's stop test runs at the top of the next
                     # pass, where p is already the root it would return.  The
                     # width halves each step, so it is below wide within 90
                     # steps, and the 500-evaluation cap is tested only there.
-                    for k in range(501):
+                    for k in range(start, 501):
                         p = 0.5 * (lo + hi)
                         if hi - lo <= wide:
                             if hi - lo <= 1e-13 * (hi if hi > 1.0 else 1.0) and abs(val) <= tol:
@@ -288,6 +353,9 @@ _KERNEL_NAMES = {
     "zip": zip,
     "range": range,
     "float": float,
+    "int": int,
+    "inf": math.inf,
+    "frexp": math.frexp,
     "Exception": Exception,
     "copysign": math.copysign,
     "BRACKET_CAP": BRACKET_CAP,
@@ -327,14 +395,32 @@ def reduce_h(H: HamiltonianSpec, x: str, rho: float, tol: float = 1e-9) -> float
     The loop is the kernel that belongs to ``H.evaluate``: the expression
     inlined for a builtin or :func:`expression_hamiltonian`, else one call
     of ``H.evaluate`` per point.  One guard raises the error
-    ``HamiltonianSpec.__call__`` would, naming the current p.  Each
-    bisection step first tests the bracket width against the stop bound
-    1e-13 * max(1, hi) taken at the bracket: hi only falls, so no later
-    bound is wider, and most steps skip computing their own.  The
-    evaluation points, their order and the ``float`` of each value are
-    those of a loop through ``H(x, rho, p)``, so h is bit-identical to it.
-    :func:`solve_general` reuses a root only for the same vertex and the
-    same binary64 rho, where a pure evaluator would repeat every step.
+    ``HamiltonianSpec.__call__`` would, naming the current p.
+
+    The n halvings before the bisection's stop test can first pass are not
+    taken one by one.  Their midpoints lie on the grid that splits the
+    bracket into 2**n cells, and a search finds the cell with H < 0 at its
+    left end and H > 0 at its right: Illinois regula falsi on the cell
+    index, with a bisection step whenever the index range has not halved
+    over the last two steps or the search would otherwise overrun 2 n
+    evaluations.  The bisection goes on from that cell, holding H at the
+    end it would have evaluated last.  Each bisection step first tests the
+    bracket width against the stop bound 1e-13 * max(1, hi) taken at the
+    bracket: hi only falls, so no later bound is wider, and most steps skip
+    computing their own.
+
+    For every H that is finite and nondecreasing in p on the bracket, the
+    cell is the one the plain bisection reaches, so the root, the residual,
+    the flag and the error are bit-identical to a bisection through
+    ``H(x, rho, p)`` from the bracket.  The evaluation points differ, and
+    are fewer: about 5 instead of 46 for an H linear in p, at most twice
+    as many on the adversarial H the tests try.  Where the search meets a
+    zero, a NaN, an infinite value or an exception, the bisection runs from
+    the bracket unchanged, so an H still raises where that bisection
+    raises; only an H that raises at points the bisection takes and the
+    search does not returns a root.  :func:`solve_general` reuses a root
+    only for the same vertex and the same binary64 rho, where a pure
+    evaluator would repeat every step.
     """
     roots = [0.0]
     _kernel_of(H.evaluate)(H.evaluate, H.name, (x,), (rho,), [math.nan], roots, None, tol)
@@ -409,9 +495,9 @@ def solve_general(
     :func:`settle` as its weights, and takes the change as the max over
     the two label lists; exits and the returned :class:`ReductionField`
     are built once, for the returned iterate.  For an evaluator that
-    depends only on (x, rho, p) every label, root, residual, H call, sweep
-    count and change history is bit-identical to reducing and solving
-    afresh on every sweep.
+    depends only on (x, rho, p) every label, root, residual, sweep count
+    and change history is bit-identical to reducing with :func:`reduce_h`
+    and solving afresh on every sweep.
 
     ``max_iter`` must be at least 1 and ``tol`` nonnegative; tol 0 stops
     at the bitwise fixpoint.

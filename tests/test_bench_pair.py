@@ -39,3 +39,23 @@ def test_higher_is_better_and_a_single_pair():
     assert s["parent"] == {"median": 100.0, "q1": 100.0, "q3": 100.0, "spread": 0.0}
     assert s["change_wins"] == 1
     assert s["change_over_parent"] == 1.5
+
+
+def test_a_root_holding_bytecode_is_refused(tmp_path, capsys):
+    roots = {}
+    for side in ("parent", "change"):
+        root = roots[side] = tmp_path / side
+        (root / "src" / "eikograph").mkdir(parents=True)
+        (root / "perfbench").mkdir()
+        (root / "BENCHMARK.json").write_text('{"end_to_end": [], "per_layer": [], "run_seconds": 1}')
+    (roots["change"] / "src" / "eikograph" / "__pycache__").mkdir()
+    (roots["change"] / "perfbench" / "__pycache__").mkdir()
+    assert bench_pair.bytecode_dirs(roots["parent"]) == []
+    assert bench_pair.bytecode_dirs(roots["change"]) == ["perfbench/__pycache__", "src/eikograph/__pycache__"]
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exit_:
+        bench_pair.main([str(roots["parent"]), str(roots["change"]), "--out", str(out)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "change root" in err and "perfbench/__pycache__" in err and "src/eikograph/__pycache__" in err
+    assert not out.exists()

@@ -1,8 +1,8 @@
 """The two instantiations of the reduction kernel.
 
-``_evaluator`` compiles the bracket, bisection and residual loop once per
-expression, with the expression inlined; every other evaluator runs the one
-generic kernel, which calls it.  Both must give the plain references in
+``_evaluator`` compiles the bracket, search, bisection and residual loop
+once per expression, with the expression inlined; every other evaluator
+runs the one generic kernel, which calls it.  Both must give the plain references in
 ``tests/oracles.py`` bit for bit, and an expression must give what the same
 evaluator wrapped in a closure gives: a kernel name that shadowed one the
 expression reads would show here.  Expressions that bind names with ``:=``,

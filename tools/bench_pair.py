@@ -4,8 +4,10 @@
         --pairs 10 --seed 9100 --out BENCH_9.json
 
 Each root is a checkout with ``perfbench/`` and ``src/`` (a ``git archive``
-of the parent commit will do).  For every workload, pair i runs
-``perfbench/run.py --seed SEED+i --trace 0`` once in each root, for the
+of the parent commit will do).  A root that holds ``__pycache__`` under
+either is refused: bytecode that only one side starts with moves its
+set-up and start-up times, whatever the change.  For every workload, pair
+i runs ``perfbench/run.py --seed SEED+i --trace 0`` once in each root, for the
 ``run_seconds`` that ``BENCHMARK.json`` fixes and at perfbench's default
 size, the parent first on even i and the change first on odd i, so slow
 drift of the host falls on both sides alike.  Then one ``--trace 1`` run per
@@ -51,6 +53,13 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -
     return out
 
 
+def bytecode_dirs(root: Path) -> list[str]:
+    """The ``__pycache__`` directories under ``root``'s ``src/`` and
+    ``perfbench/``, relative to ``root``."""
+    return sorted(str(d.relative_to(root)) for top in ("src", "perfbench")
+                  for d in (root / top).rglob("__pycache__"))
+
+
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"median": median, "q1": q1, "q3": q3, "spread": (q3 - q1) / median if median else None}
@@ -87,6 +96,11 @@ def main(argv=None) -> int:
     if opts.pairs < 1:
         ap.error("--pairs must be at least 1")
     roots = {"parent": opts.parent_root.resolve(), "change": opts.change_root.resolve()}
+    for side, root in roots.items():
+        cached = bytecode_dirs(root)
+        if cached:
+            ap.error(f"the {side} root {root} holds bytecode: {', '.join(cached)}; "
+                     "compare fresh checkouts, such as git archive copies")
     bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     declared = bench["end_to_end"]
     workloads = [w for w in opts.workloads.split(",") if w]
