@@ -10,7 +10,8 @@ message are those of the plain loop bit for bit, from both kernels: the one
 with the expression inlined and the generic one.  A zero, a NaN or an
 exception met by the search sends the kernel back to the plain loop from the
 bracket.  On any H tested here, however adversarial, the kernel takes at
-most twice the plain loop's evaluations.
+most twice the plain loop's evaluations, except where that loop stops early
+on an exact zero of H (``assert_as_reference``).
 """
 
 from __future__ import annotations
