@@ -887,8 +887,6 @@ def induce_intrinsic(
         lo = (i * len(samples)) // nb
         hi = ((i + 1) * len(samples)) // nb
         chunk = samples[lo:hi]
-        if not chunk:
-            continue
         ratios = [di / dc for dc, di in chunk if dc > 0.0]
         if not ratios:
             continue

@@ -260,7 +260,9 @@ def kernel(evaluate, name, names, u, taken, roots, residuals, tol):
                 if val == 0.0:
                     root = hi  # bracket endpoint is the root
                 elif root is not None:
-                    # hi only falls, so no later step's width bound exceeds this one
+                    # the stop bound at the bracket: hi only falls, so no
+                    # later bound is wider and the stop test fails until the
+                    # width is within this one
                     wide = 1e-13 * (hi if hi > 1.0 else 1.0)
                     # n, the halvings until the width is within wide, is the
                     # least with 2**-n <= wide / (hi - lo), a quotient that is
@@ -310,18 +312,15 @@ def kernel(evaluate, name, names, u, taken, roots, residuals, tol):
                         except Exception:  # noqa: BLE001 - raised again if the bisection meets it
                             pass
                     # each evaluation's stop test runs at the top of the next
-                    # pass, where p is already the root it would return.  The
-                    # width halves each step, so it is below wide within 90
-                    # steps, and the 500-evaluation cap is tested only there.
+                    # pass, where p is already the root it would return
                     for k in range(start, 501):
                         p = 0.5 * (lo + hi)
-                        if hi - lo <= wide:
-                            if hi - lo <= 1e-13 * (hi if hi > 1.0 else 1.0) and abs(val) <= tol:
-                                root = p
-                                break
-                            if k == 500:
-                                root = None
-                                break
+                        if hi - lo <= 1e-13 * (hi if hi > 1.0 else 1.0) and abs(val) <= tol:
+                            root = p
+                            break
+                        if k == 500:
+                            root = None
+                            break
                         val = float(__H__)
                         if val > 0.0:
                             hi = p
@@ -404,10 +403,8 @@ def reduce_h(H: HamiltonianSpec, x: str, rho: float, tol: float = 1e-9) -> float
     index, with a bisection step whenever the index range has not halved
     over the last two steps or the search would otherwise overrun 2 n
     evaluations.  The bisection goes on from that cell, holding H at the
-    end it would have evaluated last.  Each bisection step first tests the
-    bracket width against the stop bound 1e-13 * max(1, hi) taken at the
-    bracket: hi only falls, so no later bound is wider, and most steps skip
-    computing their own.
+    end it would have evaluated last, and stops at its first step with the
+    width within 1e-13 * max(1, hi) and |H| <= tol, or at its 500th.
 
     For every H that is finite and nondecreasing in p on the bracket, the
     cell is the one the plain bisection reaches, so the root, the residual,
@@ -482,10 +479,12 @@ def solve_general(
     """Solve H(x, u, |grad u|) = 0 with Dirichlet data by Picard iteration.
 
     Each sweep reduces H at the current iterate to an eikonal right-hand side
-    and re-solves; rho-independent Hamiltonians need a single solve.  Stops
-    when the max vertex change drops to tol; raises ConvergenceError with the
-    residual history otherwise.  The returned reduction is taken at the
-    final iterate, so its residuals certify H(x, u(x), h(x)) ~ 0.
+    and re-solves.  One loop runs the sweeps while H depends on rho and the
+    last max vertex change is above tol, so a rho-independent Hamiltonian
+    takes the first solve only; once ``max_iter`` solves are spent it raises
+    ConvergenceError with the change history.  The returned count is the
+    number of solves, and the returned reduction is taken at the final
+    iterate, so its residuals certify H(x, u(x), h(x)) ~ 0.
 
     The first solve is a full :func:`solve_dirichlet`, which validates the
     problem.  After it the sweeps run on lists by vertex index: the labels,
@@ -516,27 +515,25 @@ def solve_general(
     f = ScalarField(g, _VertexView(g, range(n), roots), "rhs_f", roots)  # roots changes once f is solved
     vf = solve_dirichlet(DirichletProblem(g, f, zeta, threshold=0.0))
     u = field_list(g, vf.u)
-    if H.rho_monotonicity == "independent":
-        _rereduce(H, names, u, taken, roots, residuals, bisect_tol)
-        return vf, _reduction_field(g, roots, residuals, bisect_tol), 1
-
     seeds = boundary_seeds(g, zeta.values)
     history: list[float] = []
-    for iteration in range(2, max_iter + 1):
+    run = None
+    # a NaN change (inf - inf after an overflow) does not stop the sweeps
+    while H.rho_monotonicity != "independent" and not (history and history[-1] <= tol):
+        if len(history) + 1 >= max_iter:
+            raise ConvergenceError(
+                f"Picard iteration did not reach tol {tol} in {max_iter} iterations "
+                f"(last change {history[-1] if history else math.nan})",
+                history,
+            )
         _rereduce(H, names, u, taken, roots, residuals, bisect_tol)
         run = settle(g, seeds, roots)
-        change = max(map(abs, map(sub, run[0], u)))
-        history.append(change)
+        history.append(max(map(abs, map(sub, run[0], u))))
         u = run[0]
-        if change <= tol:
-            _rereduce(H, names, u, taken, roots, residuals, bisect_tol)
-            final = _reduction_field(g, roots, residuals, bisect_tol)
-            return value_function(g, zeta.values, run), final, iteration
-    raise ConvergenceError(
-        f"Picard iteration did not reach tol {tol} in {max_iter} iterations "
-        f"(last change {history[-1] if history else math.nan})",
-        history,
-    )
+    _rereduce(H, names, u, taken, roots, residuals, bisect_tol)
+    if run is not None:
+        vf = value_function(g, zeta.values, run)
+    return vf, _reduction_field(g, roots, residuals, bisect_tol), len(history) + 1
 
 
 def check_hamiltonian_monge(

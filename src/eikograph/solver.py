@@ -165,7 +165,7 @@ def _undercuts(
     source, length = list(range(len(names))), [0.0] * len(names)
     for x in order:
         y = parent[x]
-        if 0 <= y != x:  # -1: unreached
+        if y != x:
             source[x], length[x] = source[y], length[y] + g.lens[x][g.nbrs[x].index(y)]
     rises = [(zy - seeds[names[source[i]]], length[i])
              for y, zy in seeds.items() if source[i := index[y]] != i]

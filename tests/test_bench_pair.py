@@ -1,8 +1,10 @@
-"""The pair summary of tools/bench_pair.py: medians, quartiles and wins."""
+"""The pair summary of tools/bench_pair.py: medians, quartiles, wins, the
+median log ratio and the sign test."""
 
 from __future__ import annotations
 
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -59,3 +61,27 @@ def test_a_root_holding_bytecode_is_refused(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "change root" in err and "perfbench/__pycache__" in err and "src/eikograph/__pycache__" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("wins,losses,p", [
+    (9, 1, 0.021484375),  # 2 * (1 + 10) / 2**10
+    (10, 0, 0.001953125),  # 2 / 2**10
+    (1, 9, 0.021484375),
+    (5, 5, 1.0),
+    (0, 0, 1.0),  # every pair tied
+])
+def test_sign_test_p_by_hand(wins, losses, p):
+    assert bench_pair.sign_test_p(wins, losses) == p
+
+
+def test_log_ratio_median_and_sign_test_in_the_summary():
+    parent = [1.0] * 10
+    change = [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 2.0]  # 9 wins, 1 loss
+    runs = pairs(parent, change, "step_p50_s")
+    for r in runs:
+        r["parent"]["vertices_per_s"] = r["change"]["vertices_per_s"] = 1.0
+    s = bench_pair.summarize(runs, DECLARED)
+    assert s["step_p50_s"]["log_ratio_median"] == math.log(0.5)
+    assert s["step_p50_s"]["sign_test_p"] == 0.021484375
+    assert s["vertices_per_s"]["log_ratio_median"] == 0.0  # all ties
+    assert s["vertices_per_s"]["sign_test_p"] == 1.0

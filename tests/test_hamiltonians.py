@@ -21,6 +21,7 @@ from eikograph import (
     constant_field,
     counterexample_suite,
     expression_hamiltonian,
+    field_on,
     fixture,
     reduce_field,
     reduce_h,
@@ -31,6 +32,7 @@ from eikograph import (
 from eikograph import hamiltonians as hamiltonians_module
 from eikograph.graph import close
 from eikograph.hamiltonians import BUILTIN_NAMES, VALIDATION_SAMPLES, _p_grid
+from oracles import reference_solve_general
 
 
 @pytest.fixture(scope="module")
@@ -311,6 +313,20 @@ class TestSolveGeneral:
         assert iters == 27
         again, _, _ = solve_general(g, H, z, tol=0.0, max_iter=iters)
         assert again.u.values == vf.u.values
+
+    @pytest.mark.parametrize("name", ["linear", "quadratic:2.5", "p * p - 2"])
+    def test_rho_independent_takes_one_solve_within_max_iter_one(self, name):
+        # the first solve is already the answer: no sweep, so max_iter=1 is enough
+        g = fixture("grid", n=5).graph
+        z = field_on(g, {y: 0.01 * i for i, y in enumerate(sorted(g.boundary))}, "boundary_zeta")
+        H = builtin_hamiltonian(name) if name.partition(":")[0] in BUILTIN_NAMES else expression_hamiltonian(name)
+        vf, red, iters = solve_general(g, H, z, tol=0.0, max_iter=1)
+        vf_ref, red_ref, iters_ref = reference_solve_general(g, H, z, tol=0.0, max_iter=1)
+        assert iters == iters_ref == 1
+        assert [v.hex() for v in vf.u.values.values()] == [v.hex() for v in vf_ref.u.values.values()]
+        assert vf.exit_vertex == vf_ref.exit_vertex
+        assert [v.hex() for v in red.h.values.values()] == [v.hex() for v in red_ref.h.values.values()]
+        assert [v.hex() for v in red.residuals.values()] == [v.hex() for v in red_ref.residuals.values()]
 
 
 class TestExpressions:

@@ -15,7 +15,9 @@ side, at seed SEED+pairs, gives the per-layer metrics.  The runs are serial.
 
 The output holds, per workload and side, the median and quartiles of every
 end-to-end metric that ``BENCHMARK.json`` declares, each pair's values and
-which side won it, ``failed_frac`` and ``correct`` of every run, and the
+which side won it, the median over the pairs of ln(change / parent) and the
+exact two-sided sign test's p of the wins against the losses (ties
+dropped), ``failed_frac`` and ``correct`` of every run, and the
 traced per-layer metrics; plus the seeds, each side's git sha and source
 digest as perfbench records them (``--parent-sha`` and ``--change-sha`` name
 the commit of a root without git), the Python version and nproc.  The file is
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import statistics
 import subprocess
@@ -65,18 +68,31 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "spread": (q3 - q1) / median if median else None}
 
 
+def sign_test_p(wins: int, losses: int) -> float:
+    """Exact two-sided binomial p of ``wins`` against ``losses`` at even odds
+    (ties are dropped before): the chance of a split at least this uneven."""
+    n, k = wins + losses, min(wins, losses)
+    return min(1.0, 2 * sum(math.comb(n, i) for i in range(k + 1)) / 2**n)
+
+
 def summarize(runs: list[dict], declared: list[dict]) -> dict:
-    """Medians, quartiles and wins of each end-to-end metric over the pairs."""
+    """Medians, quartiles and wins of each end-to-end metric over the pairs,
+    the median of ln(change / parent) over the pairs and the sign test's p
+    of the wins against the losses."""
     out = {}
     for m in declared:
         name = m["name"]
         per_side = {side: [r[side][name] for r in runs] for side in SIDES}
         better = (lambda c, p: c < p) if m["better"] == "lower" else (lambda c, p: c > p)
         stats = {side: summary(vals) for side, vals in per_side.items()}
+        paired = list(zip(per_side["change"], per_side["parent"]))
+        wins, losses = sum(better(c, p) for c, p in paired), sum(better(p, c) for c, p in paired)
         out[name] = {
             "unit": m["unit"], "better": m["better"], **stats,
             "change_over_parent": stats["change"]["median"] / stats["parent"]["median"],
-            "change_wins": sum(better(c, p) for c, p in zip(per_side["change"], per_side["parent"])),
+            "log_ratio_median": statistics.median(math.log(c / p) for c, p in paired),
+            "change_wins": wins,
+            "sign_test_p": sign_test_p(wins, losses),
             "pairs": len(runs),
         }
     return out
@@ -156,7 +172,8 @@ def main(argv=None) -> int:
     for workload, entry in result["workloads"].items():
         for name, s in entry["end_to_end"].items():
             print(f"{workload} {name}: parent {s['parent']['median']:.6g} change {s['change']['median']:.6g} "
-                  f"({s['change_over_parent']:.3f}x, change better in {s['change_wins']}/{s['pairs']})")
+                  f"({s['change_over_parent']:.3f}x, change better in {s['change_wins']}/{s['pairs']}, "
+                  f"median ln(change/parent) {s['log_ratio_median']:+.4f}, sign test p {s['sign_test_p']:.4g})")
     return 0
 
 
