@@ -220,20 +220,29 @@ def validate_hamiltonian(H: HamiltonianSpec, g: MetricGraph) -> HamiltonianValid
 # globals must not be names an expression may read (``_EXPR_NAMES``, the
 # level ``c``), or they would shadow them.
 #
+# The template has six ``__H__`` sites: H at 0, at 1, at each doubled end,
+# at each search probe, at each bisection midpoint and at the root for the
+# residual.
+#
 # The bisection halves [lo, hi] n times before its stop test can pass, and
 # the width hi - lo is a power of two, so each of those midpoints is exactly
 # lo + j * step on the grid of step (hi - lo) / 2**n.  The search finds the
-# grid cell [left, right] with H < 0 at left and H > 0 at right by Illinois
-# regula falsi on the index j.  It takes a bisection step whenever the index
-# range has not halved over the last two steps, and whenever the bisection
-# steps the range still needs would take it past 2 n evaluations, so it
-# never takes more than twice the n the bisection would.  For an H that is
-# finite and nondecreasing in p on the bracket, every midpoint the
-# bisection would take lies outside that cell on the side its sign gives,
-# so the bisection enters the cell after n steps, holding H at the cell's
-# odd end, and goes on from there as from the cell.  A zero, a NaN, an
-# infinite value or an exception in the search leaves the bracket as it
-# was, and the bisection runs from the start.
+# grid cell [left, right] with H < 0 at left and H > 0 at right.  It probes
+# the secant index j = floor(2**n * H(lo) / (H(lo) - H(hi))), kept within
+# [1, 2**n - 1], then j's neighbour on the side H(j)'s sign gives, unless
+# the first probe already left one cell; the two probes share the one
+# search site.  If they do not leave one cell, Illinois regula falsi on the
+# index goes on from what they left, with the probes counted: it takes a
+# bisection step whenever the index range has not halved over its last two
+# steps, and whenever the bisection steps the range still needs would take
+# the search past 2 n evaluations, so the search never takes more than
+# twice the n the bisection would.  For an H that is finite and
+# nondecreasing in p on the bracket, that cell is unique and every midpoint
+# the bisection would take lies outside it on the side its sign gives, so
+# the bisection enters the cell after n steps, holding H at the cell's odd
+# end, and goes on from there as from the cell.  A zero, a NaN, an infinite
+# value or an exception in the search leaves the bracket as it was, and the
+# bisection runs from the start.
 _KERNEL_SOURCE = """
 def kernel(evaluate, name, names, u, taken, roots, residuals, tol):
     if not (tol > 0.0):
@@ -274,37 +283,46 @@ def kernel(evaluate, name, names, u, taken, roots, residuals, tol):
                     if -inf < below and val < inf:
                         try:
                             left, right, at_left, at_right = 0, 1 << n, below, val
-                            # run: interpolations in a row that moved the same
-                            # end, > 0 for right; older: the index range two
-                            # steps back; probes: the search's evaluations
-                            run, older, probes, halve = 0, 2 << n, 0, False
+                            # the secant index, inside the grid
+                            j = int(right * (below / (below - val)))
+                            j = 1 if j < 1 else right - 1 if j >= right else j
+                            probes = 0  # the search's evaluations
                             while right - left > 1:
-                                span = right - left
-                                # the bisection steps span still needs keep
-                                # the search within 2 n evaluations
-                                halve = halve or probes + (span - 1).bit_length() >= 2 * n
-                                if halve:
-                                    j = left + span // 2
-                                else:
-                                    # Illinois: an end kept k > 1 times weighs 2**(1 - k)
-                                    w_left = at_left * 0.5 ** (run - 1) if run > 1 else at_left
-                                    w_right = at_right * 0.5 ** (-run - 1) if run < -1 else at_right
-                                    j = left + int(span * (w_left / (w_left - w_right)))
-                                    j = left + 1 if j <= left else right - 1 if j >= right else j
+                                if probes == 1:
+                                    # the secant probe's neighbour on the side its sign gives
+                                    j = j + 1 if j == left else j - 1
+                                elif probes:
+                                    # Illinois on what the pair left. run:
+                                    # interpolations in a row that moved the
+                                    # same end, > 0 for right; older, last:
+                                    # the index range two and one steps back
+                                    if probes == 2:
+                                        run, older, last = 0, 2 << n, 2 << n
+                                    elif not halve:
+                                        run = (run - 1 if run < 0 else -1) if j == left else (
+                                            run + 1 if run > 0 else 1)
+                                    span = right - left
+                                    # the bisection steps span still needs keep
+                                    # the search within 2 n evaluations
+                                    halve = 2 * span > older or probes + (span - 1).bit_length() >= 2 * n
+                                    older, last = last, span
+                                    if halve:
+                                        j = left + span // 2
+                                    else:
+                                        # Illinois: an end kept k > 1 times weighs 2**(1 - k)
+                                        w_left = at_left * 0.5 ** (run - 1) if run > 1 else at_left
+                                        w_right = at_right * 0.5 ** (-run - 1) if run < -1 else at_right
+                                        j = left + int(span * (w_left / (w_left - w_right)))
+                                        j = left + 1 if j <= left else right - 1 if j >= right else j
                                 p = lo + j * step
                                 v = float(__H__)
                                 if -inf < v < 0.0:
                                     left, at_left = j, v
-                                    if not halve:
-                                        run = run - 1 if run < 0 else -1
                                 elif 0.0 < v < inf:
                                     right, at_right = j, v
-                                    if not halve:
-                                        run = run + 1 if run > 0 else 1
                                 else:
                                     break
                                 probes += 1
-                                halve, older = 2 * (right - left) > older, span
                             else:  # one cell left: bisect on from it
                                 lo, hi = lo + left * step, lo + right * step
                                 val = at_left if left & 1 else at_right
@@ -399,18 +417,21 @@ def reduce_h(H: HamiltonianSpec, x: str, rho: float, tol: float = 1e-9) -> float
     The n halvings before the bisection's stop test can first pass are not
     taken one by one.  Their midpoints lie on the grid that splits the
     bracket into 2**n cells, and a search finds the cell with H < 0 at its
-    left end and H > 0 at its right: Illinois regula falsi on the cell
-    index, with a bisection step whenever the index range has not halved
-    over the last two steps or the search would otherwise overrun 2 n
-    evaluations.  The bisection goes on from that cell, holding H at the
-    end it would have evaluated last, and stops at its first step with the
-    width within 1e-13 * max(1, hi) and |H| <= tol, or at its 500th.
+    left end and H > 0 at its right.  It probes the grid node at the secant
+    index of H at the bracket's ends, then that node's neighbour on the side
+    its sign gives; when the two do not leave one cell, Illinois regula
+    falsi on the cell index goes on from them, with a bisection step
+    whenever the index range has not halved over its last two steps or the
+    search would otherwise overrun 2 n evaluations, probes included.  The
+    bisection goes on from that cell, holding H at the end it would have
+    evaluated last, and stops at its first step with the width within
+    1e-13 * max(1, hi) and |H| <= tol, or at its 500th.
 
     For every H that is finite and nondecreasing in p on the bracket, the
     cell is the one the plain bisection reaches, so the root, the residual,
     the flag and the error are bit-identical to a bisection through
     ``H(x, rho, p)`` from the bracket.  The evaluation points differ, and
-    are fewer: about 5 instead of 46 for an H linear in p, at most twice
+    are fewer: 4 to 6 instead of 46 for an H linear in p, at most twice
     as many on the adversarial H the tests try.  Where the search meets a
     zero, a NaN, an infinite value or an exception, the bisection runs from
     the bracket unchanged, so an H still raises where that bisection
@@ -430,14 +451,15 @@ def _rereduce(
     u: list[float],
     taken: list[float],
     roots: list[float],
-    residuals: list[float],
+    residuals: list[float] | None,
     tol: float,
 ) -> None:
     """Bring ``roots`` and ``residuals`` to rho = ``u``, all lists by vertex
     index: each vertex whose label is not bitwise ``taken[i]``, the rho its
     root was taken at (the sign of zero counts, and NaN never matches), is
-    reduced again by :func:`reduce_h`'s kernel, which then evaluates the
-    residual |H(x, rho, root)| and records the new rho, root and residual."""
+    reduced again by :func:`reduce_h`'s kernel, which records the new rho
+    and root and, unless ``residuals`` is None, evaluates the residual
+    |H(x, rho, root)|."""
     _kernel_of(H.evaluate)(H.evaluate, H.name, names, u, taken, roots, residuals, tol)
 
 
@@ -488,20 +510,25 @@ def solve_general(
 
     The first solve is a full :func:`solve_dirichlet`, which validates the
     problem.  After it the sweeps run on lists by vertex index: the labels,
-    the roots with their residuals, and the rho each root was taken at.  A
-    sweep bisects again only at the vertices whose label changed bitwise
-    (the sign of zero counts), passes the roots straight to
+    the roots, and the rho each root was taken at.  A sweep bisects again
+    only at the vertices whose label changed bitwise (the sign of zero
+    counts) and evaluates no residual, passes the roots straight to
     :func:`settle` as its weights, and takes the change as the max over
-    the two label lists; exits and the returned :class:`ReductionField`
-    are built once, for the returned iterate.  For an evaluator that
-    depends only on (x, rho, p) every label, root, residual, sweep count
-    and change history is bit-identical to reducing with :func:`reduce_h`
-    and solving afresh on every sweep.
+    the two label lists.  After the loop one reduction of every vertex at
+    the returned iterate gives the roots and the residuals; exits and the
+    returned :class:`ReductionField` are built once.  A run that raises
+    ConvergenceError evaluates no residual, and an evaluator that raises
+    only at the root of a sweep before the last no longer raises there.
+    For an evaluator that depends only on (x, rho, p) every label, root,
+    residual, sweep count and change history is bit-identical to reducing
+    with :func:`reduce_h` and solving afresh on every sweep.
 
-    ``max_iter`` must be at least 1 and ``tol`` nonnegative; tol 0 stops
-    at the bitwise fixpoint.
+    ``max_iter`` must be an int (not a bool) of at least 1, and ``tol``
+    nonnegative; tol 0 stops at the bitwise fixpoint.
     """
-    if not (max_iter >= 1):
+    if not isinstance(max_iter, int) or isinstance(max_iter, bool):
+        raise ValidationError(f"Picard max_iter must be an int, got {max_iter!r}")
+    if max_iter < 1:
         raise ValidationError(f"Picard max_iter must be >= 1, got {max_iter!r}")
     if not (tol >= 0.0):
         raise ValidationError(f"Picard tol must be >= 0, got {tol!r}")
@@ -510,8 +537,8 @@ def solve_general(
         raise HamiltonianError(validation.describe())
 
     names, n = g.vertices, len(g.vertices)
-    taken, roots, residuals = [math.nan] * n, [0.0] * n, [0.0] * n
-    _rereduce(H, names, [0.0] * n, taken, roots, residuals, bisect_tol)
+    taken, roots = [math.nan] * n, [0.0] * n
+    _rereduce(H, names, [0.0] * n, taken, roots, None, bisect_tol)
     f = ScalarField(g, _VertexView(g, range(n), roots), "rhs_f", roots)  # roots changes once f is solved
     vf = solve_dirichlet(DirichletProblem(g, f, zeta, threshold=0.0))
     u = field_list(g, vf.u)
@@ -526,11 +553,12 @@ def solve_general(
                 f"(last change {history[-1] if history else math.nan})",
                 history,
             )
-        _rereduce(H, names, u, taken, roots, residuals, bisect_tol)
+        _rereduce(H, names, u, taken, roots, None, bisect_tol)
         run = settle(g, seeds, roots)
         history.append(max(map(abs, map(sub, run[0], u))))
         u = run[0]
-    _rereduce(H, names, u, taken, roots, residuals, bisect_tol)
+    residuals = [0.0] * n
+    _rereduce(H, names, u, [math.nan] * n, roots, residuals, bisect_tol)
     if run is not None:
         vf = value_function(g, zeta.values, run)
     return vf, _reduction_field(g, roots, residuals, bisect_tol), len(history) + 1

@@ -1,9 +1,11 @@
 """The pair summary of tools/bench_pair.py: medians, quartiles, wins, the
-median log ratio and the sign test."""
+median log ratio, the sign test and the mark of a ratio inside the A/A
+pair ratios."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -85,3 +87,34 @@ def test_log_ratio_median_and_sign_test_in_the_summary():
     assert s["step_p50_s"]["sign_test_p"] == 0.021484375
     assert s["vertices_per_s"]["log_ratio_median"] == 0.0  # all ties
     assert s["vertices_per_s"]["sign_test_p"] == 1.0
+
+
+def test_a_ratio_inside_the_aa_pair_ratios_is_marked(tmp_path):
+    # a hand-made A/A file: hjb step_p50_s pair ratios 0.9, 1.05 and 1.2
+    aa_runs = pairs([1.0, 2.0, 1.0], [0.9, 2.1, 1.2], "step_p50_s")
+    aa_file = tmp_path / "BENCH_AA.json"
+    aa_file.write_text(json.dumps({"workloads": {"hjb": {
+        "runs": aa_runs, "end_to_end": {"step_p50_s": {}}}}}))
+    ranges = bench_pair.aa_ranges(aa_file)
+    assert ranges == {"hjb": {"step_p50_s": (pytest.approx(0.9), pytest.approx(1.2))}}
+    assert bench_pair.aa_ranges(tmp_path / "missing.json") == {}
+
+    declared = DECLARED[:1]
+    inside = bench_pair.summarize(pairs([1.0] * 3, [0.95] * 3, "step_p50_s"), declared, ranges["hjb"])
+    outside = bench_pair.summarize(pairs([1.0] * 3, [0.8] * 3, "step_p50_s"), declared, ranges["hjb"])
+    plain = bench_pair.summarize(pairs([1.0] * 3, [0.95] * 3, "step_p50_s"), declared)
+    s = inside["step_p50_s"]
+    assert s["inside_aa"] is True and s["aa_pair_ratios"] == [pytest.approx(0.9), pytest.approx(1.2)]
+    assert outside["step_p50_s"]["inside_aa"] is False
+    assert "inside_aa" not in plain["step_p50_s"]  # no A/A run of this workload: no mark
+
+    assert bench_pair.summary_line("hjb", "step_p50_s", s).endswith(" [inside A/A pair ratios 0.900-1.200]")
+    for unmarked in (outside["step_p50_s"], plain["step_p50_s"]):
+        assert "A/A" not in bench_pair.summary_line("hjb", "step_p50_s", unmarked)
+
+
+def test_the_checked_in_aa_file_covers_every_declared_metric():
+    declared = json.loads((bench_pair.AA_FILE.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    for workload, ranges in bench_pair.aa_ranges(bench_pair.AA_FILE).items():
+        assert set(ranges) == {m["name"] for m in declared}, workload
+        assert all(0.0 < lo <= hi for lo, hi in ranges.values()), workload

@@ -305,6 +305,39 @@ class TestSolveGeneral:
         with pytest.raises(ValidationError, match=f"Picard {key} must be {bound}, got {value!r}"):
             solve_general(g, builtin_hamiltonian(name), z, **{key: value})
 
+    @pytest.mark.parametrize("name", ["affine-rho", "linear"])
+    @pytest.mark.parametrize("value", [2.5, 1.0, True, False, "3", None, math.inf, math.nan])
+    def test_max_iter_that_is_not_an_int_rejected(self, name, value):
+        # 2.5 and True used to run and print "in 2.5 iterations"; "3" and None
+        # escaped as a TypeError; inf passed the check.  Neither H can run
+        # unbounded here: linear takes no sweep, and affine-rho converges in
+        # a few on interval n=4
+        g = fixture("interval", n=4).graph
+        z = constant_field(g, 0.0, "boundary_zeta")
+        with pytest.raises(ValidationError, match=f"Picard max_iter must be an int, got {value!r}"):
+            solve_general(g, builtin_hamiltonian(name), z, max_iter=value)
+
+    # every fixture kind with a boundary: the circle has none to solve from
+    @pytest.mark.parametrize("fix,params", [
+        ("interval", {"n": 30}), ("grid", {"n": 6}),
+        ("grid", {"n": 5, "connectivity": 8}), ("binary_tree", {"depth": 4}), ("gasket", {"level": 3}),
+    ])
+    @pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES
+                                      if builtin_hamiltonian(n).rho_monotonicity != "independent"]
+                             + ["p + rho - 1"])
+    def test_returned_reduction_is_reduce_field_at_the_returned_labels(self, name, fix, params):
+        # the sweeps evaluate no residual: the returned residuals and flags
+        # come from one reduction at the returned iterate
+        g = fixture(fix, **params).graph
+        H = builtin_hamiltonian(name) if name in BUILTIN_NAMES else expression_hamiltonian(name)
+        z = field_on(g, {y: 0.01 * (i % 7) for i, y in enumerate(sorted(g.boundary))}, "boundary_zeta")
+        vf, red, sweeps = solve_general(g, H, z)
+        assert sweeps > 2
+        want = reduce_field(H, g, vf.u.values)
+        for got_map, want_map in ((red.h.values, want.h.values), (red.residuals, want.residuals)):
+            assert [(x, v.hex()) for x, v in got_map.items()] == [(x, v.hex()) for x, v in want_map.items()]
+        assert red.flagged == want.flagged and red.tol == want.tol
+
     def test_zero_tol_stops_at_bitwise_fixpoint(self):
         g = fixture("interval", n=4).graph
         z = constant_field(g, 0.0, "boundary_zeta")

@@ -1,9 +1,9 @@
 """The general-Hamiltonian fast path against the plain references.
 
-``reduce_h`` calls the evaluator directly, reaches the bisection's last
-cell by a search and skips most steps' own stop bound; ``solve_general``
-sweeps on lists by vertex index, reusing each root whose rho did not change
-bitwise, and builds fields once for the result.  Each must reproduce the
+``reduce_h`` calls the evaluator directly and reaches the bisection's last
+cell by a search; ``solve_general`` sweeps on lists by vertex index, reusing
+each root whose rho did not change bitwise, takes the residuals once, at
+the returned iterate, and builds fields once for the result.  Each must reproduce the
 plain bisection and Picard loop in ``tests/oracles.py`` bit for bit: floats,
 signs of zero, sweep counts, error types and messages.  Only where H raises
 at points the search does not take can ``reduce_h`` return a root where the

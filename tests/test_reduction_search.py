@@ -1,10 +1,12 @@
 """The reduction kernel's search for the bisection's last cell.
 
 ``reduce_h`` brackets the root as the plain loop in ``tests/oracles.py``
-does, then finds the cell the bisection would end its halvings in by
-Illinois interpolation on the grid of its midpoints, with a bisection step
-whenever the index range has not halved over two steps or the search would
-overrun twice the bisection's n steps, and bisects on from that cell.  For
+does, then finds the cell the bisection would end its halvings in on the
+grid of its midpoints: it probes the secant index and that node's
+neighbour on the side its sign gives, and where the two leave more than one
+cell, goes on by Illinois interpolation, with a bisection step whenever the
+index range has not halved over two steps or the search would overrun
+twice the bisection's n steps; then it bisects on from that cell.  For
 an H that is finite and nondecreasing in p the root, the error type and its
 message are those of the plain loop bit for bit, from both kernels: the one
 with the expression inlined and the generic one.  A zero, a NaN or an
@@ -179,3 +181,109 @@ def test_hjb_hamiltonians_average_at_most_8_evaluations_per_bisected_root():
     for H in (builtin_hamiltonian("affine-rho"), expression_hamiltonian("p + rho - 1")):
         counts = [assert_as_reference(H, rng.uniform(-1.0, 0.99))[0] for _ in range(400)]
         assert statistics.mean(counts) <= 8.0, (H.name, statistics.mean(counts))
+
+
+# On the bracket [0, 1] the bisection's stop bound is 1e-13, reached after
+# n = 44 halvings: the search's grid has step 2**-44 and 2**44 cells.
+STEP, CELLS = 2.0**-44, 2**44
+
+
+def search_probes(expr, rho=0.0):
+    """The grid indices of the evaluations after the bracket [0, 1]."""
+    plain, seen = counted(expression_hamiltonian(expr))
+    reduce_h(plain, "v", rho)
+    assert [p for p, _ in seen[:2]] == [0.0, 1.0]
+    return [p / STEP for p, _ in seen[2:]]
+
+
+@pytest.mark.parametrize("expr,probes", [
+    (f"p - {0.5 * STEP!r} + rho", [1]),  # the secant index 0 is kept at 1, whose H > 0 ends the search
+    (f"p - {1.5 * STEP!r} + rho", [1, 2]),
+    (f"p - {1 - 0.5 * STEP!r} + rho", [CELLS - 1]),  # H < 0 at 2**44 - 1 leaves the last cell
+    ("p - 1 + 2.0**-60 + rho", [CELLS - 1]),  # the secant ratio rounds to 1: index 2**44 is kept at 2**44 - 1
+])
+def test_the_secant_index_at_either_end_of_the_grid(expr, probes):
+    assert search_probes(expr) == probes
+    H = expression_hamiltonian(expr)
+    for rho in (0.0, -0.0, 2.0**-50, -(2.0**-50)):
+        assert_as_reference(H, rho)
+
+
+def test_a_root_on_a_grid_node():
+    # the secant probe lands on the root 80 * 2**-44 and reads an exact zero;
+    # the bisection from the bracket then reaches it through 64 and 96
+    r = 80 * STEP
+    probes = search_probes(f"p - {r!r} + rho")
+    assert probes[0] == 80 and probes[1:4] == [CELLS / 2, CELLS / 4, CELLS / 8] and probes[-3:] == [64, 96, 80]
+    assert reduce_h(expression_hamiltonian(f"p - {r!r} + rho"), "v", 0.0) == r
+    # a kink past 0.5 moves the secant index to 999, so the neighbour probe
+    # lands on the root 1000 * 2**-44
+    kinked = f"p - {1000 * STEP!r} + max(p - 0.5, 0) * 0.001 + rho"
+    assert search_probes(kinked)[:3] == [999, 1000, CELLS / 2]
+    assert reduce_h(expression_hamiltonian(kinked), "v", 0.0) == 1000 * STEP
+    for expr in (f"p - {r!r} + rho", kinked):
+        for rho in (0.0, -0.0, STEP, -STEP):
+            assert_as_reference(expression_hamiltonian(expr), rho)
+
+
+# p - 0.3 leaves its cell with the probe pair: the secant index, H < 0, then
+# its right neighbour, H > 0
+PAIR = [5277655813324, 5277655813325]
+FAULTS = {
+    "zero": "(p - 0.3 + rho) * (p != {q!r})",
+    "nan": "p - 0.3 + rho + (1e400 * 0 if p == {q!r} else 0)",
+    "inf": "p - 0.3 + rho + (1e400 if p == {q!r} else 0)",
+    "-inf": "p - 0.3 + rho - (1e400 if p == {q!r} else 0)",
+    "exception": "p - 0.3 + rho + 0 / (p != {q!r})",
+}
+
+
+def test_the_probe_pair_of_p_minus_0_3():
+    assert search_probes("p - 0.3 + rho") == PAIR
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["first", "second"])
+@pytest.mark.parametrize("fault", FAULTS)
+def test_a_fault_at_a_probe_falls_back_to_the_bisection(fault, which):
+    # the search stops at the faulty probe and the plain bisection runs from
+    # the bracket: after the probes read, the evaluation points are the
+    # reference's own; both probes are bisection midpoints, so an exception
+    # is raised where the reference raises it
+    H = expression_hamiltonian(FAULTS[fault].format(q=PAIR[which] * STEP))
+    plain, seen = counted(H)
+    got = outcome(reduce_h, plain, "v", 0.0)
+    kernel_points = [p for p, _ in seen]
+    seen.clear()
+    assert got == outcome(reference_reduce_h, plain, "v", 0.0)
+    reference_points = [p for p, _ in seen]
+    read = [q * STEP for q in PAIR[:which + (fault != "exception")]]  # a raising call records nothing
+    assert kernel_points == reference_points[:2] + read + reference_points[2:]
+    assert isinstance(got, tuple) == (fault == "exception")
+    assert_as_reference(H, 0.0)
+
+
+@pytest.mark.parametrize("expr", [
+    "p * p + rho - 0.5",  # convex: the secant lands left of the root
+    "exp(p) + rho - 2",
+    "sqrt(p) + rho - 0.5",  # concave: the secant lands right of the root
+    "log(1 + p) + rho - 0.5",
+])
+def test_a_curved_h_whose_secant_misses_the_cell(expr):
+    first, second, *rest = search_probes(expr)
+    assert abs(second - first) == 1 and rest  # the pair left more than one cell
+    H = expression_hamiltonian(expr)
+    rng = random.Random(expr)
+    for rho in [0.0, -0.0, 0.2, -0.2] + [rng.uniform(-0.4, 0.4) for _ in range(12)]:
+        assert_as_reference(H, rho)
+
+
+def test_a_steep_h_bisects_past_the_cell():
+    # slope 1e8: |H| at the cell's ends is far above tol, so the bisection
+    # goes on inside the cell the pair left
+    expr = "1e8 * (p - 0.3) + rho"
+    first, second, *rest = search_probes(expr)
+    assert [first, second] == PAIR and rest and all(PAIR[0] < q < PAIR[1] for q in rest)
+    H = expression_hamiltonian(expr)
+    for rho in (0.0, -0.0, 1e-6, -1e-6, 0.5, -0.5):
+        for tol in (1e-9, 1e-12):
+            assert_as_reference(H, rho, tol)

@@ -17,12 +17,18 @@ The output holds, per workload and side, the median and quartiles of every
 end-to-end metric that ``BENCHMARK.json`` declares, each pair's values and
 which side won it, the median over the pairs of ln(change / parent) and the
 exact two-sided sign test's p of the wins against the losses (ties
-dropped), ``failed_frac`` and ``correct`` of every run, and the
-traced per-layer metrics; plus the seeds, each side's git sha and source
-digest as perfbench records them (``--parent-sha`` and ``--change-sha`` name
-the commit of a root without git), the Python version and nproc.  The file is
+dropped), ``failed_frac`` and ``correct`` of every run, and the traced
+per-layer metrics; plus the seeds, each side's git sha and source digest as
+perfbench records them (``--parent-sha`` and ``--change-sha`` name the
+commit of a root without git), the Python version and nproc.  The file is
 rewritten after every run, with ``"complete": false`` until the last one.
-Standard library only.
+
+When ``BENCH_AA.json``, a run of one commit on both sides, sits in the
+repository root beside ``tools/``, each metric of a workload it covers also
+holds ``aa_pair_ratios``, the lowest and highest change / parent pair ratio
+of that A/A run, and ``inside_aa``, true when the metric's own median ratio
+lies within them: a move that the A/A run shows with no change at all.  The
+summary line marks such a metric.  Standard library only.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+AA_FILE = Path(__file__).resolve().parents[1] / "BENCH_AA.json"
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -75,10 +82,26 @@ def sign_test_p(wins: int, losses: int) -> float:
     return min(1.0, 2 * sum(math.comb(n, i) for i in range(k + 1)) / 2**n)
 
 
-def summarize(runs: list[dict], declared: list[dict]) -> dict:
+def aa_ranges(path: Path) -> dict:
+    """{workload: {metric: (lowest, highest) change / parent pair ratio}}
+    of the A/A file at ``path``, or {} when there is no such file."""
+    if not path.exists():
+        return {}
+    out = {}
+    for workload, entry in json.loads(path.read_text())["workloads"].items():
+        out[workload] = {}
+        for name in entry["end_to_end"]:
+            ratios = [r["change"][name] / r["parent"][name] for r in entry["runs"]]
+            out[workload][name] = (min(ratios), max(ratios))
+    return out
+
+
+def summarize(runs: list[dict], declared: list[dict], aa: dict | None = None) -> dict:
     """Medians, quartiles and wins of each end-to-end metric over the pairs,
     the median of ln(change / parent) over the pairs and the sign test's p
-    of the wins against the losses."""
+    of the wins against the losses; with ``aa``, one workload's entry of
+    :func:`aa_ranges`, also each metric's A/A pair-ratio range and whether
+    its change / parent median ratio lies inside it."""
     out = {}
     for m in declared:
         name = m["name"]
@@ -95,7 +118,22 @@ def summarize(runs: list[dict], declared: list[dict]) -> dict:
             "sign_test_p": sign_test_p(wins, losses),
             "pairs": len(runs),
         }
+        if aa and name in aa:
+            lo, hi = aa[name]
+            out[name]["aa_pair_ratios"] = [lo, hi]
+            out[name]["inside_aa"] = lo <= out[name]["change_over_parent"] <= hi
     return out
+
+
+def summary_line(workload: str, name: str, s: dict) -> str:
+    """One metric's summary, marked when its median ratio lies inside the A/A range."""
+    line = (f"{workload} {name}: parent {s['parent']['median']:.6g} change {s['change']['median']:.6g} "
+            f"({s['change_over_parent']:.3f}x, change better in {s['change_wins']}/{s['pairs']}, "
+            f"median ln(change/parent) {s['log_ratio_median']:+.4f}, sign test p {s['sign_test_p']:.4g})")
+    if s.get("inside_aa"):
+        lo, hi = s["aa_pair_ratios"]
+        line += f" [inside A/A pair ratios {lo:.3f}-{hi:.3f}]"
+    return line
 
 
 def main(argv=None) -> int:
@@ -119,6 +157,7 @@ def main(argv=None) -> int:
                      "compare fresh checkouts, such as git archive copies")
     bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     declared = bench["end_to_end"]
+    aa = aa_ranges(AA_FILE)
     workloads = [w for w in opts.workloads.split(",") if w]
 
     result = {
@@ -155,7 +194,7 @@ def main(argv=None) -> int:
                 pair[side] = measure(side, workload, seed, 0)
             entry["seeds"].append(seed)
             entry["runs"].append(pair)
-            entry["end_to_end"] = summarize(entry["runs"], declared)
+            entry["end_to_end"] = summarize(entry["runs"], declared, aa.get(workload))
             save()
         trace_seed = opts.seed + opts.pairs
         traced = {side: measure(side, workload, trace_seed, 1) for side in SIDES}
@@ -171,9 +210,7 @@ def main(argv=None) -> int:
     save()
     for workload, entry in result["workloads"].items():
         for name, s in entry["end_to_end"].items():
-            print(f"{workload} {name}: parent {s['parent']['median']:.6g} change {s['change']['median']:.6g} "
-                  f"({s['change_over_parent']:.3f}x, change better in {s['change_wins']}/{s['pairs']}, "
-                  f"median ln(change/parent) {s['log_ratio_median']:+.4f}, sign test p {s['sign_test_p']:.4g})")
+            print(summary_line(workload, name, s))
     return 0
 
 
