@@ -45,7 +45,7 @@ class ScalarField:
 
     @cached_property
     def _list(self) -> list[float]:
-        return _lookup(self.graph, self)
+        return _lookup(self.graph, self.values, f"field ({self.role})")
 
     @cached_property
     def _lipschitz(self) -> float:
@@ -121,10 +121,7 @@ def field_on(g: MetricGraph, values: Mapping[str, float], role: str) -> ScalarFi
             raise FieldError(f"field values at unknown vertices {sorted(unknown)[:5]}")
         if fl is not None:
             raise FieldError(f"field ({role}) missing values at {sorted(g.index.keys() - vals.keys())[:5]}")
-        if missing := g.boundary.difference(vals):
-            raise FieldError(f"boundary data missing at {sorted(missing)[:5]}")
-        if extra := vals.keys() - g.boundary:
-            raise FieldError(f"boundary data given at non-boundary vertices {sorted(extra)[:5]}")
+        _on_boundary(g, vals)
     if role == "rhs_f" and min(vals.values()) < 0.0:
         neg = [(v, x) for v, x in vals.items() if x < 0.0]
         raise FieldError(f"rhs field has negative values, e.g. {sorted(neg)[:3]}")
@@ -187,17 +184,26 @@ def edge_costs(g: MetricGraph, f: ScalarField) -> dict[tuple[str, str], float]:
     return {e: 0.5 * (f[e[0]] + f[e[1]]) * length for e, length in _edge_items(g)}
 
 
+def _on_boundary(g: MetricGraph, values: Mapping[str, float]) -> None:
+    """Raise FieldError unless ``values`` is keyed on exactly g's boundary."""
+    if missing := g.boundary.difference(values):
+        raise FieldError(f"boundary data missing at {sorted(missing)[:5]}")
+    if extra := values.keys() - g.boundary:
+        raise FieldError(f"boundary data given at non-boundary vertices {sorted(extra)[:5]}")
+
+
 def field_list(g: MetricGraph, f: ScalarField) -> list[float]:
     """f's values by vertex index, as :func:`settle` takes them: on f's own
     graph the list f keeps, which no caller may change; else looked up."""
-    return f._list if g is f.graph else _lookup(g, f)
+    return f._list if g is f.graph else _lookup(g, f.values, f"field ({f.role})")
 
 
-def _lookup(g: MetricGraph, f: ScalarField) -> list[float]:
+def _lookup(g: MetricGraph, values: Mapping[str, float], what: str) -> list[float]:
+    """``values`` by vertex index; FieldError names a vertex it misses."""
     try:
-        return list(map(f.values.__getitem__, g.vertices))
+        return list(map(values.__getitem__, g.vertices))
     except KeyError as exc:
-        raise FieldError(f"field ({f.role}) has no value at vertex {exc.args[0]!r}")
+        raise FieldError(f"{what} has no value at vertex {exc.args[0]!r}")
 
 
 def validate_field(f: ScalarField, positivity_threshold: float = DEFAULT_POSITIVITY_THRESHOLD) -> tuple:

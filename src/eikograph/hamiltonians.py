@@ -25,7 +25,7 @@ from operator import sub
 from typing import Callable, Mapping
 
 from .errors import CoercivityError, ConvergenceError, HamiltonianError, ValidationError
-from .fields import ScalarField, _VertexView, field_list, field_on, interior_slopes
+from .fields import ScalarField, _lookup, _VertexView, field_list, field_on, interior_slopes
 from .graph import MetricGraph, settle
 from .slopes import CheckReport
 from .solver import DirichletProblem, ValueFunction, boundary_seeds, solve_dirichlet, value_function
@@ -226,23 +226,17 @@ def validate_hamiltonian(H: HamiltonianSpec, g: MetricGraph) -> HamiltonianValid
 #
 # The bisection halves [lo, hi] n times before its stop test can pass, and
 # the width hi - lo is a power of two, so each of those midpoints is exactly
-# lo + j * step on the grid of step (hi - lo) / 2**n.  The search finds the
-# grid cell [left, right] with H < 0 at left and H > 0 at right.  It probes
-# the secant index j = floor(2**n * H(lo) / (H(lo) - H(hi))), kept within
+# lo + j * step on the grid of step (hi - lo) / 2**n.  The search probes the
+# secant index j = floor(2**n * H(lo) / (H(lo) - H(hi))), kept within
 # [1, 2**n - 1], then j's neighbour on the side H(j)'s sign gives, unless
-# the first probe already left one cell; the two probes share the one
-# search site.  If they do not leave one cell, Illinois regula falsi on the
-# index goes on from what they left, with the probes counted: it takes a
-# bisection step whenever the index range has not halved over its last two
-# steps, and whenever the bisection steps the range still needs would take
-# the search past 2 n evaluations, so the search never takes more than
-# twice the n the bisection would.  For an H that is finite and
-# nondecreasing in p on the bracket, that cell is unique and every midpoint
-# the bisection would take lies outside it on the side its sign gives, so
-# the bisection enters the cell after n steps, holding H at the cell's odd
-# end, and goes on from there as from the cell.  A zero, a NaN, an infinite
-# value or an exception in the search leaves the bracket as it was, and the
-# bisection runs from the start.
+# the first probe already left one grid cell [left, right] with H < 0 at
+# left and H > 0 at right.  For an H that is finite and nondecreasing in p
+# on the bracket, that cell is unique and every midpoint the bisection would
+# take lies outside it on the side its sign gives, so the bisection enters
+# the cell after n steps, holding H at the cell's odd end, and goes on from
+# there as from the cell.  If the two probes leave more than one cell, or
+# one meets a zero, a NaN, an infinite value or an exception, the bisection
+# runs from the bracket as it was.
 _KERNEL_SOURCE = """
 def kernel(evaluate, name, names, u, taken, roots, residuals, tol):
     if not (tol > 0.0):
@@ -286,47 +280,21 @@ def kernel(evaluate, name, names, u, taken, roots, residuals, tol):
                             # the secant index, inside the grid
                             j = int(right * (below / (below - val)))
                             j = 1 if j < 1 else right - 1 if j >= right else j
-                            probes = 0  # the search's evaluations
-                            while right - left > 1:
-                                if probes == 1:
-                                    # the secant probe's neighbour on the side its sign gives
-                                    j = j + 1 if j == left else j - 1
-                                elif probes:
-                                    # Illinois on what the pair left. run:
-                                    # interpolations in a row that moved the
-                                    # same end, > 0 for right; older, last:
-                                    # the index range two and one steps back
-                                    if probes == 2:
-                                        run, older, last = 0, 2 << n, 2 << n
-                                    elif not halve:
-                                        run = (run - 1 if run < 0 else -1) if j == left else (
-                                            run + 1 if run > 0 else 1)
-                                    span = right - left
-                                    # the bisection steps span still needs keep
-                                    # the search within 2 n evaluations
-                                    halve = 2 * span > older or probes + (span - 1).bit_length() >= 2 * n
-                                    older, last = last, span
-                                    if halve:
-                                        j = left + span // 2
-                                    else:
-                                        # Illinois: an end kept k > 1 times weighs 2**(1 - k)
-                                        w_left = at_left * 0.5 ** (run - 1) if run > 1 else at_left
-                                        w_right = at_right * 0.5 ** (-run - 1) if run < -1 else at_right
-                                        j = left + int(span * (w_left / (w_left - w_right)))
-                                        j = left + 1 if j <= left else right - 1 if j >= right else j
+                            # j, then its neighbour on the side its sign gives
+                            for _ in range(2):
                                 p = lo + j * step
                                 v = float(__H__)
                                 if -inf < v < 0.0:
-                                    left, at_left = j, v
+                                    left, at_left, j = j, v, j + 1
                                 elif 0.0 < v < inf:
-                                    right, at_right = j, v
+                                    right, at_right, j = j, v, j - 1
                                 else:
                                     break
-                                probes += 1
-                            else:  # one cell left: bisect on from it
-                                lo, hi = lo + left * step, lo + right * step
-                                val = at_left if left & 1 else at_right
-                                start = n
+                                if right - left == 1:  # one cell left: bisect on from it
+                                    lo, hi = lo + left * step, lo + right * step
+                                    val = at_left if left & 1 else at_right
+                                    start = n
+                                    break
                         except Exception:  # noqa: BLE001 - raised again if the bisection meets it
                             pass
                     # each evaluation's stop test runs at the top of the next
@@ -414,29 +382,25 @@ def reduce_h(H: HamiltonianSpec, x: str, rho: float, tol: float = 1e-9) -> float
     of ``H.evaluate`` per point.  One guard raises the error
     ``HamiltonianSpec.__call__`` would, naming the current p.
 
-    The n halvings before the bisection's stop test can first pass are not
-    taken one by one.  Their midpoints lie on the grid that splits the
-    bracket into 2**n cells, and a search finds the cell with H < 0 at its
-    left end and H > 0 at its right.  It probes the grid node at the secant
-    index of H at the bracket's ends, then that node's neighbour on the side
-    its sign gives; when the two do not leave one cell, Illinois regula
-    falsi on the cell index goes on from them, with a bisection step
-    whenever the index range has not halved over its last two steps or the
-    search would otherwise overrun 2 n evaluations, probes included.  The
-    bisection goes on from that cell, holding H at the end it would have
-    evaluated last, and stops at its first step with the width within
-    1e-13 * max(1, hi) and |H| <= tol, or at its 500th.
+    The n halvings before the bisection's stop test can first pass have
+    their midpoints on the grid that splits the bracket into 2**n cells.
+    Two probes, the secant index of H at the bracket's ends and its
+    neighbour on the side its sign gives, look for the cell with H < 0 at
+    its left end and H > 0 at its right.  The bisection goes on from that
+    cell if they find it, else from the bracket, and stops at its first
+    step with the width within 1e-13 * max(1, hi) and |H| <= tol, or at
+    its 500th.
 
     For every H that is finite and nondecreasing in p on the bracket, the
     cell is the one the plain bisection reaches, so the root, the residual,
     the flag and the error are bit-identical to a bisection through
-    ``H(x, rho, p)`` from the bracket.  The evaluation points differ, and
-    are fewer: 4 to 6 instead of 46 for an H linear in p, at most twice
-    as many on the adversarial H the tests try.  Where the search meets a
-    zero, a NaN, an infinite value or an exception, the bisection runs from
-    the bracket unchanged, so an H still raises where that bisection
-    raises; only an H that raises at points the bisection takes and the
-    search does not returns a root.  :func:`solve_general` reuses a root
+    ``H(x, rho, p)`` from the bracket.  The evaluation points differ: 4 to
+    6 instead of 46 for an H linear in p, and on any H whose root or error
+    is the bisection's, never more than two above its count.  Where a probe
+    meets a zero, a NaN, an infinite value or an exception, the bisection
+    runs from the bracket unchanged, so an H still raises where that
+    bisection raises; only an H that raises at midpoints the bisection takes
+    and the probes skip returns a root.  :func:`solve_general` reuses a root
     only for the same vertex and the same binary64 rho, where a pure
     evaluator would repeat every step.
     """
@@ -483,10 +447,11 @@ def reduce_field(
     rho: Mapping[str, float],
     tol: float = 1e-9,
 ) -> ReductionField:
-    """Vertexwise reduction to an eikonal right-hand side."""
+    """Vertexwise reduction to an eikonal right-hand side; FieldError names
+    the first vertex ``rho`` has no value at."""
     n = len(g.vertices)
     roots, residuals = [0.0] * n, [0.0] * n
-    _rereduce(H, g.vertices, [rho[x] for x in g.vertices], [math.nan] * n, roots, residuals, tol)
+    _rereduce(H, g.vertices, _lookup(g, rho, "rho"), [math.nan] * n, roots, residuals, tol)
     return _reduction_field(g, roots, residuals, tol)
 
 

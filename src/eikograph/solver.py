@@ -18,6 +18,7 @@ from .errors import FieldError, ProblemError
 from .fields import (
     DEFAULT_POSITIVITY_THRESHOLD,
     ScalarField,
+    _on_boundary,
     _VertexView,
     field_list,
     validate_field,
@@ -33,7 +34,8 @@ from .graph import (
 
 @dataclass(frozen=True)
 class DirichletProblem:
-    """Graph, nonnegative rhs field f, boundary data zeta, nonnegative positivity threshold."""
+    """Graph, nonnegative rhs field f, boundary data zeta keyed on exactly
+    the graph's boundary, nonnegative positivity threshold."""
 
     graph: MetricGraph
     f: ScalarField
@@ -47,6 +49,7 @@ class DirichletProblem:
             raise FieldError(f"f must have role rhs_f, got {self.f.role!r}")
         if self.zeta.role != "boundary_zeta":
             raise FieldError(f"zeta must have role boundary_zeta, got {self.zeta.role!r}")
+        _on_boundary(self.graph, self.zeta.values)  # zeta may be another graph's
         if not (self.threshold >= 0.0):  # NaN too: every x < NaN is false
             raise ProblemError(f"positivity threshold must be nonnegative, got {self.threshold!r}")
         offenders = validate_field(self.f, self.threshold)

@@ -10,6 +10,7 @@ from eikograph import (
     CoercivityError,
     ConvergenceError,
     DirichletProblem,
+    FieldError,
     HamiltonianError,
     HamiltonianSpec,
     ValidationError,
@@ -216,8 +217,20 @@ class TestReduceH:
         assert all(red2.h[v] == 0.0 for v in g.vertices)
         assert set(red2.flagged) == set(g.vertices)
 
+    def test_reduce_field_names_a_vertex_rho_misses(self):
+        g = fixture("interval", n=8).graph
+        rho = {v: 0.5 for v in g.vertices if v != "v1"}
+        with pytest.raises(FieldError, match="rho has no value at vertex 'v1'"):
+            reduce_field(builtin_hamiltonian("affine-rho"), g, rho)
+
 
 class TestSolveGeneral:
+    def test_another_graphs_boundary_data_is_rejected(self):
+        g = fixture("grid", n=4).graph
+        z = constant_field(fixture("grid", n=3).graph, 0.0, "boundary_zeta")
+        with pytest.raises(FieldError, match="boundary data missing at"):
+            solve_general(g, builtin_hamiltonian("affine-rho"), z)
+
     def test_linear_equals_eikonal(self):
         g = fixture("interval", n=200).graph
         z = constant_field(g, 0.0, "boundary_zeta")

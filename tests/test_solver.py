@@ -10,6 +10,7 @@ from eikograph import (
     DirichletProblem,
     FieldError,
     ProblemError,
+    ScalarField,
     check_boundary_consistency,
     check_c_subsolution,
     constant_field,
@@ -326,6 +327,22 @@ class TestProblemValidation:
         z = constant_field(g, 0.0, "boundary_zeta")
         with pytest.raises(FieldError):
             DirichletProblem(g, f, z)
+
+    @pytest.mark.parametrize("kind,other", [("grid", "grid"), ("interval", "interval"), ("interval", "grid")])
+    def test_another_graphs_boundary_data_is_rejected(self, kind, other):
+        # zeta on an n = 3 fixture misses some of the n = 4 one's boundary and
+        # names vertices that are interior to it or unknown: it must not seed
+        # the solve
+        g = fixture(kind, n=4).graph
+        z = constant_field(fixture(other, n=3).graph, 0.0, "boundary_zeta")
+        with pytest.raises(FieldError, match="boundary data missing at"):
+            solve_dirichlet(DirichletProblem(g, constant_field(g, 1.0, "rhs_f"), z))
+
+    def test_boundary_data_at_an_interior_vertex_is_rejected(self):
+        g = fixture("grid", n=4).graph
+        values = {**constant_field(g, 0.0, "boundary_zeta").values, "v1_1": 0.0}
+        with pytest.raises(FieldError, match=r"non-boundary vertices \['v1_1'\]"):
+            DirichletProblem(g, constant_field(g, 1.0, "rhs_f"), ScalarField(g, values, "boundary_zeta"))
 
     def test_overflowing_cost_raises_problem_error(self):
         # 0.5 * (1e308 + 1e308) is inf: every interior label overflows
