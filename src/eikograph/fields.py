@@ -137,10 +137,14 @@ def field_from_function(g: MetricGraph, fn: Callable[[str], float], role: str) -
     return field_on(g, {v: fn(v) for v in domain}, role)
 
 
-def parse_field_expression(expr: str) -> Callable[[MetricGraph, str], float]:
-    """Inline field expressions: ``const:c`` and ``linear:a,b[,axis]``.
+def is_field_expression(text: str) -> bool:
+    return text.startswith(("const:", "linear:"))
 
-    ``linear:a,b,axis`` evaluates a + b * coords[axis] (axis defaults to 0).
+
+def field_from_expression(g: MetricGraph, expr: str, role: str) -> ScalarField:
+    """The field of an inline expression: ``const:c`` or ``linear:a,b[,axis]``.
+
+    ``linear:a,b,axis`` evaluates a + b * coords[axis], axis >= 0 (default 0).
     """
     kind, _, rest = expr.partition(":")
     if kind == "const":
@@ -148,40 +152,37 @@ def parse_field_expression(expr: str) -> Callable[[MetricGraph, str], float]:
             c = float(rest)
         except ValueError:
             raise ValidationError(f"bad constant field expression {expr!r}")
-        return lambda g, v: c
-    if kind == "linear":
-        parts = rest.split(",")
-        if len(parts) not in (2, 3):
-            raise ValidationError(f"bad linear field expression {expr!r}")
-        try:
-            a, b = float(parts[0]), float(parts[1])
-            axis = int(parts[2]) if len(parts) == 3 else 0
-        except ValueError:
-            raise ValidationError(f"bad linear field expression {expr!r}")
+        return constant_field(g, c, role)
+    if kind != "linear":
+        raise ValidationError(f"unknown field expression {expr!r} (expected const: or linear:)")
+    parts = rest.split(",")
+    try:
+        a, b = float(parts[0]), float(parts[1])
+        axis = int(parts[2]) if len(parts) == 3 else 0
+    except (IndexError, ValueError):
+        axis = -1  # refused below
+    if len(parts) > 3 or axis < 0:
+        raise ValidationError(f"bad linear field expression {expr!r}")
 
-        def linear(g: MetricGraph, v: str) -> float:
-            if v not in g.coords or axis >= len(g.coords[v]):
-                raise FieldError(f"linear field needs coords[{axis}] at vertex {v!r}")
-            return a + b * g.coords[v][axis]
+    def linear(v: str) -> float:
+        if v not in g.coords or axis >= len(g.coords[v]):
+            raise FieldError(f"linear field needs coords[{axis}] at vertex {v!r}")
+        return a + b * g.coords[v][axis]
 
-        return linear
-    raise ValidationError(f"unknown field expression {expr!r} (expected const: or linear:)")
-
-
-def is_field_expression(text: str) -> bool:
-    return text.startswith(("const:", "linear:"))
+    return field_from_function(g, linear, role)
 
 
-def field_from_expression(g: MetricGraph, expr: str, role: str) -> ScalarField:
-    fn = parse_field_expression(expr)
-    return field_from_function(g, lambda v: fn(g, v), role)
+def _rhs_list(g: MetricGraph, f: ScalarField) -> list[float]:
+    """f's values by vertex index, for f an edge-cost integrand."""
+    if f.role != "rhs_f":
+        raise FieldError(f"edge costs need a rhs_f field, got role {f.role!r}")
+    return field_list(g, f)
 
 
 def edge_costs(g: MetricGraph, f: ScalarField) -> dict[tuple[str, str], float]:
     """All edge costs at once, keyed by canonical edge pair."""
-    if f.role != "rhs_f":
-        raise FieldError(f"edge costs need a rhs_f field, got role {f.role!r}")
-    return {e: 0.5 * (f[e[0]] + f[e[1]]) * length for e, length in _edge_items(g)}
+    fl, at = _rhs_list(g, f), g.index
+    return {e: 0.5 * (fl[at[e[0]]] + fl[at[e[1]]]) * length for e, length in _edge_items(g)}
 
 
 def _on_boundary(g: MetricGraph, values: Mapping[str, float]) -> None:

@@ -14,7 +14,7 @@ import heapq
 import json
 import math
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import ItemsView, Mapping, ValuesView
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -79,7 +79,7 @@ class MetricGraph:
 
     @property
     def edges(self) -> Mapping[tuple[str, str], float]:
-        """Canonical sorted id pairs -> lengths in id order: ``len`` is O(V), a lookup O(log degree)."""
+        """Canonical sorted id pairs -> lengths in id order: ``len`` is O(V), a lookup O(degree)."""
         return _EdgeView(self)
 
     @property
@@ -110,13 +110,6 @@ def _edge_items(g: MetricGraph) -> Iterator[tuple[tuple[str, str], float]]:
         for j, length in zip(nb, ln):
             if i < j:
                 yield (a, vs[j]), length
-
-
-def _slot(g: MetricGraph, i: int, j: int) -> int:
-    """The position of j in the neighbour list of i, or -1 if they are not adjacent."""
-    nb = g.nbrs[i]
-    k = bisect_left(nb, j)
-    return k if k < len(nb) and nb[k] == j else -1
 
 
 class _ListView(Mapping):
@@ -173,9 +166,10 @@ class _EdgeView(_ListView):
         if isinstance(key, tuple) and len(key) == 2:
             i, j = map(g.index.get, key)
             if i is not None and j is not None and i < j:  # a reversed pair is no key
-                k = _slot(g, i, j)
-                if k >= 0:
-                    return g.lens[i][k]
+                try:
+                    return g.lens[i][g.nbrs[i].index(j)]
+                except ValueError:  # not adjacent
+                    pass
         hash(key)  # an unhashable key raises TypeError, as a dict lookup does
         raise KeyError(key)
 

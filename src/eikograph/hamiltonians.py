@@ -34,7 +34,7 @@ BRACKET_CAP = 2.0**40
 DEFAULT_P_MAX = 2.0**20
 VALIDATION_SAMPLES = 5  # vertices and rho values validate_hamiltonian samples
 
-RHO_MODES = ("independent", "nondecreasing", "strictly-increasing")
+RHO_MODES = ("independent", "nondecreasing")
 
 
 @dataclass(frozen=True)
@@ -405,7 +405,7 @@ def reduce_h(H: HamiltonianSpec, x: str, rho: float, tol: float = 1e-9) -> float
     evaluator would repeat every step.
     """
     roots = [0.0]
-    _kernel_of(H.evaluate)(H.evaluate, H.name, (x,), (rho,), [math.nan], roots, None, tol)
+    _rereduce(H, (x,), [rho], [math.nan], roots, None, tol)
     return roots[0]
 
 
@@ -541,17 +541,17 @@ def check_hamiltonian_monge(
     return CheckReport(name="hamiltonian-monge", tol=tol, residuals=residuals)
 
 
-# name -> (expression in p, rho and the level c, lambda0, rho_monotonicity).
+# name -> (expression in p, rho and the level c, lambda0).
 # quadratic is strictly increasing on (0, inf) but with vanishing margin at
 # p = 0, and plateau is flat on [1, 2]: both declare the tiniest useful
 # lambda0, so the sampled check accepts quadratic and catches the plateau.
 _BUILTINS = {
-    "linear": ("p - c", 1.0, "independent"),
-    "quadratic": ("p * p - c * c", 1e-6, "independent"),
-    "affine-rho": ("p + rho - c", 1.0, "strictly-increasing"),
-    "ex1": ("1.0 - abs(p - 2.0) + max(p - 3.0, 0.0) ** 2", 1.0, "independent"),
-    "ex2": ("1.0 - abs(p) + max(p - 3.0, 0.0) ** 2", 1.0, "independent"),
-    "plateau": ("p if p < 1.0 else 1.0 if p < 2.0 else p - 1.0", 1e-6, "independent"),
+    "linear": ("p - c", 1.0),
+    "quadratic": ("p * p - c * c", 1e-6),
+    "affine-rho": ("p + rho - c", 1.0),
+    "ex1": ("1.0 - abs(p - 2.0) + max(p - 3.0, 0.0) ** 2", 1.0),
+    "ex2": ("1.0 - abs(p) + max(p - 3.0, 0.0) ** 2", 1.0),
+    "plateau": ("p if p < 1.0 else 1.0 if p < 2.0 else p - 1.0", 1e-6),
 }
 
 BUILTIN_NAMES = tuple(sorted(_BUILTINS))
@@ -589,11 +589,14 @@ def _code_names(code: types.CodeType) -> tuple[set[str], bool]:
     return names, binds
 
 
-def _evaluator(expr: str, **bound: float) -> tuple[Callable[[str, float, float], float], set[str]]:
-    """``lambda x, rho, p: (expr)`` compiled once, with the math namespace
-    and ``bound`` as its globals, and the names ``expr`` reads.  The lambda
-    carries as ``_kernel`` the reduction kernel with ``expr`` inlined, on
-    the same globals.
+def _evaluator(
+    name: str, expr: str, lambda0: float, p_max: float = DEFAULT_P_MAX, **bound: float
+) -> HamiltonianSpec:
+    """The Hamiltonian ``name`` that evaluates ``lambda x, rho, p: (expr)``,
+    compiled once with the math namespace and ``bound`` as its globals.  Its
+    rho-monotonicity is derived: "nondecreasing" if ``expr`` names rho, else
+    "independent".  The lambda carries as ``_kernel`` the reduction kernel
+    with ``expr`` inlined, on the same globals.
 
     Only arithmetic, those names, ``p`` and ``rho`` are allowed.  ``:=``
     that binds in the expression's own scope is refused: inlined, it would
@@ -626,7 +629,8 @@ def _evaluator(expr: str, **bound: float) -> tuple[Callable[[str, float, float],
         evaluate._kernel = _kernel(f"(\n{expr}\n)", scope)
     except (SyntaxError, RecursionError, MemoryError):
         pass  # _kernel_of falls back to the generic kernel
-    return evaluate, names
+    mode = "nondecreasing" if "rho" in names else "independent"
+    return HamiltonianSpec(name, evaluate, lambda0, mode, p_max)
 
 
 def builtin_hamiltonian(name: str) -> HamiltonianSpec:
@@ -640,8 +644,7 @@ def builtin_hamiltonian(name: str) -> HamiltonianSpec:
             c = float(param)
         except ValueError:
             raise HamiltonianError(f"bad parameter in hamiltonian name {name!r}")
-    expr, lambda0, rho_monotonicity = _BUILTINS[base]
-    return HamiltonianSpec(base, _evaluator(expr, c=c)[0], lambda0, rho_monotonicity)
+    return _evaluator(base, *_BUILTINS[base], c=c)
 
 
 def expression_hamiltonian(
@@ -655,14 +658,7 @@ def expression_hamiltonian(
     rho-monotonicity is "nondecreasing" when the expression names rho and
     "independent" otherwise; :func:`validate_hamiltonian` checks it.
     """
-    evaluate, names = _evaluator(expr)
-    return HamiltonianSpec(
-        name=f"expr({expr})",
-        evaluate=evaluate,
-        lambda0=lambda0,
-        rho_monotonicity="nondecreasing" if "rho" in names else "independent",
-        p_max=p_max,
-    )
+    return _evaluator(f"expr({expr})", expr, lambda0, p_max)
 
 
 def counterexample_suite(n: int = 400) -> tuple[CounterexampleFixture, ...]:
@@ -677,52 +673,19 @@ def counterexample_suite(n: int = 400) -> tuple[CounterexampleFixture, ...]:
     """
     from .verify import fixture  # late import: verify sits above this module
 
-    fix = fixture("interval", n=n)
-    g = fix.graph
+    g = fixture("interval", n=n).graph
     xcoord = {v: g.coords[v][0] for v in g.vertices}
     center = min(g.vertices, key=lambda v: (abs(xcoord[v]), v))
-
-    u1 = field_on(g, {v: -3.0 * abs(xcoord[v]) for v in g.vertices}, "solution_u")
-    u2 = field_on(g, {v: abs(xcoord[v]) for v in g.vertices}, "solution_u")
-    u3 = field_on(
-        g,
-        {v: xcoord[v] if xcoord[v] <= 0.0 else 2.0 * xcoord[v] for v in g.vertices},
-        "solution_u",
+    rows = (  # (name, builtin, u as a function of x, expected verdicts)
+        ("monge-but-not-viscosity", "ex1", lambda x: -3.0 * abs(x),
+         {"hamiltonian_monge_max_residual": 0.0, "csub_level1_passes": False, "validation_passes": False}),
+        ("viscosity-but-not-monge", "ex2", abs,
+         {"hamiltonian_monge_residual_at_center": 1.0, "validation_passes": False}),
+        ("plateau-non-regular", "plateau", lambda x: x if x <= 0.0 else 2.0 * x,
+         {"regularity_residual_at_center": 1.0, "validation_passes": False}),
     )
-
-    return (
-        CounterexampleFixture(
-            name="monge-but-not-viscosity",
-            hamiltonian=builtin_hamiltonian("ex1"),
-            graph=g,
-            u=u1,
-            center=center,
-            expected={
-                "hamiltonian_monge_max_residual": 0.0,
-                "csub_level1_passes": False,
-                "validation_passes": False,
-            },
-        ),
-        CounterexampleFixture(
-            name="viscosity-but-not-monge",
-            hamiltonian=builtin_hamiltonian("ex2"),
-            graph=g,
-            u=u2,
-            center=center,
-            expected={
-                "hamiltonian_monge_residual_at_center": 1.0,
-                "validation_passes": False,
-            },
-        ),
-        CounterexampleFixture(
-            name="plateau-non-regular",
-            hamiltonian=builtin_hamiltonian("plateau"),
-            graph=g,
-            u=u3,
-            center=center,
-            expected={
-                "regularity_residual_at_center": 1.0,
-                "validation_passes": False,
-            },
-        ),
+    return tuple(
+        CounterexampleFixture(name, builtin_hamiltonian(builtin), g,
+                              field_on(g, {v: u(xcoord[v]) for v in g.vertices}, "solution_u"), center, expected)
+        for name, builtin, u, expected in rows
     )

@@ -17,8 +17,8 @@ from itertools import compress, repeat
 from operator import eq, le, not_
 from typing import Iterator
 
-from .errors import FieldError, GraphError
-from .fields import ScalarField, _interior, _one_hop, field_list, interior_slopes, lipschitz_constant
+from .errors import GraphError
+from .fields import ScalarField, _interior, _one_hop, _rhs_list, field_list, interior_slopes, lipschitz_constant
 from .graph import MetricGraph, _ListView, _vertex_index, curve_along
 
 # Base additive tolerance; interpolation error of a Lipschitz rhs adds
@@ -173,13 +173,6 @@ def check_monge(
         residuals[names[i]] = r
     name = {"solution": "monge", "sub": "monge-sub", "super": "monge-super"}[mode]
     return CheckReport(name=name, tol=tol, residuals=residuals)
-
-
-def _rhs_list(g: MetricGraph, f: ScalarField) -> list[float]:
-    """f's values by vertex index, for f an edge-cost integrand."""
-    if f.role != "rhs_f":
-        raise FieldError(f"edge costs need a rhs_f field, got role {f.role!r}")
-    return field_list(g, f)
 
 
 def check_c_subsolution(

@@ -34,8 +34,9 @@ from .graph import (
 
 @dataclass(frozen=True)
 class DirichletProblem:
-    """Graph, nonnegative rhs field f, boundary data zeta keyed on exactly
-    the graph's boundary, nonnegative positivity threshold."""
+    """Graph, nonnegative rhs field f on that graph (or an equal one),
+    boundary data zeta keyed on exactly the graph's boundary, nonnegative
+    positivity threshold."""
 
     graph: MetricGraph
     f: ScalarField
@@ -47,6 +48,8 @@ class DirichletProblem:
             raise ProblemError("Dirichlet problem needs a nonempty boundary")
         if self.f.role != "rhs_f":
             raise FieldError(f"f must have role rhs_f, got {self.f.role!r}")
+        if not (self.f.graph is self.graph or self.f.graph == self.graph):
+            raise FieldError("f is a field on another graph")
         if self.zeta.role != "boundary_zeta":
             raise FieldError(f"zeta must have role boundary_zeta, got {self.zeta.role!r}")
         _on_boundary(self.graph, self.zeta.values)  # zeta may be another graph's

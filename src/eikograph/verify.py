@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable
 
-from .errors import ValidationError
+from .errors import FieldError, ValidationError
 from .fields import ScalarField, field_from_expression, field_list, field_on
 from .graph import MAX_REFINE_VERTICES, MetricGraph, _finalize, collector_paused, edge_key, refine
 from .slopes import (
@@ -286,8 +286,11 @@ class ComparisonReport:
 
 
 def compare(inst: ComparisonInstance) -> ComparisonReport:
-    """Verify u_sub <= v_super given the comparison-principle hypotheses."""
+    """Verify u_sub <= v_super given the comparison-principle hypotheses;
+    f must be a field on the instance's graph (or an equal one)."""
     g = inst.graph
+    if not (inst.f.graph is g or inst.f.graph == g):
+        raise FieldError("compare's f is a field on another graph")
     delta = inst.band_delta if inst.band_delta is not None else 2.0 * g.h_max
     if not (delta >= 0.0):
         raise ValidationError(f"compare band_delta must be >= 0, got {delta!r}")

@@ -388,6 +388,24 @@ class TestErrorsAndConfig:
         assert (tmp_path / "g.json").read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["adj.csv", "g.json", "pts.csv", "sub"]
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--graph", "g.json", "--f", "linear:1,2,-3", "--zeta", "const:0", "--out", "v.csv"],
+        ["solve", "--graph", "g.json", "--f", "linear:1,2,-1", "--zeta", "const:0", "--out", "v.csv"],
+        ["solve", "--graph", "g.json", "--f", "const:1", "--zeta", "linear:1,2,-3", "--out", "v.csv"],
+        ["solve-h", "--graph", "g.json", "--hamiltonian", "linear", "--zeta", "linear:1,2,-3", "--out", "v.csv"],
+        ["check", "monge", "--graph", "g.json", "--u", "u.csv", "--f", "linear:1,2,-3"],
+        ["suite", "--fixture", "grid", "--n", "4", "--f", "linear:1,2,-3"],
+    ], ids=["solve-f", "solve-f-last", "solve-zeta", "solve-h-zeta", "check-monge-f", "suite-f"])
+    def test_negative_linear_axis_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        # axis -3 on 2-D coords escaped as IndexError with exit 1; -1 read the last coordinate
+        monkeypatch.chdir(tmp_path)
+        run_cli("fixture", "--name", "grid", "--n", "4", "--out", "g.json")
+        run_cli("solve", "--graph", "g.json", "--f", "const:1", "--zeta", "const:0", "--out", "u.csv")
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        assert "bad linear field expression 'linear:1,2,-" in self.assert_one_error_line(capsys)
+        assert not (tmp_path / "v.csv").exists()
+
     def test_one_column_solution_header_exits_2(self, tmp_path, capsys):
         g_path = tmp_path / "g.json"
         run_cli("fixture", "--name", "interval", "--n", "4", "--out", str(g_path))

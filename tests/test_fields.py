@@ -309,6 +309,13 @@ class TestExpressions:
             with pytest.raises(ValidationError):
                 field_from_expression(g, expr, "rhs_f")
 
+    @pytest.mark.parametrize("expr", ["linear:1,2,-1", "linear:1,2,-3", "linear:1,2,0,1"])
+    def test_negative_axis_or_extra_part_rejected(self, expr):
+        # -1 used to read the last coordinate, -3 to raise IndexError on 2-D coords
+        g = fixture("grid", n=4).graph
+        with pytest.raises(ValidationError, match=f"bad linear field expression '{expr}'"):
+            field_from_expression(g, expr, "rhs_f")
+
 
 class TestLipschitz:
     def test_constant_is_zero(self):

@@ -103,9 +103,8 @@ class TestValidation:
         pytest.param(lambda x, rho, p: p - 1.0, "nondecreasing", True, id="constant-nondecreasing"),
         pytest.param(lambda x, rho, p: p - 1e-13 * rho - 1.0, "nondecreasing", True, id="drop-within-1e-12"),
         pytest.param(lambda x, rho, p: p - rho - 1.0, "nondecreasing", False, id="falling-nondecreasing"),
-        pytest.param(lambda x, rho, p: p - rho - 1.0, "strictly-increasing", False, id="falling-strictly"),
         pytest.param(lambda x, rho, p: p + rho * rho - 1.0, "nondecreasing", False, id="falls-on-[-1,0]"),
-        pytest.param(lambda x, rho, p: p + rho - 1.0, "strictly-increasing", True, id="rising-strictly"),
+        pytest.param(lambda x, rho, p: p + rho - 1.0, "nondecreasing", True, id="rising-nondecreasing"),
     ])
     def test_declared_rho_monotonicity_is_checked(self, small_graph, evaluate, mode, ok):
         H = HamiltonianSpec("mine", evaluate, 1.0, mode)
@@ -445,7 +444,7 @@ def _plateau(c, rho, p):
 BUILTIN_FORMULAS = {
     "linear": (lambda c, rho, p: p - c, 1.0, "independent"),
     "quadratic": (lambda c, rho, p: p * p - c * c, 1e-6, "independent"),
-    "affine-rho": (lambda c, rho, p: p + rho - c, 1.0, "strictly-increasing"),
+    "affine-rho": (lambda c, rho, p: p + rho - c, 1.0, "nondecreasing"),
     "ex1": (lambda c, rho, p: 1.0 - abs(p - 2.0) + max(p - 3.0, 0.0) ** 2, 1.0, "independent"),
     "ex2": (lambda c, rho, p: 1.0 - abs(p) + max(p - 3.0, 0.0) ** 2, 1.0, "independent"),
     "plateau": (_plateau, 1e-6, "independent"),
@@ -493,6 +492,11 @@ class TestSpec:
     def test_unknown_rho_monotonicity_rejected(self):
         with pytest.raises(HamiltonianError, match="rho_monotonicity 'increasing' not in"):
             HamiltonianSpec("linear", lambda x, rho, p: p - 1.0, 1.0, "increasing")
+
+    def test_strictly_increasing_is_no_mode(self):
+        # nothing checks strictness, so it is not a mode one may declare
+        with pytest.raises(HamiltonianError, match="rho_monotonicity 'strictly-increasing' not in"):
+            HamiltonianSpec("linear", lambda x, rho, p: p + rho - 1.0, 1.0, "strictly-increasing")
 
 
 @pytest.fixture(scope="module")

@@ -338,6 +338,21 @@ class TestProblemValidation:
         with pytest.raises(FieldError, match="boundary data missing at"):
             solve_dirichlet(DirichletProblem(g, constant_field(g, 1.0, "rhs_f"), z))
 
+    def test_another_graphs_f_is_rejected(self):
+        # f on grid n = 4 holds a value at every id of grid n = 3: with
+        # f = 1 + index it used to solve, giving u(v1_1) = 4.0
+        g, big = fixture("grid", n=3).graph, fixture("grid", n=4).graph
+        f = field_on(big, {v: 1.0 + i for i, v in enumerate(big.vertices)}, "rhs_f")
+        with pytest.raises(FieldError, match="f is a field on another graph"):
+            solve_dirichlet(DirichletProblem(g, f, constant_field(g, 0.0, "boundary_zeta")))
+
+    def test_an_equal_graphs_f_is_accepted(self):
+        g, twin = fixture("grid", n=3).graph, fixture("grid", n=3).graph
+        assert twin is not g and twin == g
+        z = constant_field(g, 0.0, "boundary_zeta")
+        vf = solve_dirichlet(DirichletProblem(g, constant_field(twin, 1.0, "rhs_f"), z))
+        assert vf.u.values == solve_dirichlet(DirichletProblem(g, constant_field(g, 1.0, "rhs_f"), z)).u.values
+
     def test_boundary_data_at_an_interior_vertex_is_rejected(self):
         g = fixture("grid", n=4).graph
         values = {**constant_field(g, 0.0, "boundary_zeta").values, "v1_1": 0.0}

@@ -9,6 +9,7 @@ import pytest
 from eikograph import (
     ComparisonInstance,
     DirichletProblem,
+    FieldError,
     ValidationError,
     compare,
     constant_field,
@@ -235,6 +236,18 @@ class TestCompare:
         g, f, vf = self.setup_interval()
         report = compare(ComparisonInstance(graph=g, f=f, u_sub=vf.u, v_super=vf.u, band_delta=0.0))
         assert report.passed and report.band_size == len(g.boundary)
+
+    def test_another_graphs_f_is_rejected(self):
+        # f on grid n = 4, 1 at grid n = 3's ids and 0 elsewhere, used to fail
+        # "positivity" with inf_f = 0.0, read at vertices grid n = 3 lacks
+        g, big = fixture("grid", n=3).graph, fixture("grid", n=4).graph
+        f = field_on(big, {v: 1.0 if v in g.index else 0.0 for v in big.vertices}, "rhs_f")
+        own = constant_field(g, 1.0, "rhs_f")
+        u = solve_dirichlet(DirichletProblem(g, own, constant_field(g, 0.0, "boundary_zeta"))).u
+        with pytest.raises(FieldError, match="compare's f is a field on another graph"):
+            compare(ComparisonInstance(graph=g, f=f, u_sub=u, v_super=u))
+        twin = constant_field(fixture("grid", n=3).graph, 1.0, "rhs_f")
+        assert compare(ComparisonInstance(graph=g, f=twin, u_sub=u, v_super=u)).passed
 
     def test_randomized_scaled_instances(self):
         for seed in range(25):
