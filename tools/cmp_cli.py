@@ -25,15 +25,28 @@ change of the graph format, are loaded with CHANGE_SRC's ``read_graph``, and
 those that give the same graph (ids, boundary, coords in order, index and
 lists, compared by repr) are listed.  Exits 0 when every file is identical,
 or differs only as a graph file that loads to the same graph; else 1, with
-the other differing files listed.  Standard library only.
+the other differing files listed.
+
+    python tools/cmp_cli.py --manifest PATH [SRC]
+
+runs the same command list once, with SRC (default: this checkout's
+``src``), and writes to PATH a JSON manifest: the Python version and
+platform, each command's exit code and the sha256 of its stdout and
+stderr (keyed by its argv), and the sha256 of every other file left in its
+directory.  ``tests/test_manifest.py`` regenerates it and compares it, entry
+by entry, with ``tests/golden/manifest.json``; a change that moves an
+output on purpose re-records that file with this command.  Standard
+library only.
 """
 
 from __future__ import annotations
 
 import filecmp
+import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -205,9 +218,62 @@ def run_all(src: str, d: str) -> None:
         fh.writelines(codes)
 
 
+def platform_tag() -> str:
+    """What the manifest's bytes may depend on: the interpreter, whose
+    argparse words the help, and the platform, whose libm rounds the
+    ``math.sin`` and ``math.cos`` of ``points.csv``."""
+    return (f"{platform.python_implementation()} {platform.python_version()} "
+            f"{sys.platform} {platform.machine()}")
+
+
+def manifest(src: str, d: str) -> dict:
+    """Run every command with ``src`` in the empty directory ``d``; return
+    the platform tag, per command (keyed by its argv) the exit code and the
+    sha256 of stdout and stderr, and per other file its sha256."""
+    run_all(src, d)
+
+    def digest(name: str) -> str:
+        with open(os.path.join(d, name), "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+    commands = {}
+    for n, argv in enumerate(COMMANDS):
+        key = " ".join(argv)
+        assert key not in commands, f"command listed twice: {key}"
+        commands[key] = {"stdout": digest(f"cmd{n:02d}.stdout"), "stderr": digest(f"cmd{n:02d}.stderr")}
+    with open(os.path.join(d, "exit_codes.txt"), encoding="utf-8") as fh:
+        for key, line in zip(commands, fh):
+            commands[key]["exit"] = int(line.split(" ", 2)[1])
+    streams = {f"cmd{n:02d}.{s}" for n in range(len(COMMANDS)) for s in ("stdout", "stderr")}
+    files = {name: digest(name) for name in sorted(os.listdir(d)) if name not in streams | {"exit_codes.txt"}}
+    return {"platform": platform_tag(), "commands": commands, "files": files}
+
+
+def manifest_differences(want: dict, got: dict) -> list[str]:
+    """One line per command or file whose entry differs between two
+    manifests; a manifest recorded on another platform is one line alone."""
+    if want["platform"] != got["platform"]:
+        return [f"the manifest was recorded on {want['platform']}, this is {got['platform']}: "
+                "its bytes need not match here; re-record it with tools/cmp_cli.py --manifest"]
+    return [f"{kind[:-1]} {key!r}: {want[kind].get(key)} -> {got[kind].get(key)}"
+            for kind in ("commands", "files") for key in sorted(want[kind].keys() | got[kind].keys())
+            if want[kind].get(key) != got[kind].get(key)]
+
+
+def write_manifest(path: str, src: str) -> None:
+    with tempfile.TemporaryDirectory() as d:
+        record = manifest(src, d)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(record, indent=1, sort_keys=True) + "\n")
+
+
 def main(argv: list[str]) -> int:
+    if argv[:1] == ["--manifest"] and len(argv) in (2, 3):
+        write_manifest(argv[1], argv[2] if len(argv) == 3 else os.path.join(os.path.dirname(__file__), "..", "src"))
+        return 0
     if len(argv) != 2:
-        print("usage: python tools/cmp_cli.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
+        print("usage: python tools/cmp_cli.py PARENT_SRC CHANGE_SRC\n"
+              "       python tools/cmp_cli.py --manifest PATH [SRC]", file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as parent, tempfile.TemporaryDirectory() as change:
         run_all(argv[0], parent)
