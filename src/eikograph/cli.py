@@ -278,7 +278,7 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_induce_metric(args) -> int:
-    _check_io_paths([args.points, args.edges], [args.out, args.probe_out])
+    _check_io_paths([args.points, args.edges], [args.out])
     coords: dict[str, tuple[float, ...]] = {}
     for lineno, row in read_csv(args.points, [("vertex_id",)], 1):
         if row[0] in coords:
@@ -289,16 +289,11 @@ def _cmd_induce_metric(args) -> int:
             raise ValidationError(f"{args.points}:{lineno}: bad coordinate in {row!r}")
     adjacency = [(row[0], row[1]) for _, row in read_csv(args.edges, [("a", "b")], 2)]
     boundary = [b for b in (args.boundary or "").split(",") if b]
-    g, probe = induce_intrinsic(tuple(sorted(coords)), chord_from_coords(coords), adjacency,
-                                boundary=boundary, coords=coords, sample_pairs=args.pairs)
+    g = induce_intrinsic(tuple(sorted(coords)), chord_from_coords(coords), adjacency,
+                         boundary=boundary, coords=coords)
     write_graph(g, args.out)
-    if args.probe_out:
-        write_csv(args.probe_out, ["d_max", "ratio_max", "ratio_mean", "count"],
-                  ([repr(d_max), repr(r_max), repr(r_mean), count]
-                   for d_max, r_max, r_mean, count in probe.buckets))
     print(f"induced metric graph: {len(g.vertices)} vertices, {sum(map(len, g.nbrs)) // 2} edges "
           f"-> {args.out}")
-    print(f"consistency probe: {probe.pairs_sampled} pairs, max ratio {probe.max_ratio} ({probe.note})")
     return 0
 
 
@@ -392,9 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", required=True, help="CSV vertex_id,x[,y,...]")
     p.add_argument("--edges", required=True, help="CSV a,b adjacency")
     p.add_argument("--boundary", default="", help="comma-separated boundary ids")
-    p.add_argument("--pairs", type=int, default=256, help="sampled pairs for the metric checks")
     p.add_argument("--out", required=True)
-    p.add_argument("--probe-out", default=None)
     p.set_defaults(handler=_cmd_induce_metric)
 
     p = sub.add_parser("refine", help="subdivide edges to a target mesh size")

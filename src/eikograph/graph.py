@@ -13,7 +13,6 @@ import gc
 import heapq
 import json
 import math
-import random
 from bisect import bisect_right
 from collections.abc import ItemsView, Mapping, ValuesView
 from contextlib import contextmanager
@@ -36,10 +35,6 @@ COLUMNS = ("ids", "dim", "coords", "a", "b", "length", "boundary")  # the keys o
 # at about 0.8 kB a vertex (read_graph of grid n=100, 10**4 vertices, peaks at 8.1 MB
 # under tracemalloc and keeps 5.0 MB; its version 1 file peaks at 18.2 MB), so ~1 GB.
 MAX_REFINE_VERTICES = 10**6
-# induce_intrinsic's sampled checks run about sample_pairs / 2 triangle draws
-# whatever the point count, so the count is bounded.
-MAX_SAMPLE_PAIRS = 10**6
-DEFAULT_SEED = 1729  # seeds the sampled metric checks of induce_intrinsic
 
 
 def close(a: float, b: float, abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL) -> bool:
@@ -215,21 +210,6 @@ class Curve:
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-
-@dataclass(frozen=True)
-class ConsistencyProbe:
-    """Heuristic statistics for the small-scale agreement of d and the induced
-    intrinsic metric (ratio d-tilde / d over sampled pairs, bucketed by d).
-
-    This probes, never certifies, the hypothesis that the intrinsic metric
-    vanishes with the chord metric; it is not decidable from finite data.
-    """
-
-    buckets: tuple[tuple[float, float, float, int], ...]  # (d_max, ratio_max, ratio_mean, count)
-    pairs_sampled: int
-    max_ratio: float
-    note: str = "heuristic probe only; small-d consistency is not certified"
 
 
 def _finalize(
@@ -600,7 +580,6 @@ def settle(
     fl: Sequence[float] | None = None,
     scale: float = 1.0,
     limit: float = math.inf,
-    until: Iterable[int] = (),
 ) -> tuple[list[float], list[int], list[int]]:
     """Exact binary64 fixpoint of the Bellman labeling operator on ``g``.
 
@@ -619,8 +598,7 @@ def settle(
     equals its label (the one that set the label qualifies); unreached
     vertices have -1.  A finite ``limit`` stops before the first pop above
     it, leaving a prefix of the unbounded order with the same labels and
-    parents.  Once every vertex index in ``until`` is settled, the limit
-    falls to the label of the last of them.
+    parents.
     """
     nbrs, lens = g.nbrs, g.lens
     n = len(nbrs)
@@ -636,17 +614,12 @@ def settle(
         dist[x] = d0
     pop, push = heapq.heappop, heapq.heappush
     order: list[int] = []
-    goal = set(until)  # left to settle
     while heap:
         d, x = pop(heap)
         if parent[x] >= 0:
             continue
         if d > limit:
             return dist, order, parent
-        if goal and x in goal:
-            goal.discard(x)
-            if not goal:
-                limit = d
         order.append(x)
         p = x if datum.get(x) == d else -1
         fx = fl[x]
@@ -783,108 +756,50 @@ def chord_from_coords(coords: Mapping[str, Sequence[float]]) -> Callable[[str, s
     return dist
 
 
-def _validate_chord(ids: Sequence[str], d: Callable[[str, str], float],
-                    adjacency: Sequence[tuple[str, str]], rng: random.Random, samples: int) -> None:
-    pairs = list(adjacency)
-    # spot-check symmetry and definiteness on declared edges plus random pairs
-    for _ in range(min(samples, 4 * len(ids))):
-        a, b = rng.choice(ids), rng.choice(ids)
-        pairs.append((a, b))
-    for a, b in pairs:
-        dab, dba = d(a, b), d(b, a)
-        if not close(dab, dba):
-            raise MetricError(f"distance not symmetric at ({a!r}, {b!r}): {dab} vs {dba}")
-        if a == b and dab != 0.0:
-            raise MetricError(f"d({a!r}, {a!r}) = {dab} != 0")
-        if a != b and not (dab > 0.0):
-            raise MetricError(f"d({a!r}, {b!r}) = {dab} is not positive")
-    if len(ids) >= 3:
-        for _ in range(samples):
-            a, b, c = (rng.choice(ids) for _ in range(3))
-            if len({a, b, c}) < 3:
-                continue
-            if d(a, c) > d(a, b) + d(b, c) + ABS_TOL + REL_TOL * d(a, c):
-                raise MetricError(
-                    f"triangle inequality fails on sample ({a!r}, {b!r}, {c!r})"
-                )
-
-
 def induce_intrinsic(
     ids: Sequence[str],
     dist: Callable[[str, str], float],
     adjacency: Sequence[tuple[str, str]],
     boundary: Iterable[str] = (),
     coords: Mapping[str, tuple[float, ...]] | None = None,
-    sample_pairs: int = 256,
-    seed: int = DEFAULT_SEED,
-) -> tuple[MetricGraph, ConsistencyProbe]:
+) -> MetricGraph:
     """Induce the intrinsic metric graph of the points ``ids`` from a chord
     metric and the (a, b) pairs of ``adjacency``.
 
     ``dist`` is a symmetric callback d(x, y), such as :func:`chord_from_coords`
     builds from point coordinates.  Each declared edge (x, y) gets length
-    d(x, y); shortest paths on the result realize the discrete intrinsic
-    metric.  Postconditions checked here: the chord metric never exceeds the
-    intrinsic one on sampled pairs, and a heuristic probe reports how the
-    ratio behaves as d shrinks.  Returns the graph and the probe.
+    d(x, y), which must be positive and equal d(y, x) within the default
+    tolerances; shortest paths on the result realize the discrete intrinsic
+    metric d~.  Each edge must itself be a shortest path, d(x, y) <= d~(x, y)
+    within the same tolerances: one search from each edge's smaller end,
+    bounded by the longest such edge, checks every edge exactly.  Pairs that
+    are not edges are not checked, as they do not enter the graph.
     """
-    if not (0 <= sample_pairs <= MAX_SAMPLE_PAIRS):
-        raise ValidationError(f"sample_pairs must be between 0 and {MAX_SAMPLE_PAIRS}, got {sample_pairs!r}")
     known = set(ids)
     for a, b in adjacency:
         if a not in known or b not in known:
             raise ValidationError(f"edge ({a!r}, {b!r}) references unknown vertex")
     _require_coords(coords or {})
-    rng = random.Random(seed)
-    _validate_chord(ids, dist, adjacency, rng, samples=max(32, sample_pairs // 2))
-
-    lengths = [dist(a, b) for a, b in adjacency]
+    lengths = []
+    for a, b in adjacency:
+        dab, dba = dist(a, b), dist(b, a)
+        if not close(dab, dba):
+            raise MetricError(f"distance not symmetric at ({a!r}, {b!r}): {dab} vs {dba}")
+        if a != b and not (dab > 0.0):
+            raise MetricError(f"d({a!r}, {b!r}) = {dab} is not positive")
+        lengths.append(dab)
     try:
         g = _finalize(ids, adjacency, lengths, boundary, coords)
     except ConnectivityError:
         raise ConnectivityError("chord adjacency is disconnected")
 
-    # sample every edge (capped) plus long-range random pairs
     vs = g.vertices
-    pairs: set[tuple[str, str]] = set(map(itemgetter(0), islice(_edge_items(g), 4 * sample_pairs)))
-    target = min(len(pairs) + sample_pairs, len(vs) * (len(vs) - 1) // 2)
-    attempts = 0
-    while len(pairs) < target and attempts < 64 * sample_pairs:
-        a, b = rng.choice(vs), rng.choice(vs)
-        attempts += 1
-        if a != b:
-            pairs.add(edge_key(a, b))
-
-    samples: list[tuple[float, float]] = []
-    by_source: dict[str, list[str]] = {}
-    for a, b in pairs:
-        by_source.setdefault(a, []).append(b)
-    index = g.index
-    for a, targets in sorted(by_source.items()):
-        # the search stops once its last target is settled, its label final
-        labels = settle(g, [(index[a], 0.0)], until=[index[b] for b in targets])[0]
-        for b in sorted(targets):
-            d_chord = dist(a, b)
-            d_int = labels[index[b]]
-            if d_chord > d_int + ABS_TOL + REL_TOL * d_int:
-                raise MetricError(
-                    f"chord distance exceeds intrinsic distance at ({a!r}, {b!r}): "
-                    f"{d_chord} > {d_int}"
-                )
-            samples.append((d_chord, d_int))
-
-    samples.sort()
-    nb = min(8, len(samples))
-    buckets = []
-    max_ratio = 0.0
-    for i in range(nb):
-        lo = (i * len(samples)) // nb
-        hi = ((i + 1) * len(samples)) // nb
-        chunk = samples[lo:hi]
-        ratios = [di / dc for dc, di in chunk if dc > 0.0]
-        if not ratios:
-            continue
-        buckets.append((chunk[-1][0], max(ratios), sum(ratios) / len(ratios), len(ratios)))
-        max_ratio = max(max_ratio, max(ratios))
-    probe = ConsistencyProbe(buckets=tuple(buckets), pairs_sampled=len(samples), max_ratio=max_ratio)
-    return g, probe
+    for i, (nb, ln) in enumerate(zip(g.nbrs, g.lens)):
+        k = bisect_right(nb, i)  # the lists are in id order: the larger neighbours come last
+        if k < len(nb):
+            labels = settle(g, [(i, 0.0)], limit=max(ln[k:]))[0]  # every neighbour's label is final
+            for j, length in zip(nb[k:], ln[k:]):
+                if length > labels[j] + ABS_TOL + REL_TOL * labels[j]:
+                    raise MetricError(f"chord distance exceeds intrinsic distance at ({vs[i]!r}, {vs[j]!r}): "
+                                      f"{length} > {labels[j]}")
+    return g

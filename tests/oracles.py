@@ -21,8 +21,8 @@ that ``build_graph`` replaced, whose graphs and errors it must give.
 version 2 replaced, kept as the source of version 1 inputs.
 :func:`reference_gasket` builds the gasket fixture by triangle subdivision,
 :func:`reference_fixture` the other fixtures through string-keyed edge dicts,
-and :func:`reference_consistency_probe` is ``induce_intrinsic``'s probe with
-no search cut short.  :func:`reference_boundary_consistency` is the boundary
+and :func:`reference_edge_check` is ``induce_intrinsic``'s edge check by
+value iteration.  :func:`reference_boundary_consistency` is the boundary
 certificate with one min-plus solve per verdict, whose every field the
 certificate with its edge pass must reproduce bit for bit.
 """
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import random
 from typing import Iterable, Mapping, Sequence
 
 from eikograph import (
@@ -47,7 +46,6 @@ from eikograph import (
     GraphError,
     HamiltonianError,
     HamiltonianSpec,
-    MetricError,
     MetricGraph,
     ReductionField,
     ScalarField,
@@ -61,7 +59,7 @@ from eikograph import (
     validate_hamiltonian,
 )
 from eikograph.fields import field_list
-from eikograph.graph import ABS_TOL, DEFAULT_SEED, REL_TOL, _finalize, _validate_chord, settle
+from eikograph.graph import ABS_TOL, REL_TOL, _finalize, settle
 from eikograph.hamiltonians import BRACKET_CAP
 from eikograph.slopes import BASE_TOL
 
@@ -692,45 +690,18 @@ def reference_check_hamiltonian_monge(
     return CheckReport(name="hamiltonian-monge", tol=tol, residuals=residuals)
 
 
-def reference_consistency_probe(ids, dist, edges, sample_pairs=256, seed=DEFAULT_SEED):
-    """``induce_intrinsic``'s probe with every search unbounded: one full
-    string-keyed label setting per sampled source.
-
-    The seeded stream first runs the library's chord validation, as
-    ``induce_intrinsic`` does, so the same pairs are drawn.  Returns
-    (buckets, pairs_sampled, max_ratio), or raises the error the library
-    raises; ``ids``, ``edges`` and ``sample_pairs`` must pass its input checks.
-    """
-    rng = random.Random(seed)
-    _validate_chord(ids, dist, edges, rng, samples=max(32, sample_pairs // 2))
+def reference_edge_check(ids, dist, edges) -> str | None:
+    """The first declared edge, in sorted (a, b) order with a < b, whose
+    chord exceeds its value-iteration distance beyond the default
+    tolerances, as ``induce_intrinsic``'s message; None when every edge is
+    a shortest path.  ``ids``, ``dist`` and ``edges`` must pass its other
+    checks."""
     g = _finalize(ids, edges, [dist(a, b) for a, b in edges], (), None)
-    vs = g.vertices
-    pairs = set(list(g.edges)[: 4 * sample_pairs])
-    target = min(len(pairs) + sample_pairs, len(vs) * (len(vs) - 1) // 2)
-    attempts = 0
-    while len(pairs) < target and attempts < 64 * sample_pairs:
-        a, b = rng.choice(vs), rng.choice(vs)
-        attempts += 1
-        if a != b:
-            pairs.add(edge_key(a, b))
-    samples = []
-    source = None
-    for a, b in sorted(pairs):
-        if a != source:
-            source, labels = a, fixpoint_labels(adjacency(g), {a: 0.0})
-        d_chord, d_int = dist(a, b), labels[b]
+    for a, b in sorted(g.edges):
+        d_chord, d_int = g.edges[a, b], distance_oracle(g, a)[b]
         if d_chord > d_int + ABS_TOL + REL_TOL * d_int:
-            raise MetricError(f"chord distance exceeds intrinsic distance at ({a!r}, {b!r}): {d_chord} > {d_int}")
-        samples.append((d_chord, d_int))
-    samples.sort()
-    nb = min(8, len(samples))
-    buckets = []
-    for i in range(nb):
-        chunk = samples[(i * len(samples)) // nb : ((i + 1) * len(samples)) // nb]
-        ratios = [di / dc for dc, di in chunk if dc > 0.0]
-        if ratios:
-            buckets.append((chunk[-1][0], max(ratios), sum(ratios) / len(ratios), len(ratios)))
-    return tuple(buckets), len(samples), max((b[1] for b in buckets), default=0.0)
+            return f"chord distance exceeds intrinsic distance at ({a!r}, {b!r}): {d_chord} > {d_int}"
+    return None
 
 
 def distance_oracle(graph, source):

@@ -22,6 +22,7 @@ from eikograph import (
     compare,
     constant_field,
     counterexample_suite,
+    distances_from,
     edge_costs,
     equivalence_suite,
     field_on,
@@ -84,16 +85,15 @@ def test_criterion_03_intrinsic_metric():
     }
     ids = tuple(sorted(coords))
     adjacency = tuple((ids[k], ids[(k + 1) % n]) for k in range(n))
-    g, probe = induce_intrinsic(ids, chord_from_coords(coords), adjacency, coords=coords, sample_pairs=512,
-                                seed=11)
+    chord = chord_from_coords(coords)
+    g = induce_intrinsic(ids, chord, adjacency, coords=coords)  # d <= d~ checked on every edge
     d, _ = intrinsic_distance(g, "c0000", "c0500")
     assert abs(d - math.pi) < 1e-4
-    # d <= d-tilde on all sampled pairs was enforced inside induce_intrinsic;
-    # the probe ratios certify it once more
-    assert probe.max_ratio >= 1.0 - 1e-12
-    assert probe.pairs_sampled >= 512
-    _passline(3, f"antipodal intrinsic distance {d} vs pi; "
-                 f"{probe.pairs_sampled} sampled pairs satisfy d <= d~")
+    assert abs(chord("c0000", "c0500") - 2.0) < 1e-12
+    d_int = distances_from(g, ["c0000"])
+    assert all(chord("c0000", v) <= d_int[v] + 1e-12 for v in ids)
+    _passline(3, f"antipodal intrinsic distance {d} vs pi, chord 2; "
+                 f"d <= d~ on all {n} edges and from c0000 to all {n} points")
 
 
 def test_criterion_04_oracle_equivalence():
@@ -214,7 +214,7 @@ def test_criterion_10_determinism(tmp_path):
         files = {
             "u": d / "u.csv", "plot": d / "plot.csv", "check": d / "check.csv",
             "suite": d / "suite.csv", "uh": d / "uh.csv", "h": d / "h.csv",
-            "metric": d / "metric.json", "probe": d / "probe.csv", "refined": d / "r.json",
+            "metric": d / "metric.json", "refined": d / "r.json",
             "cmp": d / "cmp.csv",
         }
         assert cli_run(["fixture", "--name", "interval", "--n", "200", "--out", str(g)]) == 0
@@ -246,7 +246,7 @@ def test_criterion_10_determinism(tmp_path):
             for k in range(n):
                 fh.write(f"c{k:02d},c{(k + 1) % n:02d}\n")
         assert cli_run(["induce-metric", "--points", str(pts), "--edges", str(adj),
-                        "--out", str(files["metric"]), "--probe-out", str(files["probe"])]) == 0
+                        "--out", str(files["metric"])]) == 0
         captures.append({name: path.read_bytes() for name, path in files.items()}
                         | {"g": g.read_bytes(), "gg": gg.read_bytes()})
     assert captures[0] == captures[1]

@@ -43,7 +43,6 @@ EXPECTED = {
                  "interval,0,csuper,0.0,0.0,pass\r\ninterval,0,regularity,0.0,1e-09,pass\r\n"
                  "interval,all,monge-residual-monotone,0.0,1e-12,pass\r\n",
     "ind.json": GRAPH + '"boundary":[]}\n',
-    "probe.csv": "d_max,ratio_max,ratio_mean,count\r\n1.0,1.0,1.0,1\r\n1.0,1.0,1.0,1\r\n2.0,1.0,1.0,1\r\n",
 }
 
 
@@ -63,8 +62,7 @@ def test_every_writer_byte_exact(tmp_path):
         ["compare", "--graph", p["g.json"], "--f", "linear:1,0.5", "--u", p["u.csv"], "--v", p["u.csv"],
          "--report", p["cmp.csv"]],
         ["suite", "--fixture", "interval", "--n", "2", "--levels", "1", "--report", p["suite.csv"]],
-        ["induce-metric", "--points", p["pts.csv"], "--edges", p["adj.csv"], "--out", p["ind.json"],
-         "--probe-out", p["probe.csv"]],
+        ["induce-metric", "--points", p["pts.csv"], "--edges", p["adj.csv"], "--out", p["ind.json"]],
     ]
     for argv in commands:
         assert run(argv) == 0, argv

@@ -13,6 +13,7 @@ import pytest
 
 from eikograph import (
     ConnectivityError,
+    DirichletProblem,
     GraphError,
     MetricError,
     MetricGraph,
@@ -20,6 +21,7 @@ from eikograph import (
     ball,
     build_graph,
     chord_from_coords,
+    constant_field,
     curve_along,
     fixture,
     induce_intrinsic,
@@ -27,18 +29,19 @@ from eikograph import (
     random_metric_graph,
     read_graph,
     refine,
+    solve_dirichlet,
     write_graph,
 )
 from eikograph import graph as graph_module
 from eikograph import verify as verify_module
-from eikograph.graph import MAX_SAMPLE_PAIRS, close, edge_key, read_json
+from eikograph.graph import close, edge_key, read_json
 
 from oracles import (
     all_pairs_distance_oracle,
     backtrack_witness,
     distance_oracle,
     path_length_sum,
-    reference_consistency_probe,
+    reference_edge_check,
     reference_layout,
     views_from_lists,
 )
@@ -478,7 +481,7 @@ class TestInduceIntrinsic:
 
     def test_circle_antipodal_arc(self):
         chord, coords = self.circle_chord()
-        g, _ = induce_intrinsic(*chord, coords=coords, seed=7)
+        g = induce_intrinsic(*chord, coords=coords)
         d, _ = intrinsic_distance(g, "c0", "c500")
         assert abs(d - math.pi) < 1e-4
         # chord of the semicircle is 2, the arc is pi
@@ -486,15 +489,46 @@ class TestInduceIntrinsic:
 
     def test_chord_never_exceeds_intrinsic_on_samples(self):
         chord, _ = self.circle_chord(n=200)
-        _, probe = induce_intrinsic(*chord, sample_pairs=300, seed=3)
-        assert probe.pairs_sampled > 200
-        assert probe.max_ratio >= 1.0 - 1e-12
+        g = induce_intrinsic(*chord)
+        for a in g.vertices[::10]:
+            d_int = distance_oracle(g, a)
+            assert all(chord[1](a, b) <= d_int[b] + 1e-12 for b in g.vertices)
+
+    @pytest.mark.parametrize("n", [60, 600, 6000])
+    def test_ring_labels_are_the_intrinsic_value_function(self, n):
+        """N points on the unit circle joined in a ring, the boundary at c0,
+        f = 1: the label k steps away is m * 2 sin(pi / N), m = min(k, N - k),
+        up to the rounding of m additions; its ratio to the geodesic m * 2 pi / N
+        is sin(pi / N) / (pi / N), which tends to 1, while the chord across the
+        circle stays 2 against pi."""
+        ids = [f"c{k:04d}" for k in range(n)]
+        step = {v: k for k, v in enumerate(ids)}
+
+        def chord(a, b):  # the Euclidean distance between points of the unit circle
+            k = abs(step[a] - step[b])
+            return 2.0 * math.sin(math.pi * min(k, n - k) / n)
+
+        g = induce_intrinsic(ids, chord, [(ids[k], ids[(k + 1) % n]) for k in range(n)], boundary=[ids[0]])
+        u = solve_dirichlet(DirichletProblem(g, constant_field(g, 1.0, "rhs_f"),
+                                             constant_field(g, 0.0, "boundary_zeta"))).u
+        s = 2.0 * math.sin(math.pi / n)
+        x = math.pi / n
+        for k, v in enumerate(ids):
+            m = min(k, n - k)
+            assert abs(u[v] - m * s) <= m * math.ulp(2.0 * m * s)  # one rounding per addition
+            if m:
+                ratio = u[v] / (m * 2.0 * math.pi / n)
+                assert abs(ratio - math.sin(x) / x) <= 4 * m * 2.0 ** -52
+                assert 0.0 < 1.0 - ratio <= x * x / 6.0 + 4 * m * 2.0 ** -52
+        half = ids[n // 2]
+        assert chord(ids[0], half) == 2.0
+        assert abs(u[half] - math.pi) <= math.pi * x * x / 6.0 + n * math.ulp(4.0)
 
     def test_collinear_dyadic_points_intrinsic_equals_chord(self):
         xs = [0.0, 0.25, 0.5, 1.0]
         ids = [f"q{k}" for k in range(4)]
         coords = {ids[k]: (xs[k],) for k in range(4)}
-        g, _ = induce_intrinsic(ids, chord_from_coords(coords), [(ids[k], ids[k + 1]) for k in range(3)])
+        g = induce_intrinsic(ids, chord_from_coords(coords), [(ids[k], ids[k + 1]) for k in range(3)])
         d, _ = intrinsic_distance(g, "q0", "q3")
         assert d == 1.0  # dyadic lengths: exact
 
@@ -502,8 +536,8 @@ class TestInduceIntrinsic:
         pts = [(0.0, 0.0), (0.3, 0.0), (0.7, 0.0), (1.0, 0.0), (1.0, 0.4), (1.0, 1.1)]
         ids = [f"L{k}" for k in range(len(pts))]
         coords = dict(zip(ids, pts))
-        g, _ = induce_intrinsic(ids, chord_from_coords(coords),
-                                [(ids[k], ids[k + 1]) for k in range(len(pts) - 1)])
+        g = induce_intrinsic(ids, chord_from_coords(coords),
+                             [(ids[k], ids[k + 1]) for k in range(len(pts) - 1)])
         d, curve = intrinsic_distance(g, "L0", f"L{len(pts)-1}")
         assert close(d, path_length_sum(pts))
         assert len(curve) == len(pts)
@@ -514,13 +548,13 @@ class TestInduceIntrinsic:
             ("b", "c"): 1.0,
             ("a", "c"): 5.0,  # violates a-b-c
         }
-        with pytest.raises(MetricError):
+        with pytest.raises(MetricError, match=r"at \('a', 'c'\): 5.0 > 2.0"):
             induce_intrinsic(("a", "b", "c"), lambda a, b: 0.0 if a == b else table.get((a, b), table.get((b, a))),
-                             (("a", "b"), ("b", "c"), ("a", "c")), seed=1)
+                             (("a", "b"), ("b", "c"), ("a", "c")))
 
     def test_disconnected_adjacency_rejected(self):
         coords = {"a": (0.0,), "b": (1.0,), "c": (2.0,), "d": (3.0,)}
-        with pytest.raises(ConnectivityError):
+        with pytest.raises(ConnectivityError, match="^chord adjacency is disconnected$"):
             induce_intrinsic(("a", "b", "c", "d"), chord_from_coords(coords), (("a", "b"), ("c", "d")))
 
     def test_mixed_coord_dimensions_rejected_before_chord_checks(self):
@@ -538,12 +572,12 @@ class TestInduceIntrinsic:
 
     def test_overflowing_chord_distance_rejected(self):
         coords = {"a": (0.0,), "b": (1e200,)}
-        with pytest.raises(MetricError, match="overflows"):
+        with pytest.raises(MetricError, match="^distance between 'a' and 'b' overflows$"):
             induce_intrinsic(("a", "b"), chord_from_coords(coords), (("a", "b"),), coords=coords)
 
     def test_edge_to_unknown_id_rejected(self):
         coords = {"a": (0.0,), "b": (1.0,)}
-        with pytest.raises(ValidationError, match="'c'"):
+        with pytest.raises(ValidationError, match=r"^edge \('a', 'c'\) references unknown vertex$"):
             induce_intrinsic(("a", "b"), chord_from_coords(coords), (("a", "b"), ("a", "c")))
 
     def test_asymmetric_table_rejected(self):
@@ -552,13 +586,32 @@ class TestInduceIntrinsic:
                 return 0.0
             return 1.0 if a < b else 2.0
 
-        with pytest.raises(MetricError):
+        with pytest.raises(MetricError, match=r"^distance not symmetric at \('a', 'b'\): 1.0 vs 2.0$"):
             induce_intrinsic(("a", "b"), lopsided, (("a", "b"),))
 
+    @pytest.mark.parametrize("ids,dist,message", [
+        (("a", "b"), lambda a, b: 0.0 if a == b else -1.0, "d('a', 'b') = -1.0 is not positive"),
+        (("a", "b", "c"), chord_from_coords({"a": (0.0, 0.0), "b": (0.0, 0.0), "c": (1.0, 0.0)}),
+         "d('a', 'b') = 0.0 is not positive"),
+        (("a", "b"), lambda a, b: 0.0 if a == b else math.inf, "distance not symmetric at ('a', 'b'): inf vs inf"),
+        (("a", "b"), lambda a, b: 0.0 if a == b else math.nan, "distance not symmetric at ('a', 'b'): nan vs nan"),
+    ], ids=["negative", "coincident", "infinite", "nan"])
+    def test_edge_that_is_no_positive_finite_length_rejected(self, ids, dist, message):
+        # refused with these messages at every seed of the sampled checks this replaced
+        with pytest.raises(MetricError) as exc:
+            induce_intrinsic(ids, dist, list(zip(ids, ids[1:])))
+        assert str(exc.value) == message
+
+    def test_self_loop_is_refused_as_one_whatever_d_a_a(self):
+        for d_aa in (0.0, 5.0):
+            with pytest.raises(ValidationError, match="^self-loop at vertex 'a'$"):
+                induce_intrinsic(("a", "b"), lambda a, b: d_aa if a == b else 1.0, [("a", "a"), ("a", "b")])
+
     @staticmethod
-    def probe_point_set(name):
-        """(ids, chord, edges) of a small point set; "warped_pair" and
-        "warped_edge" stretch one chord by half, which the probe may catch."""
+    def point_set(name):
+        """(ids, chord, edges) of a small point set; "warped_pair" stretches
+        the chord of a pair that is no edge by half, "warped_edge" that of an
+        edge p00-p06 beside the path p00, ..., p06 of length 6."""
         if name == "grid":
             ids = [f"g{i}_{j}" for i in range(9) for j in range(9)]
             coords = {v: (0.125 * int(v[1]), 0.125 * int(v[3])) for v in ids}
@@ -581,66 +634,71 @@ class TestInduceIntrinsic:
             edges.append(("p00", "p06"))
         return ids, (lambda a, b: 1.5 * d(a, b) if {a, b} == stretched else d(a, b)), edges
 
-    @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("sample_pairs", [4, 32, 256])
-    @pytest.mark.parametrize("name", ["grid", "scattered", "warped_pair", "warped_edge"])
-    def test_probe_matches_unbounded_reference(self, name, sample_pairs, seed):
-        """Each search stops once its last target is settled; buckets, pairs
-        sampled, max ratio and errors stay those of full searches."""
-        ids, d, edges = self.probe_point_set(name)
+    @pytest.mark.parametrize("name", ["grid", "scattered", "warped_pair", "warped_edge", "scattered_warped"])
+    def test_edge_check_matches_value_iteration(self, name):
+        if name == "scattered_warped":  # the longest edges of the scattered set, stretched by a tenth
+            ids, d, edges = self.point_set("scattered")
+            long = set(sorted(edges, key=lambda e: d(*e))[-5:])
+            chord, d = d, lambda a, b: 1.1 * chord(a, b) if edge_key(a, b) in long else chord(a, b)
+        else:
+            ids, d, edges = self.point_set(name)
+        want = reference_edge_check(ids, d, edges)
+        try:
+            g = induce_intrinsic(ids, d, edges)
+        except MetricError as exc:
+            assert str(exc) == want
+        else:
+            assert want is None
+            assert list(g.edges.items()) == [((a, b), d(a, b)) for a, b in sorted(map(edge_key, *zip(*edges)))]
+        assert (want is None) == (name in ("grid", "scattered", "warped_pair"))
 
-        def outcome(run):
-            try:
-                buckets, pairs_sampled, max_ratio = run()
-            except MetricError as exc:
-                return str(exc)
-            hexed = [[x.hex() if isinstance(x, float) else x for x in b] for b in buckets]
-            return hexed, pairs_sampled, max_ratio.hex()
+    @pytest.mark.parametrize("seed", range(32))
+    def test_random_stretched_edges_match_value_iteration(self, seed):
+        """Up to four random edges of a random point set, each its points' path
+        plus their 3 nearest, stretched by up to a half: refused exactly when
+        value iteration finds a shorter path, naming the same first edge."""
+        rng = random.Random(seed)
+        ids = [f"r{k:02d}" for k in range(rng.randint(4, 40))]
+        chord = chord_from_coords({v: (rng.random(), rng.random()) for v in ids})
+        edges = {edge_key(a, b) for a, b in zip(ids, ids[1:])}
+        edges |= {edge_key(a, b) for a in ids for b in sorted(ids, key=lambda b: chord(a, b))[1:4]}
+        edges = sorted(edges)
+        stretch = {e: rng.uniform(1.0, 1.5) for e in rng.sample(edges, rng.randint(0, 4))}
 
-        def library():
-            probe = induce_intrinsic(ids, d, edges, sample_pairs=sample_pairs, seed=seed)[1]
-            return probe.buckets, probe.pairs_sampled, probe.max_ratio
+        def d(a, b):
+            return stretch.get(edge_key(a, b), 1.0) * chord(a, b)
 
-        got = outcome(library)
-        assert got == outcome(lambda: reference_consistency_probe(ids, d, edges, sample_pairs, seed))
-        if name == "warped_edge" and seed > 0 and sample_pairs < 256:  # the probe catches it, not a triangle
-            assert got == "chord distance exceeds intrinsic distance at ('p00', 'p06'): 9.0 > 6.0"
+        want = reference_edge_check(ids, d, edges)
+        try:
+            induce_intrinsic(ids, d, edges)
+        except MetricError as exc:
+            assert str(exc) == want
+        else:
+            assert want is None
 
-    def test_probe_searches_stop_at_their_last_target(self, monkeypatch):
-        # on a 30 x 30 point grid the default 256 random pairs give over 200
-        # sources that used to search all 900 points; each search now settles
-        # its targets exactly and about half as many vertices in all
-        n = 30
-        ids = [f"g{i:02d}_{j:02d}" for i in range(n) for j in range(n)]
-        d = chord_from_coords({v: (int(v[1:3]) / (n - 1), int(v[4:6]) / (n - 1)) for v in ids})
-        edges = [(f"g{i:02d}_{j:02d}", f"g{i + di:02d}_{j + dj:02d}") for i in range(n) for j in range(n)
-                 for di, dj in ((1, 0), (0, 1)) if i + di < n and j + dj < n]
-        settled, searched = [0], [0]
-        real = graph_module.settle
+    def test_warped_edge_is_refused(self):
+        with pytest.raises(MetricError) as exc:
+            induce_intrinsic(*self.point_set("warped_edge"))
+        assert str(exc.value) == "chord distance exceeds intrinsic distance at ('p00', 'p06'): 9.0 > 6.0"
 
-        def counted(g, seeds, *args, **kwargs):
-            dist, order, parent = real(g, seeds, *args, **kwargs)
-            full_dist, full_order, _ = real(g, seeds)
-            assert order == full_order[:len(order)]
-            assert all(dist[t].hex() == full_dist[t].hex() for t in kwargs.get("until", ()))
-            settled[0] += len(order)
-            searched[0] += len(full_order)
-            return dist, order, parent
+    def test_warped_pair_is_accepted(self):
+        # the stretched pair p00-p19 is no edge: the graph, the path of 19 unit edges, is the same
+        ids, d, edges = self.point_set("warped_pair")
+        assert induce_intrinsic(ids, d, edges) == induce_intrinsic(ids, chord_from_coords(
+            {v: (float(k),) for k, v in enumerate(ids)}), edges)
 
-        monkeypatch.setattr(graph_module, "settle", counted)
-        probe = induce_intrinsic(ids, d, edges)[1]
-        monkeypatch.undo()
-        want = reference_consistency_probe(ids, d, edges)
-        assert (probe.buckets, probe.pairs_sampled, probe.max_ratio) == want
-        assert settled[0] < 0.6 * searched[0]
-
-    @pytest.mark.parametrize("pairs", [-1, MAX_SAMPLE_PAIRS + 1])
-    def test_sample_pairs_out_of_range_rejected_before_sampling(self, pairs):
-        def never(a, b):
-            raise AssertionError("sampled")
-
-        with pytest.raises(ValidationError, match=f"got {pairs}"):
-            induce_intrinsic(("a", "b"), never, (("a", "b"),), sample_pairs=pairs)
+    def test_one_warped_edge_in_a_40_by_40_grid_is_refused(self):
+        # the sampled checks accepted this input: their 256 pairs checked only the first 1,024 edges
+        n = 40
+        ids = [f"g{i}_{j}" for i in range(n) for j in range(n)]
+        at = {v: (float(v[1:].split("_")[0]), float(v.split("_")[1])) for v in ids}
+        chord = chord_from_coords(at)
+        edges = [(f"g{i}_{j}", f"g{i + di}_{j + dj}") for i in range(n) for j in range(n)
+                 for di, dj in ((1, 0), (0, 1)) if i + di < n and j + dj < n] + [("g39_30", "g39_36")]
+        d = lambda a, b: 1.5 * chord(a, b) if {a, b} == {"g39_30", "g39_36"} else chord(a, b)  # noqa: E731
+        with pytest.raises(MetricError) as exc:
+            induce_intrinsic(ids, d, edges)
+        assert str(exc.value) == "chord distance exceeds intrinsic distance at ('g39_30', 'g39_36'): 9.0 > 6.0"
 
 
 def test_non_utf8_graph_file_rejected(tmp_path):
@@ -676,8 +734,7 @@ def _point_grid(n):
     coords = {f"q{i}_{j}": (float(i), 0.5 * j) for i in range(n) for j in range(n)}
     adjacency = [(f"q{i}_{j}", f"q{i + di}_{j + dj}") for i in range(n) for j in range(n)
                  for di, dj in ((1, 0), (0, 1), (1, 1)) if i + di < n and j + dj < n]
-    return induce_intrinsic(sorted(coords), chord_from_coords(coords), adjacency, coords=coords,
-                            sample_pairs=16)[0]
+    return induce_intrinsic(sorted(coords), chord_from_coords(coords), adjacency, coords=coords)
 
 
 def _shuffled_spec(seed):

@@ -130,10 +130,8 @@ COMMANDS = {
     "f.csv": lambda p: ["solve", "--graph", p["g.json"], "--f", p["f.csv"], "--zeta", "const:0",
                         "--out", p["out.csv"]],
     "u.csv": lambda p: ["check", "monge", "--graph", p["g.json"], "--u", p["u.csv"], "--f", "const:1"],
-    "pts.csv": lambda p: ["induce-metric", "--points", p["pts.csv"], "--edges", p["adj.csv"],
-                          "--pairs", "16", "--out", p["out.json"]],
-    "adj.csv": lambda p: ["induce-metric", "--points", p["pts.csv"], "--edges", p["adj.csv"],
-                          "--pairs", "16", "--out", p["out.json"]],
+    "pts.csv": lambda p: ["induce-metric", "--points", p["pts.csv"], "--edges", p["adj.csv"], "--out", p["out.json"]],
+    "adj.csv": lambda p: ["induce-metric", "--points", p["pts.csv"], "--edges", p["adj.csv"], "--out", p["out.json"]],
 }
 
 

@@ -78,7 +78,7 @@ print(json.dumps([before, builtin, missing, unlisted, slopes_is_function, len(ek
     assert before == []
     assert builtin == list(hamiltonians.BUILTIN_NAMES)
     assert missing == [] and unlisted == []
-    assert count == 70  # 74 once, less ChordInput, InducedMetric, BallSet and FieldReport
+    assert count == 69  # 74 once, less ChordInput, InducedMetric, BallSet, FieldReport and ConsistencyProbe
     assert slopes_is_function
 
 

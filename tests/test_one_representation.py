@@ -59,8 +59,7 @@ def _induced():
     coords = {f"q{i}_{j}": (float(i), 0.5 * j) for i in range(5) for j in range(5)}
     pairs = [(f"q{i}_{j}", f"q{i + di}_{j + dj}") for i in range(5) for j in range(5)
              for di, dj in ((1, 0), (0, 1), (1, 1)) if i + di < 5 and j + dj < 5]
-    return induce_intrinsic(sorted(coords), chord_from_coords(coords), pairs, boundary=["q0_0"],
-                            coords=coords, sample_pairs=16)
+    return induce_intrinsic(sorted(coords), chord_from_coords(coords), pairs, boundary=["q0_0"], coords=coords)
 
 
 def _general():

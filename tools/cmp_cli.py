@@ -168,7 +168,7 @@ COMMANDS = [
     ["suite", "--fixture", "grid", "--n", "6", "--f", "linear:1,0.5", "--zeta", "const:0",
      "--levels", "2", "--report", "suite_grid.csv"],
     ["induce-metric", "--points", "points.csv", "--edges", "ring.csv", "--boundary", "c00,c30",
-     "--pairs", "64", "--out", "induced.json", "--probe-out", "probe.csv"],
+     "--out", "induced.json"],
     ["refine", "--graph", "gasket.json", "--h-max", "0.05", "--out", "refined.json"],
     ["refine", "--graph", "gasket.json", "--h-max", "1e9", "--out", "unrefined.json"],
     ["refine", "--graph", "messy.json", "--h-max", "0.4", "--out", "refined_messy.json"],
