@@ -690,14 +690,16 @@ class TestInduceIntrinsic:
     def test_one_warped_edge_in_a_40_by_40_grid_is_refused(self):
         # the sampled checks accepted this input: their 256 pairs checked only the first 1,024 edges
         n = 40
-        ids = [f"g{i}_{j}" for i in range(n) for j in range(n)]
-        at = {v: (float(v[1:].split("_")[0]), float(v.split("_")[1])) for v in ids}
-        chord = chord_from_coords(at)
+        coords = {f"g{i}_{j}": (float(i), float(j)) for i in range(n) for j in range(n)}
+        chord = chord_from_coords(coords)
         edges = [(f"g{i}_{j}", f"g{i + di}_{j + dj}") for i in range(n) for j in range(n)
                  for di, dj in ((1, 0), (0, 1)) if i + di < n and j + dj < n] + [("g39_30", "g39_36")]
-        d = lambda a, b: 1.5 * chord(a, b) if {a, b} == {"g39_30", "g39_36"} else chord(a, b)  # noqa: E731
+
+        def d(a, b):
+            return 1.5 * chord(a, b) if {a, b} == {"g39_30", "g39_36"} else chord(a, b)
+
         with pytest.raises(MetricError) as exc:
-            induce_intrinsic(ids, d, edges)
+            induce_intrinsic(list(coords), d, edges)
         assert str(exc.value) == "chord distance exceeds intrinsic distance at ('g39_30', 'g39_36'): 9.0 > 6.0"
 
 

@@ -28,15 +28,18 @@ def test_cli_outputs_match_the_manifest(tmp_path):
 
 
 def test_differences_name_each_entry():
-    want = {"platform": "P", "commands": {"solve": {"exit": 0, "stdout": "a", "stderr": "b"}},
-            "files": {"u.csv": "c", "gone.csv": "d"}}
-    got = {"platform": "P", "commands": {"solve": {"exit": 1, "stdout": "a", "stderr": "b"}},
-           "files": {"u.csv": "c", "new.csv": "e"}}
+    want = {"platform": "P", "commands": {"solve": {"exit": 0, "stdout": "a", "stderr": "b"},
+                                          "check": {"exit": 0, "stdout": "c", "stderr": "d"}},
+            "files": {"u.csv": "e", "gone.csv": "f"}}
+    got = {"platform": "P", "commands": {"solve": {"exit": 1, "stdout": "x", "stderr": "b"},
+                                         "check": {"exit": 0, "stdout": "c", "stderr": "d"}},
+           "files": {"u.csv": "y", "new.csv": "g"}}
     assert cmp_cli.manifest_differences(want, want) == []
     assert cmp_cli.manifest_differences(want, got) == [
-        "command 'solve': {'exit': 0, 'stdout': 'a', 'stderr': 'b'} -> {'exit': 1, 'stdout': 'a', 'stderr': 'b'}",
-        "file 'gone.csv': d -> None",
-        "file 'new.csv': None -> e",
+        "command 'solve': exit 0 -> 1, stdout differs",
+        "file 'gone.csv': no longer made",
+        "file 'new.csv': not in the manifest",
+        "file 'u.csv': bytes differ",
     ]
 
 

@@ -203,10 +203,11 @@ def write_inputs(d: str) -> None:
             json.dump(spec, fh)
 
 
-def run_all(src: str, d: str) -> None:
+def run_all(src: str, d: str) -> list[int]:
+    """Run every command with ``src`` in the directory ``d``; return the exit codes."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     write_inputs(d)
-    codes = []
+    codes, exits = [], []
     for n, argv in enumerate(COMMANDS):
         proc = subprocess.run([sys.executable, "-m", "eikograph.cli", *argv], cwd=d, env=env,
                               capture_output=True)
@@ -214,8 +215,10 @@ def run_all(src: str, d: str) -> None:
             with open(os.path.join(d, f"cmd{n:02d}.{stream}"), "wb") as fh:
                 fh.write(getattr(proc, stream))
         codes.append(f"{n:02d} {proc.returncode} {' '.join(argv)}\n")
+        exits.append(proc.returncode)
     with open(os.path.join(d, "exit_codes.txt"), "w", encoding="utf-8") as fh:
         fh.writelines(codes)
+    return exits
 
 
 def platform_tag() -> str:
@@ -230,22 +233,21 @@ def manifest(src: str, d: str) -> dict:
     """Run every command with ``src`` in the empty directory ``d``; return
     the platform tag, per command (keyed by its argv) the exit code and the
     sha256 of stdout and stderr, and per other file its sha256."""
-    run_all(src, d)
+    exits = run_all(src, d)
 
     def digest(name: str) -> str:
         with open(os.path.join(d, name), "rb") as fh:
             return hashlib.sha256(fh.read()).hexdigest()
 
-    commands = {}
-    for n, argv in enumerate(COMMANDS):
+    commands, streams = {}, {"exit_codes.txt"}
+    for n, (argv, code) in enumerate(zip(COMMANDS, exits)):
         key = " ".join(argv)
         assert key not in commands, f"command listed twice: {key}"
-        commands[key] = {"stdout": digest(f"cmd{n:02d}.stdout"), "stderr": digest(f"cmd{n:02d}.stderr")}
-    with open(os.path.join(d, "exit_codes.txt"), encoding="utf-8") as fh:
-        for key, line in zip(commands, fh):
-            commands[key]["exit"] = int(line.split(" ", 2)[1])
-    streams = {f"cmd{n:02d}.{s}" for n in range(len(COMMANDS)) for s in ("stdout", "stderr")}
-    files = {name: digest(name) for name in sorted(os.listdir(d)) if name not in streams | {"exit_codes.txt"}}
+        commands[key] = {"exit": code}
+        for stream in ("stdout", "stderr"):
+            streams.add(f"cmd{n:02d}.{stream}")
+            commands[key][stream] = digest(f"cmd{n:02d}.{stream}")
+    files = {name: digest(name) for name in sorted(os.listdir(d)) if name not in streams}
     return {"platform": platform_tag(), "commands": commands, "files": files}
 
 
@@ -255,9 +257,21 @@ def manifest_differences(want: dict, got: dict) -> list[str]:
     if want["platform"] != got["platform"]:
         return [f"the manifest was recorded on {want['platform']}, this is {got['platform']}: "
                 "its bytes need not match here; re-record it with tools/cmp_cli.py --manifest"]
-    return [f"{kind[:-1]} {key!r}: {want[kind].get(key)} -> {got[kind].get(key)}"
-            for kind in ("commands", "files") for key in sorted(want[kind].keys() | got[kind].keys())
-            if want[kind].get(key) != got[kind].get(key)]
+    lines = []
+    for kind in ("commands", "files"):
+        for key in sorted(want[kind].keys() | got[kind].keys()):
+            old, new = want[kind].get(key), got[kind].get(key)
+            if old == new:
+                continue
+            if old is None or new is None:
+                what = "not in the manifest" if old is None else "no longer made"
+            elif kind == "files":
+                what = "bytes differ"
+            else:
+                what = ", ".join(f"exit {old[f]} -> {new[f]}" if f == "exit" else f"{f} differs"
+                                 for f in ("exit", "stdout", "stderr") if old[f] != new[f])
+            lines.append(f"{kind[:-1]} {key!r}: {what}")
+    return lines
 
 
 def write_manifest(path: str, src: str) -> None:
