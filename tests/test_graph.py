@@ -652,6 +652,36 @@ class TestInduceIntrinsic:
             assert list(g.edges.items()) == [((a, b), d(a, b)) for a, b in sorted(map(edge_key, *zip(*edges)))]
         assert (want is None) == (name in ("grid", "scattered", "warped_pair"))
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("sample_pairs", [4, 32, 256])
+    @pytest.mark.parametrize("name", ["grid", "scattered", "warped_pair", "warped_edge"])
+    def test_probe_matches_unbounded_reference(self, name, sample_pairs, seed):
+        """Probing an induced graph at seeded random pairs: a search bounded at
+        the pair's value-iteration distance settles exactly that label, and the
+        chord stays within it except at the warped pair, which is no edge and
+        so is not checked.  A refused set is refused as the edge check says."""
+        ids, d, edges = self.point_set(name)
+        want = reference_edge_check(ids, d, edges)
+        try:
+            g = induce_intrinsic(ids, d, edges)
+        except MetricError as exc:
+            assert str(exc) == want == "chord distance exceeds intrinsic distance at ('p00', 'p06'): 9.0 > 6.0"
+            return
+        assert want is None
+        oracle = all_pairs_distance_oracle(g)
+        rng = random.Random(seed)
+        sampled, over = set(), set()
+        for _ in range(sample_pairs):
+            a, b = sorted(rng.sample(g.vertices, 2))
+            d_int = oracle[a][b]
+            labels, order, _ = graph_module.settle(g, [(g.index[a], 0.0)], limit=d_int)
+            assert g.index[b] in order and labels[g.index[b]].hex() == d_int.hex()
+            assert all(labels[i] <= d_int for i in order)
+            sampled.add((a, b))
+            if d(a, b) > d_int + graph_module.ABS_TOL + graph_module.REL_TOL * d_int:
+                over.add((a, b))
+        assert over == sampled & {("p00", "p19")}
+
     @pytest.mark.parametrize("seed", range(32))
     def test_random_stretched_edges_match_value_iteration(self, seed):
         """Up to four random edges of a random point set, each its points' path
