@@ -195,8 +195,15 @@ def _on_boundary(g: MetricGraph, values: Mapping[str, float]) -> None:
 
 def field_list(g: MetricGraph, f: ScalarField) -> list[float]:
     """f's values by vertex index, as :func:`settle` takes them: on f's own
-    graph the list f keeps, which no caller may change; else looked up."""
-    return f._list if g is f.graph else _lookup(g, f.values, f"field ({f.role})")
+    graph the list f keeps, which no caller may change; else looked up, and
+    FieldError names a vertex of g that f misses, or one of f that g lacks."""
+    if g is f.graph:
+        return f._list
+    fl = _lookup(g, f.values, f"field ({f.role})")
+    if len(f.values) > len(fl):  # every id of g is a key: the others are vertices g lacks
+        raise FieldError(f"field ({f.role}) has a value at vertex {min(f.values.keys() - g.index.keys())!r}, "
+                         "which the graph lacks")
+    return fl
 
 
 def _lookup(g: MetricGraph, values: Mapping[str, float], what: str) -> list[float]:

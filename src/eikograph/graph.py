@@ -768,12 +768,13 @@ def induce_intrinsic(
 
     ``dist`` is a symmetric callback d(x, y), such as :func:`chord_from_coords`
     builds from point coordinates.  Each declared edge (x, y) gets length
-    d(x, y), which must be positive and equal d(y, x) within the default
-    tolerances; shortest paths on the result realize the discrete intrinsic
-    metric d~.  Each edge must itself be a shortest path, d(x, y) <= d~(x, y)
-    within the same tolerances: one search from each edge's smaller end,
-    bounded by the longest such edge, checks every edge exactly.  Pairs that
-    are not edges are not checked, as they do not enter the graph.
+    d(x, y), which must be positive and finite, and equal d(y, x) within the
+    default tolerances; shortest paths on the result realize the discrete
+    intrinsic metric d~.  Each edge must itself be a shortest path,
+    d(x, y) <= d~(x, y) within the same tolerances: one search from each
+    edge's smaller end, bounded by the longest such edge, checks every edge
+    exactly.  Pairs that are not edges are not checked, as they do not enter
+    the graph.
     """
     known = set(ids)
     for a, b in adjacency:
@@ -783,10 +784,10 @@ def induce_intrinsic(
     lengths = []
     for a, b in adjacency:
         dab, dba = dist(a, b), dist(b, a)
+        if a != b and not (0.0 < dab < math.inf):  # also false for NaN
+            raise MetricError(f"d({a!r}, {b!r}) = {dab} is not a positive finite length")
         if not close(dab, dba):
             raise MetricError(f"distance not symmetric at ({a!r}, {b!r}): {dab} vs {dba}")
-        if a != b and not (dab > 0.0):
-            raise MetricError(f"d({a!r}, {b!r}) = {dab} is not positive")
         lengths.append(dab)
     try:
         g = _finalize(ids, adjacency, lengths, boundary, coords)

@@ -168,6 +168,25 @@ class TestPipeline:
         iterations = int(re.search(r"in (\d+) iteration", capsys.readouterr().out).group(1))
         assert iterations > 1
 
+    def test_solve_h_warns_where_the_reduction_forced_h_0(self, tmp_path, capsys):
+        # p + rho + 1 >= 1 for p, rho >= 0: no slope zeroes it, so h = 0 is forced at every vertex
+        g_path = tmp_path / "g.json"
+        run_cli("fixture", "--name", "interval", "--n", "4", "--out", str(g_path))
+        capsys.readouterr()
+        assert run_cli("solve-h", "--graph", str(g_path), "--hamiltonian", "p + rho + 1",
+                       "--zeta", "const:0", "--out", str(tmp_path / "u.csv")) == 0
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "warning: reduction forced h=0 with residual > tol at ['v0', 'v1', 'v2', 'v3', 'v4']")
+
+    def test_solve_h_plot(self, tmp_path):
+        g_path = tmp_path / "g.json"
+        plot_path = tmp_path / "plot.csv"
+        run_cli("fixture", "--name", "interval", "--n", "4", "--out", str(g_path))
+        assert run_cli("solve-h", "--graph", str(g_path), "--hamiltonian", "quadratic", "--zeta", "const:0",
+                       "--out", str(tmp_path / "u.csv"), "--plot", str(plot_path)) == 0
+        assert plot_path.read_bytes() == (b"vertex_id,x,u\r\nv0,-1.0,0.0\r\nv1,-0.5,0.5\r\nv2,0.0,1.0\r\n"
+                                          b"v3,0.5,0.5\r\nv4,1.0,0.0\r\n")
+
     def test_compare_cli(self, tmp_path):
         g_path = tmp_path / "g.json"
         run_cli("fixture", "--name", "interval", "--n", "100", "--out", str(g_path))

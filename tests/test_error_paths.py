@@ -65,7 +65,7 @@ def test_coincident_points_joined_by_an_edge_exit_2(workdir, capsys):
     (workdir / "pts.csv").write_text("vertex_id,x\na,0.0\nb,0.0\nc,1.0\n")
     (workdir / "adj.csv").write_text("a,b\na,b\nb,c\n")
     assert run_cli("induce-metric", "--points", "pts.csv", "--edges", "adj.csv", "--out", "x.json") == 2
-    assert "d('a', 'b') = 0.0 is not positive" in one_error_line(capsys)
+    assert "d('a', 'b') = 0.0 is not a positive finite length" in one_error_line(capsys)
 
 
 @pytest.mark.parametrize("key,value,message", [

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from eikograph import (
+    ComparisonInstance,
     DirichletProblem,
     FieldError,
     ValidationError,
@@ -18,6 +19,7 @@ from eikograph import (
     check_hamiltonian_monge,
     check_monge,
     check_regularity,
+    compare,
     constant_field,
     edge_costs,
     field_from_expression,
@@ -407,6 +409,12 @@ class TestOneListPerField:
             with pytest.raises(FieldError, match=want):
                 field_list(larger, field)
 
+    def test_field_built_directly_names_a_vertex_it_misses(self):
+        g = fixture("interval", n=4).graph
+        u = ScalarField(g, {v: 1.0 for v in g.vertices if v != "v3"}, "solution_u")
+        with pytest.raises(FieldError, match=r"^field \(solution_u\) has no value at vertex 'v3'$"):
+            field_list(g, u)
+
     def test_no_reader_writes_a_kept_list(self):
         g = fixture("grid", n=6, connectivity=8).graph
         H = builtin_hamiltonian("affine-rho")
@@ -426,3 +434,33 @@ class TestOneListPerField:
         solve_general(g, H, zeta)
         assert all(field_list(g, x) is fl for x, fl in zip(fields, kept))
         assert [hexes(fl) for fl in kept] + [hexes(zeta.values.values())] == before
+
+
+class TestFieldFromALargerGraph:
+    """A solution on grid n=4 read on grid n=3 is refused at every entry
+    point, not judged by n=4's values at the ids the two graphs share."""
+
+    WANT = r"^field \(solution_u\) has a value at vertex 'v0_3', which the graph lacks$"
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        larger, g = fixture("grid", n=4).graph, fixture("grid", n=3).graph
+        zeta = field_from_expression(larger, "linear:0,0.5", "boundary_zeta")
+        vf = solve_dirichlet(DirichletProblem(larger, constant_field(larger, 1.0, "rhs_f"), zeta))
+        f = constant_field(g, 1.0, "rhs_f")
+        return g, f, vf, DirichletProblem(g, f, field_from_expression(g, "linear:0,0.5", "boundary_zeta"))
+
+    @pytest.mark.parametrize("entry", [
+        lambda g, f, vf, p: check_monge(g, vf.u, f),
+        lambda g, f, vf, p: check_c_subsolution(g, vf.u, f),
+        lambda g, f, vf, p: check_c_supersolution(g, vf.u, f),
+        lambda g, f, vf, p: check_regularity(g, vf.u),
+        lambda g, f, vf, p: check_hamiltonian_monge(g, vf.u, builtin_hamiltonian("affine-rho")),
+        lambda g, f, vf, p: lipschitz_constant(g, vf.u),
+        lambda g, f, vf, p: check_boundary_consistency(p, vf),
+        lambda g, f, vf, p: compare(ComparisonInstance(g, f, vf.u, vf.u)),
+    ], ids=["check_monge", "check_c_subsolution", "check_c_supersolution", "check_regularity",
+            "check_hamiltonian_monge", "lipschitz_constant", "check_boundary_consistency", "compare"])
+    def test_refused(self, setup, entry):
+        with pytest.raises(FieldError, match=self.WANT):
+            entry(*setup)

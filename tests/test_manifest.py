@@ -49,3 +49,17 @@ def test_another_platform_fails_saying_so():
     (line,) = cmp_cli.manifest_differences(want, got)
     assert line.startswith("the manifest was recorded on CPython 3.11.7 linux x86_64, "
                            "this is CPython 3.12.1 darwin arm64")
+
+
+def test_two_trees_compare_their_manifests(monkeypatch, capsys):
+    record = {"platform": "P", "commands": {"solve": {"exit": 0, "stdout": "a", "stderr": "b"}},
+              "files": {"u.csv": "c"}}
+    moved = dict(record, commands={"solve": {"exit": 0, "stdout": "x", "stderr": "b"}})
+    manifests = {"old": record, "same": record, "moved": moved}
+    monkeypatch.setattr(cmp_cli, "manifest", lambda src, d: manifests[src])
+    assert cmp_cli.main(["old", "same"]) == 0
+    assert capsys.readouterr().out == "1 commands and 1 files compared\nall identical\n"
+    assert cmp_cli.main(["old", "moved"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == ["command 'solve': stdout differs"]
+    assert cmp_cli.main(["old"]) == 2
+    assert capsys.readouterr().err.startswith("usage: python tools/cmp_cli.py PARENT_SRC CHANGE_SRC")

@@ -11,28 +11,23 @@ builtin with a level, an expression with nested scopes and a finer
 --bisect-tol), the four checks with --report on eight (graph, solution)
 pairs and monge's sub and super modes, compare, suite, induce-metric, and
 refine both with a split and with an h_max that splits no edge, on valid
-input, and ``--help`` of the program and of each subcommand.  One hand-written graph, MESSY, lists
-its vertices and edges out of id order, with parallel edges of different
-lengths both ways round; it is solved, checked and refined.  Another,
-PARTIAL, has coords on some vertices only; it is refined.  A third, COLLIDE,
-has ids that hold ``->``, so that two of its oriented edges print as the
-same csub item ``a->b->c``; the four checks run on it with a hand-written
-solution that breaks one of the two by 4.0 (a report keyed by the printed
-item would keep only one of them).  Every output
-file, each command's stdout and stderr and the list of exit codes are then
-compared byte for byte.  Graph files whose bytes differ, as they do across a
-change of the graph format, are loaded with CHANGE_SRC's ``read_graph``, and
-those that give the same graph (ids, boundary, coords in order, index and
-lists, compared by repr) are listed.  Exits 0 when every file is identical,
-or differs only as a graph file that loads to the same graph; else 1, with
-the other differing files listed.
+input, and ``--help`` of the program and of each subcommand.  One
+hand-written graph, MESSY, lists its vertices and edges out of id order,
+with parallel edges of different lengths both ways round; it is solved,
+checked and refined.  Another, PARTIAL, has coords on some vertices only;
+it is refined.  A third, COLLIDE, has ids that hold ``->``, so that two of
+its oriented edges print as the same csub item ``a->b->c``; the four checks
+run on it with a hand-written solution that breaks one of the two by 4.0
+(a report keyed by the printed item would keep only one of them).  The two
+manifests (below) are compared entry by entry: one line per command or
+file that differs, exit 1 on any difference, else 0.
 
     python tools/cmp_cli.py --manifest PATH [SRC]
 
 runs the same command list once, with SRC (default: this checkout's
 ``src``), and writes to PATH a JSON manifest: the Python version and
 platform, each command's exit code and the sha256 of its stdout and
-stderr (keyed by its argv), and the sha256 of every other file left in its
+stderr (keyed by its argv), and the sha256 of every file left in its
 directory.  ``tests/test_manifest.py`` regenerates it and compares it, entry
 by entry, with ``tests/golden/manifest.json``; a change that moves an
 output on purpose re-records that file with this command.  Standard
@@ -41,7 +36,6 @@ library only.
 
 from __future__ import annotations
 
-import filecmp
 import hashlib
 import json
 import math
@@ -85,24 +79,6 @@ PARTIAL = {  # coords on p1 and p2 only; refine interpolates between them and no
               {"a": "p2", "b": "p3", "length": 0.75}, {"a": "p3", "b": "p0", "length": 2.0}],
     "boundary": ["p0"],
 }
-
-# Run with CHANGE_SRC on the path: prints the names whose two files load to the same graph.
-SAME_GRAPH = """
-import sys
-from eikograph import read_graph
-parent, change, *names = sys.argv[1:]
-
-def fields(path):
-    g = read_graph(path)
-    return repr((g.vertices, sorted(g.boundary), list(g.coords.items()), list(g.index.items()), g.nbrs, g.lens))
-
-for name in names:
-    try:
-        if fields(f"{parent}/{name}") == fields(f"{change}/{name}"):
-            print(name)
-    except Exception:
-        pass
-"""
 
 COMMANDS = [
     ["fixture", "--name", "interval", "--n", "40", "--out", "interval.json"],
@@ -203,24 +179,6 @@ def write_inputs(d: str) -> None:
             json.dump(spec, fh)
 
 
-def run_all(src: str, d: str) -> list[int]:
-    """Run every command with ``src`` in the directory ``d``; return the exit codes."""
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    write_inputs(d)
-    codes, exits = [], []
-    for n, argv in enumerate(COMMANDS):
-        proc = subprocess.run([sys.executable, "-m", "eikograph.cli", *argv], cwd=d, env=env,
-                              capture_output=True)
-        for stream in ("stdout", "stderr"):
-            with open(os.path.join(d, f"cmd{n:02d}.{stream}"), "wb") as fh:
-                fh.write(getattr(proc, stream))
-        codes.append(f"{n:02d} {proc.returncode} {' '.join(argv)}\n")
-        exits.append(proc.returncode)
-    with open(os.path.join(d, "exit_codes.txt"), "w", encoding="utf-8") as fh:
-        fh.writelines(codes)
-    return exits
-
-
 def platform_tag() -> str:
     """What the manifest's bytes may depend on: the interpreter, whose
     argparse words the help, and the platform, whose libm rounds the
@@ -232,23 +190,26 @@ def platform_tag() -> str:
 def manifest(src: str, d: str) -> dict:
     """Run every command with ``src`` in the empty directory ``d``; return
     the platform tag, per command (keyed by its argv) the exit code and the
-    sha256 of stdout and stderr, and per other file its sha256."""
-    exits = run_all(src, d)
-
-    def digest(name: str) -> str:
-        with open(os.path.join(d, name), "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
-
-    commands, streams = {}, {"exit_codes.txt"}
-    for n, (argv, code) in enumerate(zip(COMMANDS, exits)):
+    sha256 of stdout and stderr, and per file left in ``d`` its sha256."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    write_inputs(d)
+    commands = {}
+    for argv in COMMANDS:
         key = " ".join(argv)
         assert key not in commands, f"command listed twice: {key}"
-        commands[key] = {"exit": code}
-        for stream in ("stdout", "stderr"):
-            streams.add(f"cmd{n:02d}.{stream}")
-            commands[key][stream] = digest(f"cmd{n:02d}.{stream}")
-    files = {name: digest(name) for name in sorted(os.listdir(d)) if name not in streams}
+        proc = subprocess.run([sys.executable, "-m", "eikograph.cli", *argv], cwd=d, env=env,
+                              capture_output=True)
+        commands[key] = {"exit": proc.returncode, "stdout": _sha256(proc.stdout),
+                         "stderr": _sha256(proc.stderr)}
+    files = {}
+    for name in sorted(os.listdir(d)):
+        with open(os.path.join(d, name), "rb") as fh:
+            files[name] = _sha256(fh.read())
     return {"platform": platform_tag(), "commands": commands, "files": files}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def manifest_differences(want: dict, got: dict) -> list[str]:
@@ -290,30 +251,12 @@ def main(argv: list[str]) -> int:
               "       python tools/cmp_cli.py --manifest PATH [SRC]", file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as parent, tempfile.TemporaryDirectory() as change:
-        run_all(argv[0], parent)
-        run_all(argv[1], change)
-        names = sorted(set(os.listdir(parent)) | set(os.listdir(change)))
-        differ = [name for name in names
-                  if not (os.path.isfile(os.path.join(parent, name))
-                          and os.path.isfile(os.path.join(change, name))
-                          and filecmp.cmp(os.path.join(parent, name), os.path.join(change, name),
-                                          shallow=False))]
-        with open(os.path.join(parent, "exit_codes.txt"), encoding="utf-8") as fh:
-            summary = [line.split(" ", 2)[1] for line in fh]
-        graphs = [name for name in differ if name.endswith(".json") and all(
-            os.path.isfile(os.path.join(d, name)) for d in (parent, change))]
-        same_graph = subprocess.run(
-            [sys.executable, "-c", SAME_GRAPH, parent, change, *graphs], capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=os.path.abspath(argv[1]))).stdout.split() if graphs else []
-    print(f"{len(COMMANDS)} commands (exit codes {' '.join(summary)}), {len(names)} files compared")
-    if same_graph:
-        print("graph files that differ in bytes but load to the same graph: " + " ".join(same_graph))
-    other = [name for name in differ if name not in same_graph]
-    if other:
-        print("differ: " + " ".join(other))
-        return 1
-    print("all identical" if not differ else "all other files identical")
-    return 0
+        want, got = manifest(argv[0], parent), manifest(argv[1], change)
+    differences = manifest_differences(want, got)
+    print(f"{len(got['commands'])} commands and {len(got['files'])} files compared")
+    print("\n".join(differences) or "all identical")
+    return 1 if differences else 0
+
 
 if __name__ == "__main__":
     raise SystemExit(main(sys.argv[1:]))
