@@ -63,3 +63,15 @@ def test_two_trees_compare_their_manifests(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[1:] == ["command 'solve': stdout differs"]
     assert cmp_cli.main(["old"]) == 2
     assert capsys.readouterr().err.startswith("usage: python tools/cmp_cli.py PARENT_SRC CHANGE_SRC")
+
+
+def test_differences_name_each_hjb_instance():
+    want = {"platform": "P", "commands": {}, "files": {}, "solve_general": {
+        "a": {"count": 12, "sha256": "s"}, "b": {"error": "did not converge"}, "c": {"count": 3, "sha256": "t"}}}
+    got = dict(want, solve_general={
+        "a": {"count": 12, "sha256": "x"}, "b": {"count": 101, "sha256": "y"}, "c": {"count": 4, "sha256": "t"}})
+    assert cmp_cli.manifest_differences(want, got) == [
+        "solve_general 'a': sha256 differs",
+        "solve_general 'b': count None -> 101, error differs, sha256 differs",
+        "solve_general 'c': count 3 -> 4",
+    ]

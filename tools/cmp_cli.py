@@ -18,17 +18,21 @@ checked and refined.  Another, PARTIAL, has coords on some vertices only;
 it is refined.  A third, COLLIDE, has ids that hold ``->``, so that two of
 its oriented edges print as the same csub item ``a->b->c``; the four checks
 run on it with a hand-written solution that breaks one of the two by 4.0
-(a report keyed by the printed item would keep only one of them).  The two
-manifests (below) are compared entry by entry: one line per command or
-file that differs, exit 1 on any difference, else 0.
+(a report keyed by the printed item would keep only one of them).  Beside
+the commands, one child process runs ``solve_general`` in process on the
+five hjb instances of ``perfbench/workloads.py`` at their full size, each
+with its seeded zeta variant 0 (see :func:`solve_general_digest`).  The two
+manifests (below) are compared entry by entry: one line per command, file
+or hjb instance that differs, exit 1 on any difference, else 0.
 
     python tools/cmp_cli.py --manifest PATH [SRC]
 
 runs the same command list once, with SRC (default: this checkout's
 ``src``), and writes to PATH a JSON manifest: the Python version and
 platform, each command's exit code and the sha256 of its stdout and
-stderr (keyed by its argv), and the sha256 of every file left in its
-directory.  ``tests/test_manifest.py`` regenerates it and compares it, entry
+stderr (keyed by its argv), the sha256 of every file left in its
+directory, and per hjb instance the count ``solve_general`` returns and
+the sha256 of its outputs, or the message of the error it raises.  ``tests/test_manifest.py`` regenerates it and compares it, entry
 by entry, with ``tests/golden/manifest.json``; a change that moves an
 output on purpose re-records that file with this command.  Standard
 library only.
@@ -187,10 +191,40 @@ def platform_tag() -> str:
             f"{sys.platform} {platform.machine()}")
 
 
+def solve_general_digest() -> dict:
+    """Per hjb instance of ``perfbench/workloads.py`` at its full size, keyed
+    as the benchmark keys its records, ``solve_general``'s outputs with the
+    instance's zeta variant 0: the count it returns and the sha256 of one
+    line per vertex in id order (id, label, exit, h and residual, each
+    float by ``float.hex``, and for a boundary vertex whether its datum is
+    attained) followed by the flagged vertices; or the message of the
+    ConvergenceError it raises.  It imports ``eikograph`` from the path."""
+    import eikograph as ek
+    from perfbench.workloads import SIZES, hamiltonian, hjb_key, hjb_zeta, instance_label
+
+    digest = {}
+    for j, (h_name, fix, params, _) in enumerate(SIZES["full"]["hjb"]):
+        g = ek.fixture(fix, **params).graph
+        key = hjb_key(instance_label(fix, params), h_name, 0)
+        zeta = ek.field_on(g, hjb_zeta(j, g, 0), "boundary_zeta")
+        try:
+            vf, red, count = ek.solve_general(g, hamiltonian(h_name), zeta)
+        except ek.ConvergenceError as exc:
+            digest[key] = {"error": str(exc)}
+            continue
+        lines = [f"{v} {vf.u.values[v].hex()} {vf.exit_vertex[v]} {red.h.values[v].hex()} "
+                 f"{red.residuals[v].hex()} {vf.attained.get(v, '')}" for v in g.vertices]
+        lines.append(" ".join(red.flagged))
+        digest[key] = {"count": count, "sha256": _sha256("\n".join(lines).encode())}
+    return digest
+
+
 def manifest(src: str, d: str) -> dict:
     """Run every command with ``src`` in the empty directory ``d``; return
     the platform tag, per command (keyed by its argv) the exit code and the
-    sha256 of stdout and stderr, and per file left in ``d`` its sha256."""
+    sha256 of stdout and stderr, per file left in ``d`` its sha256, and
+    :func:`solve_general_digest`, taken in one more child process (without
+    bytecode, so that it leaves no file in ``perfbench/``)."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     write_inputs(d)
     commands = {}
@@ -205,7 +239,13 @@ def manifest(src: str, d: str) -> dict:
     for name in sorted(os.listdir(d)):
         with open(os.path.join(d, name), "rb") as fh:
             files[name] = _sha256(fh.read())
-    return {"platform": platform_tag(), "commands": commands, "files": files}
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.abspath(src), here, os.path.dirname(here)])
+    proc = subprocess.run([sys.executable, "-B", "-c", "import cmp_cli, json; "
+                           "print(json.dumps(cmp_cli.solve_general_digest()))"],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True)
+    return {"platform": platform_tag(), "commands": commands, "files": files,
+            "solve_general": json.loads(proc.stdout)}
 
 
 def _sha256(data: bytes) -> str:
@@ -213,15 +253,17 @@ def _sha256(data: bytes) -> str:
 
 
 def manifest_differences(want: dict, got: dict) -> list[str]:
-    """One line per command or file whose entry differs between two
-    manifests; a manifest recorded on another platform is one line alone."""
+    """One line per command, file or hjb instance whose entry differs
+    between two manifests; a manifest recorded on another platform is one
+    line alone."""
     if want["platform"] != got["platform"]:
         return [f"the manifest was recorded on {want['platform']}, this is {got['platform']}: "
                 "its bytes need not match here; re-record it with tools/cmp_cli.py --manifest"]
     lines = []
-    for kind in ("commands", "files"):
-        for key in sorted(want[kind].keys() | got[kind].keys()):
-            old, new = want[kind].get(key), got[kind].get(key)
+    for kind, name in (("commands", "command"), ("files", "file"), ("solve_general", "solve_general")):
+        wanted, made = want.get(kind, {}), got.get(kind, {})
+        for key in sorted(wanted.keys() | made.keys()):
+            old, new = wanted.get(key), made.get(key)
             if old == new:
                 continue
             if old is None or new is None:
@@ -229,9 +271,10 @@ def manifest_differences(want: dict, got: dict) -> list[str]:
             elif kind == "files":
                 what = "bytes differ"
             else:
-                what = ", ".join(f"exit {old[f]} -> {new[f]}" if f == "exit" else f"{f} differs"
-                                 for f in ("exit", "stdout", "stderr") if old[f] != new[f])
-            lines.append(f"{kind[:-1]} {key!r}: {what}")
+                what = ", ".join(f"{f} {old.get(f)} -> {new.get(f)}" if f in ("exit", "count") else f"{f} differs"
+                                 for f in ("exit", "stdout", "stderr", "count", "error", "sha256")
+                                 if old.get(f) != new.get(f))
+            lines.append(f"{name} {key!r}: {what}")
     return lines
 
 
