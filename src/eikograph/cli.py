@@ -170,7 +170,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_solve_h(args) -> int:
-    from .hamiltonians import builtin_hamiltonian, expression_hamiltonian, solve_general
+    from .hamiltonians import PICARD_MAX_ITER, builtin_hamiltonian, expression_hamiltonian, solve_general
     _check_io_paths([args.graph, args.zeta], [args.out, args.h_out, args.plot])
     g = read_graph(args.graph)
     zeta = _load_field(g, args.zeta, "boundary_zeta")
@@ -179,17 +179,19 @@ def _cmd_solve_h(args) -> int:
         H = builtin_hamiltonian(name)
     else:
         H = expression_hamiltonian(name)
-    vf, reduction, iterations = solve_general(
+    vf, reduction, solves = solve_general(
         g, H, zeta, **_given(tol=args.tol, max_iter=args.max_iter, bisect_tol=args.bisect_tol)
     )
+    max_iter = PICARD_MAX_ITER if args.max_iter is None else args.max_iter
+    method = (f"by the causal pass after {max_iter} Picard iteration(s)" if solves > max_iter
+              else f"by Picard in {solves} iteration(s)")
     write_solution_csv(vf, args.out)
     if args.h_out:
         write_field_csv(reduction.h, args.h_out)
     if args.plot:
         emit_plot_data(vf.u, g, args.plot, layout=args.plot_layout)
     worst = max(reduction.residuals.values(), default=0.0)
-    print(f"solved H={H.name} in {iterations} iteration(s); "
-          f"max reduction residual {worst} -> {args.out}")
+    print(f"solved H={H.name} {method}; max reduction residual {worst} -> {args.out}")
     if reduction.flagged:
         print(f"warning: reduction forced h=0 with residual > tol at {list(reduction.flagged)[:5]}")
     return 0
@@ -343,8 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"builtin name {BUILTIN_NAMES} (with optional :level) or expression in p, rho")
     p.add_argument("--zeta", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--tol", type=float, default=None, help="Picard stopping tolerance")
-    p.add_argument("--max-iter", type=int, default=None)
+    p.add_argument("--tol", type=float, default=None,
+                   help="Picard stops once no label changes by more than this (default 1e-8)")
+    p.add_argument("--max-iter", type=int, default=None,
+                   help="Picard solves before the causal label-setting pass answers instead "
+                        "(default 100); see README for its mesh condition")
     p.add_argument("--bisect-tol", type=float, default=None)
     p.add_argument("--h-out", default=None, help="write the reduced rhs field CSV here")
     p.add_argument("--plot", default=None)

@@ -45,7 +45,7 @@ class ScalarField:
 
     @cached_property
     def _list(self) -> list[float]:
-        return _lookup(self.graph, self.values, f"field ({self.role})")
+        return _values_on(self.graph, self)
 
     @cached_property
     def _lipschitz(self) -> float:
@@ -197,8 +197,11 @@ def field_list(g: MetricGraph, f: ScalarField) -> list[float]:
     """f's values by vertex index, as :func:`settle` takes them: on f's own
     graph the list f keeps, which no caller may change; else looked up, and
     FieldError names a vertex of g that f misses, or one of f that g lacks."""
-    if g is f.graph:
-        return f._list
+    return f._list if g is f.graph else _values_on(g, f)
+
+
+def _values_on(g: MetricGraph, f: ScalarField) -> list[float]:
+    """:func:`field_list` by lookup, also for f built on g without a list."""
     fl = _lookup(g, f.values, f"field ({f.role})")
     if len(f.values) > len(fl):  # every id of g is a key: the others are vertices g lacks
         raise FieldError(f"field ({f.role}) has a value at vertex {min(f.values.keys() - g.index.keys())!r}, "

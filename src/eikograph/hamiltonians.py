@@ -9,8 +9,10 @@ declared monotonicity in p and in rho and of coercivity, the implicit
 reduction h(x) = inf{p >= 0 : H(x, rho, p) > 0} solved by bracketing, a
 search for the bisection's last cell and bisection, and the fixed-point
 solve of H(x, u, |grad u|) = 0 through repeated eikonal solves with
-f = h.  The reduction loop is one source template, compiled with each
-expression inlined and once, generically, for every other evaluator.
+f = h, answered by one causal label-setting pass where that iteration
+stops short.  The reduction loop is one source template, compiled with
+each expression inlined and once, generically, for every other
+evaluator, each also in the causal pass's form.
 Three builtins are the stock failure modes the checks are designed to
 detect (two non-monotone ones and a plateau that breaks strict
 monotonicity)."""
@@ -18,10 +20,11 @@ monotonicity)."""
 from __future__ import annotations
 
 import dis
+import heapq
 import math
 import types
 from dataclasses import dataclass
-from operator import sub
+from operator import itemgetter, sub, truediv
 from typing import Callable, Mapping
 
 from .errors import CoercivityError, ConvergenceError, HamiltonianError, ValidationError
@@ -33,6 +36,7 @@ from .solver import DirichletProblem, ValueFunction, boundary_seeds, solve_diric
 BRACKET_CAP = 2.0**40
 DEFAULT_P_MAX = 2.0**20
 VALIDATION_SAMPLES = 5  # vertices and rho values validate_hamiltonian samples
+PICARD_MAX_ITER = 100  # solve_general's solves before the causal pass answers
 
 RHO_MODES = ("independent", "nondecreasing")
 
@@ -78,13 +82,16 @@ class HamiltonianValidation:
     ``counterexample`` is the first one found, or None: a tuple whose first
     item is its kind, "non-finite" (a sampled value is NaN or infinite),
     "monotonicity" (in p), "rho" (against the declared rho_monotonicity) or
-    "coercivity".
+    "coercivity".  ``mesh_bound`` is B = sup dH/drho / inf dH/dp, each a
+    difference quotient of neighbouring samples, over the samples scanned
+    (all once it passed): a sampled bound on |dh/drho|, h the reduction.
     """
 
     name: str
     monotonicity_ok: bool
     coercivity_ok: bool
     counterexample: tuple | None
+    mesh_bound: float = math.nan
 
     @property
     def passed(self) -> bool:
@@ -173,13 +180,16 @@ def validate_hamiltonian(H: HamiltonianSpec, g: MetricGraph) -> HamiltonianValid
     no drop below -1e-12.  A sampled value that is NaN or infinite is a
     counterexample of its own, so every step compared is between finite
     values.  Each sampled (x, rho, p) is evaluated once, and the scan stops
-    at the first counterexample, which is returned.
+    at the first counterexample, which is returned.  The same samples give
+    the mesh bound B, which costs no further evaluation.
     """
     rhos = tuple(-1.0 + 2.0 * i / (VALIDATION_SAMPLES - 1) for i in range(VALIDATION_SAMPLES))
     xs = _spread(g.vertices, VALIDATION_SAMPLES)
     grid = _p_grid(H.p_max)
+    steps = list(map(sub, grid[1:], grid))
     mode = H.rho_monotonicity
     inf = math.inf
+    slope_rise = [inf, 0.0]  # the least dH/dp, and the largest rise of H from one rho to the next
 
     def counterexamples():
         for x in xs:
@@ -199,15 +209,20 @@ def validate_hamiltonian(H: HamiltonianSpec, g: MetricGraph) -> HamiltonianValid
                     row.append(h)
                 if not (row[-1] > 0.0):  # the grid ends at p_max
                     yield ("coercivity", x, rho, H.p_max, row[-1])
+                slope_rise[0] = min(slope_rise[0], *map(truediv, map(sub, row[1:], row), steps))
+                if below:
+                    slope_rise[1] = max(slope_rise[1], *map(sub, row, below))
                 below, rho_below = row, rho
 
     bad = next(counterexamples(), None)
     kind = bad[0] if bad else None
+    slope, rise = slope_rise
     return HamiltonianValidation(
         name=H.name,
         monotonicity_ok=kind != "monotonicity",
         coercivity_ok=kind != "coercivity",
         counterexample=bad,
+        mesh_bound=0.0 if rise <= 0.0 else rise / (rhos[1] - rhos[0]) / slope if slope > 0.0 else inf,
     )
 
 
@@ -219,6 +234,10 @@ def validate_hamiltonian(H: HamiltonianSpec, g: MetricGraph) -> HamiltonianValid
 # index, to rho = ``u``, as :func:`_rereduce` documents.  Its locals and
 # globals must not be names an expression may read (``_EXPR_NAMES``, the
 # level ``c``), or they would shadow them.
+#
+# Each kernel has a causal instantiation, whose sites bind rho := a +
+# half_l * p before evaluating H (``_CAUSAL_SITE``), so its root is the least
+# p >= 0 with H(x, a + half_l * p, p) >= 0; the ``taken`` it writes is void.
 #
 # The template has six ``__H__`` sites: H at 0, at 1, at each doubled end,
 # at each search probe, at each bisection midpoint and at the root for the
@@ -238,7 +257,7 @@ def validate_hamiltonian(H: HamiltonianSpec, g: MetricGraph) -> HamiltonianValid
 # one meets a zero, a NaN, an infinite value or an exception, the bisection
 # runs from the bracket as it was.
 _KERNEL_SOURCE = """
-def kernel(evaluate, name, names, u, taken, roots, residuals, tol):
+def kernel(evaluate, name, names, u, taken, roots, residuals, tol, a=0.0, half_l=0.0):
     if not (tol > 0.0):
         raise HamiltonianError(f"bisection tol must be positive, got {tol!r}")
     for i, (rho, old) in enumerate(zip(u, taken)):
@@ -358,7 +377,9 @@ def _kernel(h_source: str, names: Mapping[str, object]) -> Callable:
     return scope["kernel"]
 
 
+_CAUSAL_SITE = "((rho := a + half_l * p), {})[1]"
 _GENERIC = _kernel("evaluate(x, rho, p)", {})
+_GENERIC_CAUSAL = _kernel(_CAUSAL_SITE.format("evaluate(x, rho, p)"), {})
 
 
 def _kernel_of(evaluate: Callable) -> Callable:
@@ -455,23 +476,76 @@ def reduce_field(
     return _reduction_field(g, roots, residuals, tol)
 
 
+def _causal(
+    g: MetricGraph, H: HamiltonianSpec, seeds: list[tuple[int, float]], tol: float
+) -> tuple[list[float], list[int], list[int]]:
+    """:func:`solve_general`'s discrete system in one label-setting pass,
+    returned as :func:`settle` returns its run, whose seeds, pop order,
+    ties by index and parent rule it keeps.  Settling y at label d reduces
+    h(y, d); each unsettled neighbour x, along an edge of length l, gets the
+    candidate fl(a + fl(l/2 * p)), where a = fl(d + fl(l/2 * h(y, d))) and p
+    is the causal kernel's root, the least p >= 0 with
+    H(x, a + l/2 * p, p) >= 0.  As h >= 0 no candidate lies below its
+    source's label, so a popped label is final and the labels are a
+    fixpoint of the update."""
+    nbrs, lens, names = g.nbrs, g.lens, g.vertices
+    n = len(nbrs)
+    evaluate, name = H.evaluate, H.name
+    reduce, candidate = _kernel_of(evaluate), getattr(evaluate, "_causal", _GENERIC_CAUSAL)
+    datum = dict(seeds)
+    dist, parent, via = [math.inf] * n, [-1] * n, [-1] * n  # via: the least index offering dist
+    heap = sorted((d0, x) for x, d0 in datum.items() if d0 < math.inf)
+    for d0, x in heap:
+        dist[x] = d0
+    pop, push = heapq.heappop, heapq.heappush
+    order: list[int] = []
+    root = [0.0]
+    while heap:
+        d, y = pop(heap)
+        if parent[y] >= 0:
+            continue
+        order.append(y)
+        reduce(evaluate, name, (names[y],), (d,), [math.nan], root, None, tol)
+        hy = root[0]
+        for x, length in zip(nbrs[y], lens[y]):
+            if parent[x] < 0:
+                half = 0.5 * length
+                a = d + half * hy
+                candidate(evaluate, name, (names[x],), (a,), [math.nan], root, None, tol, a, half)
+                if (t := a + half * root[0]) < dist[x]:
+                    dist[x], via[x] = t, y
+                    push(heap, (t, x))
+                elif t == dist[x] and y < via[x]:
+                    via[x] = y
+        parent[y] = y if datum.get(y) == d else via[y]
+    order += [x for x in range(n) if parent[x] < 0]
+    return dist, order, parent
+
+
 def solve_general(
     g: MetricGraph,
     H: HamiltonianSpec,
     zeta: ScalarField,
     tol: float = 1e-8,
-    max_iter: int = 100,
+    max_iter: int = PICARD_MAX_ITER,
     bisect_tol: float = 1e-9,
 ) -> tuple[ValueFunction, ReductionField, int]:
-    """Solve H(x, u, |grad u|) = 0 with Dirichlet data by Picard iteration.
+    """Solve H(x, u, |grad u|) = 0 with Dirichlet data by Picard iteration,
+    or by one causal pass where Picard does not reach tol.
 
     Each sweep reduces H at the current iterate to an eikonal right-hand side
     and re-solves.  One loop runs the sweeps while H depends on rho and the
     last max vertex change is above tol, so a rho-independent Hamiltonian
-    takes the first solve only; once ``max_iter`` solves are spent it raises
-    ConvergenceError with the change history.  The returned count is the
-    number of solves, and the returned reduction is taken at the final
-    iterate, so its residuals certify H(x, u(x), h(x)) ~ 0.
+    takes the first solve only.  Once ``max_iter`` solves are spent, the
+    labels and exits come from :func:`_causal`: the solution of u(x) =
+    min(zeta(x), min over y of u(y) + l * (h(x, u(x)) + h(y, u(y))) / 2),
+    h the reduction, which is unique where its update is monotone, as it is
+    under the mesh condition 1 - (l_max / 2) * B >= 0, with l_max the
+    longest edge and B the sampled :attr:`HamiltonianValidation.mesh_bound`.
+    Where that fails, ConvergenceError carries the change history and names
+    the longest edge and B.  The count returned is the number of solves,
+    max_iter + 1 where the pass answered; the reduction returned is taken at
+    the returned labels, so its residuals certify H(x, u(x), h(x)) ~ 0.
 
     The first solve is a full :func:`solve_dirichlet`, which validates the
     problem.  After it the sweeps run on lists by vertex index: the labels,
@@ -510,23 +584,31 @@ def solve_general(
     seeds = boundary_seeds(g, zeta.values)
     history: list[float] = []
     run = None
+    solves = 1
     # a NaN change (inf - inf after an overflow) does not stop the sweeps
     while H.rho_monotonicity != "independent" and not (history and history[-1] <= tol):
-        if len(history) + 1 >= max_iter:
-            raise ConvergenceError(
-                f"Picard iteration did not reach tol {tol} in {max_iter} iterations "
-                f"(last change {history[-1] if history else math.nan})",
-                history,
-            )
+        if solves >= max_iter:
+            (a, b), longest = max(g.edges.items(), key=itemgetter(1))
+            if 0.5 * longest * validation.mesh_bound > 1.0:
+                raise ConvergenceError(
+                    f"Picard iteration did not reach tol {tol} in {max_iter} iterations "
+                    f"(last change {history[-1] if history else math.nan}), and the causal pass "
+                    f"needs 1 - (l/2) * B >= 0: the longest edge ({a!r}, {b!r}) has l = {longest}, "
+                    f"the sampled B = {validation.mesh_bound}",
+                    history,
+                )
+            run = _causal(g, H, seeds, bisect_tol)
+            u, solves = run[0], solves + 1
+            break
         _rereduce(H, names, u, taken, roots, None, bisect_tol)
         run = settle(g, seeds, roots)
         history.append(max(map(abs, map(sub, run[0], u))))
-        u = run[0]
+        u, solves = run[0], solves + 1
     residuals = [0.0] * n
     _rereduce(H, names, u, [math.nan] * n, roots, residuals, bisect_tol)
     if run is not None:
         vf = value_function(g, zeta.values, run)
-    return vf, _reduction_field(g, roots, residuals, bisect_tol), len(history) + 1
+    return vf, _reduction_field(g, roots, residuals, bisect_tol), solves
 
 
 def check_hamiltonian_monge(
@@ -596,13 +678,15 @@ def _evaluator(
     compiled once with the math namespace and ``bound`` as its globals.  Its
     rho-monotonicity is derived: "nondecreasing" if ``expr`` names rho, else
     "independent".  The lambda carries as ``_kernel`` the reduction kernel
-    with ``expr`` inlined, on the same globals.
+    with ``expr`` inlined, on the same globals, and as ``_causal`` its
+    causal instantiation.
 
     Only arithmetic, those names, ``p`` and ``rho`` are allowed.  ``:=``
     that binds in the expression's own scope is refused: inlined, it would
     rebind the kernel's own p or rho.  An expression nested too deeply to
     compile is refused; one that compiles as the lambda but not inlined, a
-    few levels deeper, keeps the generic kernel.
+    few levels deeper, keeps the generic kernels (and one that compiles
+    only plain keeps the generic causal one).
     """
     scope = {**_EXPR_NAMES, **bound}
     try:
@@ -627,8 +711,9 @@ def _evaluator(
         )
     try:
         evaluate._kernel = _kernel(f"(\n{expr}\n)", scope)
+        evaluate._causal = _kernel(_CAUSAL_SITE.format(f"(\n{expr}\n)"), scope)
     except (SyntaxError, RecursionError, MemoryError):
-        pass  # _kernel_of falls back to the generic kernel
+        pass  # _kernel_of falls back to the generic kernels
     mode = "nondecreasing" if "rho" in names else "independent"
     return HamiltonianSpec(name, evaluate, lambda0, mode, p_max)
 

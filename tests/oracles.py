@@ -1075,6 +1075,68 @@ def reference_reduce_field(H, g, rho, tol=1e-9):
     )
 
 
+def _reference_candidate(H, x, uy, hy, length, tol):
+    """The causal candidate at x from a neighbour y at label uy with
+    reduction hy, along an edge of that length: a + l/2 * p, where
+    a = uy + l/2 * hy and p is :func:`reference_reduce_h`'s root of
+    p -> H(x, a + l/2 * p, p)."""
+    half = 0.5 * length
+    a = uy + half * hy
+    along = HamiltonianSpec(H.name, lambda x, rho, p: H.evaluate(x, rho + half * p, p), H.lambda0)
+    return a + half * reference_reduce_h(along, x, a, tol)
+
+
+def reference_causal_update(g, H, zeta, u, tol=1e-9):
+    """One Jacobi application of the causal update T to the labels u:
+    T(u)(x) = min(zeta(x), min over neighbours y at a finite label of the
+    candidate from y), on :func:`adjacency`, with h(y) =
+    :func:`reference_reduce_h` at rho = u(y)."""
+    adj = adjacency(g)
+    h = {y: reference_reduce_h(H, y, uy, tol) for y, uy in u.items() if uy < math.inf}
+    return {x: min([zeta.get(x, math.inf)] + [_reference_candidate(H, x, u[y], h[y], length, tol)
+                                              for y, length in adj[x] if y in h])
+            for x in g.vertices}
+
+
+def reference_general_fixpoint(g, H, zeta, tol=1e-9):
+    """The labels, reductions and exits of the general Dirichlet problem:
+    u(x) = min(zeta(x), min over y of u(y) + l * (h(x, u(x)) + h(y, u(y))) / 2)
+    with h the reduction, as the bitwise fixpoint of
+    :func:`reference_causal_update` iterated from zeta on the boundary and
+    inf elsewhere; each sweep costs a bisection per arc, so iterate it on
+    small graphs only.  h is :func:`reference_reduce_h` at each label.
+
+    Exits come from a walk over the fixed labels, least (label, id) first,
+    that enters the boundary vertices at their datum and a vertex x once a
+    neighbour walked before it offers the candidate u(x): x exits at
+    itself if it is a boundary vertex at its datum, else at the exit of
+    the first such neighbour in id order.  A vertex enters only through a
+    neighbour walked before it, so between equal labels (a candidate equal
+    to its source's label) the walk keeps that order, not the ids'."""
+    u = {v: zeta.get(v, math.inf) for v in g.vertices}
+    for _ in range(4 * len(u) + 4):  # from above, each sweep fixes one more vertex at least
+        new = reference_causal_update(g, H, zeta, u, tol)
+        if new == u:
+            break
+        u = new
+    else:
+        raise AssertionError("the causal update reached no fixpoint")
+    h = {x: reference_reduce_h(H, x, u[x], tol) for x in g.vertices}
+    adj, exits = adjacency(g), {}
+    offers = {(y, x): _reference_candidate(H, x, u[y], h[y], length, tol) == u[x]
+              for y in g.vertices for x, length in adj[y]}
+    entered = [(u[y], y) for y in zeta if u[y] == zeta[y]]
+    heapq.heapify(entered)
+    while entered:
+        _, x = heapq.heappop(entered)
+        if x not in exits:
+            exits[x] = x if x in zeta and u[x] == zeta[x] else next(
+                exits[y] for y, _ in adj[x] if y in exits and offers[y, x])
+            entered += [(u[y], y) for y, _ in adj[x] if y not in exits and offers[x, y]]
+            heapq.heapify(entered)
+    return u, h, exits
+
+
 def reference_solve_general(g, H, zeta, tol=1e-8, max_iter=100, bisect_tol=1e-9):
     """Picard iteration with a full reduction and a full Dirichlet solve
     on every sweep; returns (value function, final reduction, sweeps) or

@@ -10,13 +10,13 @@ import re
 
 import pytest
 
-from eikograph import constant_field, field_on, fixture, read_graph
+from eikograph import builtin_hamiltonian, constant_field, field_on, fixture, read_graph
 from eikograph import graph as graph_module
 from eikograph import verify as verify_module
-from eikograph.cli import FIXTURE_SIZE_FLAGS, emit_plot_data, run
+from eikograph.cli import FIXTURE_SIZE_FLAGS, emit_plot_data, main, run
 from eikograph.errors import ValidationError
 from eikograph.fields import read_field_csv, write_field_csv
-from oracles import COLLIDE, COLLIDE_U
+from oracles import COLLIDE, COLLIDE_U, reference_general_fixpoint
 
 
 def run_cli(*args):
@@ -177,6 +177,25 @@ class TestPipeline:
                        "--zeta", "const:0", "--out", str(tmp_path / "u.csv")) == 0
         assert capsys.readouterr().out.splitlines()[1] == (
             "warning: reduction forced h=0 with residual > tol at ['v0', 'v1', 'v2', 'v3', 'v4']")
+
+    def test_solve_h_names_the_method_that_answered(self, tmp_path, capsys):
+        # stopped by --max-iter, the causal pass answers with the oracle's
+        # labels; where its mesh condition fails, Picard's error stands
+        g_path, u_path = tmp_path / "g.json", tmp_path / "u.csv"
+        run_cli("fixture", "--name", "grid", "--n", "6", "--out", str(g_path))
+        argv = ["solve-h", "--graph", str(g_path), "--zeta", "const:0.1", "--out", str(u_path)]
+        capsys.readouterr()
+        assert run_cli(*argv, "--hamiltonian", "affine-rho") == 0
+        assert re.match(r"solved H=affine-rho by Picard in \d+ iteration\(s\); ", capsys.readouterr().out)
+        assert run_cli(*argv, "--hamiltonian", "affine-rho", "--max-iter", "3") == 0
+        assert capsys.readouterr().out.startswith(
+            "solved H=affine-rho by the causal pass after 3 Picard iteration(s); max reduction residual ")
+        g = read_graph(str(g_path))
+        u, _, exits = reference_general_fixpoint(g, builtin_hamiltonian("affine-rho"),
+                                                 dict.fromkeys(g.boundary, 0.1))
+        assert [row[:3] for row in read_rows(u_path)[1:]] == [[v, repr(u[v]), exits[v]] for v in g.vertices]
+        assert run_cli(*argv, "--hamiltonian", "p - exp(-4*rho)", "--max-iter", "3") == 2
+        assert "the sampled B = " in TestErrorsAndConfig.assert_one_error_line(capsys)
 
     def test_solve_h_plot(self, tmp_path):
         g_path = tmp_path / "g.json"
@@ -356,6 +375,16 @@ class TestErrorsAndConfig:
 
     def test_unknown_command_exits_2(self):
         assert run_cli("frobnicate") == 2
+
+    def test_main_exits_with_the_run_code(self, tmp_path, monkeypatch):
+        out = tmp_path / "g.json"
+        for argv, code in ((["fixture", "--name", "interval", "--n", "4", "--out", str(out)], 0),
+                           (["frobnicate"], 2)):
+            monkeypatch.setattr("sys.argv", ["eikograph", *argv])
+            with pytest.raises(SystemExit) as exc:
+                main()
+            assert exc.value.code == code
+        assert read_graph(str(out)).vertices == ("v0", "v1", "v2", "v3", "v4")
 
     @staticmethod
     def assert_one_error_line(capsys):

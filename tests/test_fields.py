@@ -464,3 +464,16 @@ class TestFieldFromALargerGraph:
     def test_refused(self, setup, entry):
         with pytest.raises(FieldError, match=self.WANT):
             entry(*setup)
+
+    @pytest.mark.parametrize("check", [check_monge, check_c_subsolution, check_c_supersolution,
+                                       lambda g, u, f: check_regularity(g, u)],
+                             ids=["check_monge", "check_c_subsolution", "check_c_supersolution",
+                                  "check_regularity"])
+    def test_field_built_directly_on_the_smaller_graph_is_refused(self, setup, check):
+        # it is f's own graph, so no lookup through another graph runs; its
+        # list, built on first use, used to read the 9 shared ids of 16 values
+        g, f, vf, _ = setup
+        u = ScalarField(g, dict(vf.u.values), "solution_u")
+        with pytest.raises(FieldError, match=self.WANT):
+            check(g, u, f)
+        assert "v0_3" in u and "v9_9" not in u

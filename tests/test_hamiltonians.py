@@ -33,7 +33,7 @@ from eikograph import (
 from eikograph import hamiltonians as hamiltonians_module
 from eikograph.graph import close
 from eikograph.hamiltonians import BUILTIN_NAMES, VALIDATION_SAMPLES, _p_grid
-from oracles import reference_solve_general
+from oracles import reference_general_fixpoint, reference_solve_general
 
 
 @pytest.fixture(scope="module")
@@ -299,11 +299,32 @@ class TestSolveGeneral:
         assert max(red.residuals.values()) <= 1e-9
 
     def test_nonconvergence_reports_history(self):
+        # B = sup dH/drho / inf dH/dp is about 94 on the sampled rho in [-1, 1],
+        # so 1 - (l/2) * B < 0 at l = 0.04 and the causal pass is refused
         g = fixture("interval", n=50).graph
         z = constant_field(g, 0.0, "boundary_zeta")
+        H = expression_hamiltonian("p - exp(-4*rho)")
         with pytest.raises(ConvergenceError) as exc:
-            solve_general(g, builtin_hamiltonian("affine-rho"), z, tol=1e-16, max_iter=3)
+            solve_general(g, H, z, tol=1e-16, max_iter=3)
         assert len(exc.value.history) == 2
+        B = validate_hamiltonian(H, g).mesh_bound
+        assert 0.02 * B > 1.0
+        assert str(exc.value).endswith(
+            f"and the causal pass needs 1 - (l/2) * B >= 0: the longest edge ('v0', 'v1') has l = 0.04, "
+            f"the sampled B = {B}")
+
+    def test_stopped_picard_returns_the_causal_fixpoint(self):
+        # the input that used to raise ConvergenceError after 3 solves
+        g = fixture("interval", n=50).graph
+        z = constant_field(g, 0.0, "boundary_zeta")
+        H = builtin_hamiltonian("affine-rho")
+        vf, red, solves = solve_general(g, H, z, tol=1e-16, max_iter=3)
+        assert solves == 4
+        u, h, exits = reference_general_fixpoint(g, H, z.values)
+        assert [(v, x.hex()) for v, x in vf.u.values.items()] == [(v, u[v].hex()) for v in vf.u.values]
+        assert [(v, x.hex()) for v, x in red.h.values.items()] == [(v, h[v].hex()) for v in g.vertices]
+        assert dict(vf.exit_vertex) == exits
+        assert all(vf[v] == u[v] for v in g.vertices)
 
     @pytest.mark.parametrize("name", ["affine-rho", "linear"])
     @pytest.mark.parametrize("key,value,bound", [

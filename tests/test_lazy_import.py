@@ -82,6 +82,13 @@ print(json.dumps([before, builtin, missing, unlisted, slopes_is_function, len(ek
     assert slopes_is_function
 
 
+def test_dir_lists_the_lazy_names_before_their_use():
+    # run in process too: the fresh process above hides it from tools/uncovered.py
+    listed = dir(eikograph)
+    assert listed == sorted(listed) and set(eikograph.__all__) <= set(listed)
+    assert {"solve_general", "fixture", "hamiltonians"} <= set(listed)
+
+
 def test_star_import_and_unknown_name():
     namespace: dict = {}
     exec("from eikograph import *", namespace)

@@ -7,7 +7,10 @@ the returned iterate, and builds fields once for the result.  Each must reproduc
 plain bisection and Picard loop in ``tests/oracles.py`` bit for bit: floats,
 signs of zero, sweep counts, error types and messages.  Only where H raises
 at points the search does not take can ``reduce_h`` return a root where the
-bisection raised (``MISSED_FAULT``).
+bisection raised (``MISSED_FAULT``).  Where the reference loop raises
+ConvergenceError, ``solve_general`` returns the causal pass's labels, which
+must be ``reference_general_fixpoint``'s, unless the mesh condition refuses
+the pass; then it raises the same error with the history bit for bit.
 """
 
 from __future__ import annotations
@@ -27,9 +30,10 @@ from eikograph import (
     reduce_field,
     reduce_h,
     solve_general,
+    validate_hamiltonian,
 )
 from eikograph.hamiltonians import _EXPR_NAMES, BUILTIN_NAMES, _reduction_field, _rereduce
-from oracles import reference_reduce_field, reference_reduce_h, reference_solve_general
+from oracles import reference_general_fixpoint, reference_reduce_field, reference_reduce_h, reference_solve_general
 
 EXPRESSIONS = ("p + rho - 1", "p * p + sin(rho) - 0.5", "max(p - 2, 0) + exp(rho) - 1.5")
 
@@ -174,18 +178,47 @@ def test_solve_general_matches_reference_loop(h_name, fix, params, seed):
     assert_same_solution(solve_general(g, H, zeta), reference_solve_general(g, H, zeta))
 
 
+# p - exp(-4 rho): its sampled mesh bound B (about 94) refuses the causal pass
+# on every grid, so Picard's ConvergenceError stands
+REFUSED = expression_hamiltonian("p - exp(-4*rho)")
+
+
+def refusal(g, H):
+    """The clause solve_general adds to Picard's message where the mesh
+    condition refuses the causal pass (the grids' edges all have l = 1)."""
+    return (", and the causal pass needs 1 - (l/2) * B >= 0: the longest edge ('v0_0', 'v0_1') "
+            f"has l = 1.0, the sampled B = {validate_hamiltonian(H, g).mesh_bound}")
+
+
+def assert_causal_fixpoint(got, g, H, zeta, max_iter):
+    vf, red, solves = got
+    u, h, exits = reference_general_fixpoint(g, H, zeta.values)
+    assert solves == max_iter + 1
+    assert sorted(bits(vf.u.values)) == sorted(bits(u))
+    assert sorted(bits(red.h.values)) == sorted(bits(h))
+    assert dict(vf.exit_vertex) == exits
+
+
 @pytest.mark.parametrize("max_iter", [1, 2, 7])
 def test_convergence_error_history_matches(max_iter):
     g = fixture("grid", n=5).graph
-    H = builtin_hamiltonian("affine-rho")
     zeta = seeded_zeta(g, 3)
     with pytest.raises(ConvergenceError) as got:
-        solve_general(g, H, zeta, tol=1e-16, max_iter=max_iter)
+        solve_general(g, REFUSED, zeta, tol=1e-16, max_iter=max_iter)
     with pytest.raises(ConvergenceError) as want:
-        reference_solve_general(g, H, zeta, tol=1e-16, max_iter=max_iter)
+        reference_solve_general(g, REFUSED, zeta, tol=1e-16, max_iter=max_iter)
     assert [c.hex() for c in got.value.history] == [c.hex() for c in want.value.history]
     assert len(got.value.history) == max_iter - 1
-    assert str(got.value) == str(want.value)
+    assert str(got.value) == str(want.value) + refusal(g, REFUSED)
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 7])
+def test_stopped_picard_returns_the_causal_fixpoint(max_iter):
+    # the inputs that raised ConvergenceError before the causal pass answered
+    g = fixture("grid", n=5).graph
+    H = builtin_hamiltonian("affine-rho")
+    zeta = seeded_zeta(g, 3)
+    assert_causal_fixpoint(solve_general(g, H, zeta, tol=1e-16, max_iter=max_iter), g, H, zeta, max_iter)
 
 
 @pytest.mark.parametrize("seed", [0, 4])
@@ -201,15 +234,23 @@ def test_many_sweeps_match_reference_loop(seed):
 
 
 def test_convergence_error_after_many_sweeps_matches():
+    # at tol 1e-16 Picard ends in changes near 1e-13 and never stops
+    g = fixture("grid", n=10).graph
+    zeta = seeded_zeta(g, 2)
+    with pytest.raises(ConvergenceError) as got:
+        solve_general(g, REFUSED, zeta, tol=1e-16, max_iter=30)
+    with pytest.raises(ConvergenceError) as want:
+        reference_solve_general(g, REFUSED, zeta, tol=1e-16, max_iter=30)
+    assert [c.hex() for c in got.value.history] == [c.hex() for c in want.value.history]
+    assert len(got.value.history) == 29 and str(got.value) == str(want.value) + refusal(g, REFUSED)
+
+
+def test_stopped_after_many_sweeps_returns_the_causal_fixpoint():
+    # the input that raised ConvergenceError after 30 solves
     g = fixture("grid", n=10).graph
     H = builtin_hamiltonian("affine-rho")
     zeta = seeded_zeta(g, 2)
-    with pytest.raises(ConvergenceError) as got:
-        solve_general(g, H, zeta, max_iter=30)
-    with pytest.raises(ConvergenceError) as want:
-        reference_solve_general(g, H, zeta, max_iter=30)
-    assert [c.hex() for c in got.value.history] == [c.hex() for c in want.value.history]
-    assert len(got.value.history) == 29 and str(got.value) == str(want.value)
+    assert_causal_fixpoint(solve_general(g, H, zeta, max_iter=30), g, H, zeta, 30)
 
 
 def test_reused_root_keeps_sign_of_zero():

@@ -6,12 +6,13 @@ Each argument is a directory that holds the ``eikograph`` package (a
 checkout's ``src``).  The same fixed command list runs once with each on
 ``PYTHONPATH``, in its own temporary directory: every fixture kind, small
 and at benchmark sizes, solve with --plot and --certify, solve-h with
---h-out (Picard over many sweeps and stopped by --max-iter among them, a
-builtin with a level, an expression with nested scopes and a finer
---bisect-tol), the four checks with --report on eight (graph, solution)
-pairs and monge's sub and super modes, compare, suite, induce-metric, and
-refine both with a split and with an h_max that splits no edge, on valid
-input, and ``--help`` of the program and of each subcommand.  One
+--h-out (Picard over many sweeps, the causal pass after --max-iter, an
+H that its mesh condition refuses, a builtin with a level, an expression
+with nested scopes and a finer --bisect-tol among them), the four checks
+with --report on eight (graph, solution) pairs and monge's sub and super
+modes, compare, suite, induce-metric, and refine both with a split and
+with an h_max that splits no edge, on valid input, and ``--help`` of the
+program and of each subcommand.  One
 hand-written graph, MESSY, lists its vertices and edges out of id order,
 with parallel edges of different lengths both ways round; it is solved,
 checked and refined.  Another, PARTIAL, has coords on some vertices only;
@@ -116,11 +117,14 @@ COMMANDS = [
     ["solve-h", "--graph", "interval4.json", "--hamiltonian", "affine-rho", "--zeta", "const:0",
      "--out", "uh_fixpoint.csv", "--h-out", "h_fixpoint.csv", "--tol", "0", "--max-iter", "40",
      "--bisect-tol", "1e-10"],
-    # Picard over many sweeps (50), and stopped after 3 with the ConvergenceError message
+    # Picard over many sweeps (50); stopped after 3, where the causal pass answers; and
+    # stopped after 3 on an H whose sampled mesh bound refuses the pass, with the ConvergenceError
     ["solve-h", "--graph", "grid.json", "--hamiltonian", "affine-rho", "--zeta", "linear:0,0.02",
      "--out", "uh_picard.csv", "--h-out", "h_picard.csv"],
     ["solve-h", "--graph", "grid.json", "--hamiltonian", "affine-rho", "--zeta", "linear:0,0.02",
      "--out", "uh_stopped.csv", "--max-iter", "3"],
+    ["solve-h", "--graph", "grid.json", "--hamiltonian", "p - exp(-4*rho)", "--zeta", "linear:0,0.02",
+     "--out", "uh_refused.csv", "--max-iter", "3"],
     # a builtin level, an expression with nested scopes and a finer bisection,
     # each through the reduction kernel its Hamiltonian compiles to
     ["solve-h", "--graph", "grid8.json", "--hamiltonian", "affine-rho:2", "--zeta", "linear:0,0.1",
