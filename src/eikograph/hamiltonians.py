@@ -508,9 +508,8 @@ def _causal(
         reduce(evaluate, name, (names[y],), (d,), [math.nan], root, None, tol)
         hy = root[0]
         for x, length in zip(nbrs[y], lens[y]):
-            if parent[x] < 0:
-                half = 0.5 * length
-                a = d + half * hy
+            half = 0.5 * length
+            if parent[x] < 0 and (a := d + half * hy) <= dist[x]:  # no candidate is below a
                 candidate(evaluate, name, (names[x],), (a,), [math.nan], root, None, tol, a, half)
                 if (t := a + half * root[0]) < dist[x]:
                     dist[x], via[x] = t, y

@@ -23,6 +23,7 @@ import pytest
 from eikograph import (
     ConvergenceError,
     HamiltonianSpec,
+    build_graph,
     builtin_hamiltonian,
     check_c_subsolution,
     check_c_supersolution,
@@ -43,10 +44,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 FIXTURES = [("interval", {"n": 30}), ("grid", {"n": 6}), ("grid", {"n": 5, "connectivity": 8}),
             ("binary_tree", {"depth": 4}), ("gasket", {"level": 3})]
-# (H, the low end of zeta's range): above affine-rho:0.125's level h = 0, so
-# every arc from such a vertex costs 0 and equal labels are settled in a chain
+# (H, the low end of zeta's range, whose top is 0.2): above affine-rho:0.125's
+# level h = 0, so every arc from such a vertex costs 0 and equal labels are
+# settled in a chain; at zeta = 0.2 everywhere, from many boundary vertices
 HAMILTONIANS = [("affine-rho", 0.0), ("p + rho - 1", 0.0), ("p - 0.5*exp(-rho)", 0.0),
-                ("p * p + rho - 1", 0.0), ("affine-rho:0.125", 0.15)]
+                ("p * p + rho - 1", 0.0), ("affine-rho:0.125", 0.15), ("affine-rho:0.125", 0.2)]
 
 
 def hamiltonian(name):
@@ -101,6 +103,19 @@ def test_labels_are_the_fixpoint_oracles_on_random_graphs(name):
                 for g in [random_metric_graph(seed, n_max=30)]]
     # lengths lie in [0.2, 2] and B is 1 for the first two, about 1.07 for the third
     assert all(answered) if name != "p - 0.5*exp(-rho)" else 0 < sum(answered) < len(answered)
+
+
+def test_equal_candidates_give_the_least_index_its_exit():
+    # every label is 0.2 and every arc costs 0; c settles j, j offers n its
+    # label, then m settles a, and a < j offers n the same label: n exits at
+    # a's exit m, as settle's parent rule (least index) has it, not at c
+    g = build_graph({"vertices": ["a", "c", "j", "m", "n"], "boundary": ["c", "m"],
+                     "edges": [{"a": a, "b": b, "length": 1.0}
+                               for a, b in [("c", "j"), ("j", "n"), ("n", "a"), ("a", "m")]]})
+    H, zeta = builtin_hamiltonian("affine-rho:0.125"), field_on(g, {"c": 0.2, "m": 0.2}, "boundary_zeta")
+    assert causal_or_refused(g, H, zeta)
+    vf = solve_general(g, H, zeta, max_iter=1)[0]
+    assert list(vf.u.values) == ["c", "j", "m", "a", "n"] and vf.exit_vertex["n"] == "m"
 
 
 def test_generic_kernel_gives_the_inlined_kernels_labels():
