@@ -677,8 +677,8 @@ def _evaluator(
     compiled once with the math namespace and ``bound`` as its globals.  Its
     rho-monotonicity is derived: "nondecreasing" if ``expr`` names rho, else
     "independent".  The lambda carries as ``_kernel`` the reduction kernel
-    with ``expr`` inlined, on the same globals, and as ``_causal`` its
-    causal instantiation.
+    with ``expr`` inlined, on the same globals, and as ``_causal``, if
+    ``expr`` names rho, its causal instantiation.
 
     Only arithmetic, those names, ``p`` and ``rho`` are allowed.  ``:=``
     that binds in the expression's own scope is refused: inlined, it would
@@ -710,7 +710,8 @@ def _evaluator(
         )
     try:
         evaluate._kernel = _kernel(f"(\n{expr}\n)", scope)
-        evaluate._causal = _kernel(_CAUSAL_SITE.format(f"(\n{expr}\n)"), scope)
+        if "rho" in names:  # only a rho-dependent H reaches the causal pass
+            evaluate._causal = _kernel(_CAUSAL_SITE.format(f"(\n{expr}\n)"), scope)
     except (SyntaxError, RecursionError, MemoryError):
         pass  # _kernel_of falls back to the generic kernels
     mode = "nondecreasing" if "rho" in names else "independent"
