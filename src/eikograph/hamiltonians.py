@@ -209,9 +209,10 @@ def validate_hamiltonian(H: HamiltonianSpec, g: MetricGraph) -> HamiltonianValid
                     row.append(h)
                 if not (row[-1] > 0.0):  # the grid ends at p_max
                     yield ("coercivity", x, rho, H.p_max, row[-1])
-                slope_rise[0] = min(slope_rise[0], *map(truediv, map(sub, row[1:], row), steps))
-                if below:
-                    slope_rise[1] = max(slope_rise[1], *map(sub, row, below))
+                if mode != "independent":  # else B is 0: H does not rise with rho
+                    slope_rise[0] = min(slope_rise[0], *map(truediv, map(sub, row[1:], row), steps))
+                    if below:
+                        slope_rise[1] = max(slope_rise[1], *map(sub, row, below))
                 below, rho_below = row, rho
 
     bad = next(counterexamples(), None)
