@@ -1132,8 +1132,9 @@ def reference_general_fixpoint(g, H, zeta, tol=1e-9):
         if x not in exits:
             exits[x] = x if x in zeta and u[x] == zeta[x] else next(
                 exits[y] for y, _ in adj[x] if y in exits and offers[y, x])
-            entered += [(u[y], y) for y, _ in adj[x] if y not in exits and offers[x, y]]
-            heapq.heapify(entered)
+            for y, _ in adj[x]:
+                if y not in exits and offers[x, y]:
+                    heapq.heappush(entered, (u[y], y))
     return u, h, exits
 
 

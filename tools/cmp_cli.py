@@ -12,19 +12,19 @@ with nested scopes and a finer --bisect-tol among them), the four checks
 with --report on eight (graph, solution) pairs and monge's sub and super
 modes, compare, suite, induce-metric, and refine both with a split and
 with an h_max that splits no edge, on valid input, and ``--help`` of the
-program and of each subcommand.  One
-hand-written graph, MESSY, lists its vertices and edges out of id order,
-with parallel edges of different lengths both ways round; it is solved,
-checked and refined.  Another, PARTIAL, has coords on some vertices only;
-it is refined.  A third, COLLIDE, has ids that hold ``->``, so that two of
-its oriented edges print as the same csub item ``a->b->c``; the four checks
-run on it with a hand-written solution that breaks one of the two by 4.0
-(a report keyed by the printed item would keep only one of them).  Beside
-the commands, one child process runs ``solve_general`` in process on the
-five hjb instances of ``perfbench/workloads.py`` at their full size, each
-with its seeded zeta variant 0 (see :func:`solve_general_digest`).  The two
-manifests (below) are compared entry by entry: one line per command, file
-or hjb instance that differs, exit 1 on any difference, else 0.
+program and of each subcommand.  One hand-written graph, MESSY, lists its
+vertices and edges out of id order, with parallel edges of different
+lengths both ways round; it is solved, checked and refined.  Another,
+PARTIAL, has coords on some vertices only; it is refined.  A third,
+COLLIDE, has ids that hold ``->``, so that two of its oriented edges print
+as the same csub item ``a->b->c``; the four checks run on it with a
+hand-written solution that breaks one of the two by 4.0 (a report keyed by
+the printed item would keep only one of them).  Beside the commands, one
+child process runs ``solve_general`` in process on the five hjb instances
+of ``perfbench/workloads.py`` at their full size, each with its seeded
+zeta variant 0 (see :func:`solve_general_digest`).  The two manifests
+(below) are compared entry by entry: one line per command, file or hjb
+instance that differs, exit 1 on any difference, else 0.
 
     python tools/cmp_cli.py --manifest PATH [SRC]
 
@@ -33,10 +33,10 @@ runs the same command list once, with SRC (default: this checkout's
 platform, each command's exit code and the sha256 of its stdout and
 stderr (keyed by its argv), the sha256 of every file left in its
 directory, and per hjb instance the count ``solve_general`` returns and
-the sha256 of its outputs, or the message of the error it raises.  ``tests/test_manifest.py`` regenerates it and compares it, entry
-by entry, with ``tests/golden/manifest.json``; a change that moves an
-output on purpose re-records that file with this command.  Standard
-library only.
+the sha256 of its outputs, or the message of the error it raises.
+``tests/test_manifest.py`` regenerates it and compares it, entry by entry,
+with ``tests/golden/manifest.json``; a change that moves an output on
+purpose re-records that file with this command.  Standard library only.
 """
 
 from __future__ import annotations
