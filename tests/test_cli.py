@@ -129,6 +129,14 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "decreases" in err
 
+    def test_solve_h_linear_at_a_level_that_rounds(self, tmp_path, capsys):
+        # validation used to refuse linear:1.7 on a rounded step near p = 2**17
+        g_path = tmp_path / "g.json"
+        run_cli("fixture", "--name", "interval", "--n", "10", "--out", str(g_path))
+        assert run_cli("solve-h", "--graph", str(g_path), "--hamiltonian", "linear:1.7",
+                       "--zeta", "const:0", "--out", str(tmp_path / "u.csv")) == 0
+        assert "decreases" not in capsys.readouterr().err
+
     def test_solve_h_non_finite_hamiltonian_exits_2(self, tmp_path, capsys):
         # linear:-inf is +inf everywhere: it used to pass validation and exit 0
         # with "max reduction residual inf"

@@ -92,6 +92,21 @@ class TestValidation:
         report = validate_hamiltonian(builtin_hamiltonian("ex1"), small_graph)
         assert "decreases" in report.describe()
 
+    @pytest.mark.parametrize("name", ["linear:1.7", "linear:0.1", "affine-rho:0.1", "affine-rho:0.3"])
+    def test_a_rounded_step_is_no_counterexample(self, small_graph, name):
+        # near p = 2**15 - 2**17 each H rounds at an ulp of some 1e-11, so a
+        # step of a linear H can come out short by more than 1e-12
+        assert validate_hamiltonian(builtin_hamiltonian(name), small_graph).passed
+
+    @pytest.mark.parametrize("name,interval,values", [
+        ("plateau", "[1.0, 1.0625]", "H(1.0)=1.0, H(1.0625)=1.0"),
+        ("ex1", "[2.0, 2.0625]", "H(2.0)=1.0, H(2.0625)=0.9375"),
+        ("ex2", "[0.0, 0.0625]", "H(0.0)=1.0, H(0.0625)=0.9375"),
+    ])
+    def test_the_stock_counterexamples_are_named_as_before(self, small_graph, name, interval, values):
+        assert validate_hamiltonian(builtin_hamiltonian(name), small_graph).describe() == (
+            f"hamiltonian {name!r}: p -> H - lambda0*p decreases on {interval} at (x='v0', rho=-1.0): {values}")
+
     def test_describe_a_pass(self, small_graph):
         report = validate_hamiltonian(builtin_hamiltonian("affine-rho"), small_graph)
         assert report.counterexample is None

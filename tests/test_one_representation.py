@@ -7,6 +7,7 @@ from __future__ import annotations
 import pytest
 
 from eikograph import (
+    ConvergenceError,
     DirichletProblem,
     MetricGraph,
     builtin_hamiltonian,
@@ -20,6 +21,7 @@ from eikograph import (
     compare,
     edge_costs,
     equivalence_suite,
+    expression_hamiltonian,
     field_from_expression,
     fixture,
     induce_intrinsic,
@@ -70,6 +72,15 @@ def _general():
     return vf, h, sweeps, check_hamiltonian_monge(g, vf.u, H)
 
 
+def _past_picard(H):
+    """solve_general after two solves: the causal pass, or the refusal that names the longest edge."""
+    g = fixture("grid", n=5).graph
+    try:
+        return solve_general(g, H, field_from_expression(g, "const:0", "boundary_zeta"), max_iter=2)
+    except ConvergenceError as exc:
+        return str(exc), exc.history
+
+
 def _edge_costs():
     g = fixture("circle", n=9).graph
     return edge_costs(g, field_from_expression(g, "linear:1,0.5", "rhs_f"))
@@ -91,6 +102,8 @@ CASES = {
     "check_boundary_consistency": lambda tmp_path: check_boundary_consistency(*_solved()),
     "four checks": lambda tmp_path: _checks(),
     "solve_general": lambda tmp_path: _general(),
+    "solve_general-causal": lambda tmp_path: _past_picard(builtin_hamiltonian("affine-rho")),
+    "solve_general-refused": lambda tmp_path: _past_picard(expression_hamiltonian("p - exp(-4*rho)")),
     "equivalence_suite": lambda tmp_path: equivalence_suite(fixture("grid", n=4), "linear:1,0.5", levels=2),
     "compare": lambda tmp_path: compare(random_comparison_instance(3)),
 }

@@ -19,8 +19,8 @@ import statistics
 
 import pytest
 
-from eikograph import HamiltonianSpec, builtin_hamiltonian, expression_hamiltonian, reduce_h
-from eikograph.hamiltonians import _GENERIC, _kernel_of
+from eikograph import CoercivityError, HamiltonianSpec, builtin_hamiltonian, expression_hamiltonian, reduce_h
+from eikograph.hamiltonians import _GENERIC, BRACKET_CAP, BRACKET_GRIDS, _kernel_of
 from oracles import reference_reduce_h
 
 FAMILIES = (
@@ -91,6 +91,35 @@ def test_doubled_brackets_up_to_2_to_the_20(k):
             H = expression_hamiltonian(expr)
             for rho in [0.0, 1e-3] + [rng.uniform(-1e-6, 1e-6) for _ in range(6)]:
                 assert_as_reference(H, rho)
+
+
+def test_the_grid_table_has_every_bracket_up_to_the_cap():
+    assert list(BRACKET_GRIDS) == [2.0**m for m in range(41)] and max(BRACKET_GRIDS) == BRACKET_CAP
+
+
+@pytest.mark.parametrize("hi", list(BRACKET_GRIDS))
+def test_every_bracket_grid(hi):
+    # the grid splits the bracket into 2**n cells, n the fewest halvings
+    # that bring its width within the stop bound; roots in the bracket
+    # give the reference's outcome through it
+    lo = 0.5 * hi if hi > 1.0 else 0.0
+    n, step, cells = BRACKET_GRIDS[hi]
+    assert cells == 2**n and step * cells == hi - lo and step <= 1e-13 * max(1.0, hi) < 2.0 * step
+    rng = random.Random(hi)
+    for root in (lo + 0.3 * (hi - lo), lo + 0.625 * (hi - lo), hi):
+        for expr in (f"p - {root!r} + rho", f"1e-12 * (p * p - {root * root!r}) + rho"):
+            H = expression_hamiltonian(expr)
+            for rho in [0.0] + [rng.uniform(-1e-9, 1e-9) for _ in range(2)]:
+                assert_as_reference(H, rho)
+
+
+def test_a_doubling_past_the_cap():
+    for expr in (f"p - {1.5 * BRACKET_CAP!r} + rho", "1e-20 * p + rho - 1"):
+        H = expression_hamiltonian(expr)
+        for rho in (0.0, 1e-6):
+            got = outcome(reduce_h, H, "v", rho)
+            assert got[0] is CoercivityError and f"up to p = {BRACKET_CAP}" in got[1]
+            assert_as_reference(H, rho)
 
 
 @pytest.mark.parametrize("root", [2.0**-44, 3 * 2.0**-45, 1e-13, 1e-300, 5e-324, 2.0**-20, 1e-9])
@@ -250,6 +279,19 @@ def test_a_fault_at_a_probe_falls_back_to_the_bisection(fault, which):
     assert kernel_points == reference_points[:2] + read + reference_points[2:]
     assert isinstance(got, tuple) == (fault == "exception")
     assert_as_reference(H, 0.0)
+
+
+@pytest.mark.parametrize("expr,rho,probes,steps", [
+    ("(1 if p > 0.3 else -1) + 0 * rho", 0.0, [2**43, 2**43 - 1], 500),  # a step: from the bracket
+    # steep, |H| above tol down to float resolution: from the cell, after its 44 steps
+    ("1e8 * (p - 0.3) + rho", 0.5, [5277655725363, 5277655725364], 500 - 44),
+])
+def test_the_bisection_stalls_at_its_500th_step(expr, rho, probes, steps):
+    plain, seen = counted(expression_hamiltonian(expr))
+    _, message = outcome(reduce_h, plain, "v", rho)
+    assert [p / STEP for p, _ in seen[2:4]] == probes and len(seen) == 4 + steps
+    assert message.startswith("bisection for 'expr(") and f"stalled at (x='v', rho={rho})" in message
+    assert_as_reference(expression_hamiltonian(expr), rho)
 
 
 @pytest.mark.parametrize("expr", [
