@@ -574,6 +574,9 @@ def read_graph(path: str) -> MetricGraph:
         return build_graph(read_json(path))
 
 
+_ONES: list[float] = []  # the weights of every field-less settle: shared, grown on demand
+
+
 def settle(
     g: MetricGraph,
     seeds: Iterable[tuple[int, float]],
@@ -592,23 +595,34 @@ def settle(
     order), and a popped label is final: bit-identical to value iteration.
 
     Returns lists by index: labels; the settle order, then the unreached
-    vertices (label inf) in id order; and parents, picked at settle time.
-    A seed at its own datum is its own parent; any other vertex takes the
-    first neighbour in id order settled before it whose label plus cost
-    equals its label (the one that set the label qualifies); unreached
-    vertices have -1.  A finite ``limit`` stops before the first pop above
-    it, leaving a prefix of the unbounded order with the same labels and
-    parents.
+    vertices (label inf) in id order; and parents.  The parent rule: a seed
+    at its own datum is its own parent; any other vertex takes the first
+    neighbour in id order settled before it whose label plus cost equals its
+    label; unreached vertices have -1.  Each such neighbour offered that
+    label when it settled (fl(a + b) commutes), so the rule is kept while
+    relaxing: ``via[y]`` is the least index that offered y its current
+    label, set by a strict improvement and replaced by an equal offer from a
+    smaller index.  At a pop it is unset only for a seed still at its datum,
+    and the pop takes ``via[x]``, or x itself when it is unset.  A pop
+    costs one list read per arc to a settled neighbour, and per other arc
+    one cost, one or two comparisons and at most one push.  A finite
+    ``limit`` stops before the first pop above it, leaving a prefix of the
+    unbounded order with the same labels and parents.  A call allocates
+    three lists of length V: labels, parents and ``via`` (a field-less call
+    reads a shared list of ones).
     """
     nbrs, lens = g.nbrs, g.lens
     n = len(nbrs)
     if fl is None:
-        fl = [1.0] * n
+        if len(_ONES) < n:
+            _ONES.extend([1.0] * (n - len(_ONES)))
+        fl = _ONES
     datum = dict(seeds)
     if not datum:
         raise ValidationError("label setting needs at least one seed")
     dist = [math.inf] * n
     parent = [-1] * n  # >= 0 exactly for the settled vertices
+    via = [-1] * n
     heap = sorted((d0, x) for x, d0 in datum.items() if d0 < math.inf)  # sorted: a heap
     for d0, x in heap:
         dist[x] = d0
@@ -621,17 +635,16 @@ def settle(
         if d > limit:
             return dist, order, parent
         order.append(x)
-        p = x if datum.get(x) == d else -1
+        parent[x] = x if (p := via[x]) < 0 else p
         fx = fl[x]
         for y, length in zip(nbrs[x], lens[x]):
-            c = 0.5 * (fx + fl[y]) * length * scale  # the rule of fields.edge_costs
-            if parent[y] >= 0:
-                if p < 0 and d == dist[y] + c:
-                    p = y
-            elif (t := d + c) < dist[y]:
-                dist[y] = t
-                push(heap, (t, y))
-        parent[x] = p
+            if parent[y] < 0:  # the cost is the rule of fields.edge_costs
+                if (t := d + 0.5 * (fx + fl[y]) * length * scale) < dist[y]:
+                    dist[y] = t
+                    via[y] = x
+                    push(heap, (t, y))
+                elif t == dist[y] and x < via[y]:
+                    via[y] = x
     if len(order) < n and limit == math.inf:
         order += [x for x in range(n) if parent[x] < 0]
     return dist, order, parent

@@ -388,18 +388,24 @@ _KERNEL_NAMES = {
 }
 
 
-def _kernel(h_source: str, names: Mapping[str, object]) -> Callable:
+def _kernel(h_source: str, names: Mapping[str, object],
+            filename: str = "<hamiltonian kernel>") -> Callable:
     """The kernel with ``h_source`` in place of ``__H__``, its globals
-    ``names`` on top of the kernel's own and no builtins."""
-    code = compile(_KERNEL_SOURCE.replace("__H__", h_source), "<hamiltonian kernel>", "exec")
+    ``names`` on top of the kernel's own and no builtins, compiled under
+    ``filename``."""
+    code = compile(_KERNEL_SOURCE.replace("__H__", h_source), filename, "exec")
     scope = {"__builtins__": {}, **_KERNEL_NAMES, **names}
     exec(code, scope)
     return scope["kernel"]
 
 
+# The generic kernels' sites are one line each, so their lines are the
+# template's, line for line; their own file name lets a line tracer tell
+# them from the inlined kernels, whose expression may span lines.
+_GENERIC_FILE = "<generic hamiltonian kernel>"
 _CAUSAL_SITE = "((rho := a + half_l * p), {})[1]"
-_GENERIC = _kernel("evaluate(x, rho, p)", {})
-_GENERIC_CAUSAL = _kernel(_CAUSAL_SITE.format("evaluate(x, rho, p)"), {})
+_GENERIC = _kernel("evaluate(x, rho, p)", {}, _GENERIC_FILE)
+_GENERIC_CAUSAL = _kernel(_CAUSAL_SITE.format("evaluate(x, rho, p)"), {}, _GENERIC_FILE)
 
 
 def _kernel_of(evaluate: Callable) -> Callable:
@@ -500,14 +506,14 @@ def _causal(
     g: MetricGraph, H: HamiltonianSpec, seeds: list[tuple[int, float]], tol: float
 ) -> tuple[list[float], list[int], list[int]]:
     """:func:`solve_general`'s discrete system in one label-setting pass,
-    returned as :func:`settle` returns its run, whose seeds, pop order,
-    ties by index and parent rule it keeps.  Settling y at label d reduces
-    h(y, d); each unsettled neighbour x, along an edge of length l, gets the
-    candidate fl(a + fl(l/2 * p)), where a = fl(d + fl(l/2 * h(y, d))) and p
-    is the causal kernel's root, the least p >= 0 with
-    H(x, a + l/2 * p, p) >= 0.  As h >= 0 no candidate lies below its
-    source's label, so a popped label is final and the labels are a
-    fixpoint of the update."""
+    returned as :func:`settle` returns its run: the same seeds, pop order,
+    ties by index and parent rule, kept in ``via`` as settle keeps it.
+    Settling y at label d reduces h(y, d); each unsettled neighbour x, along
+    an edge of length l, gets the candidate fl(a + fl(l/2 * p)), where a =
+    fl(d + fl(l/2 * h(y, d))) and p is the causal kernel's root, the least
+    p >= 0 with H(x, a + l/2 * p, p) >= 0.  As h >= 0 no candidate lies
+    below its source's label, so a popped label is final and the labels are
+    a fixpoint of the update."""
     nbrs, lens, names = g.nbrs, g.lens, g.vertices
     n = len(nbrs)
     evaluate, name = H.evaluate, H.name
@@ -525,6 +531,7 @@ def _causal(
         if parent[y] >= 0:
             continue
         order.append(y)
+        parent[y] = y if (p := via[y]) < 0 else p
         reduce(evaluate, name, (names[y],), (d,), [math.nan], root, None, tol)
         hy = root[0]
         for x, length in zip(nbrs[y], lens[y]):
@@ -536,7 +543,6 @@ def _causal(
                     push(heap, (t, x))
                 elif t == dist[x] and y < via[x]:
                     via[x] = y
-        parent[y] = y if datum.get(y) == d else via[y]
     order += [x for x in range(n) if parent[x] < 0]
     return dist, order, parent
 

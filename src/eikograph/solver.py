@@ -113,10 +113,9 @@ def solve_dirichlet(p: DirichletProblem) -> ValueFunction:
     satisfy the discrete Bellman equation exactly in floating point, hence
     also the per-edge Lipschitz bound |u(x) - u(y)| <= cost(x, y).
 
-    Exits follow the :func:`settle` parents: a boundary vertex whose label
-    equals its datum exits at itself; any other x takes the exit of the
-    first neighbor y in id order settled before x with u(x) == fl(u(y) +
-    cost(x, y)), which always exists.
+    Exits follow the :func:`settle` parents, whose rule its docstring
+    states: a boundary vertex that is its own parent exits at itself, and
+    any other vertex takes its parent's exit.
     """
     g = p.graph
     zeta = p.zeta.values

@@ -9,8 +9,12 @@ Then prints every statement inside a function body, docstrings excluded,
 of which no line ran, as ``path:line: source``, in file and line order,
 and last the count.  A compound statement (``if``, ``for``, ``try``, ...)
 counts as run when a line of its header ran; its body's statements are
-judged one by one.  Code run in subprocesses the tests start, and code
-compiled from strings, is not seen.  Exits with pytest's exit code.
+judged one by one.  The reduction kernel's template,
+``hamiltonians._KERNEL_SOURCE``, is judged too, at its lines in
+``hamiltonians.py``: the generic kernels compiled from it under their own
+file name run its lines one for one, so their lines count.  Other code
+compiled from strings, the inlined kernels among it, and code run in
+subprocesses the tests start, is not seen.  Exits with pytest's exit code.
 Standard library plus pytest.  The tier-1 suite took 79 s under it against
 55 s without (2-core x86-64, Python 3.11.7).
 """
@@ -22,10 +26,12 @@ import os
 import sys
 import threading
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Collection
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "eikograph"
+# hamiltonians compiles _GENERIC and _GENERIC_CAUSAL from _KERNEL_SOURCE under this name
+KERNEL = ("hamiltonians.py", "_KERNEL_SOURCE", "<generic hamiltonian kernel>")
 
 
 def statements(source: str) -> list[tuple[int, int]]:
@@ -73,10 +79,23 @@ def report(label: str, source: str, executed: set[int]) -> list[str]:
     return [f"{label}:{line}: {text[line - 1].strip()}" for line in uncovered(source, executed)]
 
 
-def trace_lines(prefix: str, run: Callable[[], object]) -> tuple[object, dict[str, set[int]]]:
+def template(source: str, name: str) -> tuple[int, str]:
+    """The module-level string ``name = """..."""`` of ``source``: its first
+    line in ``source``, and its text padded with newlines so that each of its
+    lines keeps its line number in ``source``."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [name] \
+                and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str):
+            return node.value.lineno, "\n" * (node.value.lineno - 1) + node.value.value
+    raise LookupError(f"no module-level string {name}")
+
+
+def trace_lines(prefix: str, run: Callable[[], object],
+                names: Collection[str] = ()) -> tuple[object, dict[str, set[int]]]:
     """``run()``'s result and the lines it ran, by absolute file path, in
-    files under ``prefix``, on this thread and threads started meanwhile.
-    The trace functions set before are set again afterwards."""
+    files under ``prefix``, and by file name in code compiled under one of
+    ``names``, on this thread and threads started meanwhile.  The trace
+    functions set before are set again afterwards."""
     executed: dict[str, set[int]] = {}
     tracers: dict[str, Callable | None] = {}  # by co_filename: the file's line tracer, or None
 
@@ -93,8 +112,9 @@ def trace_lines(prefix: str, run: Callable[[], object]) -> tuple[object, dict[st
     def calls(frame, event, arg):
         name = frame.f_code.co_filename
         if name not in tracers:
-            path = os.path.abspath(name)
-            tracers[name] = tracer(executed.setdefault(path, set())) if path.startswith(prefix) else None
+            path = name if name in names else os.path.abspath(name)
+            tracers[name] = tracer(executed.setdefault(path, set())) \
+                if name in names or path.startswith(prefix) else None
         return tracers[name]
 
     previous = sys.gettrace(), threading.gettrace()
@@ -111,10 +131,16 @@ def trace_lines(prefix: str, run: Callable[[], object]) -> tuple[object, dict[st
 def main(argv: list[str]) -> int:
     import pytest
 
-    code, executed = trace_lines(str(PACKAGE) + os.sep, lambda: pytest.main(argv))
+    module, name, filename = KERNEL
+    code, executed = trace_lines(str(PACKAGE) + os.sep, lambda: pytest.main(argv), {filename})
     count = 0
     for path in sorted(PACKAGE.glob("*.py")):
-        lines = report(str(path.relative_to(ROOT)), path.read_text(), executed.get(str(path), set()))
+        label, source = str(path.relative_to(ROOT)), path.read_text()
+        lines = report(label, source, executed.get(str(path), set()))
+        if path.name == module:  # the template's line k is the kernel's line k
+            first, text = template(source, name)
+            lines += report(label, text, {first - 1 + k for k in executed.get(filename, ())})
+            lines.sort(key=lambda line: int(line.split(":")[1]))
         for line in lines:
             print(line)
         count += len(lines)
