@@ -98,11 +98,15 @@ def make_problem(g, data, seed):
         f_vals.update(dict.fromkeys(middle_band(g), 0.0))
     elif data == "constant":  # exact ties between equal-length routes
         f_vals = dict.fromkeys(g.vertices, 1.0)
-    zeta = {y: rng.uniform(0.0, 1.0) for y in sorted(g.boundary)}
+    elif data == "ties":  # integer zeta; f = 1, f in {1, 2} or f = 0 at seeds 0, 1, 2
+        threshold = 0.0
+        f_vals = {v: (1.0, rng.choice((1.0, 2.0)), 0.0)[seed] for v in g.vertices}
+    draw = (lambda: float(rng.randrange(4))) if data == "ties" else (lambda: rng.uniform(0.0, 1.0))
+    zeta = {y: draw() for y in sorted(g.boundary)}
     return DirichletProblem(g, field_on(g, f_vals, "rhs_f"), field_on(g, zeta, "boundary_zeta"), threshold)
 
 
-@pytest.mark.parametrize("data", ["random", "zero_band", "constant"])
+@pytest.mark.parametrize("data", ["random", "zero_band", "constant", "ties"])
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("name", sorted(set(FIXTURES) - {"circle"}))
 def test_solve_matches_string_keyed_reference(name, seed, data):
@@ -114,6 +118,57 @@ def test_solve_matches_string_keyed_reference(name, seed, data):
     assert list(vf.attained.items()) == list(attained.items())
 
 
+def tie_events(p):
+    """The ties of the parent rule that p's reference run meets: "seed", a
+    seed at its own datum that a neighbour settled before it offers exactly
+    that datum, and "later", a vertex that a neighbour offers its label after
+    a neighbour of larger index offered the same."""
+    adjacency = cost_adjacency(p.graph, p.f)
+    u, _, _ = reference_solve(p)
+    rank = {v: i for i, v in enumerate(u)}
+    events = set()
+    for x, ux in u.items():
+        offers = [y for _, y in sorted((rank[y], y) for y, c in adjacency[x]
+                                       if rank[y] < rank[x] and u[y] + c == ux)]
+        if offers and x in p.graph.boundary and ux == p.zeta[x]:
+            events.add("seed")
+        if offers != sorted(offers):
+            events.add("later")
+    return events
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", ["grid", "grid8"])
+def test_ties_data_meets_both_ties(name, seed):
+    """The "ties" data holds both ties that ``settle`` keeps its parents
+    through on the unit grids, at f = 1, f in {1, 2} and f = 0; but at f = 1
+    on the 4-grid every label is an integer, so all of a vertex's offers
+    come from one label and arrive in id order."""
+    want = {"seed"} if (name, seed) == ("grid", 0) else {"seed", "later"}
+    assert tie_events(make_problem(graph(name), "ties", seed)) == want
+
+
+@pytest.mark.parametrize("seed", range(2))  # seed 2 has f = 0: one label, and every vertex at it
+@pytest.mark.parametrize("name", ["grid", "grid8"])
+def test_bounded_run_stopping_on_a_tied_label(name, seed):
+    """A limit equal to a label that several vertices share settles them
+    all, with the reference's labels, order and parents; every vertex left
+    unsettled, reached or not, has parent -1."""
+    p = make_problem(graph(name), "ties", seed)
+    g, vs = p.graph, p.graph.vertices
+    adjacency = cost_adjacency(g, p.f)
+    data = {y: p.zeta[y] for y in g.boundary}
+    labels = sorted(fixpoint_labels(adjacency, data).values())
+    limit = next(d for d in labels[len(labels) // 3:] if labels.count(d) > 1)
+    want = fixpoint_labels(adjacency, data, limit=limit)
+    seeds = [(g.index[y], d) for y, d in data.items()]
+    dist, order, parent = settle(g, seeds, field_list(g, p.f), limit=limit)
+    assert [(vs[x], dist[x].hex()) for x in order] == [(v, d.hex()) for v, d in want.items()]
+    assert {vs[x]: vs[parent[x]] for x in order} == settle_parents(adjacency, data, want)
+    assert sum(d == limit for d in want.values()) > 1 and len(order) < len(vs)
+    assert [x for x in range(len(vs)) if parent[x] >= 0] == sorted(order)
+
+
 def outcome(call):
     """("ok", result) or (exception type, args): what a call returns or raises."""
     try:
@@ -122,7 +177,7 @@ def outcome(call):
         return type(exc), exc.args
 
 
-@pytest.mark.parametrize("data", ["random", "zero_band", "constant"])
+@pytest.mark.parametrize("data", ["random", "zero_band", "constant", "ties"])
 @pytest.mark.parametrize("name", sorted(set(FIXTURES) - {"circle"}))
 def test_exit_vertex_behaves_as_the_reference_dict(name, data):
     """The solver's exit_vertex view answers every read as the reference's
@@ -142,7 +197,7 @@ def test_exit_vertex_behaves_as_the_reference_dict(name, data):
             assert outcome(lambda: read(view)) == outcome(lambda: read(want)), key
 
 
-@pytest.mark.parametrize("data", ["random", "zero_band", "constant"])
+@pytest.mark.parametrize("data", ["random", "zero_band", "constant", "ties"])
 @pytest.mark.parametrize("name", sorted(set(FIXTURES) - {"circle"}))
 def test_exit_vertex_takes_a_write_as_the_reference_dict(name, data):
     """A write to a known id reads back as it does from a dict, in place; an
@@ -159,7 +214,7 @@ def test_exit_vertex_takes_a_write_as_the_reference_dict(name, data):
     assert list(view.items()) == list(want.items())
 
 
-@pytest.mark.parametrize("data", ["random", "zero_band", "constant"])
+@pytest.mark.parametrize("data", ["random", "zero_band", "constant", "ties"])
 @pytest.mark.parametrize("name", sorted(set(FIXTURES) - {"circle"}))
 def test_u_values_behaves_as_the_reference_dict(name, data):
     """The solver's u.values view answers every read as the reference's
@@ -179,7 +234,7 @@ def test_u_values_behaves_as_the_reference_dict(name, data):
             assert outcome(lambda: read(view)) == outcome(lambda: read(want)), key
 
 
-@pytest.mark.parametrize("data", ["random", "zero_band", "constant"])
+@pytest.mark.parametrize("data", ["random", "zero_band", "constant", "ties"])
 @pytest.mark.parametrize("name", sorted(set(FIXTURES) - {"circle"}))
 def test_u_values_takes_a_write_as_the_reference_dict(name, data):
     """A write to a known id reads back as it does from a dict, in place and

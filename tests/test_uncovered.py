@@ -87,3 +87,48 @@ def test_tracer_records_lines_under_the_prefix_only(tmp_path):
     assert uncovered.uncovered(SOURCE, executed[path]) == [9, 12, 13, 20, 32]
     _, elsewhere = uncovered.trace_lines(str(tmp_path / "other"), lambda: scope["f"](0))
     assert elsewhere == {}
+
+
+MODULE = '''\
+X = 1
+T = """
+def k(a):
+    if a:
+        return 1
+    return 2
+"""
+'''
+
+
+def test_template_keeps_the_line_numbers_of_its_module():
+    first, text = uncovered.template(MODULE, "T")
+    assert first == 2
+    assert text.splitlines()[2:6] == MODULE.splitlines()[2:6]
+    assert uncovered.statements(text) == [(4, 4), (5, 5), (6, 6)]
+
+
+def test_tracer_records_code_compiled_under_a_given_name(tmp_path):
+    first, text = uncovered.template(MODULE, "T")
+    scope: dict = {}
+    exec(compile(text[first - 1:], "<k>", "exec"), scope)  # T's own text: its line 1 is empty
+    result, executed = uncovered.trace_lines(str(tmp_path), lambda: scope["k"](0), {"<k>"})
+    assert result == 2
+    assert executed == {"<k>": {3, 5}}
+    ran = {first - 1 + line for line in executed["<k>"]}
+    assert uncovered.report("m.py", text, ran) == ["m.py:5: return 1"]
+
+
+def test_the_generic_kernels_run_the_template_line_for_line():
+    from eikograph import hamiltonians
+
+    module, name, filename = uncovered.KERNEL
+    path = Path(hamiltonians.__file__)
+    first, _ = uncovered.template(path.read_text(), name)
+    lines = path.read_text().splitlines()
+    assert path.name == module
+    for kernel in (hamiltonians._GENERIC, hamiltonians._GENERIC_CAUSAL):
+        code = kernel.__code__
+        assert code.co_filename == filename
+        ran = [first - 1 + line for _, _, line in code.co_lines() if line is not None]
+        assert lines[min(ran) - 1].startswith("def kernel(")
+        assert lines[max(ran) - 1].strip() == "roots[i], taken[i] = root, rho"
