@@ -25,7 +25,7 @@ import math
 import types
 from dataclasses import dataclass
 from operator import itemgetter, sub, truediv
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import CoercivityError, ConvergenceError, HamiltonianError, ValidationError
 from .fields import ScalarField, _lookup, _VertexView, field_list, field_on, interior_slopes
@@ -250,14 +250,18 @@ BRACKET_GRIDS = {hi: _grid(0.5 * hi if hi > 1.0 else 0.0, hi)
 # stands for the value of H at (x, rho, p): the expression itself in the
 # kernel ``_evaluator`` compiles per expression, ``evaluate(x, rho, p)`` in
 # the one ``_GENERIC`` kernel that serves every other evaluator.  A kernel
-# brings ``roots``, ``residuals`` (skipped when None) and ``taken``, lists by
-# index, to rho = ``u``, as :func:`_rereduce` documents.  Its locals and
-# globals must not be names an expression may read (``_EXPR_NAMES``, the
-# level ``c``), or they would shadow them.
+# reduces each vertex index i in ``at``, in that order, at x = ``names[i]``
+# and rho = ``u[i]``: it writes the root to ``roots[i]`` and, unless
+# ``residuals`` is None, |H(x, rho, root)| to ``residuals[i]``.  Every list
+# it reads or writes is by vertex index, so the causal pass hands it its own
+# lists and allocates none per call.  Its locals and globals must not be
+# names an expression may read (``_EXPR_NAMES``, the level ``c``), or they
+# would shadow them.
 #
 # Each kernel has a causal instantiation, whose sites bind rho := a +
 # half_l * p before evaluating H (``_CAUSAL_SITE``), so its root is the least
-# p >= 0 with H(x, a + half_l * p, p) >= 0; the ``taken`` it writes is void.
+# p >= 0 with H(x, a + half_l * p, p) >= 0; the rho it reads from ``u`` is
+# rebound at the first site.
 #
 # The template has seven ``__H__`` sites: H at 0, at 1, at each doubled end,
 # at the first search probe, at the second, at each bisection midpoint and
@@ -282,13 +286,11 @@ BRACKET_GRIDS = {hi: _grid(0.5 * hi if hi > 1.0 else 0.0, hi)
 # an affine-rho root from about 1.9 us, with the grid computed per root and
 # ``for`` loops, to 1.25 us (2-core x86-64, Python 3.11.7).
 _KERNEL_SOURCE = """
-def kernel(evaluate, name, names, u, taken, roots, residuals, tol, a=0.0, half_l=0.0):
+def kernel(evaluate, name, names, u, at, roots, residuals, tol, a=0.0, half_l=0.0):
     if not (tol > 0.0):
         raise HamiltonianError(f"bisection tol must be positive, got {tol!r}")
-    for i, (rho, old) in enumerate(zip(u, taken)):
-        if rho == old and (rho != 0.0 or copysign(1.0, rho) == copysign(1.0, old)):
-            continue
-        x = names[i]
+    for i in at:
+        x, rho = names[i], u[i]
         p = root = 0.0
         try:
             val = float(__H__)
@@ -369,18 +371,15 @@ def kernel(evaluate, name, names, u, taken, roots, residuals, tol, a=0.0, half_l
             raise HamiltonianError(
                 f"bisection for {name!r} stalled at (x={x!r}, rho={rho}); bracket [{lo}, {hi}]"
             )
-        roots[i], taken[i] = root, rho
+        roots[i] = root
 """
 
 _KERNEL_NAMES = {
     "abs": abs,
-    "enumerate": enumerate,
-    "zip": zip,
     "float": float,
     "int": int,
     "inf": math.inf,
     "Exception": Exception,
-    "copysign": math.copysign,
     "BRACKET_CAP": BRACKET_CAP,
     "GRIDS": BRACKET_GRIDS,
     "HamiltonianError": HamiltonianError,
@@ -427,51 +426,31 @@ def reduce_h(H: HamiltonianSpec, x: str, rho: float, tol: float = 1e-9) -> float
     The loop is the kernel that belongs to ``H.evaluate``: the expression
     inlined for a builtin or :func:`expression_hamiltonian`, else one call
     of ``H.evaluate`` per point.  One guard raises the error
-    ``HamiltonianSpec.__call__`` would, naming the current p.
-
-    The n halvings before the bisection's stop test can first pass have
-    their midpoints on the grid that splits the bracket into 2**n cells.
-    Two probes, the secant index of H at the bracket's ends and its
-    neighbour on the side its sign gives, look for the cell with H < 0 at
-    its left end and H > 0 at its right.  The bisection goes on from that
-    cell if they find it, else from the bracket, and stops at its first
-    step with the width within 1e-13 * max(1, hi) and |H| <= tol, or at
-    its 500th.
-
-    For every H that is finite and nondecreasing in p on the bracket, the
-    cell is the one the plain bisection reaches, so the root, the residual,
-    the flag and the error are bit-identical to a bisection through
-    ``H(x, rho, p)`` from the bracket.  The evaluation points differ: 4 to
-    6 instead of 46 for an H linear in p, and on any H whose root or error
-    is the bisection's, never more than two above its count.  Where a probe
-    meets a zero, a NaN, an infinite value or an exception, the bisection
-    runs from the bracket unchanged, so an H still raises where that
-    bisection raises; only an H that raises at midpoints the bisection takes
-    and the probes skip returns a root.  :func:`solve_general` reuses a root
-    only for the same vertex and the same binary64 rho, where a pure
-    evaluator would repeat every step.
+    ``HamiltonianSpec.__call__`` would, naming the current p.  Before it
+    bisects, the kernel searches for the bisection's last grid cell (the
+    comment above ``_KERNEL_SOURCE``); for every H that is finite and
+    nondecreasing in p on the bracket, the root, the residual, the flag and
+    the error are bit-identical to a bisection through ``H(x, rho, p)``
+    from the bracket, with 4 to 6 evaluations instead of 46 for an H linear
+    in p (README, "General Hamiltonians").
     """
     roots = [0.0]
-    _rereduce(H, (x,), [rho], [math.nan], roots, None, tol)
+    _rereduce(H, (x,), (rho,), (0,), roots, None, tol)
     return roots[0]
 
 
-def _rereduce(
-    H: HamiltonianSpec,
-    names: tuple[str, ...],
-    u: list[float],
-    taken: list[float],
-    roots: list[float],
-    residuals: list[float] | None,
-    tol: float,
-) -> None:
-    """Bring ``roots`` and ``residuals`` to rho = ``u``, all lists by vertex
-    index: each vertex whose label is not bitwise ``taken[i]``, the rho its
-    root was taken at (the sign of zero counts, and NaN never matches), is
-    reduced again by :func:`reduce_h`'s kernel, which records the new rho
-    and root and, unless ``residuals`` is None, evaluates the residual
-    |H(x, rho, root)|."""
-    _kernel_of(H.evaluate)(H.evaluate, H.name, names, u, taken, roots, residuals, tol)
+def _rereduce(H: HamiltonianSpec, names: tuple[str, ...], u: list[float], at: Iterable[int],
+              roots: list[float], residuals: list[float] | None, tol: float) -> None:
+    """Reduce each index in ``at`` at rho = ``u`` with the kernel that
+    belongs to ``H.evaluate``, by the kernel's calling convention."""
+    _kernel_of(H.evaluate)(H.evaluate, H.name, names, u, at, roots, residuals, tol)
+
+
+def _moved(u: list[float], taken: list[float]) -> list[int]:
+    """The indices whose label ``u[i]`` is not bitwise ``taken[i]``:
+    Picard's reuse rule (:func:`solve_general`)."""
+    return [i for i, (rho, old) in enumerate(zip(u, taken))
+            if rho != old or rho == 0.0 and math.copysign(1.0, rho) != math.copysign(1.0, old)]
 
 
 def _reduction_field(
@@ -498,53 +477,54 @@ def reduce_field(
     the first vertex ``rho`` has no value at."""
     n = len(g.vertices)
     roots, residuals = [0.0] * n, [0.0] * n
-    _rereduce(H, g.vertices, _lookup(g, rho, "rho"), [math.nan] * n, roots, residuals, tol)
+    _rereduce(H, g.vertices, _lookup(g, rho, "rho"), range(n), roots, residuals, tol)
     return _reduction_field(g, roots, residuals, tol)
 
 
-def _causal(
-    g: MetricGraph, H: HamiltonianSpec, seeds: list[tuple[int, float]], tol: float
-) -> tuple[list[float], list[int], list[int]]:
+def _causal(g: MetricGraph, H: HamiltonianSpec, seeds: list[tuple[int, float]], roots: list[float],
+            residuals: list[float], tol: float) -> tuple[list[float], list[int], list[int]]:
     """:func:`solve_general`'s discrete system in one label-setting pass,
     returned as :func:`settle` returns its run: the same seeds, pop order,
     ties by index and parent rule, kept in ``via`` as settle keeps it.
-    Settling y at label d reduces h(y, d); each unsettled neighbour x, along
-    an edge of length l, gets the candidate fl(a + fl(l/2 * p)), where a =
-    fl(d + fl(l/2 * h(y, d))) and p is the causal kernel's root, the least
-    p >= 0 with H(x, a + l/2 * p, p) >= 0.  As h >= 0 no candidate lies
-    below its source's label, so a popped label is final and the labels are
-    a fixpoint of the update."""
+    Settling y at label d reduces h(y, d) into ``roots`` and ``residuals``;
+    each unsettled neighbour x, along an edge of length l, gets the
+    candidate fl(a + fl(l/2 * p)), where a = fl(d + fl(l/2 * h(y, d))) and
+    p is the causal kernel's root, the least p >= 0 with H(x, a + l/2 * p,
+    p) >= 0.  As h >= 0 no candidate lies below its source's label, so a
+    popped label is final and the labels are a fixpoint of the update.  The
+    vertices never settled, at label inf, are reduced after the loop."""
     nbrs, lens, names = g.nbrs, g.lens, g.vertices
     n = len(nbrs)
     evaluate, name = H.evaluate, H.name
     reduce, candidate = _kernel_of(evaluate), getattr(evaluate, "_causal", _GENERIC_CAUSAL)
     datum = dict(seeds)
     dist, parent, via = [math.inf] * n, [-1] * n, [-1] * n  # via: the least index offering dist
+    offer = [0.0] * n  # each candidate's root, at the index of the vertex it is offered to
     heap = sorted((d0, x) for x, d0 in datum.items() if d0 < math.inf)
     for d0, x in heap:
         dist[x] = d0
     pop, push = heapq.heappop, heapq.heappush
     order: list[int] = []
-    root = [0.0]
     while heap:
         d, y = pop(heap)
         if parent[y] >= 0:
             continue
         order.append(y)
         parent[y] = y if (p := via[y]) < 0 else p
-        reduce(evaluate, name, (names[y],), (d,), [math.nan], root, None, tol)
-        hy = root[0]
+        reduce(evaluate, name, names, dist, (y,), roots, residuals, tol)
+        hy = roots[y]
         for x, length in zip(nbrs[y], lens[y]):
             half = 0.5 * length
             if parent[x] < 0 and (a := d + half * hy) <= dist[x]:  # no candidate is below a
-                candidate(evaluate, name, (names[x],), (a,), [math.nan], root, None, tol, a, half)
-                if (t := a + half * root[0]) < dist[x]:
+                candidate(evaluate, name, names, dist, (x,), offer, None, tol, a, half)
+                if (t := a + half * offer[x]) < dist[x]:
                     dist[x], via[x] = t, y
                     push(heap, (t, x))
                 elif t == dist[x] and y < via[x]:
                     via[x] = y
-    order += [x for x in range(n) if parent[x] < 0]
-    return dist, order, parent
+    unsettled = [x for x in range(n) if parent[x] < 0]
+    reduce(evaluate, name, names, dist, unsettled, roots, residuals, tol)
+    return dist, order + unsettled, parent
 
 
 def solve_general(
@@ -572,15 +552,17 @@ def solve_general(
     max_iter + 1 where the pass answered; the reduction returned is taken at
     the returned labels, so its residuals certify H(x, u(x), h(x)) ~ 0.
 
-    The first solve is a full :func:`solve_dirichlet`, which validates the
-    problem.  After it the sweeps run on lists by vertex index: the labels,
-    the roots, and the rho each root was taken at.  A sweep bisects again
-    only at the vertices whose label changed bitwise (the sign of zero
-    counts) and evaluates no residual, passes the roots straight to
-    :func:`settle` as its weights, and takes the change as the max over
-    the two label lists.  After the loop one reduction of every vertex at
-    the returned iterate gives the roots and the residuals; exits and the
-    returned :class:`ReductionField` are built once.  A run that raises
+    The first solve is a full :func:`solve_dirichlet`, on the roots at
+    rho = 0, which validates the problem.  After it the sweeps run on lists
+    by vertex index.  Picard's reuse rule: a sweep reduces again only the
+    vertices whose label is not bitwise the label their root was taken at,
+    the sign of zero counting and NaN never matching (:func:`_moved`), and
+    reuses every other root.  A sweep evaluates no residual, passes the
+    roots straight to :func:`settle` as its weights, and takes the change
+    as the max over the two label lists.  The residuals come from one
+    reduction of every vertex at the returned labels, or from the causal
+    pass, which takes them as it settles; exits and the returned
+    :class:`ReductionField` are built once.  A run that raises
     ConvergenceError evaluates no residual, and an evaluator that raises
     only at the root of a sweep before the last no longer raises there.
     For an evaluator that depends only on (x, rho, p) every label, root,
@@ -601,8 +583,8 @@ def solve_general(
         raise HamiltonianError(validation.describe())
 
     names, n = g.vertices, len(g.vertices)
-    taken, roots = [math.nan] * n, [0.0] * n
-    _rereduce(H, names, [0.0] * n, taken, roots, None, bisect_tol)
+    taken, roots, residuals = [0.0] * n, [0.0] * n, [0.0] * n  # taken: the labels roots were taken at
+    _rereduce(H, names, taken, range(n), roots, None, bisect_tol)
     f = ScalarField(g, _VertexView(g, range(n), roots), "rhs_f", roots)  # roots changes once f is solved
     vf = solve_dirichlet(DirichletProblem(g, f, zeta, threshold=0.0))
     u = field_list(g, vf.u)
@@ -622,15 +604,15 @@ def solve_general(
                     f"the sampled B = {validation.mesh_bound}",
                     history,
                 )
-            run = _causal(g, H, seeds, bisect_tol)
-            u, solves = run[0], solves + 1
+            run = _causal(g, H, seeds, roots, residuals, bisect_tol)
+            solves += 1
             break
-        _rereduce(H, names, u, taken, roots, None, bisect_tol)
+        _rereduce(H, names, u, _moved(u, taken), roots, None, bisect_tol)
         run = settle(g, seeds, roots)
         history.append(max(map(abs, map(sub, run[0], u))))
-        u, solves = run[0], solves + 1
-    residuals = [0.0] * n
-    _rereduce(H, names, u, [math.nan] * n, roots, residuals, bisect_tol)
+        taken, u, solves = u, run[0], solves + 1
+    else:  # no causal pass ran, and none took the residuals
+        _rereduce(H, names, u, range(n), roots, residuals, bisect_tol)
     if run is not None:
         vf = value_function(g, zeta.values, run)
     return vf, _reduction_field(g, roots, residuals, bisect_tol), solves

@@ -1098,13 +1098,16 @@ def reference_causal_update(g, H, zeta, u, tol=1e-9):
             for x in g.vertices}
 
 
-def reference_general_fixpoint(g, H, zeta, tol=1e-9):
+def reference_general_fixpoint(g, H, zeta, tol=1e-9, start="above"):
     """The labels, reductions and exits of the general Dirichlet problem:
     u(x) = min(zeta(x), min over y of u(y) + l * (h(x, u(x)) + h(y, u(y))) / 2)
     with h the reduction, as the bitwise fixpoint of
-    :func:`reference_causal_update` iterated from zeta on the boundary and
-    inf elsewhere; each sweep costs a bisection per arc, so iterate it on
-    small graphs only.  h is :func:`reference_reduce_h` at each label.
+    :func:`reference_causal_update` iterated from ``start``: "above", zeta
+    on the boundary and inf elsewhere, or "below", min zeta at every vertex,
+    which no solution undercuts, since h >= 0.  Where the update is
+    monotone, the iterates fall from above and rise from below to the same
+    solution; each sweep costs a bisection per arc, so iterate it on small
+    graphs only.  h is :func:`reference_reduce_h` at each label.
 
     Exits come from a walk over the fixed labels, least (label, id) first,
     that enters the boundary vertices at their datum and a vertex x once a
@@ -1113,8 +1116,11 @@ def reference_general_fixpoint(g, H, zeta, tol=1e-9):
     the first such neighbour in id order.  A vertex enters only through a
     neighbour walked before it, so between equal labels (a candidate equal
     to its source's label) the walk keeps that order, not the ids'."""
-    u = {v: zeta.get(v, math.inf) for v in g.vertices}
-    for _ in range(4 * len(u) + 4):  # from above, each sweep fixes one more vertex at least
+    low = min(zeta.values())
+    u = {v: zeta.get(v, math.inf) if start == "above" else low for v in g.vertices}
+    # from above each sweep fixes one more vertex at least; from below the
+    # iterates rise, and a cap keeps a stalled iteration from running on
+    for _ in range(4 * len(u) + 4 if start == "above" else 2000):
         new = reference_causal_update(g, H, zeta, u, tol)
         if new == u:
             break

@@ -4,9 +4,10 @@
 the pass's labels at once.  They must be ``oracles.reference_general_fixpoint``'s
 bit for bit, the bitwise fixpoint of the causal update iterated Jacobi-style
 from above on the plain bisection and the oracle's own adjacency, together
-with their reductions, residuals, flags and exits; or, where the sampled mesh
-condition 1 - (l_max/2) * B >= 0 fails, ``ConvergenceError`` must name the
-longest edge and B.  On the hjb benchmark's instances one application of the
+with their reductions, residuals, flags and exits, and the labels must also
+be the fixpoint that the iteration reaches from below: the discrete system
+has one solution; or, where the sampled mesh condition 1 - (l_max/2) * B >= 0
+fails, ``ConvergenceError`` must name the longest edge and B.  On the hjb benchmark's instances one application of the
 update leaves the labels unchanged, and the eikonal checks pass on
 f = h(., u(.)).
 """
@@ -65,8 +66,9 @@ def hexes(values, names):
 
 
 def causal_or_refused(g, H, zeta) -> bool:
-    """Assert the pass's outputs are the oracle's, or that the mesh
-    condition refused it; True when the pass answered."""
+    """Assert the pass's outputs are the oracle's, its labels reached from
+    above and from below, or that the mesh condition refused it; True when
+    the pass answered."""
     B = validate_hamiltonian(H, g).mesh_bound
     longest = max(g.edges.values())
     try:
@@ -84,6 +86,8 @@ def causal_or_refused(g, H, zeta) -> bool:
     want = reference_reduce_field(H, g, u)
     assert hexes(red.residuals, names) == hexes(want.residuals, names) and red.flagged == want.flagged
     assert vf.attained == {y: u[y] == zeta.values[y] for y in sorted(g.boundary)}
+    below = reference_general_fixpoint(g, H, zeta.values, start="below")[0]
+    assert hexes(below, names) == hexes(u, names)
     return True
 
 
@@ -103,6 +107,28 @@ def test_labels_are_the_fixpoint_oracles_on_random_graphs(name):
                 for g in [random_metric_graph(seed, n_max=30)]]
     # lengths lie in [0.2, 2] and B is 1 for the first two, about 1.07 for the third
     assert all(answered) if name != "p - 0.5*exp(-rho)" else 0 < sum(answered) < len(answered)
+
+
+# (H, graphs, of which the mesh condition refuses): 200 per builtin, fewer per
+# expression; B = 16 for p * p + rho - 1, and every graph has an edge above 1/8
+@pytest.mark.parametrize("name,count,refused", [("affine-rho", 200, 0), ("affine-rho:0.125", 200, 0),
+                                                ("p + rho - 1", 50, 0), ("p - 0.5*exp(-rho)", 50, 22),
+                                                ("p * p + rho - 1", 50, 50)])
+def test_one_fixpoint_from_both_starts_on_small_random_graphs(name, count, refused):
+    H = hamiltonian(name)
+    for seed in range(count):
+        g = random_metric_graph(seed, n_min=4, n_max=8)
+        zeta = seeded_zeta(g, seed)
+        try:
+            u = solve_general(g, H, zeta, max_iter=1)[0].u.values
+        except ConvergenceError as exc:
+            assert "the causal pass needs 1 - (l/2) * B >= 0" in str(exc)
+            refused -= 1
+            continue
+        for start in ("above", "below"):
+            assert hexes(reference_general_fixpoint(g, H, zeta.values, start=start)[0], g.vertices) == \
+                hexes(u, g.vertices), (seed, start)
+    assert refused == 0
 
 
 def test_equal_candidates_give_the_least_index_its_exit():

@@ -71,7 +71,7 @@ def run(kernel, H, rho, seen, causal):
     roots, residuals = [math.nan], [math.nan]
     extra = (rho, HALF_L) if causal else ()
     try:
-        kernel(H.evaluate, H.name, ("v",), [rho], [math.nan], roots, residuals, 1e-9, *extra)
+        kernel(H.evaluate, H.name, ("v",), [rho], (0,), roots, residuals, 1e-9, *extra)
         got = (roots[0].hex(), residuals[0].hex())
     except Exception as exc:  # noqa: BLE001 - recorded, not handled
         got = (type(exc).__name__, str(exc))

@@ -32,7 +32,7 @@ from eikograph import (
     solve_general,
     validate_hamiltonian,
 )
-from eikograph.hamiltonians import _EXPR_NAMES, BUILTIN_NAMES, _reduction_field, _rereduce
+from eikograph.hamiltonians import _EXPR_NAMES, BUILTIN_NAMES, _moved, _reduction_field, _rereduce
 from oracles import reference_general_fixpoint, reference_reduce_field, reference_reduce_h, reference_solve_general
 
 EXPRESSIONS = ("p + rho - 1", "p * p + sin(rho) - 0.5", "max(p - 2, 0) + exp(rho) - 1.5")
@@ -254,21 +254,27 @@ def test_stopped_after_many_sweeps_returns_the_causal_fixpoint():
 
 
 def test_reused_root_keeps_sign_of_zero():
+    # Picard's reuse rule: a sweep reduces again only where the label is not
+    # bitwise the one the root was taken at; the sign of zero counts, NaN
+    # never matches, and a repeated label reuses its root
+    assert _moved([0.0, -0.0, 1.5, math.nan, math.inf, -2.0], [0.0, 0.0, 1.5, math.nan, math.inf, 2.0]) == [1, 3, 5]
     # H tells rho = -0.0 from 0.0, so a root taken at one must not be reused
-    # at the other; a repeat of the same signed zero reuses every root
+    # at the other
     calls = []
-    H = HamiltonianSpec("signed", lambda x, rho, p: calls.append(p) or p - math.copysign(1.5, rho), 1.0)
+    H = HamiltonianSpec("signed", lambda x, rho, p: calls.append(rho) or p - math.copysign(1.5, rho), 1.0)
     g = fixture("interval", n=4).graph
     n = len(g.vertices)
     taken, roots, residuals = [math.nan] * n, [0.0] * n, [0.0] * n
-    for sign, reused in ((1.0, False), (-1.0, False), (-1.0, True), (1.0, False)):
-        rho = {v: math.copysign(0.0, sign) for v in g.vertices}
+    for signs, moved in (("+++++", [0, 1, 2, 3, 4]), ("-----", [0, 1, 2, 3, 4]), ("-----", []),
+                         ("+-+-+", [0, 2, 4]), ("+-+-+", []), ("+++++", [1, 3])):
+        u = [0.0 if sign == "+" else -0.0 for sign in signs]
+        assert _moved(u, taken) == moved
         calls.clear()
-        _rereduce(H, g.vertices, list(rho.values()), taken, roots, residuals, 1e-9)
-        assert (calls == []) == reused
+        _rereduce(H, g.vertices, u, moved, roots, residuals, 1e-9)
+        assert sorted({rho.hex() for rho in calls}) == sorted({u[i].hex() for i in moved})
+        taken = u
         got = _reduction_field(g, roots, residuals, 1e-9)
-        calls.clear()
-        want = reference_reduce_field(H, g, rho)
+        want = reference_reduce_field(H, g, dict(zip(g.vertices, u)))
         assert bits(got.h.values) == bits(want.h.values)
         assert bits(got.residuals) == bits(want.residuals) and got.flagged == want.flagged
 

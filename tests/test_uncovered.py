@@ -131,4 +131,4 @@ def test_the_generic_kernels_run_the_template_line_for_line():
         assert code.co_filename == filename
         ran = [first - 1 + line for _, _, line in code.co_lines() if line is not None]
         assert lines[min(ran) - 1].startswith("def kernel(")
-        assert lines[max(ran) - 1].strip() == "roots[i], taken[i] = root, rho"
+        assert lines[max(ran) - 1].strip() == "roots[i] = root"

@@ -22,7 +22,9 @@ hand-written solution that breaks one of the two by 4.0 (a report keyed by
 the printed item would keep only one of them).  Beside the commands, one
 child process runs ``solve_general`` in process on the five hjb instances
 of ``perfbench/workloads.py`` at their full size, each with its seeded
-zeta variant 0 (see :func:`solve_general_digest`).  The two manifests
+zeta variant 0, at the default ``max_iter`` and at ``max_iter=1``, where
+a rho-dependent H goes straight to the causal pass (see
+:func:`solve_general_digest`).  The two manifests
 (below) are compared entry by entry: one line per command, file or hjb
 instance that differs, exit 1 on any difference, else 0.
 
@@ -198,7 +200,8 @@ def platform_tag() -> str:
 def solve_general_digest() -> dict:
     """Per hjb instance of ``perfbench/workloads.py`` at its full size, keyed
     as the benchmark keys its records, ``solve_general``'s outputs with the
-    instance's zeta variant 0: the count it returns and the sha256 of one
+    instance's zeta variant 0, and again at ``max_iter=1`` under the key
+    with `` max_iter=1`` appended: the count it returns and the sha256 of one
     line per vertex in id order (id, label, exit, h and residual, each
     float by ``float.hex``, and for a boundary vertex whether its datum is
     attained) followed by the flagged vertices; or the message of the
@@ -209,17 +212,18 @@ def solve_general_digest() -> dict:
     digest = {}
     for j, (h_name, fix, params, _) in enumerate(SIZES["full"]["hjb"]):
         g = ek.fixture(fix, **params).graph
-        key = hjb_key(instance_label(fix, params), h_name, 0)
         zeta = ek.field_on(g, hjb_zeta(j, g, 0), "boundary_zeta")
-        try:
-            vf, red, count = ek.solve_general(g, hamiltonian(h_name), zeta)
-        except ek.ConvergenceError as exc:
-            digest[key] = {"error": str(exc)}
-            continue
-        lines = [f"{v} {vf.u.values[v].hex()} {vf.exit_vertex[v]} {red.h.values[v].hex()} "
-                 f"{red.residuals[v].hex()} {vf.attained.get(v, '')}" for v in g.vertices]
-        lines.append(" ".join(red.flagged))
-        digest[key] = {"count": count, "sha256": _sha256("\n".join(lines).encode())}
+        for suffix, options in (("", {}), (" max_iter=1", {"max_iter": 1})):
+            key = hjb_key(instance_label(fix, params), h_name, 0) + suffix
+            try:
+                vf, red, count = ek.solve_general(g, hamiltonian(h_name), zeta, **options)
+            except ek.ConvergenceError as exc:
+                digest[key] = {"error": str(exc)}
+                continue
+            lines = [f"{v} {vf.u.values[v].hex()} {vf.exit_vertex[v]} {red.h.values[v].hex()} "
+                     f"{red.residuals[v].hex()} {vf.attained.get(v, '')}" for v in g.vertices]
+            lines.append(" ".join(red.flagged))
+            digest[key] = {"count": count, "sha256": _sha256("\n".join(lines).encode())}
     return digest
 
 
