@@ -254,7 +254,7 @@ BRACKET_GRIDS = {hi: _grid(0.5 * hi if hi > 1.0 else 0.0, hi)
 # and rho = ``u[i]``: it writes the root to ``roots[i]`` and, unless
 # ``residuals`` is None, |H(x, rho, root)| to ``residuals[i]``.  Every list
 # it reads or writes is by vertex index, so the causal pass hands it its own
-# lists and allocates none per call.  Its locals and globals must not be
+# lists and allocates no list per call.  Its locals and globals must not be
 # names an expression may read (``_EXPR_NAMES``, the level ``c``), or they
 # would shadow them.
 #
@@ -439,8 +439,15 @@ def reduce_h(H: HamiltonianSpec, x: str, rho: float, tol: float = 1e-9) -> float
     return roots[0]
 
 
-def _rereduce(H: HamiltonianSpec, names: tuple[str, ...], u: list[float], at: Iterable[int],
-              roots: list[float], residuals: list[float] | None, tol: float) -> None:
+def _rereduce(
+    H: HamiltonianSpec,
+    names: tuple[str, ...],
+    u: list[float],
+    at: Iterable[int],
+    roots: list[float],
+    residuals: list[float] | None,
+    tol: float,
+) -> None:
     """Reduce each index in ``at`` at rho = ``u`` with the kernel that
     belongs to ``H.evaluate``, by the kernel's calling convention."""
     _kernel_of(H.evaluate)(H.evaluate, H.name, names, u, at, roots, residuals, tol)
@@ -611,7 +618,7 @@ def solve_general(
         run = settle(g, seeds, roots)
         history.append(max(map(abs, map(sub, run[0], u))))
         taken, u, solves = u, run[0], solves + 1
-    else:  # no causal pass ran, and none took the residuals
+    else:  # no causal pass ran to take the roots and residuals
         _rereduce(H, names, u, range(n), roots, residuals, bisect_tol)
     if run is not None:
         vf = value_function(g, zeta.values, run)

@@ -1116,8 +1116,10 @@ def reference_general_fixpoint(g, H, zeta, tol=1e-9, start="above"):
     the first such neighbour in id order.  A vertex enters only through a
     neighbour walked before it, so between equal labels (a candidate equal
     to its source's label) the walk keeps that order, not the ids'."""
-    low = min(zeta.values())
-    u = {v: zeta.get(v, math.inf) if start == "above" else low for v in g.vertices}
+    if start == "above":
+        u = {v: zeta.get(v, math.inf) for v in g.vertices}
+    else:
+        u = dict.fromkeys(g.vertices, min(zeta.values()))
     # from above each sweep fixes one more vertex at least; from below the
     # iterates rise, and a cap keeps a stalled iteration from running on
     for _ in range(4 * len(u) + 4 if start == "above" else 2000):

@@ -6,10 +6,10 @@ bit for bit, the bitwise fixpoint of the causal update iterated Jacobi-style
 from above on the plain bisection and the oracle's own adjacency, together
 with their reductions, residuals, flags and exits, and the labels must also
 be the fixpoint that the iteration reaches from below: the discrete system
-has one solution; or, where the sampled mesh condition 1 - (l_max/2) * B >= 0
-fails, ``ConvergenceError`` must name the longest edge and B.  On the hjb benchmark's instances one application of the
-update leaves the labels unchanged, and the eikonal checks pass on
-f = h(., u(.)).
+has one solution.  Where the sampled mesh condition 1 - (l_max/2) * B >= 0
+fails, ``ConvergenceError`` must name the longest edge and B.  On the hjb
+benchmark's instances one application of the update leaves the labels
+unchanged, and the eikonal checks pass on f = h(., u(.)).
 """
 
 from __future__ import annotations

@@ -257,7 +257,8 @@ def test_reused_root_keeps_sign_of_zero():
     # Picard's reuse rule: a sweep reduces again only where the label is not
     # bitwise the one the root was taken at; the sign of zero counts, NaN
     # never matches, and a repeated label reuses its root
-    assert _moved([0.0, -0.0, 1.5, math.nan, math.inf, -2.0], [0.0, 0.0, 1.5, math.nan, math.inf, 2.0]) == [1, 3, 5]
+    labels = [0.0, -0.0, 1.5, math.nan, math.inf, -2.0]
+    assert _moved(labels, [0.0, 0.0, 1.5, math.nan, math.inf, 2.0]) == [1, 3, 5]
     # H tells rho = -0.0 from 0.0, so a root taken at one must not be reused
     # at the other
     calls = []
