@@ -25,13 +25,10 @@ DEFAULT_POSITIVITY_THRESHOLD = 1e-9
 class ScalarField:
     """Real values at vertices with a role tag (rhs_f, solution_u, boundary_zeta).
 
-    Immutable after construction, like its graph; mutating ``values`` in place
-    is unsupported.  The values by vertex index of ``graph`` are kept as one
-    list for :func:`field_list`: passed in as ``by_index`` by every
-    constructor but a boundary field's, else built on first use.  The
-    Lipschitz constant and the interior one-hop (sub, super) slopes derived
-    from it are computed on first use.  None of the three takes part in
-    equality.
+    Immutable after construction, like its graph.  The values by vertex
+    index of ``graph`` (``by_index``, else built on first use; README's
+    field paragraph), the Lipschitz constant and the interior one-hop
+    slopes are kept once derived, and take no part in equality.
     """
 
     graph: MetricGraph
@@ -68,10 +65,8 @@ class ScalarField:
 class _VertexView(_ListView):
     """A field's values, or with ``ids`` a solve's exits as vertex indices
     read and written as ids: vertex id -> its entry in a list by vertex
-    index, walked in ``order``.  A lookup costs an ``index`` lookup and one
-    list read (two with ``ids``).  Writing a known id changes the list in
-    place, as the dict this replaces allowed; an unknown id (or exit)
-    raises KeyError and changes nothing."""
+    index, walked in ``order``.  What a read and a write do: README, the
+    paragraph on ``vf.u.values``."""
 
     __slots__ = ("_order", "_list", "_ids")
 

@@ -595,21 +595,13 @@ def settle(
     order), and a popped label is final: bit-identical to value iteration.
 
     Returns lists by index: labels; the settle order, then the unreached
-    vertices (label inf) in id order; and parents.  The parent rule: a seed
-    at its own datum is its own parent; any other vertex takes the first
-    neighbour in id order settled before it whose label plus cost equals its
-    label; unreached vertices have -1.  Each such neighbour offered that
-    label when it settled (fl(a + b) commutes), so the rule is kept while
-    relaxing: ``via[y]`` is the least index that offered y its current
-    label, set by a strict improvement and replaced by an equal offer from a
-    smaller index.  At a pop it is unset only for a seed still at its datum,
-    and the pop takes ``via[x]``, or x itself when it is unset.  A pop
-    costs one list read per arc to a settled neighbour, and per other arc
-    one cost, one or two comparisons and at most one push.  A finite
-    ``limit`` stops before the first pop above it, leaving a prefix of the
-    unbounded order with the same labels and parents.  A call allocates
-    three lists of length V: labels, parents and ``via`` (a field-less call
-    reads a shared list of ones).
+    vertices (label inf) in id order; and parents, -1 where unreached.  The
+    parent rule, how ``via`` keeps it while relaxing, and what a pop costs:
+    README, the label-setting paragraph.  A finite ``limit`` stops before
+    the first pop above it, leaving a prefix of the unbounded order with the
+    same labels and parents.  A call allocates three lists of length V:
+    labels, parents and ``via`` (a field-less call reads a shared list of
+    ones).
     """
     nbrs, lens = g.nbrs, g.lens
     n = len(nbrs)

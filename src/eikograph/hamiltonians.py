@@ -1,21 +1,13 @@
 """General monotone coercive Hamiltonians H(x, rho, p).
 
 A Hamiltonian is an evaluator with declared metadata
-(:class:`HamiltonianSpec`).  The six builtins are rows of expressions in p,
-rho and a level c, compiled by the one builder that also compiles user
-expressions; an expression's rho-monotonicity is derived ("nondecreasing"
-if it names rho, else "independent").  Provides sampled validation of the
-declared monotonicity in p and in rho and of coercivity, the implicit
-reduction h(x) = inf{p >= 0 : H(x, rho, p) > 0} solved by bracketing, a
-search for the bisection's last cell and bisection, and the fixed-point
-solve of H(x, u, |grad u|) = 0 through repeated eikonal solves with
-f = h, answered by one causal label-setting pass where that iteration
-stops short.  The reduction loop is one source template, compiled with
-each expression inlined and once, generically, for every other
-evaluator, each also in the causal pass's form.
-Three builtins are the stock failure modes the checks are designed to
-detect (two non-monotone ones and a plateau that breaks strict
-monotonicity)."""
+(:class:`HamiltonianSpec`).  The six builtins and user expressions are
+compiled by one builder, :func:`_evaluator`.  Provides sampled validation,
+the reduction h(x) = inf{p >= 0 : H(x, rho, p) > 0} through one reduction
+kernel, and the solve of H(x, u, |grad u|) = 0: Picard iteration over
+eikonal solves with f = h, answered by one causal label-setting pass where
+Picard stops short (README, "General Hamiltonians").  Three builtins are
+the stock failure modes the checks are designed to detect."""
 
 from __future__ import annotations
 
@@ -175,8 +167,9 @@ def validate_hamiltonian(H: HamiltonianSpec, g: MetricGraph) -> HamiltonianValid
     Checks that H(x, rho, p2) - H(x, rho, p1) >= lambda0 * (p2 - p1) for
     consecutive grid points up to p_max, less 1e-12 and four ulps of the
     larger |H| for rounding, and that H(x, rho, p_max) > 0, over
-    VALIDATION_SAMPLES vertices spread in id order and as many rho values
-    spaced evenly on [-1, 1].  At each p the values for consecutive rho
+    VALIDATION_SAMPLES vertices spread in id order (the first alone for an
+    evaluator built from an expression, which cannot read x) and as many rho
+    values spaced evenly on [-1, 1].  At each p the values for consecutive rho
     must also match ``H.rho_monotonicity``: equal when "independent", else
     no drop below -1e-12.  A sampled value that is NaN or infinite is a
     counterexample of its own, so every step compared is between finite
@@ -185,7 +178,7 @@ def validate_hamiltonian(H: HamiltonianSpec, g: MetricGraph) -> HamiltonianValid
     the mesh bound B, which costs no further evaluation.
     """
     rhos = tuple(-1.0 + 2.0 * i / (VALIDATION_SAMPLES - 1) for i in range(VALIDATION_SAMPLES))
-    xs = _spread(g.vertices, VALIDATION_SAMPLES)
+    xs = _spread(g.vertices, 1 if getattr(H.evaluate, "_x_free", False) else VALIDATION_SAMPLES)
     grid = _p_grid(H.p_max)
     steps = list(map(sub, grid[1:], grid))
     least = [H.lambda0 * step - 1e-12 for step in steps]  # the rise of H each step needs, less 1e-12
@@ -246,45 +239,21 @@ BRACKET_GRIDS = {hi: _grid(0.5 * hi if hi > 1.0 else 0.0, hi)
                  for hi in (2.0**m for m in range(int(math.log2(BRACKET_CAP)) + 1))}
 
 
-# The bracket, search, bisection and residual loop, written once.  ``__H__``
-# stands for the value of H at (x, rho, p): the expression itself in the
-# kernel ``_evaluator`` compiles per expression, ``evaluate(x, rho, p)`` in
-# the one ``_GENERIC`` kernel that serves every other evaluator.  A kernel
-# reduces each vertex index i in ``at``, in that order, at x = ``names[i]``
-# and rho = ``u[i]``: it writes the root to ``roots[i]`` and, unless
-# ``residuals`` is None, |H(x, rho, root)| to ``residuals[i]``.  Every list
-# it reads or writes is by vertex index, so the causal pass hands it its own
-# lists and allocates no list per call.  Its locals and globals must not be
-# names an expression may read (``_EXPR_NAMES``, the level ``c``), or they
-# would shadow them.
-#
-# Each kernel has a causal instantiation, whose sites bind rho := a +
-# half_l * p before evaluating H (``_CAUSAL_SITE``), so its root is the least
-# p >= 0 with H(x, a + half_l * p, p) >= 0; the rho it reads from ``u`` is
-# rebound at the first site.
-#
-# The template has seven ``__H__`` sites: H at 0, at 1, at each doubled end,
-# at the first search probe, at the second, at each bisection midpoint and
-# at the root for the residual.
-#
-# The bisection halves [lo, hi] n times before its stop test can pass, and
-# the width hi - lo is a power of two, so each of those midpoints is exactly
-# lo + j * step on the grid of step (hi - lo) / 2**n; ``BRACKET_GRIDS`` holds
-# (n, step, 2**n) for every bracket.  The search probes the secant index
-# j = floor(2**n * H(lo) / (H(lo) - H(hi))), kept within [1, 2**n - 1], then
-# j's neighbour on the side H(j)'s sign gives, unless the first probe
-# already left one grid cell [left, right] with H < 0 at left and H > 0 at
-# right.  For an H that is finite and nondecreasing in p on the bracket,
-# that cell is unique and every midpoint the bisection would take lies
-# outside it on the side its sign gives, so the bisection enters the cell
-# after n steps, holding H at the cell's odd end, and goes on from there as
-# from the cell.  If the two probes leave more than one cell, or one meets a
-# zero, a NaN, an infinite value or an exception, the bisection runs from
-# the bracket as it was.
-#
-# The grid from the table, the probes written out and the ``while`` tail cut
-# an affine-rho root from about 1.9 us, with the grid computed per root and
-# ``for`` loops, to 1.25 us (2-core x86-64, Python 3.11.7).
+# The bracket, search, bisection and residual loop, written once; README,
+# "General Hamiltonians", states the search and what it keeps bit-identical.
+# ``__H__`` stands for the value of H at (x, rho, p): the expression itself
+# in the kernel ``_evaluator`` compiles per expression, ``evaluate(x, rho,
+# p)`` in the one ``_GENERIC`` kernel that serves every other evaluator.  A
+# kernel reduces each vertex index i in ``at``, in that order, at x =
+# ``names[i]`` and rho = ``u[i]``: it writes the root to ``roots[i]`` and,
+# unless ``residuals`` is None, |H(x, rho, root)| to ``residuals[i]``.
+# Every list it reads or writes is by vertex index, so the causal pass hands
+# it its own lists and allocates no list per call.  Its locals and globals
+# must not be names an expression may read (``_EXPR_NAMES``, the level
+# ``c``), or they would shadow them.  Each kernel has a causal
+# instantiation, whose sites bind rho := a + half_l * p before evaluating H
+# (``_CAUSAL_SITE``), so its root is the least p >= 0 with H(x, a + half_l
+# * p, p) >= 0; the rho it reads from ``u`` is rebound at the first site.
 _KERNEL_SOURCE = """
 def kernel(evaluate, name, names, u, at, roots, residuals, tol, a=0.0, half_l=0.0):
     if not (tol > 0.0):
@@ -418,21 +387,12 @@ def reduce_h(H: HamiltonianSpec, x: str, rho: float, tol: float = 1e-9) -> float
 
     Returns 0 when H(x, rho, 0) >= 0 (the infimum over {H > 0} is then 0);
     otherwise brackets [0, P] by doubling P until H > 0 and bisects until
-    |H(x, rho, h)| <= tol.  The bracket is then polished down to float
-    resolution so the root is a numerically stable function of rho; a
-    coarser cut would quantize h and make outer fixed-point iterations
-    limit-cycle above their tolerance.
-
-    The loop is the kernel that belongs to ``H.evaluate``: the expression
-    inlined for a builtin or :func:`expression_hamiltonian`, else one call
-    of ``H.evaluate`` per point.  One guard raises the error
-    ``HamiltonianSpec.__call__`` would, naming the current p.  Before it
-    bisects, the kernel searches for the bisection's last grid cell (the
-    comment above ``_KERNEL_SOURCE``); for every H that is finite and
-    nondecreasing in p on the bracket, the root, the residual, the flag and
-    the error are bit-identical to a bisection through ``H(x, rho, p)``
-    from the bracket, with 4 to 6 evaluations instead of 46 for an H linear
-    in p (README, "General Hamiltonians").
+    |H(x, rho, h)| <= tol with the bracket at float resolution, so that the
+    root is a stable function of rho: a coarser cut would quantize h and
+    make outer fixed-point iterations limit-cycle above their tolerance.
+    The loop is the kernel that belongs to ``H.evaluate`` (the comment above
+    ``_KERNEL_SOURCE``), and an error names the current p, as
+    ``HamiltonianSpec.__call__``'s does.
     """
     roots = [0.0]
     _rereduce(H, (x,), (rho,), (0,), roots, None, tol)
@@ -490,16 +450,12 @@ def reduce_field(
 
 def _causal(g: MetricGraph, H: HamiltonianSpec, seeds: list[tuple[int, float]], roots: list[float],
             residuals: list[float], tol: float) -> tuple[list[float], list[int], list[int]]:
-    """:func:`solve_general`'s discrete system in one label-setting pass,
-    returned as :func:`settle` returns its run: the same seeds, pop order,
-    ties by index and parent rule, kept in ``via`` as settle keeps it.
-    Settling y at label d reduces h(y, d) into ``roots`` and ``residuals``;
-    each unsettled neighbour x, along an edge of length l, gets the
-    candidate fl(a + fl(l/2 * p)), where a = fl(d + fl(l/2 * h(y, d))) and
-    p is the causal kernel's root, the least p >= 0 with H(x, a + l/2 * p,
-    p) >= 0.  As h >= 0 no candidate lies below its source's label, so a
-    popped label is final and the labels are a fixpoint of the update.  The
-    vertices never settled, at label inf, are reduced after the loop."""
+    """:func:`solve_general`'s discrete system in one label-setting pass
+    (README, "General Hamiltonians"), returned as :func:`settle` returns its
+    run, with the parent rule kept in ``via`` as settle keeps it.  Settling
+    y reduces h(y, d) into ``roots`` and ``residuals``; each candidate's
+    root goes to ``offer``.  The vertices never settled, at label inf, are
+    reduced after the loop."""
     nbrs, lens, names = g.nbrs, g.lens, g.vertices
     n = len(nbrs)
     evaluate, name = H.evaluate, H.name
@@ -566,10 +522,9 @@ def solve_general(
     the sign of zero counting and NaN never matching (:func:`_moved`), and
     reuses every other root.  A sweep evaluates no residual, passes the
     roots straight to :func:`settle` as its weights, and takes the change
-    as the max over the two label lists.  The residuals come from one
-    reduction of every vertex at the returned labels, or from the causal
-    pass, which takes them as it settles; exits and the returned
-    :class:`ReductionField` are built once.  A run that raises
+    as the max over the two label lists.  Where the roots and residuals
+    come from on each path: README, "General Hamiltonians"; exits and the
+    returned :class:`ReductionField` are built once.  A run that raises
     ConvergenceError evaluates no residual, and an evaluator that raises
     only at the root of a sweep before the last no longer raises there.
     For an evaluator that depends only on (x, rho, p) every label, root,
@@ -591,7 +546,8 @@ def solve_general(
 
     names, n = g.vertices, len(g.vertices)
     taken, roots, residuals = [0.0] * n, [0.0] * n, [0.0] * n  # taken: the labels roots were taken at
-    _rereduce(H, names, taken, range(n), roots, None, bisect_tol)
+    independent = H.rho_monotonicity == "independent"
+    _rereduce(H, names, taken, range(n), roots, residuals if independent else None, bisect_tol)
     f = ScalarField(g, _VertexView(g, range(n), roots), "rhs_f", roots)  # roots changes once f is solved
     vf = solve_dirichlet(DirichletProblem(g, f, zeta, threshold=0.0))
     u = field_list(g, vf.u)
@@ -600,7 +556,7 @@ def solve_general(
     run = None
     solves = 1
     # a NaN change (inf - inf after an overflow) does not stop the sweeps
-    while H.rho_monotonicity != "independent" and not (history and history[-1] <= tol):
+    while not independent and not (history and history[-1] <= tol):
         if solves >= max_iter:
             (a, b), longest = max(_edge_items(g), key=itemgetter(1))
             if 0.5 * longest * validation.mesh_bound > 1.0:
@@ -618,8 +574,9 @@ def solve_general(
         run = settle(g, seeds, roots)
         history.append(max(map(abs, map(sub, run[0], u))))
         taken, u, solves = u, run[0], solves + 1
-    else:  # no causal pass ran to take the roots and residuals
-        _rereduce(H, names, u, range(n), roots, residuals, bisect_tol)
+    else:  # neither the causal pass nor the first reduction took the residuals
+        if not independent:
+            _rereduce(H, names, u, range(n), roots, residuals, bisect_tol)
     if run is not None:
         vf = value_function(g, zeta.values, run)
     return vf, _reduction_field(g, roots, residuals, bisect_tol), solves
@@ -717,6 +674,7 @@ def _evaluator(
             compile(f"lambda x, rho, p: (\n{expr}\n)", "<hamiltonian>", "eval"),
             {"__builtins__": {}, **scope},
         )
+        evaluate._x_free = True  # the name check refuses x: validation samples one vertex
     except SyntaxError as exc:
         raise HamiltonianError(f"bad hamiltonian expression {expr!r}: {exc}")
     except (RecursionError, MemoryError):

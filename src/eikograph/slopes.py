@@ -47,14 +47,8 @@ class CheckReport:
     is ``max_residual``: a failing report names a failing item.
     ``excluded`` items are reported but not judged (e.g. boundary-adjacent
     vertices in the regularity check).  ``details`` carries check-specific
-    extras such as witness curves.
-
-    Vertex-keyed residuals are dicts.  csub's are a read-only view of the
-    graph and one residual per oriented edge (:class:`_ArcView`): ``len`` is
-    O(1), and its ``"x->y"`` keys are built only while it is walked.  The
-    verdict, ``max_residual``, ``worst_item`` and ``len`` walk the list, so
-    they judge every arc even where two printed keys coincide (ids that hold
-    ``->``); there a lookup, like ``==``, sees the last of those arcs.
+    extras such as witness curves.  Residuals are a dict by vertex, or
+    csub's :class:`_ArcView`.
     """
 
     name: str
@@ -96,9 +90,8 @@ class CheckReport:
 
 class _ArcView(_ListView):
     """csub's residuals: ``"x->y"`` -> residual for every oriented edge, in
-    the order of the lists.  Keeps the graph and the residual list; the
-    first lookup builds ``dict(items())`` and keeps it, so a lookup agrees
-    with ``==``."""
+    the order of the lists, over the graph and the residual list.  What each
+    read costs, and what ids that hold ``->`` do: README, csub's paragraph."""
 
     __slots__ = ("_rs", "_dict")
 

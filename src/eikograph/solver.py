@@ -91,8 +91,11 @@ class BoundaryCertificate:
     ``zeta_lipschitz_ok`` is the strong compatibility condition (boundary data
     Lipschitz with constant at most inf f); ``curve_condition_ok`` is the
     weaker along-curves condition (boundary increments bounded by path cost).
-    The one-sided value bound holds unconditionally for the value function;
-    the two-sided bound is checked only when the strong condition holds.
+    ``weak_bound_ok`` is the one-sided value bound u(x) - zeta(y) <= d(x, y)
+    * ``weak_bound``, with ``weak_bound`` = max(L, sup f): the value function
+    meets it by construction, so it is a regression guard.  ``two_sided_ok``
+    adds the reverse bound zeta(y) - u(x) <= d(x, y) * sup f to the one-sided
+    bound at sup f, checked only when the strong condition holds (else None).
     """
 
     lipschitz_L: float
@@ -113,9 +116,8 @@ def solve_dirichlet(p: DirichletProblem) -> ValueFunction:
     satisfy the discrete Bellman equation exactly in floating point, hence
     also the per-edge Lipschitz bound |u(x) - u(y)| <= cost(x, y).
 
-    Exits follow the :func:`settle` parents, whose rule its docstring
-    states: a boundary vertex that is its own parent exits at itself, and
-    any other vertex takes its parent's exit.
+    Exits follow the :func:`settle` parents: a boundary vertex that is its
+    own parent exits at itself, and any other vertex takes its parent's exit.
     """
     g = p.graph
     zeta = p.zeta.values
@@ -245,42 +247,16 @@ def check_boundary_consistency(p: DirichletProblem, vf: ValueFunction) -> Bounda
     """Certify the boundary-consistency bounds for a solved problem.
 
     Every verdict has the form A(x) - B(y) <= K * d(x, y) * (1 + REL_TOL) +
-    ABS_TOL over pairs of vertices.  Over the reals that is one min-plus
-    statement, A(x) <= min_y (B(y) + K * (1 + REL_TOL) * d(x, y)) +
-    ABS_TOL: the labels of a multi-source label-setting solve with weights
-    K * (1 + REL_TOL) * length and seeds B on the boundary must reach A.
-    Where A is given at every vertex, one pass over the edges
-    (:func:`_labels_reach`) first tries to prove that every label reaches
-    A: A at most B on the boundary, and along every edge the along-curves
-    subsolution inequality, which the solver's u meets edge by edge.  Only
-    when the pass fails does the verdict take its solve.
-
-    - ``curve_condition_ok``: boundary increments are bounded by the cheapest
-      connecting path cost (A = B = zeta, the cost adjacency scaled by
-      1 + REL_TOL in place of K * length, judged on the boundary).  When
-      zeta is constant, or u == zeta on the boundary and the pass proves
-      the labels reach u, the labels equal zeta there (a label is never
-      below the least datum, and no seed's is above its own): the
-      condition holds and no seed is undercut, so the solve is skipped.
-    - ``zeta_lipschitz_ok``: zeta is (inf f)-Lipschitz on the boundary
-      (A = B = zeta, K = inf f, judged on the boundary).  It holds when
-      L <= inf f and fails when the pair attaining L violates it; only in
-      between does it take a solve.
-    - ``weak_bound_ok``: the one-sided bound u(x) - zeta(y) <= d(x, y) * K
-      with K = max(L, sup f) at interior x (A = u, B = zeta).  A solver
-      output meets it by construction (u(x) <= zeta(y) + path cost <=
-      zeta(y) + sup f * d), so it is a regression guard.
-    - ``two_sided_ok``: only when the strong condition holds, the one-sided
-      bound with K = sup f (the weak verdict when L <= sup f) plus the
-      reverse bound zeta(y) - u(x) <= d(x, y) * sup f (A = -u, B = -zeta);
-      None otherwise.
-
-    ``lipschitz_L``, the boundary Lipschitz constant of zeta, comes from
-    Dinkelbach's ratio iteration with weights K * length, started from the
-    pairs the curve solve links: no solve for constant zeta, usually one or
-    two otherwise.  So a solver output takes no solve for constant zeta,
-    and only Dinkelbach's and, when some route undercuts a datum, the
-    curve solve otherwise.
+    ABS_TOL over pairs of vertices: the labels of a multi-source
+    label-setting solve with weights K * (1 + REL_TOL) * length and seeds B
+    on the boundary must reach A - ABS_TOL.  The verdicts, in those terms:
+    curve condition A = B = zeta with the cost adjacency scaled by
+    1 + REL_TOL in place of K * length, and strong condition A = B = zeta
+    with K = inf f, both judged on the boundary; the value bounds A = u,
+    B = zeta and A = -u, B = -zeta at the interior vertices.  ``lipschitz_L``
+    comes from :func:`_lipschitz_on_boundary`.  README, "What a certificate
+    costs", states when one pass over the edges (:func:`_labels_reach`)
+    proves a verdict without its solve, and which solves are left.
     """
     g = p.graph
     zeta = {y: p.zeta[y] for y in sorted(g.boundary)}

@@ -1146,6 +1146,45 @@ def reference_general_fixpoint(g, H, zeta, tol=1e-9, start="above"):
     return u, h, exits
 
 
+def wrapped(H):
+    """H with its evaluator behind a plain closure: the generic kernel, and
+    an evaluator no expression marks x-free, so validation samples
+    ``VALIDATION_SAMPLES`` vertices."""
+    evaluate = H.evaluate
+    return HamiltonianSpec(H.name, lambda x, rho, p: evaluate(x, rho, p), H.lambda0,
+                           H.rho_monotonicity, H.p_max)
+
+
+def exact_affine_update(adj, c, zeta, u):
+    """One Jacobi application S(u) of the causal update for H = p + rho - c
+    (``affine-rho`` at level c, and ``p + rho - 1`` at c = 1), exact in
+    rationals: h(y, d) = max(0, c - d), and along an edge of length l the
+    candidate from y is a + (l/2) p* with a = u(y) + (l/2) h(y, u(y)) and
+    p* = max(0, (c - a) / (1 + l/2)), the least p >= 0 with
+    H(x, a + (l/2) p, p) >= 0.  ``adj`` maps each vertex to its
+    (neighbour, length) pairs, and lengths, ``c``, ``zeta`` and the finite
+    labels of ``u`` are Fractions; a label may be inf."""
+    def candidate(d, length):
+        half = length / 2
+        a = d + half * max(0, c - d)
+        return a + half * max(0, (c - a) / (1 + half))
+
+    return {x: min([zeta.get(x, math.inf)] + [candidate(u[y], length) for y, length in pairs
+                                              if u[y] < math.inf])
+            for x, pairs in adj.items()}
+
+
+def exact_affine_fixpoint(adj, c, zeta):
+    """The fixpoint u* of :func:`exact_affine_update`, iterated from zeta on
+    the boundary and inf elsewhere.  Where every l <= 2 each candidate is
+    nondecreasing in u(y) and no smaller than it, so this is Bellman-Ford:
+    it stops after at most |V| sweeps."""
+    u = {x: zeta.get(x, math.inf) for x in adj}
+    while (new := exact_affine_update(adj, c, zeta, u)) != u:
+        u = new
+    return u
+
+
 def reference_solve_general(g, H, zeta, tol=1e-8, max_iter=100, bisect_tol=1e-9):
     """Picard iteration with a full reduction and a full Dirichlet solve
     on every sweep; returns (value function, final reduction, sweeps) or

@@ -65,6 +65,27 @@ def test_a_root_holding_bytecode_is_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_each_side_records_its_src_line_count(tmp_path, monkeypatch):
+    roots = {}
+    for side, lines in (("parent", 5), ("change", 3)):
+        root = roots[side] = tmp_path / side
+        (root / "src" / "eikograph" / "sub").mkdir(parents=True)
+        (root / "perfbench").mkdir()
+        (root / "BENCHMARK.json").write_text('{"end_to_end": [], "per_layer": [], "run_seconds": 1}')
+        (root / "src" / "eikograph" / "a.py").write_text("x = 1\n" * (lines - 1))
+        (root / "src" / "eikograph" / "sub" / "b.py").write_text("y = 2\n")
+        (root / "src" / "eikograph" / "notes.txt").write_text("not python\n" * 7)
+    meta = {"git_sha": None, "src_sha256": "s", "python": "3", "implementation": "C", "nproc": 2}
+    monkeypatch.setattr(bench_pair, "run_once", lambda *args: {"correct": True, "failed_frac": 0.0, "_meta": dict(meta)})
+    monkeypatch.setattr(bench_pair, "AA_FILE", tmp_path / "none.json")
+    out = tmp_path / "bench.json"
+    assert bench_pair.main([str(roots["parent"]), str(roots["change"]), "--workloads", "sweep", "--pairs", "1",
+                            "--out", str(out), "--parent-sha", "p", "--change-sha", "c"]) == 0
+    sides = json.loads(out.read_text())["sides"]
+    assert sides == {"parent": {"git_sha": "p", "src_sha256": "s", "src_lines": 5},
+                     "change": {"git_sha": "c", "src_sha256": "s", "src_lines": 3}}
+
+
 @pytest.mark.parametrize("wins,losses,p", [
     (9, 1, 0.021484375),  # 2 * (1 + 10) / 2**10
     (10, 0, 0.001953125),  # 2 / 2**10

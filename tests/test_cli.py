@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
 from eikograph import builtin_hamiltonian, constant_field, field_on, fixture, read_graph
 from eikograph import graph as graph_module
 from eikograph import verify as verify_module
-from eikograph.cli import FIXTURE_SIZE_FLAGS, emit_plot_data, main, run
+from eikograph.cli import FIXTURE_SIZE_FLAGS, build_parser, emit_plot_data, main, run
 from eikograph.errors import ValidationError
 from eikograph.fields import read_field_csv, write_field_csv
 from oracles import COLLIDE, COLLIDE_U, reference_general_fixpoint
@@ -804,3 +806,13 @@ class TestDeterminism:
                     "--zeta", "const:0", "--out", str(u_path), "--plot", str(p_path))
             outs.append((g_path.read_bytes(), u_path.read_bytes(), p_path.read_bytes()))
         assert outs[0] == outs[1]
+
+
+def test_readme_names_every_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", section))
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    missing = {(command, option) for command, parser in subparsers.choices.items()
+               for action in parser._actions for option in action.option_strings if option not in named}
+    assert not missing, f"README's Command line section does not name {sorted(missing)}"

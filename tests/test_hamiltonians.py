@@ -33,7 +33,7 @@ from eikograph import (
 from eikograph import hamiltonians as hamiltonians_module
 from eikograph.graph import close
 from eikograph.hamiltonians import BUILTIN_NAMES, VALIDATION_SAMPLES, _p_grid
-from oracles import reference_general_fixpoint, reference_solve_general
+from oracles import reference_general_fixpoint, reference_solve_general, wrapped
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +193,61 @@ class TestValidation:
         grid = _p_grid(p_max)
         samples = VALIDATION_SAMPLES ** 2 if p_max > 2.0 else 1  # the first counterexample ends the scan
         assert grid[-1] == p_max and calls == grid * samples
+
+
+def _validation_or_error(H, g):
+    try:
+        return repr(validate_hamiltonian(H, g))  # repr: a NaN in a counterexample compares equal
+    except HamiltonianError as exc:
+        return repr(exc)
+
+
+VALIDATED = [*BUILTIN_NAMES, "linear:1.7", "affine-rho:0.3", "linear:-inf", "linear:nan", "affine-rho:1e300",
+             "p - rho - 1", "p * p + rho - 1", "p - exp(-4*rho)", "log(p) + 1", "p - 1 if rho < 0.3 else p"]
+FIXTURE_KINDS = [("interval", {"n": 16}), ("circle", {"n": 9}), ("grid", {"n": 6}),
+                 ("grid", {"n": 4, "connectivity": 8}), ("binary_tree", {"depth": 3}), ("gasket", {"level": 2})]
+
+
+class TestPassesThatRepeatAResult:
+    """An expression cannot read x, so validation scans one vertex of it;
+    a rho-independent H takes its residuals in its one reduction."""
+
+    @pytest.mark.parametrize("generic", [False, True])
+    def test_validation_evaluation_counts(self, monkeypatch, generic):
+        calls = []
+        call = HamiltonianSpec.__call__
+        monkeypatch.setattr(HamiltonianSpec, "__call__", lambda H, x, rho, p: calls.append(x) or call(H, x, rho, p))
+        g = fixture("grid", n=6).graph
+        H = builtin_hamiltonian("affine-rho")
+        assert validate_hamiltonian(wrapped(H) if generic else H, g).passed
+        assert len(_p_grid(H.p_max)) * VALIDATION_SAMPLES == 730
+        assert len(calls) == (3650 if generic else 730)
+        assert len(set(calls)) == (VALIDATION_SAMPLES if generic else 1) and calls[0] == g.vertices[0]
+
+    @pytest.mark.parametrize("fix,params", FIXTURE_KINDS, ids=str)
+    def test_validation_equals_the_five_vertex_scan(self, fix, params):
+        g = fixture(fix, **params).graph
+        for name in VALIDATED:
+            H = builtin_hamiltonian(name) if name.partition(":")[0] in BUILTIN_NAMES else expression_hamiltonian(name)
+            assert _validation_or_error(H, g) == _validation_or_error(wrapped(H), g), name
+
+    def test_rho_independent_solve_searches_each_root_once(self):
+        g = fixture("binary_tree", depth=4).graph
+        calls = []
+        H = HamiltonianSpec("generic", lambda x, rho, p: calls.append(x) or p - 2.0, lambda0=1.0)
+        validate_hamiltonian(H, g)
+        validation = len(calls)
+        reduce_h(H, "v", 0.0)  # H at 0, 1 and 2, the root
+        search = len(calls) - validation
+        calls.clear()
+        zeta = constant_field(g, 0.0, "boundary_zeta")
+        vf, red, solves = solve_general(g, H, zeta)
+        # each vertex: the search, then the residual at its root
+        assert solves == 1 and len(calls) == validation + len(g.vertices) * (search + 1)
+        assert sorted(calls[validation:]) == sorted(g.vertices * (search + 1))
+        want_vf, want, _ = reference_solve_general(g, H, zeta)
+        assert red.residuals == want.residuals and red.h.values == want.h.values
+        assert vf.u.values == want_vf.u.values
 
 
 class TestReduceH:

@@ -32,7 +32,7 @@ from eikograph import (
 )
 from eikograph import hamiltonians as hamiltonians_module
 from eikograph.hamiltonians import _EXPR_NAMES, _GENERIC, _KERNEL_NAMES, BUILTIN_NAMES, _kernel_of
-from oracles import reference_reduce_field, reference_reduce_h, reference_solve_general
+from oracles import reference_reduce_field, reference_reduce_h, reference_solve_general, wrapped
 
 from test_cli import run_cli
 
@@ -49,13 +49,6 @@ EXPRESSIONS = (
 
 INLINED = {name + level: builtin_hamiltonian(name + level) for name in BUILTIN_NAMES for level in LEVELS}
 INLINED.update((expr, expression_hamiltonian(expr)) for expr in EXPRESSIONS)
-
-
-def wrapped(H):
-    """H with its evaluator behind a plain closure: the generic kernel."""
-    evaluate = H.evaluate
-    return HamiltonianSpec(H.name, lambda x, rho, p: evaluate(x, rho, p), H.lambda0,
-                           H.rho_monotonicity, H.p_max)
 
 
 def outcome(fn, *args):

@@ -20,7 +20,8 @@ exact two-sided sign test's p of the wins against the losses (ties
 dropped), ``failed_frac`` and ``correct`` of every run, and the traced
 per-layer metrics; plus the seeds, each side's git sha and source digest as
 perfbench records them (``--parent-sha`` and ``--change-sha`` name the
-commit of a root without git), the Python version and nproc.  The file is
+commit of a root without git) and the line count of its ``src/`` Python
+files, the Python version and nproc.  The file is
 rewritten after every run, with ``"complete": false`` until the last one.
 
 When ``BENCH_AA.json``, a run of one commit on both sides, sits in the
@@ -68,6 +69,12 @@ def bytecode_dirs(root: Path) -> list[str]:
     ``perfbench/``, relative to ``root``."""
     return sorted(str(d.relative_to(root)) for top in ("src", "perfbench")
                   for d in (root / top).rglob("__pycache__"))
+
+
+def src_lines(root: Path) -> int:
+    """The lines of the ``.py`` files under ``root``'s ``src/``, as
+    ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (root / "src").rglob("*.py"))
 
 
 def summary(values: list[float]) -> dict:
@@ -181,7 +188,8 @@ def main(argv=None) -> int:
         meta = run.pop("_meta")
         result["nproc"] = meta.pop("nproc")
         sha = meta["git_sha"] or getattr(opts, f"{side}_sha")
-        result["sides"][side] = {"git_sha": sha, "src_sha256": meta["src_sha256"]}
+        result["sides"][side] = {"git_sha": sha, "src_sha256": meta["src_sha256"],
+                                 "src_lines": src_lines(roots[side])}
         return run
 
     for workload in workloads:

@@ -8,7 +8,8 @@ checkout's ``src``).  The same fixed command list runs once with each on
 and at benchmark sizes, solve with --plot and --certify, solve-h with
 --h-out (Picard over many sweeps, the causal pass after --max-iter, an
 H that its mesh condition refuses, a builtin with a level, an expression
-with nested scopes and a finer --bisect-tol among them), the four checks
+with nested scopes, a finer --bisect-tol and a rho-independent H on a tree
+among them), the four checks
 with --report on eight (graph, solution) pairs and monge's sub and super
 modes, compare, suite, induce-metric, and refine both with a split and
 with an h_max that splits no edge, on valid input, and ``--help`` of the
@@ -135,6 +136,9 @@ COMMANDS = [
      "--zeta", "const:0.1", "--out", "uh_scopes.csv", "--h-out", "h_scopes.csv"],
     ["solve-h", "--graph", "gasket.json", "--hamiltonian", "p * p + rho - 1", "--zeta", "const:0",
      "--out", "uh_bisect.csv", "--h-out", "h_bisect.csv", "--bisect-tol", "1e-12"],
+    # a rho-independent H, whose one reduction also takes the residuals, on a second graph
+    ["solve-h", "--graph", "tree.json", "--hamiltonian", "linear:2", "--zeta", "const:0",
+     "--out", "uh_linear.csv", "--h-out", "h_linear.csv"],
     *(["check", kind, "--graph", graph, "--u", u, "--f", f, "--report", f"{kind}_{n}.csv"]
       for n, (graph, u, f) in enumerate(PAIRS) for kind in CHECKS),
     ["check", "monge", "--graph", "grid.json", "--u", "u_grid.csv", "--f", "linear:1,0.5",
