@@ -224,6 +224,13 @@ class TestPassesThatRepeatAResult:
         assert len(calls) == (3650 if generic else 730)
         assert len(set(calls)) == (VALIDATION_SAMPLES if generic else 1) and calls[0] == g.vertices[0]
 
+    def test_a_graph_smaller_than_the_sample_validates_every_vertex(self):
+        g = fixture("interval", n=2).graph
+        calls = []
+        H = HamiltonianSpec("generic", lambda x, rho, p: calls.append(x) or p - 1.0, lambda0=1.0)
+        assert validate_hamiltonian(H, g).passed and len(g.vertices) < VALIDATION_SAMPLES
+        assert sorted(set(calls)) == sorted(g.vertices) and len(calls) == len(g.vertices) * 730
+
     @pytest.mark.parametrize("fix,params", FIXTURE_KINDS, ids=str)
     def test_validation_equals_the_five_vertex_scan(self, fix, params):
         g = fixture(fix, **params).graph
