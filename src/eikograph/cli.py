@@ -27,6 +27,7 @@ from .fields import (
 from .graph import (
     MetricGraph,
     chord_from_coords,
+    coord_axis,
     induce_intrinsic,
     read_csv,
     read_graph,
@@ -100,14 +101,14 @@ def emit_plot_data(u: ScalarField, g: MetricGraph, path: str, layout: str = "aut
     layout "coords" requires coordinates on every vertex; "auto" includes
     coordinate columns only when all vertices carry them.
     """
-    have_all = all(v in g.coords for v in g.vertices)
+    have_all = g.coords_at is None  # None: every vertex carries coords
     if layout == "coords" and not have_all:
-        missing = next(v for v in g.vertices if v not in g.coords)
+        missing = g.vertices[min(set(range(len(g.vertices))).difference(g.coords_at))]
         raise ValidationError(f"plot layout 'coords' needs coords on every vertex (missing at {missing!r})")
     use_coords = have_all if layout == "auto" else layout == "coords"
-    dims = len(g.coords[g.vertices[0]]) if use_coords else 0
+    dims = g.dim if use_coords else 0
     names = ["x", "y", "z"] + [f"c{k}" for k in range(3, dims)]
-    axes = zip(*map(g.coords.__getitem__, g.vertices)) if use_coords else ()  # coords share one dim
+    axes = [coord_axis(g, k) for k in range(dims)]
     write_csv(path, ["vertex_id", *names[:dims], "u"],
               zip(g.vertices, *(map(repr, axis) for axis in axes), map(repr, field_list(g, u))))
 

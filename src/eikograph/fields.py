@@ -12,7 +12,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import FieldError, GraphError, ValidationError
-from .graph import MetricGraph, _edge_items, _ListView, read_csv, write_csv
+from .graph import MetricGraph, _edge_items, _ListView, coord_axis, read_csv, write_csv
 
 ROLES = ("rhs_f", "solution_u", "boundary_zeta")
 
@@ -159,10 +159,13 @@ def field_from_expression(g: MetricGraph, expr: str, role: str) -> ScalarField:
     if len(parts) > 3 or axis < 0:
         raise ValidationError(f"bad linear field expression {expr!r}")
 
+    column, index = coord_axis(g, axis), g.index
+
     def linear(v: str) -> float:
-        if v not in g.coords or axis >= len(g.coords[v]):
+        x = column[index[v]]
+        if x is None:
             raise FieldError(f"linear field needs coords[{axis}] at vertex {v!r}")
-        return a + b * g.coords[v][axis]
+        return a + b * x
 
     return field_from_function(g, linear, role)
 

@@ -13,13 +13,15 @@ import gc
 import heapq
 import json
 import math
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left, bisect_right
 from collections.abc import ItemsView, Mapping, ValuesView
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, islice, repeat
+from itertools import chain, islice, repeat
 from operator import eq, itemgetter, lt
+from struct import unpack_from
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .errors import ConnectivityError, GraphError, MetricError, ValidationError
@@ -32,8 +34,8 @@ REL_TOL = 1e-9
 GRAPH_FORMAT_VERSION = 2  # what write_graph writes; build_graph also reads version 1
 COLUMNS = ("ids", "dim", "coords", "a", "b", "length", "boundary")  # the keys of version 2
 # refine() and the fixtures refuse more vertices than this: loading a graph file peaks
-# at about 0.8 kB a vertex (read_graph of grid n=100, 10**4 vertices, peaks at 8.1 MB
-# under tracemalloc and keeps 5.0 MB; its version 1 file peaks at 18.2 MB), so ~1 GB.
+# at about 0.8 kB a vertex (read_graph of grid n=100, 10**4 vertices, peaks at 7.3 MiB
+# under tracemalloc and keeps 3.7 MiB; its version 1 file peaks at 17.5 MiB), so ~1 GB.
 MAX_REFINE_VERTICES = 10**6
 
 
@@ -47,30 +49,47 @@ def edge_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MetricGraph:
     """Finite weighted graph with a distinguished boundary vertex set.
 
     Vertex i is ``vertices[i]`` (sorted ids) and ``index`` maps id -> i; the
     edges are stored once, as ``nbrs[i]`` and ``lens[i]``: neighbour indices
-    and positive lengths in id order.  ``coords`` is optional per vertex and
-    only feeds embedding-derived metrics and plot output.  Built by :func:`_finalize`.
+    and positive lengths in id order.  Coords are optional per vertex and
+    only feed embedding-derived metrics and plot output; they are stored as
+    the version 2 file stores them: ``dim`` binary64 numbers a vertex in the
+    flat array ``xs``, in id order, for the vertices listed in ``coords_at``
+    (every vertex when it is None).  ``coords_order`` is the order the
+    coords were given in, as vertex indices, when that is not id order (else
+    None).  Built by :func:`_finalize`; the constructor takes ``coords`` as
+    any mapping of id -> numbers.
 
     Immutable after construction: mutating its lists in place is unsupported.
     One value is built from the lists on first read and kept, and takes no
     part in equality: ``h_max``, the mesh, read by ``default_check_tol``,
     ``compare`` and ``equivalence_suite``.
 
-    ``edges`` and ``adjacency`` are read-only views of the lists that store
-    nothing; the package reads the lists instead.
+    ``edges`` and ``adjacency`` are read-only views of the lists, made at
+    each read; ``coords`` is a read-only view of the columns, made at the
+    first read and kept.  None of them stores a value; the package reads the
+    lists and columns instead (an axis through :func:`coord_axis`).
     """
 
     vertices: tuple[str, ...]
     boundary: frozenset[str]
-    coords: dict[str, tuple[float, ...]]
+    # the view is a field, so that the constructor, dataclasses.replace, == and repr take it
+    coords: Mapping[str, tuple[float, ...]] = cached_property(lambda g: _CoordView(g))
     index: dict[str, int] = field(compare=False, repr=False)
     nbrs: tuple[list[int], ...] = field(repr=False)
     lens: tuple[list[float], ...] = field(repr=False)
+    dim: int = field(init=False, repr=False, compare=False)
+    xs: array = field(init=False, repr=False, compare=False)
+    coords_at: list[int] | None = field(init=False, repr=False, compare=False)
+    coords_order: list[int] | None = field(init=False, repr=False, compare=False)
+
+    def __init__(self, vertices: tuple[str, ...], boundary: frozenset[str], coords: Mapping[str, Sequence[float]],
+                 index: dict[str, int], nbrs: tuple[list[int], ...], lens: tuple[list[float], ...]):
+        _store(self, vertices, boundary, index, nbrs, lens, _coord_columns(coords, index))
 
     @property
     def edges(self) -> Mapping[tuple[str, str], float]:
@@ -193,6 +212,63 @@ class _AdjacencyView(_ListView):
         return zip(vs, (tuple(zip(map(vs.__getitem__, nb), ln)) for nb, ln in zip(self._g.nbrs, self._g.lens)))
 
 
+class _CoordView(_ListView):
+    """The ``coords`` view: vertex id -> its coords as a tuple of floats, for
+    the vertices that carry them, in the order they were given.  A graph
+    makes it on first read and keeps it; it holds the graph's columns under
+    their names, not the graph, so it makes no reference cycle, and the
+    functions below read either.  A lookup's cost: README's graph paragraph."""
+
+    __slots__ = ("vertices", "index", "dim", "xs", "coords_at", "coords_order", "_row")
+
+    def __init__(self, g: MetricGraph):  # the columns, not the graph, in the slots: no cycle
+        self.vertices, self.index, self.dim, self.xs = g.vertices, g.index, g.dim, g.xs
+        self.coords_at, self.coords_order, self._row = g.coords_at, g.coords_order, f"{g.dim}d"
+
+    def __len__(self) -> int:
+        return len(self.vertices) if self.coords_at is None else len(self.coords_at)
+
+    def __iter__(self) -> Iterator[str]:
+        return map(itemgetter(0), self._items())
+
+    def __getitem__(self, v: str) -> tuple[float, ...]:
+        k, at = self.index[v], self.coords_at
+        if at is not None:  # the row of vertex k is its place in coords_at
+            i, k = k, bisect_left(at, k)
+            if k == len(at) or at[k] != i:
+                raise KeyError(v)
+        return unpack_from(self._row, self.xs, 8 * self.dim * k)  # the binary64 bits as stored
+
+    def _items(self) -> Iterator[tuple[str, tuple[float, ...]]]:
+        return _coord_items(self)
+
+
+def _coord_items(g: MetricGraph | _CoordView) -> Iterator[tuple[str, tuple[float, ...]]]:
+    """(id, coords) for every vertex that carries coords, in the order they were given: one walk of the columns."""
+    vs, d, owners = g.vertices, g.dim, range(len(g.vertices)) if g.coords_at is None else g.coords_at
+    rows = zip(*[iter(g.xs)] * d) if d else repeat((), len(owners))
+    if g.coords_order is None:
+        return zip(map(vs.__getitem__, owners), rows)
+    by_index = dict(zip(owners, rows))
+    return ((vs[i], by_index[i]) for i in g.coords_order)
+
+
+def coord_axis(g: MetricGraph, k: int) -> list[float | None]:
+    """Coordinate ``k`` of every vertex, a list by vertex index: None at a
+    vertex without coords, and everywhere when ``k`` is not below ``dim``;
+    one strided slice of ``xs``."""
+    n, d, at = len(g.vertices), g.dim, g.coords_at
+    if not 0 <= k < d:
+        return [None] * n
+    axis = g.xs[k::d].tolist()
+    if at is None:
+        return axis
+    column: list[float | None] = [None] * n
+    for i, x in zip(at, axis):
+        column[i] = x
+    return column
+
+
 @dataclass(frozen=True)
 class Curve:
     """Vertex path with arc-length parametrization (unit speed).
@@ -225,9 +301,9 @@ def _finalize(
     fixtures' two plain lists or a dict's keys and values.  C-level passes
     validate every entry; only when one fails does a walk name the first bad
     one.  Parallel entries collapse to the shortest length, whatever their
-    order.  ``coords`` whose values are all tuples of floats are kept as they
-    are; others are converted.  One sort of the (i, j) pairs, i < j, fills each
-    vertex's lists: smaller neighbours, then larger.
+    order.  ``coords`` become columns (:func:`_coord_columns`).  One sort of
+    the (i, j) pairs, i < j, fills each vertex's lists: smaller neighbours,
+    then larger.
     """
     vs = tuple(sorted(set(vertices)))
     if not vs:
@@ -252,19 +328,34 @@ def _finalize(
         shortest = dict(sorted(zip(keys, map(float, lengths)), reverse=True))
 
     bset = _known_boundary(boundary, index)
-
-    cmap: dict[str, tuple[float, ...]] = {}
-    if coords:
-        if not coords.keys() <= index.keys():
-            v = next(v for v in coords if v not in index)
-            raise ValidationError(f"coords reference unknown vertex {v!r}")
-        xys = coords.values()
-        as_is = set(map(type, xys)) <= {tuple} and set(map(type, chain.from_iterable(xys))) <= {float}
-        cmap = dict(coords) if as_is else {v: tuple(map(float, xy)) for v, xy in coords.items()}
-        _require_coords(cmap)
-
+    columns = _coord_columns(coords, index)
     ordered = sorted(shortest)  # sorting the items instead would hold E (key, length) tuples at once
-    return _layout(vs, index, ordered, map(shortest.__getitem__, ordered), bset, cmap)
+    return _layout(vs, index, ordered, map(shortest.__getitem__, ordered), bset, columns)
+
+
+def _coord_columns(coords: Mapping[str, Sequence[float]] | None, index: Mapping[str, int]) -> tuple:
+    """``coords``, id -> numbers in any order, as a graph stores them: (dim,
+    xs, coords_at, coords_order), see :class:`MetricGraph`.  Raises
+    ValidationError naming an unknown id, a vertex with a non-finite
+    coordinate, or two with different dimensions."""
+    if not coords:
+        return 0, array("d"), [], None
+    try:
+        at = list(map(index.__getitem__, coords))
+    except KeyError as exc:  # the first unknown id in the given order
+        raise ValidationError(f"coords reference unknown vertex {exc.args[0]!r}")
+    rows, order = list(coords.values()), None
+    if not all(map(lt, at, islice(at, 1, None))):  # not in id order: keep the order, store by index
+        order, placed = at, [None] * len(index)
+        for i, row in zip(order, rows):
+            placed[i] = row
+        at = sorted(order)
+        rows = placed if len(at) == len(placed) else list(map(placed.__getitem__, at))
+    dims = set(map(len, rows))
+    xs = array("d", list(chain.from_iterable(rows)))
+    if len(dims) > 1 or not math.isfinite(sum(xs)):  # a sum is finite only if every term is
+        _require_coords(coords)  # names the vertex, in the given order
+    return dims.pop(), xs, None if len(at) == len(index) else at, order
 
 
 def _known_boundary(boundary: Iterable[str], index: Mapping[str, int]) -> frozenset[str]:
@@ -277,10 +368,11 @@ def _known_boundary(boundary: Iterable[str], index: Mapping[str, int]) -> frozen
 
 
 def _layout(vs: tuple[str, ...], index: dict[str, int], pairs: Iterable[tuple[int, int]],
-            lengths: Iterable[float], boundary: frozenset[str], coords: dict) -> MetricGraph:
+            lengths: Iterable[float], boundary: frozenset[str], columns: tuple) -> MetricGraph:
     """Lay out the graph from strictly increasing index pairs (i, j), i < j, and
     their lengths: each vertex's lists get its smaller neighbours, then its
-    larger ones, so both are in id order.  Raises ConnectivityError when some
+    larger ones, so both are in id order.  ``columns`` are the coords, as
+    :func:`_coord_columns` gives them.  Raises ConnectivityError when some
     vertex cannot be reached from vertex 0."""
     nbrs, lens = tuple([] for _ in vs), tuple([] for _ in vs)
     for (i, j), length in zip(pairs, lengths):
@@ -298,7 +390,15 @@ def _layout(vs: tuple[str, ...], index: dict[str, int], pairs: Iterable[tuple[in
     if not all(seen):
         missing = [v for v, s in zip(vs, seen) if not s][:5]
         raise ConnectivityError(f"graph is disconnected; unreachable vertices include {missing}")
-    return MetricGraph(vertices=vs, boundary=boundary, coords=coords, index=index, nbrs=nbrs, lens=lens)
+    return _store(object.__new__(MetricGraph), vs, boundary, index, nbrs, lens, columns)
+
+
+def _store(g: MetricGraph, vertices: tuple[str, ...], boundary: frozenset[str], index: dict[str, int],
+           nbrs: tuple[list[int], ...], lens: tuple[list[float], ...], columns: tuple) -> MetricGraph:
+    """Set the fields of the new graph ``g``, past its frozen ``__setattr__``."""
+    g.__dict__.update(vertices=vertices, boundary=boundary, index=index, nbrs=nbrs, lens=lens,
+                      **dict(zip(("dim", "xs", "coords_at", "coords_order"), columns)))
+    return g
 
 
 def _require_coords(coords: Mapping[str, Sequence[float]]) -> None:
@@ -438,6 +538,7 @@ def _build_columns(spec: Mapping) -> MetricGraph:
                             set(map(type, at)) <= {int} and (not at or 0 <= at[0] and at[-1] < n),
                             f"vertex indices must be strictly increasing integers 0 <= i < {n}")
         owners, count = list(map(ids.__getitem__, at)), len(at)
+        at = list(map(canon.__getitem__, at)) if count < n else None  # all n indices: every vertex
     if not (type(dim) is int and dim >= 0 and len(coords) == count * dim):
         raise ValidationError(f"graph coords must hold dim = {dim!r} numbers for each of {count} vertices, "
                               f"got {len(coords)}")
@@ -445,11 +546,12 @@ def _build_columns(spec: Mapping) -> MetricGraph:
     if xs is None:
         k = next(k for k, x in enumerate(coords) if not _floats([x]))
         raise ValidationError(f"vertex {owners[k // dim]!r}: coords must be numbers, got {coords[k]!r}")
-    # count * dim entries, so with count > 0 the zip's dim iterators are bounded by the file
-    cmap = dict(zip(owners, zip(*[iter(xs)] * dim) if count and dim else repeat((), count)))
+    xs = array("d", xs)
     if not all(map(math.isfinite, xs)):
-        _require_coords(cmap)  # names the vertex
-    return _layout(tuple(ids), index, pairs, lens, bset, cmap)
+        k = next(k for k, x in enumerate(xs) if not math.isfinite(x)) // dim
+        row = tuple(xs[k * dim:k * dim + dim])
+        raise ValidationError(f"vertex {owners[k]!r}: coords must be finite, got {row!r}")
+    return _layout(tuple(ids), index, pairs, lens, bset, (dim if count else 0, xs, at, None))
 
 
 def _require_increasing(key: str, values: list, fits: Callable, fit: bool, rule: str) -> None:
@@ -474,21 +576,18 @@ def _floats(values: list) -> list[float] | None:
 
 def graph_to_dict(g: MetricGraph) -> dict:
     """Serialize to the version 2 columns (deterministic ordering): ids, the
-    pairs i < j in the order of the lists, and coords in id order, with
-    ``coords_at`` listing the vertices that carry them when not all do."""
+    pairs i < j in the order of the lists, and the coord columns as the
+    graph stores them, ``coords_at`` only when not every vertex has coords."""
     vs, a, b, length = g.vertices, [], [], []
     for i, (nb, ln) in enumerate(zip(g.nbrs, g.lens)):
         k = bisect_right(nb, i)  # the lists are in id order: the larger neighbours come last
         a += repeat(i, len(nb) - k)
         b += nb[k:]
         length += ln[k:]
-    at = list(compress(range(len(vs)), map(g.coords.__contains__, vs)))
-    xys = list(map(g.coords.__getitem__, map(vs.__getitem__, at)))
-    spec = {"version": GRAPH_FORMAT_VERSION, "ids": list(vs), "dim": len(xys[0]) if xys else 0,
-            "coords": list(chain.from_iterable(xys)), "a": a, "b": b, "length": length,
-            "boundary": sorted(g.boundary)}
-    if len(at) < len(vs):
-        spec["coords_at"] = at
+    spec = {"version": GRAPH_FORMAT_VERSION, "ids": list(vs), "dim": g.dim, "coords": g.xs.tolist(),
+            "a": a, "b": b, "length": length, "boundary": sorted(g.boundary)}
+    if g.coords_at is not None:
+        spec["coords_at"] = g.coords_at
     return spec
 
 
@@ -577,6 +676,13 @@ def read_graph(path: str) -> MetricGraph:
 _ONES: list[float] = []  # the weights of every field-less settle: shared, grown on demand
 
 
+def _ones(n: int) -> list[float]:
+    """The shared list of ones, grown to at least ``n``; no caller may change it."""
+    if len(_ONES) < n:
+        _ONES.extend([1.0] * (n - len(_ONES)))
+    return _ONES
+
+
 def settle(
     g: MetricGraph,
     seeds: Iterable[tuple[int, float]],
@@ -606,9 +712,7 @@ def settle(
     nbrs, lens = g.nbrs, g.lens
     n = len(nbrs)
     if fl is None:
-        if len(_ONES) < n:
-            _ONES.extend([1.0] * (n - len(_ONES)))
-        fl = _ONES
+        fl = _ones(n)
     datum = dict(seeds)
     if not datum:
         raise ValidationError("label setting needs at least one seed")
@@ -721,7 +825,7 @@ def refine(g: MetricGraph, h_max: float) -> MetricGraph:
         return g
 
     vertices = list(g.vertices)
-    coords = dict(g.coords)
+    coords = dict(_coord_items(g))  # new vertices follow the given order
     edges: dict[tuple[str, str], float] = {}
     existing = set(g.vertices)
     for (a, b), length, k in parts:

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import CoercivityError, ConvergenceError, HamiltonianError, ValidationError
 from .fields import ScalarField, _lookup, _VertexView, field_list, field_on, interior_slopes
-from .graph import MetricGraph, _edge_items, settle
+from .graph import MetricGraph, _edge_items, coord_axis, settle
 from .slopes import CheckReport
 from .solver import DirichletProblem, ValueFunction, boundary_seeds, solve_dirichlet, value_function
 
@@ -732,7 +732,7 @@ def counterexample_suite(n: int = 400) -> tuple[CounterexampleFixture, ...]:
     from .verify import fixture  # late import: verify sits above this module
 
     g = fixture("interval", n=n).graph
-    xcoord = {v: g.coords[v][0] for v in g.vertices}
+    xcoord = dict(zip(g.vertices, coord_axis(g, 0)))
     center = min(g.vertices, key=lambda v: (abs(xcoord[v]), v))
     rows = (  # (name, builtin, u as a function of x, expected verdicts)
         ("monge-but-not-viscosity", "ex1", lambda x: -3.0 * abs(x),

@@ -19,6 +19,7 @@ from .fields import (
     DEFAULT_POSITIVITY_THRESHOLD,
     ScalarField,
     _on_boundary,
+    _interior,
     _VertexView,
     field_list,
     validate_field,
@@ -27,6 +28,7 @@ from .graph import (
     ABS_TOL,
     REL_TOL,
     MetricGraph,
+    _ones,
     distances_from,
     settle,
 )
@@ -235,7 +237,7 @@ def _labels_reach(
     if not all(a[index[y]] <= zy for y, zy in seeds.items()):
         return False
     if fl is None:
-        fl = [1.0] * len(a)
+        fl = _ones(len(a))
     for ax, fx, nbrs, lens in zip(a, fl, g.nbrs, g.lens):
         for y, length in zip(nbrs, lens):
             if not ax <= a[y] + 0.5 * (fx + fl[y]) * length * scale:  # settle's cost rule
@@ -276,7 +278,7 @@ def check_boundary_consistency(p: DirichletProblem, vf: ValueFunction) -> Bounda
     def value_bound(k: float, seeds, a) -> bool:
         scale = k * slack
         return _labels_reach(g, a, seeds, scale=scale) or holds(
-            scale, seeds, ((x, a[x]) for x in map(g.index.__getitem__, g.interior)))
+            scale, seeds, ((x, a[x]) for x in _interior(g)))
 
     if min(zeta.values()) == max(zeta.values()) or (
         all(u[g.index[y]] == zy for y, zy in zeta.items()) and _labels_reach(g, u, zeta, fl, slack)

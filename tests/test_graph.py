@@ -790,6 +790,22 @@ def _messy_spec():
             "boundary": ["w20", "w1"]}
 
 
+def _chain_spec(vertices, boundary=("a",)):
+    """A version 1 path a - b - c ... through the sorted ids of ``vertices``."""
+    ids = sorted(v if isinstance(v, str) else v["id"] for v in vertices)
+    return {"vertices": vertices, "edges": [{"a": a, "b": b, "length": 1.0} for a, b in zip(ids, ids[1:])],
+            "boundary": list(boundary)}
+
+
+COORD_SPECS = {  # coords listed out of id order, as a version 1 file may list them
+    # "a" and "d" carry none: the graph keeps coords_at
+    "coords_at": _chain_spec(["a", {"id": "c", "coords": [2.5, 1.0]}, {"id": "b", "coords": [1.0, -2.0]}, "d"]),
+    "dim0": _chain_spec([{"id": "b", "coords": []}, {"id": "a", "coords": []}, {"id": "c", "coords": []}, "d"]),
+    "signed_zero": _chain_spec([{"id": "b", "coords": [-0.0, 1.0]}, {"id": "a", "coords": [0.5, -0.0]},
+                                {"id": "c", "coords": [-0.0, -0.0]}]),
+}
+REPLACED = {"v3": (-0.0,), "v0": (2.0,), "v1": (0.5,)}  # dataclasses.replace(interval n=4, coords=REPLACED)
+
 VIEW_GRAPHS = {
     "interval": lambda: fixture("interval", n=7).graph,
     "circle": lambda: fixture("circle", n=9).graph,
@@ -800,6 +816,10 @@ VIEW_GRAPHS = {
     "messy": lambda: build_graph(_messy_spec()),
     "shuffled": lambda: build_graph(_shuffled_spec(5)),
     **{f"random_metric_graph{seed}": (lambda seed=seed: random_metric_graph(seed)) for seed in range(5)},
+    **{name: (lambda spec=spec: build_graph(spec)) for name, spec in COORD_SPECS.items()},
+    "refine_coords_at": lambda: refine(build_graph(COORD_SPECS["coords_at"]), 0.4),
+    "induce_intrinsic": lambda: _point_grid(4),
+    "replace": lambda: dataclasses.replace(fixture("interval", n=4).graph, coords=REPLACED),
 }
 
 
@@ -875,6 +895,53 @@ class TestOneLayout:
             with pytest.raises(TypeError):
                 view[vs[0]] = 1.0  # read-only
 
+    @pytest.mark.parametrize("make", VIEW_GRAPHS.values(), ids=VIEW_GRAPHS.keys())
+    def test_coords_view_behaves_as_the_given_dict(self, make, monkeypatch):
+        """``g.coords`` gives back, order and sign bits included, the coords
+        its constructor was given, from the columns a version 2 file holds."""
+        given = [REPLACED]  # a replace builds past _finalize
+        real = graph_module._finalize
+
+        def spy(vertices, ends, lengths, boundary, coords=None):
+            given.append(dict(coords or {}))
+            return real(vertices, ends, lengths, boundary, coords)
+
+        for module in (graph_module, verify_module):
+            monkeypatch.setattr(module, "_finalize", spy)
+        g = make()
+        monkeypatch.undo()
+        want = {v: tuple(map(float, xy)) for v, xy in given[0 if make is VIEW_GRAPHS["replace"] else -1].items()}
+        view = g.coords
+        assert list(view.items()) == list(want.items()) and repr(view) == repr(want)  # repr shows -0.0
+        assert [tuple(map(float.hex, xy)) for xy in view.values()] == [tuple(map(float.hex, xy))
+                                                                       for xy in want.values()]
+        assert list(view) == list(view.keys()) == list(want) and len(view) == len(want)
+        assert view == want and want == view and not view != want
+        assert all(v in view and type(view[v]) is tuple and view[v] == xy and view.get(v) == xy
+                   for v, xy in want.items())
+        if want:
+            assert view != {**want, next(iter(want)): (7.0,)} and view != dict(list(want.items())[1:])
+        for v in [v for v in g.vertices if v not in want] + ["nowhere", None, (g.vertices[0],)]:
+            assert v not in view and view.get(v) is None and view.get(v, 7) == 7
+            with pytest.raises(KeyError):
+                view[v]
+        with pytest.raises(TypeError):
+            view[[g.vertices[0]]]  # unhashable, as for a dict
+        with pytest.raises(TypeError):
+            view[g.vertices[0]] = (1.0,)  # read-only
+        ids = sorted(want)  # the columns: id order, as graph_to_dict writes them
+        assert g.dim == (len(want[ids[0]]) if want else 0)
+        assert list(map(float.hex, g.xs)) == [x.hex() for v in ids for x in want[v]]
+        assert g.coords_at == (None if len(want) == len(g.vertices) else [g.index[v] for v in ids])
+        assert g.coords_order == (None if list(want) == ids else [g.index[v] for v in want])
+        assert dataclasses.replace(g, coords=view) == g and dataclasses.replace(g, lens=g.lens) == g
+        assert repr(dataclasses.replace(g, coords=view)) == repr(g)
+
+    def test_coords_view_is_made_once_and_holds_no_graph(self):
+        g = fixture("grid", n=3).graph
+        assert g.coords is g.coords and "coords" in vars(g)
+        assert not any(ref is g for ref in gc.get_referents(g.coords))  # no cycle through the kept view
+
     def test_read_graph_stores_no_view(self, tmp_path):
         path = str(tmp_path / "g.json")
         write_graph(fixture("grid", n=4).graph, path)
@@ -938,6 +1005,36 @@ def _write(tmp_path, g) -> str:
     path = str(tmp_path / "g.json")
     write_graph(g, path)
     return path
+
+
+class TestMemory:
+    """What a graph keeps, and what loading one peaks at, under tracemalloc
+    (deterministic on one Python build).  The bounds sit between the figures
+    of coords stored as a dict of tuples and of coords stored as columns."""
+
+    @staticmethod
+    def traced(build):
+        """(what ``build()`` returns, bytes it keeps, bytes it peaks at)."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            made = build()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return made, kept, peak
+
+    def test_read_graph_of_a_grid(self, tmp_path):
+        path = str(tmp_path / "g.json")
+        write_graph(fixture("grid", n=100).graph, path)
+        g, kept, peak = self.traced(lambda: read_graph(path))
+        assert len(g.vertices) == 10**4
+        assert kept <= 3.9 * 2**20  # a dict of tuples kept 4.73 MiB, the columns 3.69 MiB
+        assert peak <= 7.85 * 2**20  # 7.85 MiB with the dict, 7.27 MiB with the columns
+
+    def test_fixture_keeps_under_375_bytes_a_vertex(self):
+        g, kept, _ = self.traced(lambda: fixture("grid", n=150).graph)
+        assert kept <= 375 * len(g.vertices)  # 483 bytes a vertex with the dict, 361 with the columns
 
 
 class TestCollectorPaused:

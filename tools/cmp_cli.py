@@ -16,17 +16,19 @@ with an h_max that splits no edge, on valid input, and ``--help`` of the
 program and of each subcommand.  One hand-written graph, MESSY, lists its
 vertices and edges out of id order, with parallel edges of different
 lengths both ways round; it is solved, checked and refined.  Another,
-PARTIAL, has coords on some vertices only; it is refined.  A third,
-COLLIDE, has ids that hold ``->``, so that two of its oriented edges print
-as the same csub item ``a->b->c``; the four checks run on it with a
-hand-written solution that breaks one of the two by 4.0 (a report keyed by
-the printed item would keep only one of them).  Beside the commands, one
-child process runs ``solve_general`` in process on the five hjb instances
-of ``perfbench/workloads.py`` at their full size, each with its seeded
-zeta variant 0, at the default ``max_iter`` and at ``max_iter=1``, where
-a rho-dependent H goes straight to the causal pass (see
-:func:`solve_general_digest`).  The two manifests
-(below) are compared entry by entry: one line per command, file or hjb
+PARTIAL, has coords on some vertices only; it is refined.  SIGNED has a
+``-0.0`` coordinate, and FLAT coords of dimension 0 on all vertices but
+one; each is solved with --plot, written again by a refine that splits no
+edge, and refined.  COLLIDE has ids that hold ``->``, so that two of its
+oriented edges print as the same csub item ``a->b->c``; the four checks
+run on it with a hand-written solution that breaks one of the two by 4.0
+(a report keyed by the printed item would keep only one of them).  Beside
+the commands, one child process runs ``solve_general`` in process on the
+five hjb instances of ``perfbench/workloads.py`` at their full size, each
+with its seeded zeta variant 0, at the default ``max_iter`` and at
+``max_iter=1``, where a rho-dependent H goes straight to the causal pass
+(see :func:`solve_general_digest`).  The two manifests (below) are
+compared entry by entry: one line per command, file or hjb
 instance that differs, exit 1 on any difference, else 0.
 
     python tools/cmp_cli.py --manifest PATH [SRC]
@@ -86,6 +88,20 @@ PARTIAL = {  # coords on p1 and p2 only; refine interpolates between them and no
     "edges": [{"a": "p0", "b": "p1", "length": 1.0}, {"a": "p1", "b": "p2", "length": 1.0},
               {"a": "p2", "b": "p3", "length": 0.75}, {"a": "p3", "b": "p0", "length": 2.0}],
     "boundary": ["p0"],
+}
+
+SIGNED = {  # a -0.0 coordinate: the plot, the written file and the refined midpoints keep its sign
+    "vertices": [{"id": "s1", "coords": [-0.0, 1.0]}, {"id": "s0", "coords": [0.5, -0.0]},
+                 {"id": "s2", "coords": [-1.5, 0.25]}],
+    "edges": [{"a": "s0", "b": "s1", "length": 1.0}, {"a": "s1", "b": "s2", "length": 0.5}],
+    "boundary": ["s0"],
+}
+
+FLAT = {  # coords of dimension 0 on every vertex but f3: its file lists coords_at, with no numbers
+    "vertices": [{"id": "f2", "coords": []}, {"id": "f0", "coords": []}, {"id": "f1", "coords": []}, "f3"],
+    "edges": [{"a": "f0", "b": "f1", "length": 1.0}, {"a": "f1", "b": "f2", "length": 0.75},
+              {"a": "f2", "b": "f3", "length": 1.0}],
+    "boundary": ["f0", "f3"],
 }
 
 COMMANDS = [
@@ -163,6 +179,14 @@ COMMANDS = [
     ["refine", "--graph", "gasket.json", "--h-max", "1e9", "--out", "unrefined.json"],
     ["refine", "--graph", "messy.json", "--h-max", "0.4", "--out", "refined_messy.json"],
     ["refine", "--graph", "partial.json", "--h-max", "0.3", "--out", "refined_partial.json"],
+    ["solve", "--graph", "signed.json", "--f", "linear:1,0.5", "--zeta", "linear:0,1,1", "--out", "u_signed.csv",
+     "--plot", "plot_signed.csv", "--plot-layout", "coords"],
+    ["refine", "--graph", "signed.json", "--h-max", "1e9", "--out", "written_signed.json"],
+    ["refine", "--graph", "signed.json", "--h-max", "0.3", "--out", "refined_signed.json"],
+    ["solve", "--graph", "flat.json", "--f", "const:1", "--zeta", "const:0", "--out", "u_flat.csv",
+     "--plot", "plot_flat.csv"],
+    ["refine", "--graph", "flat.json", "--h-max", "1e9", "--out", "written_flat.json"],
+    ["refine", "--graph", "flat.json", "--h-max", "0.3", "--out", "refined_flat.json"],
     ["--help"],
     *([command, "--help"] for command in ("fixture", "solve", "solve-h", "check", "compare", "suite",
                                           "induce-metric", "refine")),
@@ -172,8 +196,8 @@ COMMANDS = [
 def write_inputs(d: str) -> None:
     """Hand-made inputs: a field with a zero, a half solution, a bumpy
     solution on the 12 x 12 grid, 60 points on a circle with a ring, the
-    out-of-order graph MESSY, the partial-coords graph PARTIAL and the graph
-    COLLIDE with its solution."""
+    out-of-order graph MESSY, the partial-coords graph PARTIAL, SIGNED and
+    FLAT, and the graph COLLIDE with its solution."""
     x = [(2 * k - 40) / 40 for k in range(41)]
     files = {
         "f_zero.csv": [f"v{k},{0.0 if k == 20 else 1.0!r}" for k in range(41)],
@@ -188,7 +212,8 @@ def write_inputs(d: str) -> None:
     for name, rows in files.items():
         with open(os.path.join(d, name), "w", encoding="utf-8") as fh:
             fh.write("\n".join([headers.get(name, "vertex_id,value"), *rows]) + "\n")
-    for name, spec in (("messy.json", MESSY), ("partial.json", PARTIAL), ("collide.json", COLLIDE)):
+    for name, spec in (("messy.json", MESSY), ("partial.json", PARTIAL), ("signed.json", SIGNED),
+                       ("flat.json", FLAT), ("collide.json", COLLIDE)):
         with open(os.path.join(d, name), "w", encoding="utf-8") as fh:
             json.dump(spec, fh)
 
