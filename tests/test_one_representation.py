@@ -11,11 +11,11 @@ import pytest
 
 from eikograph import (
     ConvergenceError,
+    DirichletProblem,
+    FieldError,
+    MetricGraph,
     ValidationError,
     build_graph,
-    DirichletProblem,
-    MetricGraph,
-    FieldError,
     builtin_hamiltonian,
     check_boundary_consistency,
     check_c_subsolution,
@@ -156,8 +156,8 @@ CASES = {
     "compare": lambda tmp_path: compare(random_comparison_instance(3)),
     "solve --plot": _solve_plot,
     "counterexample_suite": lambda tmp_path: [(c.name, c.center, dict(c.u.values)) for c in counterexample_suite(40)],
-    **{f"{kind}-{name}": (lambda tmp_path, kind=kind, name=name: CASE_KINDS[kind](tmp_path, name))
-       for kind in ("write-read", "refine", "plot", "linear") for name in COORD_SPECS},
+    **{f"{kind}-{name}": (lambda tmp_path, case=case, name=name: case(tmp_path, name))
+       for kind, case in CASE_KINDS.items() for name in COORD_SPECS},
     "replace-write-read": lambda tmp_path: _round_trip(
         tmp_path, dataclasses.replace(fixture("interval", n=4).graph, coords=REPLACED)),
 }
