@@ -34,8 +34,9 @@ REL_TOL = 1e-9
 GRAPH_FORMAT_VERSION = 2  # what write_graph writes; build_graph also reads version 1
 COLUMNS = ("ids", "dim", "coords", "a", "b", "length", "boundary")  # the keys of version 2
 # refine() and the fixtures refuse more vertices than this: loading a graph file peaks
-# at about 0.8 kB a vertex (read_graph of grid n=100, 10**4 vertices, peaks at 7.3 MiB
-# under tracemalloc and keeps 3.7 MiB; its version 1 file peaks at 17.5 MiB), so ~1 GB.
+# at about 0.8 kB a vertex (read_graph of grid n=100, 10**4 vertices, peaks at 7.2 MiB
+# under tracemalloc and keeps 2.4 MiB; its version 1 file peaks at 16.5 MiB), and refine
+# at about 0.7 kB a vertex of its result (45.2 MiB for 69,400), so ~1 GB.
 MAX_REFINE_VERTICES = 10**6
 
 
@@ -55,7 +56,8 @@ class MetricGraph:
 
     Vertex i is ``vertices[i]`` (sorted ids) and ``index`` maps id -> i; the
     edges are stored once, as ``nbrs[i]`` and ``lens[i]``: neighbour indices
-    and positive lengths in id order.  Coords are optional per vertex and
+    and positive lengths in id order; equal length lists may be one list
+    object, as :func:`_layout` keeps them.  Coords are optional per vertex and
     only feed embedding-derived metrics and plot output; they are stored as
     the version 2 file stores them: ``dim`` binary64 numbers a vertex in the
     flat array ``xs``, in id order, for the vertices listed in ``coords_at``
@@ -64,7 +66,8 @@ class MetricGraph:
     None).  Built by :func:`_finalize`; the constructor takes ``coords`` as
     any mapping of id -> numbers.
 
-    Immutable after construction: mutating its lists in place is unsupported.
+    Immutable after construction: mutating its lists in place is unsupported,
+    and would reach every vertex that shares the list.
     One value is built from the lists on first read and kept, and takes no
     part in equality: ``h_max``, the mesh, read by ``default_check_tol``,
     ``compare`` and ``equivalence_suite``.
@@ -323,14 +326,18 @@ def _finalize(
                 raise ValidationError(f"edge ({a!r}, {b!r}) has length {length!r}; "
                                       "a length must be a positive finite number")
     keys = [(i, j) if i < j else (j, i) for i, j in zip(ii, jj)]
+    del ii, jj  # each temporary goes once used up, not at the return after the layout
     shortest = dict(zip(keys, map(float, lengths)))
     if len(shortest) < len(keys):  # parallel entries: sorted down, each key's shortest comes last
         shortest = dict(sorted(zip(keys, map(float, lengths)), reverse=True))
+    del keys
 
     bset = _known_boundary(boundary, index)
     columns = _coord_columns(coords, index)
     ordered = sorted(shortest)  # sorting the items instead would hold E (key, length) tuples at once
-    return _layout(vs, index, ordered, map(shortest.__getitem__, ordered), bset, columns)
+    lengths = list(map(shortest.__getitem__, ordered))
+    del shortest  # the lists need the pairs and lengths only
+    return _layout(vs, index, ordered, lengths, bset, columns)
 
 
 def _coord_columns(coords: Mapping[str, Sequence[float]] | None, index: Mapping[str, int]) -> tuple:
@@ -371,7 +378,9 @@ def _layout(vs: tuple[str, ...], index: dict[str, int], pairs: Iterable[tuple[in
             lengths: Iterable[float], boundary: frozenset[str], columns: tuple) -> MetricGraph:
     """Lay out the graph from strictly increasing index pairs (i, j), i < j, and
     their lengths: each vertex's lists get its smaller neighbours, then its
-    larger ones, so both are in id order.  ``columns`` are the coords, as
+    larger ones, so both are in id order; then each length list becomes the
+    first list of equal contents, so a graph keeps one list object per
+    distinct length list.  ``columns`` are the coords, as
     :func:`_coord_columns` gives them.  Raises ConnectivityError when some
     vertex cannot be reached from vertex 0."""
     nbrs, lens = tuple([] for _ in vs), tuple([] for _ in vs)
@@ -380,6 +389,8 @@ def _layout(vs: tuple[str, ...], index: dict[str, int], pairs: Iterable[tuple[in
         lens[i].append(length)
         nbrs[j].append(i)
         lens[j].append(length)
+    first: dict[tuple[float, ...], list[float]] = {}  # lengths are finite and positive: == is bitwise
+    lens = tuple(map(first.setdefault, map(tuple, lens), lens))
 
     seen, stack = [True] + [False] * (len(vs) - 1), [0]
     while stack:
@@ -824,22 +835,22 @@ def refine(g: MetricGraph, h_max: float) -> MetricGraph:
     if added == 0:
         return g
 
-    vertices = list(g.vertices)
     coords = dict(_coord_items(g))  # new vertices follow the given order
-    edges: dict[tuple[str, str], float] = {}
-    existing = set(g.vertices)
-    for (a, b), length, k in parts:
+    ends: list[tuple[str, str]] = []  # the pieces, which never repeat an edge, and their lengths
+    lengths: list[float] = []
+    existing = set(g.vertices)  # every vertex, the new ones added as they are made
+    for key, length, k in parts:
         if k == 1:
-            edges[a, b] = length
+            ends.append(key)
+            lengths.append(length)
             continue
-        sub = length / k
+        (a, b), sub = key, length / k
         chain = [a]
         for i in range(1, k):
             vid = f"{a}~{b}~{i}"
             if vid in existing:
                 raise ValidationError(f"refinement id collision at {vid!r}")
             existing.add(vid)
-            vertices.append(vid)
             chain.append(vid)
             if a in coords and b in coords:
                 t = i / k
@@ -847,9 +858,10 @@ def refine(g: MetricGraph, h_max: float) -> MetricGraph:
                     ca + t * (cb - ca) for ca, cb in zip(coords[a], coords[b])
                 )
         chain.append(b)
-        for u, v in zip(chain, chain[1:]):
-            edges[u, v] = sub
-    return _finalize(vertices, edges, edges.values(), g.boundary, coords)
+        ends += zip(chain, chain[1:])
+        lengths += repeat(sub, k)
+    del parts  # not held while _finalize lays the graph out
+    return _finalize(existing, ends, lengths, g.boundary, coords)
 
 
 def chord_from_coords(coords: Mapping[str, Sequence[float]]) -> Callable[[str, str], float]:

@@ -40,6 +40,7 @@ from oracles import (
     all_pairs_distance_oracle,
     backtrack_witness,
     distance_oracle,
+    graph_to_dict_v1,
     path_length_sum,
     reference_edge_check,
     reference_layout,
@@ -842,14 +843,16 @@ class TestOneLayout:
         lambda: fixture("interval", n=7).graph,
         lambda: fixture("circle", n=9).graph,
         lambda: fixture("grid", n=5, connectivity=8).graph,
+        lambda: fixture("grid", n=6).graph,
         lambda: fixture("binary_tree", depth=4).graph,
         lambda: fixture("gasket", level=3).graph,
         lambda: random_metric_graph(5),
         lambda: refine(fixture("grid", n=3).graph, 0.3),
         lambda: _point_grid(5),
         lambda: build_graph(_shuffled_spec(3)),
-    ], ids=["interval", "circle", "grid", "binary_tree", "gasket", "random_metric_graph", "refine",
-            "induce_intrinsic", "build_graph"])
+        lambda: build_graph(graph_to_dict_v1(fixture("grid", n=6, connectivity=8).graph)),
+    ], ids=["interval", "circle", "grid", "grid4", "binary_tree", "gasket", "random_metric_graph", "refine",
+            "induce_intrinsic", "build_graph", "version_1"])
     def test_every_constructor_lays_out_the_reference(self, monkeypatch, make):
         calls = _spy_on_finalize(monkeypatch)
         g = make()
@@ -859,6 +862,20 @@ class TestOneLayout:
         assert list(g.edges.items()) == list(edges.items())
         assert list(g.index.items()) == list(index.items())
         assert g.nbrs == nbrs and g.lens == lens
+        assert len({id(ln) for ln in g.lens}) == len({tuple(ln) for ln in g.lens})  # one list each
+
+    def test_a_version_2_load_keeps_one_list_per_distinct_length_list(self, tmp_path):
+        g = fixture("gasket", level=3).graph
+        h = read_graph(_write(tmp_path, g))
+        assert h.lens == g.lens
+        assert len({id(ln) for ln in h.lens}) == len({tuple(ln) for ln in h.lens}) == 2  # corners, the rest
+
+    def test_the_constructor_keeps_the_callers_lists(self):
+        g = fixture("grid", n=4).graph
+        lens = tuple(map(list, g.lens))  # equal lists, one object each
+        h = MetricGraph(vertices=g.vertices, boundary=g.boundary, coords=g.coords, index=g.index, nbrs=g.nbrs,
+                        lens=lens)
+        assert h == g and h.lens is lens and len(set(map(id, h.lens))) == len(g.vertices)
 
     def test_edges_is_no_field(self):
         assert "edges" not in {f.name for f in dataclasses.fields(MetricGraph)}
@@ -1008,9 +1025,10 @@ def _write(tmp_path, g) -> str:
 
 
 class TestMemory:
-    """What a graph keeps, and what loading one peaks at, under tracemalloc
-    (deterministic on one Python build).  The bounds sit between the figures
-    of coords stored as a dict of tuples and of coords stored as columns."""
+    """What a graph keeps, and what building one peaks at, under tracemalloc
+    (deterministic on one Python build).  Each bound sits between the
+    figures of one list object a vertex and of one per distinct length
+    list, built with fewer temporaries."""
 
     @staticmethod
     def traced(build):
@@ -1029,12 +1047,20 @@ class TestMemory:
         write_graph(fixture("grid", n=100).graph, path)
         g, kept, peak = self.traced(lambda: read_graph(path))
         assert len(g.vertices) == 10**4
-        assert kept <= 3.9 * 2**20  # a dict of tuples kept 4.73 MiB, the columns 3.69 MiB
-        assert peak <= 7.85 * 2**20  # 7.85 MiB with the dict, 7.27 MiB with the columns
+        assert kept <= 2.6 * 2**20  # a list a vertex kept 3.69 MiB, shared lists 2.41 MiB
+        assert peak <= 7.85 * 2**20  # 7.27 MiB, and 7.22 MiB: mostly the parsed JSON
 
-    def test_fixture_keeps_under_375_bytes_a_vertex(self):
-        g, kept, _ = self.traced(lambda: fixture("grid", n=150).graph)
-        assert kept <= 375 * len(g.vertices)  # 483 bytes a vertex with the dict, 361 with the columns
+    def test_fixture_keeps_under_290_bytes_a_vertex(self):
+        g, kept, peak = self.traced(lambda: fixture("grid", n=150).graph)
+        assert kept <= 290 * len(g.vertices)  # 361 bytes a vertex with a list each, 273 shared
+        assert peak <= 19.5 * 2**20  # 21.18 MiB, and 17.76 MiB
+
+    def test_refine_keeps_and_peaks(self):
+        grid = fixture("grid", n=30).graph
+        g, kept, peak = self.traced(lambda: refine(grid, 0.25))
+        assert len(g.vertices) == 6120
+        assert kept <= 330 * len(g.vertices)  # 387 bytes a vertex with an edge dict and a list each, 293
+        assert peak <= 800 * len(g.vertices)  # 896 bytes a vertex, and 766
 
 
 class TestCollectorPaused:

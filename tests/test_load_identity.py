@@ -11,10 +11,15 @@ descriptions come from ``oracles.graph_to_dict_v1``.
 Version 2: ``read_graph`` of the file ``write_graph`` wrote must give the
 written graph back field for field, and version 1 files of the same graph,
 compact and indented, must load to the same graph.
+
+``refine``: the sha256 of the refined graph's vertices, lists, coords items
+and boundary, recorded before refine stopped building a dict of its edges,
+must not move.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -194,3 +199,26 @@ def test_partial_coords_survive_the_round_trip(tmp_path):
     write_graph(g, str(tmp_path / "g.json"))
     assert json.loads((tmp_path / "g.json").read_text())["coords_at"] == [g.index[v] for v in sorted(g.coords)]
     assert read_graph(str(tmp_path / "g.json")).coords == g.coords
+
+
+# (fixture, params, h_max) -> sha256 of repr((vertices, nbrs, lens, coords items, sorted boundary))
+REFINED = {
+    ("grid", (("n", 6),), 0.3): "b244a2b42ccccfa01d2dad2444476b3d08857d71769be2a9bfbfe5dc855acb2f",
+    ("grid", (("n", 5), ("connectivity", 8)), 1.2): "856b0c7fd10e1e90595c5fa6c6b22a1567565c26e62ade9616f27d74976b27ae",
+    ("gasket", (("level", 3),), 0.1): "44489b3538628cfedd3cb7b1f51e25b6a0c31d85db215eb0096fe893aff91d28",
+    ("gasket", (("level", 3),), 0.04): "1650b5a6bfae4eca8e26addcee3d2607498c2cac9edf20882702b192a63988f2",
+    ("binary_tree", (("depth", 4),), 0.5): "ac63211a87ba7fb74a013658d233a987fb303a66aa23c2d34a66ea17945dada1",
+    ("binary_tree", (("depth", 4),), 0.3): "c0576d6e1428eea697cfaf25c1a99369a44f3d3940422b97cbb9d5df01701ab7",
+    ("mixed", (), 0.4): "e8a6617f880e5f1e5c293f43c53d779a18628f9e5b92c3a5d19743cc762b4118",
+    ("partial", (), 0.4): "cb8d4c498610b7291491bc2d0c38e210f81258ba2385216bc3380d129c216ea0",
+}
+
+
+@pytest.mark.parametrize("name,params,h_max", REFINED, ids=[f"{n}-{h}" for n, _, h in REFINED])
+def test_refine_gives_the_recorded_graph(name, params, h_max):
+    """Refined fixtures, and the hand-written graphs with ids and coords out
+    of id order or on some vertices only, keep the recorded digest."""
+    spec = {"mixed": MIXED, "partial": PARTIAL}.get(name)
+    g = graph_module.refine(build_graph(spec) if spec else fixture(name, **dict(params)).graph, h_max)
+    parts = (g.vertices, g.nbrs, g.lens, list(g.coords.items()), sorted(g.boundary))
+    assert hashlib.sha256(repr(parts).encode()).hexdigest() == REFINED[name, params, h_max]
