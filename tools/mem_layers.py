@@ -16,7 +16,7 @@ benchmark process moves by a fraction of a MB between runs of identical
 code.  The input files are written before the layers run, outside the
 trace.  With two roots, each runs in its own child process, and one table
 gives both sides and the change from the first to the second.  Takes about
-5 s a root on a 2-core x86-64.  Standard library only.
+6 s a root on a 2-core x86-64.  Standard library only.
 """
 
 from __future__ import annotations
