@@ -65,20 +65,20 @@ class ScalarField:
 class _VertexView(_ListView):
     """A field's values, or with ``ids`` a solve's exits as vertex indices
     read and written as ids: vertex id -> its entry in a list by vertex
-    index, walked in ``order``.  What a read and a write do: README, the
-    paragraph on ``vf.u.values``."""
+    index, walked in ``order``, or in id order when it is None.  What a read
+    and a write do: README, the paragraph on ``vf.u.values``."""
 
     __slots__ = ("_order", "_list", "_ids")
 
-    def __init__(self, g: MetricGraph, order: Sequence[int], entries: list, ids: bool = False):
+    def __init__(self, g: MetricGraph, order: Sequence[int] | None, entries: list, ids: bool = False):
         super().__init__(g)
         self._order, self._list, self._ids = order, entries, ids
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._list if self._order is None else self._order)
 
     def __iter__(self) -> Iterator[str]:
-        return map(self._g.vertices.__getitem__, self._order)
+        return iter(self._g.vertices) if self._order is None else map(self._g.vertices.__getitem__, self._order)
 
     def __getitem__(self, v: str):
         x = self._list[self._g.index[v]]  # index raises as a dict lookup does
@@ -92,35 +92,36 @@ class _VertexView(_ListView):
         return zip(self, self._values())
 
     def _values(self) -> Iterator:
-        entries = map(self._list.__getitem__, self._order)
+        entries = iter(self._list) if self._order is None else map(self._list.__getitem__, self._order)
         return map(self._g.vertices.__getitem__, entries) if self._ids else entries
 
 
 def field_on(g: MetricGraph, values: Mapping[str, float], role: str) -> ScalarField:
-    """Validate and wrap vertex values as a field with the given role."""
+    """Validate and wrap vertex values as a field with the given role: a
+    boundary field keeps a dict, any other its list by vertex index, with
+    ``values`` the view of that list in id order (README's field paragraph)."""
     if role not in ROLES:
         raise FieldError(f"unknown field role {role!r}; expected one of {ROLES}")
-    fl = None if role == "boundary_zeta" else list(map(values.get, g.vertices))
-    whole = fl is not None and len(fl) == len(values)  # if fl holds only floats: every id and no other key
-    if set(map(type, values.keys())) == {str} and set(map(type, fl if whole else values.values())) == {float}:
-        vals = dict(values)  # str() and float() would return each key and value unchanged
-    else:
-        vals = dict(zip(map(str, values.keys()), map(float, values.values())))
-        whole, fl = False, fl and list(map(vals.get, g.vertices))
-    if not math.isfinite(sum(vals.values())):  # one C-level pass; finite values may still overflow the sum
-        bad = sorted(v for v, x in vals.items() if not math.isfinite(x))
+    if set(map(type, values.keys())) != {str} or set(map(type, values.values())) != {float}:
+        values = dict(zip(map(str, values.keys()), map(float, values.values())))
+    if not math.isfinite(sum(values.values())):  # one C-level pass; finite values may still overflow the sum
+        bad = sorted(v for v, x in values.items() if not math.isfinite(x))
         if bad:
-            raise FieldError(f"field ({role}) has non-finite value {vals[bad[0]]!r} at vertex {bad[0]!r}")
-    if not whole and (fl is None or None in fl or len(vals) > len(fl)):  # boundary data, or a bad id
-        if unknown := vals.keys() - g.index.keys():
+            raise FieldError(f"field ({role}) has non-finite value {values[bad[0]]!r} at vertex {bad[0]!r}")
+    if role == "boundary_zeta":
+        if unknown := values.keys() - g.index.keys():
             raise FieldError(f"field values at unknown vertices {sorted(unknown)[:5]}")
-        if fl is not None:
-            raise FieldError(f"field ({role}) missing values at {sorted(g.index.keys() - vals.keys())[:5]}")
-        _on_boundary(g, vals)
-    if role == "rhs_f" and min(vals.values()) < 0.0:
-        neg = [(v, x) for v, x in vals.items() if x < 0.0]
-        raise FieldError(f"rhs field has negative values, e.g. {sorted(neg)[:3]}")
-    return ScalarField(g, vals, role, fl)
+        _on_boundary(g, values)
+        return ScalarField(g, dict(values), role)
+    fl = list(map(values.get, g.vertices))
+    if None in fl or len(values) > len(fl):  # an id missing, or one that is no vertex
+        if unknown := values.keys() - g.index.keys():
+            raise FieldError(f"field values at unknown vertices {sorted(unknown)[:5]}")
+        raise FieldError(f"field ({role}) missing values at {sorted(g.index.keys() - values.keys())[:5]}")
+    if role == "rhs_f" and min(fl) < 0.0:
+        neg = [(v, x) for v, x in zip(g.vertices, fl) if x < 0.0]
+        raise FieldError(f"rhs field has negative values, e.g. {neg[:3]}")
+    return ScalarField(g, _VertexView(g, None, fl), role, fl)
 
 
 def constant_field(g: MetricGraph, value: float, role: str) -> ScalarField:

@@ -61,10 +61,8 @@ class MetricGraph:
     only feed embedding-derived metrics and plot output; they are stored as
     the version 2 file stores them: ``dim`` binary64 numbers a vertex in the
     flat array ``xs``, in id order, for the vertices listed in ``coords_at``
-    (every vertex when it is None).  ``coords_order`` is the order the
-    coords were given in, as vertex indices, when that is not id order (else
-    None).  Built by :func:`_finalize`; the constructor takes ``coords`` as
-    any mapping of id -> numbers.
+    (every vertex when it is None).  Built by :func:`_finalize`; the
+    constructor takes ``coords`` as any mapping of id -> numbers.
 
     Immutable after construction: mutating its lists in place is unsupported,
     and would reach every vertex that shares the list.
@@ -88,7 +86,6 @@ class MetricGraph:
     dim: int = field(init=False, repr=False, compare=False)
     xs: array = field(init=False, repr=False, compare=False)
     coords_at: list[int] | None = field(init=False, repr=False, compare=False)
-    coords_order: list[int] | None = field(init=False, repr=False, compare=False)
 
     def __init__(self, vertices: tuple[str, ...], boundary: frozenset[str], coords: Mapping[str, Sequence[float]],
                  index: dict[str, int], nbrs: tuple[list[int], ...], lens: tuple[list[float], ...]):
@@ -217,16 +214,16 @@ class _AdjacencyView(_ListView):
 
 class _CoordView(_ListView):
     """The ``coords`` view: vertex id -> its coords as a tuple of floats, for
-    the vertices that carry them, in the order they were given.  A graph
-    makes it on first read and keeps it; it holds the graph's columns under
-    their names, not the graph, so it makes no reference cycle, and the
-    functions below read either.  A lookup's cost: README's graph paragraph."""
+    the vertices that carry them, in id order.  A graph makes it on first
+    read and keeps it; it holds the graph's columns under their names, not
+    the graph, so it makes no reference cycle, and the functions below read
+    either.  A lookup's cost: README's graph paragraph."""
 
-    __slots__ = ("vertices", "index", "dim", "xs", "coords_at", "coords_order", "_row")
+    __slots__ = ("vertices", "index", "dim", "xs", "coords_at", "_row")
 
     def __init__(self, g: MetricGraph):  # the columns, not the graph, in the slots: no cycle
         self.vertices, self.index, self.dim, self.xs = g.vertices, g.index, g.dim, g.xs
-        self.coords_at, self.coords_order, self._row = g.coords_at, g.coords_order, f"{g.dim}d"
+        self.coords_at, self._row = g.coords_at, f"{g.dim}d"
 
     def __len__(self) -> int:
         return len(self.vertices) if self.coords_at is None else len(self.coords_at)
@@ -247,13 +244,10 @@ class _CoordView(_ListView):
 
 
 def _coord_items(g: MetricGraph | _CoordView) -> Iterator[tuple[str, tuple[float, ...]]]:
-    """(id, coords) for every vertex that carries coords, in the order they were given: one walk of the columns."""
+    """(id, coords) for every vertex that carries coords, in id order: one walk of the columns."""
     vs, d, owners = g.vertices, g.dim, range(len(g.vertices)) if g.coords_at is None else g.coords_at
     rows = zip(*[iter(g.xs)] * d) if d else repeat((), len(owners))
-    if g.coords_order is None:
-        return zip(map(vs.__getitem__, owners), rows)
-    by_index = dict(zip(owners, rows))
-    return ((vs[i], by_index[i]) for i in g.coords_order)
+    return zip(map(vs.__getitem__, owners), rows)
 
 
 def coord_axis(g: MetricGraph, k: int) -> list[float | None]:
@@ -342,36 +336,37 @@ def _finalize(
 
 def _coord_columns(coords: Mapping[str, Sequence[float]] | None, index: Mapping[str, int]) -> tuple:
     """``coords``, id -> numbers in any order, as a graph stores them: (dim,
-    xs, coords_at, coords_order), see :class:`MetricGraph`.  Raises
+    xs, coords_at), see :class:`MetricGraph`.  Raises
     ValidationError naming an unknown id, a vertex with a non-finite
     coordinate, or two with different dimensions."""
     if not coords:
-        return 0, array("d"), [], None
+        return 0, array("d"), []
     try:
         at = list(map(index.__getitem__, coords))
     except KeyError as exc:  # the first unknown id in the given order
         raise ValidationError(f"coords reference unknown vertex {exc.args[0]!r}")
-    rows, order = list(coords.values()), None
-    if not all(map(lt, at, islice(at, 1, None))):  # not in id order: keep the order, store by index
-        order, placed = at, [None] * len(index)
-        for i, row in zip(order, rows):
+    rows = list(coords.values())
+    if not all(map(lt, at, islice(at, 1, None))):  # not in id order: place each row at its index
+        placed = [None] * len(index)
+        for i, row in zip(at, rows):
             placed[i] = row
-        at = sorted(order)
+        at.sort()
         rows = placed if len(at) == len(placed) else list(map(placed.__getitem__, at))
     dims = set(map(len, rows))
     xs = array("d", list(chain.from_iterable(rows)))
     if len(dims) > 1 or not math.isfinite(sum(xs)):  # a sum is finite only if every term is
         _require_coords(coords)  # names the vertex, in the given order
-    return dims.pop(), xs, None if len(at) == len(index) else at, order
+    return dims.pop(), xs, None if len(at) == len(index) else at
 
 
 def _known_boundary(boundary: Iterable[str], index: Mapping[str, int]) -> frozenset[str]:
-    """The boundary as a frozenset; raises ValidationError naming ids not in ``index``."""
+    """The boundary as a frozenset built in id order, so equal boundaries
+    iterate alike; raises ValidationError naming ids not in ``index``."""
     bset = frozenset(boundary)
     unknown = bset - index.keys()
     if unknown:
         raise ValidationError(f"boundary references unknown vertices {sorted(unknown)}")
-    return bset
+    return frozenset(sorted(bset))
 
 
 def _layout(vs: tuple[str, ...], index: dict[str, int], pairs: Iterable[tuple[int, int]],
@@ -408,7 +403,7 @@ def _store(g: MetricGraph, vertices: tuple[str, ...], boundary: frozenset[str], 
            nbrs: tuple[list[int], ...], lens: tuple[list[float], ...], columns: tuple) -> MetricGraph:
     """Set the fields of the new graph ``g``, past its frozen ``__setattr__``."""
     g.__dict__.update(vertices=vertices, boundary=boundary, index=index, nbrs=nbrs, lens=lens,
-                      **dict(zip(("dim", "xs", "coords_at", "coords_order"), columns)))
+                      **dict(zip(("dim", "xs", "coords_at"), columns)))
     return g
 
 
@@ -562,7 +557,7 @@ def _build_columns(spec: Mapping) -> MetricGraph:
         k = next(k for k, x in enumerate(xs) if not math.isfinite(x)) // dim
         row = tuple(xs[k * dim:k * dim + dim])
         raise ValidationError(f"vertex {owners[k]!r}: coords must be finite, got {row!r}")
-    return _layout(tuple(ids), index, pairs, lens, bset, (dim if count else 0, xs, at, None))
+    return _layout(tuple(ids), index, pairs, lens, bset, (dim if count else 0, xs, at))
 
 
 def _require_increasing(key: str, values: list, fits: Callable, fit: bool, rule: str) -> None:
@@ -835,7 +830,7 @@ def refine(g: MetricGraph, h_max: float) -> MetricGraph:
     if added == 0:
         return g
 
-    coords = dict(_coord_items(g))  # new vertices follow the given order
+    coords = dict(_coord_items(g))  # id order, the new vertices after the old
     ends: list[tuple[str, str]] = []  # the pieces, which never repeat an edge, and their lengths
     lengths: list[float] = []
     existing = set(g.vertices)  # every vertex, the new ones added as they are made

@@ -427,7 +427,7 @@ def _reduction_field(
     Roots are finite and >= 0 by construction, so h needs no validation."""
     names = g.vertices
     return ReductionField(
-        h=ScalarField(g, _VertexView(g, range(len(names)), roots), "rhs_f", roots),
+        h=ScalarField(g, _VertexView(g, None, roots), "rhs_f", roots),
         residuals=dict(zip(names, residuals)),
         flagged=tuple(x for x, res in zip(names, residuals) if res > tol),
         tol=tol,
@@ -454,8 +454,9 @@ def _causal(g: MetricGraph, H: HamiltonianSpec, seeds: list[tuple[int, float]], 
     (README, "General Hamiltonians"), returned as :func:`settle` returns its
     run, with the parent rule kept in ``via`` as settle keeps it.  Settling
     y reduces h(y, d) into ``roots`` and ``residuals``; each candidate's
-    root goes to ``offer``.  The vertices never settled, at label inf, are
-    reduced after the loop."""
+    root goes to ``offer``.  A vertex never settled has label inf, an
+    overflow that :func:`value_function` refuses before it reads a root,
+    so it is neither reduced nor appended to the order."""
     nbrs, lens, names = g.nbrs, g.lens, g.vertices
     n = len(nbrs)
     evaluate, name = H.evaluate, H.name
@@ -485,9 +486,7 @@ def _causal(g: MetricGraph, H: HamiltonianSpec, seeds: list[tuple[int, float]], 
                     push(heap, (t, x))
                 elif t == dist[x] and y < via[x]:
                     via[x] = y
-    unsettled = [x for x in range(n) if parent[x] < 0]
-    reduce(evaluate, name, names, dist, unsettled, roots, residuals, tol)
-    return dist, order + unsettled, parent
+    return dist, order, parent
 
 
 def solve_general(
@@ -548,7 +547,7 @@ def solve_general(
     taken, roots, residuals = [0.0] * n, [0.0] * n, [0.0] * n  # taken: the labels roots were taken at
     independent = H.rho_monotonicity == "independent"
     _rereduce(H, names, taken, range(n), roots, residuals if independent else None, bisect_tol)
-    f = ScalarField(g, _VertexView(g, range(n), roots), "rhs_f", roots)  # roots changes once f is solved
+    f = ScalarField(g, _VertexView(g, None, roots), "rhs_f", roots)  # roots changes once f is solved
     vf = solve_dirichlet(DirichletProblem(g, f, zeta, threshold=0.0))
     u = field_list(g, vf.u)
     seeds = boundary_seeds(g, zeta.values)

@@ -264,8 +264,7 @@ def check_boundary_consistency(p: DirichletProblem, vf: ValueFunction) -> Bounda
     zeta = {y: p.zeta[y] for y in sorted(g.boundary)}
     u = field_list(g, vf.u)
     fl = field_list(g, p.f)
-    inf_f = min(p.f.values.values())
-    sup_f = max(p.f.values.values())
+    inf_f, sup_f = min(fl), max(fl)
     slack = 1.0 + REL_TOL
 
     def holds(scale: float, seeds, judged) -> bool:

@@ -35,16 +35,12 @@ MONOTONE_SLACK = 1e-12  # float jitter allowance for residual monotonicity
 
 @dataclass(frozen=True)
 class Fixture:
-    """Deterministic named graph with optional analytic reference solution.
-
-    The reference, when present, is the solution for f = 1 and zero boundary
-    data (the distance to the boundary set).
-    """
+    """Deterministic named graph: the generator's name, its parameters and
+    the graph it built."""
 
     name: str
     params: dict
     graph: MetricGraph
-    reference: dict[str, float] | None = None
 
 
 def _require_size(name: str, count: int) -> None:
@@ -60,8 +56,7 @@ def _interval(n: int) -> Fixture:
     ids = [f"v{k}" for k in range(n + 1)]
     coords = {ids[k]: ((2 * k - n) / n,) for k in range(n + 1)}
     g = _finalize(ids, list(zip(ids, ids[1:])), [2.0 / n] * n, {ids[0], ids[n]}, coords)
-    reference = {v: 1.0 - abs(coords[v][0]) for v in ids}
-    return Fixture("interval", {"n": n}, g, reference)
+    return Fixture("interval", {"n": n}, g)
 
 
 def _circle(n: int) -> Fixture:
@@ -75,7 +70,7 @@ def _circle(n: int) -> Fixture:
     }
     chord = 2.0 * math.sin(math.pi / n)
     g = _finalize(ids, list(zip(ids, ids[1:] + ids[:1])), [chord] * n, (), coords)
-    return Fixture("circle", {"n": n}, g, None)
+    return Fixture("circle", {"n": n}, g)
 
 
 def _grid(n: int, connectivity: int = 4) -> Fixture:
@@ -96,11 +91,7 @@ def _grid(n: int, connectivity: int = 4) -> Fixture:
     lengths = [1.0] * len(steps) + [math.sqrt(2.0)] * len(diagonals)
     ring = {*rows[0], *rows[-1], *(row[0] for row in rows), *(row[-1] for row in rows)}
     g = _finalize(coords, steps + diagonals, lengths, ring, coords)
-    reference = None
-    if connectivity == 4:
-        reference = {name: float(min(i, j, n - 1 - i, n - 1 - j))
-                     for i, row in enumerate(rows) for j, name in enumerate(row)}
-    return Fixture("grid", {"n": n, "connectivity": connectivity}, g, reference)
+    return Fixture("grid", {"n": n, "connectivity": connectivity}, g)
 
 
 def _binary_tree(depth: int) -> Fixture:
@@ -116,8 +107,7 @@ def _binary_tree(depth: int) -> Fixture:
         coords.update((child, ((k + 0.5) / len(nxt), -float(d))) for k, child in enumerate(nxt))
         level = nxt
     g = _finalize(coords, ends, [1.0] * len(ends), level, coords)  # leaves form the boundary
-    reference = {v: float(depth - (len(v) - 1)) for v in coords}
-    return Fixture("binary_tree", {"depth": depth}, g, reference)
+    return Fixture("binary_tree", {"depth": depth}, g)
 
 
 def _gasket(level: int) -> Fixture:
@@ -138,7 +128,7 @@ def _gasket(level: int) -> Fixture:
             coords[name] = ((x + 0.5 * y) / res, y * (math.sqrt(3.0) / 2.0) / res)
         ends += ((a, b), (a, c), (b, c))
     g = _finalize(coords, ends, [2.0 ** (-level)] * len(ends), {"g0_0", f"g{res}_0", f"g0_{res}"}, coords)
-    return Fixture("gasket", {"level": level}, g, None)
+    return Fixture("gasket", {"level": level}, g)
 
 
 def fixture(name: str, **params) -> Fixture:

@@ -21,6 +21,7 @@ that ``build_graph`` replaced, whose graphs and errors it must give.
 version 2 replaced, kept as the source of version 1 inputs.
 :func:`reference_gasket` builds the gasket fixture by triangle subdivision,
 :func:`reference_fixture` the other fixtures through string-keyed edge dicts,
+:func:`fixture_distance` gives the closed-form solution of some fixtures,
 and :func:`reference_edge_check` is ``induce_intrinsic``'s edge check by
 value iteration.  :func:`reference_boundary_consistency` is the boundary
 certificate with one min-plus solve per verdict, whose every field the
@@ -346,9 +347,8 @@ def reference_fixture(name: str, **params) -> Fixture:
     every field, order included, ``fixture`` must reproduce; the gasket is
     :func:`reference_gasket`.  Valid parameters only."""
     if name == "gasket":
-        return Fixture("gasket", dict(params), reference_gasket(params["level"]), None)
+        return Fixture("gasket", dict(params), reference_gasket(params["level"]))
     edges: dict[tuple[str, str], float] = {}
-    reference: dict[str, float] | None = None
     if name == "interval":
         n = params["n"]
         ids = [f"v{k}" for k in range(n + 1)]
@@ -356,7 +356,6 @@ def reference_fixture(name: str, **params) -> Fixture:
         for k in range(n):
             edges[edge_key(ids[k], ids[k + 1])] = 2.0 / n
         boundary = {ids[0], ids[n]}
-        reference = {v: 1.0 - abs(coords[v][0]) for v in ids}
     elif name == "circle":
         n = params["n"]
         ids = [f"c{k}" for k in range(n)]
@@ -379,8 +378,6 @@ def reference_fixture(name: str, **params) -> Fixture:
                 if (i + di, j + dj) in names:
                     edges[edge_key(names[i, j], names[i + di, j + dj])] = length
         boundary = {names[i, j] for i, j in names if i in (0, n - 1) or j in (0, n - 1)}
-        if connectivity == 4:
-            reference = {names[i, j]: float(min(i, j, n - 1 - i, n - 1 - j)) for i, j in names}
     elif name == "binary_tree":
         depth = params["depth"]
         ids, coords, level = ["t"], {"t": (0.5, 0.0)}, ["t"]
@@ -395,10 +392,27 @@ def reference_fixture(name: str, **params) -> Fixture:
                 coords[child] = ((k + 0.5) / len(nxt), -float(d))
             level = nxt
         boundary = set(level)
-        reference = {v: float(depth - (len(v) - 1)) for v in ids}
     else:
         raise ValueError(f"no reference for fixture {name!r}")
-    return Fixture(name, params, _reference_finalize(ids, edges.items(), boundary, coords), reference)
+    return Fixture(name, params, _reference_finalize(ids, edges.items(), boundary, coords))
+
+
+def fixture_distance(name: str, **params) -> dict[str, float] | None:
+    """The analytic solution for f = 1 and zero boundary data, the distance
+    to the boundary, of ``fixture(name, **params)`` where it has a closed
+    form: the interval, the 4-connected grid and the binary tree (None for
+    the others).  Every value is exact in binary64."""
+    if name == "interval":
+        n = params["n"]
+        return {f"v{k}": 1.0 - abs((2 * k - n) / n) for k in range(n + 1)}
+    if name == "grid" and params.get("connectivity", 4) == 4:
+        n = params["n"]
+        return {f"v{i}_{j}": float(min(i, j, n - 1 - i, n - 1 - j)) for i in range(n) for j in range(n)}
+    if name == "binary_tree":
+        depth = params["depth"]  # the node k of level d, 2**d <= k < 2**(d + 1), is "t" and k's bits after the first
+        return {"t" + format(k, "b")[1:]: float(depth - d)
+                for d in range(depth + 1) for k in range(2**d, 2**(d + 1))}
+    return None
 
 
 def value_iteration(graph, costs, seeds):

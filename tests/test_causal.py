@@ -24,6 +24,7 @@ import pytest
 from eikograph import (
     ConvergenceError,
     HamiltonianSpec,
+    ProblemError,
     build_graph,
     builtin_hamiltonian,
     check_c_subsolution,
@@ -142,6 +143,17 @@ def test_equal_candidates_give_the_least_index_its_exit():
     assert causal_or_refused(g, H, zeta)
     vf = solve_general(g, H, zeta, max_iter=1)[0]
     assert list(vf.u.values) == ["c", "j", "m", "a", "n"] and vf.exit_vertex["n"] == "m"
+
+
+def test_a_vertex_never_settled_is_an_overflow_refused():
+    # the pass settles a and c at 1e308, where h = 1e12, so every offer to b
+    # is inf: b is never settled, and value_function refuses the run
+    g = build_graph({"vertices": ["a", "b", "c"], "boundary": ["a", "c"],
+                     "edges": [{"a": "a", "b": "b", "length": 1e300}, {"a": "b", "b": "c", "length": 1e300}]})
+    H = HamiltonianSpec("wild", lambda x, rho, p: p - 1e12 if rho > 1e300 else p + 1.0, 1.0, "nondecreasing")
+    zeta = field_on(g, {"a": 1e308, "c": 1e308}, "boundary_zeta")
+    with pytest.raises(ProblemError, match="^the cost of reaching vertex 'b' overflows binary64$"):
+        solve_general(g, H, zeta, max_iter=1)
 
 
 def test_generic_kernel_gives_the_inlined_kernels_labels():

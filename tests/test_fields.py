@@ -194,8 +194,8 @@ def outcome(call):
 
 
 class TestFieldOnInputs:
-    """field_on copies exact str/float input as it is and converts every
-    other input: either way the same dict, order and errors."""
+    """field_on reads exact str/float input as it is and converts every
+    other input: either way the same values, in id order, and errors."""
 
     @staticmethod
     def cases(g):
@@ -226,10 +226,11 @@ class TestFieldOnInputs:
             assert got[0] is outcome(lambda: field_on(g, want, role))[0], name
             if got[0] == "ok":
                 field = got[1]
-                assert list(field.values.items()) == list(want.items()), name
+                assert list(field.values.items()) == [(v, want[v]) for v in g.vertices], name
                 assert set(map(type, field.values)) == {str}
                 assert set(map(type, field.values.values())) == {float}
-                assert field.values is not values  # a copy: the caller's dict stays the caller's
+                assert field.values is not values  # the caller's dict is not kept
+                assert field_list(g, field) == list(field.values.values())  # a view of the one list
             else:
                 assert got == outcome(lambda: field_on(g, want, role)), name
 

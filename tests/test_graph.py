@@ -877,6 +877,14 @@ class TestOneLayout:
                         lens=lens)
         assert h == g and h.lens is lens and len(set(map(id, h.lens))) == len(g.vertices)
 
+    @pytest.mark.parametrize("make", VIEW_GRAPHS.values(), ids=VIEW_GRAPHS.keys())
+    def test_a_graph_and_its_file_have_the_same_repr(self, make):
+        """A graph stores nothing that its version 2 file drops: its coords
+        iterate in id order, and the file's graph prints the same."""
+        g = make()
+        assert list(g.coords) == [v for v in g.vertices if v in g.coords]
+        assert repr(build_graph(graph_module.graph_to_dict(g))) == repr(g)
+
     def test_edges_is_no_field(self):
         assert "edges" not in {f.name for f in dataclasses.fields(MetricGraph)}
 
@@ -914,8 +922,9 @@ class TestOneLayout:
 
     @pytest.mark.parametrize("make", VIEW_GRAPHS.values(), ids=VIEW_GRAPHS.keys())
     def test_coords_view_behaves_as_the_given_dict(self, make, monkeypatch):
-        """``g.coords`` gives back, order and sign bits included, the coords
-        its constructor was given, from the columns a version 2 file holds."""
+        """``g.coords`` gives back, sign bits included, the coords its
+        constructor was given, in id order, from the columns a version 2
+        file holds."""
         given = [REPLACED]  # a replace builds past _finalize
         real = graph_module._finalize
 
@@ -927,7 +936,8 @@ class TestOneLayout:
             monkeypatch.setattr(module, "_finalize", spy)
         g = make()
         monkeypatch.undo()
-        want = {v: tuple(map(float, xy)) for v, xy in given[0 if make is VIEW_GRAPHS["replace"] else -1].items()}
+        coords = given[0 if make is VIEW_GRAPHS["replace"] else -1]
+        want = {v: tuple(map(float, coords[v])) for v in g.vertices if v in coords}  # id order
         view = g.coords
         assert list(view.items()) == list(want.items()) and repr(view) == repr(want)  # repr shows -0.0
         assert [tuple(map(float.hex, xy)) for xy in view.values()] == [tuple(map(float.hex, xy))
@@ -950,7 +960,6 @@ class TestOneLayout:
         assert g.dim == (len(want[ids[0]]) if want else 0)
         assert list(map(float.hex, g.xs)) == [x.hex() for v in ids for x in want[v]]
         assert g.coords_at == (None if len(want) == len(g.vertices) else [g.index[v] for v in ids])
-        assert g.coords_order == (None if list(want) == ids else [g.index[v] for v in want])
         assert dataclasses.replace(g, coords=view) == g and dataclasses.replace(g, lens=g.lens) == g
         assert repr(dataclasses.replace(g, coords=view)) == repr(g)
 

@@ -201,16 +201,17 @@ def test_partial_coords_survive_the_round_trip(tmp_path):
     assert read_graph(str(tmp_path / "g.json")).coords == g.coords
 
 
-# (fixture, params, h_max) -> sha256 of repr((vertices, nbrs, lens, coords items, sorted boundary))
+# (fixture, params, h_max) -> sha256 of repr((vertices, nbrs, lens, coords items, sorted boundary)),
+# coords items in id order
 REFINED = {
-    ("grid", (("n", 6),), 0.3): "b244a2b42ccccfa01d2dad2444476b3d08857d71769be2a9bfbfe5dc855acb2f",
-    ("grid", (("n", 5), ("connectivity", 8)), 1.2): "856b0c7fd10e1e90595c5fa6c6b22a1567565c26e62ade9616f27d74976b27ae",
-    ("gasket", (("level", 3),), 0.1): "44489b3538628cfedd3cb7b1f51e25b6a0c31d85db215eb0096fe893aff91d28",
-    ("gasket", (("level", 3),), 0.04): "1650b5a6bfae4eca8e26addcee3d2607498c2cac9edf20882702b192a63988f2",
-    ("binary_tree", (("depth", 4),), 0.5): "ac63211a87ba7fb74a013658d233a987fb303a66aa23c2d34a66ea17945dada1",
-    ("binary_tree", (("depth", 4),), 0.3): "c0576d6e1428eea697cfaf25c1a99369a44f3d3940422b97cbb9d5df01701ab7",
-    ("mixed", (), 0.4): "e8a6617f880e5f1e5c293f43c53d779a18628f9e5b92c3a5d19743cc762b4118",
-    ("partial", (), 0.4): "cb8d4c498610b7291491bc2d0c38e210f81258ba2385216bc3380d129c216ea0",
+    ("grid", (("n", 6),), 0.3): "d09d506592a1f16fdec5ec940635bf5c0994efe5dca480cef662975d0e1751aa",
+    ("grid", (("n", 5), ("connectivity", 8)), 1.2): "bedb82f4383ea9051f39eb7420cac1da4e7f5961b6c65c3466b76fbafd146de7",
+    ("gasket", (("level", 3),), 0.1): "d6da4f783a8006954528a3a3fe26749d67ef4c3abba83c8465949fbf4ae9d371",
+    ("gasket", (("level", 3),), 0.04): "ca90e4ca1978691323a937a88e799fae8cb637c0edbcf207ae46342b24332cc7",
+    ("binary_tree", (("depth", 4),), 0.5): "a0a01364417e1cff40b0977e17f6fce1cf3611137d154ee92750d0bddf87577b",
+    ("binary_tree", (("depth", 4),), 0.3): "6026ba9b8ce1206c1f126f70e075e32d5f375cd7005104f3446ad1659cb3e997",
+    ("mixed", (), 0.4): "9e0188fcf3f3d280d941bd902a84ece0189209ad200fb451886586092f1c38d7",
+    ("partial", (), 0.4): "1603cee7f8d4223e195c7af2f3cbbfc11f829938d6379abe8de67292d6db9f06",
 }
 
 

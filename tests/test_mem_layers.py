@@ -16,13 +16,16 @@ spec.loader.exec_module(mem_layers)
 
 def test_layers_run_under_the_trace(tmp_path):
     built = mem_layers.layers(ek, tmp_path, sweep=[("grid", {"n": 4}), ("gasket", {"level": 2})], file_n=5,
-                              refine_h=0.5)
+                              refine_h=0.5, field=("grid", {"n": 3}))
     assert [name for name, _ in built] == [
         "fixture grid n=4", "fixture gasket level=2", "read_graph grid n=5 version 2",
-        "read_graph grid n=5 version 1", "refine grid n=5 h_max=0.5"]
+        "read_graph grid n=5 version 1", "refine grid n=5 h_max=0.5", "field_on rhs_f grid n=3"]
     grid = ek.fixture("grid", n=5).graph
     assert built[2][1]() == built[3][1]() == grid
     assert len(built[4][1]().vertices) == 25 + 40
+    f = built[5][1]()
+    assert f.role == "rhs_f" and f.graph == ek.fixture("grid", n=3).graph
+    assert all(0.5 <= x <= 2.0 for x in f.values.values()) and built[5][1]() == f  # values drawn once, untraced
     for _, build in built:
         kept, peak = mem_layers.traced(build)
         assert 0 < kept <= peak

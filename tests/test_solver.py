@@ -25,7 +25,7 @@ from eikograph import (
 from eikograph.graph import close, edge_key, settle
 from eikograph.solver import boundary_seeds, value_function
 
-from oracles import adjacency, retry_loop_exits, value_iteration
+from oracles import adjacency, fixture_distance, retry_loop_exits, value_iteration
 
 
 def interval_problem(n=200, f_value=1.0, zeta=None):
@@ -174,14 +174,13 @@ class TestBellmanInvariants:
 
 class TestGridOracle:
     def test_64_grid_distance_to_ring(self):
-        fix = fixture("grid", n=64)
-        g = fix.graph
+        g, reference = fixture("grid", n=64).graph, fixture_distance("grid", n=64)
         f = constant_field(g, 1.0, "rhs_f")
         z = constant_field(g, 0.0, "boundary_zeta")
         vf = solve_dirichlet(DirichletProblem(g, f, z))
         # integer arithmetic throughout: both the reference and the oracle are exact
         for v in g.vertices:
-            assert vf.u[v] == fix.reference[v]
+            assert vf.u[v] == reference[v]
         oracle = value_iteration(g, edge_costs(g, f), {b: 0.0 for b in g.boundary})
         assert all(vf.u[v] == oracle[v] for v in g.vertices)
 

@@ -6,17 +6,20 @@ Each argument is a directory that holds the ``eikograph`` package (a
 checkout's ``src``).  With one, this process imports the package from it
 and runs the layers in order: the four fixture builds of perfbench's sweep
 workload at its full size, ``read_graph`` of the grid n=100 fixture written
-as a version 2 file and as a compact version 1 file, and ``refine`` of that
-grid at h_max 0.25 (69,400 vertices).  Each layer runs after a collection,
+as a version 2 file and as a compact version 1 file, ``refine`` of that
+grid at h_max 0.25 (69,400 vertices), and ``field_on`` of a seeded rhs_f
+on grid n=150, the sweep's largest graph, with values drawn as the sweep
+draws them (the field's stored form).  Each layer runs after a collection,
 with tracemalloc started just before it and stopped just after, and prints
 the MiB that its result keeps and the MiB at which its allocations peaked.
 tracemalloc counts Python's own allocations, so the same code on the same
 Python gives the same figures on every run, where the peak RSS of a whole
 benchmark process moves by a fraction of a MB between runs of identical
-code.  The input files are written before the layers run, outside the
-trace.  With two roots, each runs in its own child process, and one table
-gives both sides and the change from the first to the second.  Takes about
-6 s a root on a 2-core x86-64.  Standard library only.
+code.  The input files, the field's graph and its values are made before
+the layers run, outside the trace.  With two roots, each runs in its own
+child process, and one table gives both sides and the change from the
+first to the second.  Takes about 6 s a root on a 2-core x86-64.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import gc
 import importlib
 import json
+import random
 import subprocess
 import sys
 import tempfile
@@ -35,6 +39,7 @@ SWEEP = [("grid", {"n": 150}), ("grid", {"n": 60, "connectivity": 8}),  # perfbe
          ("gasket", {"level": 7}), ("binary_tree", {"depth": 13})]
 FILE_N = 100  # the grid of the graph files, and the grid refined
 REFINE_H = 0.25
+FIELD = ("grid", {"n": 150})  # the graph of the field layer
 MIB = 2**20
 
 
@@ -45,18 +50,29 @@ def version_1(g) -> dict:
     return {"version": 1, "vertices": vertices, "edges": edges, "boundary": sorted(g.boundary)}
 
 
-def layers(ek, workdir: Path, sweep=SWEEP, file_n: int = FILE_N, refine_h: float = REFINE_H) -> list:
+def label(name: str, params: dict) -> str:
+    """A fixture's name and parameters as a layer's name shows them."""
+    return f"{name} {' '.join(f'{k}={v}' for k, v in params.items())}"
+
+
+def layers(ek, workdir: Path, sweep=SWEEP, file_n: int = FILE_N, refine_h: float = REFINE_H,
+           field=FIELD) -> list:
     """(name, build) of every layer: ``build()`` runs the layer and returns
-    what it keeps.  Writes the graph files into ``workdir`` first."""
+    what it keeps.  Writes the graph files into ``workdir``, and builds the
+    field's graph and values, first."""
     grid = ek.fixture("grid", n=file_n).graph
     v2, v1 = str(workdir / "v2.json"), str(workdir / "v1.json")
     ek.write_graph(grid, v2)
     Path(v1).write_text(json.dumps(version_1(grid), separators=(",", ":")) + "\n", encoding="utf-8")
-    out = [(f"fixture {name} {' '.join(f'{k}={v}' for k, v in params.items())}",
-            lambda name=name, params=params: ek.fixture(name, **params).graph) for name, params in sweep]
+    g = ek.fixture(field[0], **field[1]).graph
+    rng = random.Random(0)
+    f_vals = {v: rng.uniform(0.5, 2.0) for v in g.vertices}  # as the sweep draws f
+    out = [(f"fixture {label(name, params)}", lambda name=name, params=params: ek.fixture(name, **params).graph)
+           for name, params in sweep]
     return out + [(f"read_graph grid n={file_n} version 2", lambda: ek.read_graph(v2)),
                   (f"read_graph grid n={file_n} version 1", lambda: ek.read_graph(v1)),
-                  (f"refine grid n={file_n} h_max={refine_h}", lambda: ek.refine(grid, refine_h))]
+                  (f"refine grid n={file_n} h_max={refine_h}", lambda: ek.refine(grid, refine_h)),
+                  (f"field_on rhs_f {label(*field)}", lambda: ek.field_on(g, f_vals, "rhs_f"))]
 
 
 def traced(build: Callable) -> tuple[float, float]:
