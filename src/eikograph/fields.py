@@ -108,15 +108,13 @@ def field_on(g: MetricGraph, values: Mapping[str, float], role: str) -> ScalarFi
         bad = sorted(v for v, x in values.items() if not math.isfinite(x))
         if bad:
             raise FieldError(f"field ({role}) has non-finite value {values[bad[0]]!r} at vertex {bad[0]!r}")
-    if role == "boundary_zeta":
+    fl = None if role == "boundary_zeta" else list(map(values.get, g.vertices))  # .get: no __missing__
+    if fl is None or None in fl or len(values) > len(fl):  # boundary data, an id missing, or one that is no vertex
         if unknown := values.keys() - g.index.keys():
             raise FieldError(f"field values at unknown vertices {sorted(unknown)[:5]}")
-        _on_boundary(g, values)
-        return ScalarField(g, dict(values), role)
-    fl = list(map(values.get, g.vertices))
-    if None in fl or len(values) > len(fl):  # an id missing, or one that is no vertex
-        if unknown := values.keys() - g.index.keys():
-            raise FieldError(f"field values at unknown vertices {sorted(unknown)[:5]}")
+        if fl is None:
+            _on_boundary(g, values)
+            return ScalarField(g, dict(values), role)
         raise FieldError(f"field ({role}) missing values at {sorted(g.index.keys() - values.keys())[:5]}")
     if role == "rhs_f" and min(fl) < 0.0:
         neg = [(v, x) for v, x in zip(g.vertices, fl) if x < 0.0]

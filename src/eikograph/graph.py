@@ -689,6 +689,19 @@ def _ones(n: int) -> list[float]:
     return _ONES
 
 
+def _start(n: int, seeds: Iterable[tuple[int, float]]) -> tuple[list[float], list[int], list[int], list]:
+    """Labels, parents, ``via`` and heap from (index, datum) seeds: a repeated
+    index keeps its last datum, an infinite datum is not seeded, none is refused."""
+    datum = dict(seeds)
+    if not datum:
+        raise ValidationError("label setting needs at least one seed")
+    dist, parent, via = [math.inf] * n, [-1] * n, [-1] * n  # parent >= 0 exactly for the settled vertices
+    heap = sorted((d0, x) for x, d0 in datum.items() if d0 < math.inf)  # sorted: a heap
+    for d0, x in heap:
+        dist[x] = d0
+    return dist, parent, via, heap
+
+
 def settle(
     g: MetricGraph,
     seeds: Iterable[tuple[int, float]],
@@ -698,7 +711,7 @@ def settle(
 ) -> tuple[list[float], list[int], list[int]]:
     """Exact binary64 fixpoint of the Bellman labeling operator on ``g``.
 
-    ``seeds`` are (vertex index, datum) pairs at distinct vertices.  Edge
+    ``seeds`` are (vertex index, datum) pairs, taken by :func:`_start`.  Edge
     (x, y) costs 0.5 * (fl[x] + fl[y]) * length * scale, computed as it is
     relaxed (with no ``fl``, exactly length * scale).  One multi-source
     Dijkstra pass gives the unique u with u(x) = min(datum(x), min over
@@ -719,15 +732,7 @@ def settle(
     n = len(nbrs)
     if fl is None:
         fl = _ones(n)
-    datum = dict(seeds)
-    if not datum:
-        raise ValidationError("label setting needs at least one seed")
-    dist = [math.inf] * n
-    parent = [-1] * n  # >= 0 exactly for the settled vertices
-    via = [-1] * n
-    heap = sorted((d0, x) for x, d0 in datum.items() if d0 < math.inf)  # sorted: a heap
-    for d0, x in heap:
-        dist[x] = d0
+    dist, parent, via, heap = _start(n, seeds)
     pop, push = heapq.heappop, heapq.heappush
     order: list[int] = []
     while heap:
@@ -773,8 +778,8 @@ def intrinsic_distance(g: MetricGraph, x: str, y: str) -> tuple[float, Curve]:
     """Intrinsic distance between two vertices and a witness shortest path.
 
     On a finite graph the infimum of curve lengths is attained by a vertex
-    path; the witness walks the :func:`settle` parents from y back to x, so
-    its total length equals the reported distance.
+    path; the witness walks the :func:`settle` parents from y back to x, its
+    cumlen their labels: bit for bit :func:`curve_along`'s sums, as 0.5 * 2 * l * 1 == l.
     """
     i, j = _vertex_index(g, x), _vertex_index(g, y)
     dist, _, parent = settle(g, [(i, 0.0)])
@@ -783,7 +788,7 @@ def intrinsic_distance(g: MetricGraph, x: str, y: str) -> tuple[float, Curve]:
     path = [j]
     while path[-1] != i:
         path.append(parent[path[-1]])
-    return dist[j], curve_along(g, [g.vertices[k] for k in reversed(path)])
+    return dist[j], Curve(tuple(g.vertices[k] for k in reversed(path)), tuple(dist[k] for k in reversed(path)))
 
 
 def distances_from(g: MetricGraph, sources: Iterable[str]) -> dict[str, float]:

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import CoercivityError, ConvergenceError, HamiltonianError, ValidationError
 from .fields import ScalarField, _lookup, _VertexView, field_list, field_on, interior_slopes
-from .graph import MetricGraph, _edge_items, coord_axis, settle
+from .graph import MetricGraph, _edge_items, _start, coord_axis, settle
 from .slopes import CheckReport
 from .solver import DirichletProblem, ValueFunction, boundary_seeds, solve_dirichlet, value_function
 
@@ -117,15 +117,15 @@ class HamiltonianValidation:
 
 @dataclass(frozen=True)
 class ReductionField:
-    """Reduced right-hand side h with the residuals |H(x, rho(x), h(x))|.
+    """Reduced right-hand side h with the residuals |H(x, rho(x), h(x))|,
+    both views, in id order, of the lists by vertex index the reduction wrote.
 
     ``flagged`` lists vertices where h = 0 was forced although H(x, rho, 0)
-    stays above the tolerance; there the input rho is inconsistent with any
-    nonnegative root.
+    stays above the tolerance: there rho admits no nonnegative root.
     """
 
     h: ScalarField
-    residuals: dict[str, float]
+    residuals: Mapping[str, float]
     flagged: tuple[str, ...]
     tol: float
 
@@ -425,11 +425,10 @@ def _reduction_field(
 ) -> ReductionField:
     """The :class:`ReductionField` of roots and residuals by vertex index.
     Roots are finite and >= 0 by construction, so h needs no validation."""
-    names = g.vertices
     return ReductionField(
         h=ScalarField(g, _VertexView(g, None, roots), "rhs_f", roots),
-        residuals=dict(zip(names, residuals)),
-        flagged=tuple(x for x, res in zip(names, residuals) if res > tol),
+        residuals=_VertexView(g, None, residuals),
+        flagged=tuple(x for x, res in zip(g.vertices, residuals) if res > tol),
         tol=tol,
     )
 
@@ -451,22 +450,17 @@ def reduce_field(
 def _causal(g: MetricGraph, H: HamiltonianSpec, seeds: list[tuple[int, float]], roots: list[float],
             residuals: list[float], tol: float) -> tuple[list[float], list[int], list[int]]:
     """:func:`solve_general`'s discrete system in one label-setting pass
-    (README, "General Hamiltonians"), returned as :func:`settle` returns its
-    run, with the parent rule kept in ``via`` as settle keeps it.  Settling
-    y reduces h(y, d) into ``roots`` and ``residuals``; each candidate's
-    root goes to ``offer``.  A vertex never settled has label inf, an
-    overflow that :func:`value_function` refuses before it reads a root,
-    so it is neither reduced nor appended to the order."""
+    (README, "General Hamiltonians"), seeded by :func:`_start` and returned
+    as :func:`settle` returns its run, parents kept in ``via`` as settle
+    keeps them.  Settling y reduces h(y, d) into ``roots`` and ``residuals``,
+    each candidate's root into ``offer``.  A vertex never settled keeps label
+    inf, which :func:`value_function` refuses first: it is not reduced or ordered."""
     nbrs, lens, names = g.nbrs, g.lens, g.vertices
     n = len(nbrs)
     evaluate, name = H.evaluate, H.name
     reduce, candidate = _kernel_of(evaluate), getattr(evaluate, "_causal", _GENERIC_CAUSAL)
-    datum = dict(seeds)
-    dist, parent, via = [math.inf] * n, [-1] * n, [-1] * n  # via: the least index offering dist
+    dist, parent, via, heap = _start(n, seeds)  # via: the least index offering dist
     offer = [0.0] * n  # each candidate's root, at the index of the vertex it is offered to
-    heap = sorted((d0, x) for x, d0 in datum.items() if d0 < math.inf)
-    for d0, x in heap:
-        dist[x] = d0
     pop, push = heapq.heappop, heapq.heappush
     order: list[int] = []
     while heap:
@@ -557,8 +551,8 @@ def solve_general(
     # a NaN change (inf - inf after an overflow) does not stop the sweeps
     while not independent and not (history and history[-1] <= tol):
         if solves >= max_iter:
-            (a, b), longest = max(_edge_items(g), key=itemgetter(1))
-            if 0.5 * longest * validation.mesh_bound > 1.0:
+            if 0.5 * g.h_max * validation.mesh_bound > 1.0:
+                (a, b), longest = max(_edge_items(g), key=itemgetter(1))
                 raise ConvergenceError(
                     f"Picard iteration did not reach tol {tol} in {max_iter} iterations "
                     f"(last change {history[-1] if history else math.nan}), and the causal pass "

@@ -7,7 +7,9 @@ non-UTF-8 bytes, unknown ids, non-finite cells, ragged coords, repeated rows
 and entries) and the command that reads each file runs in-process.  Every
 case must exit 0, 1 or 2 without an exception escaping, and an exit 2 must
 print exactly one ``error:`` line.  Named mutations that once exited 0, and
-those of the version 2 columns, must exit 2.
+those of the version 2 columns, must exit 2.  Three small valid graphs (one
+vertex; two boundary vertices; a path whose ends are the boundary) run
+through every subcommand that reads a graph, and each run must exit 0.
 """
 
 from __future__ import annotations
@@ -249,3 +251,51 @@ def test_named_mutation_exits_2(base, tmp_path, capsys, hole):
     assert run(COMMANDS[target](paths)) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
+
+
+SMALL_GRAPHS = {  # valid graphs at the low end of the size range: (ids, edges, boundary)
+    "one-vertex": ("a", [], "a"),
+    "two-boundary": ("ab", ["ab"], "ab"),
+    "path": ("abc", ["ab", "bc"], "ac"),
+}
+
+
+def small_commands(p):
+    """Every subcommand that reads a graph, on one small graph, after solve."""
+    g, u = p["g.json"], p["u.csv"]
+    yield ["solve", "--graph", g, "--f", "const:1", "--zeta", "const:0", "--out", u, "--certify",
+           "--plot", p["plot.svg"]]
+    for hamiltonian in ("affine-rho", "quadratic"):
+        for max_iter in ([], ["--max-iter", "1"]):
+            yield ["solve-h", "--graph", g, "--hamiltonian", hamiltonian, "--zeta", "const:0",
+                   "--out", p["h.csv"], *max_iter]
+    for check in ("monge", "csub", "csuper", "regularity"):
+        yield ["check", check, "--graph", g, "--u", u, "--f", "const:1"]
+    yield ["compare", "--graph", g, "--f", "const:1", "--u", u, "--v", u]
+    yield ["refine", "--graph", g, "--h-max", "0.3", "--out", p["refined.json"]]
+    yield ["induce-metric", "--points", p["pts.csv"], "--edges", p["adj.csv"], "--out", p["induced.json"]]
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
+def test_small_graphs_keep_exit_code_contract_in_every_subcommand(tmp_path, capsys, name):
+    ids, edges, boundary = SMALL_GRAPHS[name]
+    p = {f: str(tmp_path / f) for f in ("g.json", "u.csv", "plot.svg", "h.csv", "refined.json", "pts.csv",
+                                         "adj.csv", "induced.json")}
+    with open(p["g.json"], "w", encoding="utf-8") as fh:
+        json.dump({"version": 1, "vertices": [{"id": v, "coords": [float(i)]} for i, v in enumerate(ids)],
+                   "edges": [{"a": a, "b": b, "length": 1.0} for a, b in edges], "boundary": list(boundary)}, fh)
+    with open(p["pts.csv"], "w") as fh:
+        fh.write("vertex_id,x\n" + "".join(f"{v},{float(i)}\n" for i, v in enumerate(ids)))
+    with open(p["adj.csv"], "w") as fh:
+        fh.write("a,b\n" + "".join(f"{a},{b}\n" for a, b in edges))
+    codes = []
+    for argv in small_commands(p):
+        capsys.readouterr()
+        try:
+            code = run(argv)
+        except Exception as exc:  # a traceback: the contract is broken
+            pytest.fail(f"{name} {argv[:2]}: {type(exc).__name__}: {exc}")
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2) and "Traceback" not in err, (argv, code, err)
+        codes.append(code)
+    assert codes == [0] * len(codes), codes  # each input is valid, and each check passes on it
