@@ -101,6 +101,8 @@ def emit_plot_data(u: ScalarField, g: MetricGraph, path: str, layout: str = "aut
     layout "coords" requires coordinates on every vertex; "auto" includes
     coordinate columns only when all vertices carry them.
     """
+    if layout not in ("auto", "coords"):
+        raise ValidationError(f"unknown plot layout {layout!r}; expected 'auto' or 'coords'")
     have_all = g.coords_at is None  # None: every vertex carries coords
     if layout == "coords" and not have_all:
         missing = g.vertices[min(set(range(len(g.vertices))).difference(g.coords_at))]

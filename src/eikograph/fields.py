@@ -102,20 +102,23 @@ def field_on(g: MetricGraph, values: Mapping[str, float], role: str) -> ScalarFi
     ``values`` the view of that list in id order (README's field paragraph)."""
     if role not in ROLES:
         raise FieldError(f"unknown field role {role!r}; expected one of {ROLES}")
-    if set(map(type, values.keys())) != {str} or set(map(type, values.values())) != {float}:
+    if type(values) is not dict or set(map(type, values)) != {str} or set(map(type, values.values())) != {float}:
         values = dict(zip(map(str, values.keys()), map(float, values.values())))
     if not math.isfinite(sum(values.values())):  # one C-level pass; finite values may still overflow the sum
         bad = sorted(v for v, x in values.items() if not math.isfinite(x))
         if bad:
             raise FieldError(f"field ({role}) has non-finite value {values[bad[0]]!r} at vertex {bad[0]!r}")
-    fl = None if role == "boundary_zeta" else list(map(values.get, g.vertices))  # .get: no __missing__
-    if fl is None or None in fl or len(values) > len(fl):  # boundary data, an id missing, or one that is no vertex
+    try:  # values is an exact dict: a missing id raises KeyError, and no __missing__ runs
+        fl = [] if role == "boundary_zeta" else list(map(values.__getitem__, g.vertices))
+    except KeyError:
+        fl = None  # an id missing
+    if not fl or len(values) > len(fl):  # boundary data, an id missing, or one that is no vertex
         if unknown := values.keys() - g.index.keys():
             raise FieldError(f"field values at unknown vertices {sorted(unknown)[:5]}")
         if fl is None:
-            _on_boundary(g, values)
-            return ScalarField(g, dict(values), role)
-        raise FieldError(f"field ({role}) missing values at {sorted(g.index.keys() - values.keys())[:5]}")
+            raise FieldError(f"field ({role}) missing values at {sorted(g.index.keys() - values.keys())[:5]}")
+        _on_boundary(g, values)
+        return ScalarField(g, dict(values), role)
     if role == "rhs_f" and min(fl) < 0.0:
         neg = [(v, x) for v, x in zip(g.vertices, fl) if x < 0.0]
         raise FieldError(f"rhs field has negative values, e.g. {neg[:3]}")
@@ -208,6 +211,7 @@ def _values_on(g: MetricGraph, f: ScalarField) -> list[float]:
 
 def _lookup(g: MetricGraph, values: Mapping[str, float], what: str) -> list[float]:
     """``values`` by vertex index; FieldError names a vertex it misses."""
+    values = values if type(values) is dict else dict(values.items())  # a copy runs no __missing__, adds no key
     try:
         return list(map(values.__getitem__, g.vertices))
     except KeyError as exc:

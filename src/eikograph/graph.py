@@ -19,7 +19,7 @@ from collections.abc import ItemsView, Mapping, ValuesView
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, islice, repeat, zip_longest
 from operator import eq, itemgetter, lt
 from struct import unpack_from
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
@@ -61,8 +61,10 @@ class MetricGraph:
     only feed embedding-derived metrics and plot output; they are stored as
     the version 2 file stores them: ``dim`` binary64 numbers a vertex in the
     flat array ``xs``, in id order, for the vertices listed in ``coords_at``
-    (every vertex when it is None).  Built by :func:`_finalize`; the
-    constructor takes ``coords`` as any mapping of id -> numbers.
+    (every vertex when it is None).  :func:`_layout` lays out every graph,
+    ``dataclasses.replace``'s too: the constructor hands :func:`_finalize`
+    its coords (any mapping) and its lists' edges (i, j), i < j, and refuses
+    lists that differ from that layout; ``index`` is derived.
 
     Immutable after construction: mutating its lists in place is unsupported,
     and would reach every vertex that shares the list.
@@ -80,16 +82,24 @@ class MetricGraph:
     boundary: frozenset[str]
     # the view is a field, so that the constructor, dataclasses.replace, == and repr take it
     coords: Mapping[str, tuple[float, ...]] = cached_property(lambda g: _CoordView(g))
-    index: dict[str, int] = field(compare=False, repr=False)
+    index: dict[str, int] = field(init=False, compare=False, repr=False)
     nbrs: tuple[list[int], ...] = field(repr=False)
     lens: tuple[list[float], ...] = field(repr=False)
     dim: int = field(init=False, repr=False, compare=False)
     xs: array = field(init=False, repr=False, compare=False)
     coords_at: list[int] | None = field(init=False, repr=False, compare=False)
 
-    def __init__(self, vertices: tuple[str, ...], boundary: frozenset[str], coords: Mapping[str, Sequence[float]],
-                 index: dict[str, int], nbrs: tuple[list[int], ...], lens: tuple[list[float], ...]):
-        _store(self, vertices, boundary, index, nbrs, lens, _coord_columns(coords, index))
+    def __init__(self, vertices: Sequence[str], boundary: Iterable[str], coords: Mapping[str, Sequence[float]],
+                 nbrs: Sequence[list[int]], lens: Sequence[list[float]]):
+        vs = tuple(vertices)
+        upper = [((vs[i], vs[j]), length) for i, (nb, ln) in enumerate(zip(nbrs, lens))
+                 for j, length in zip(nb, ln) if type(j) is int and i < j < len(vs)]
+        g = _finalize(vs, [e for e, _ in upper], [x for _, x in upper], boundary, coords)
+        for k, (given, laid) in enumerate(zip_longest(zip_longest(vs, nbrs, lens), zip(g.vertices, g.nbrs, g.lens))):
+            if given != laid or not all(type(j) is int for j in given[1]):
+                raise ValidationError(f"vertex {given[0]!r} at index {k} differs from the layout of its edges: "
+                                      "ids strictly increasing, each vertex's neighbours and lengths in id order")
+        self.__dict__.update(vars(g))  # past the frozen __setattr__
 
     @property
     def edges(self) -> Mapping[tuple[str, str], float]:
@@ -396,14 +406,9 @@ def _layout(vs: tuple[str, ...], index: dict[str, int], pairs: Iterable[tuple[in
     if not all(seen):
         missing = [v for v, s in zip(vs, seen) if not s][:5]
         raise ConnectivityError(f"graph is disconnected; unreachable vertices include {missing}")
-    return _store(object.__new__(MetricGraph), vs, boundary, index, nbrs, lens, columns)
-
-
-def _store(g: MetricGraph, vertices: tuple[str, ...], boundary: frozenset[str], index: dict[str, int],
-           nbrs: tuple[list[int], ...], lens: tuple[list[float], ...], columns: tuple) -> MetricGraph:
-    """Set the fields of the new graph ``g``, past its frozen ``__setattr__``."""
-    g.__dict__.update(vertices=vertices, boundary=boundary, index=index, nbrs=nbrs, lens=lens,
-                      **dict(zip(("dim", "xs", "coords_at"), columns)))
+    g = object.__new__(MetricGraph)  # its fields set past the frozen __setattr__
+    vars(g).update(vertices=vs, boundary=boundary, index=index, nbrs=nbrs, lens=lens,
+                   **dict(zip(("dim", "xs", "coords_at"), columns)))
     return g
 
 
@@ -839,12 +844,7 @@ def refine(g: MetricGraph, h_max: float) -> MetricGraph:
     ends: list[tuple[str, str]] = []  # the pieces, which never repeat an edge, and their lengths
     lengths: list[float] = []
     existing = set(g.vertices)  # every vertex, the new ones added as they are made
-    for key, length, k in parts:
-        if k == 1:
-            ends.append(key)
-            lengths.append(length)
-            continue
-        (a, b), sub = key, length / k
+    for (a, b), length, k in parts:  # an unsplit edge is one piece: length / 1 == length
         chain = [a]
         for i in range(1, k):
             vid = f"{a}~{b}~{i}"
@@ -854,12 +854,10 @@ def refine(g: MetricGraph, h_max: float) -> MetricGraph:
             chain.append(vid)
             if a in coords and b in coords:
                 t = i / k
-                coords[vid] = tuple(
-                    ca + t * (cb - ca) for ca, cb in zip(coords[a], coords[b])
-                )
+                coords[vid] = tuple(ca + t * (cb - ca) for ca, cb in zip(coords[a], coords[b]))
         chain.append(b)
         ends += zip(chain, chain[1:])
-        lengths += repeat(sub, k)
+        lengths += repeat(length / k, k)
     del parts  # not held while _finalize lays the graph out
     return _finalize(existing, ends, lengths, g.boundary, coords)
 

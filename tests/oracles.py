@@ -200,7 +200,7 @@ def _reference_finalize(
     if not all(seen):
         missing = [v for v, s in zip(vs, seen) if not s][:5]
         raise ConnectivityError(f"graph is disconnected; unreachable vertices include {missing}")
-    return MetricGraph(vertices=vs, boundary=bset, coords=cmap, index=index, nbrs=nbrs, lens=lens)
+    return MetricGraph(vertices=vs, boundary=bset, coords=cmap, nbrs=nbrs, lens=lens)
 
 
 def _reference_require_coords(coords: Mapping[str, Sequence[float]]) -> None:

@@ -870,12 +870,13 @@ class TestOneLayout:
         assert h.lens == g.lens
         assert len({id(ln) for ln in h.lens}) == len({tuple(ln) for ln in h.lens}) == 2  # corners, the rest
 
-    def test_the_constructor_keeps_the_callers_lists(self):
+    def test_the_constructor_lays_out_the_callers_lists(self):
         g = fixture("grid", n=4).graph
         lens = tuple(map(list, g.lens))  # equal lists, one object each
-        h = MetricGraph(vertices=g.vertices, boundary=g.boundary, coords=g.coords, index=g.index, nbrs=g.nbrs,
-                        lens=lens)
-        assert h == g and h.lens is lens and len(set(map(id, h.lens))) == len(g.vertices)
+        h = MetricGraph(vertices=g.vertices, boundary=g.boundary, coords=g.coords, nbrs=g.nbrs, lens=lens)
+        assert h == g and repr(h) == repr(g) and h.index == g.index and h.lens == lens
+        assert not set(map(id, h.lens)) & set(map(id, lens))  # the layout's lists, not the caller's
+        assert len(set(map(id, h.lens))) == len(set(map(tuple, h.lens))) == 3  # corners, sides, interior
 
     @pytest.mark.parametrize("make", VIEW_GRAPHS.values(), ids=VIEW_GRAPHS.keys())
     def test_a_graph_and_its_file_have_the_same_repr(self, make):
