@@ -9,8 +9,8 @@ import re
 
 import pytest
 
-from eikograph import MetricGraph, ValidationError, fixture
-from eikograph import graph as graph_module
+from eikograph import MetricGraph, ValidationError, build_graph, fixture
+from eikograph.graph import graph_to_dict
 
 from test_graph import VIEW_GRAPHS
 
@@ -123,11 +123,11 @@ def test_index_is_derived_and_cannot_be_given():
                     lens=g.lens)
 
 
-def _finalized(g, lens):
-    """g's edges with the lengths of ``lens``, laid out by ``_finalize``."""
-    vs = g.vertices
-    entries = [((vs[i], vs[j]), x) for i, (nb, ln) in enumerate(zip(g.nbrs, lens)) for j, x in zip(nb, ln) if i < j]
-    return graph_module._finalize(vs, [e for e, _ in entries], [x for _, x in entries], g.boundary, g.coords)
+def _doubled_file(g):
+    """The graph of g's version 2 file with every length doubled, as ``build_graph`` lays it out."""
+    spec = graph_to_dict(g)
+    spec["length"] = [2.0 * x for x in spec["length"]]
+    return build_graph(spec)
 
 
 def _same_layout(h, want):
@@ -138,11 +138,11 @@ def _same_layout(h, want):
 
 
 @pytest.mark.parametrize("make", VIEW_GRAPHS.values(), ids=VIEW_GRAPHS.keys())
-def test_replace_lays_out_as_finalize(make):
+def test_replace_lays_out_as_every_builder(make):
     g = make()
     _same_layout(dataclasses.replace(g), g)
     _same_layout(dataclasses.replace(g, coords=g.coords), g)
     doubled = tuple([2.0 * x for x in ln] for ln in g.lens)  # one list object per vertex
     h = dataclasses.replace(g, lens=doubled)
-    _same_layout(h, _finalized(g, doubled))
+    _same_layout(h, _doubled_file(g))
     assert not set(map(id, h.lens)) & set(map(id, doubled))  # the layout's lists, not the caller's
