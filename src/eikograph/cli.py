@@ -201,6 +201,8 @@ def _cmd_solve_h(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.kind != "monge" and args.mode != "solution":
+        raise ValidationError(f"--mode applies to check monge only, not check {args.kind}")
     _check_io_paths([args.graph, args.u, args.f], [args.report])
     g = read_graph(args.graph)
     u = read_field_csv(g, args.u, "solution_u")

@@ -7,7 +7,7 @@ which makes the trapezoid edge integral exact and refinement cost-preserving.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -25,24 +25,21 @@ DEFAULT_POSITIVITY_THRESHOLD = 1e-9
 class ScalarField:
     """Real values at vertices with a role tag (rhs_f, solution_u, boundary_zeta).
 
-    Immutable after construction, like its graph.  The values by vertex
-    index of ``graph`` (``by_index``, else built on first use; README's
-    field paragraph), the Lipschitz constant and the interior one-hop
+    Immutable after construction, like its graph.  Its list by vertex index
+    (README's field paragraph), Lipschitz constant and interior one-hop
     slopes are kept once derived, and take no part in equality.
     """
 
     graph: MetricGraph
     values: Mapping[str, float]
     role: str
-    by_index: InitVar[list[float] | None] = None
-
-    def __post_init__(self, by_index: list[float] | None) -> None:
-        if by_index is not None:
-            self.__dict__["_list"] = by_index  # what the cached property below would build
 
     @cached_property
     def _list(self) -> list[float]:
-        return _values_on(self.graph, self)
+        vs = self.values
+        if type(vs) is _VertexView and vs._g is self.graph and not vs._ids:
+            return vs._list
+        return _lookup(self.graph, vs, f"field ({self.role})")
 
     @cached_property
     def _lipschitz(self) -> float:
@@ -53,10 +50,9 @@ class ScalarField:
         return tuple(_one_hop(self.graph, self._list, _interior(self.graph)))
 
     def __getitem__(self, v: str) -> float:
-        try:
-            return self.values[v]
-        except KeyError:
+        if v not in self.values:  # tested first, so a defaultdict adds no key
             raise FieldError(f"field ({self.role}) has no value at vertex {v!r}")
+        return self.values[v]
 
     def __contains__(self, v: str) -> bool:
         return v in self.values
@@ -104,10 +100,7 @@ def field_on(g: MetricGraph, values: Mapping[str, float], role: str) -> ScalarFi
         raise FieldError(f"unknown field role {role!r}; expected one of {ROLES}")
     if type(values) is not dict or set(map(type, values)) != {str} or set(map(type, values.values())) != {float}:
         values = dict(zip(map(str, values.keys()), map(float, values.values())))
-    if not math.isfinite(sum(values.values())):  # one C-level pass; finite values may still overflow the sum
-        bad = sorted(v for v, x in values.items() if not math.isfinite(x))
-        if bad:
-            raise FieldError(f"field ({role}) has non-finite value {values[bad[0]]!r} at vertex {bad[0]!r}")
+    _finite(values, f"field ({role})")
     try:  # values is an exact dict: a missing id raises KeyError, and no __missing__ runs
         fl = [] if role == "boundary_zeta" else list(map(values.__getitem__, g.vertices))
     except KeyError:
@@ -122,7 +115,7 @@ def field_on(g: MetricGraph, values: Mapping[str, float], role: str) -> ScalarFi
     if role == "rhs_f" and min(fl) < 0.0:
         neg = [(v, x) for v, x in zip(g.vertices, fl) if x < 0.0]
         raise FieldError(f"rhs field has negative values, e.g. {neg[:3]}")
-    return ScalarField(g, _VertexView(g, None, fl), role, fl)
+    return ScalarField(g, _VertexView(g, None, fl), role)
 
 
 def constant_field(g: MetricGraph, value: float, role: str) -> ScalarField:
@@ -186,36 +179,41 @@ def edge_costs(g: MetricGraph, f: ScalarField) -> dict[tuple[str, str], float]:
 
 
 def _on_boundary(g: MetricGraph, values: Mapping[str, float]) -> None:
-    """Raise FieldError unless ``values`` is keyed on exactly g's boundary."""
+    """Raise FieldError unless ``values`` is finite data on exactly g's boundary."""
     if missing := g.boundary.difference(values):
         raise FieldError(f"boundary data missing at {sorted(missing)[:5]}")
     if extra := values.keys() - g.boundary:
         raise FieldError(f"boundary data given at non-boundary vertices {sorted(extra)[:5]}")
+    _finite(values, "boundary data")
+
+
+def _finite(values: Mapping[str, float], what: str) -> None:
+    """FieldError at the least id whose value is not finite; a finite sum, one C-level pass, clears all."""
+    if not math.isfinite(sum(values.values())):
+        if bad := sorted(v for v, x in values.items() if not math.isfinite(x)):
+            raise FieldError(f"{what} has non-finite value {values[bad[0]]!r} at vertex {bad[0]!r}")
 
 
 def field_list(g: MetricGraph, f: ScalarField) -> list[float]:
     """f's values by vertex index, as :func:`settle` takes them: on f's own
-    graph the list f keeps, which no caller may change; else looked up, and
-    FieldError names a vertex of g that f misses, or one of f that g lacks."""
-    return f._list if g is f.graph else _values_on(g, f)
-
-
-def _values_on(g: MetricGraph, f: ScalarField) -> list[float]:
-    """:func:`field_list` by lookup, also for f built on g without a list."""
-    fl = _lookup(g, f.values, f"field ({f.role})")
-    if len(f.values) > len(fl):  # every id of g is a key: the others are vertices g lacks
-        raise FieldError(f"field ({f.role}) has a value at vertex {min(f.values.keys() - g.index.keys())!r}, "
-                         "which the graph lacks")
-    return fl
+    graph the list f keeps, which no caller may change; else read by
+    :func:`_lookup`."""
+    return f._list if g is f.graph else _lookup(g, f.values, f"field ({f.role})")
 
 
 def _lookup(g: MetricGraph, values: Mapping[str, float], what: str) -> list[float]:
-    """``values`` by vertex index; FieldError names a vertex it misses."""
+    """``values`` by vertex index of g, the one reader of a mapping into a field's list; FieldError
+    names a vertex it misses, else the least id g lacks, else the least with a non-finite value."""
     values = values if type(values) is dict else dict(values.items())  # a copy runs no __missing__, adds no key
     try:
-        return list(map(values.__getitem__, g.vertices))
+        fl = list(map(values.__getitem__, g.vertices))
     except KeyError as exc:
         raise FieldError(f"{what} has no value at vertex {exc.args[0]!r}")
+    if len(values) > len(fl):  # every id of g is a key: the others are vertices g lacks
+        raise FieldError(f"{what} has a value at vertex {min(values.keys() - g.index.keys())!r}, "
+                         "which the graph lacks")
+    _finite(values, what)
+    return fl
 
 
 def validate_field(f: ScalarField, positivity_threshold: float = DEFAULT_POSITIVITY_THRESHOLD) -> tuple:

@@ -426,7 +426,7 @@ def _reduction_field(
     """The :class:`ReductionField` of roots and residuals by vertex index.
     Roots are finite and >= 0 by construction, so h needs no validation."""
     return ReductionField(
-        h=ScalarField(g, _VertexView(g, None, roots), "rhs_f", roots),
+        h=ScalarField(g, _VertexView(g, None, roots), "rhs_f"),
         residuals=_VertexView(g, None, residuals),
         flagged=tuple(x for x, res in zip(g.vertices, residuals) if res > tol),
         tol=tol,
@@ -439,8 +439,8 @@ def reduce_field(
     rho: Mapping[str, float],
     tol: float = 1e-9,
 ) -> ReductionField:
-    """Vertexwise reduction to an eikonal right-hand side; FieldError names
-    the first vertex ``rho`` has no value at."""
+    """Vertexwise reduction to an eikonal right-hand side, at ``rho`` read
+    by :func:`fields._lookup`, which refuses what it cannot use."""
     n = len(g.vertices)
     roots, residuals = [0.0] * n, [0.0] * n
     _rereduce(H, g.vertices, _lookup(g, rho, "rho"), range(n), roots, residuals, tol)
@@ -541,7 +541,7 @@ def solve_general(
     taken, roots, residuals = [0.0] * n, [0.0] * n, [0.0] * n  # taken: the labels roots were taken at
     independent = H.rho_monotonicity == "independent"
     _rereduce(H, names, taken, range(n), roots, residuals if independent else None, bisect_tol)
-    f = ScalarField(g, _VertexView(g, None, roots), "rhs_f", roots)  # roots changes once f is solved
+    f = ScalarField(g, _VertexView(g, None, roots), "rhs_f")  # roots changes once f is solved
     vf = solve_dirichlet(DirichletProblem(g, f, zeta, threshold=0.0))
     u = field_list(g, vf.u)
     seeds = boundary_seeds(g, zeta.values)

@@ -149,13 +149,14 @@ def check_monge(
 
     mode "solution" judges |sub_slope - f|; "sub" judges only the excess
     [sub_slope - f]+ (Monge subsolution), "super" only the deficit
-    [f - sub_slope]+ (Monge supersolution).
+    [f - sub_slope]+ (Monge supersolution).  f is read as csub and csuper
+    read it, so FieldError refuses any role but rhs_f.
     """
     if mode not in ("solution", "sub", "super"):
         raise ValueError(f"unknown monge mode {mode!r}")
+    fl, names = _rhs_list(g, f), g.vertices
     if tol is None:
         tol = default_check_tol(g, f)
-    fl, names = field_list(g, f), g.vertices
     residuals: dict[str, float] = {}
     for i, s, _ in interior_slopes(g, u):
         if mode == "solution":

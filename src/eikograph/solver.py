@@ -37,7 +37,7 @@ from .graph import (
 @dataclass(frozen=True)
 class DirichletProblem:
     """Graph, nonnegative rhs field f on that graph (or an equal one),
-    boundary data zeta keyed on exactly the graph's boundary, nonnegative
+    finite boundary data zeta keyed on exactly the graph's boundary, nonnegative
     positivity threshold."""
 
     graph: MetricGraph
@@ -147,7 +147,7 @@ def value_function(g: MetricGraph, zeta: Mapping[str, float], run) -> ValueFunct
     for x in order:
         exits[x] = exits[exits[x]]  # a parent's entry is already its exit: every vertex is reached
     attained = {y: dist[g.index[y]] == zeta[y] for y in sorted(zeta)}  # zeta's keys are the boundary
-    u = ScalarField(g, _VertexView(g, order, dist), "solution_u", dist)
+    u = ScalarField(g, _VertexView(g, order, dist), "solution_u")
     return ValueFunction(u, _VertexView(g, order, exits, ids=True), attained)
 
 

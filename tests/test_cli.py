@@ -792,6 +792,18 @@ class TestErrorsAndConfig:
         assert "band_delta must be >= 0" in self.assert_one_error_line(capsys)
 
 
+    @pytest.mark.parametrize("kind,mode", [("csub", "sub"), ("csuper", "super"), ("regularity", "super")])
+    def test_mode_on_a_check_other_than_monge_exits_2(self, tmp_path, capsys, kind, mode):
+        # the flag was ignored and the check ran in full
+        g, u = str(tmp_path / "g.json"), str(tmp_path / "u.csv")
+        run_cli("fixture", "--name", "interval", "--n", "4", "--out", g)
+        run_cli("solve", "--graph", g, "--f", "const:1", "--zeta", "const:0", "--out", u)
+        capsys.readouterr()
+        assert run_cli("check", kind, "--graph", g, "--u", u, "--f", "const:1", "--mode", mode) == 2
+        assert self.assert_one_error_line(capsys) == f"error: --mode applies to check monge only, not check {kind}"
+        assert run_cli("check", kind, "--graph", g, "--u", u, "--f", "const:1", "--mode", "solution") == 0
+
+
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self, tmp_path):
         outs = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -409,6 +410,21 @@ class TestOneListPerField:
             want = f"^field \\({field.role}\\) has no value at vertex '{missing}'$"
             with pytest.raises(FieldError, match=want):
                 field_list(larger, field)
+
+    def test_a_field_is_graph_values_role_and_reads_its_views_list(self):
+        g = fixture("grid", n=3).graph
+        assert [x.name for x in dataclasses.fields(ScalarField)] == ["graph", "values", "role"]
+        assert not hasattr(ScalarField, "__post_init__")
+        with pytest.raises(TypeError):
+            ScalarField(g, dict.fromkeys(g.vertices, 1.0), "rhs_f", [2.0] * len(g.vertices))
+        zeta = constant_field(g, 0.0, "boundary_zeta")
+        vf = solve_dirichlet(DirichletProblem(g, constant_field(g, 1.0, "rhs_f"), zeta))
+        general, reduction, _ = solve_general(g, builtin_hamiltonian("affine-rho"), zeta)
+        for name, f in [("field_on", field_on(g, dict.fromkeys(g.vertices, 1.0), "rhs_f")),
+                        ("solve_dirichlet", vf.u),
+                        ("reduce_field", reduce_field(builtin_hamiltonian("affine-rho"), g, vf.u.values).h),
+                        ("solve_general u", general.u), ("solve_general h", reduction.h)]:
+            assert field_list(g, f) is f.values._list, name
 
     def test_field_built_directly_names_a_vertex_it_misses(self):
         g = fixture("interval", n=4).graph

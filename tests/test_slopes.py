@@ -12,6 +12,7 @@ import pytest
 import eikograph.fields as fields_module
 from eikograph import (
     DirichletProblem,
+    FieldError,
     GraphError,
     build_graph,
     check_c_subsolution,
@@ -483,3 +484,12 @@ class TestArcView:
         assert kept < 16 * arcs  # a dict keyed by "x->y" strings keeps 37 bytes an arc, its keys 70 more
         assert read == 0
         assert built > 0 and again == 0  # the first lookup builds the dict, a second keeps nothing
+
+
+def test_check_monge_refuses_an_f_that_is_no_rhs_field():
+    # csub and csuper refuse it too: all three read f as an edge-cost integrand
+    g = fixture("grid", n=3).graph
+    vf = solve_dirichlet(DirichletProblem(g, constant_field(g, 1.0, "rhs_f"), constant_field(g, 0.0, "boundary_zeta")))
+    for check in (check_monge, check_c_subsolution, check_c_supersolution):
+        with pytest.raises(FieldError, match=r"^edge costs need a rhs_f field, got role 'solution_u'$"):
+            check(g, vf.u, vf.u)
