@@ -93,25 +93,18 @@ class _VertexView(_ListView):
 
 
 def field_on(g: MetricGraph, values: Mapping[str, float], role: str) -> ScalarField:
-    """Validate and wrap vertex values as a field with the given role: a
-    boundary field keeps a dict, any other its list by vertex index, with
+    """Validate and wrap vertex values as a field with the given role.
+    Boundary data is read by :func:`_on_boundary` and kept as a dict; any
+    other role is read by :func:`_lookup` into its list by vertex index, with
     ``values`` the view of that list in id order (README's field paragraph)."""
     if role not in ROLES:
         raise FieldError(f"unknown field role {role!r}; expected one of {ROLES}")
     if type(values) is not dict or set(map(type, values)) != {str} or set(map(type, values.values())) != {float}:
         values = dict(zip(map(str, values.keys()), map(float, values.values())))
-    _finite(values, f"field ({role})")
-    try:  # values is an exact dict: a missing id raises KeyError, and no __missing__ runs
-        fl = [] if role == "boundary_zeta" else list(map(values.__getitem__, g.vertices))
-    except KeyError:
-        fl = None  # an id missing
-    if not fl or len(values) > len(fl):  # boundary data, an id missing, or one that is no vertex
-        if unknown := values.keys() - g.index.keys():
-            raise FieldError(f"field values at unknown vertices {sorted(unknown)[:5]}")
-        if fl is None:
-            raise FieldError(f"field ({role}) missing values at {sorted(g.index.keys() - values.keys())[:5]}")
+    if role == "boundary_zeta":
         _on_boundary(g, values)
         return ScalarField(g, dict(values), role)
+    fl = _lookup(g, values, f"field ({role})")
     if role == "rhs_f" and min(fl) < 0.0:
         neg = [(v, x) for v, x in zip(g.vertices, fl) if x < 0.0]
         raise FieldError(f"rhs field has negative values, e.g. {neg[:3]}")

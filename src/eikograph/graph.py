@@ -559,9 +559,7 @@ def _build_columns(spec: Mapping) -> MetricGraph:
         raise ValidationError(f"vertex {owners[k // dim]!r}: coords must be numbers, got {coords[k]!r}")
     xs = array("d", xs)
     if not all(map(math.isfinite, xs)):
-        k = next(k for k, x in enumerate(xs) if not math.isfinite(x)) // dim
-        row = tuple(xs[k * dim:k * dim + dim])
-        raise ValidationError(f"vertex {owners[k]!r}: coords must be finite, got {row!r}")
+        _require_coords(dict(zip(owners, zip(*[iter(xs)] * dim))))  # names the first owner of a non-finite row
     return _layout(tuple(ids), index, pairs, lens, bset, (dim if count else 0, xs, at))
 
 

@@ -20,7 +20,7 @@ from operator import itemgetter, sub, truediv
 from typing import Callable, Iterable, Mapping
 
 from .errors import CoercivityError, ConvergenceError, HamiltonianError, ValidationError
-from .fields import ScalarField, _lookup, _VertexView, field_list, field_on, interior_slopes
+from .fields import ScalarField, _finite, _lookup, _VertexView, field_list, field_on, interior_slopes
 from .graph import MetricGraph, _edge_items, _start, coord_axis, settle
 from .slopes import CheckReport
 from .solver import DirichletProblem, ValueFunction, boundary_seeds, solve_dirichlet, value_function
@@ -392,8 +392,9 @@ def reduce_h(H: HamiltonianSpec, x: str, rho: float, tol: float = 1e-9) -> float
     make outer fixed-point iterations limit-cycle above their tolerance.
     The loop is the kernel that belongs to ``H.evaluate`` (the comment above
     ``_KERNEL_SOURCE``), and an error names the current p, as
-    ``HamiltonianSpec.__call__``'s does.
+    ``HamiltonianSpec.__call__``'s does.  rho must be finite, as in :func:`reduce_field`.
     """
+    _finite({x: rho}, "rho")
     roots = [0.0]
     _rereduce(H, (x,), (rho,), (0,), roots, None, tol)
     return roots[0]

@@ -17,9 +17,9 @@ from itertools import compress, repeat
 from operator import eq, le, not_
 from typing import Iterator
 
-from .errors import GraphError
+from .errors import GraphError, ValidationError
 from .fields import ScalarField, _interior, _one_hop, _rhs_list, field_list, interior_slopes, lipschitz_constant
-from .graph import MetricGraph, _ListView, _vertex_index, curve_along
+from .graph import MetricGraph, _is_json_number, _ListView, _vertex_index, curve_along
 
 # Base additive tolerance; interpolation error of a Lipschitz rhs adds
 # Lip(f) * h_max on top of it (see default_check_tol).
@@ -48,7 +48,7 @@ class CheckReport:
     ``excluded`` items are reported but not judged (e.g. boundary-adjacent
     vertices in the regularity check).  ``details`` carries check-specific
     extras such as witness curves.  Residuals are a dict by vertex, or
-    csub's :class:`_ArcView`.
+    csub's :class:`_ArcView`.  A ``tol`` that is NaN or no int or float is refused here.
     """
 
     name: str
@@ -56,6 +56,10 @@ class CheckReport:
     residuals: Mapping[str, float]
     excluded: dict[str, float] = field(default_factory=dict)
     details: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not (_is_json_number(self.tol) and self.tol == self.tol):  # NaN != NaN
+            raise ValidationError(f"check {self.name!r} needs a numeric tol, got {self.tol!r}")
 
     @property
     def passed(self) -> bool:
@@ -153,7 +157,7 @@ def check_monge(
     read it, so FieldError refuses any role but rhs_f.
     """
     if mode not in ("solution", "sub", "super"):
-        raise ValueError(f"unknown monge mode {mode!r}")
+        raise ValidationError(f"unknown monge mode {mode!r}")
     fl, names = _rhs_list(g, f), g.vertices
     if tol is None:
         tol = default_check_tol(g, f)

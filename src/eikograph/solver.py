@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import FieldError, ProblemError
+from .errors import FieldError, ProblemError, ValidationError
 from .fields import (
     DEFAULT_POSITIVITY_THRESHOLD,
     ScalarField,
@@ -36,9 +36,9 @@ from .graph import (
 
 @dataclass(frozen=True)
 class DirichletProblem:
-    """Graph, nonnegative rhs field f on that graph (or an equal one),
-    finite boundary data zeta keyed on exactly the graph's boundary, nonnegative
-    positivity threshold."""
+    """Graph, nonnegative rhs field f on that graph (or an equal one), read
+    by :func:`fields.field_list`, finite boundary data zeta keyed on exactly
+    the graph's boundary, nonnegative positivity threshold."""
 
     graph: MetricGraph
     f: ScalarField
@@ -57,6 +57,7 @@ class DirichletProblem:
         _on_boundary(self.graph, self.zeta.values)  # zeta may be another graph's
         if not (self.threshold >= 0.0):  # NaN too: every x < NaN is false
             raise ProblemError(f"positivity threshold must be nonnegative, got {self.threshold!r}")
+        field_list(self.graph, self.f)  # refuses a missing, extra or non-finite value before positivity
         offenders = validate_field(self.f, self.threshold)
         if offenders:
             worst = offenders[0]
@@ -323,7 +324,9 @@ def distance_to_boundary(g: MetricGraph) -> dict[str, float]:
 
 
 def boundary_band(g: MetricGraph, delta: float) -> tuple[str, ...]:
-    """Vertices within intrinsic distance delta of the boundary."""
+    """Vertices within intrinsic distance delta of the boundary; refuses a NaN or negative delta."""
+    if not (delta >= 0.0):
+        raise ValidationError(f"band_delta must be >= 0, got {delta!r}")
     dist = distance_to_boundary(g)
     cut = delta + ABS_TOL + REL_TOL * abs(delta)
     return tuple(v for v in g.vertices if dist[v] <= cut)

@@ -281,10 +281,8 @@ def compare(inst: ComparisonInstance) -> ComparisonReport:
     g = inst.graph
     if not (inst.f.graph is g or inst.f.graph == g):
         raise FieldError("compare's f is a field on another graph")
-    delta = inst.band_delta if inst.band_delta is not None else 2.0 * g.h_max
-    if not (delta >= 0.0):
-        raise ValidationError(f"compare band_delta must be >= 0, got {delta!r}")
-    inf_f = min(inst.f.values.values())
+    band = boundary_band(g, inst.band_delta if inst.band_delta is not None else 2.0 * g.h_max)
+    inf_f = min(field_list(g, inst.f))
 
     def report(failed: str | None, **found) -> ComparisonReport:
         return ComparisonReport(inst.seed, inf_f, failed, **found)
@@ -302,7 +300,6 @@ def compare(inst: ComparisonInstance) -> ComparisonReport:
 
     # the checks above read every vertex of both fields
     excess = [a - b for a, b in zip(field_list(g, inst.u_sub), field_list(g, inst.v_super))]
-    band = boundary_band(g, delta)
     band_max = max(map(excess.__getitem__, map(g.index.__getitem__, band)))
     found = {"sub_report": sub_rep, "super_report": sup_rep, "band_size": len(band), "band_max": band_max}
     if band_max > inst.band_tol:
@@ -315,6 +312,8 @@ def compare(inst: ComparisonInstance) -> ComparisonReport:
 
 def random_metric_graph(seed: int, n_min: int = 8, n_max: int = 50) -> MetricGraph:
     """Seeded connected random graph with positive lengths and a boundary."""
+    if not n_min <= n_max:
+        raise ValidationError(f"random_metric_graph needs n_min <= n_max, got n_min={n_min!r}, n_max={n_max!r}")
     rng = random.Random(seed)
     n = rng.randint(n_min, n_max)
     ids = [f"n{i:03d}" for i in range(n)]

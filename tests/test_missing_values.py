@@ -20,7 +20,6 @@ from eikograph import (
     field_on,
     fixture,
     reduce_field,
-    solve_dirichlet,
 )
 from eikograph.cli import emit_plot_data
 from eikograph.fields import field_list
@@ -38,9 +37,8 @@ def _refused(what, vertex):
 def test_a_directly_built_field_refuses_a_missing_vertex():
     g = fixture("grid", n=3).graph
     values = _missing(g, "v1_1")
-    problem = DirichletProblem(g, ScalarField(g, values, "rhs_f"), constant_field(g, 0.0, "boundary_zeta"))
     with _refused("field (rhs_f)", "v1_1"):
-        solve_dirichlet(problem)
+        DirichletProblem(g, ScalarField(g, values, "rhs_f"), constant_field(g, 0.0, "boundary_zeta"))
     assert "v1_1" not in values and len(values) == len(g.vertices) - 1
 
 
@@ -135,6 +133,34 @@ def test_a_nan_in_a_directly_built_rhs_is_refused_before_the_solve():
     # the solve once went on to "the cost of reaching vertex 'v1_1' overflows binary64"
     g = fixture("grid", n=4).graph
     values = {**dict.fromkeys(g.vertices, 1.0), "v1_1": math.nan}
-    problem = DirichletProblem(g, ScalarField(g, values, "rhs_f"), constant_field(g, 0.0, "boundary_zeta"))
     with pytest.raises(FieldError, match=r"^field \(rhs_f\) has non-finite value nan at vertex 'v1_1'$"):
-        solve_dirichlet(problem)
+        DirichletProblem(g, ScalarField(g, values, "rhs_f"), constant_field(g, 0.0, "boundary_zeta"))
+
+
+# door -> a call that reads rhs values on g: the public constructor, a directly built field's list,
+# and the problem that judges a directly built f
+DOORS = {
+    "field_on": lambda g, vs: field_on(g, vs, "rhs_f"),
+    "field_list": lambda g, vs: field_list(g, ScalarField(g, vs, "rhs_f")),
+    "DirichletProblem": lambda g, vs: DirichletProblem(g, ScalarField(g, vs, "rhs_f"),
+                                                       constant_field(g, 0.0, "boundary_zeta")),
+}
+
+# input -> (rhs values over g's vertices with v spoiled, the one message every door gives)
+DOOR_INPUTS = {
+    **{given: INPUTS[given][:2] for given in ("missing id", "extra id", "nan", "defaultdict")},
+    "missing id, nan elsewhere": (lambda dom, v: {**INPUTS["missing id"][0](dom, v), "v2_2": math.nan},
+                                  INPUTS["missing id"][1]),
+}
+
+
+@pytest.mark.parametrize("given", DOOR_INPUTS)
+@pytest.mark.parametrize("door", DOORS)
+def test_every_door_gives_one_message_per_input(door, given):
+    g = fixture("grid", n=3).graph
+    make, message = DOOR_INPUTS[given]
+    values = make(g.vertices, "v1_1")
+    before = dict(values)
+    with pytest.raises(FieldError, match="^" + re.escape(message.format(what="field (rhs_f)", v="v1_1")) + "$"):
+        DOORS[door](g, values)
+    assert dict(values) == before

@@ -14,6 +14,7 @@ from eikograph import (
     DirichletProblem,
     FieldError,
     GraphError,
+    ValidationError,
     build_graph,
     check_c_subsolution,
     check_c_supersolution,
@@ -139,7 +140,7 @@ class TestCheckMonge:
     def test_unknown_mode_rejected(self):
         g, u = interval_field(abs, n=4)
         f = constant_field(g, 1.0, "rhs_f")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match=r"^unknown monge mode 'both'$"):
             check_monge(g, u, f, mode="both")
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -251,6 +252,24 @@ class TestCompare:
         twin = constant_field(fixture("grid", n=3).graph, 1.0, "rhs_f")
         assert compare(ComparisonInstance(graph=g, f=twin, u_sub=u, v_super=u)).passed
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_compare_tol_bounds_the_excess_inclusively(self, seed):
+        # u = lambda * v meets v on the boundary, where both are 0: the excess peaks at exactly 0.0
+        inst = random_comparison_instance(seed)
+        assert compare(inst).max_excess == 0.0
+        assert compare(dataclasses.replace(inst, compare_tol=0.0)).comparison_passed is True
+        assert compare(dataclasses.replace(inst, compare_tol=-5e-324)).comparison_passed is False
+
+    def test_band_max_is_the_largest_excess_in_the_band(self):
+        # u = lambda * v <= v everywhere; raising u at one boundary vertex makes that
+        # vertex's excess the band's only positive one
+        inst = random_comparison_instance(0)
+        b = min(inst.graph.boundary)
+        raised = field_on(inst.graph, {**dict(inst.u_sub.values), b: inst.u_sub[b] + 1e-6}, "solution_u")
+        report = compare(dataclasses.replace(inst, u_sub=raised))
+        assert report.hypothesis_failed == "boundary-band"
+        assert report.band_max == 1e-6
+
     def test_randomized_scaled_instances(self):
         for seed in range(25):
             report = compare(random_comparison_instance(seed))
@@ -261,6 +280,11 @@ class TestCompare:
 class TestRandomGraph:
     def test_deterministic(self):
         assert random_metric_graph(42) == random_metric_graph(42)
+
+    def test_inverted_size_bounds_rejected(self):
+        # randrange's ValueError used to escape
+        with pytest.raises(ValidationError, match=r"^random_metric_graph needs n_min <= n_max, got n_min=10, n_max=5$"):
+            random_metric_graph(1, n_min=10, n_max=5)
 
     def test_size_bounds_and_boundary(self):
         for seed in range(10):
