@@ -30,8 +30,8 @@ from eikograph import (
 )
 
 
-def _solved(n=4):
-    g = fixture("grid", n=n).graph
+def _solved():
+    g = fixture("grid", n=4).graph
     f = constant_field(g, 1.0, "rhs_f")
     return g, f, solve_dirichlet(DirichletProblem(g, f, constant_field(g, 0.0, "boundary_zeta"))).u
 
