@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import FieldError, GraphError, ValidationError
+from .errors import FieldError, GraphError, ValidationError, _any, _not_nan, _number
 from .graph import MetricGraph, _edge_items, _ListView, coord_axis, read_csv, write_csv
 
 ROLES = ("rhs_f", "solution_u", "boundary_zeta")
@@ -96,14 +96,15 @@ def field_on(g: MetricGraph, values: Mapping[str, float], role: str) -> ScalarFi
     """Validate and wrap vertex values as a field with the given role.
     Boundary data is read by :func:`_on_boundary` and kept as a dict; any
     other role is read by :func:`_lookup` into its list by vertex index, with
-    ``values`` the view of that list in id order (README's field paragraph)."""
+    ``values`` the view of that list in id order (README's field paragraph).
+    Both read each value through :func:`_finite`, which refuses a bool and
+    any value that is no int or float, and turns an int into a float."""
     if role not in ROLES:
         raise FieldError(f"unknown field role {role!r}; expected one of {ROLES}")
-    if type(values) is not dict or set(map(type, values)) != {str} or set(map(type, values.values())) != {float}:
-        values = dict(zip(map(str, values.keys()), map(float, values.values())))
+    if type(values) is not dict or set(map(type, values)) != {str}:
+        values = dict(zip(map(str, values.keys()), values.values()))
     if role == "boundary_zeta":
-        _on_boundary(g, values)
-        return ScalarField(g, dict(values), role)
+        return ScalarField(g, dict(_on_boundary(g, values)), role)
     fl = _lookup(g, values, f"field ({role})")
     if role == "rhs_f" and min(fl) < 0.0:
         neg = [(v, x) for v, x in zip(g.vertices, fl) if x < 0.0]
@@ -171,20 +172,25 @@ def edge_costs(g: MetricGraph, f: ScalarField) -> dict[tuple[str, str], float]:
     return {e: 0.5 * (fl[at[e[0]]] + fl[at[e[1]]]) * length for e, length in _edge_items(g)}
 
 
-def _on_boundary(g: MetricGraph, values: Mapping[str, float]) -> None:
-    """Raise FieldError unless ``values`` is finite data on exactly g's boundary."""
+def _on_boundary(g: MetricGraph, values: Mapping[str, float]) -> Mapping[str, float]:
+    """``values`` as :func:`_finite` returns them; FieldError unless they are finite data on exactly g's boundary."""
     if missing := g.boundary.difference(values):
         raise FieldError(f"boundary data missing at {sorted(missing)[:5]}")
     if extra := values.keys() - g.boundary:
         raise FieldError(f"boundary data given at non-boundary vertices {sorted(extra)[:5]}")
-    _finite(values, "boundary data")
+    return _finite(values, "boundary data")
 
 
-def _finite(values: Mapping[str, float], what: str) -> None:
-    """FieldError at the least id whose value is not finite; a finite sum, one C-level pass, clears all."""
-    if not math.isfinite(sum(values.values())):
-        if bad := sorted(v for v, x in values.items() if not math.isfinite(x)):
-            raise FieldError(f"{what} has non-finite value {values[bad[0]]!r} at vertex {bad[0]!r}")
+def _finite(values: Mapping[str, float], what: str) -> Mapping[str, float]:
+    """``values`` as floats: as given when each is a float and their sum is finite (two C-level
+    passes), else a copy in their order once each is read by :func:`errors._number`; FieldError
+    at the least id whose value is no number or not finite."""
+    if set(map(type, values.values())) <= {float} and math.isfinite(sum(values.values())):
+        return values
+    for v in sorted(values):
+        if not math.isfinite(_number(values[v], f"{what} value at vertex {v!r}", "a number", _any, FieldError)):
+            raise FieldError(f"{what} has non-finite value {values[v]!r} at vertex {v!r}")
+    return {v: float(x) for v, x in values.items()}
 
 
 def field_list(g: MetricGraph, f: ScalarField) -> list[float]:
@@ -196,7 +202,8 @@ def field_list(g: MetricGraph, f: ScalarField) -> list[float]:
 
 def _lookup(g: MetricGraph, values: Mapping[str, float], what: str) -> list[float]:
     """``values`` by vertex index of g, the one reader of a mapping into a field's list; FieldError
-    names a vertex it misses, else the least id g lacks, else the least with a non-finite value."""
+    names a vertex it misses, else the least id g lacks, else the least whose value is no number or
+    not finite (:func:`_finite`)."""
     values = values if type(values) is dict else dict(values.items())  # a copy runs no __missing__, adds no key
     try:
         fl = list(map(values.__getitem__, g.vertices))
@@ -205,7 +212,8 @@ def _lookup(g: MetricGraph, values: Mapping[str, float], what: str) -> list[floa
     if len(values) > len(fl):  # every id of g is a key: the others are vertices g lacks
         raise FieldError(f"{what} has a value at vertex {min(values.keys() - g.index.keys())!r}, "
                          "which the graph lacks")
-    _finite(values, what)
+    if (read := _finite(values, what)) is not values:  # an int or a float subclass among them
+        fl = list(map(read.__getitem__, g.vertices))
     return fl
 
 
@@ -213,8 +221,10 @@ def validate_field(f: ScalarField, positivity_threshold: float = DEFAULT_POSITIV
     """The sorted (vertex, value) pairs where f falls below the threshold; f
     passes iff there are none.
 
-    Threshold 0 accepts any nonnegative field (subsolution-only checks).
+    Threshold 0 accepts any nonnegative field (subsolution-only checks); a
+    NaN threshold, which every value would pass, is refused.
     """
+    positivity_threshold = _number(positivity_threshold, "positivity threshold", "a number", _not_nan)
     if min(f.values.values(), default=math.inf) >= positivity_threshold:
         return ()  # false for a NaN minimum or threshold, which the pass below judges
     return tuple(sorted((v, x) for v, x in f.values.items() if x < positivity_threshold))

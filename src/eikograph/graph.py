@@ -24,7 +24,7 @@ from operator import eq, itemgetter, lt
 from struct import unpack_from
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
-from .errors import ConnectivityError, GraphError, MetricError, ValidationError
+from .errors import ConnectivityError, GraphError, MetricError, ValidationError, _any, _is_json_number, _number
 
 # Default equality policy for binary64 comparisons; checks that expose their
 # own tolerance override this.
@@ -319,14 +319,14 @@ def _finalize(
 
     ii = list(map(index.get, map(itemgetter(0), ends)))
     jj = list(map(index.get, map(itemgetter(1), ends)))
-    if (None in ii or None in jj or any(map(eq, ii, jj)) or not all(map(lt, repeat(0.0), lengths))
-            or not all(map(lt, lengths, repeat(math.inf)))):
-        for (a, b), length in zip(ends, lengths):  # some entry is bad: name the first
+    if (None in ii or None in jj or any(map(eq, ii, jj)) or not set(map(type, lengths)) <= {float}
+            or not all(map(lt, repeat(0.0), lengths)) or not all(map(lt, lengths, repeat(math.inf)))):
+        for (a, b), length in zip(ends, lengths):  # some entry is bad, or no float: name the first bad one
             if a == b:
                 raise ValidationError(f"self-loop at vertex {a!r}")
             if a not in index or b not in index:
                 raise ValidationError(f"edge ({a!r}, {b!r}) references unknown vertex")
-            if not (0.0 < length < math.inf):
+            if not (0.0 < _number(length, f"edge ({a!r}, {b!r}) length", "a number", _any) < math.inf):
                 raise ValidationError(f"edge ({a!r}, {b!r}) has length {length!r}; "
                                       "a length must be a positive finite number")
     keys = [(i, j) if i < j else (j, i) for i, j in zip(ii, jj)]
@@ -362,11 +362,10 @@ def _coord_columns(coords: Mapping[str, Sequence[float]] | None, index: Mapping[
             placed[i] = row
         at.sort()
         rows = placed if len(at) == len(placed) else list(map(placed.__getitem__, at))
-    dims = set(map(len, rows))
-    xs = array("d", list(chain.from_iterable(rows)))
-    if len(dims) > 1 or not math.isfinite(sum(xs)):  # a sum is finite only if every term is
+    dims, xs = set(map(len, rows)), list(chain.from_iterable(rows))
+    if len(dims) > 1 or not set(map(type, xs)) <= {float} or not math.isfinite(sum(xs)):  # a finite sum: finite terms
         _require_coords(coords)  # names the vertex, in the given order
-    return dims.pop(), xs, None if len(at) == len(index) else at
+    return dims.pop(), array("d", xs), None if len(at) == len(index) else at
 
 
 def _known_boundary(boundary: Iterable[str], index: Mapping[str, int]) -> frozenset[str]:
@@ -413,21 +412,15 @@ def _layout(vs: tuple[str, ...], index: dict[str, int], pairs: Iterable[tuple[in
 
 
 def _require_coords(coords: Mapping[str, Sequence[float]]) -> None:
-    """Coords must be finite and share one dimension."""
-    if not all(map(math.isfinite, chain.from_iterable(coords.values()))):
-        v, xy = next((v, xy) for v, xy in coords.items() if not all(map(math.isfinite, xy)))
-        raise ValidationError(f"vertex {v!r}: coords must be finite, got {xy!r}")
+    """Coords must be finite numbers, each read by :func:`errors._number`, and share one dimension."""
+    for v, xy in coords.items():
+        if not all(math.isfinite(_number(x, f"vertex {v!r}: coords", "numbers", _any)) for x in xy):
+            raise ValidationError(f"vertex {v!r}: coords must be finite, got {xy!r}")
     if len(set(map(len, coords.values()))) > 1:
         first = next(iter(coords))
         other = next(v for v, xy in coords.items() if len(xy) != len(coords[first]))
         raise ValidationError(f"coords mix dimensions: {first!r} has {len(coords[first])}, "
                               f"{other!r} has {len(coords[other])}")
-
-
-def _is_json_number(value) -> bool:
-    """An int or a float: JSON's numbers, not the booleans and strings that
-    float() also takes."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def build_graph(spec: Mapping) -> MetricGraph:
@@ -804,8 +797,7 @@ def distances_from(g: MetricGraph, sources: Iterable[str]) -> dict[str, float]:
 def ball(g: MetricGraph, x: str, r: float) -> dict[str, float]:
     """Open ball in the intrinsic metric: {vertex: distance} for the vertices
     at distance < r from x, in id order."""
-    if not (r > 0.0):
-        raise ValidationError(f"ball radius must be positive, got {r!r}")
+    r = _number(r, "ball radius", "positive", lambda r: r > 0.0)
     dist, order, _ = settle(g, [(_vertex_index(g, x), 0.0)], limit=r)
     return {g.vertices[i]: dist[i] for i in sorted(order) if dist[i] < r}
 
@@ -819,8 +811,7 @@ def refine(g: MetricGraph, h_max: float) -> MetricGraph:
     h_max = inf included.  Raises ValidationError, before building anything,
     when h_max would add more than MAX_REFINE_VERTICES vertices.
     """
-    if not (h_max > 0.0):
-        raise ValidationError(f"h_max must be positive, got {h_max!r}")
+    h_max = _number(h_max, "h_max", "positive", lambda h: h > 0.0)
 
     parts: list[tuple[tuple[str, str], float, int]] = []  # (edge, length, pieces) in id order
     for key, length in _edge_items(g):
@@ -861,10 +852,13 @@ def refine(g: MetricGraph, h_max: float) -> MetricGraph:
 
 
 def chord_from_coords(coords: Mapping[str, Sequence[float]]) -> Callable[[str, str], float]:
-    """Euclidean chord distance computed from point coordinates."""
+    """Euclidean chord distance computed from point coordinates; two points
+    of different dimensions are refused."""
 
     def dist(a: str, b: str) -> float:
         pa, pb = coords[a], coords[b]
+        if len(pa) != len(pb):
+            raise MetricError(f"points {a!r} and {b!r} have different dimensions, {len(pa)} and {len(pb)}")
         try:
             return math.sqrt(math.fsum((ca - cb) ** 2 for ca, cb in zip(pa, pb)))
         except OverflowError:

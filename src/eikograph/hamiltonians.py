@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from operator import itemgetter, sub, truediv
 from typing import Callable, Iterable, Mapping
 
-from .errors import CoercivityError, ConvergenceError, HamiltonianError, ValidationError
+from .errors import CoercivityError, ConvergenceError, HamiltonianError, _number
 from .fields import ScalarField, _finite, _lookup, _VertexView, field_list, field_on, interior_slopes
 from .graph import MetricGraph, _edge_items, _start, coord_axis, settle
 from .slopes import CheckReport
@@ -37,9 +37,10 @@ RHO_MODES = ("independent", "nondecreasing")
 class HamiltonianSpec:
     """Evaluable Hamiltonian with declared monotonicity/coercivity metadata.
 
-    ``lambda0`` is the declared margin by which p -> H - lambda0 * p is
-    nondecreasing (validated on a sample grid); ``p_max``, positive and
-    finite, caps the range on which coercivity is probed.
+    ``lambda0``, positive and finite, is the declared margin by which
+    p -> H - lambda0 * p is nondecreasing (validated on a sample grid);
+    ``p_max``, positive and finite, caps the range on which coercivity is
+    probed.
     """
 
     name: str
@@ -49,10 +50,8 @@ class HamiltonianSpec:
     p_max: float = DEFAULT_P_MAX
 
     def __post_init__(self):
-        if not (self.lambda0 > 0.0):
-            raise HamiltonianError(f"lambda0 must be positive, got {self.lambda0!r}")
-        if not (0.0 < self.p_max < math.inf):
-            raise HamiltonianError(f"p_max must be positive and finite, got {self.p_max!r}")
+        for what, x in (("lambda0", self.lambda0), ("p_max", self.p_max)):
+            _number(x, what, "positive and finite", lambda x: 0.0 < x < math.inf, HamiltonianError)
         if self.rho_monotonicity not in RHO_MODES:
             raise HamiltonianError(
                 f"rho_monotonicity {self.rho_monotonicity!r} not in {RHO_MODES}"
@@ -256,8 +255,6 @@ BRACKET_GRIDS = {hi: _grid(0.5 * hi if hi > 1.0 else 0.0, hi)
 # * p, p) >= 0; the rho it reads from ``u`` is rebound at the first site.
 _KERNEL_SOURCE = """
 def kernel(evaluate, name, names, u, at, roots, residuals, tol, a=0.0, half_l=0.0):
-    if not (tol > 0.0):
-        raise HamiltonianError(f"bisection tol must be positive, got {tol!r}")
     for i in at:
         x, rho = names[i], u[i]
         p = root = 0.0
@@ -410,7 +407,9 @@ def _rereduce(
     tol: float,
 ) -> None:
     """Reduce each index in ``at`` at rho = ``u`` with the kernel that
-    belongs to ``H.evaluate``, by the kernel's calling convention."""
+    belongs to ``H.evaluate``, by the kernel's calling convention, after
+    reading ``tol``: every public reduction passes here first."""
+    tol = _number(tol, "bisection tol", "positive", lambda t: t > 0.0, HamiltonianError)
     _kernel_of(H.evaluate)(H.evaluate, H.name, names, u, at, roots, residuals, tol)
 
 
@@ -528,12 +527,8 @@ def solve_general(
     ``max_iter`` must be an int (not a bool) of at least 1, and ``tol``
     nonnegative; tol 0 stops at the bitwise fixpoint.
     """
-    if not isinstance(max_iter, int) or isinstance(max_iter, bool):
-        raise ValidationError(f"Picard max_iter must be an int, got {max_iter!r}")
-    if max_iter < 1:
-        raise ValidationError(f"Picard max_iter must be >= 1, got {max_iter!r}")
-    if not (tol >= 0.0):
-        raise ValidationError(f"Picard tol must be >= 0, got {tol!r}")
+    _number(max_iter, "Picard max_iter", "an int >= 1", lambda k: k >= 1, integer=True)
+    tol = _number(tol, "Picard tol", ">= 0", lambda t: t >= 0.0)
     validation = validate_hamiltonian(H, g)
     if not validation.passed:
         raise HamiltonianError(validation.describe())

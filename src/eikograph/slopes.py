@@ -17,9 +17,9 @@ from itertools import compress, repeat
 from operator import eq, le, not_
 from typing import Iterator
 
-from .errors import GraphError, ValidationError
+from .errors import GraphError, ValidationError, _not_nan, _number
 from .fields import ScalarField, _interior, _one_hop, _rhs_list, field_list, interior_slopes, lipschitz_constant
-from .graph import MetricGraph, _is_json_number, _ListView, _vertex_index, curve_along
+from .graph import MetricGraph, _ListView, _vertex_index, curve_along
 
 # Base additive tolerance; interpolation error of a Lipschitz rhs adds
 # Lip(f) * h_max on top of it (see default_check_tol).
@@ -58,8 +58,7 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (_is_json_number(self.tol) and self.tol == self.tol):  # NaN != NaN
-            raise ValidationError(f"check {self.name!r} needs a numeric tol, got {self.tol!r}")
+        _number(self.tol, f"check {self.name!r} tol", "a number", _not_nan)
 
     @property
     def passed(self) -> bool:
@@ -218,8 +217,7 @@ def check_c_supersolution(
     smallest id) and stops at a boundary vertex or where that neighbour does
     not lie strictly lower.
     """
-    if eps is None:
-        eps = default_check_tol(g, f)
+    eps = default_check_tol(g, f) if eps is None else _number(eps, "csuper eps", "a number", _not_nan)
     fl, ul, names = _rhs_list(g, f), field_list(g, u), g.vertices
     residuals: dict[str, float] = {}
     step = [-1] * len(names)  # argmin neighbour of each interior vertex

@@ -14,24 +14,10 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import FieldError, ProblemError, ValidationError
-from .fields import (
-    DEFAULT_POSITIVITY_THRESHOLD,
-    ScalarField,
-    _on_boundary,
-    _interior,
-    _VertexView,
-    field_list,
-    validate_field,
-)
-from .graph import (
-    ABS_TOL,
-    REL_TOL,
-    MetricGraph,
-    _ones,
-    distances_from,
-    settle,
-)
+from .errors import FieldError, ProblemError, _number
+from .fields import (DEFAULT_POSITIVITY_THRESHOLD, ScalarField, _interior, _on_boundary, _VertexView, field_list,
+                     validate_field)
+from .graph import ABS_TOL, REL_TOL, MetricGraph, _ones, distances_from, settle
 
 
 @dataclass(frozen=True)
@@ -55,8 +41,7 @@ class DirichletProblem:
         if self.zeta.role != "boundary_zeta":
             raise FieldError(f"zeta must have role boundary_zeta, got {self.zeta.role!r}")
         _on_boundary(self.graph, self.zeta.values)  # zeta may be another graph's
-        if not (self.threshold >= 0.0):  # NaN too: every x < NaN is false
-            raise ProblemError(f"positivity threshold must be nonnegative, got {self.threshold!r}")
+        _number(self.threshold, "positivity threshold", "nonnegative", lambda t: t >= 0.0, ProblemError)
         field_list(self.graph, self.f)  # refuses a missing, extra or non-finite value before positivity
         offenders = validate_field(self.f, self.threshold)
         if offenders:
@@ -325,8 +310,7 @@ def distance_to_boundary(g: MetricGraph) -> dict[str, float]:
 
 def boundary_band(g: MetricGraph, delta: float) -> tuple[str, ...]:
     """Vertices within intrinsic distance delta of the boundary; refuses a NaN or negative delta."""
-    if not (delta >= 0.0):
-        raise ValidationError(f"band_delta must be >= 0, got {delta!r}")
+    delta = _number(delta, "band_delta", ">= 0", lambda d: d >= 0.0)
     dist = distance_to_boundary(g)
     cut = delta + ABS_TOL + REL_TOL * abs(delta)
     return tuple(v for v in g.vertices if dist[v] <= cut)

@@ -17,17 +17,11 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable
 
-from .errors import FieldError, ValidationError
+from .errors import FieldError, ValidationError, _any, _not_nan, _number
 from .fields import ScalarField, field_from_expression, field_list, field_on
 from .graph import MAX_REFINE_VERTICES, MetricGraph, _finalize, collector_paused, edge_key, refine
-from .slopes import (
-    CheckReport,
-    check_c_subsolution,
-    check_c_supersolution,
-    check_monge,
-    check_regularity,
-    default_check_tol,
-)
+from .slopes import (CheckReport, check_c_subsolution, check_c_supersolution, check_monge, check_regularity,
+                     default_check_tol)
 from .solver import DirichletProblem, boundary_band, solve_dirichlet
 
 MONOTONE_SLACK = 1e-12  # float jitter allowance for residual monotonicity
@@ -43,16 +37,16 @@ class Fixture:
     graph: MetricGraph
 
 
-def _require_size(name: str, count: int) -> None:
-    """Refuse, before building it, a fixture over MAX_REFINE_VERTICES vertices."""
-    if count > MAX_REFINE_VERTICES:
+def _size(name: str, what: str, k, least: int, count: Callable[[int], int]) -> None:
+    """Read the size ``k`` of fixture ``name`` as an int of at least ``least``, and refuse,
+    before building it, a fixture of ``count(k)`` vertices over MAX_REFINE_VERTICES."""
+    k = _number(k, f"{name} fixture {what}", f"an int >= {least}", lambda k: k >= least, integer=True)
+    if count(k) > MAX_REFINE_VERTICES:
         raise ValidationError(f"{name} fixture would have more than {MAX_REFINE_VERTICES} vertices")
 
 
 def _interval(n: int) -> Fixture:
-    if n < 1:
-        raise ValidationError("interval fixture needs n >= 1")
-    _require_size("interval", n + 1)
+    _size("interval", "n", n, 1, lambda n: n + 1)
     ids = [f"v{k}" for k in range(n + 1)]
     coords = {ids[k]: ((2 * k - n) / n,) for k in range(n + 1)}
     g = _finalize(ids, list(zip(ids, ids[1:])), [2.0 / n] * n, {ids[0], ids[n]}, coords)
@@ -60,9 +54,7 @@ def _interval(n: int) -> Fixture:
 
 
 def _circle(n: int) -> Fixture:
-    if n < 3:
-        raise ValidationError("circle fixture needs n >= 3")
-    _require_size("circle", n)
+    _size("circle", "n", n, 3, lambda n: n)
     ids = [f"c{k}" for k in range(n)]
     coords = {
         ids[k]: (math.cos(2.0 * math.pi * k / n), math.sin(2.0 * math.pi * k / n))
@@ -74,11 +66,8 @@ def _circle(n: int) -> Fixture:
 
 
 def _grid(n: int, connectivity: int = 4) -> Fixture:
-    if n < 2:
-        raise ValidationError("grid fixture needs n >= 2")
-    if connectivity not in (4, 8):
-        raise ValidationError("grid connectivity must be 4 or 8")
-    _require_size("grid", n * n)
+    _size("grid", "n", n, 2, lambda n: n * n)
+    _number(connectivity, "grid connectivity", "4 or 8", (4, 8).__contains__, integer=True)
     rows = [[f"v{i}_{j}" for j in range(n)] for i in range(n)]  # rows[i][j] sits at (i, j)
     coords = {name: (float(i), float(j)) for i, row in enumerate(rows) for j, name in enumerate(row)}
     steps = [(row[j], row[j + 1]) for row in rows for j in range(n - 1)]  # (i, j) to (i, j + 1)
@@ -95,9 +84,7 @@ def _grid(n: int, connectivity: int = 4) -> Fixture:
 
 
 def _binary_tree(depth: int) -> Fixture:
-    if depth < 1:
-        raise ValidationError("binary_tree fixture needs depth >= 1")
-    _require_size("binary_tree", 2 ** (min(depth, 64) + 1) - 1)  # capped: no huge integer
+    _size("binary_tree", "depth", depth, 1, lambda d: 2 ** (min(d, 64) + 1) - 1)  # capped: no huge integer
     coords = {"t": (0.5, 0.0)}
     ends: list[tuple[str, str]] = []
     level = ["t"]
@@ -111,9 +98,7 @@ def _binary_tree(depth: int) -> Fixture:
 
 
 def _gasket(level: int) -> Fixture:
-    if level < 0:
-        raise ValidationError("gasket fixture needs level >= 0")
-    _require_size("gasket", 3 * (3 ** min(level, 64) + 1) // 2)  # capped: no huge integer
+    _size("gasket", "level", level, 0, lambda k: 3 * (3 ** min(k, 64) + 1) // 2)  # capped: no huge integer
     res = 2**level
     # unit triangles (i, j), (i+1, j), (i, j+1) with i + j < 2^level and i & j == 0, in the
     # order that subdividing each triangle into three lists them: i's and j's bits interleaved
@@ -183,8 +168,7 @@ def equivalence_suite(
     The max Monge residual must not increase across levels (up to float
     jitter) for Lipschitz f.
     """
-    if levels < 1:
-        raise ValidationError("equivalence_suite needs levels >= 1")
+    _number(levels, "equivalence_suite levels", "an int >= 1", lambda k: k >= 1, integer=True)
     base_h = fix.graph.h_max
     rows: list[tuple[str, str, str, float, float, str]] = []
     monge_max: list[float] = []
@@ -211,27 +195,11 @@ def equivalence_suite(
     monotone_ok = all(
         monge_max[i + 1] <= monge_max[i] + MONOTONE_SLACK for i in range(len(monge_max) - 1)
     )
-    rows.append(
-        (
-            fix.name,
-            "all",
-            "monge-residual-monotone",
-            max(
-                (monge_max[i + 1] - monge_max[i] for i in range(len(monge_max) - 1)),
-                default=0.0,
-            ),
-            MONOTONE_SLACK,
-            "pass" if monotone_ok else "fail",
-        )
-    )
-    return SuiteReport(
-        fixture_name=fix.name,
-        levels=levels,
-        rows=tuple(rows),
-        monge_residuals=tuple(monge_max),
-        monotone_ok=monotone_ok,
-        checks_ok=checks_ok,
-    )
+    rise = max((monge_max[i + 1] - monge_max[i] for i in range(len(monge_max) - 1)), default=0.0)
+    rows.append((fix.name, "all", "monge-residual-monotone", rise, MONOTONE_SLACK,
+                 "pass" if monotone_ok else "fail"))
+    return SuiteReport(fixture_name=fix.name, levels=levels, rows=tuple(rows), monge_residuals=tuple(monge_max),
+                       monotone_ok=monotone_ok, checks_ok=checks_ok)
 
 
 @dataclass(frozen=True)
@@ -279,6 +247,8 @@ def compare(inst: ComparisonInstance) -> ComparisonReport:
     """Verify u_sub <= v_super given the comparison-principle hypotheses;
     f must be a field on the instance's graph (or an equal one)."""
     g = inst.graph
+    band_tol = _number(inst.band_tol, "band_tol", "a number", _not_nan)
+    compare_tol = _number(inst.compare_tol, "compare_tol", "a number", _not_nan)
     if not (inst.f.graph is g or inst.f.graph == g):
         raise FieldError("compare's f is a field on another graph")
     band = boundary_band(g, inst.band_delta if inst.band_delta is not None else 2.0 * g.h_max)
@@ -302,19 +272,20 @@ def compare(inst: ComparisonInstance) -> ComparisonReport:
     excess = [a - b for a, b in zip(field_list(g, inst.u_sub), field_list(g, inst.v_super))]
     band_max = max(map(excess.__getitem__, map(g.index.__getitem__, band)))
     found = {"sub_report": sub_rep, "super_report": sup_rep, "band_size": len(band), "band_max": band_max}
-    if band_max > inst.band_tol:
+    if band_max > band_tol:
         return report("boundary-band", **found)
     worst = max(range(len(excess)), key=excess.__getitem__)  # the first in id order among ties
-    ok = excess[worst] <= inst.compare_tol
+    ok = excess[worst] <= compare_tol
     return report(None, **found, comparison_passed=ok, max_excess=excess[worst],
                   violating_vertex=None if ok else g.vertices[worst])
 
 
 def random_metric_graph(seed: int, n_min: int = 8, n_max: int = 50) -> MetricGraph:
     """Seeded connected random graph with positive lengths and a boundary."""
-    if not n_min <= n_max:
-        raise ValidationError(f"random_metric_graph needs n_min <= n_max, got n_min={n_min!r}, n_max={n_max!r}")
-    rng = random.Random(seed)
+    n_min = _number(n_min, "random_metric_graph n_min", "an int >= 1", lambda n: n >= 1, integer=True)
+    _number(n_max, "random_metric_graph n_max", f"an int from n_min = {n_min} to {MAX_REFINE_VERTICES}",
+            lambda n: n_min <= n <= MAX_REFINE_VERTICES, integer=True)
+    rng = random.Random(_number(seed, "random_metric_graph seed", "an int", _any, integer=True))
     n = rng.randint(n_min, n_max)
     ids = [f"n{i:03d}" for i in range(n)]
     edges: dict[tuple[str, str], float] = {}
@@ -337,8 +308,8 @@ def random_comparison_instance(seed: int) -> ComparisonInstance:
     construction u is a Monge subsolution, v is a Monge solution, and
     u <= v pointwise, so compare must pass.
     """
+    g = random_metric_graph(seed)  # reads the seed
     rng = random.Random(seed)
-    g = random_metric_graph(seed)
     f = field_on(g, {v: rng.uniform(0.5, 2.0) for v in g.vertices}, "rhs_f")
     zeta = field_on(g, {v: 0.0 for v in g.boundary}, "boundary_zeta")
     vf = solve_dirichlet(DirichletProblem(g, f, zeta))

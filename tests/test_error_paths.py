@@ -46,10 +46,11 @@ def workdir(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["fixture", "--name", "circle", "--n", "2", "--out", "x.json"], "circle fixture needs n >= 3"),
+    (["fixture", "--name", "circle", "--n", "2", "--out", "x.json"], "circle fixture n must be an int >= 3, got 2"),
     (["fixture", "--name", "binary_tree", "--depth", "0", "--out", "x.json"],
-     "binary_tree fixture needs depth >= 1"),
-    (["fixture", "--name", "gasket", "--level", "-1", "--out", "x.json"], "gasket fixture needs level >= 0"),
+     "binary_tree fixture depth must be an int >= 1, got 0"),
+    (["fixture", "--name", "gasket", "--level", "-1", "--out", "x.json"],
+     "gasket fixture level must be an int >= 0, got -1"),
     (["check", "csub", "--graph", "g.json", "--u", "u.csv"], "check csub needs --f"),
     (["check", "monge", "--graph", "g.json", "--u", "u.csv", "--f", "const:1", "--tol", "abc"],
      "argument --tol: invalid float value: 'abc'"),

@@ -181,9 +181,25 @@ class Ratio(float):
     """A float subclass: field_on stores its plain float."""
 
 
+def no_number(values):
+    """The (id, value) of the least id whose value is a bool or no int or float, else None."""
+    return min(((v, x) for v, x in values.items() if isinstance(x, bool) or not isinstance(x, (int, float))),
+               default=None, key=lambda item: item[0])
+
+
 def converted(values):
-    """The converting build that field_on skips for exact str keys and float values."""
+    """The converting build that field_on skips for exact str keys and float
+    values, on values that are all numbers."""
+    assert no_number(values) is None
     return dict(zip(map(str, values.keys()), map(float, values.values())))
+
+
+def refused_number(role, values):
+    """What field_on raises for values on every vertex that hold a bool or a
+    value that is no number (a numeric str included): the least such id."""
+    v, x = no_number(values)
+    what = "boundary data" if role == "boundary_zeta" else f"field ({role})"
+    return FieldError, f"{what} value at vertex {v!r} must be a number, got {x!r}"
 
 
 def outcome(call):
@@ -196,7 +212,8 @@ def outcome(call):
 
 class TestFieldOnInputs:
     """field_on reads exact str/float input as it is and converts every
-    other input: either way the same values, in id order, and errors."""
+    other input: either way the same values, in id order, and errors.  A
+    bool or a value that is no int or float is refused, not converted."""
 
     @staticmethod
     def cases(g):
@@ -222,8 +239,11 @@ class TestFieldOnInputs:
     def test_same_dict_order_and_errors_as_the_converting_build(self, role):
         g = fixture("grid", n=4).graph
         for name, values in self.cases(g).items():
-            want = converted(values)
             got = outcome(lambda: field_on(g, values, role))
+            if no_number(values):
+                assert got == refused_number(role, values), name
+                continue
+            want = converted(values)
             assert got[0] is outcome(lambda: field_on(g, want, role))[0], name
             if got[0] == "ok":
                 field = got[1]
@@ -240,9 +260,12 @@ class TestFieldOnInputs:
         boundary = sorted(g.boundary, reverse=True)
         for values in ({y: 0.5 for y in boundary}, {y: 1 for y in boundary}, {Id(y): "2" for y in boundary},
                        {**{y: 0.5 for y in boundary}, "v1_1": 0.5}, {y: 0.5 for y in boundary[1:]},
-                       {**{y: 0.5 for y in boundary}, boundary[3]: math.inf}):
-            want = converted(values)
+                       {**{y: 0.5 for y in boundary}, boundary[3]: math.inf}, {y: True for y in boundary}):
             got = outcome(lambda: field_on(g, values, "boundary_zeta"))
+            if no_number(values):
+                assert got == refused_number("boundary_zeta", values)
+                continue
+            want = converted(values)
             assert got[0] is outcome(lambda: field_on(g, want, "boundary_zeta"))[0]
             if got[0] == "ok":
                 assert list(got[1].values.items()) == list(want.items())
@@ -265,6 +288,10 @@ class TestValidateField:
         ]
         for values in cases:
             f = ScalarField(g, values, "rhs_f")  # unvalidated, so NaN and gaps reach validate_field
+            if math.isnan(threshold):  # every value would pass it: refused, as DirichletProblem refuses it
+                with pytest.raises(ValidationError, match="^positivity threshold must be a number, got nan$"):
+                    validate_field(f, threshold)
+                continue
             want = tuple(sorted((v, x) for v, x in values.items() if x < threshold))
             assert validate_field(f, threshold) == want
 

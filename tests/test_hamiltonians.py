@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
@@ -412,7 +413,8 @@ class TestSolveGeneral:
         # every sweep; both are rejected before any work, rho-independent H too
         g = fixture("interval", n=4).graph
         z = constant_field(g, 0.0, "boundary_zeta")
-        with pytest.raises(ValidationError, match=f"Picard {key} must be {bound}, got {value!r}"):
+        rule = f"an int {bound}" if key == "max_iter" else bound  # max_iter is a count
+        with pytest.raises(ValidationError, match=f"^Picard {key} must be {rule}, got {value!r}$"):
             solve_general(g, builtin_hamiltonian(name), z, **{key: value})
 
     @pytest.mark.parametrize("name", ["affine-rho", "linear"])
@@ -424,7 +426,8 @@ class TestSolveGeneral:
         # a few on interval n=4
         g = fixture("interval", n=4).graph
         z = constant_field(g, 0.0, "boundary_zeta")
-        with pytest.raises(ValidationError, match=f"Picard max_iter must be an int, got {value!r}"):
+        message = f"Picard max_iter must be an int >= 1, got {value!r}"
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
             solve_general(g, builtin_hamiltonian(name), z, max_iter=value)
 
     # every fixture kind with a boundary: the circle has none to solve from

@@ -76,14 +76,14 @@ CHECKS = {
 def test_a_check_refuses_a_tol_it_cannot_compare(check, tol):
     # a str tol used to return a report whose .passed raised TypeError
     g, f, u = _solved()
-    with pytest.raises(ValidationError, match="^" + re.escape(f"check {check!r} needs a numeric tol, got {tol!r}") + "$"):
+    with pytest.raises(ValidationError, match="^" + re.escape(f"check {check!r} tol must be a number, got {tol!r}") + "$"):
         CHECKS[check](g, f, u, tol)
 
 
 @pytest.mark.parametrize("check", CHECKS)
 def test_every_check_refuses_a_nan_tol(check):
     g, f, u = _solved()
-    with pytest.raises(ValidationError, match="^" + re.escape(f"check {check!r} needs a numeric tol, got nan") + "$"):
+    with pytest.raises(ValidationError, match="^" + re.escape(f"check {check!r} tol must be a number, got nan") + "$"):
         CHECKS[check](g, f, u, math.nan)
 
 
@@ -98,5 +98,5 @@ def test_compare_refuses_a_nan_tol_as_it_refuses_a_nan_band(which):
     # sub_tol=nan used to report the "monge-sub" hypothesis as failed
     g, f, u = _solved()
     check = "monge-sub" if which == "sub_tol" else "monge-super"
-    with pytest.raises(ValidationError, match="^" + re.escape(f"check {check!r} needs a numeric tol, got nan") + "$"):
+    with pytest.raises(ValidationError, match="^" + re.escape(f"check {check!r} tol must be a number, got nan") + "$"):
         compare(ComparisonInstance(graph=g, f=f, u_sub=u, v_super=u, **{which: math.nan}))

@@ -283,7 +283,8 @@ class TestRandomGraph:
 
     def test_inverted_size_bounds_rejected(self):
         # randrange's ValueError used to escape
-        with pytest.raises(ValidationError, match=r"^random_metric_graph needs n_min <= n_max, got n_min=10, n_max=5$"):
+        message = r"^random_metric_graph n_max must be an int from n_min = 10 to 1000000, got 5$"
+        with pytest.raises(ValidationError, match=message):
             random_metric_graph(1, n_min=10, n_max=5)
 
     def test_size_bounds_and_boundary(self):
