@@ -212,7 +212,7 @@ def _lookup(g: MetricGraph, values: Mapping[str, float], what: str) -> list[floa
     if len(values) > len(fl):  # every id of g is a key: the others are vertices g lacks
         raise FieldError(f"{what} has a value at vertex {min(values.keys() - g.index.keys())!r}, "
                          "which the graph lacks")
-    if (read := _finite(values, what)) is not values:  # an int or a float subclass among them
+    if (read := _finite(values, what)) is not values:  # a copy: no plain floats, or their sum overflowed
         fl = list(map(read.__getitem__, g.vertices))
     return fl
 
@@ -226,7 +226,7 @@ def validate_field(f: ScalarField, positivity_threshold: float = DEFAULT_POSITIV
     """
     positivity_threshold = _number(positivity_threshold, "positivity threshold", "a number", _not_nan)
     if min(f.values.values(), default=math.inf) >= positivity_threshold:
-        return ()  # false for a NaN minimum or threshold, which the pass below judges
+        return ()  # false for a NaN minimum, which the pass below judges
     return tuple(sorted((v, x) for v, x in f.values.items() if x < positivity_threshold))
 
 
